@@ -191,6 +191,7 @@ void GmAbcastProcess::sequence_pending() {
   }
   // Assign the next sequence numbers to every known unsequenced message.
   std::vector<std::pair<MsgId, std::int64_t>> assigned;
+  // arrival_order_ may still hold delivered ids between compactions.
   for (const MsgId& id : arrival_order_) {
     if (delivered_.contains(id) || sn_of_.contains(id)) continue;
     const std::int64_t sn = next_sn_++;
@@ -280,6 +281,14 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
   if (!delivered_.insert(msg->id).second) return;
   msgs_.erase(msg->id);  // content lives on in the run's arena
+  // Delivered ids are never sequenced again, so their bookkeeping goes
+  // with them: per-message work and memory stay O(in flight), not
+  // O(history).  arrival_order_ is compacted once at least half of it is
+  // delivered ids (amortised O(1) per delivery); afterwards it holds
+  // exactly the keys of msgs_, in arrival order.
+  sn_of_.erase(msg->id);
+  if (arrival_order_.size() > 2 * msgs_.size() + 64)
+    std::erase_if(arrival_order_, [this](const MsgId& id) { return !msgs_.contains(id); });
   log_.push_back(msg);
   deliver(*msg);
 }
@@ -301,7 +310,9 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (s->view_id != view_.id) return;  // stale view: ignored, re-sequenced later
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
-      sn_of_.emplace(id, sn);
+      // A repair re-multicast may re-announce ids delivered here already;
+      // their sn_of_ entries are gone and must stay gone.
+      if (!delivered_.contains(id)) sn_of_.emplace(id, sn);
       msg_at_.emplace(sn, id);
     }
     try_advance_ack();
@@ -339,8 +350,11 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       AppMessagePtr content = nullptr;
       if (auto mit = msgs_.find(it->second); mit != msgs_.end()) {
         content = mit->second;
+      } else if (auto rit = recent_delivered_.find(sn);
+                 rit != recent_delivered_.end() && rit->second->id == it->second) {
+        content = rit->second;  // delivered but not yet stable: O(log n)
       } else {
-        // Already delivered here: fetch from the log.
+        // Delivered and stable: fetch from the log.
         for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
           if ((*lit)->id == it->second) {
             content = *lit;
@@ -430,14 +444,10 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  for (auto it = msg_at_.begin(); it != msg_at_.end();) {
-    if (it->first > sn_floor_) {
-      sn_of_.erase(it->second);
-      it = msg_at_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // msg_at_ is ordered by sn: only the tail above the floor is visited.
+  const auto first = msg_at_.upper_bound(sn_floor_);
+  for (auto it = first; it != msg_at_.end(); ++it) sn_of_.erase(it->second);
+  msg_at_.erase(first, msg_at_.end());
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {

@@ -72,6 +72,17 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// Test/debug access to the consensus endpoint.
   [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
 
+  /// Test/debug view of the data plane's bookkeeping sizes, which must stay
+  /// bounded by the messages in flight rather than by the run's history.
+  struct DataPlaneSizes {
+    std::size_t arrival_order;  // sequencing-order entries (incl. not yet compacted)
+    std::size_t undelivered;    // known, undelivered contents
+    std::size_t seqnums;        // id -> sequence-number mappings
+  };
+  [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
+    return {arrival_order_.size(), msgs_.size(), sn_of_.size()};
+  }
+
   // gm::MembershipClient
   [[nodiscard]] gm::UnstableReport unstable_messages() const override;
   void on_view_change_started() override;
@@ -129,6 +140,8 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   bool member_ = true;
   bool frozen_ = false;
 
+  // msgs_, arrival_order_ and sn_of_ describe undelivered messages only:
+  // deliver_msg drops a message's entries (arrival_order_'s lazily).
   std::unordered_map<MsgId, AppMessagePtr, MsgIdHash> msgs_;  // known content
   std::vector<MsgId> arrival_order_;                          // sequencing order
   std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;

@@ -334,6 +334,142 @@ TEST(GmAbcast, DeterministicGivenSeed) {
   EXPECT_EQ(run_once(9), run_once(9));
 }
 
+// ------------------------------------------------- bounded data-plane state
+
+/// Poisson A-broadcasts at `rate` msgs/s in total from uniformly chosen
+/// senders over [from, to) ms.  Crashed senders' attempts are no-ops;
+/// `sent_at`, if given, records each accepted broadcast's time.
+void schedule_load(Fixture& f, std::vector<MsgId>& ids, double rate, double from, double to,
+                   std::uint64_t seed, std::vector<double>* sent_at = nullptr) {
+  sim::Rng rng(seed);
+  const auto n = static_cast<std::int64_t>(f.procs.size());
+  for (double t = from + rng.exponential(1000.0 / rate); t < to;
+       t += rng.exponential(1000.0 / rate)) {
+    const auto sender = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    f.sys.scheduler().schedule_at(t, [&f, &ids, sender, sent_at] {
+      const MsgId id = f.procs[sender]->a_broadcast();
+      if (id.seq == 0) return;
+      ids.push_back(id);
+      if (sent_at != nullptr) sent_at->push_back(f.sys.now());
+    });
+  }
+}
+
+/// The compaction bound, and "arrival order covers every undelivered
+/// message": the unstable report walks arrival order filtered to
+/// undelivered ids, then appends the delivered-not-yet-stable ones (sn at
+/// or below the watermark).  Holds whenever no view change is under way.
+::testing::AssertionResult bounded(const GmAbcastProcess& p, double t) {
+  const auto s = p.data_plane_dbg();
+  const gm::UnstableReport r = p.unstable_messages();
+  const auto pending = static_cast<std::size_t>(
+      std::count_if(r.entries.begin(), r.entries.end(), [&](const gm::UnstableEntry& e) {
+        return e.seqnum < 0 || e.seqnum > r.watermark;
+      }));
+  if (s.arrival_order <= 2 * s.undelivered + 64 && pending == s.undelivered)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "p" << p.id() << " at " << t << " ms: arrival order " << s.arrival_order
+         << ", undelivered " << s.undelivered << ", reported pending " << pending;
+}
+
+TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
+  // The paper's steady point (n = 7, T = 300/s) for 20 simulated seconds:
+  // the sequencer's and a follower's bookkeeping must track the messages
+  // in flight (a few dozen), not the ~6000 delivered so far.  Checked
+  // every 2 ms, so the window right after each compaction is covered too.
+  Fixture f(7);
+  std::vector<MsgId> ids;
+  schedule_load(f, ids, 300.0, 0.0, 20000.0, 7);
+  for (double t = 2.0; t <= 20000.0; t += 2.0) {
+    f.sys.scheduler().run_until(t);
+    ASSERT_TRUE(bounded(*f.procs[0], t));
+    ASSERT_TRUE(bounded(*f.procs[3], t));
+  }
+  f.sys.scheduler().run();
+  EXPECT_GT(ids.size(), 5000u);
+  f.check_safety(ids);
+  for (int p : {0, 3}) {
+    const auto s = f.procs[static_cast<std::size_t>(p)]->data_plane_dbg();
+    EXPECT_EQ(s.undelivered, 0u);
+    EXPECT_EQ(s.seqnums, 0u);
+    EXPECT_LE(s.arrival_order, 64u);
+  }
+}
+
+TEST(GmAbcast, SequencerCrashAfterCompactionsResequencesInFlight) {
+  // Load long enough for many compactions, then crash the sequencer while
+  // it has sequenced-but-undelivered messages out.  Compaction must not
+  // have lost any pending id: the view-change flush settles what the
+  // survivors reported, the new sequencer re-sequences the rest, and every
+  // survivor delivers the same log.
+  fd::QosParams qp;
+  qp.detection_time = 10.0;
+  Fixture f(7, qp, 3);
+  std::vector<MsgId> ids;
+  std::vector<double> sent_at;
+  schedule_load(f, ids, 300.0, 0.0, 5000.0, 11, &sent_at);
+  double t = 3000.0;
+  f.sys.scheduler().run_until(t);
+  // Step until the sequencer has an assigned-but-undelivered batch out.
+  const GmAbcastProcess& seq = *f.procs[0];
+  std::vector<MsgId> in_flight;
+  while (in_flight.empty()) {
+    t += 0.25;
+    f.sys.scheduler().run_until(t);
+    for (const auto& p : f.procs) ASSERT_TRUE(bounded(*p, t));
+    const gm::UnstableReport r = seq.unstable_messages();
+    for (const gm::UnstableEntry& e : r.entries)
+      if (e.seqnum > r.watermark) in_flight.push_back(e.msg->id);
+  }
+  // Without compaction arrival order would hold every id seen so far.
+  ASSERT_GT(seq.log().size(), 800u);
+  ASSERT_LT(seq.data_plane_dbg().arrival_order, seq.log().size() / 8);
+  f.sys.crash(0);
+
+  struct Sink final : DeliverSink {
+    net::System* sys = nullptr;
+    std::vector<std::pair<MsgId, double>> at;
+    void on_deliver(const AppMessage& m) override { at.emplace_back(m.id, sys->now()); }
+  } sink;
+  sink.sys = &f.sys;
+  f.procs[1]->set_deliver_sink(&sink);
+  f.sys.scheduler().run_until(30000.0);
+
+  EXPECT_EQ(f.procs[1]->view().members, (std::vector<net::ProcessId>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(f.procs[1]->is_sequencer());
+  EXPECT_EQ(f.procs[1]->membership().views_installed(), 1u);
+  std::vector<MsgId> from_survivors;
+  for (const MsgId& id : ids)
+    if (id.origin != 0) from_survivors.push_back(id);
+  f.check_safety(from_survivors);
+  f.check_safety(in_flight);
+  for (std::size_t p = 2; p < 7; ++p) {
+    ASSERT_EQ(f.procs[p]->log().size(), f.procs[1]->log().size()) << "p" << p;
+    for (std::size_t i = 0; i < f.procs[1]->log().size(); ++i)
+      ASSERT_EQ(f.procs[p]->log()[i]->id, f.procs[1]->log()[i]->id) << "p" << p << " @" << i;
+  }
+  for (std::size_t p = 1; p < 7; ++p) EXPECT_TRUE(bounded(*f.procs[p], f.sys.now()));
+
+  // The dead sequencer's batch is settled by the flush, at the view change.
+  auto delivered_at = [&](const MsgId& id) {
+    for (const auto& [d, when] : sink.at)
+      if (d == id) return when;
+    return -1.0;
+  };
+  double flush_t = 1e300;
+  for (const MsgId& id : in_flight) flush_t = std::min(flush_t, delivered_at(id));
+  ASSERT_GT(flush_t, t);
+  // Messages pending at the view change that the flush did not settle
+  // (broadcast too late for the survivors' unstable reports) were
+  // re-sequenced by p1: the only view change is behind them, so only the
+  // new sequencer's assignments can have delivered them.
+  std::size_t resequenced = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    resequenced += sent_at[i] < flush_t && delivered_at(ids[i]) > flush_t ? 1 : 0;
+  EXPECT_GT(resequenced, 0u);
+}
+
 // ------------------------------------------------------------- property
 
 struct Param {
