@@ -10,7 +10,6 @@
 //
 // Results are bit-identical for every --jobs value (replica seeding and
 // row order do not depend on the worker count).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -54,7 +53,6 @@ struct Options {
   bool faults_inline = false;  // --faults given (conflicts with --faults-file)
   bool faults_file = false;    // --faults-file given
   fault::FaultSchedule faults;
-  sim::SchedulerConfig scheduler;
   std::map<std::string, std::string> params;  // --set key=value
 };
 
@@ -108,12 +106,6 @@ void print_usage() {
       "                    (newlines are treated as whitespace; ';' still\n"
       "                    separates events).  Mutually exclusive with\n"
       "                    --faults.\n"
-      "  --backend B       scheduler backend: heap | wheel | par (default\n"
-      "                    heap); bit-identical results, different speed\n"
-      "                    profiles (par = intra-run parallel rounds)\n"
-      "  --threads N       worker threads per simulation under --backend par\n"
-      "                    (default 0 = hardware threads; clamped so that\n"
-      "                    --jobs x --threads never oversubscribes)\n"
       "  --transport       arm the retransmission transport in every\n"
       "                    simulation (sequence-numbered per-pair channels\n"
       "                    that survive 'loss' faults; bit-identical to the\n"
@@ -148,14 +140,6 @@ void print_usage() {
       "                    peak-RSS columns to every table (these columns\n"
       "                    are machine-dependent, unlike the latencies)\n"
       "  --help            this text\n";
-}
-
-/// Strict unsigned parse: the whole string must be digits.
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (!*s) return false;
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
 }
 
 void print_list() {
@@ -208,7 +192,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = need_value(i, a.c_str());
       std::uint64_t n = 0;
       if (!v) return false;
-      if (!parse_u64(v, n)) {
+      if (!parse_digits(v, n)) {
         std::cerr << "fdgm_bench: --jobs needs a number, got '" << v << "'\n";
         return false;
       }
@@ -217,7 +201,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--seed") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
-      if (!parse_u64(v, opt.seed)) {
+      if (!parse_digits(v, opt.seed)) {
         std::cerr << "fdgm_bench: --seed needs a number, got '" << v << "'\n";
         return false;
       }
@@ -254,28 +238,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
       opt.critical_path_path = v;
-    } else if (a == "--backend") {
-      const char* v = need_value(i, a.c_str());
-      if (!v) return false;
-      if (std::strcmp(v, "heap") == 0)
-        opt.scheduler.backend = sim::SchedulerBackend::kHeap;
-      else if (std::strcmp(v, "wheel") == 0)
-        opt.scheduler.backend = sim::SchedulerBackend::kWheel;
-      else if (std::strcmp(v, "par") == 0)
-        opt.scheduler.backend = sim::SchedulerBackend::kParallel;
-      else {
-        std::cerr << "fdgm_bench: unknown backend '" << v << "' (heap|wheel|par)\n";
-        return false;
-      }
-    } else if (a == "--threads") {
-      const char* v = need_value(i, a.c_str());
-      std::uint64_t n = 0;
-      if (!v) return false;
-      if (!parse_u64(v, n)) {
-        std::cerr << "fdgm_bench: --threads needs a number, got '" << v << "'\n";
-        return false;
-      }
-      opt.scheduler.threads = static_cast<int>(n);
     } else if (a == "--faults") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
@@ -348,8 +310,7 @@ int run(const Options& opt) {
 
   std::vector<const Scenario*> selected;
   if (opt.all) {
-    for (const Scenario& s : registry.all())
-      if (s.in_all) selected.push_back(&s);
+    for (const Scenario& s : registry.all()) selected.push_back(&s);
   } else {
     for (const std::string& name : opt.scenarios) {
       const Scenario* s = registry.find(name);
@@ -411,7 +372,6 @@ int run(const Options& opt) {
   ctx.jobs = jobs;
   ctx.seed = opt.seed;
   ctx.faults = opt.faults;
-  ctx.scheduler = opt.scheduler;
   ctx.transport.enabled = opt.transport;
   ctx.batching.enabled = opt.batch;
   ctx.obs.enabled = exporting;
@@ -435,19 +395,6 @@ int run(const Options& opt) {
     ctx.pool = pool.get();
   }
 
-  // --profile under --backend par: the per-simulation worker count the
-  // runs will resolve to (SimRun divides the hardware budget by the
-  // replica pool width so --jobs x --threads never oversubscribes).
-  const bool par = opt.scheduler.backend == sim::SchedulerBackend::kParallel;
-  std::size_t resolved_threads = 1;
-  if (par) {
-    const std::size_t hw = core::effective_jobs(0);
-    const std::size_t width = pool ? pool->workers() : 1;
-    resolved_threads = opt.scheduler.threads <= 0
-                           ? std::max<std::size_t>(1, hw / width)
-                           : static_cast<std::size_t>(opt.scheduler.threads);
-  }
-
   for (const Scenario* s : selected) {
     const std::uint64_t events0 = core::total_events_executed();
     const auto wall0 = std::chrono::steady_clock::now();
@@ -468,27 +415,6 @@ int run(const Options& opt) {
       table.add_column("Mev/s", util::Table::cell(
                                     static_cast<double>(events) / wall_s / 1e6, 2));
       table.add_column("peak RSS [MB]", util::Table::cell(peak_rss_mb(), 1));
-      table.add_column("threads", std::to_string(resolved_threads));
-      if (par) {
-        // Wall baseline: the same scenario, same budget/params, on the
-        // sequential heap backend.  The result tables are bit-identical
-        // (that is the kParallel contract); only the wall differs.
-        ScenarioContext heap_ctx = ctx;
-        heap_ctx.scheduler.backend = sim::SchedulerBackend::kHeap;
-        const auto h0 = std::chrono::steady_clock::now();
-        try {
-          (void)s->run(heap_ctx);
-        } catch (const std::exception& e) {
-          std::cerr << "fdgm_bench: heap baseline for '" << s->name << "' failed: " << e.what()
-                    << '\n';
-          std::exit(1);
-        }
-        const double heap_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - h0).count();
-        table.add_column("speedup vs heap", util::Table::cell(heap_s / wall_s, 2));
-      } else {
-        table.add_column("speedup vs heap", "-");
-      }
     }
     if (!opt.out_dir.empty()) {
       std::error_code ec;

@@ -64,9 +64,9 @@ namespace {
 
 std::uint64_t g_sink = 0;
 
-void schedule_fire_kernel(benchmark::State& state, const sim::SchedulerConfig& cfg) {
+void BM_SchedulerScheduleFire(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
-  sim::Scheduler s(cfg);
+  sim::Scheduler s;
   // Realistic callback capture (~40 bytes, like a network pipeline stage).
   auto schedule_batch = [&] {
     sim::Scheduler* sp = &s;
@@ -96,19 +96,11 @@ void schedule_fire_kernel(benchmark::State& state, const sim::SchedulerConfig& c
       static_cast<double>(g_allocs - a0) / static_cast<double>(events);
 }
 
-void BM_SchedulerScheduleFire(benchmark::State& state) {
-  schedule_fire_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kHeap});
-}
 BENCHMARK(BM_SchedulerScheduleFire)->Arg(1024)->Arg(16384);
 
-void BM_WheelScheduleFire(benchmark::State& state) {
-  schedule_fire_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kWheel});
-}
-BENCHMARK(BM_WheelScheduleFire)->Arg(1024)->Arg(16384);
-
-void schedule_cancel_fire_kernel(benchmark::State& state, const sim::SchedulerConfig& cfg) {
+void BM_SchedulerScheduleCancelFire(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
-  sim::Scheduler s(cfg);
+  sim::Scheduler s;
   std::vector<sim::EventId> ids(static_cast<std::size_t>(batch));
   auto round = [&] {
     sim::Scheduler* sp = &s;
@@ -135,28 +127,19 @@ void schedule_cancel_fire_kernel(benchmark::State& state, const sim::SchedulerCo
       static_cast<double>(g_allocs - a0) / static_cast<double>(events);
 }
 
-void BM_SchedulerScheduleCancelFire(benchmark::State& state) {
-  schedule_cancel_fire_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kHeap});
-}
 BENCHMARK(BM_SchedulerScheduleCancelFire)->Arg(1024);
-
-void BM_WheelScheduleCancelFire(benchmark::State& state) {
-  schedule_cancel_fire_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kWheel});
-}
-BENCHMARK(BM_WheelScheduleCancelFire)->Arg(1024);
 
 // FD-timer mix at n = 128: the pending-queue population a large group's
 // failure-detector layer creates — one long-horizon renewal timer per
 // ordered pair (n(n-1) = 16256 of them) parked under a hot stream of
 // short protocol events, with a steady churn of cancel+reschedule on the
-// cold timers (detection edges / releases / storm extensions).  The heap
-// pays O(log 16k) with cache misses on every hot operation; the wheel
-// parks the cold population in its upper levels / overflow and serves
-// the hot stream from level 0.
-void fd_timer_mix_kernel(benchmark::State& state, const sim::SchedulerConfig& cfg) {
+// cold timers (detection edges / releases / storm extensions).  The wheel
+// parks the cold population in its top level and overflow heap and
+// serves the hot stream from level 0.
+void BM_FdTimerMix128(benchmark::State& state) {
   constexpr int kN = 128;
   constexpr int kPairs = kN * (kN - 1);
-  sim::Scheduler s(cfg);
+  sim::Scheduler s;
   std::mt19937_64 rng(20260729);
   std::vector<sim::EventId> renewals(kPairs);
   // Far enough out that no parked timer ever comes due inside the
@@ -195,15 +178,7 @@ void fd_timer_mix_kernel(benchmark::State& state, const sim::SchedulerConfig& cf
       static_cast<double>(g_allocs - a0) / static_cast<double>(events);
 }
 
-void BM_FdTimerMix128_heap(benchmark::State& state) {
-  fd_timer_mix_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kHeap});
-}
-BENCHMARK(BM_FdTimerMix128_heap);
-
-void BM_FdTimerMix128_wheel(benchmark::State& state) {
-  fd_timer_mix_kernel(state, sim::SchedulerConfig{sim::SchedulerBackend::kWheel});
-}
-BENCHMARK(BM_FdTimerMix128_wheel);
+BENCHMARK(BM_FdTimerMix128);
 
 void BM_NetworkUnicastHop(benchmark::State& state) {
   net::System sys(2, net::NetworkConfig{}, 1);
@@ -251,9 +226,8 @@ BENCHMARK(BM_NetworkMulticastFanout);
 // bookkeeping + in-order release on every hop).  The no-loss path must
 // stay allocation-free: no ring pushes, no timers, no control frames —
 // allocs_per_event is asserted 0 by the perf-smoke CI job.
-void transport_pingpong_kernel(benchmark::State& state, sim::SchedulerBackend backend) {
-  net::System sys(2, net::NetworkConfig{}, 1, sim::SchedulerConfig{backend},
-                  transport::Config{.enabled = true});
+void BM_TransportPingPong(benchmark::State& state) {
+  net::System sys(2, net::NetworkConfig{}, 1, transport::Config{.enabled = true});
   class Sink final : public net::Layer {
    public:
     void on_message(const net::Message&) override {}
@@ -281,15 +255,7 @@ void transport_pingpong_kernel(benchmark::State& state, sim::SchedulerBackend ba
   benchmark::DoNotOptimize(sys.transport()->stats().data_frames);
 }
 
-void BM_TransportPingPong_heap(benchmark::State& state) {
-  transport_pingpong_kernel(state, sim::SchedulerBackend::kHeap);
-}
-BENCHMARK(BM_TransportPingPong_heap);
-
-void BM_TransportPingPong_wheel(benchmark::State& state) {
-  transport_pingpong_kernel(state, sim::SchedulerBackend::kWheel);
-}
-BENCHMARK(BM_TransportPingPong_wheel);
+BENCHMARK(BM_TransportPingPong);
 
 // Raw frame-checksum cost: stamp + verify over a resident message set,
 // nothing else.  This is the per-frame arithmetic a corrupt-armed run adds
@@ -324,11 +290,10 @@ BENCHMARK(BM_FrameChecksumKernel);
 // Transport hot path with checksums latched (what arming any `corrupt`
 // window does for the whole run): every delivery additionally stamps the
 // digest at the wire and verifies it at Transport::on_frame.  The delta
-// against BM_TransportPingPong_heap is the end-to-end checksum tax; the
-// path must stay allocation-free (perf-smoke asserts it).
-void BM_TransportChecksumPingPong_heap(benchmark::State& state) {
-  net::System sys(2, net::NetworkConfig{}, 1, sim::SchedulerConfig{},
-                  transport::Config{.enabled = true});
+// against BM_TransportPingPong is the end-to-end checksum tax; the path
+// must stay allocation-free (perf-smoke asserts it).
+void BM_TransportChecksumPingPong(benchmark::State& state) {
+  net::System sys(2, net::NetworkConfig{}, 1, transport::Config{.enabled = true});
   sys.network().enable_checksums();
   class Sink final : public net::Layer {
    public:
@@ -357,7 +322,7 @@ void BM_TransportChecksumPingPong_heap(benchmark::State& state) {
   benchmark::DoNotOptimize(sys.transport()->stats().data_frames);
   benchmark::DoNotOptimize(sys.transport()->stats().corrupt_dropped);
 }
-BENCHMARK(BM_TransportChecksumPingPong_heap);
+BENCHMARK(BM_TransportChecksumPingPong);
 
 // Transport recovery path: a 5%-lossy unidirectional stream — every round
 // drains completely, so the measured cost includes gap detection, NACKs,
@@ -365,8 +330,7 @@ BENCHMARK(BM_TransportChecksumPingPong_heap);
 // is allowed to allocate (control payloads live in the arena, rings grow
 // to the loss burst), so no allocs_per_event counter is reported.
 void BM_TransportLossyRecovery(benchmark::State& state) {
-  net::System sys(2, net::NetworkConfig{}, 1, sim::SchedulerConfig{},
-                  transport::Config{.enabled = true});
+  net::System sys(2, net::NetworkConfig{}, 1, transport::Config{.enabled = true});
   class Sink final : public net::Layer {
    public:
     void on_message(const net::Message&) override {}
@@ -398,9 +362,9 @@ BENCHMARK(BM_TransportLossyRecovery);
 // Steady state must not allocate: the submission queue and its flush
 // scratch ping-pong capacity, the timer lives in the scheduler slab, and
 // no payload is created (perf-smoke asserts allocs_per_event == 0).
-void batched_submit_kernel(benchmark::State& state, sim::SchedulerBackend backend) {
+void BM_BatchedSubmit(benchmark::State& state) {
   constexpr int kMsgs = 64;
-  net::System sys(2, net::NetworkConfig{}, 11, sim::SchedulerConfig{backend});
+  net::System sys(2, net::NetworkConfig{}, 11);
   class Sink final : public net::Layer {
    public:
     void on_message(const net::Message&) override {}
@@ -475,15 +439,7 @@ void batched_submit_kernel(benchmark::State& state, sim::SchedulerBackend backen
       static_cast<double>(proc.batched) / static_cast<double>(proc.delivered_count());
 }
 
-void BM_BatchedSubmit_heap(benchmark::State& state) {
-  batched_submit_kernel(state, sim::SchedulerBackend::kHeap);
-}
-BENCHMARK(BM_BatchedSubmit_heap);
-
-void BM_BatchedSubmit_wheel(benchmark::State& state) {
-  batched_submit_kernel(state, sim::SchedulerBackend::kWheel);
-}
-BENCHMARK(BM_BatchedSubmit_wheel);
+BENCHMARK(BM_BatchedSubmit);
 
 // Armed observer hot path in isolation: the full hook mix a protocol
 // round produces — span lifecycle (submit / order_start / ordered /
@@ -636,12 +592,11 @@ BENCHMARK(BM_AbcastSecondObserved)
 // events/sec figure and 1e9 / items_per_second the ns/event the
 // BENCH_pr4.json before/after compares.  The SimRun persists across
 // iterations: this measures the steady state, not the n^2 setup.
-void abcast_scale_kernel(benchmark::State& state, sim::SchedulerBackend backend) {
+void BM_AbcastScaleSecond128(benchmark::State& state) {
   core::SimConfig cfg;
   cfg.algorithm = core::Algorithm::kFd;
   cfg.n = 128;
   cfg.seed = 7;
-  cfg.scheduler.backend = backend;
   cfg.fd_params.detection_time = 30.0;
   cfg.fd_params.wrong_suspicions = true;
   cfg.fd_params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
@@ -659,20 +614,7 @@ void abcast_scale_kernel(benchmark::State& state, sim::SchedulerBackend backend)
   benchmark::DoNotOptimize(run.recorder().total_delivered());
 }
 
-void BM_AbcastScaleSecond128_heap(benchmark::State& state) {
-  abcast_scale_kernel(state, sim::SchedulerBackend::kHeap);
-}
-BENCHMARK(BM_AbcastScaleSecond128_heap);
-
-void BM_AbcastScaleSecond128_wheel(benchmark::State& state) {
-  abcast_scale_kernel(state, sim::SchedulerBackend::kWheel);
-}
-BENCHMARK(BM_AbcastScaleSecond128_wheel);
-
-void BM_AbcastScaleSecond128_par(benchmark::State& state) {
-  abcast_scale_kernel(state, sim::SchedulerBackend::kParallel);
-}
-BENCHMARK(BM_AbcastScaleSecond128_par);
+BENCHMARK(BM_AbcastScaleSecond128);
 
 // QoS-model construction at n = 128: formerly an eager n^2 loop forking
 // one mt19937_64 per ordered pair (16256 engines, ~2500 state words

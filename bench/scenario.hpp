@@ -8,6 +8,7 @@
 // main, no new CMake target.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -22,6 +23,18 @@
 #include "util/csv.hpp"
 
 namespace fdgm::bench {
+
+/// Parses a non-empty run of decimal digits that fits in 64 bits.  No
+/// sign, whitespace or suffix: strtoull alone would wrap "-1" to 2^64-1
+/// and skip leading blanks.
+[[nodiscard]] inline bool parse_digits(const char* s, std::uint64_t& out) {
+  if (*s == '\0') return false;
+  for (const char* c = s; *c != '\0'; ++c)
+    if (*c < '0' || *c > '9') return false;
+  errno = 0;
+  out = std::strtoull(s, nullptr, 10);
+  return errno != ERANGE;
+}
 
 /// Everything a scenario needs to size and seed its sweep.
 struct ScenarioContext {
@@ -38,10 +51,6 @@ struct ScenarioContext {
   /// simulation of the sweep on top of whatever the scenario injects.
   /// Events referencing processes outside a run's 0..n-1 are skipped.
   fault::FaultSchedule faults;
-  /// Scheduler backend from the CLI (--backend), applied to every
-  /// simulation of every sweep.  Both backends are bit-identical (the
-  /// CI diffs CSVs across them); the wheel pays off at large n.
-  sim::SchedulerConfig scheduler;
   /// Retransmission transport from the CLI (--transport), applied to
   /// every simulation of every sweep.  With loss off an armed transport
   /// is bit-identical to running without it (the CI diffs CSVs across
@@ -79,23 +88,9 @@ struct ScenarioContext {
                                         std::uint64_t lo, std::uint64_t hi) const {
     auto it = params.find(key);
     if (it == params.end()) return def;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0' || v < lo || v > hi)
+    std::uint64_t v = 0;
+    if (!parse_digits(it->second.c_str(), v) || v < lo || v > hi)
       throw std::invalid_argument("--set " + key + " expects an integer in [" +
-                                  std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
-                                  it->second + "'");
-    return v;
-  }
-
-  [[nodiscard]] double param_double(const std::string& key, double def, double lo,
-                                    double hi) const {
-    auto it = params.find(key);
-    if (it == params.end()) return def;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0' || v < lo || v > hi)
-      throw std::invalid_argument("--set " + key + " expects a number in [" +
                                   std::to_string(lo) + ", " + std::to_string(hi) + "], got '" +
                                   it->second + "'");
     return v;
@@ -138,10 +133,6 @@ struct Scenario {
   std::function<util::Table(const ScenarioContext&)> run;
   /// Accepted `--set` keys (beyond the driver-level quick/replicas/samples).
   std::vector<ParamSpec> params;
-  /// False: the scenario's output is wall-clock-dependent (timing studies
-  /// like pdes_speedup), so `--all` skips it — it only runs when named
-  /// explicitly.  Keeps `--all --out results/` regenerable byte-for-byte.
-  bool in_all = true;
 };
 
 class ScenarioRegistry {
@@ -180,7 +171,6 @@ inline core::SimConfig sim_config_ctx(core::Algorithm a, int n, const ScenarioCo
                                       double lambda = 1.0) {
   core::SimConfig cfg = sim_config(a, n, lambda, ctx.seed);
   cfg.faults = ctx.faults;
-  cfg.scheduler = ctx.scheduler;
   cfg.transport = ctx.transport;
   cfg.batching = ctx.batching;
   cfg.obs = ctx.obs;

@@ -2,8 +2,7 @@
 // family sweeps n in {8, 16, 32, 64, 128} for both stacks, in steady state
 // and with one crashed process, and reports the abcast latency *and* the
 // simulator's own wall-clock throughput (millions of scheduler events per
-// second) — the number the scheduler-backend choice (--backend heap|wheel)
-// moves.
+// second) — the number a change to the scheduler's timing wheel moves.
 //
 // The runs are FD-heavy by construction: the QoS model keeps one
 // wrong-suspicion renewal timer alive per ordered process pair, so the
@@ -15,7 +14,8 @@
 //
 // Column layout: the deterministic columns (latency) come first and the
 // wall-clock-dependent ones (Mev/s) last, so the CI can diff the
-// deterministic prefix bit-for-bit across scheduler backends.
+// deterministic prefix bit-for-bit across job counts and against the
+// committed results.
 //
 // The "steady-b" rows at the end arm submission batching and push the
 // group-size axis past the unbatched ceiling — appended after the

@@ -1,7 +1,6 @@
 #include "abcast/abcast.hpp"
 
 #include "obs/observer.hpp"
-#include "sim/exec_ctx.hpp"
 
 namespace fdgm::abcast {
 
@@ -111,21 +110,7 @@ void AtomicBroadcastProcess::deliver(const AppMessage& m) {
     if (in_flight_ + 1 == batching_.credit_window && ready_sink_ != nullptr)
       ready_sink_->on_submit_ready(self_);
   }
-  // Under the parallel backend the sink (the harness's latency recorder —
-  // process-global state) is invoked at the round barrier, in global
-  // delivery order.  The AppMessage is not trivially copyable across the
-  // staging buffer, but sinks only observe (id, sent_at, now), so the
-  // replay rebuilds an equivalent temporary.
-  if (deliver_sink_ != nullptr &&
-      !sim::stage_effect<&AtomicBroadcastProcess::replay_deliver_sink>(this, m.id.origin,
-                                                                       m.id.seq, m.sent_at))
-    deliver_sink_->on_deliver(m);
-}
-
-void AtomicBroadcastProcess::replay_deliver_sink(net::ProcessId origin, std::uint64_t seq,
-                                                 sim::Time sent_at) {
-  const AppMessage tmp(MsgId{origin, seq}, sent_at);
-  deliver_sink_->on_deliver(tmp);
+  if (deliver_sink_ != nullptr) deliver_sink_->on_deliver(m);
 }
 
 void AtomicBroadcastProcess::on_restart() {

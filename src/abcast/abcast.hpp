@@ -193,10 +193,6 @@ class AtomicBroadcastProcess {
 
  private:
   void arm_flush_timer();
-  /// Barrier replay of a staged DeliverSink call (parallel backend): the
-  /// sink contract is to observe only (id, sent_at) plus the current time,
-  /// so an equivalent temporary AppMessage stands in for the original.
-  void replay_deliver_sink(net::ProcessId origin, std::uint64_t seq, sim::Time sent_at);
 
   BatchConfig batching_;
   std::uint64_t next_msg_seq_ = 1;

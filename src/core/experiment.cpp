@@ -1,10 +1,7 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
-
-#include "core/parallel.hpp"
 
 namespace fdgm::core {
 
@@ -36,20 +33,7 @@ SimRun::SimRun(const SimConfig& cfg, WorkloadConfig wl) : cfg_(cfg) {
   if (cfg.n < 1) throw std::invalid_argument("SimRun: n must be >= 1");
   net::NetworkConfig net_cfg;
   net_cfg.lambda = cfg.lambda;
-  sim::SchedulerConfig sched_cfg = cfg.scheduler;
-  if (sched_cfg.backend == sim::SchedulerBackend::kParallel && sched_cfg.threads <= 0) {
-    // Auto worker count ("threads 0"): intra-run workers x replica jobs
-    // must not oversubscribe the machine, so a replica running inside a
-    // --jobs pool divides the hardware-thread budget by the pool width.
-    // An explicit positive request is honored literally (deliberate
-    // oversubscription is a valid benchmark).  Results never depend on
-    // the thread count, only wall-clock time does.
-    const std::size_t hw = effective_jobs(0);
-    sched_cfg.threads =
-        static_cast<int>(std::max<std::size_t>(1, hw / current_pool_width()));
-  }
-  cfg_.scheduler = sched_cfg;
-  sys_ = std::make_unique<net::System>(cfg.n, net_cfg, cfg.seed, sched_cfg, cfg.transport);
+  sys_ = std::make_unique<net::System>(cfg.n, net_cfg, cfg.seed, cfg.transport);
   if (cfg.obs.enabled) {
     observer_ = std::make_unique<obs::Observer>(cfg.n, cfg.obs);
     sys_->set_observer(observer_.get());

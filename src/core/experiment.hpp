@@ -35,11 +35,6 @@ struct SimConfig {
   double lambda = 1.0;
   fd::QosParams fd_params;
   std::uint64_t seed = 1;
-  /// Pending-queue backend of the discrete-event scheduler.  Both
-  /// backends produce bit-identical runs; the wheel is faster once the
-  /// timer population grows with n^2 (large groups), the heap at the
-  /// paper's n <= 7 sizes.
-  sim::SchedulerConfig scheduler;
   /// FD-algorithm coordinator re-numbering optimization (paper §7).
   bool fd_renumbering = true;
   /// GM joiner retry period (ms).

@@ -1,14 +1,8 @@
 #include "core/latency_recorder.hpp"
 
-#include "sim/exec_ctx.hpp"
-
 namespace fdgm::core {
 
 void LatencyRecorder::on_broadcast(const abcast::MsgId& id, sim::Time t) {
-  // Arrival chains run on their process's partition under the parallel
-  // backend; the recorder is run-global, so the registration replays at
-  // the round barrier in global event order.
-  if (sim::stage_effect<&LatencyRecorder::on_broadcast>(this, id, t)) return;
   entries_.try_emplace(id, Entry{t, -1});
 }
 

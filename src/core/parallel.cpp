@@ -12,20 +12,10 @@ std::size_t effective_jobs(std::size_t jobs) {
   return hw == 0 ? 1 : hw;
 }
 
-namespace {
-thread_local std::size_t t_pool_width = 1;
-}  // namespace
-
-std::size_t current_pool_width() { return t_pool_width; }
-
 ThreadPool::ThreadPool(std::size_t workers) {
   workers = std::max<std::size_t>(1, workers);
   threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    threads_.emplace_back([this, workers] {
-      t_pool_width = workers;
-      worker_loop();
-    });
+  for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {

@@ -24,13 +24,6 @@ namespace fdgm::core {
 /// anything else is taken literally.  Always returns >= 1.
 [[nodiscard]] std::size_t effective_jobs(std::size_t jobs);
 
-/// Width of the ThreadPool whose worker is executing the calling thread;
-/// 1 on any thread outside a pool (the main thread included).  The
-/// parallel scheduler backend divides its worker budget by this, so
-/// replica-level fan-out (`--jobs`) times intra-run parallelism
-/// (`--threads`) never oversubscribes the machine.
-[[nodiscard]] std::size_t current_pool_width();
-
 /// A fixed-size worker pool executing queued tasks FIFO.  Tasks must not
 /// throw across the pool boundary; the fan-out helpers below capture
 /// exceptions per index and rethrow the first one on the calling thread.

@@ -33,14 +33,7 @@ void Workload::start() {
 void Workload::schedule_next(std::size_t idx) {
   chain_alive_[idx] = 1;
   const double gap = rngs_[idx].exponential(per_process_mean_gap_ms_);
-  // Each arrival chain belongs to its process's partition (the tick only
-  // touches per-process state: its RNG, its endpoint, its chain flag) —
-  // except with batching on, where the submission path mutates the
-  // endpoint's queue and flush timer, which the delivery side also
-  // touches; those chains run on the serial shared partition.
-  const int owner =
-      procs_[idx]->batching().enabled ? sim::kOwnerShared : static_cast<int>(idx);
-  sys_->scheduler().schedule_after_owned(owner, gap, [this, idx] {
+  sys_->scheduler().schedule_after(gap, [this, idx] {
     if (stopped_) return;
     auto pid = static_cast<net::ProcessId>(idx);
     if (sys_->node(pid).crashed()) {
@@ -50,7 +43,7 @@ void Workload::schedule_next(std::size_t idx) {
     }
     if (!procs_[idx]->can_submit()) {
       // Back-pressure: shed this arrival, keep the chain running.
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      ++shed_;
       if (auto* o = sys_->obs())
         o->count(static_cast<int>(idx), obs::Counter::kCreditSheds, sys_->now());
       schedule_next(idx);
@@ -58,7 +51,7 @@ void Workload::schedule_next(std::size_t idx) {
     }
     const abcast::MsgId id = procs_[idx]->a_broadcast();
     recorder_->on_broadcast(id, sys_->now());
-    generated_.fetch_add(1, std::memory_order_relaxed);
+    ++generated_;
     schedule_next(idx);
   });
 }

@@ -6,7 +6,6 @@
 // recovers (fault injection) resumes its arrival stream.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -37,15 +36,13 @@ class Workload {
   /// Stop generating (existing scheduled arrivals become no-ops).
   void stop() { stopped_ = true; }
 
-  [[nodiscard]] std::uint64_t generated() const {
-    return generated_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t generated() const { return generated_; }
   /// Arrivals dropped by flow control: the process's credit window was
   /// exhausted (can_submit() false) when the tick fired.  Open-loop load
   /// sheds deterministically instead of queueing unboundedly — the arrival
   /// chain keeps its RNG sequence, the message is simply never submitted
   /// or recorded.  Always 0 with batching off.
-  [[nodiscard]] std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t shed() const { return shed_; }
 
  private:
   void schedule_next(std::size_t idx);
@@ -58,15 +55,12 @@ class Workload {
   /// Whether process i's arrival chain has an event pending.  A chain dies
   /// when its tick finds the process crashed; the recovery listener
   /// restarts it exactly once (the flag prevents a doubled arrival rate
-  /// when the process recovered before the next tick).  One byte per
-  /// chain, not vector<bool>: under the parallel backend each chain's
-  /// flag is written by its own partition's worker, and distinct bytes
-  /// are distinct memory locations while packed bits are not.
+  /// when the process recovered before the next tick).
   std::vector<std::uint8_t> chain_alive_;
   bool started_ = false;
   bool stopped_ = false;
-  std::atomic<std::uint64_t> generated_{0};
-  std::atomic<std::uint64_t> shed_{0};
+  std::uint64_t generated_ = 0;
+  std::uint64_t shed_ = 0;
 };
 
 }  // namespace fdgm::core

@@ -30,8 +30,8 @@
 //   Flap           -> a deterministic chain of link down/up transitions
 //                     (net::Network::set_flap_down/up) computed from the
 //                     event's period and duty cycle — no RNG, so the
-//                     up/down pattern is identical across backends and
-//                     job counts.  duty >= 1 schedules nothing.
+//                     up/down pattern is identical across job counts.
+//                     duty >= 1 schedules nothing.
 //   Drift          -> fd::QosFailureDetectorModel::set_clock_rate (the
 //                     node's heartbeat/renewal timers run fast or slow);
 //                     reset at the window end

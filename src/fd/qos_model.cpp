@@ -63,9 +63,7 @@ double QosFailureDetectorModel::pair_draw(PairState& st, net::ProcessId q, net::
 void QosFailureDetectorModel::on_crash(net::ProcessId p, sim::Time when) {
   for (net::ProcessId q : sys_->all()) {
     if (q == p) continue;
-    // Owned by the monitor q: the detection event only touches q's pair
-    // row and q's module, so it runs on q's partition under kParallel.
-    sys_->scheduler().schedule_at_owned(q, when + detect_delay(q), [this, q, p] {
+    sys_->scheduler().schedule_at(when + detect_delay(q), [this, q, p] {
       PairState& st = pair(q, p);
       // Monitors observe p's state with lag TD: the heartbeat gap of the
       // crash is seen even when p restarted in the meantime.  A still-dead
@@ -91,8 +89,7 @@ void QosFailureDetectorModel::on_recover(net::ProcessId p, sim::Time when) {
     PairState& st = pair(q, p);
     if (st.suspect_until < when + detect_delay(q))
       st.suspect_until = when + detect_delay(q);
-    sys_->scheduler().schedule_at_owned(q, when + detect_delay(q),
-                                        [this, q, p, incarnation] {
+    sys_->scheduler().schedule_at(when + detect_delay(q), [this, q, p, incarnation] {
       // Re-crashed (or restarted again) in the meantime: this detection is
       // void; the newer crash/recovery drives the pair's state.
       if (sys_->node(p).crashed() || sys_->node(p).incarnation() != incarnation) return;
@@ -146,7 +143,7 @@ void QosFailureDetectorModel::schedule_release(net::ProcessId q, net::ProcessId 
   // End of a mistake / storm window.  Overlapping windows keep the pair
   // suspected: the trust event only fires when no later window extended
   // the suspicion.
-  sys_->scheduler().schedule_at_owned(q, until, [this, q, p, until] {
+  sys_->scheduler().schedule_at(until, [this, q, p, until] {
     PairState& st = pair(q, p);
     if (st.crashed_permanent) return;
     if (until < st.suspect_until) return;  // a later window extended it
@@ -165,7 +162,7 @@ void QosFailureDetectorModel::schedule_next_mistake(net::ProcessId q, net::Proce
                       (clock_rate_[static_cast<std::size_t>(q)] *
                        limp_[static_cast<std::size_t>(p)]));
   const std::uint64_t epoch = pair(q, p).epoch;
-  sys_->scheduler().schedule_at_owned(q, from + gap, [this, q, p, epoch] {
+  sys_->scheduler().schedule_at(from + gap, [this, q, p, epoch] {
     PairState& st = pair(q, p);
     // A stale chain (the pair was reset by a crash or recovery) dies; so
     // does the chain of a permanently suspected (crashed) target or of a

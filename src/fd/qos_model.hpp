@@ -126,8 +126,7 @@ class QosFailureDetectorModel {
 
   net::System* sys_;
   QosParams params_;
-  /// Parent stream the per-pair engines fork from (fork is const — safe
-  /// from concurrent partition workers under the parallel backend).
+  /// Parent stream the per-pair engines fork from.
   sim::Rng base_;
   std::vector<std::unique_ptr<FailureDetector>> fds_;
   std::vector<PairState> pairs_;  // n*n, row = monitor q, col = target p

@@ -11,12 +11,6 @@
 // Non-trivially-destructible payloads (those holding vectors/maps) are
 // registered in a finalizer list and destroyed in reverse allocation
 // order at teardown.
-//
-// Under the parallel scheduler backend the arena is sharded: each
-// scheduler partition bumps its own block list (selected through the
-// thread-local execution context), so workers allocating payloads
-// concurrently never share a bump pointer.  Payload *addresses* are not
-// an observable of the simulation, so sharding cannot perturb results.
 #pragma once
 
 #include <cstddef>
@@ -27,24 +21,15 @@
 #include <utility>
 #include <vector>
 
-#include "sim/exec_ctx.hpp"
-
 namespace fdgm::net {
 
 class PayloadArena {
  public:
-  PayloadArena() : shards_(1) {}
+  PayloadArena() = default;
   PayloadArena(const PayloadArena&) = delete;
   PayloadArena& operator=(const PayloadArena&) = delete;
   ~PayloadArena() {
-    for (Shard& s : shards_)
-      for (auto it = s.finalizers.rbegin(); it != s.finalizers.rend(); ++it) it->fn(it->obj);
-  }
-
-  /// One shard per scheduler partition (owners + 1).  Call before the
-  /// run starts; pre-existing allocations stay in shard 0.
-  void set_shards(std::size_t count) {
-    if (count > shards_.size()) shards_.resize(count);
+    for (auto it = finalizers_.rbegin(); it != finalizers_.rend(); ++it) it->fn(it->obj);
   }
 
   /// Construct a T in the arena.  The pointer stays valid for the arena's
@@ -52,26 +37,16 @@ class PayloadArena {
   template <typename T, typename... Args>
   T* make(Args&&... args) {
     static_assert(alignof(T) <= alignof(std::max_align_t));
-    Shard& s = current_shard();
-    void* mem = allocate(s, sizeof(T), alignof(T));
+    void* mem = allocate(sizeof(T), alignof(T));
     T* obj = ::new (mem) T(std::forward<Args>(args)...);
     if constexpr (!std::is_trivially_destructible_v<T>)
-      s.finalizers.push_back(Finalizer{[](void* p) { static_cast<T*>(p)->~T(); }, obj});
-    ++s.objects;
+      finalizers_.push_back(Finalizer{[](void* p) { static_cast<T*>(p)->~T(); }, obj});
+    ++objects_;
     return obj;
   }
 
-  /// Totals across shards; only meaningful at serial points.
-  [[nodiscard]] std::uint64_t objects() const {
-    std::uint64_t n = 0;
-    for (const Shard& s : shards_) n += s.objects;
-    return n;
-  }
-  [[nodiscard]] std::size_t bytes_reserved() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) n += s.bytes_reserved;
-    return n;
-  }
+  [[nodiscard]] std::uint64_t objects() const { return objects_; }
+  [[nodiscard]] std::size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
   static constexpr std::size_t kBlockBytes = 64 * 1024;
@@ -85,45 +60,34 @@ class PayloadArena {
     std::size_t used = 0;
     std::size_t cap = 0;
   };
-  struct alignas(64) Shard {
-    std::vector<Block> blocks;
-    std::vector<Finalizer> finalizers;
-    std::uint64_t objects = 0;
-    std::size_t bytes_reserved = 0;
-  };
-
-  [[nodiscard]] Shard& current_shard() {
-    const sim::ExecCtx* c = sim::exec_ctx();
-    if (c == nullptr) return shards_[0];
-    const auto idx = static_cast<std::size_t>(c->owner + 1);
-    return idx < shards_.size() ? shards_[idx] : shards_[0];
-  }
-
-  static void* allocate(Shard& s, std::size_t size, std::size_t align) {
-    if (s.blocks.empty()) grow(s, size + align);
-    std::size_t off = aligned_used(s, align);
-    if (off + size > s.blocks.back().cap) {
-      grow(s, size + align);
-      off = aligned_used(s, align);
+  void* allocate(std::size_t size, std::size_t align) {
+    if (blocks_.empty()) grow(size + align);
+    std::size_t off = aligned_used(align);
+    if (off + size > blocks_.back().cap) {
+      grow(size + align);
+      off = aligned_used(align);
     }
-    Block& b = s.blocks.back();
+    Block& b = blocks_.back();
     void* p = b.mem.get() + off;
     b.used = off + size;
     return p;
   }
 
-  [[nodiscard]] static std::size_t aligned_used(const Shard& s, std::size_t align) {
-    const std::size_t used = s.blocks.back().used;
+  [[nodiscard]] std::size_t aligned_used(std::size_t align) const {
+    const std::size_t used = blocks_.back().used;
     return (used + align - 1) & ~(align - 1);
   }
 
-  static void grow(Shard& s, std::size_t at_least) {
+  void grow(std::size_t at_least) {
     const std::size_t cap = at_least > kBlockBytes ? at_least : kBlockBytes;
-    s.blocks.push_back(Block{std::make_unique<std::byte[]>(cap), 0, cap});
-    s.bytes_reserved += cap;
+    blocks_.push_back(Block{std::make_unique<std::byte[]>(cap), 0, cap});
+    bytes_reserved_ += cap;
   }
 
-  std::vector<Shard> shards_;
+  std::vector<Block> blocks_;
+  std::vector<Finalizer> finalizers_;
+  std::uint64_t objects_ = 0;
+  std::size_t bytes_reserved_ = 0;
 };
 
 }  // namespace fdgm::net

@@ -1,12 +1,10 @@
 #include "net/network.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "obs/observer.hpp"
-#include "sim/exec_ctx.hpp"
 
 namespace fdgm::net {
 
@@ -30,42 +28,25 @@ Network::Network(sim::Scheduler& sched, int num_processes, NetworkConfig cfg, Si
   if (cfg_.lambda < 0) throw std::invalid_argument("Network: negative lambda");
   if (cfg_.network_time <= 0) throw std::invalid_argument("Network: network_time must be > 0");
   cpus_.reserve(static_cast<std::size_t>(num_processes));
-  for (int i = 0; i < num_processes; ++i) {
+  for (int i = 0; i < num_processes; ++i)
     cpus_.push_back(std::make_unique<Resource>(sched, "cpu" + std::to_string(i)));
-    // A host CPU's completions belong to its process: under the parallel
-    // backend they execute on that partition's worker.  Ignored (shared
-    // behavior) by the sequential backends.  The wire keeps the default
-    // shared owner — its completions are serial.
-    cpus_.back()->set_owner(i);
-  }
 }
 
 std::uint32_t Network::acquire_list() {
-  // Workers draw from their own partition's pool (see set_list_pools);
-  // serial contexts use pool 0.
-  const sim::ExecCtx* c = sim::exec_ctx();
-  std::uint32_t pool = 0;
-  if (c != nullptr && c->sched == sched_ && c->owner >= 0) {
-    const auto idx = static_cast<std::uint32_t>(c->owner + 1);
-    if (idx < list_pools_.size()) pool = idx;
-    assert(!c->staging || idx < list_pools_.size());
-  }
-  ListPool& lp = list_pools_[pool];
-  if (lp.free_head != kNoList) {
-    const std::uint32_t idx = lp.free_head;
-    DstList& l = lp.lists[idx & kLocalListMask];
-    lp.free_head = l.next_free;
+  if (list_free_ != kNoList) {
+    const std::uint32_t idx = list_free_;
+    DstList& l = lists_[idx];
+    list_free_ = l.next_free;
     l.dsts.clear();
     return idx;
   }
-  lp.lists.emplace_back();
-  return (pool << kPoolShift) | static_cast<std::uint32_t>(lp.lists.size() - 1);
+  lists_.emplace_back();
+  return static_cast<std::uint32_t>(lists_.size() - 1);
 }
 
 void Network::release_list(std::uint32_t idx) {
-  ListPool& lp = list_pools_[idx >> kPoolShift];
-  list_ref(idx).next_free = lp.free_head;
-  lp.free_head = idx;
+  lists_[idx].next_free = list_free_;
+  list_free_ = idx;
 }
 
 bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count,
@@ -107,8 +88,8 @@ void Network::on_send_done(const Message& m, std::uint32_t list, bool self) {
     // Local loopback: no network, no extra CPU job.
     Message copy = m;
     copy.dst = m.src;
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    if (tap_ && !sim::stage_effect<&Network::invoke_tap>(this, copy, m.src)) tap_(copy, m.src);
+    ++delivered_;
+    if (tap_) tap_(copy, m.src);
     sink_->deliver_message(copy, m.src);
   }
   if (list != kNoList) {
@@ -177,16 +158,11 @@ void Network::filter_or_deliver(const Message& m, ProcessId d) {
 }
 
 void Network::deliver_via_cpu(const Message& m, ProcessId d) {
-  // Once lossy-transport operation has been latched, receive completions
-  // execute on the serial shared partition (the transport's receive path
-  // mutates per-pair channel state and emits control frames); otherwise
-  // they run on the destination's own partition.
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kRecvEnq, d, m, sched_->now());
   }
-  Resource& cpu = *cpus_[static_cast<std::size_t>(d)];
-  cpu.enqueue_as(serialize_deliveries_ ? sim::kOwnerShared : d, cfg_.lambda,
-                 [this, m, d] { finish_delivery(m, d); });
+  cpus_[static_cast<std::size_t>(d)]->enqueue(cfg_.lambda,
+                                              [this, m, d] { finish_delivery(m, d); });
 }
 
 void Network::finish_delivery(Message m, ProcessId d) {
@@ -201,12 +177,12 @@ void Network::finish_delivery(Message m, ProcessId d) {
   // a transport armed, verification lives in its receive path instead,
   // where the NACK machinery recovers the frame.
   if (checksums_enabled_ && frame_stage_ == nullptr && !frame_checksum_ok(m)) {
-    corrupt_detected_.fetch_add(1, std::memory_order_relaxed);
+    ++corrupt_detected_;
     if (obs_ != nullptr) obs_->count(d, obs::Counter::kCorruptionDetected, sched_->now());
     return;
   }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (tap_ && !sim::stage_effect<&Network::invoke_tap>(this, m, d)) tap_(m, d);
+  ++delivered_;
+  if (tap_) tap_(m, d);
   sink_->deliver_message(m, d);
 }
 
@@ -279,7 +255,6 @@ void Network::set_loss(double rate, sim::Rng* rng) {
   if (rate < 0.0 || rate > 1.0) throw std::invalid_argument("Network::set_loss: bad rate");
   loss_rate_ = rate;
   loss_rng_ = rate > 0.0 ? rng : nullptr;
-  if (loss_active() && frame_stage_ != nullptr) serialize_deliveries_ = true;
 }
 
 void Network::set_delay_factor(double factor) {
@@ -346,7 +321,6 @@ void Network::set_corrupt(double rate, sim::Rng* rng,
   }
   corrupt_rate_ = rate;
   corrupt_rng_ = rate > 0.0 ? rng : nullptr;
-  if (corrupt_active() && frame_stage_ != nullptr) serialize_deliveries_ = true;
 }
 
 void Network::clear_corrupt() {

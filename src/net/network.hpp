@@ -53,7 +53,6 @@
 // gray machinery is invisible to the determinism goldens.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -137,26 +136,7 @@ class Network {
   [[nodiscard]] std::uint64_t network_uses() const { return wire_.jobs(); }
   [[nodiscard]] double network_busy_time() const { return wire_.busy_time(); }
   [[nodiscard]] std::uint64_t cpu_uses(ProcessId p) const { return cpus_.at(p)->jobs(); }
-  [[nodiscard]] std::uint64_t messages_delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-
-  /// Minimum latency of any cross-process path: one slot on the shared
-  /// medium.  The parallel scheduler backend uses this as its conservative
-  /// lookahead — a message submitted at t cannot affect another process
-  /// before t + min_wire_latency() (send-side CPU and FIFO queueing only
-  /// push the completion later).  Tracks delay spikes, which only ever
-  /// raise it while active.
-  [[nodiscard]] double min_wire_latency() const { return cfg_.network_time * delay_factor_; }
-
-  /// Size the pooled destination-list freelists, one per scheduler
-  /// partition (owners + 1), so workers building multicast fan-out lists
-  /// concurrently never share a pool.  Call before the run starts when the
-  /// parallel backend is active; the default single pool serves the
-  /// sequential backends.
-  void set_list_pools(std::size_t count) {
-    if (count > list_pools_.size()) list_pools_.resize(count);
-  }
+  [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
 
   /// Current queueing horizons (ms until the resource drains), used by the
   /// retransmission transport to keep its timeout patience above the
@@ -270,15 +250,10 @@ class Network {
   /// transport armed, detection happens in its receive path and is
   /// reported by transport::Transport::stats).
   [[nodiscard]] std::uint64_t corrupted_deliveries() const { return corrupted_; }
-  [[nodiscard]] std::uint64_t corruption_detected() const {
-    return corrupt_detected_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t corruption_detected() const { return corrupt_detected_; }
 
   /// Arm (or disarm, with nullptr) the transport's frame-stamping stage.
-  void set_frame_stage(FrameStage* stage) {
-    frame_stage_ = stage;
-    if (stage != nullptr && can_drop()) serialize_deliveries_ = true;
-  }
+  void set_frame_stage(FrameStage* stage) { frame_stage_ = stage; }
 
   /// Multiply the shared medium's service time by `factor` (1 = normal).
   void set_delay_factor(double factor);
@@ -291,20 +266,12 @@ class Network {
 
  private:
   static constexpr std::uint32_t kNoList = UINT32_MAX;
-  static constexpr std::uint32_t kPoolShift = 24;
-  static constexpr std::uint32_t kLocalListMask = (1u << kPoolShift) - 1;
 
   /// Pooled remote-destination list: the capacity is reused across
-  /// transmissions, so steady-state multicasts never allocate.  A list's
-  /// packed handle encodes its home pool (pool << kPoolShift | local); it
-  /// is always released back to that pool.
+  /// transmissions, so steady-state multicasts never allocate.
   struct DstList {
     std::vector<ProcessId> dsts;
     std::uint32_t next_free = 0;
-  };
-  struct alignas(64) ListPool {
-    std::vector<DstList> lists;
-    std::uint32_t free_head = kNoList;
   };
 
   /// Does the active corruption window cover the directed link a -> b?
@@ -320,10 +287,7 @@ class Network {
   void filter_or_deliver(const Message& m, ProcessId d);
   void deliver_via_cpu(const Message& m, ProcessId d);
   void finish_delivery(Message m, ProcessId d);
-  void invoke_tap(Message m, ProcessId d) { tap_(m, d); }
-  [[nodiscard]] DstList& list_ref(std::uint32_t idx) {
-    return list_pools_[idx >> kPoolShift].lists[idx & kLocalListMask];
-  }
+  [[nodiscard]] DstList& list_ref(std::uint32_t idx) { return lists_[idx]; }
   std::uint32_t acquire_list();
   void release_list(std::uint32_t idx);
 
@@ -335,15 +299,10 @@ class Network {
   FrameStage* frame_stage_ = nullptr;
   obs::Observer* obs_ = nullptr;
   std::function<void(const Message&, ProcessId)> tap_;
-  std::atomic<std::uint64_t> delivered_{0};
+  std::uint64_t delivered_ = 0;
 
-  std::vector<ListPool> list_pools_ = std::vector<ListPool>(1);
-  /// Once a loss window has ever been armed while the retransmission
-  /// transport is stamping frames, receive-side CPU completions are forced
-  /// onto the serial shared partition so every transport receive path
-  /// (gap detection, NACKs, cumulative acks) runs at serial points.
-  /// Latched for the rest of the run: repair traffic outlives the window.
-  bool serialize_deliveries_ = false;
+  std::vector<DstList> lists_;
+  std::uint32_t list_free_ = kNoList;
 
   /// Partition group of each process; empty when no partition is active.
   std::vector<int> group_of_;
@@ -369,9 +328,8 @@ class Network {
   std::vector<std::uint8_t> corrupt_link_;
   bool checksums_enabled_ = false;
   std::uint64_t corrupted_ = 0;
-  /// Detected at final delivery (no-transport path) — written from the
-  /// destination's partition under the parallel backend, hence atomic.
-  std::atomic<std::uint64_t> corrupt_detected_{0};
+  /// Detected at final delivery (no-transport path).
+  std::uint64_t corrupt_detected_ = 0;
 };
 
 }  // namespace fdgm::net

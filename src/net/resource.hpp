@@ -11,15 +11,6 @@
 // enqueue() forwards the completion callable straight into the scheduler's
 // callback slab (no std::function wrapper), so a pipeline stage costs no
 // heap allocation.
-//
-// Each resource carries an owner tag for the parallel scheduler backend:
-// a host CPU is owned by its process (its completions execute on that
-// partition's worker), the wire is shared (its completions execute
-// serially between rounds).  The scheduler's resource_enqueue applies the
-// job either immediately (serial contexts, or a worker queueing on its
-// own partition's CPU — only its events touch that resource inside a
-// round) or as a staged op replayed in global order at the round barrier
-// (workers queueing on the shared wire).
 #pragma once
 
 #include <algorithm>
@@ -37,27 +28,19 @@ class Resource {
   Resource(sim::Scheduler& sched, std::string name)
       : sched_(&sched), name_(std::move(name)) {}
 
-  /// Owner of completion events (a process id, or sim::kOwnerShared).
-  void set_owner(int owner) { owner_ = owner; }
-  [[nodiscard]] int owner() const { return owner_; }
-
   /// Occupy the resource for `service_time` units, starting as soon as all
   /// previously enqueued jobs finish; `on_done` fires at completion.
   /// A zero service time completes at the current busy-until frontier
   /// (still serialized after earlier jobs).
   template <typename F>
   void enqueue(double service_time, F&& on_done) {
-    enqueue_as(owner_, service_time, std::forward<F>(on_done));
-  }
-
-  /// enqueue() with an explicit completion owner, overriding the
-  /// resource's tag for this one job (e.g. forcing lossy-path deliveries
-  /// onto the serial shared partition).
-  template <typename F>
-  void enqueue_as(int owner, double service_time, F&& on_done) {
     if (service_time < 0) throw std::invalid_argument("Resource::enqueue: negative service time");
-    sched_->resource_enqueue(this, &Resource::commit_thunk, owner, service_time,
-                             std::forward<F>(on_done));
+    const double stretched = service_time * stretch_;
+    const sim::Time start = std::max(sched_->now(), free_at_);
+    free_at_ = start + stretched;
+    busy_time_ += stretched;
+    ++jobs_;
+    sched_->schedule_at(free_at_, std::forward<F>(on_done));
   }
 
   /// Time at which the resource next becomes idle (== now when idle).
@@ -85,24 +68,8 @@ class Resource {
   [[nodiscard]] double stretch() const { return stretch_; }
 
  private:
-  /// Applies one job at arrival time `at`; returns the completion time.
-  /// Called by the scheduler either inline or during barrier replay.
-  sim::Time commit_job(sim::Time at, double service_time) {
-    const double stretched = service_time * stretch_;
-    const sim::Time start = std::max(at, free_at_);
-    free_at_ = start + stretched;
-    busy_time_ += stretched;
-    ++jobs_;
-    return free_at_;
-  }
-
-  static sim::Time commit_thunk(void* self, sim::Time at, double service_time) {
-    return static_cast<Resource*>(self)->commit_job(at, service_time);
-  }
-
   sim::Scheduler* sched_;
   std::string name_;
-  int owner_ = sim::kOwnerShared;
   double stretch_ = 1.0;
   sim::Time free_at_ = 0.0;
   double busy_time_ = 0.0;

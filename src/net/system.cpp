@@ -7,22 +7,12 @@
 namespace fdgm::net {
 
 System::System(int num_processes, NetworkConfig cfg, std::uint64_t seed,
-               sim::SchedulerConfig sched_cfg, transport::Config transport_cfg)
-    : sched_(sched_cfg), rng_(seed) {
+               transport::Config transport_cfg)
+    : rng_(seed) {
   if (num_processes <= 0) throw std::invalid_argument("System: need at least one process");
   // Plain new: the System& -> Network::Sink& conversion is only
   // accessible inside System (private base), not from std::make_unique.
   network_.reset(new Network(sched_, num_processes, cfg, *this));
-  if (sched_cfg.backend == sim::SchedulerBackend::kParallel) {
-    // One scheduler partition per process plus the shared partition;
-    // conservative lookahead = one slot on the shared medium (tracks
-    // delay-spike factors through the callback).  The arena and the
-    // network's destination-list pools shard the same way.
-    sched_.set_partitions(num_processes);
-    sched_.set_lookahead([net = network_.get()] { return net->min_wire_latency(); });
-    arena_.set_shards(static_cast<std::size_t>(num_processes) + 1);
-    network_->set_list_pools(static_cast<std::size_t>(num_processes) + 1);
-  }
   if (transport_cfg.enabled) {
     transport_.reset(new transport::Transport(sched_, *network_, arena_, num_processes,
                                               transport_cfg, *this));

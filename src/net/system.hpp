@@ -27,7 +27,7 @@ namespace fdgm::net {
 class System : private Network::Sink, private transport::Transport::Sink {
  public:
   System(int num_processes, NetworkConfig cfg, std::uint64_t seed,
-         sim::SchedulerConfig sched_cfg = {}, transport::Config transport_cfg = {});
+         transport::Config transport_cfg = {});
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;

@@ -11,10 +11,9 @@
 //
 // The design honors the PR-7 observability contract:
 //  * armed-invisible — recording an edge never schedules an event,
-//    draws randomness or touches protocol state; under the parallel
-//    backend the hook stages itself to the round barrier exactly like
-//    every other Observer hook, so armed-causal runs reproduce the
-//    golden delivery hashes and executed-event counts bit for bit;
+//    draws randomness or touches protocol state, so armed-causal runs
+//    reproduce the golden delivery hashes and executed-event counts bit
+//    for bit;
 //  * allocation-free steady state — edge slabs are reserved up front
 //    and overflow drops are counted (flight-recorder semantics);
 //  * the classifier is a pure read of immutable payloads: it decodes
@@ -24,8 +23,7 @@
 // Why markers instead of capturing interval state in the pipeline
 // lambdas: the scheduler's inline callback slab is 48 bytes and the
 // network pipeline stages already use 44-45 of them, so hop callbacks
-// cannot grow a capture; and a resource's busy_until() is not a
-// deterministic read from a parallel-backend worker.  Point markers at
+// cannot grow a capture.  Point markers at
 // the enqueue and the completion event use only `now`, and the walker
 // pairs them FIFO per (kind, node) to reconstruct the hop intervals.
 #pragma once
@@ -92,7 +90,7 @@ struct Edge {
   EdgeKind kind = EdgeKind::kCount;
 };
 
-/// Packs (origin, kind, node) into the single 32-bit key the staged
+/// Packs (origin, kind, node) into the single 32-bit key the
 /// on_edge hook carries (origin < 4096, node in [-1, 4094]).
 [[nodiscard]] inline std::uint32_t edge_key(int origin, EdgeKind kind, int node) {
   return (static_cast<std::uint32_t>(origin) << 20) |

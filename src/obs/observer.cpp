@@ -1,7 +1,5 @@
 #include "obs/observer.hpp"
 
-#include "sim/exec_ctx.hpp"
-
 #include <cmath>
 #include <filesystem>
 #include <iomanip>
@@ -112,14 +110,7 @@ Span* Observer::find(int origin, std::uint64_t seq) {
   return nullptr;
 }
 
-// Every hot-path hook defers itself to the round barrier when invoked
-// from a parallel-backend staging worker (the Observer is process-global
-// state): the replay re-enters the same public method with a null
-// execution context and runs the body, in exact global event order — so
-// an armed parallel run records byte-identical traces and counters.
-
 void Observer::on_submit(int origin, std::uint64_t seq, double now) {
-  if (sim::stage_effect<&Observer::on_submit>(this, origin, seq, now)) return;
   if (now >= next_window_) roll_window(now);
   if (origin < 0 || origin >= n_ || seq == 0) return;
   auto& slab = spans_[static_cast<std::size_t>(origin)];
@@ -139,13 +130,11 @@ void Observer::on_submit(int origin, std::uint64_t seq, double now) {
 }
 
 void Observer::on_order_start(int origin, std::uint64_t seq, double now) {
-  if (sim::stage_effect<&Observer::on_order_start>(this, origin, seq, now)) return;
   if (now >= next_window_) roll_window(now);
   if (Span* s = find(origin, seq); s && s->order_start < 0.0) s->order_start = now;
 }
 
 void Observer::on_ordered(int origin, std::uint64_t seq, double now, int node) {
-  if (sim::stage_effect<&Observer::on_ordered>(this, origin, seq, now, node)) return;
   if (now >= next_window_) roll_window(now);
   if (Span* s = find(origin, seq); s && s->ordered < 0.0) {
     s->ordered = now;
@@ -154,7 +143,6 @@ void Observer::on_ordered(int origin, std::uint64_t seq, double now, int node) {
 }
 
 void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node) {
-  if (sim::stage_effect<&Observer::on_delivered>(this, origin, seq, now, node)) return;
   if (now >= next_window_) roll_window(now);
   Span* s = find(origin, seq);
   if (s == nullptr || s->delivered >= 0.0) return;
@@ -174,7 +162,6 @@ void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node)
 // ------------------------------------------------------------- causal edges
 
 void Observer::on_edge(std::uint32_t key, std::uint64_t seq, double t0, double t1) {
-  if (sim::stage_effect<&Observer::on_edge>(this, key, seq, t0, t1)) return;
   // Deliberately does NOT roll metrics windows: edge recording must not
   // change the --metrics snapshot timeline between an armed-causal run
   // and an armed-only one.
@@ -218,7 +205,6 @@ std::size_t Observer::edges_recorded() const {
 // ------------------------------------------------------------- FD QoS meter
 
 void Observer::on_crash(int p, double now) {
-  if (sim::stage_effect<&Observer::on_crash>(this, p, now)) return;
   if (p < 0 || p >= n_) return;
   auto& t = qos_targets_[static_cast<std::size_t>(p)];
   if (t.crashed) return;
@@ -245,7 +231,6 @@ void Observer::on_crash(int p, double now) {
 }
 
 void Observer::on_recover(int p, double now) {
-  if (sim::stage_effect<&Observer::on_recover>(this, p, now)) return;
   if (p < 0 || p >= n_) return;
   auto& t = qos_targets_[static_cast<std::size_t>(p)];
   t.crashed = false;
@@ -254,7 +239,6 @@ void Observer::on_recover(int p, double now) {
 }
 
 void Observer::on_fd_transition(int monitor, int target, int flags, double now) {
-  if (sim::stage_effect<&Observer::on_fd_transition>(this, monitor, target, flags, now)) return;
   if (monitor < 0 || monitor >= n_ || target < 0 || target >= n_) return;
   const bool suspected = (flags & 1) != 0;
   auto& pair = qos_pairs_[static_cast<std::size_t>(monitor) * static_cast<std::size_t>(n_) +
@@ -292,7 +276,6 @@ void Observer::on_fd_transition(int monitor, int target, int flags, double now) 
 // ----------------------------------------------------------- counters/gauges
 
 void Observer::count(int node, Counter c, double now, std::uint64_t delta) {
-  if (sim::stage_effect<&Observer::count>(this, node, c, now, delta)) return;
   if (now >= next_window_) roll_window(now);
   if (node < 0 || node >= n_) return;
   counters_[static_cast<std::size_t>(node) * kCounterCount + static_cast<std::size_t>(c)] +=
@@ -300,19 +283,16 @@ void Observer::count(int node, Counter c, double now, std::uint64_t delta) {
 }
 
 void Observer::on_retransmit(int origin, double now) {
-  if (sim::stage_effect<&Observer::on_retransmit>(this, origin, now)) return;
   count(origin, Counter::kTransportRetx, now);
   if (origin >= 0 && origin < n_) ++retx_origin_[static_cast<std::size_t>(origin)];
 }
 
 void Observer::on_batch_flush(int node, std::size_t batch_size, double now) {
-  if (sim::stage_effect<&Observer::on_batch_flush>(this, node, batch_size, now)) return;
   count(node, Counter::kBatchesFlushed, now);
   batch_hist_.add(static_cast<double>(batch_size));
 }
 
 void Observer::reorder_depth(int node, std::size_t depth) {
-  if (sim::stage_effect<&Observer::reorder_depth>(this, node, depth)) return;
   if (node < 0 || node >= n_) return;
   auto& peak = reorder_peak_[static_cast<std::size_t>(node)];
   if (depth > peak) peak = depth;

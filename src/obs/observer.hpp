@@ -150,8 +150,7 @@ class Observer {
   // ---- causal edges (hot path iff causal(); allocation-free) ----
   [[nodiscard]] bool causal() const { return cfg_.enabled && cfg_.causal; }
   /// Records one edge into the origin's slab.  `key` packs (origin,
-  /// kind, node) — see edge_key(); markers carry t0 == t1.  Stages
-  /// itself under the parallel backend like every other hook.
+  /// kind, node) — see edge_key(); markers carry t0 == t1.
   void on_edge(std::uint32_t key, std::uint64_t seq, double t0, double t1);
   /// Records a point marker (kind, node, now) for every message in
   /// `refs`.  No-op unless causal() — callers may skip classify by

@@ -2,231 +2,86 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <mutex>
-#include <thread>
+#include <cassert>
 
 namespace fdgm::sim {
 
-const char* scheduler_backend_name(SchedulerBackend b) {
-  switch (b) {
-    case SchedulerBackend::kHeap:
-      return "heap";
-    case SchedulerBackend::kWheel:
-      return "wheel";
-    case SchedulerBackend::kParallel:
-      return "par";
-  }
-  return "?";
-}
-
-namespace {
-/// Installs an ExecCtx for the duration of a scope (exception-safe).
-struct CtxScope {
-  ExecCtx* prev;
-  explicit CtxScope(ExecCtx* c) : prev(detail::t_exec_ctx) { detail::t_exec_ctx = c; }
-  ~CtxScope() { detail::t_exec_ctx = prev; }
-  CtxScope(const CtxScope&) = delete;
-  CtxScope& operator=(const CtxScope&) = delete;
-};
-}  // namespace
-
-struct Scheduler::ParallelEngine {
-  std::vector<std::thread> threads;
-  /// Bumped to publish a round; workers wait on it.
-  std::atomic<std::uint64_t> round{0};
-  /// Helper threads still working on the published round.
-  std::atomic<std::uint32_t> remaining{0};
-  std::atomic<bool> quit{false};
-  std::mutex err_mu;
-  std::exception_ptr error;
-  /// Pool width, the coordinator included.
-  int workers = 1;
-};
-
-Scheduler::Scheduler(const SchedulerConfig& cfg) : cfg_(cfg) {
-  if (cfg_.backend == SchedulerBackend::kWheel) {
-    if (!(cfg_.wheel_tick_ms > 0.0))
-      throw std::invalid_argument("Scheduler: wheel_tick_ms must be positive");
-    inv_tick_ = 1.0 / cfg_.wheel_tick_ms;
-    levels_ = std::make_unique<std::array<WheelLevel, kWheelLevels>>();
-  }
-  parallel_ = cfg_.backend == SchedulerBackend::kParallel;
-}
-
 Scheduler::~Scheduler() {
-  if (engine_) {
-    engine_->quit.store(true, std::memory_order_release);
-    engine_->round.fetch_add(1, std::memory_order_release);
-    engine_->round.notify_all();
-    for (std::thread& th : engine_->threads) th.join();
-  }
   // Destroy callables of events never executed nor cancelled.
-  for (Partition& p : parts_)
-    for (Slot& sl : p.slots)
-      if (sl.run != nullptr) sl.destroy(sl);
+  for (Slot& sl : slots_)
+    if (sl.run != nullptr) sl.destroy(sl);
 }
 
-void Scheduler::set_partitions(int owners) {
-  if (cfg_.backend != SchedulerBackend::kParallel) return;
-  if (owners < 0 || owners > 255)
-    throw std::invalid_argument("Scheduler::set_partitions: supports 0..255 owners");
-  if (next_seq_ != 1 || executed_ != 0 || live_ != 0 || engine_)
-    throw std::logic_error("Scheduler::set_partitions: scheduler already in use");
-  parts_.resize(static_cast<std::size_t>(owners) + 1);
-  for (std::uint32_t i = 0; i < parts_.size(); ++i) parts_[i].index = i;
-}
-
-int Scheduler::resolved_threads() const {
-  int t = cfg_.threads;
-  if (t <= 0) t = static_cast<int>(std::thread::hardware_concurrency());
-  if (t < 1) t = 1;
-  const int owners = static_cast<int>(parts_.size()) - 1;
-  if (owners >= 1 && t > owners) t = owners;
-  return t;
-}
-
-std::uint32_t Scheduler::acquire_slot(Partition& p) {
-  if (p.free_head != kNoSlot) {
-    const std::uint32_t local = p.free_head;
-    p.free_head = p.slots[local].next_free;
-    return (p.index << kPartShift) | local;
+std::uint32_t Scheduler::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t idx = free_head_;
+    free_head_ = slots_[idx].next_free;
+    return idx;
   }
-  p.slots.emplace_back();
-  const auto local = static_cast<std::uint32_t>(p.slots.size() - 1);
-  if (local > kLocalSlotMask) throw std::length_error("Scheduler: partition slot slab overflow");
-  return (p.index << kPartShift) | local;
+  if (slots_.size() >= kNoSlot) throw std::length_error("Scheduler: slot slab overflow");
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void Scheduler::release_slot(std::uint32_t idx) {
-  Partition& p = parts_[idx >> kPartShift];
-  const std::uint32_t local = idx & kLocalSlotMask;
-  Slot& sl = p.slots[local];
+  Slot& sl = slots_[idx];
   sl.run = nullptr;
   sl.destroy = nullptr;
   ++sl.gen;  // stale queue records / EventIds stop matching
-  sl.next_free = p.free_head;
-  p.free_head = local;
+  sl.next_free = free_head_;
+  free_head_ = idx;
 }
 
 bool Scheduler::cancel(EventId id) {
   const auto idx = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  const std::uint32_t part = idx >> kPartShift;
-  if (part >= parts_.size()) return false;
-  const std::uint32_t local = idx & kLocalSlotMask;
-  if (local >= parts_[part].slots.size()) return false;
-  Slot& sl = parts_[part].slots[local];
+  if (idx >= slots_.size()) return false;
+  Slot& sl = slots_[idx];
   if (sl.run == nullptr || sl.gen != gen) return false;
-  ExecCtx* c = exec_ctx();
-  if (c != nullptr && c->staging && c->sched == this) {
-    Partition& p = *static_cast<Partition*>(c->part);
-    if (part == p.index) {
-      sl.destroy(sl);
-      release_slot(idx);
-      --p.live_delta;
-      return true;
-    }
-    // Shared-partition timers may be cancelled from workers: shared
-    // events cannot fire inside a round, so destroying the callback at
-    // the barrier — in exact global order — is observably sequential.
-    // Cancelling another *node* partition's event would race with its
-    // worker; nothing in the model holds such a handle.
-    assert(part == 0 && "worker cancelled another node partition's event");
-    StagedOp op{};
-    op.kind = StagedOp::Kind::kCancel;
-    op.slot = idx;
-    op.gen = gen;
-    p.ops.push_back(op);
-    return true;
-  }
   sl.destroy(sl);
   release_slot(idx);
   --live_;
-  if (parallel_ && node_min_valid_ && part == node_min_part_) node_min_valid_ = false;
   return true;
 }
 
-void stage_effect_raw(EffectFn fn, void* obj, const void* args, std::size_t size) {
-  ExecCtx* c = exec_ctx();
-  assert(c != nullptr && c->staging && "stage_effect_raw outside a staging worker");
-  auto& p = *static_cast<Scheduler::Partition*>(c->part);
-  Scheduler::StagedOp op{};
-  op.kind = Scheduler::StagedOp::Kind::kEffect;
-  op.obj = obj;
-  op.fn.effect = fn;
-  assert(size <= kMaxEffectArgBytes);
-  std::memcpy(op.args, args, size);
-  p.ops.push_back(op);
-}
+// ----------------------------------------------------------------- overflow
 
-void Scheduler::sift_up(std::vector<HeapRec>& h, std::size_t i) {
-  HeapRec rec = h[i];
+void Scheduler::overflow_push(const Rec& rec) {
+  overflow_.push_back(rec);
+  std::size_t i = overflow_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!before(rec, h[parent])) break;
-    h[i] = h[parent];
+    if (!before(rec, overflow_[parent])) break;
+    overflow_[i] = overflow_[parent];
     i = parent;
   }
-  h[i] = rec;
+  overflow_[i] = rec;
 }
 
-void Scheduler::sift_down(std::vector<HeapRec>& h, std::size_t i) {
-  const std::size_t n = h.size();
-  HeapRec rec = h[i];
+void Scheduler::overflow_pop() {
+  const Rec rec = overflow_.back();
+  overflow_.pop_back();
+  const std::size_t n = overflow_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
     std::size_t best = first;
     const std::size_t last = first + 4 < n ? first + 4 : n;
     for (std::size_t c = first + 1; c < last; ++c)
-      if (before(h[c], h[best])) best = c;
-    if (!before(h[best], rec)) break;
-    h[i] = h[best];
+      if (before(overflow_[c], overflow_[best])) best = c;
+    if (!before(overflow_[best], rec)) break;
+    overflow_[i] = overflow_[best];
     i = best;
   }
-  h[i] = rec;
-}
-
-void Scheduler::heap_push_on(std::vector<HeapRec>& h, HeapRec rec) {
-  h.push_back(rec);
-  sift_up(h, h.size() - 1);
-}
-
-void Scheduler::heap_pop_root_on(std::vector<HeapRec>& h) {
-  h.front() = h.back();
-  h.pop_back();
-  if (!h.empty()) sift_down(h, 0);
-}
-
-void Scheduler::serial_insert(Partition& p, const HeapRec& rec) {
-  if (!parallel_) {
-    enqueue(rec);
-    return;
-  }
-  heap_push_on(p.heap, rec);
-  if (p.index != 0 && node_min_valid_) {
-    if (node_min_part_ == 0 || rec.t < node_min_t_ ||
-        (rec.t == node_min_t_ && rec.seq < node_min_seq_)) {
-      node_min_part_ = p.index;
-      node_min_t_ = rec.t;
-      node_min_seq_ = rec.seq;
-    }
-  }
-}
-
-void Scheduler::enqueue(HeapRec rec) {
-  if (cfg_.backend == SchedulerBackend::kHeap) {
-    heap_push_on(heap_, rec);
-  } else {
-    wheel_enqueue(rec);
-  }
+  overflow_[i] = rec;
 }
 
 // -------------------------------------------------------------------- wheel
 
-std::uint64_t Scheduler::tick_of(Time t) const {
-  const double ticks = t * inv_tick_;
+std::uint64_t Scheduler::tick_of(Time t) {
+  const double ticks = t * (1.0 / kTickMs);
   // Guard the double -> u64 cast: UB at/above 2^64 (and for +inf, should a
   // caller ever schedule at kTimeInfinity).  Monotone: x * c and the cast
   // are monotone, the clamp keeps the tail constant.
@@ -254,7 +109,7 @@ bool Scheduler::wheel_target(std::uint64_t tick, unsigned& level, std::size_t& s
   return true;
 }
 
-std::uint32_t Scheduler::node_acquire(const HeapRec& rec) {
+std::uint32_t Scheduler::node_acquire(const Rec& rec) {
   std::uint32_t idx;
   if (node_free_ != kNilNode) {
     idx = node_free_;
@@ -263,11 +118,7 @@ std::uint32_t Scheduler::node_acquire(const HeapRec& rec) {
     idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   }
-  WheelNode& nd = nodes_[idx];
-  nd.t = rec.t;
-  nd.seq = rec.seq;
-  nd.slot = rec.slot;
-  nd.gen = rec.gen;
+  nodes_[idx].rec = rec;
   return idx;
 }
 
@@ -277,24 +128,24 @@ void Scheduler::node_release(std::uint32_t idx) {
 }
 
 void Scheduler::wheel_link(unsigned level, std::size_t slot, std::uint32_t node) {
-  WheelLevel& lvl = (*levels_)[level];
+  WheelLevel& lvl = levels_[level];
   nodes_[node].next = lvl.head[slot];
   lvl.head[slot] = node;
   wheel_mark(lvl, slot);
   ++wheel_count_;
 }
 
-void Scheduler::wheel_place(const HeapRec& rec, std::uint64_t tick) {
+void Scheduler::wheel_place(const Rec& rec, std::uint64_t tick) {
   unsigned level;
   std::size_t slot;
   if (!wheel_target(tick, level, slot)) {
-    heap_push_on(heap_, rec);
+    overflow_push(rec);
     return;
   }
   wheel_link(level, slot, node_acquire(rec));
 }
 
-void Scheduler::wheel_enqueue(HeapRec rec) {
+void Scheduler::enqueue(const Rec& rec) {
   const std::uint64_t tick = tick_of(rec.t);
   if (tick <= cur_tick_) {
     // The event lands in (or before) the bucket at the cursor.  The
@@ -322,7 +173,7 @@ void Scheduler::wheel_enqueue(HeapRec rec) {
   wheel_place(rec, tick);
 }
 
-std::size_t Scheduler::wheel_scan(const WheelLevel& lvl, std::size_t from) const {
+std::size_t Scheduler::wheel_scan(const WheelLevel& lvl, std::size_t from) {
   if (from >= kWheelSlots) return kWheelSlots;
   std::size_t word = from >> 6;
   std::uint64_t bits = lvl.occupied[word] & (~std::uint64_t{0} << (from & 63));
@@ -334,7 +185,7 @@ std::size_t Scheduler::wheel_scan(const WheelLevel& lvl, std::size_t from) const
 }
 
 void Scheduler::wheel_cascade(unsigned level, std::size_t slot) {
-  WheelLevel& lvl = (*levels_)[level];
+  WheelLevel& lvl = levels_[level];
   std::uint32_t node = lvl.head[slot];
   lvl.head[slot] = kNilNode;
   wheel_unmark(lvl, slot);
@@ -346,7 +197,7 @@ void Scheduler::wheel_cascade(unsigned level, std::size_t slot) {
     --wheel_count_;
     unsigned lv = 0;
     std::size_t sl = 0;
-    [[maybe_unused]] const bool in_wheel = wheel_target(tick_of(nodes_[node].t), lv, sl);
+    [[maybe_unused]] const bool in_wheel = wheel_target(tick_of(nodes_[node].rec.t), lv, sl);
     assert(in_wheel && lv < level);
     wheel_link(lv, sl, node);
     node = next;
@@ -355,10 +206,10 @@ void Scheduler::wheel_cascade(unsigned level, std::size_t slot) {
 
 void Scheduler::wheel_pull_overflow() {
   const std::uint64_t window = cur_tick_ >> (kWheelLevels * kWheelBits);
-  while (!heap_.empty() &&
-         (tick_of(heap_.front().t) >> (kWheelLevels * kWheelBits)) == window) {
-    const HeapRec rec = heap_.front();
-    heap_pop_root_on(heap_);
+  while (!overflow_.empty() &&
+         (tick_of(overflow_.front().t) >> (kWheelLevels * kWheelBits)) == window) {
+    const Rec rec = overflow_.front();
+    overflow_pop();
     wheel_place(rec, tick_of(rec.t));
   }
 }
@@ -367,27 +218,27 @@ bool Scheduler::wheel_refill() {
   ready_.clear();
   ready_pos_ = 0;
   ready_active_ = false;
-  auto& lv = *levels_;
   for (;;) {
     if (wheel_count_ == 0) {
-      if (heap_.empty()) return false;
+      if (overflow_.empty()) return false;
       // The wheel ran dry: jump the cursor to the overflow's earliest
       // tick (the root has the minimal (t, seq), and tick_of is
       // monotone) and pull that whole top-level window in.
-      cur_tick_ = tick_of(heap_.front().t);
+      cur_tick_ = tick_of(overflow_.front().t);
       wheel_pull_overflow();
       continue;
     }
     // Level 0: the next occupied slot in the cursor's 256-tick window is
     // the next bucket to drain (one tick per slot).
-    if (const std::size_t s = wheel_scan(lv[0], cur_tick_ & kWheelSlotMask); s < kWheelSlots) {
+    WheelLevel& l0 = levels_[0];
+    if (const std::size_t s = wheel_scan(l0, cur_tick_ & kWheelSlotMask); s < kWheelSlots) {
       cur_tick_ = (cur_tick_ & ~kWheelSlotMask) | s;
-      std::uint32_t node = lv[0].head[s];
-      lv[0].head[s] = kNilNode;
-      wheel_unmark(lv[0], s);
+      std::uint32_t node = l0.head[s];
+      l0.head[s] = kNilNode;
+      wheel_unmark(l0, s);
       while (node != kNilNode) {
         const WheelNode& nd = nodes_[node];
-        ready_.push_back(HeapRec{nd.t, nd.seq, nd.slot, nd.gen});
+        ready_.push_back(nd.rec);
         const std::uint32_t next = nd.next;
         node_release(node);
         node = next;
@@ -401,14 +252,14 @@ bool Scheduler::wheel_refill() {
     // (the cursor's own level-1 slot is empty by construction — its
     // events were placed at level 0).
     const std::size_t l1 = (cur_tick_ >> kWheelBits) & kWheelSlotMask;
-    if (const std::size_t s = wheel_scan(lv[1], l1 + 1); s < kWheelSlots) {
+    if (const std::size_t s = wheel_scan(levels_[1], l1 + 1); s < kWheelSlots) {
       constexpr std::uint64_t kSpan1 = (std::uint64_t{1} << (2 * kWheelBits)) - 1;
       cur_tick_ = (cur_tick_ & ~kSpan1) | (static_cast<std::uint64_t>(s) << kWheelBits);
       wheel_cascade(1, s);
       continue;
     }
     const std::size_t l2 = (cur_tick_ >> (2 * kWheelBits)) & kWheelSlotMask;
-    if (const std::size_t s = wheel_scan(lv[2], l2 + 1); s < kWheelSlots) {
+    if (const std::size_t s = wheel_scan(levels_[2], l2 + 1); s < kWheelSlots) {
       constexpr std::uint64_t kSpan2 = (std::uint64_t{1} << (3 * kWheelBits)) - 1;
       cur_tick_ = (cur_tick_ & ~kSpan2) | (static_cast<std::uint64_t>(s) << (2 * kWheelBits));
       wheel_cascade(2, s);
@@ -421,23 +272,10 @@ bool Scheduler::wheel_refill() {
 
 // ------------------------------------------------------------------ driving
 
-bool Scheduler::peek_next(HeapRec& out) {
-  if (cfg_.backend == SchedulerBackend::kHeap) {
-    while (!heap_.empty()) {
-      const HeapRec& rec = heap_.front();
-      // A slot generation mismatch marks a cancelled (or already reused)
-      // event: drop the stale record.
-      if (rec_live(rec)) {
-        out = rec;
-        return true;
-      }
-      heap_pop_root_on(heap_);
-    }
-    return false;
-  }
+bool Scheduler::peek_next(Rec& out) {
   for (;;) {
     while (ready_pos_ < ready_.size()) {
-      const HeapRec& rec = ready_[ready_pos_];
+      const Rec& rec = ready_[ready_pos_];
       if (rec_live(rec)) {
         out = rec;
         return true;
@@ -448,25 +286,20 @@ bool Scheduler::peek_next(HeapRec& out) {
   }
 }
 
-void Scheduler::pop_peeked() {
-  if (cfg_.backend == SchedulerBackend::kHeap) {
-    heap_pop_root_on(heap_);
-  } else {
-    ++ready_pos_;
-  }
-}
-
-bool Scheduler::step() {
-  if (parallel_) return step_parallel();
-  if (stopped()) return false;
-  HeapRec rec;
-  if (!peek_next(rec)) return false;
-  pop_peeked();
+void Scheduler::fire(const Rec& rec) {
+  ++ready_pos_;
   assert(rec.t >= now_);
   now_ = rec.t;
   ++executed_;
   --live_;
-  slot_ref(rec.slot).run(*this, rec.slot);
+  slots_[rec.slot].run(*this, rec.slot);
+}
+
+bool Scheduler::step() {
+  if (stopped_) return false;
+  Rec rec;
+  if (!peek_next(rec)) return false;
+  fire(rec);
   return true;
 }
 
@@ -477,387 +310,17 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
 }
 
 std::uint64_t Scheduler::run_until(Time t) {
-  if (parallel_) return run_until_parallel(t);
   std::uint64_t n = 0;
-  HeapRec rec;
-  while (!stopped()) {
+  Rec rec;
+  while (!stopped_) {
     // Not-due events are left in place (peek does not consume), so FIFO
     // order is preserved across run_until boundaries.
     if (!peek_next(rec) || rec.t > t) break;
-    pop_peeked();
-    now_ = rec.t;
-    ++executed_;
+    fire(rec);
     ++n;
-    --live_;
-    slot_ref(rec.slot).run(*this, rec.slot);
   }
-  if (!stopped() && now_ < t) now_ = t;
+  if (!stopped_ && now_ < t) now_ = t;
   return n;
-}
-
-// ---------------------------------------------------------------- kParallel
-
-bool Scheduler::part_peek(Partition& p, HeapRec& out) {
-  while (!p.heap.empty()) {
-    if (rec_live(p.heap.front())) {
-      out = p.heap.front();
-      return true;
-    }
-    heap_pop_root_on(p.heap);
-  }
-  return false;
-}
-
-void Scheduler::recompute_node_min() {
-  node_min_valid_ = true;
-  node_min_part_ = 0;
-  HeapRec h{};
-  for (std::uint32_t p = 1; p < parts_.size(); ++p) {
-    if (!part_peek(parts_[p], h)) continue;
-    if (node_min_part_ == 0 || h.t < node_min_t_ ||
-        (h.t == node_min_t_ && h.seq < node_min_seq_)) {
-      node_min_part_ = p;
-      node_min_t_ = h.t;
-      node_min_seq_ = h.seq;
-    }
-  }
-}
-
-bool Scheduler::global_min(HeapRec& out, std::uint32_t& out_part) {
-  HeapRec sh{};
-  const bool has_sh = part_peek(parts_[0], sh);
-  if (!node_min_valid_) recompute_node_min();
-  HeapRec nm{};
-  bool has_nm = false;
-  while (node_min_part_ != 0) {
-    // Re-peek the cached partition: its head may have been cancelled
-    // since the cache was filled.
-    if (part_peek(parts_[node_min_part_], nm) && nm.t == node_min_t_ &&
-        nm.seq == node_min_seq_) {
-      has_nm = true;
-      break;
-    }
-    recompute_node_min();
-  }
-  if (has_nm && (!has_sh || before(nm, sh))) {
-    out = nm;
-    out_part = node_min_part_;
-    return true;
-  }
-  if (has_sh) {
-    out = sh;
-    out_part = 0;
-    return true;
-  }
-  return false;
-}
-
-void Scheduler::exec_direct(Partition& p, const HeapRec& rec) {
-  heap_pop_root_on(p.heap);
-  assert(rec.t >= now_);
-  now_ = rec.t;
-  ++executed_;
-  --live_;
-  ExecCtx ctx;
-  ctx.sched = this;
-  ctx.now = rec.t;
-  ctx.owner = static_cast<int>(p.index) - 1;
-  ctx.staging = false;
-  CtxScope scope(&ctx);
-  slot_ref(rec.slot).run(*this, rec.slot);
-  if (p.index != 0) node_min_valid_ = false;
-}
-
-bool Scheduler::step_parallel() {
-  if (stopped()) return false;
-  HeapRec rec{};
-  std::uint32_t pm = 0;
-  if (!global_min(rec, pm)) return false;
-  exec_direct(parts_[pm], rec);
-  return true;
-}
-
-std::uint64_t Scheduler::run_until_parallel(Time limit) {
-  std::uint64_t n = 0;
-  HeapRec rec{};
-  std::uint32_t pm = 0;
-  while (!stopped()) {
-    if (!global_min(rec, pm) || rec.t > limit) break;
-    if (pm == 0) {
-      // Shared events execute serially between rounds; they are also
-      // what usually bounds a round, so this is the common serial path.
-      exec_direct(parts_[0], rec);
-      ++n;
-      continue;
-    }
-    const double la = lookahead_ ? lookahead_() : 0.0;
-    if (!(la > 0.0)) {
-      // No conservative horizon available: degenerate serial stepping.
-      exec_direct(parts_[pm], rec);
-      ++n;
-      continue;
-    }
-    // Exclusive round bound: the run_until limit (inclusive of time
-    // `limit` itself), the conservative horizon, and the earliest shared
-    // event, whichever key comes first.
-    Time bt = limit;
-    std::uint64_t bseq = UINT64_MAX;
-    const Time horizon = rec.t + la;
-    if (horizon < bt || (horizon == bt && bseq != 0)) {
-      bt = horizon;
-      bseq = 0;
-    }
-    HeapRec sh{};
-    if (part_peek(parts_[0], sh) && (sh.t < bt || (sh.t == bt && sh.seq < bseq))) {
-      bt = sh.t;
-      bseq = sh.seq;
-    }
-    // A round only pays off when several partitions hold work inside the
-    // bound; otherwise execute the single active partition's event
-    // directly (exact sequential semantics, no staging overhead).
-    std::uint32_t active = 0;
-    HeapRec h{};
-    for (std::uint32_t p = 1; p < parts_.size() && active < 2; ++p)
-      if (part_peek(parts_[p], h) && (h.t < bt || (h.t == bt && h.seq < bseq))) ++active;
-    if (active < 2) {
-      exec_direct(parts_[pm], rec);
-      ++n;
-      continue;
-    }
-    round_bound_t_ = bt;
-    round_bound_seq_ = bseq;
-    n += run_round();
-  }
-  if (!stopped() && now_ < limit) now_ = limit;
-  return n;
-}
-
-void Scheduler::ensure_engine() {
-  if (engine_) return;
-  engine_ = std::make_unique<ParallelEngine>();
-  engine_->workers = resolved_threads();
-  for (int w = 1; w < engine_->workers; ++w)
-    engine_->threads.emplace_back([this, w] { worker_main(w); });
-}
-
-void Scheduler::worker_main(int worker) {
-  ParallelEngine& e = *engine_;
-  std::uint64_t seen = 0;
-  for (;;) {
-    e.round.wait(seen, std::memory_order_acquire);
-    const std::uint64_t r = e.round.load(std::memory_order_acquire);
-    if (r == seen) continue;
-    seen = r;
-    if (e.quit.load(std::memory_order_acquire)) return;
-    try {
-      run_worker_passes(worker);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lk(e.err_mu);
-      if (!e.error) e.error = std::current_exception();
-    }
-    e.remaining.fetch_sub(1, std::memory_order_release);
-    e.remaining.notify_one();
-  }
-}
-
-void Scheduler::run_worker_passes(int worker) {
-  const auto stride = static_cast<std::uint32_t>(engine_->workers);
-  for (std::uint32_t p = 1 + static_cast<std::uint32_t>(worker); p < parts_.size(); p += stride)
-    run_partition_pass(parts_[p]);
-}
-
-void Scheduler::run_partition_pass(Partition& p) {
-  const Time bt = round_bound_t_;
-  const std::uint64_t bseq = round_bound_seq_;
-  ExecCtx ctx;
-  ctx.sched = this;
-  ctx.owner = static_cast<int>(p.index) - 1;
-  ctx.staging = true;
-  ctx.part = &p;
-  CtxScope scope(&ctx);
-  for (;;) {
-    while (!p.heap.empty() && !rec_live(p.heap.front())) heap_pop_root_on(p.heap);
-    if (p.heap.empty()) break;
-    const HeapRec rec = p.heap.front();
-    if (!(rec.t < bt || (rec.t == bt && rec.seq < bseq))) break;
-    heap_pop_root_on(p.heap);
-    ctx.now = rec.t;
-    const auto ops_at = static_cast<std::uint32_t>(p.ops.size());
-    p.log.push_back(ExecRec{rec.t, rec.seq, ops_at, ops_at});
-    const std::size_t li = p.log.size() - 1;
-    ++p.round_executed;
-    --p.live_delta;
-    slot_ref(rec.slot).run(*this, rec.slot);
-    p.log[li].ops_end = static_cast<std::uint32_t>(p.ops.size());
-  }
-}
-
-std::uint64_t Scheduler::run_round() {
-  ensure_engine();
-  ParallelEngine& e = *engine_;
-  const int helpers = e.workers - 1;
-  if (helpers > 0) {
-    e.remaining.store(static_cast<std::uint32_t>(helpers), std::memory_order_relaxed);
-    e.round.fetch_add(1, std::memory_order_release);
-    e.round.notify_all();
-  }
-  run_worker_passes(0);
-  if (helpers > 0) {
-    std::uint32_t rem = e.remaining.load(std::memory_order_acquire);
-    while (rem != 0) {
-      e.remaining.wait(rem, std::memory_order_acquire);
-      rem = e.remaining.load(std::memory_order_acquire);
-    }
-  }
-  if (e.error) {
-    std::exception_ptr err = e.error;
-    e.error = nullptr;
-    std::rethrow_exception(err);  // partition state is unusable past this
-  }
-  std::uint64_t executed = 0;
-  for (std::uint32_t p = 1; p < parts_.size(); ++p) executed += parts_[p].round_executed;
-  merge_round();
-  return executed;
-}
-
-void Scheduler::replay_op(Partition& src, const StagedOp& op, Time t) {
-  switch (op.kind) {
-    case StagedOp::Kind::kSchedule: {
-      // Seq consumption must match the sequential run exactly, so the
-      // real seq is assigned even when the event was cancelled in-pass.
-      const std::uint64_t seq = next_seq_++;
-      if (op.owner >= 0 && partition_of(op.owner) == src.index) {
-        // In-pass provisional schedule: the record is already queued (or
-        // executed/cancelled); only its seq needs resolving.
-        src.patch[op.prov & ~kProvBit] = seq;
-        break;
-      }
-      Partition& dst = parts_[partition_of(op.owner)];
-      const Slot& sl = slot_ref(op.slot);
-      if (sl.run != nullptr && sl.gen == op.gen)
-        heap_push_on(dst.heap, HeapRec{op.t, seq, op.slot, op.gen});
-      break;
-    }
-    case StagedOp::Kind::kResource: {
-      const Time done = op.fn.commit(op.obj, t, op.service);
-      const std::uint64_t seq = next_seq_++;
-      Partition& dst = parts_[partition_of(op.owner)];
-      const Slot& sl = slot_ref(op.slot);
-      if (sl.run != nullptr && sl.gen == op.gen)
-        heap_push_on(dst.heap, HeapRec{done, seq, op.slot, op.gen});
-      break;
-    }
-    case StagedOp::Kind::kEffect:
-      op.fn.effect(op.obj, op.args);
-      break;
-    case StagedOp::Kind::kCancel: {
-      Slot& sl = slot_ref(op.slot);
-      if (sl.run != nullptr && sl.gen == op.gen) {
-        sl.destroy(sl);
-        release_slot(op.slot);
-        --live_;
-      }
-      break;
-    }
-  }
-}
-
-void Scheduler::merge_round() {
-  [[maybe_unused]] constexpr std::uint64_t kUnpatched = ~std::uint64_t{0};
-  struct Cursor {
-    std::uint32_t part;
-    std::uint32_t i;
-    Time t;
-    std::uint64_t seq;  // resolved
-  };
-  auto cur_before = [](const Cursor& a, const Cursor& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
-  };
-  std::vector<Cursor> heap;
-  heap.reserve(parts_.size());
-  auto push = [&](Cursor c) {
-    heap.push_back(c);
-    std::size_t i = heap.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!cur_before(heap[i], heap[parent])) break;
-      std::swap(heap[i], heap[parent]);
-      i = parent;
-    }
-  };
-  auto pop = [&] {
-    heap.front() = heap.back();
-    heap.pop_back();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      if (l >= heap.size()) break;
-      std::size_t m = l;
-      if (l + 1 < heap.size() && cur_before(heap[l + 1], heap[l])) m = l + 1;
-      if (!cur_before(heap[m], heap[i])) break;
-      std::swap(heap[i], heap[m]);
-      i = m;
-    }
-  };
-  // A provisional log seq always resolves by the time its cursor is
-  // (re)loaded: the scheduling parent is an earlier entry of the same
-  // partition's log, already replayed (its patch entry written) before
-  // the cursor advanced past it.
-  auto resolve = [&](Cursor& c) {
-    Partition& p = parts_[c.part];
-    const ExecRec& e = p.log[c.i];
-    c.t = e.t;
-    c.seq = (e.seq & kProvBit) != 0 ? p.patch[e.seq & ~kProvBit] : e.seq;
-    assert(c.seq != kUnpatched && (c.seq & kProvBit) == 0);
-  };
-  for (std::uint32_t pi = 1; pi < parts_.size(); ++pi) {
-    Partition& p = parts_[pi];
-    if (p.prov_next != 0) p.patch.assign(p.prov_next, kUnpatched);
-    if (!p.log.empty()) {
-      Cursor c{pi, 0, kTimeZero, 0};
-      resolve(c);
-      push(c);
-    }
-  }
-  // Replay every executed event's staged ops in exact global (t, seq)
-  // order: this assigns the real FIFO seqs in the order the sequential
-  // backends would have, applies shared-resource jobs and external side
-  // effects at the right simulated times, and performs cross-partition
-  // inserts and cancels.
-  while (!heap.empty()) {
-    Cursor c = heap.front();
-    pop();
-    Partition& p = parts_[c.part];
-    const ExecRec& e = p.log[c.i];
-    assert(e.t >= now_);
-    now_ = e.t;
-    for (std::uint32_t k = e.ops_begin; k < e.ops_end; ++k) replay_op(p, p.ops[k], e.t);
-    if (++c.i < p.log.size()) {
-      resolve(c);
-      push(c);
-    }
-  }
-  for (std::uint32_t pi = 1; pi < parts_.size(); ++pi) {
-    Partition& p = parts_[pi];
-    if (p.prov_next != 0) {
-      // Rewrite leftover provisional seqs to their real values.  The
-      // remap is order-preserving (seqs were assigned in replay order,
-      // which respects provisional order within a partition) and every
-      // patched value exceeds every real seq already in the queue, so
-      // the heap property is untouched.
-      for (HeapRec& r : p.heap)
-        if ((r.seq & kProvBit) != 0) r.seq = p.patch[r.seq & ~kProvBit];
-      p.prov_next = 0;
-    }
-    live_ = static_cast<std::size_t>(static_cast<std::int64_t>(live_) + p.live_delta);
-    p.live_delta = 0;
-    executed_ += p.round_executed;
-    p.round_executed = 0;
-    p.ops.clear();
-    p.log.clear();
-  }
-  node_min_valid_ = false;
 }
 
 }  // namespace fdgm::sim

@@ -2,47 +2,22 @@
 //
 // Deterministic: events at equal timestamps execute in insertion order
 // (FIFO), which makes every simulation reproducible given the same seed.
+// Every pop returns the globally smallest (time, seq) record.
 //
-// Three interchangeable pending-queue backends produce bit-identical
-// event orders (every pop returns the globally smallest (time, seq)
-// record):
+// The pending queue is a hierarchical timing wheel (Varghese-Lauck):
+// three levels of 256 slots each bucket the near future at increasing
+// granularity (level 0 = one kTickMs tick per slot).  Events beyond the
+// top window (~17 simulated minutes ahead) spill into a 4-ary min-heap as
+// overflow and are pulled in when the cursor reaches their window.
+// Schedule and cancel are O(1); each event is touched at most three times
+// on its way to execution.  Buckets are sorted by (time, seq) when
+// drained, which restores the exact global FIFO order.  The tick only
+// sets how much work the cursor does per empty stretch, never the order.
 //
-//  * kHeap — a 4-ary min-heap of POD records over one reusable vector;
-//    O(log m) per schedule/fire.  The right choice for small event
-//    populations (the paper's n <= 7 runs).
-//  * kWheel — a hierarchical timing wheel (Varghese-Lauck): three levels
-//    of 256 slots each bucket the near future at increasing granularity
-//    (level 0 = one tick per slot); events beyond the top window spill
-//    into the 4-ary heap as overflow and are pulled in when the cursor
-//    reaches their window.  Schedule and cancel are O(1); each event is
-//    touched at most `levels` times on its way to execution.  Buckets are
-//    sorted by (time, seq) when drained, which restores the exact global
-//    FIFO order of the heap backend.  The right choice for the large-n
-//    runs, where the failure-detector layer keeps O(n^2) short-horizon
-//    timers alive at once.
-//  * kParallel — conservative windowed PDES across a worker pool.
-//    Events are partitioned by owning process (plus one shared partition
-//    for process-global events: the wire, injected faults, anything
-//    scheduled from a serial context); each partition is a 4-ary heap
-//    with its own callback slab.  The coordinator repeatedly picks the
-//    globally earliest event; when several node partitions have events
-//    inside the safe horizon — bounded by the earliest shared event, by
-//    now + lookahead (the minimum cross-partition latency installed via
-//    set_lookahead), and by the run_until limit — it runs one *round*:
-//    workers execute their partitions' sub-horizon events concurrently,
-//    giving events scheduled into their own partition provisional FIFO
-//    seqs so intra-partition chains execute in-pass, and staging every
-//    cross-partition operation (shared schedules, shared-resource jobs,
-//    shared-timer cancels, external side effects).  The round barrier
-//    then replays the per-partition execution logs in exact global
-//    (time, seq) order, assigning the real FIFO seqs in the order the
-//    sequential backends would have and patching the provisional ones,
-//    so the observable firing order, every RNG draw, and the executed
-//    event count are identical to kHeap/kWheel for any thread count.
-//
-// The event core is allocation-free in steady state with all backends:
-//  * heap records are POD in reusable vectors (wheel buckets retain their
-//    capacity across laps, like the heap's backing vector);
+// The event core is allocation-free in steady state:
+//  * queue records are POD; wheel buckets are intrusive lists over a
+//    pooled node slab, and the drain buffer and the overflow heap are
+//    reusable vectors;
 //  * callbacks live in a slab of fixed slots with inline small-buffer
 //    storage and a freelist; callables that fit the inline buffer (every
 //    hot-path closure in the simulator) never touch the heap, oversized
@@ -53,19 +28,15 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/exec_ctx.hpp"
 #include "sim/time.hpp"
 
 namespace fdgm::sim {
@@ -73,29 +44,6 @@ namespace fdgm::sim {
 /// Handle for a scheduled event; usable to cancel it before it fires.
 /// Encodes (slot generation << 32 | slot index); 0 is never returned.
 using EventId = std::uint64_t;
-
-/// Pending-queue implementation; see the file comment.  All backends
-/// produce bit-identical event orders.
-enum class SchedulerBackend : std::uint8_t { kHeap, kWheel, kParallel };
-
-[[nodiscard]] const char* scheduler_backend_name(SchedulerBackend b);
-
-struct SchedulerConfig {
-  SchedulerBackend backend = SchedulerBackend::kHeap;
-  /// Width of one level-0 wheel bucket in simulated ms.  Only the wheel
-  /// cursor's work per empty stretch depends on it, never correctness:
-  /// buckets are re-sorted by (time, seq) when drained.  The default
-  /// (1/16 ms) keeps hot protocol timers (O(1 ms) apart) in buckets of a
-  /// handful of events while the 3x8-bit hierarchy still spans ~17
-  /// simulated minutes before overflow.
-  double wheel_tick_ms = 1.0 / 16.0;
-  /// kParallel only: size of the worker pool, the coordinator thread
-  /// included (so `1` runs rounds on the caller alone — still through
-  /// the staging machinery, which is what the determinism tests
-  /// exercise).  0 = one worker per hardware thread.  Results never
-  /// depend on this value, only wall-clock time does.
-  int threads = 0;
-};
 
 class Scheduler {
  public:
@@ -107,159 +55,43 @@ class Scheduler {
   /// max_align_t) are stored inline in the slab — no heap allocation.
   static constexpr std::size_t kInlineCallbackBytes = 48;
 
-  /// Applies one resource job to a resource object at time `at` and
-  /// returns the completion time (see resource_enqueue).
-  using ResourceCommitFn = Time (*)(void* resource, Time at, double service);
+  /// Width of one level-0 wheel bucket in simulated ms: hot protocol
+  /// timers (O(1 ms) apart) share buckets of a handful of events while
+  /// the 3x8-bit hierarchy still spans ~17 simulated minutes.
+  static constexpr double kTickMs = 1.0 / 16.0;
 
-  Scheduler() : Scheduler(SchedulerConfig{}) {}
-  explicit Scheduler(const SchedulerConfig& cfg);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
   ~Scheduler();
 
-  [[nodiscard]] SchedulerBackend backend() const { return cfg_.backend; }
+  /// Current simulated time.  Starts at kTimeZero.
+  [[nodiscard]] Time now() const { return now_; }
 
-  /// Current simulated time.  Starts at kTimeZero.  During event
-  /// execution under kParallel this is the executing event's timestamp
-  /// regardless of which thread asks.
-  [[nodiscard]] Time now() const {
-    const ExecCtx* c = exec_ctx();
-    if (c != nullptr && c->sched == this) return c->now;
-    return now_;
-  }
-
-  // ---------------------------------------------------------- partitions
-
-  /// kParallel: declare the owner space (owners 0..n-1 each get a
-  /// partition; kOwnerShared events stay in the shared partition 0).
-  /// Must be called before anything is scheduled.  No-op for the
-  /// sequential backends, which keep everything in partition 0.
-  void set_partitions(int owners);
-
-  [[nodiscard]] int partitions() const { return static_cast<int>(parts_.size()); }
-
-  /// kParallel: install the conservative lookahead — the minimum
-  /// simulated latency of any cross-partition interaction (the
-  /// contention model's minimum wire latency).  Polled once per round;
-  /// a missing or non-positive lookahead degrades to serial stepping.
-  void set_lookahead(std::function<double()> fn) { lookahead_ = std::move(fn); }
-
-  /// Worker-pool width a run would use (after resolving threads = 0).
-  [[nodiscard]] int resolved_threads() const;
-
-  // ---------------------------------------------------------- scheduling
-
-  /// Schedule `f` at absolute time `t`.  `t` must be >= now().  The new
-  /// event inherits the owner of the currently executing event (shared
-  /// when called outside event execution).
+  /// Schedule `f` at absolute time `t`.  `t` must be >= now().
   template <typename F>
   EventId schedule_at(Time t, F&& f) {
-    const ExecCtx* c = exec_ctx();
-    const int owner = (c != nullptr && c->sched == this) ? c->owner : kOwnerShared;
-    return schedule_at_owned(owner, t, std::forward<F>(f));
+    if (t < now_) throw std::invalid_argument("Scheduler::schedule_at: time in the past");
+    const std::uint32_t slot = emplace_callback(std::forward<F>(f));
+    const std::uint32_t gen = slots_[slot].gen;
+    enqueue(Rec{t, next_seq_++, slot, gen});
+    ++live_;
+    return make_id(gen, slot);
   }
 
   /// Schedule `f` `delay` time units from now.  `delay` must be >= 0.
   template <typename F>
   EventId schedule_after(Time delay, F&& f) {
     if (delay < 0) throw std::invalid_argument("Scheduler::schedule_after: negative delay");
-    return schedule_at(now() + delay, std::forward<F>(f));
-  }
-
-  /// Schedule `f` at `t` with an explicit owner (a process id, or
-  /// kOwnerShared for events that touch cross-process state and must
-  /// execute serially under kParallel).  Sequential backends ignore the
-  /// owner entirely.
-  template <typename F>
-  EventId schedule_at_owned(int owner, Time t, F&& f) {
-    ExecCtx* c = exec_ctx();
-    if (c != nullptr && c->staging && c->sched == this) {
-      if (t < c->now)
-        throw std::invalid_argument("Scheduler::schedule_at: time in the past");
-      Partition& p = *static_cast<Partition*>(c->part);
-      const std::uint32_t target = partition_of(owner);
-      if (target == p.index) return stage_own_schedule(p, t, std::forward<F>(f));
-      // Cross-partition schedules from workers are only legal toward the
-      // shared partition, at or beyond the round bound: in this model
-      // they are exactly the wire jobs, whose completion lags by at
-      // least the lookahead.  Direct node-to-node schedules would breach
-      // the conservative horizon.
-      assert(target == 0 && "worker scheduled into another node partition");
-      assert(t >= round_bound_t_ && "staged shared schedule inside the round horizon");
-      const std::uint32_t slot = emplace_callback_in(p, std::forward<F>(f));
-      const std::uint32_t gen = slot_ref(slot).gen;
-      StagedOp op{};
-      op.kind = StagedOp::Kind::kSchedule;
-      op.owner = owner;
-      op.slot = slot;
-      op.gen = gen;
-      op.t = t;
-      p.ops.push_back(op);
-      ++p.live_delta;
-      return make_id(gen, slot);
-    }
-    if (t < now_) throw std::invalid_argument("Scheduler::schedule_at: time in the past");
-    Partition& p = parts_[partition_of(owner)];
-    const std::uint32_t slot = emplace_callback_in(p, std::forward<F>(f));
-    const std::uint32_t gen = slot_ref(slot).gen;
-    serial_insert(p, HeapRec{t, next_seq_++, slot, gen});
-    ++live_;
-    return make_id(gen, slot);
-  }
-
-  template <typename F>
-  EventId schedule_after_owned(int owner, Time delay, F&& f) {
-    if (delay < 0) throw std::invalid_argument("Scheduler::schedule_after: negative delay");
-    return schedule_at_owned(owner, now() + delay, std::forward<F>(f));
-  }
-
-  /// Runs one job through a resource queue (see net::Resource, which is
-  /// the only caller): applies `commit` — which advances the resource's
-  /// free_at and returns the completion time — and schedules `f` at that
-  /// completion, owned by `owner`.  Under kParallel, workers apply jobs
-  /// on their own partition's resources immediately (only their events
-  /// touch those during a round) and stage jobs on shared resources for
-  /// in-order replay at the barrier.
-  template <typename F>
-  void resource_enqueue(void* resource, ResourceCommitFn commit, int owner, double service,
-                        F&& f) {
-    ExecCtx* c = exec_ctx();
-    if (c != nullptr && c->staging && c->sched == this) {
-      Partition& p = *static_cast<Partition*>(c->part);
-      const std::uint32_t target = partition_of(owner);
-      if (target == p.index) {
-        const Time done = commit(resource, c->now, service);
-        stage_own_schedule(p, done, std::forward<F>(f));
-        return;
-      }
-      assert(target == 0 && "worker queued a job on another node partition's resource");
-      const std::uint32_t slot = emplace_callback_in(p, std::forward<F>(f));
-      StagedOp op{};
-      op.kind = StagedOp::Kind::kResource;
-      op.owner = owner;
-      op.slot = slot;
-      op.gen = slot_ref(slot).gen;
-      op.service = service;
-      op.obj = resource;
-      op.fn.commit = commit;
-      p.ops.push_back(op);
-      ++p.live_delta;
-      return;
-    }
-    const Time done = commit(resource, now(), service);
-    schedule_at_owned(owner, done, std::forward<F>(f));
+    return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
   /// Cancel a pending event.  Returns true if the event was still pending.
   /// O(1): the callback is destroyed now, the queued record lazily dropped.
-  /// Workers may cancel events of their own partition and of the shared
-  /// partition (the latter is staged: shared events cannot fire inside a
-  /// round, so the observable outcome is the sequential one).
   bool cancel(EventId id);
 
   /// Execute the next pending event, advancing time.  Returns false when
-  /// the queue is empty or the scheduler was stopped.  kParallel steps
-  /// serially (exact sequential semantics, no staging).
+  /// the queue is empty or the scheduler was stopped.
   bool step();
 
   /// Run until the event queue drains, `stop()` is called, or more than
@@ -269,21 +101,18 @@ class Scheduler {
 
   /// Run events with timestamp <= `t`; afterwards now() == t unless the
   /// scheduler was stopped earlier.  Returns the number of events
-  /// executed.  This is the entry point that engages kParallel's round
-  /// engine; under kParallel, stop() takes effect at event (serial) or
-  /// round (parallel) granularity.
+  /// executed.
   std::uint64_t run_until(Time t);
 
   /// Stop a run()/run_until() in progress (from inside a callback).
-  void stop() { stopped_.store(true, std::memory_order_relaxed); }
+  void stop() { stopped_ = true; }
 
-  [[nodiscard]] bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
+  [[nodiscard]] bool stopped() const { return stopped_; }
 
   /// Resets the stop flag so that run() can be called again.
-  void clear_stop() { stopped_.store(false, std::memory_order_relaxed); }
+  void clear_stop() { stopped_ = false; }
 
   /// Number of events currently pending (cancelled ones excluded).
-  /// kParallel: only meaningful outside a round (serial points).
   [[nodiscard]] std::size_t pending() const { return live_; }
 
   /// Total number of events executed so far.
@@ -291,7 +120,7 @@ class Scheduler {
 
  private:
   /// POD queue record; `seq` breaks timestamp ties FIFO.
-  struct HeapRec {
+  struct Rec {
     Time t{};
     std::uint64_t seq{};
     std::uint32_t slot{};
@@ -315,71 +144,6 @@ class Scheduler {
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  // --------------------------------------------------------- partitions
-  /// Slot indices pack (partition << kPartShift | local slot), so
-  /// EventIds stay single-word and release_slot finds the owning slab
-  /// without lookup.  Sequential backends use partition 0 only, which
-  /// keeps their slot indices identical to the pre-partition layout.
-  static constexpr unsigned kPartShift = 24;
-  static constexpr std::uint32_t kLocalSlotMask = (std::uint32_t{1} << kPartShift) - 1;
-  /// Provisional seqs carry the top bit: they sort after every real seq
-  /// (correct, since in-pass children are scheduled after everything
-  /// already pending) and are patched to real seqs at the round barrier.
-  static constexpr std::uint64_t kProvBit = std::uint64_t{1} << 63;
-
-  /// One cross-partition operation recorded by a worker, replayed
-  /// serially at the barrier in exact global order.
-  struct StagedOp {
-    enum class Kind : std::uint8_t { kSchedule, kResource, kEffect, kCancel };
-    Kind kind{};
-    int owner{};           // kSchedule/kResource: owner of the new event
-    std::uint32_t slot{};  // packed slot (kSchedule/kResource/kCancel)
-    std::uint32_t gen{};
-    Time t{};              // kSchedule: absolute fire time
-    std::uint64_t prov{};  // kSchedule into own partition: provisional seq
-    double service{};      // kResource
-    void* obj{};           // kResource: resource; kEffect: receiver
-    union Fn {
-      ResourceCommitFn commit;
-      EffectFn effect;
-    } fn{};
-    alignas(std::max_align_t) std::byte args[kMaxEffectArgBytes];  // kEffect
-  };
-
-  /// One executed event, in local order, with its staged-op range.
-  struct ExecRec {
-    Time t{};
-    std::uint64_t seq{};  // provisional or real
-    std::uint32_t ops_begin{};
-    std::uint32_t ops_end{};
-  };
-
-  struct alignas(64) Partition {
-    std::vector<HeapRec> heap;  // kParallel pending queue (4-ary)
-    std::vector<Slot> slots;
-    std::uint32_t free_head = kNoSlot;
-    std::uint32_t index = 0;
-    // Round-scoped worker state, consumed and cleared at the barrier.
-    std::uint64_t prov_next = 0;
-    std::vector<std::uint64_t> patch;  // provisional counter -> real seq
-    std::vector<StagedOp> ops;
-    std::vector<ExecRec> log;
-    std::uint64_t round_executed = 0;
-    std::int64_t live_delta = 0;
-  };
-
-  [[nodiscard]] std::uint32_t partition_of(int owner) const {
-    const std::uint32_t p = static_cast<std::uint32_t>(owner + 1);
-    return p < parts_.size() ? p : 0;
-  }
-
-  [[nodiscard]] Slot& slot_ref(std::uint32_t idx) {
-    return parts_[idx >> kPartShift].slots[idx & kLocalSlotMask];
-  }
-  [[nodiscard]] const Slot& slot_ref(std::uint32_t idx) const {
-    return parts_[idx >> kPartShift].slots[idx & kLocalSlotMask];
-  }
-
   // ------------------------------------------------------------- wheel
   static constexpr unsigned kWheelBits = 8;
   static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
@@ -392,10 +156,7 @@ class Scheduler {
   /// allocate, no matter which buckets the cursor visits — per-bucket
   /// vectors would re-allocate on every fresh level-1/2 lap.
   struct WheelNode {
-    Time t{};
-    std::uint64_t seq{};
-    std::uint32_t slot{};
-    std::uint32_t gen{};
+    Rec rec{};
     std::uint32_t next{};
   };
 
@@ -413,7 +174,7 @@ class Scheduler {
   template <typename F>
   struct InlineOps {
     static void run(Scheduler& s, std::uint32_t idx) {
-      Slot& sl = s.slot_ref(idx);
+      Slot& sl = s.slots_[idx];
       F f(std::move(*std::launder(reinterpret_cast<F*>(sl.storage))));
       destroy(sl);
       s.release_slot(idx);  // nested schedule_* calls may reuse it
@@ -425,7 +186,7 @@ class Scheduler {
   template <typename F>
   struct HeapOps {
     static void run(Scheduler& s, std::uint32_t idx) {
-      F* p = *std::launder(reinterpret_cast<F**>(s.slot_ref(idx).storage));
+      F* p = *std::launder(reinterpret_cast<F**>(s.slots_[idx].storage));
       s.release_slot(idx);
       (*p)();
       delete p;
@@ -434,11 +195,11 @@ class Scheduler {
   };
 
   template <typename F>
-  std::uint32_t emplace_callback_in(Partition& p, F&& f) {
+  std::uint32_t emplace_callback(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_v<Fn&>, "Scheduler callback must be invocable");
-    const std::uint32_t idx = acquire_slot(p);
-    Slot& sl = slot_ref(idx);
+    const std::uint32_t idx = acquire_slot();
+    Slot& sl = slots_[idx];
     if constexpr (sizeof(Fn) <= kInlineCallbackBytes && alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(sl.storage)) Fn(std::forward<F>(f));
       sl.run = &InlineOps<Fn>::run;
@@ -451,95 +212,33 @@ class Scheduler {
     return idx;
   }
 
-  /// Worker path: schedule into the executing worker's own partition
-  /// with a provisional seq, so intra-partition chains execute in-pass.
-  template <typename F>
-  EventId stage_own_schedule(Partition& p, Time t, F&& f) {
-    const std::uint32_t slot = emplace_callback_in(p, std::forward<F>(f));
-    const std::uint32_t gen = slot_ref(slot).gen;
-    StagedOp op{};
-    op.kind = StagedOp::Kind::kSchedule;
-    op.owner = static_cast<int>(p.index) - 1;
-    op.slot = slot;
-    op.gen = gen;
-    op.t = t;
-    op.prov = kProvBit | p.prov_next++;
-    p.ops.push_back(op);
-    heap_push_on(p.heap, HeapRec{t, op.prov, slot, gen});
-    ++p.live_delta;
-    return make_id(gen, slot);
-  }
-
-  std::uint32_t acquire_slot(Partition& p);
+  std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
 
-  [[nodiscard]] bool rec_live(const HeapRec& rec) const {
-    const Slot& sl = slot_ref(rec.slot);
+  [[nodiscard]] bool rec_live(const Rec& rec) const {
+    const Slot& sl = slots_[rec.slot];
     return sl.run != nullptr && sl.gen == rec.gen;
   }
 
   /// Queue order: earliest (t, seq) first.
-  static bool before(const HeapRec& a, const HeapRec& b) {
+  static bool before(const Rec& a, const Rec& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  static void sift_up(std::vector<HeapRec>& h, std::size_t i);
-  static void sift_down(std::vector<HeapRec>& h, std::size_t i);
-  static void heap_push_on(std::vector<HeapRec>& h, HeapRec rec);
-  static void heap_pop_root_on(std::vector<HeapRec>& h);
 
-  /// Sequential insert: dispatches to the configured backend's queue and
-  /// maintains the kParallel node-minimum cache.
-  void serial_insert(Partition& p, const HeapRec& rec);
+  // Far-future overflow: a 4-ary min-heap over overflow_.
+  void overflow_push(const Rec& rec);
+  void overflow_pop();
 
-  /// Backend dispatch for schedule_at (sequential backends).
-  void enqueue(HeapRec rec);
-
-  /// Exposes the next live event without consuming it; false when none
-  /// remain.  The wheel backend advances its cursor (cascading levels and
-  /// pulling overflow) as a side effect, which is harmless: the cursor
-  /// only moves over empty or drained buckets.
-  bool peek_next(HeapRec& out);
-  /// Consumes the record last returned by peek_next.
-  void pop_peeked();
-
-  // ------------------------------------------------- kParallel internals
-  struct ParallelEngine;
-
-  /// Drops stale roots; false when the partition queue is empty.
-  bool part_peek(Partition& p, HeapRec& out);
-  void recompute_node_min();
-  /// Globally earliest live event: partition index into `out_part`,
-  /// record into `out`; false when nothing is pending.
-  bool global_min(HeapRec& out, std::uint32_t& out_part);
-  /// Pops and executes one event serially with exact sequential
-  /// semantics (real seqs, direct inserts).  Pre: `rec` is p's root and
-  /// the global minimum.
-  void exec_direct(Partition& p, const HeapRec& rec);
-  std::uint64_t run_until_parallel(Time limit);
-  bool step_parallel();
-  /// Executes one staged round bounded by (round_bound_t_,
-  /// round_bound_seq_); returns the number of events executed.
-  std::uint64_t run_round();
-  void run_partition_pass(Partition& p);
-  void run_worker_passes(int worker);
-  void worker_main(int worker);
-  void merge_round();
-  void replay_op(Partition& src, const StagedOp& op, Time t);
-  void ensure_engine();
-
-  friend void stage_effect_raw(EffectFn fn, void* obj, const void* args, std::size_t size);
-
-  // Wheel internals (all no-ops under the heap backend).
-  [[nodiscard]] std::uint64_t tick_of(Time t) const;
-  void wheel_enqueue(HeapRec rec);
+  [[nodiscard]] static std::uint64_t tick_of(Time t);
+  void enqueue(const Rec& rec);
   /// Decides level/slot for `tick` relative to cur_tick_; returns false
   /// when the tick lies beyond the top window (overflow heap).
   [[nodiscard]] bool wheel_target(std::uint64_t tick, unsigned& level, std::size_t& slot) const;
   /// Places `rec` into the correct level relative to cur_tick_, or into
-  /// the overflow heap.  Pre: its tick >= cur_tick_, ready bucket aside.
-  void wheel_place(const HeapRec& rec, std::uint64_t tick);
-  std::uint32_t node_acquire(const HeapRec& rec);
+  /// the overflow heap.  Pre: its tick > cur_tick_.
+  void wheel_place(const Rec& rec, std::uint64_t tick);
+  std::uint32_t node_acquire(const Rec& rec);
   void node_release(std::uint32_t idx);
   void wheel_link(unsigned level, std::size_t slot, std::uint32_t node);
   /// Refills ready_ with the next non-empty bucket; false when the wheel
@@ -548,62 +247,49 @@ class Scheduler {
   void wheel_cascade(unsigned level, std::size_t slot);
   void wheel_pull_overflow();
   /// First occupied slot >= from at `level`, or kWheelSlots when none.
-  [[nodiscard]] std::size_t wheel_scan(const WheelLevel& lvl, std::size_t from) const;
-  void wheel_mark(WheelLevel& lvl, std::size_t slot) {
+  [[nodiscard]] static std::size_t wheel_scan(const WheelLevel& lvl, std::size_t from);
+  static void wheel_mark(WheelLevel& lvl, std::size_t slot) {
     lvl.occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
   }
-  void wheel_unmark(WheelLevel& lvl, std::size_t slot) {
+  static void wheel_unmark(WheelLevel& lvl, std::size_t slot) {
     lvl.occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
   }
 
-  SchedulerConfig cfg_;
-  double inv_tick_ = 0.0;
-  bool parallel_ = false;
+  /// Exposes the next live event without consuming it (++ready_pos_
+  /// consumes it); false when none remain.  Advances the cursor
+  /// (cascading levels and pulling overflow) as a side effect, which is
+  /// harmless: the cursor only moves over empty or drained buckets.
+  bool peek_next(Rec& out);
+  /// Consumes and executes the record last returned by peek_next.
+  void fire(const Rec& rec);
 
-  /// Heap backend's queue; the wheel backend's far-future overflow.
-  /// Unused under kParallel (each partition has its own heap).
-  std::vector<HeapRec> heap_;
+  /// Callback slab and its freelist.
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
 
-  /// Wheel state (allocated only for the wheel backend).
-  std::unique_ptr<std::array<WheelLevel, kWheelLevels>> levels_;
+  std::array<WheelLevel, kWheelLevels> levels_;
   std::vector<WheelNode> nodes_;
   std::uint32_t node_free_ = kNilNode;
+  /// Events beyond the wheel's top window, as a 4-ary min-heap.
+  std::vector<Rec> overflow_;
   /// Cursor: every live wheel/overflow event has tick >= cur_tick_; the
   /// bucket at cur_tick_ itself lives in ready_ while draining.
   std::uint64_t cur_tick_ = 0;
   /// Records of the bucket being drained, sorted ascending by (t, seq)
   /// and consumed front-to-back.  Events scheduled mid-drain whose tick
   /// is <= cur_tick_ are sorted into the un-consumed tail.
-  std::vector<HeapRec> ready_;
+  std::vector<Rec> ready_;
   std::size_t ready_pos_ = 0;
   bool ready_active_ = false;
   /// Records parked in the wheel levels (stale ones included); excludes
   /// ready_ and the overflow heap.
   std::size_t wheel_count_ = 0;
 
-  /// Callback slabs (+ kParallel pending queues).  Always at least one
-  /// element; sequential backends use parts_[0] exclusively.
-  std::vector<Partition> parts_{1};
-
-  std::function<double()> lookahead_;
-  std::unique_ptr<ParallelEngine> engine_;
-  /// Exclusive key bound of the round in flight (workers read it).
-  Time round_bound_t_ = kTimeZero;
-  std::uint64_t round_bound_seq_ = 0;
-  /// Cache of the earliest node-partition event, so serial stretches of
-  /// shared events don't rescan every partition per event.  Maintained
-  /// by serial_insert; invalidated by node-event execution, rounds, and
-  /// cancels into the cached partition.
-  bool node_min_valid_ = false;
-  std::uint32_t node_min_part_ = 0;  // 0 = no node-partition events
-  Time node_min_t_ = kTimeZero;
-  std::uint64_t node_min_seq_ = 0;
-
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
 };
 
 }  // namespace fdgm::sim

@@ -5,9 +5,11 @@
 // The contract under test: --trace/--metrics/--critical-path silently
 // force --jobs 1 (the export claimant must be deterministic), and the
 // stderr warning appears ONLY when the user explicitly passed a
-// conflicting --jobs N — an implicit default must not warn.
+// conflicting --jobs N — an implicit default must not warn.  Malformed
+// command lines exit 2 before any simulation runs.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -46,7 +48,8 @@ CliResult run_bench(const std::string& args) {
   const std::string cmd = std::string(bench_path()) + " " + args + " >" + out.string() +
                           " 2>" + err.string();
   CliResult r;
-  r.status = std::system(cmd.c_str());
+  const int raw = std::system(cmd.c_str());
+  r.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
   r.out = slurp(out);
   r.err = slurp(err);
   std::filesystem::remove(out);
@@ -108,6 +111,41 @@ TEST(BenchCli, MetricsPerNodeExportHasNodeColumn) {
   const std::string content = slurp(csv);
   EXPECT_EQ(content.rfind("t_ms,node,", 0), 0u);
   std::filesystem::remove(csv);
+}
+
+// --set integers are plain digit runs: strtoull alone would wrap a
+// leading '-' (2^64 - 18446744073709551615 = 1 replica) and skip blanks.
+TEST(BenchCli, SetRejectsSignedAndPaddedIntegers) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  for (const char* value : {"-18446744073709551615", "' 2'", "+2", "2x"}) {
+    const CliResult r = run_bench(std::string("fig4 --set quick=1 --set replicas=") + value);
+    EXPECT_EQ(r.status, 2) << value << ": " << r.err;
+    EXPECT_NE(r.err.find("replicas"), std::string::npos) << r.err;
+  }
+}
+
+TEST(BenchCli, SetRejectsOutOfRangeReplicas) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  const CliResult r = run_bench("fig4 --set quick=1 --set replicas=0");
+  EXPECT_EQ(r.status, 2) << r.err;
+}
+
+TEST(BenchCli, SetRejectsUndeclaredKey) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  const CliResult r = run_bench("fig4 --set quick=1 --set bogus=1");
+  EXPECT_EQ(r.status, 2) << r.err;
+  EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+}
+
+// The scheduler has one queue and no knobs: scripts still passing the
+// old backend options must fail loudly rather than be silently ignored.
+TEST(BenchCli, RemovedSchedulerOptionsAreUnknown) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  for (const char* option : {"backend wheel", "threads 2"}) {
+    const CliResult r = run_bench(std::string("fig4 --set quick=1 --") + option);
+    EXPECT_EQ(r.status, 2) << option;
+    EXPECT_NE(r.err.find("unknown option"), std::string::npos) << option << ": " << r.err;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Causal tracing tests: armed-causal invisibility (same golden delivery
-// hashes and executed-event counts as a disarmed run, on every scheduler
-// backend), flight-recorder determinism of the edge slabs under the
-// parallel backend, the critical-path walker's attribution semantics
+// hashes and executed-event counts as a disarmed run, in one run_until
+// call, in 1 ms slices and on concurrent replica workers),
+// flight-recorder determinism of the edge slabs, the critical-path
+// walker's attribution semantics
 // (exact sums, claim priorities, phase defaults), the empirical FD QoS
 // meter, and the shape of the critical-path CSV export.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/parallel.hpp"
 #include "obs/observer.hpp"
 
 namespace fdgm::core {
@@ -57,15 +59,16 @@ struct CausalRunResult {
   std::string critical_path_csv;
 };
 
-CausalRunResult causal_run(Algorithm algo, sim::SchedulerBackend backend, int threads,
-                           std::size_t edge_capacity, bool transport = false,
-                           double loss = 0.0) {
+/// How a golden run is driven: one run_until call to the horizon, or
+/// 1 ms run_until slices that park the wheel cursor at every boundary.
+enum class Drive { kOneCall, kSliced };
+
+CausalRunResult causal_run(Algorithm algo, Drive drive, std::size_t edge_capacity,
+                           bool transport = false, double loss = 0.0) {
   SimConfig cfg;
   cfg.algorithm = algo;
   cfg.n = 5;
   cfg.seed = 424242;
-  cfg.scheduler.backend = backend;
-  cfg.scheduler.threads = threads;
   cfg.transport.enabled = transport;
   cfg.obs.enabled = true;
   cfg.obs.causal = true;
@@ -93,6 +96,8 @@ CausalRunResult causal_run(Algorithm algo, sim::SchedulerBackend backend, int th
     run.proc(p).set_deliver_sink(&sink);
   }
   run.start();
+  if (drive == Drive::kSliced)
+    for (double t = 1.0; t < 3000.0; t += 1.0) run.run_until(t);
   run.run_until(3000.0);
   f.mix(run.system().scheduler().executed());
 
@@ -114,72 +119,75 @@ CausalRunResult causal_run(Algorithm algo, sim::SchedulerBackend backend, int th
 constexpr std::uint64_t kGoldenFd = 0xbe21fd2abfc47b91ULL;
 constexpr std::uint64_t kGoldenGm = 0x04be61f21cc65d6eULL;
 
+/// `width` copies of one causal run executed concurrently, one per
+/// worker of a `width`-wide pool (the shape --jobs gives replicas).
+std::vector<CausalRunResult> concurrent_runs(int width, Algorithm algo,
+                                             std::size_t edge_capacity) {
+  const auto w = static_cast<std::size_t>(width);
+  return parallel_map(w, w, [&](std::size_t) {
+    return causal_run(algo, Drive::kOneCall, edge_capacity);
+  });
+}
+
+// The Heap-named variants drive the run in one call; the Wheel-named
+// ones in 1 ms slices; the Parallel-named ones as two concurrent replicas.
 TEST(CausalGolden, ArmedCausalMatchesGoldenFdHeap) {
-  EXPECT_EQ(causal_run(Algorithm::kFd, sim::SchedulerBackend::kHeap, 0, 65536).hash,
-            kGoldenFd);
+  EXPECT_EQ(causal_run(Algorithm::kFd, Drive::kOneCall, 65536).hash, kGoldenFd);
 }
 
 TEST(CausalGolden, ArmedCausalMatchesGoldenGmHeap) {
-  EXPECT_EQ(causal_run(Algorithm::kGm, sim::SchedulerBackend::kHeap, 0, 65536).hash,
-            kGoldenGm);
+  EXPECT_EQ(causal_run(Algorithm::kGm, Drive::kOneCall, 65536).hash, kGoldenGm);
 }
 
 TEST(CausalGolden, ArmedCausalMatchesGoldenFdWheel) {
-  EXPECT_EQ(causal_run(Algorithm::kFd, sim::SchedulerBackend::kWheel, 0, 65536).hash,
-            kGoldenFd);
+  EXPECT_EQ(causal_run(Algorithm::kFd, Drive::kSliced, 65536).hash, kGoldenFd);
 }
 
 TEST(CausalGolden, ArmedCausalMatchesGoldenGmWheel) {
-  EXPECT_EQ(causal_run(Algorithm::kGm, sim::SchedulerBackend::kWheel, 0, 65536).hash,
-            kGoldenGm);
+  EXPECT_EQ(causal_run(Algorithm::kGm, Drive::kSliced, 65536).hash, kGoldenGm);
 }
 
 TEST(CausalGolden, ArmedCausalMatchesGoldenFdParallel) {
-  EXPECT_EQ(causal_run(Algorithm::kFd, sim::SchedulerBackend::kParallel, 2, 65536).hash,
-            kGoldenFd);
+  for (const CausalRunResult& r : concurrent_runs(2, Algorithm::kFd, 65536))
+    EXPECT_EQ(r.hash, kGoldenFd);
 }
 
 TEST(CausalGolden, ArmedCausalMatchesGoldenGmParallel) {
-  EXPECT_EQ(causal_run(Algorithm::kGm, sim::SchedulerBackend::kParallel, 2, 65536).hash,
-            kGoldenGm);
+  for (const CausalRunResult& r : concurrent_runs(2, Algorithm::kGm, 65536))
+    EXPECT_EQ(r.hash, kGoldenGm);
 }
 
 // An undersized edge slab drops edges (flight-recorder semantics) but
 // must not perturb the run: the golden hash still reproduces.
 TEST(CausalGolden, UndersizedEdgeSlabKeepsGoldenHash) {
-  const CausalRunResult r =
-      causal_run(Algorithm::kGm, sim::SchedulerBackend::kHeap, 0, 64);
+  const CausalRunResult r = causal_run(Algorithm::kGm, Drive::kOneCall, 64);
   EXPECT_EQ(r.hash, kGoldenGm);
   EXPECT_GT(r.edges_dropped, 0u);
 }
 
-// Edge recording (and dropping, when the slab is undersized) happens at
-// the round barrier in global (time, seq) order under the parallel
-// backend, so the recorded edges, the drop count and the walked CSV are
-// identical for every worker count — and identical to the sequential
-// backends.
+// Edges are recorded in event order, so the recorded edges, the drop
+// count and the walked CSV are identical however the run is driven: in
+// one call, in slices, or on any worker of a concurrent pool.
 TEST(CausalGolden, EdgeSlabsIdenticalAcrossBackendsAndThreads) {
-  const CausalRunResult heap =
-      causal_run(Algorithm::kGm, sim::SchedulerBackend::kHeap, 0, 65536);
-  for (int threads : {1, 2, 8}) {
-    const CausalRunResult par =
-        causal_run(Algorithm::kGm, sim::SchedulerBackend::kParallel, threads, 65536);
-    EXPECT_EQ(par.hash, heap.hash) << "threads=" << threads;
-    EXPECT_EQ(par.edges_recorded, heap.edges_recorded) << "threads=" << threads;
-    EXPECT_EQ(par.edges_dropped, heap.edges_dropped) << "threads=" << threads;
-    EXPECT_EQ(par.critical_path_csv, heap.critical_path_csv) << "threads=" << threads;
+  const CausalRunResult ref = causal_run(Algorithm::kGm, Drive::kOneCall, 65536);
+  const CausalRunResult sliced = causal_run(Algorithm::kGm, Drive::kSliced, 65536);
+  EXPECT_EQ(sliced.hash, ref.hash);
+  EXPECT_EQ(sliced.edges_recorded, ref.edges_recorded);
+  EXPECT_EQ(sliced.critical_path_csv, ref.critical_path_csv);
+  for (const CausalRunResult& r : concurrent_runs(4, Algorithm::kGm, 65536)) {
+    EXPECT_EQ(r.hash, ref.hash);
+    EXPECT_EQ(r.edges_recorded, ref.edges_recorded);
+    EXPECT_EQ(r.edges_dropped, ref.edges_dropped);
+    EXPECT_EQ(r.critical_path_csv, ref.critical_path_csv);
   }
 }
 
 TEST(CausalGolden, UndersizedSlabDropsIdenticalAcrossThreads) {
-  const CausalRunResult heap =
-      causal_run(Algorithm::kGm, sim::SchedulerBackend::kHeap, 0, 64);
-  ASSERT_GT(heap.edges_dropped, 0u);
-  for (int threads : {1, 2, 8}) {
-    const CausalRunResult par =
-        causal_run(Algorithm::kGm, sim::SchedulerBackend::kParallel, threads, 64);
-    EXPECT_EQ(par.edges_dropped, heap.edges_dropped) << "threads=" << threads;
-    EXPECT_EQ(par.critical_path_csv, heap.critical_path_csv) << "threads=" << threads;
+  const CausalRunResult ref = causal_run(Algorithm::kGm, Drive::kOneCall, 64);
+  ASSERT_GT(ref.edges_dropped, 0u);
+  for (const CausalRunResult& r : concurrent_runs(4, Algorithm::kGm, 64)) {
+    EXPECT_EQ(r.edges_dropped, ref.edges_dropped);
+    EXPECT_EQ(r.critical_path_csv, ref.critical_path_csv);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "core/experiment.hpp"
+#include "core/parallel.hpp"
 
 namespace fdgm::core {
 namespace {
@@ -40,16 +41,23 @@ struct HashSink final : abcast::DeliverSink {
   }
 };
 
-std::uint64_t delivery_hash(Algorithm algo,
-                            sim::SchedulerBackend backend = sim::SchedulerBackend::kHeap,
-                            bool transport = false, bool batching = false,
-                            bool observed = false, int threads = 0) {
+constexpr double kHorizonMs = 3000.0;
+
+/// Driving the golden run in 1 ms run_until slices parks the wheel cursor
+/// at every boundary with the next bucket peeked but not consumed, and
+/// re-enters it 3000 times; the event order must not notice.
+constexpr double kSliceMs = 1.0;
+
+/// Hash of the golden run's delivery sequence and executed-event count.
+/// `slice_ms` > 0 drives the run in run_until slices of that length
+/// instead of one call; `executed` (optional) receives the event count.
+std::uint64_t delivery_hash(Algorithm algo, bool transport = false, bool batching = false,
+                            bool observed = false, double slice_ms = 0.0,
+                            std::uint64_t* executed = nullptr) {
   SimConfig cfg;
   cfg.algorithm = algo;
   cfg.n = 5;
   cfg.seed = 424242;
-  cfg.scheduler.backend = backend;
-  cfg.scheduler.threads = threads;
   cfg.transport.enabled = transport;
   cfg.batching.enabled = batching;
   cfg.obs.enabled = observed;
@@ -68,9 +76,24 @@ std::uint64_t delivery_hash(Algorithm algo,
     run.proc(p).set_deliver_sink(&sink);
   }
   run.start();
-  run.run_until(3000.0);
+  if (slice_ms > 0.0)
+    for (double t = slice_ms; t < kHorizonMs; t += slice_ms) run.run_until(t);
+  run.run_until(kHorizonMs);
   f.mix(run.system().scheduler().executed());
+  if (executed != nullptr) *executed = run.system().scheduler().executed();
   return f.h;
+}
+
+/// `width` copies of one golden run executed concurrently, one per worker
+/// of a `width`-wide pool — the shape `--jobs` gives replica runs.  Each
+/// copy owns its whole simulation, so every copy must reproduce the
+/// serial golden.
+std::vector<std::uint64_t> concurrent_hashes(int width, Algorithm algo, bool transport = false,
+                                             bool batching = false, bool observed = false) {
+  const auto w = static_cast<std::size_t>(width);
+  return parallel_map(w, w, [&](std::size_t) {
+    return delivery_hash(algo, transport, batching, observed);
+  });
 }
 
 // Captured from the pre-refactor (PR-2) core at the same config; see the
@@ -93,17 +116,18 @@ TEST(GoldenSeed, HashIsStableAcrossRepeatedRuns) {
   EXPECT_EQ(delivery_hash(Algorithm::kFd), delivery_hash(Algorithm::kFd));
 }
 
-// The timing-wheel scheduler backend must reproduce the heap backend's
-// delivery sequences bit-for-bit — same golden constants, not merely
-// self-consistency.  This is the protocol-stack-level proof that the two
-// backends order events identically (the scheduler unit tests fuzz the
-// same property on synthetic loads).
+// The goldens were captured from a binary-heap event core; the timing
+// wheel must reproduce them bit-for-bit — same constants, not merely
+// self-consistency — also when driven in kSliceMs run_until slices.  This
+// is the protocol-stack-level proof that the wheel orders events like a
+// heap (the scheduler unit tests fuzz the same property against a
+// reference queue on synthetic loads).
 TEST(GoldenSeed, WheelBackendMatchesHeapGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kWheel), kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, false, false, kSliceMs), kGoldenFd);
 }
 
 TEST(GoldenSeed, WheelBackendMatchesHeapGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kWheel), kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, false, false, kSliceMs), kGoldenGm);
 }
 
 // The armed retransmission transport must be invisible on loss-free
@@ -111,195 +135,152 @@ TEST(GoldenSeed, WheelBackendMatchesHeapGoldenGm) {
 // in the existing wire-completion events) but schedules no timers and
 // sends no control frames, so the delivery sequence AND the executed
 // event count reproduce the same golden constants — the strongest form
-// of the "bit-identical when loss is off" guarantee, checked for both
-// scheduler backends.
+// of the "bit-identical when loss is off" guarantee, checked in one call
+// and in kSliceMs slices.
 TEST(GoldenSeed, TransportArmedMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kHeap, true), kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, true), kGoldenFd);
 }
 
 TEST(GoldenSeed, TransportArmedMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kHeap, true), kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, true), kGoldenGm);
 }
 
 TEST(GoldenSeed, TransportArmedWheelMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kWheel, true), kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, true, false, false, kSliceMs), kGoldenFd);
 }
 
 TEST(GoldenSeed, TransportArmedWheelMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kWheel, true), kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, true, false, false, kSliceMs), kGoldenGm);
 }
 
 // Batching armed: the delivery sequence legitimately differs from the
 // unbatched goldens (submissions ride flush timers and batch payloads),
 // but it must be just as deterministic — its own golden constants,
-// reproduced bit-for-bit by both scheduler backends and across repeats.
+// reproduced bit-for-bit in one call, in slices and across repeats.
 constexpr std::uint64_t kGoldenFdBatch = 0x811dfe8fedd5b845ULL;
 constexpr std::uint64_t kGoldenGmBatch = 0x37617f72e9f8c429ULL;
 
 TEST(GoldenSeed, BatchingArmedGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kHeap, false, true),
-            kGoldenFdBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, true), kGoldenFdBatch);
 }
 
 TEST(GoldenSeed, BatchingArmedGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kHeap, false, true),
-            kGoldenGmBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, true), kGoldenGmBatch);
 }
 
 TEST(GoldenSeed, BatchingArmedWheelMatchesHeapGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kWheel, false, true),
-            kGoldenFdBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, true, false, kSliceMs), kGoldenFdBatch);
 }
 
 TEST(GoldenSeed, BatchingArmedWheelMatchesHeapGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kWheel, false, true),
-            kGoldenGmBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, true, false, kSliceMs), kGoldenGmBatch);
 }
 
 // Observability armed: the observer is strictly passive — it never
 // schedules events and never draws from the RNG — so arming it must
 // reproduce the *same* golden constants (delivery sequence AND executed
 // event count), not merely a self-consistent one.  This is stronger than
-// "off is free": tracing a run cannot perturb it.  Checked across both
-// scheduler backends, with the transport armed, and with batching on.
+// "off is free": tracing a run cannot perturb it.  Checked in one call
+// and in slices, with the transport armed, and with batching on.
 TEST(GoldenSeed, ObserverArmedMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kHeap, false, false, true),
-            kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, false, true), kGoldenFd);
 }
 
 TEST(GoldenSeed, ObserverArmedMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kHeap, false, false, true),
-            kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, false, true), kGoldenGm);
 }
 
 TEST(GoldenSeed, ObserverArmedWheelMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kWheel, false, false, true),
-            kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, false, true, kSliceMs), kGoldenFd);
 }
 
 TEST(GoldenSeed, ObserverArmedWheelMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kWheel, false, false, true),
-            kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, false, true, kSliceMs), kGoldenGm);
 }
 
 TEST(GoldenSeed, ObserverArmedWithTransportMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kHeap, true, false, true),
-            kGoldenFd);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, true, false, true), kGoldenFd);
 }
 
 TEST(GoldenSeed, ObserverArmedWithTransportMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kHeap, true, false, true),
-            kGoldenGm);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, true, false, true), kGoldenGm);
 }
 
 TEST(GoldenSeed, ObserverArmedBatchingGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kHeap, false, true, true),
-            kGoldenFdBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, true, true), kGoldenFdBatch);
 }
 
 TEST(GoldenSeed, ObserverArmedBatchingGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kHeap, false, true, true),
-            kGoldenGmBatch);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, true, true), kGoldenGmBatch);
 }
 
-// The parallel (conservative-PDES) backend must reproduce the sequential
-// goldens bit for bit — delivery sequence, RNG draws AND executed event
-// count (the hash mixes it) — for every thread count.  threads = 1 runs
-// rounds through the full staging machinery on the caller alone, which
-// isolates the round/barrier logic from actual concurrency; threads = 2
-// and 8 add real worker interleavings on top.  Covered in every armed
-// variant whose state crosses partitions differently: plain, loss-free
-// transport, batching, and the observer.
+// Replica-level parallelism (--jobs) must not move a golden: 1, 2 and 8
+// copies of each golden configuration run concurrently on a pool of that
+// width, and every copy reproduces the serial constants.  Covered in
+// every armed variant: plain, loss-free transport, batching, observer.
 class GoldenSeedParallel : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenSeedParallel, ::testing::Values(1, 2, 8));
 
 TEST_P(GoldenSeedParallel, MatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kParallel, false, false, false,
-                          GetParam()),
-            kGoldenFd);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kFd)) EXPECT_EQ(h, kGoldenFd);
 }
 
 TEST_P(GoldenSeedParallel, MatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kParallel, false, false, false,
-                          GetParam()),
-            kGoldenGm);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kGm)) EXPECT_EQ(h, kGoldenGm);
 }
 
 TEST_P(GoldenSeedParallel, TransportArmedMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kParallel, true, false, false,
-                          GetParam()),
-            kGoldenFd);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kFd, true))
+    EXPECT_EQ(h, kGoldenFd);
 }
 
 TEST_P(GoldenSeedParallel, TransportArmedMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kParallel, true, false, false,
-                          GetParam()),
-            kGoldenGm);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kGm, true))
+    EXPECT_EQ(h, kGoldenGm);
 }
 
 TEST_P(GoldenSeedParallel, BatchingArmedGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kParallel, false, true, false,
-                          GetParam()),
-            kGoldenFdBatch);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kFd, false, true))
+    EXPECT_EQ(h, kGoldenFdBatch);
 }
 
 TEST_P(GoldenSeedParallel, BatchingArmedGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kParallel, false, true, false,
-                          GetParam()),
-            kGoldenGmBatch);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kGm, false, true))
+    EXPECT_EQ(h, kGoldenGmBatch);
 }
 
 TEST_P(GoldenSeedParallel, ObserverArmedMatchesGoldenFd) {
-  EXPECT_EQ(delivery_hash(Algorithm::kFd, sim::SchedulerBackend::kParallel, false, false, true,
-                          GetParam()),
-            kGoldenFd);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kFd, false, false, true))
+    EXPECT_EQ(h, kGoldenFd);
 }
 
 TEST_P(GoldenSeedParallel, ObserverArmedMatchesGoldenGm) {
-  EXPECT_EQ(delivery_hash(Algorithm::kGm, sim::SchedulerBackend::kParallel, false, false, true,
-                          GetParam()),
-            kGoldenGm);
+  for (std::uint64_t h : concurrent_hashes(GetParam(), Algorithm::kGm, false, false, true))
+    EXPECT_EQ(h, kGoldenGm);
 }
 
 // Executed-event counts asserted directly (not only through the hash):
-// the parallel backend must execute exactly the events the heap backend
-// does — neither skipping stale records differently nor double-running
-// staged work.
+// the golden run executes the same number of events as the binary-heap
+// core the constants come from, in one call, in slices, and on every
+// worker of a concurrent pool.
+constexpr std::uint64_t kGoldenEventsFd = 14087;
+constexpr std::uint64_t kGoldenEventsGm = 12821;
+
 TEST(GoldenSeedParallel_Counts, ExecutedEventCountMatchesHeap) {
   for (Algorithm algo : {Algorithm::kFd, Algorithm::kGm}) {
-    std::uint64_t heap_executed = 0;
-    {
-      SimConfig cfg;
-      cfg.algorithm = algo;
-      cfg.n = 5;
-      cfg.seed = 424242;
-      cfg.fd_params.detection_time = 30.0;
-      cfg.fd_params.wrong_suspicions = true;
-      cfg.fd_params.mistake_recurrence = 2000.0;
-      cfg.fd_params.mistake_duration = 50.0;
-      SimRun run(cfg, WorkloadConfig{.throughput = 200.0});
-      run.start();
-      run.run_until(3000.0);
-      heap_executed = run.system().scheduler().executed();
-    }
-    for (int threads : {1, 2, 8}) {
-      SimConfig cfg;
-      cfg.algorithm = algo;
-      cfg.n = 5;
-      cfg.seed = 424242;
-      cfg.scheduler.backend = sim::SchedulerBackend::kParallel;
-      cfg.scheduler.threads = threads;
-      cfg.fd_params.detection_time = 30.0;
-      cfg.fd_params.wrong_suspicions = true;
-      cfg.fd_params.mistake_recurrence = 2000.0;
-      cfg.fd_params.mistake_duration = 50.0;
-      SimRun run(cfg, WorkloadConfig{.throughput = 200.0});
-      run.start();
-      run.run_until(3000.0);
-      EXPECT_EQ(run.system().scheduler().executed(), heap_executed)
-          << algorithm_name(algo) << " threads=" << threads;
-    }
+    const std::uint64_t golden = algo == Algorithm::kFd ? kGoldenEventsFd : kGoldenEventsGm;
+    std::uint64_t executed = 0;
+    (void)delivery_hash(algo, false, false, false, 0.0, &executed);
+    EXPECT_EQ(executed, golden) << algorithm_name(algo);
+    (void)delivery_hash(algo, false, false, false, kSliceMs, &executed);
+    EXPECT_EQ(executed, golden) << algorithm_name(algo) << " sliced";
+    const std::vector<std::uint64_t> counts = parallel_map(8, 8, [algo](std::size_t) {
+      std::uint64_t n = 0;
+      (void)delivery_hash(algo, false, false, false, 0.0, &n);
+      return n;
+    });
+    for (std::uint64_t n : counts) EXPECT_EQ(n, golden) << algorithm_name(algo) << " pool of 8";
   }
 }
 

@@ -3,8 +3,9 @@
 // per-kind unit semantics (CPU stretch, deterministic link flapping, clock
 // skew in the QoS detector, checksum-detected corruption with and without
 // the retransmission transport), exact neutrality of factor-1 windows, and
-// bit-identity of gray-faulted runs across scheduler backends, thread
-// counts and replica job counts.
+// bit-identity of gray-faulted runs however they are driven (one
+// run_until call, 1 ms slices, concurrent replica workers) and across
+// replica job counts.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/parallel.hpp"
 #include "core/runner.hpp"
 #include "fault/fault_schedule.hpp"
 #include "fault/injector.hpp"
@@ -441,14 +443,12 @@ struct HashSink final : abcast::DeliverSink {
 
 /// Delivery-sequence hash of a run with all four gray kinds active at
 /// once, transport armed (so corruption is recovered, not lost).
-std::uint64_t gray_hash(core::Algorithm algo, sim::SchedulerBackend backend,
-                        int threads = 0) {
+/// `slice_ms` > 0 drives the run in run_until slices of that length.
+std::uint64_t gray_hash(core::Algorithm algo, double slice_ms = 0.0) {
   core::SimConfig cfg;
   cfg.algorithm = algo;
   cfg.n = 5;
   cfg.seed = 424242;
-  cfg.scheduler.backend = backend;
-  cfg.scheduler.threads = threads;
   cfg.transport.enabled = true;
   cfg.fd_params.detection_time = 30.0;
   cfg.fd_params.wrong_suspicions = true;
@@ -468,22 +468,24 @@ std::uint64_t gray_hash(core::Algorithm algo, sim::SchedulerBackend backend,
     run.proc(p).set_deliver_sink(&sink);
   }
   run.start();
+  if (slice_ms > 0.0)
+    for (double t = slice_ms; t < 3000.0; t += slice_ms) run.run_until(t);
   run.run_until(3000.0);
   f.mix(run.system().scheduler().executed());
   return f.h;
 }
 
 // All four gray kinds at once must be bit-identical — delivery sequence
-// AND executed event count — across the heap, wheel and parallel backends
-// (the parallel one at 1, 2 and 8 worker threads).
+// AND executed event count — in one run_until call, in 1 ms slices (the
+// wheel cursor parks at every boundary), and on every worker of a pool
+// running 8 copies concurrently.
 TEST(GrayDeterminism, GrayRunBitIdenticalAcrossBackends) {
   for (core::Algorithm algo : {core::Algorithm::kFd, core::Algorithm::kGm}) {
-    const std::uint64_t heap = gray_hash(algo, sim::SchedulerBackend::kHeap);
-    EXPECT_EQ(gray_hash(algo, sim::SchedulerBackend::kWheel), heap)
-        << core::algorithm_name(algo) << " wheel";
-    for (int threads : {1, 2, 8})
-      EXPECT_EQ(gray_hash(algo, sim::SchedulerBackend::kParallel, threads), heap)
-          << core::algorithm_name(algo) << " par t" << threads;
+    const std::uint64_t ref = gray_hash(algo);
+    EXPECT_EQ(gray_hash(algo, 1.0), ref) << core::algorithm_name(algo) << " sliced";
+    const std::vector<std::uint64_t> pooled =
+        core::parallel_map(8, 8, [algo](std::size_t) { return gray_hash(algo); });
+    for (std::uint64_t h : pooled) EXPECT_EQ(h, ref) << core::algorithm_name(algo) << " pool of 8";
   }
 }
 

@@ -4,24 +4,26 @@
 // schedule/cancel/fire stress run (exercised under ASan by the CI
 // sanitize job) and the zero-allocation steady-state guarantee.
 //
-// Every test runs against both pending-queue backends (4-ary heap and
-// hierarchical timing wheel) — they are required to be observably
-// identical.  The wheel-specific suite at the bottom additionally fuzzes
-// cross-backend order equivalence (ties, cancellations, nested schedules
-// and far-future overflow spills included).
+// Order is checked against a test-only reference queue — a sorted
+// (t, seq) multiset with lazy cancel, the textbook definition of a
+// FIFO-tie-breaking event queue.  The randomized fuzz and the stress run
+// replay the same load on both and require identical firing sequences
+// (ties, cancellations, nested schedules, level-2 cascades and
+// far-future overflow spills included).
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <new>
 #include <random>
+#include <set>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "sim/exec_ctx.hpp"
 #include "sim/scheduler.hpp"
 
 // GCC pairs the malloc-backed operator new below with the free-backed
@@ -33,19 +35,17 @@
 
 // Allocation-counting harness: counts every global operator new in this
 // test binary so the steady-state tests can assert the slab scheduler
-// performs zero heap allocations per event.  Atomic: the parallel
-// backend's worker threads allocate too (their partitions' slab growth),
-// and the counter must not itself be a race under TSan.
+// performs zero heap allocations per event.
 namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
+std::uint64_t g_alloc_count = 0;
 }
 void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++g_alloc_count;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++g_alloc_count;
   return std::malloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -55,71 +55,177 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 namespace fdgm::sim {
 namespace {
 
-class SchedulerTest : public ::testing::TestWithParam<SchedulerBackend> {
+/// Test-only reference queue: pending events as a sorted (t, seq)
+/// multiset, callbacks keyed by seq.  Cancel is lazy — it drops the
+/// callback and the stale key is skipped when it reaches the front — so
+/// the reference shares the scheduler's cancel semantics, not its code.
+class ReferenceQueue {
+ public:
+  Time now() const { return now_; }
+  std::uint64_t executed() const { return executed_; }
+
+  std::uint64_t schedule_at(Time t, std::function<void()> f) {
+    if (t < now_) throw std::invalid_argument("ReferenceQueue: time in the past");
+    const std::uint64_t seq = next_seq_++;
+    keys_.emplace(t, seq);
+    callbacks_.emplace(seq, std::move(f));
+    return seq;
+  }
+  std::uint64_t schedule_after(Time delay, std::function<void()> f) {
+    return schedule_at(now_ + delay, std::move(f));
+  }
+  bool cancel(std::uint64_t id) { return callbacks_.erase(id) == 1; }
+
+  std::uint64_t run_until(Time t) {
+    std::uint64_t n = 0;
+    while (pop_due(t)) ++n;
+    if (now_ < t) now_ = t;
+    return n;
+  }
+  std::uint64_t run(std::uint64_t max_events = UINT64_MAX) {
+    std::uint64_t n = 0;
+    while (n < max_events && pop_due(kTimeInfinity)) ++n;
+    return n;
+  }
+
+ private:
+  /// Fires the earliest live event with t <= limit; false when none.
+  bool pop_due(Time limit) {
+    while (!keys_.empty()) {
+      const auto [t, seq] = *keys_.begin();
+      auto it = callbacks_.find(seq);
+      if (it == callbacks_.end()) {
+        keys_.erase(keys_.begin());  // cancelled
+        continue;
+      }
+      if (t > limit) return false;
+      keys_.erase(keys_.begin());
+      std::function<void()> f = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = t;
+      ++executed_;
+      f();
+      return true;
+    }
+    return false;
+  }
+
+  std::set<std::pair<Time, std::uint64_t>> keys_;
+  std::map<std::uint64_t, std::function<void()>> callbacks_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t executed_ = 0;
+  Time now_ = kTimeZero;
+};
+
+// Every API test runs at three time origins, so the same relative
+// schedule lands in different parts of the one pending queue.  The
+// instance names are stable test identifiers:
+//  * heap  — 8 ms below the wheel's top-window boundary (2^24 ticks), with
+//            the cursor still at tick 0: events start in the level-2
+//            buckets or the overflow heap and reach level 0 through
+//            cascades and overflow pulls;
+//  * wheel — t = 0: a fresh wheel, events in the level-0/1 buckets;
+//  * par   — a partial-tick origin (off the 1/16 ms grid) 8 ms below a
+//            level-2 window boundary: sub-tick timestamps, and every
+//            test crosses a level-2 cascade.
+enum class Origin : std::uint8_t { kHeap, kWheel, kPartialTick };
+
+double origin_ms(Origin o) {
+  switch (o) {
+    case Origin::kHeap:
+      return 1048576.0 - 8.0;
+    case Origin::kWheel:
+      return 0.0;
+    case Origin::kPartialTick:
+      return 4096.0 - 8.0 + 1.0 / 32.0;
+  }
+  return 0.0;
+}
+
+const char* origin_name(Origin o) {
+  switch (o) {
+    case Origin::kHeap:
+      return "heap";
+    case Origin::kWheel:
+      return "wheel";
+    case Origin::kPartialTick:
+      return "par";
+  }
+  return "?";
+}
+
+class SchedulerTest : public ::testing::TestWithParam<Origin> {
  protected:
-  [[nodiscard]] static SchedulerConfig cfg() { return SchedulerConfig{GetParam()}; }
+  void SetUp() override { s_.run_until(origin_ms(GetParam())); }
+  /// The scheduler, advanced (idle) to this instance's origin.
+  Scheduler& sched() { return s_; }
+  /// Absolute time `rel` ms after the origin.
+  static double T(double rel) { return origin_ms(GetParam()) + rel; }
+
+ private:
+  Scheduler s_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, SchedulerTest,
-                         ::testing::Values(SchedulerBackend::kHeap, SchedulerBackend::kWheel,
-                                           SchedulerBackend::kParallel),
-                         [](const auto& info) { return scheduler_backend_name(info.param); });
+                         ::testing::Values(Origin::kHeap, Origin::kWheel, Origin::kPartialTick),
+                         [](const auto& info) { return origin_name(info.param); });
 
 TEST_P(SchedulerTest, StartsAtTimeZero) {
-  Scheduler s(cfg());
-  EXPECT_EQ(s.backend(), GetParam());
+  Scheduler s;
   EXPECT_EQ(s.now(), 0.0);
   EXPECT_EQ(s.executed(), 0u);
   EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(sched().now(), T(0.0));
+  EXPECT_EQ(sched().executed(), 0u);
 }
 
 TEST_P(SchedulerTest, ExecutesInTimestampOrder) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<int> order;
-  s.schedule_at(5.0, [&] { order.push_back(2); });
-  s.schedule_at(1.0, [&] { order.push_back(1); });
-  s.schedule_at(9.0, [&] { order.push_back(3); });
+  s.schedule_at(T(5.0), [&] { order.push_back(2); });
+  s.schedule_at(T(1.0), [&] { order.push_back(1); });
+  s.schedule_at(T(9.0), [&] { order.push_back(3); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(s.now(), 9.0);
+  EXPECT_EQ(s.now(), T(9.0));
 }
 
 TEST_P(SchedulerTest, EqualTimestampsRunFifo) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) s.schedule_at(3.0, [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 10; ++i) s.schedule_at(T(3.0), [&order, i] { order.push_back(i); });
   s.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST_P(SchedulerTest, ScheduleAfterUsesCurrentTime) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   double fired_at = -1;
-  s.schedule_at(10.0, [&] { s.schedule_after(5.0, [&] { fired_at = s.now(); }); });
+  s.schedule_at(T(10.0), [&] { s.schedule_after(5.0, [&] { fired_at = s.now(); }); });
   s.run();
-  EXPECT_EQ(fired_at, 15.0);
+  EXPECT_EQ(fired_at, T(15.0));
 }
 
 TEST_P(SchedulerTest, RejectsPastAndNegative) {
-  Scheduler s(cfg());
-  s.schedule_at(10.0, [] {});
+  Scheduler& s = sched();
+  s.schedule_at(T(10.0), [] {});
   s.run();
-  EXPECT_THROW(s.schedule_at(5.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_at(T(5.0), [] {}), std::invalid_argument);
   EXPECT_THROW(s.schedule_after(-1.0, [] {}), std::invalid_argument);
 }
 
 TEST_P(SchedulerTest, CancelPreventsExecution) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   bool fired = false;
-  EventId id = s.schedule_at(1.0, [&] { fired = true; });
+  EventId id = s.schedule_at(T(1.0), [&] { fired = true; });
   EXPECT_TRUE(s.cancel(id));
   s.run();
   EXPECT_FALSE(fired);
 }
 
 TEST_P(SchedulerTest, CancelReturnsFalseForUnknownOrDouble) {
-  Scheduler s(cfg());
-  EventId id = s.schedule_at(1.0, [] {});
+  Scheduler& s = sched();
+  EventId id = s.schedule_at(T(1.0), [] {});
   EXPECT_FALSE(s.cancel(9999));
   EXPECT_TRUE(s.cancel(id));
   EXPECT_FALSE(s.cancel(id));
@@ -127,93 +233,94 @@ TEST_P(SchedulerTest, CancelReturnsFalseForUnknownOrDouble) {
 }
 
 TEST_P(SchedulerTest, CancelledEventDoesNotAdvanceTime) {
-  Scheduler s(cfg());
-  EventId id = s.schedule_at(100.0, [] {});
-  s.schedule_at(1.0, [] {});
+  Scheduler& s = sched();
+  EventId id = s.schedule_at(T(100.0), [] {});
+  s.schedule_at(T(1.0), [] {});
   s.cancel(id);
   s.run();
-  EXPECT_EQ(s.now(), 1.0);
+  EXPECT_EQ(s.now(), T(1.0));
 }
 
 TEST_P(SchedulerTest, ScheduleAfterDrainingPastCancelledFarEvent) {
   // Regression: draining a queue whose tail was cancelled leaves the
   // wheel cursor ahead of now(); a later schedule between now() and the
   // cursor must still work (and fire in order with a new far event).
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<int> order;
-  s.schedule_at(1.0, [&] { order.push_back(1); });
-  EventId far = s.schedule_at(100.0, [&] { order.push_back(99); });
+  s.schedule_at(T(1.0), [&] { order.push_back(1); });
+  EventId far = s.schedule_at(T(100.0), [&] { order.push_back(99); });
   s.cancel(far);
   s.run();
-  EXPECT_EQ(s.now(), 1.0);
-  s.schedule_at(2.0, [&] { order.push_back(2); });
-  s.schedule_at(150.0, [&] { order.push_back(3); });
-  s.schedule_at(2.0, [&] { order.push_back(4); });  // FIFO tie behind the cursor
+  EXPECT_EQ(s.now(), T(1.0));
+  s.schedule_at(T(2.0), [&] { order.push_back(2); });
+  s.schedule_at(T(150.0), [&] { order.push_back(3); });
+  s.schedule_at(T(2.0), [&] { order.push_back(4); });  // FIFO tie behind the cursor
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
-  EXPECT_EQ(s.now(), 150.0);
+  EXPECT_EQ(s.now(), T(150.0));
 }
 
 TEST_P(SchedulerTest, ScheduleAfterDrainingPastCancelledOverflowEvent) {
   // Same shape through the wheel's overflow heap: the cancelled event
   // sits beyond the top window, so the drain takes the overflow-jump
   // path before finding the queue empty.
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   int fired = 0;
-  s.schedule_at(1.0, [&] { ++fired; });
-  EventId far = s.schedule_at(5.0e6, [&] { ++fired; });
+  s.schedule_at(T(1.0), [&] { ++fired; });
+  EventId far = s.schedule_at(T(5.0e6), [&] { ++fired; });
   s.cancel(far);
   s.run();
-  EXPECT_EQ(s.now(), 1.0);
-  s.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_EQ(s.now(), T(1.0));
+  s.schedule_at(T(2.0), [&] { ++fired; });
   s.run();
   EXPECT_EQ(fired, 2);
-  EXPECT_EQ(s.now(), 2.0);
+  EXPECT_EQ(s.now(), T(2.0));
 }
 
 TEST_P(SchedulerTest, RunUntilStopsAtBoundary) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<double> times;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) s.schedule_at(t, [&times, &s] { times.push_back(s.now()); });
-  s.run_until(2.5);
-  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(s.now(), 2.5);
-  s.run_until(10.0);
+  for (double t : {1.0, 2.0, 3.0, 4.0})
+    s.schedule_at(T(t), [&times, &s] { times.push_back(s.now()); });
+  s.run_until(T(2.5));
+  EXPECT_EQ(times, (std::vector<double>{T(1.0), T(2.0)}));
+  EXPECT_EQ(s.now(), T(2.5));
+  s.run_until(T(10.0));
   EXPECT_EQ(times.size(), 4u);
-  EXPECT_EQ(s.now(), 10.0);
+  EXPECT_EQ(s.now(), T(10.0));
 }
 
 TEST_P(SchedulerTest, RunUntilInclusiveOfBoundaryEvents) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   bool fired = false;
-  s.schedule_at(2.0, [&] { fired = true; });
-  s.run_until(2.0);
+  s.schedule_at(T(2.0), [&] { fired = true; });
+  s.run_until(T(2.0));
   EXPECT_TRUE(fired);
 }
 
 TEST_P(SchedulerTest, RunUntilAdvancesTimeWithEmptyQueue) {
-  Scheduler s(cfg());
-  s.run_until(42.0);
-  EXPECT_EQ(s.now(), 42.0);
+  Scheduler& s = sched();
+  s.run_until(T(42.0));
+  EXPECT_EQ(s.now(), T(42.0));
 }
 
 TEST_P(SchedulerTest, ScheduleBetweenRunUntilBoundaries) {
   // A peeked-but-not-due event must not block a later schedule that lands
   // before it (regression guard for the wheel cursor's refill path).
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<int> order;
-  s.schedule_at(100.0, [&] { order.push_back(2); });
-  s.run_until(50.0);  // peeks the t=100 event, leaves it pending
-  s.schedule_at(60.0, [&] { order.push_back(1); });
+  s.schedule_at(T(100.0), [&] { order.push_back(2); });
+  s.run_until(T(50.0));  // peeks the +100 event, leaves it pending
+  s.schedule_at(T(60.0), [&] { order.push_back(1); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST_P(SchedulerTest, StopHaltsRun) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   int count = 0;
   for (double t : {1.0, 2.0, 3.0}) {
-    s.schedule_at(t, [&] {
+    s.schedule_at(T(t), [&] {
       ++count;
       if (count == 2) s.stop();
     });
@@ -227,7 +334,7 @@ TEST_P(SchedulerTest, StopHaltsRun) {
 }
 
 TEST_P(SchedulerTest, MaxEventsGuard) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   // A self-rescheduling event would run forever without the guard.
   std::function<void()> loop = [&] { s.schedule_after(1.0, loop); };
   s.schedule_after(1.0, loop);
@@ -236,28 +343,28 @@ TEST_P(SchedulerTest, MaxEventsGuard) {
 }
 
 TEST_P(SchedulerTest, EventsScheduledDuringExecutionAtSameTimeRun) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::vector<int> order;
-  s.schedule_at(1.0, [&] {
+  s.schedule_at(T(1.0), [&] {
     order.push_back(1);
-    s.schedule_at(1.0, [&] { order.push_back(2); });
+    s.schedule_at(T(1.0), [&] { order.push_back(2); });
   });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(s.now(), 1.0);
+  EXPECT_EQ(s.now(), T(1.0));
 }
 
 TEST_P(SchedulerTest, ExecutedCounter) {
-  Scheduler s(cfg());
-  for (int i = 0; i < 5; ++i) s.schedule_at(i, [] {});
+  Scheduler& s = sched();
+  for (int i = 0; i < 5; ++i) s.schedule_at(T(i), [] {});
   s.run();
   EXPECT_EQ(s.executed(), 5u);
 }
 
 TEST_P(SchedulerTest, PendingCountExcludesCancelled) {
-  Scheduler s(cfg());
-  EventId a = s.schedule_at(1.0, [] {});
-  s.schedule_at(2.0, [] {});
+  Scheduler& s = sched();
+  EventId a = s.schedule_at(T(1.0), [] {});
+  s.schedule_at(T(2.0), [] {});
   EXPECT_EQ(s.pending(), 2u);
   s.cancel(a);
   EXPECT_EQ(s.pending(), 1u);
@@ -265,9 +372,9 @@ TEST_P(SchedulerTest, PendingCountExcludesCancelled) {
 }
 
 TEST_P(SchedulerTest, StepReturnsFalseWhenEmpty) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   EXPECT_FALSE(s.step());
-  s.schedule_at(1.0, [] {});
+  s.schedule_at(T(1.0), [] {});
   EXPECT_TRUE(s.step());
   EXPECT_FALSE(s.step());
 }
@@ -275,13 +382,13 @@ TEST_P(SchedulerTest, StepReturnsFalseWhenEmpty) {
 TEST_P(SchedulerTest, CancelAfterFireReturnsFalse) {
   // Generation counting: once an event fired, its id must never cancel a
   // later event that happens to reuse the same slab slot.
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   int fired = 0;
-  EventId a = s.schedule_at(1.0, [&] { ++fired; });
+  EventId a = s.schedule_at(T(1.0), [&] { ++fired; });
   s.run();
   EXPECT_FALSE(s.cancel(a));
-  EventId b = s.schedule_at(2.0, [&] { ++fired; });  // reuses a's slot
-  EXPECT_FALSE(s.cancel(a));                         // stale id, live slot
+  EventId b = s.schedule_at(T(2.0), [&] { ++fired; });  // reuses a's slot
+  EXPECT_FALSE(s.cancel(a));                            // stale id, live slot
   EXPECT_TRUE(s.cancel(b));
   s.run();
   EXPECT_EQ(fired, 1);
@@ -289,32 +396,28 @@ TEST_P(SchedulerTest, CancelAfterFireReturnsFalse) {
 
 TEST_P(SchedulerTest, OversizedCallbackStillWorks) {
   // Callables beyond the inline slab buffer take the heap fallback.
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   struct Big {
     double blob[16];
   } big{};
   big.blob[7] = 42.0;
   double seen = 0;
   static_assert(sizeof(Big) > Scheduler::kInlineCallbackBytes);
-  EventId id = s.schedule_at(1.0, [big, &seen] { seen = big.blob[7]; });
-  s.schedule_at(2.0, [big, &seen] { seen += big.blob[7]; });
+  EventId id = s.schedule_at(T(1.0), [big, &seen] { seen = big.blob[7]; });
+  s.schedule_at(T(2.0), [big, &seen] { seen += big.blob[7]; });
   EXPECT_TRUE(s.cancel(id));  // cancellation must destroy the heap copy
   s.run();
   EXPECT_EQ(seen, 42.0);
 }
 
-TEST_P(SchedulerTest, StressMillionOpsRandomizedCancellation) {
-  // 1M schedule/cancel/fire ops with randomized interleaving: every
-  // scheduled event either fires exactly once or is cancelled exactly
-  // once.  The CI sanitize job runs this under ASan/UBSan, which guards
-  // the slab's placement-new/relocate/destroy paths — and, for the wheel
-  // backend, the bucket/cascade/overflow record paths.
-  Scheduler s(cfg());
+/// 1M schedule/cancel/fire ops with randomized interleaving, folded into
+/// an order-sensitive digest of (fire time, token) — identical loads on
+/// the scheduler and the reference queue must produce identical digests.
+template <typename Queue, typename Id>
+std::uint64_t stress_digest(Queue& q, std::uint64_t& scheduled, std::uint64_t& cancelled) {
   std::mt19937_64 rng(20260729);
-  std::vector<EventId> open;
-  std::uint64_t scheduled = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t hits = 0;
+  std::vector<Id> open;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
   constexpr std::uint64_t kOps = 1'000'000;
   while (scheduled < kOps) {
     const std::uint64_t burst = 1 + rng() % 8;
@@ -325,25 +428,50 @@ TEST_P(SchedulerTest, StressMillionOpsRandomizedCancellation) {
       if (rng() % 512 == 0) delay += static_cast<double>(rng() % 100'000);
       if (rng() % 4096 == 0) delay += 2.0e6;
       const std::uint64_t token = scheduled;
-      open.push_back(s.schedule_after(delay, [&hits, token] { hits += 1 + token % 2; }));
+      open.push_back(q.schedule_after(delay, [&q, &digest, token] {
+        digest = (digest ^ token ^ std::bit_cast<std::uint64_t>(q.now())) * 0x100000001b3ULL;
+      }));
       ++scheduled;
     }
     if (!open.empty() && rng() % 4 == 0) {
       const std::size_t idx = rng() % open.size();
-      if (s.cancel(open[idx])) ++cancelled;
+      if (q.cancel(open[idx])) ++cancelled;
       open[idx] = open.back();
       open.pop_back();
     }
-    if (rng() % 8 == 0) s.run(rng() % 64);  // partial drains interleave
+    if (rng() % 8 == 0) q.run(rng() % 64);  // partial drains interleave
   }
-  s.run();
+  q.run();
+  return digest;
+}
+
+TEST_P(SchedulerTest, StressMillionOpsRandomizedCancellation) {
+  // Every scheduled event either fires exactly once or is cancelled
+  // exactly once, in the reference queue's order.  The CI sanitize job
+  // runs this under ASan/UBSan, which guards the slab's
+  // placement-new/relocate/destroy paths and the bucket/cascade/overflow
+  // record paths.
+  Scheduler& s = sched();
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  const std::uint64_t digest = stress_digest<Scheduler, EventId>(s, scheduled, cancelled);
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_EQ(s.executed(), scheduled - cancelled);
-  EXPECT_GE(hits, s.executed());  // every fired callback ran its body
+
+  ReferenceQueue ref;
+  ref.run_until(T(0.0));
+  std::uint64_t ref_scheduled = 0;
+  std::uint64_t ref_cancelled = 0;
+  const std::uint64_t ref_digest =
+      stress_digest<ReferenceQueue, std::uint64_t>(ref, ref_scheduled, ref_cancelled);
+  EXPECT_EQ(ref_digest, digest);
+  EXPECT_EQ(ref_cancelled, cancelled);
+  EXPECT_EQ(ref.executed(), s.executed());
+  EXPECT_EQ(ref.now(), s.now());
 }
 
 TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsPerEvent) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::uint64_t sink = 0;
   // Realistic ~40-byte capture, like a network pipeline stage closure.
   auto burst = [&s, &sink] {
@@ -355,8 +483,9 @@ TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsPerEvent) {
       });
     }
   };
-  // Warm-up: heap/slab capacity, and (for the wheel) one full lap of the
-  // level-0 slots so every bucket the cursor will revisit has capacity.
+  // Warm-up: slab/node/overflow capacity, one full lap of the level-0
+  // slots (so every bucket the cursor will revisit has capacity), and the
+  // origin's window crossing.
   for (int round = 0; round < 4; ++round) {
     burst();
     s.run();
@@ -371,7 +500,7 @@ TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsPerEvent) {
 }
 
 TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsWithCancellation) {
-  Scheduler s(cfg());
+  Scheduler& s = sched();
   std::uint64_t sink = 0;
   std::vector<EventId> ids(128);
   auto round = [&] {
@@ -392,49 +521,54 @@ TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsWithCancellation) {
 /// Executes a deterministic randomized load and records every firing as
 /// (time, token): N initial events over quantized times (forcing FIFO
 /// ties), ~25% cancellations, nested follow-up schedules from inside
-/// callbacks, and a far-future slice spilling into the wheel's overflow.
-std::vector<std::pair<double, std::uint64_t>> firing_trace(
-    SchedulerBackend backend, std::uint64_t seed, double tick = SchedulerConfig{}.wheel_tick_ms) {
-  Scheduler s(SchedulerConfig{backend, tick});
+/// callbacks, a 5 s – 15 min band that parks in the wheel's level 2 and
+/// reaches level 0 through cascades, and a far-future slice spilling into
+/// the overflow heap.
+template <typename Queue, typename Id>
+std::vector<std::pair<double, std::uint64_t>> firing_trace(std::uint64_t seed) {
+  Queue q;
   std::mt19937_64 rng(seed);
   std::vector<std::pair<double, std::uint64_t>> fired;
-  std::vector<EventId> ids;
+  std::vector<Id> ids;
   constexpr int kEvents = 4000;
   for (std::uint64_t token = 0; token < kEvents; ++token) {
     double t = static_cast<double>(rng() % 2000) * 0.25;  // quantized: many ties
+    if (rng() % 16 == 0) t += 5000.0 + static_cast<double>(rng() % 3580) * 250.0;  // cascade band
     if (rng() % 64 == 0) t += static_cast<double>(rng() % 3) * 1.5e6;  // overflow band
-    ids.push_back(s.schedule_at(t, [&s, &fired, token] {
-      fired.emplace_back(s.now(), token);
+    ids.push_back(q.schedule_at(t, [&q, &fired, token] {
+      fired.emplace_back(q.now(), token);
       if (token % 3 == 0) {
         const std::uint64_t follow = token + 1'000'000;
-        s.schedule_after(static_cast<double>(token % 7) * 0.25,
-                         [&s, &fired, follow] { fired.emplace_back(s.now(), follow); });
+        q.schedule_after(static_cast<double>(token % 7) * 0.25,
+                         [&q, &fired, follow] { fired.emplace_back(q.now(), follow); });
       }
     }));
   }
-  for (std::size_t i = 0; i < ids.size(); i += 4) s.cancel(ids[i]);
+  for (std::size_t i = 0; i < ids.size(); i += 4) q.cancel(ids[i]);
   // Interleave bounded drains with run_until boundaries and late arrivals.
-  s.run_until(120.0);
-  s.schedule_at(130.5, [&s, &fired] { fired.emplace_back(s.now(), 42'000'000); });
-  s.run(500);
-  s.run();
+  q.run_until(120.0);
+  q.schedule_at(130.5, [&q, &fired] { fired.emplace_back(q.now(), 42'000'000); });
+  q.run(500);
+  q.run_until(60'000.0);
+  q.schedule_at(61'000.25, [&q, &fired] { fired.emplace_back(q.now(), 43'000'000); });
+  q.run();
   return fired;
 }
 
-TEST(SchedulerWheel, FiringOrderBitIdenticalToHeap) {
+TEST(SchedulerWheel, FiringOrderMatchesReferenceQueue) {
   for (std::uint64_t seed : {1ull, 7ull, 20260729ull}) {
-    const auto heap = firing_trace(SchedulerBackend::kHeap, seed);
-    const auto wheel = firing_trace(SchedulerBackend::kWheel, seed);
-    ASSERT_EQ(heap.size(), wheel.size()) << "seed " << seed;
-    EXPECT_EQ(heap, wheel) << "seed " << seed;
+    const auto ref = firing_trace<ReferenceQueue, std::uint64_t>(seed);
+    const auto wheel = firing_trace<Scheduler, EventId>(seed);
+    ASSERT_EQ(ref.size(), wheel.size()) << "seed " << seed;
+    EXPECT_EQ(ref, wheel) << "seed " << seed;
   }
 }
 
 TEST(SchedulerWheel, FarFutureOverflowFiresInOrder) {
-  // Events far beyond the top wheel window (~17 simulated minutes at the
-  // default tick) route through the overflow heap and must still fire in
-  // global (t, seq) order, interleaved with near events scheduled later.
-  Scheduler s(SchedulerConfig{SchedulerBackend::kWheel});
+  // Events far beyond the top wheel window (~17 simulated minutes) route
+  // through the overflow heap and must still fire in global (t, seq)
+  // order, interleaved with near events scheduled later.
+  Scheduler s;
   std::vector<int> order;
   s.schedule_at(5.0e6, [&] { order.push_back(4); });
   s.schedule_at(2.5e6, [&] { order.push_back(3); });
@@ -450,7 +584,7 @@ TEST(SchedulerWheel, FarFutureOverflowFiresInOrder) {
 }
 
 TEST(SchedulerWheel, CancelAcrossLevelsAndOverflow) {
-  Scheduler s(SchedulerConfig{SchedulerBackend::kWheel});
+  Scheduler s;
   int fired = 0;
   EventId near = s.schedule_at(0.5, [&] { ++fired; });
   EventId mid = s.schedule_at(500.0, [&] { ++fired; });
@@ -463,137 +597,6 @@ TEST(SchedulerWheel, CancelAcrossLevelsAndOverflow) {
   s.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(s.now(), 1.0);  // cancelled far-future events advance nothing
-}
-
-TEST(SchedulerWheel, RejectsNonPositiveTick) {
-  EXPECT_THROW(Scheduler(SchedulerConfig{SchedulerBackend::kWheel, 0.0}), std::invalid_argument);
-  EXPECT_THROW(Scheduler(SchedulerConfig{SchedulerBackend::kWheel, -1.0}), std::invalid_argument);
-}
-
-TEST(SchedulerWheel, CoarseAndFineTicksPreserveOrder) {
-  // The tick size is a pure performance knob: any value must produce the
-  // heap backend's order (buckets re-sort by (t, seq) when drained).
-  const auto heap = firing_trace(SchedulerBackend::kHeap, 99);
-  for (double tick : {4.0, 0.001})
-    EXPECT_EQ(firing_trace(SchedulerBackend::kWheel, 99, tick), heap) << "tick " << tick;
-}
-
-// ---------------------------------------------------------------- parallel
-
-// Without partitions every event is shared and kParallel steps serially,
-// so the un-owned trace must already be bit-identical to the heap's.
-TEST(SchedulerParallel, UnpartitionedFiringOrderBitIdenticalToHeap) {
-  for (std::uint64_t seed : {1ull, 7ull, 20260729ull})
-    EXPECT_EQ(firing_trace(SchedulerBackend::kParallel, seed),
-              firing_trace(SchedulerBackend::kHeap, seed))
-        << "seed " << seed;
-}
-
-/// Trace recorder whose observation point is the round barrier: on a
-/// staging worker the record is deferred and replayed in exact global
-/// (time, seq) order, on the sequential backends it runs inline — so a
-/// bit-identical trace IS the determinism contract of the round engine,
-/// not merely a per-partition projection of it.
-struct TraceRec {
-  std::vector<std::tuple<double, int, std::uint64_t>>* out = nullptr;
-  void record(double t, int owner, std::uint64_t token) { out->emplace_back(t, owner, token); }
-  void add(double t, int owner, std::uint64_t token) {
-    if (stage_effect<&TraceRec::record>(this, t, owner, token)) return;
-    record(t, owner, token);
-  }
-};
-
-/// Deterministic randomized *owned* load: events spread over `kOwners`
-/// node partitions plus a shared slice (the round bounds), quantized
-/// times forcing FIFO ties across partitions, ~20% cancellations from the
-/// serial context, owner-inherited follow-up schedules fired from inside
-/// worker callbacks, and a mid-run run_until boundary.
-std::vector<std::tuple<double, int, std::uint64_t>> owned_firing_trace(SchedulerBackend backend,
-                                                                       std::uint64_t seed,
-                                                                       int threads = 1) {
-  SchedulerConfig cfg{backend};
-  cfg.threads = threads;
-  Scheduler s(cfg);
-  constexpr int kOwners = 8;
-  if (backend == SchedulerBackend::kParallel) {
-    s.set_partitions(kOwners);
-    s.set_lookahead([] { return 2.0; });
-  }
-  std::vector<std::tuple<double, int, std::uint64_t>> fired;
-  TraceRec rec{&fired};
-  std::mt19937_64 rng(seed);
-  std::vector<EventId> ids;
-  constexpr std::uint64_t kEvents = 6000;
-  for (std::uint64_t token = 0; token < kEvents; ++token) {
-    const double t = static_cast<double>(rng() % 4000) * 0.25;  // quantized: many ties
-    const int owner =
-        rng() % 8 == 0 ? kOwnerShared : static_cast<int>(rng() % static_cast<unsigned>(kOwners));
-    ids.push_back(s.schedule_at_owned(owner, t, [&s, &rec, owner, token] {
-      rec.add(s.now(), owner, token);
-      if (token % 3 == 0) {
-        // Inherits the executing event's owner: stays in-partition, which
-        // is the in-pass provisional-execution path on a staging worker.
-        const std::uint64_t follow = token + 1'000'000;
-        s.schedule_after(static_cast<double>(token % 5) * 0.25,
-                         [&s, &rec, owner, follow] { rec.add(s.now(), owner, follow); });
-      }
-    }));
-  }
-  for (std::size_t i = 0; i < ids.size(); i += 5) s.cancel(ids[i]);
-  s.run_until(300.0);
-  s.run_until(1.0e9);
-  fired.emplace_back(0.0, -2, s.executed());  // executed-count sentinel
-  return fired;
-}
-
-// The tentpole contract at scheduler level: the conservative round engine
-// (partitioned events, in-pass provisional execution, barrier replay)
-// reproduces the heap backend's observable firing order bit for bit, for
-// every worker count.  threads = 1 drives the full staging machinery on
-// the caller; 2 and 8 add real cross-thread interleavings.
-TEST(SchedulerParallel, OwnedFiringOrderBitIdenticalToHeapAcrossThreadCounts) {
-  for (std::uint64_t seed : {3ull, 11ull, 20260808ull}) {
-    const auto heap = owned_firing_trace(SchedulerBackend::kHeap, seed);
-    for (int threads : {1, 2, 8}) {
-      const auto par = owned_firing_trace(SchedulerBackend::kParallel, seed, threads);
-      ASSERT_EQ(par.size(), heap.size()) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(par, heap) << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
-// Stress shape for the sanitizer jobs (TSan runs this in CI): many more
-// owners than workers, so each worker multiplexes several partitions per
-// round, across repeated rounds with ties and nested schedules.
-TEST(SchedulerParallel, StressManyOwnersFewWorkers) {
-  SchedulerConfig cfg{SchedulerBackend::kParallel};
-  cfg.threads = 4;
-  Scheduler s(cfg);
-  constexpr int kOwners = 32;
-  s.set_partitions(kOwners);
-  s.set_lookahead([] { return 1.0; });
-  std::vector<std::tuple<double, int, std::uint64_t>> fired;
-  TraceRec rec{&fired};
-  std::mt19937_64 rng(77);
-  std::uint64_t expected = 0;
-  for (std::uint64_t token = 0; token < 20000; ++token) {
-    const double t = static_cast<double>(rng() % 8000) * 0.125;
-    const int owner = static_cast<int>(rng() % kOwners);
-    ++expected;
-    if (token % 4 == 0) ++expected;  // follow-up
-    s.schedule_at_owned(owner, t, [&s, &rec, owner, token] {
-      rec.add(s.now(), owner, token);
-      if (token % 4 == 0)
-        s.schedule_after(0.125, [&s, &rec, owner, token] { rec.add(s.now(), owner, token); });
-    });
-  }
-  s.run_until(2000.0);
-  EXPECT_EQ(s.executed(), expected);
-  EXPECT_EQ(fired.size(), expected);
-  // Replay order must be globally sorted by time (seq breaks ties within
-  // equal times, which the recorder observes through insertion order).
-  for (std::size_t i = 1; i < fired.size(); ++i)
-    ASSERT_LE(std::get<0>(fired[i - 1]), std::get<0>(fired[i])) << "at " << i;
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ class Recorder final : public net::Layer {
 };
 
 struct Fixture {
-  explicit Fixture(int n, Config cfg = Config{.enabled = true}) : sys(n, {}, 1, {}, cfg) {
+  explicit Fixture(int n, Config cfg = Config{.enabled = true}) : sys(n, {}, 1, cfg) {
     for (int i = 0; i < n; ++i) {
       recorders.push_back(std::make_unique<Recorder>());
       sys.node(i).register_handler(net::ProtocolId::kApplication, recorders.back().get());
