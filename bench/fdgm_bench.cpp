@@ -26,7 +26,7 @@
 #include <sys/resource.h>
 #endif
 
-#include "obs/observer.hpp"
+#include "obs/export_sink.hpp"
 #include "scenario.hpp"
 
 namespace fdgm::bench {
@@ -37,7 +37,6 @@ enum class Format { kTable, kCsv, kJson };
 struct Options {
   std::vector<std::string> scenarios;
   std::size_t jobs = 1;
-  bool jobs_explicit = false;  // --jobs passed on the command line
   std::uint64_t seed = 1000;
   Format format = Format::kTable;
   std::string out_dir;  // empty: stdout
@@ -46,10 +45,7 @@ struct Options {
   bool profile = false;
   bool transport = false;
   bool batch = false;
-  std::string trace_path;    // --trace: Chrome trace-event JSON export
-  std::string metrics_path;  // --metrics: windowed counter CSV export
-  std::string metrics_per_node_path;  // --metrics-per-node: per-node CSV
-  std::string critical_path_path;     // --critical-path: causal decomposition CSV
+  obs::ExportSink::Paths exports;  // --trace/--metrics/--metrics-per-node/--critical-path
   bool faults_inline = false;  // --faults given (conflicts with --faults-file)
   bool faults_file = false;    // --faults-file given
   fault::FaultSchedule faults;
@@ -114,9 +110,10 @@ void print_usage() {
       "                    in every simulation (abcast::BatchConfig defaults)\n"
       "  --trace FILE      arm observability (src/obs/) and export the first\n"
       "                    simulation's per-message lifecycle spans as Chrome\n"
-      "                    trace-event JSON (open in Perfetto).  Forces --jobs 1\n"
-      "                    so the exported run is deterministic.  Armed\n"
-      "                    observability is passive: results are unchanged.\n"
+      "                    trace-event JSON (open in Perfetto), identical for\n"
+      "                    any --jobs.  Armed observability is passive: results\n"
+      "                    are unchanged.  An unwritable FILE exits 2; dropped\n"
+      "                    spans/edges/snapshots print a warning on stderr.\n"
       "  --metrics FILE    like --trace, but exports the windowed per-layer\n"
       "                    counter time-series as CSV; combinable with --trace\n"
       "  --metrics-per-node FILE\n"
@@ -130,8 +127,8 @@ void print_usage() {
       "                    backoff recovery, sequencer queue, consensus round,\n"
       "                    reorder hold), plus per-cause aggregate footers.\n"
       "                    Also enriches --trace JSON with flow events whose\n"
-      "                    dominant_cause annotates each message.  Forces\n"
-      "                    --jobs 1 like --trace.\n"
+      "                    dominant_cause annotates each message.  A CSV export\n"
+      "                    that lost records ends with a '# dropped ...' line.\n"
       "  --set key=value   scenario/driver parameter, repeatable.  Driver\n"
       "                    keys: quick=1 (smoke budget), replicas=N,\n"
       "                    samples=N; per-scenario keys are listed by --list.\n"
@@ -197,7 +194,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return false;
       }
       opt.jobs = static_cast<std::size_t>(n);
-      opt.jobs_explicit = true;
     } else if (a == "--seed") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
@@ -225,19 +221,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a == "--trace") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
-      opt.trace_path = v;
+      opt.exports.trace = v;
     } else if (a == "--metrics") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
-      opt.metrics_path = v;
+      opt.exports.metrics = v;
     } else if (a == "--metrics-per-node") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
-      opt.metrics_per_node_path = v;
+      opt.exports.metrics_per_node = v;
     } else if (a == "--critical-path") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
-      opt.critical_path_path = v;
+      opt.exports.critical_path = v;
     } else if (a == "--faults") {
       const char* v = need_value(i, a.c_str());
       if (!v) return false;
@@ -349,40 +345,28 @@ int run(const Options& opt) {
     }
   }
 
-  std::size_t jobs = opt.jobs;
-  const bool exporting = !opt.trace_path.empty() || !opt.metrics_path.empty() ||
-                         !opt.metrics_per_node_path.empty() ||
-                         !opt.critical_path_path.empty();
-  if (exporting) {
-    // The first armed Observer constructed in the process claims the
-    // export; with one worker that is deterministically replica 0 of the
-    // first point of the first selected scenario.  The override is silent
-    // unless the user explicitly asked for a conflicting job count.
-    if (opt.jobs_explicit && opt.jobs != 1)
-      std::cerr << "fdgm_bench: --trace/--metrics/--critical-path force --jobs 1 "
-                   "for a deterministic export (overriding --jobs "
-                << opt.jobs << ")\n";
-    jobs = 1;
-    obs::Observer::set_export_paths(opt.trace_path, opt.metrics_path,
-                                    opt.metrics_per_node_path, opt.critical_path_path);
-  }
-
   ScenarioContext ctx;
   ctx.params = opt.params;
-  ctx.jobs = jobs;
   ctx.seed = opt.seed;
   ctx.faults = opt.faults;
   ctx.transport.enabled = opt.transport;
   ctx.batching.enabled = opt.batch;
-  ctx.obs.enabled = exporting;
-  ctx.obs.causal = !opt.critical_path_path.empty();
-  ctx.obs.per_node_metrics = !opt.metrics_per_node_path.empty();
   ctx.profile = opt.profile;
+  std::unique_ptr<obs::ExportSink> sink;
   try {
     if (ctx.param_flag("quick")) shrink_for_quick(ctx.budget);
     ctx.budget.replicas = ctx.param_u64("replicas", ctx.budget.replicas, 1, 64);
     ctx.budget.samples = ctx.param_u64("samples", ctx.budget.samples, 10, 100000);
-  } catch (const std::invalid_argument& e) {
+    const obs::ExportSink::Paths& e = opt.exports;
+    if (!e.trace.empty() || !e.metrics.empty() || !e.metrics_per_node.empty() ||
+        !e.critical_path.empty()) {
+      sink = std::make_unique<obs::ExportSink>(e);  // opened before anything runs
+      ctx.obs.enabled = true;
+      ctx.obs.causal = !e.critical_path.empty();
+      ctx.obs.per_node_metrics = !e.metrics_per_node.empty();
+      ctx.obs.sink = sink.get();
+    }
+  } catch (const std::exception& e) {
     std::cerr << "fdgm_bench: " << e.what() << '\n';
     return 2;
   }
@@ -390,7 +374,7 @@ int run(const Options& opt) {
   // One worker pool for the whole invocation: every scenario's fill_rows
   // reuses the same threads instead of spawning a pool per sweep.
   std::unique_ptr<core::ThreadPool> pool;
-  if (const std::size_t workers = core::effective_jobs(jobs); workers > 1) {
+  if (const std::size_t workers = core::effective_jobs(opt.jobs); workers > 1) {
     pool = std::make_unique<core::ThreadPool>(workers);
     ctx.pool = pool.get();
   }

@@ -20,6 +20,7 @@
 #include "bench_util.hpp"
 #include "core/parallel.hpp"
 #include "fault/fault_schedule.hpp"
+#include "obs/export_sink.hpp"
 #include "util/csv.hpp"
 
 namespace fdgm::bench {
@@ -39,13 +40,11 @@ namespace fdgm::bench {
 /// Everything a scenario needs to size and seed its sweep.
 struct ScenarioContext {
   BenchBudget budget;
-  /// Worker threads for the replica fan-out (0 = hardware concurrency).
-  std::size_t jobs = 1;
   /// Base seed; replica r of a point uses seed + r exactly as before.
   std::uint64_t seed = 1000;
   /// Worker pool shared across every fill_rows call of the whole bench
   /// invocation (one pool per process instead of one per sweep).  Null:
-  /// fall back to a transient pool per call.
+  /// one worker, rows run in a plain loop.
   core::ThreadPool* pool = nullptr;
   /// Extra fault schedule from the CLI (--faults), applied to every
   /// simulation of the sweep on top of whatever the scenario injects.
@@ -179,10 +178,8 @@ inline core::SimConfig sim_config_ctx(core::Algorithm a, int n, const ScenarioCo
 
 /// Appends "mean, ci95" cells for a steady or transient result
 /// ("unstable, -" when the point saturated — mirroring the paper leaving
-/// such settings off the graphs).  Both result types expose .stable and
-/// .latency, which is all this needs.
-template <typename Result>
-void add_point_cells(std::vector<std::string>& row, const Result& r) {
+/// such settings off the graphs).
+inline void add_point_cells(std::vector<std::string>& row, const core::PointResult& r) {
   if (!r.stable) {
     row.emplace_back("unstable");
     row.emplace_back("-");
@@ -207,18 +204,22 @@ inline void add_window_cells(std::vector<std::string>& row, const core::Windowed
 }
 
 /// One sweep point = one row job.  The driver fans the jobs out across
-/// ctx.jobs workers and appends the rows in declaration order, so the
+/// the shared pool and appends the rows in declaration order, so the
 /// rendered table is identical for every job count.
 using RowJob = std::function<std::vector<std::string>()>;
 
 inline void fill_rows(util::Table& table, const ScenarioContext& ctx,
                       const std::vector<RowJob>& row_jobs) {
-  std::vector<std::vector<std::string>> rows =
-      ctx.pool != nullptr
-          ? core::parallel_map(*ctx.pool, row_jobs.size(),
-                               [&](std::size_t i) { return row_jobs[i](); })
-          : core::parallel_map(row_jobs.size(), ctx.jobs,
-                               [&](std::size_t i) { return row_jobs[i](); });
+  std::vector<std::vector<std::string>> rows(row_jobs.size());
+  // Rows run one at a time while the export sink (ctx.obs.sink) is
+  // unwritten, so any job count exports the replica one worker would.
+  const auto exporting = [&] { return ctx.obs.sink != nullptr && !ctx.obs.sink->written(); };
+  std::size_t next = 0;
+  for (; next < rows.size() && (ctx.pool == nullptr || exporting()); ++next)
+    rows[next] = row_jobs[next]();
+  if (next < rows.size())
+    core::parallel_for(*ctx.pool, rows.size() - next,
+                       [&](std::size_t i) { rows[next + i] = row_jobs[next + i](); });
   for (auto& r : rows) table.add_row(std::move(r));
 }
 

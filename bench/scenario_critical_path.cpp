@@ -68,18 +68,19 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
         std::vector<std::string> row{core::algorithm_name(algo), std::to_string(pt.n),
                                      util::Table::cell(pt.loss * 100.0),
                                      util::Table::cell(throughput, 0)};
-        if (!r.stable || r.cause_count == 0) {
+        const obs::CauseTotals& causes = r.stats.causes;
+        if (!r.stable || causes.count == 0) {
           row.emplace_back("unstable");
           for (std::size_t c = 0; c < obs::kCauseCount; ++c) row.emplace_back("-");
           return row;
         }
         const auto per = [&](double sum) {
-          return util::Table::cell(sum / static_cast<double>(r.cause_count));
+          return util::Table::cell(sum / static_cast<double>(causes.count));
         };
         double total = 0.0;
-        for (double s : r.cause_ms) total += s;
+        for (double s : causes.sums) total += s;
         row.push_back(per(total));
-        for (double s : r.cause_ms) row.push_back(per(s));
+        for (double s : causes.sums) row.push_back(per(s));
         return row;
       });
     }

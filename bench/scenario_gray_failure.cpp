@@ -78,8 +78,9 @@ util::Table run_gray(const ScenarioContext& ctx) {
           cfg.obs.enabled = true;  // passive: only the counter columns need it
           const core::WindowedResult res = core::run_windowed(cfg, wc);
           add_window_cells(row, res);
-          row.push_back(std::to_string(algo == core::Algorithm::kFd ? res.suspicions
-                                                                    : res.view_changes));
+          row.push_back(std::to_string(res.stats.counter(algo == core::Algorithm::kFd
+                                                             ? obs::Counter::kSuspicions
+                                                             : obs::Counter::kViewChanges)));
         }
         return row;
       });

@@ -72,32 +72,34 @@ util::Table run_decomposition(const ScenarioContext& ctx) {
         std::vector<std::string> row{core::algorithm_name(algo), std::to_string(pt.n),
                                      util::Table::cell(pt.loss * 100.0),
                                      util::Table::cell(throughput, 0)};
-        if (!r.stable || r.phase_count == 0) {
+        const core::RunStats& st = r.stats;
+        const obs::PhaseTotals& ph = st.phases;
+        if (!r.stable || ph.count == 0) {
           row.insert(row.end(), {"unstable", "-", "-", "-", "-", "-"});
           if (ctx.profile) row.insert(row.end(), {"-", "-"});
           return row;
         }
         const auto per = [&](double sum) {
-          return util::Table::cell(sum / static_cast<double>(r.phase_count));
+          return util::Table::cell(sum / static_cast<double>(ph.count));
         };
         // The three phase means add up to the end-to-end mean over the
         // same message population (global-first deliveries), which can
         // sit slightly below the per-process latency column of
         // lossy_throughput — by construction, min <= mean over processes.
-        row.push_back(per(r.phase_submit_ms + r.phase_order_ms + r.phase_deliver_ms));
-        row.push_back(per(r.phase_submit_ms));
-        row.push_back(per(r.phase_order_ms));
-        row.push_back(per(r.phase_deliver_ms));
-        row.push_back(r.retransmits == 0
+        row.push_back(per(ph.submit_wait_ms + ph.ordering_ms + ph.delivery_ms));
+        row.push_back(per(ph.submit_wait_ms));
+        row.push_back(per(ph.ordering_ms));
+        row.push_back(per(ph.delivery_ms));
+        row.push_back(st.retransmits == 0
                           ? "-"
-                          : util::Table::cell(static_cast<double>(r.retx_origin0) /
-                                                  static_cast<double>(r.retransmits),
+                          : util::Table::cell(static_cast<double>(st.retx_origin0) /
+                                                  static_cast<double>(st.retransmits),
                                               3));
         row.push_back(util::Table::cell(
-            static_cast<double>(r.retransmits) / (r.sim_ms / 1000.0), 2));
+            static_cast<double>(st.retransmits) / (st.sim_ms / 1000.0), 2));
         if (ctx.profile) {
-          row.push_back(util::Table::cell(r.lat_p50));
-          row.push_back(util::Table::cell(r.lat_p99));
+          row.push_back(util::Table::cell(st.e2e_quantile(0.5)));
+          row.push_back(util::Table::cell(st.e2e_quantile(0.99)));
         }
         return row;
       });

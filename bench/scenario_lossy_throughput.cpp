@@ -102,13 +102,14 @@ util::Table run_lossy(const ScenarioContext& ctx) {
         const core::PointResult r = core::run_steady(cfg, sc, crashes);
         add_point_cells(row, r);
         if (ctx.profile) {
+          const core::RunStats& st = r.stats;
           diag.push_back(util::Table::cell(
-              static_cast<double>(r.retransmits) / (r.sim_ms / 1000.0), 2));
-          diag.push_back(std::to_string(r.dup_suppressed));
-          diag.push_back(r.retransmits == 0
+              static_cast<double>(st.retransmits) / (st.sim_ms / 1000.0), 2));
+          diag.push_back(std::to_string(st.dup_suppressed));
+          diag.push_back(st.retransmits == 0
                              ? "-"
-                             : util::Table::cell(static_cast<double>(r.retx_origin0) /
-                                                     static_cast<double>(r.retransmits),
+                             : util::Table::cell(static_cast<double>(st.retx_origin0) /
+                                                     static_cast<double>(st.retransmits),
                                                  3));
         }
       }

@@ -109,7 +109,7 @@ util::Table run_qos_accuracy(const ScenarioContext& ctx) {
       cfg.obs.enabled = true;  // arms the QoS meter; passive otherwise
 
       const core::WindowedResult res = core::run_windowed(cfg, wc);
-      const obs::QosMeasured& q = res.qos;
+      const obs::QosMeasured& q = res.stats.qos;
       std::vector<std::string> row{
           util::Table::cell(pt.td, 0), util::Table::cell(pt.tmr, 0),
           util::Table::cell(pt.tm, 0), util::Table::cell(pt.loss, 0),

@@ -22,10 +22,10 @@ namespace fdgm::bench {
 namespace {
 
 /// shed / (generated + shed), in percent ("-" before anything arrived).
-std::string shed_cell(const core::PointResult& r) {
-  const double total = static_cast<double>(r.generated + r.shed);
+std::string shed_cell(const core::RunStats& s) {
+  const double total = static_cast<double>(s.generated + s.shed);
   if (total <= 0.0) return "-";
-  return util::Table::cell(100.0 * static_cast<double>(r.shed) / total, 1);
+  return util::Table::cell(100.0 * static_cast<double>(s.shed) / total, 1);
 }
 
 util::Table run_knee(const ScenarioContext& ctx) {
@@ -64,7 +64,7 @@ util::Table run_knee(const ScenarioContext& ctx) {
         cfg.fd_params.detection_time = 30.0;
         const core::PointResult r = core::run_steady(cfg, sc);
         add_point_cells(row, r);
-        row.push_back(shed_cell(r));
+        row.push_back(shed_cell(r.stats));
       }
       return row;
     });

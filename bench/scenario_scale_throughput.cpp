@@ -101,7 +101,7 @@ util::Table run_scale(const ScenarioContext& ctx) {
           const Measured m = run_measured(cfg, sc, crashes);
           add_point_cells(row, m.point);
           rates.push_back(util::Table::cell(
-              static_cast<double>(m.point.events) / m.wall_s / 1e6, 2));
+              static_cast<double>(m.point.stats.events) / m.wall_s / 1e6, 2));
         }
         row.insert(row.end(), rates.begin(), rates.end());
         return row;

@@ -101,8 +101,7 @@ class SimRun : private abcast::DeliverSink {
   SimConfig cfg_;
   std::unique_ptr<net::System> sys_;
   // Declared directly after sys_: the observer outlives every component
-  // whose hooks reach it, and its destructor (which flushes a claimed
-  // --trace/--metrics export) runs while the system is still intact.
+  // whose hooks reach it.
   std::unique_ptr<obs::Observer> observer_;
   std::unique_ptr<fd::QosFailureDetectorModel> fd_model_;
   std::vector<std::unique_ptr<abcast::AtomicBroadcastProcess>> procs_;

@@ -2,122 +2,139 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <span>
 
 #include "core/parallel.hpp"
+#include "obs/export_sink.hpp"
 
 namespace fdgm::core {
 
+double RunStats::e2e_quantile(double q) const {
+  if (!e2e.has_value() || e2e->count() == 0) return std::nan("");
+  return e2e->quantile(q);
+}
+
+RunStats& RunStats::merge(const RunStats& o) {
+  // The histogram first: a binning mismatch throws before anything changed.
+  if (o.e2e.has_value()) {
+    if (e2e.has_value())
+      e2e->merge(*o.e2e);
+    else
+      e2e = o.e2e;
+  }
+  events += o.events;
+  sim_ms += o.sim_ms;
+  retransmits += o.retransmits;
+  dup_suppressed += o.dup_suppressed;
+  retx_origin0 += o.retx_origin0;
+  generated += o.generated;
+  shed += o.shed;
+  for (std::size_t c = 0; c < counters.size(); ++c) counters[c] += o.counters[c];
+  phases.count += o.phases.count;
+  phases.submit_wait_ms += o.phases.submit_wait_ms;
+  phases.ordering_ms += o.phases.ordering_ms;
+  phases.delivery_ms += o.phases.delivery_ms;
+  causes.count += o.causes.count;
+  for (std::size_t c = 0; c < causes.sums.size(); ++c) causes.sums[c] += o.causes.sums[c];
+  qos += o.qos;
+  spans_dropped += o.spans_dropped;
+  edges_dropped += o.edges_dropped;
+  snapshots_dropped += o.snapshots_dropped;
+  return *this;
+}
+
 namespace {
 
-/// One steady-state replica; returns (mean latency, stable, samples).
-struct ReplicaOutcome {
-  double mean = 0.0;
-  bool stable = false;
-  std::size_t samples = 0;
-  std::uint64_t events = 0;
-  double sim_ms = 0.0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t dup_suppressed = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t retx_origin0 = 0;
-  obs::PhaseTotals phases;
-  obs::CauseTotals causes;
-  obs::QosMeasured qos;
-  /// End-to-end latency histogram copy (armed observer only); optional
-  /// because Histogram has no default binning.
-  std::optional<util::Histogram> e2e;
-};
-
-/// Copies the transport and workload counters (and the simulated horizon)
-/// out of a finished replica.
-void capture_run_stats(SimRun& run, ReplicaOutcome& o) {
-  o.sim_ms = run.system().now();
-  o.generated = run.workload().generated();
-  o.shed = run.workload().shed();
+/// Reads a finished replica under the one capture rule (see RunStats):
+/// run-cost fields always, observer-derived ones only when `converged`;
+/// phase and cause totals cover messages broadcast in [from, to).  The
+/// exporting replica (flat index 0 of a runner call) also hands its
+/// observer to the export sink — the run is over, so the export sees the
+/// same state the observer ends with.
+RunStats capture(SimRun& run, bool exporter, bool converged, double from, double to) {
+  RunStats s;
+  s.events = run.system().scheduler().executed();
+  s.sim_ms = run.system().now();
+  s.generated = run.workload().generated();
+  s.shed = run.workload().shed();
   if (const transport::Transport* t = run.system().transport()) {
-    o.retransmits = t->stats().retransmits;
-    o.dup_suppressed = t->stats().duplicates;
-    o.retx_origin0 = t->retx_from(0);
+    s.retransmits = t->stats().retransmits;
+    s.dup_suppressed = t->stats().duplicates;
+    s.retx_origin0 = t->retx_from(0);
   }
+  const obs::Observer* o = run.observer();
+  if (o == nullptr) return s;
+  if (exporter && o->config().sink != nullptr) o->config().sink->write(*o);
+  if (!converged) return s;
+  for (std::size_t c = 0; c < obs::kCounterCount; ++c)
+    s.counters[c] = o->total(static_cast<obs::Counter>(c));
+  s.phases = o->phase_totals(from, to);
+  if (o->causal()) s.causes = o->cause_totals(from, to);
+  s.qos = o->qos_measured();
+  s.e2e = o->e2e_hist();
+  s.spans_dropped = o->spans_dropped();
+  s.edges_dropped = o->edges_dropped();
+  s.snapshots_dropped = o->snapshots_dropped();
+  return s;
 }
 
-/// Phase-latency decomposition over the measurement window [t0, t_end);
-/// zeros when observability is disarmed.
-void capture_phases(SimRun& run, ReplicaOutcome& o, sim::Time t0, sim::Time t_end) {
-  if (obs::Observer* ob = run.observer()) {
-    o.phases = ob->phase_totals(t0, t_end);
-    o.qos = ob->qos_measured();
-    o.e2e = ob->e2e_hist();
-    if (ob->causal()) o.causes = ob->cause_totals(t0, t_end);
-  }
-}
-
-ReplicaOutcome steady_replica(SimConfig cfg, const SteadyConfig& sc,
-                              const std::vector<net::ProcessId>& initial_crashes,
-                              std::uint64_t seed) {
-  cfg.seed = seed;
+/// One steady-state replica: the mean latency of its measurement window
+/// (stable = it drained with a non-empty window) and its statistics.
+PointResult steady_replica(SimConfig cfg, const SteadyConfig& sc,
+                           const std::vector<net::ProcessId>& initial_crashes, std::size_t r) {
+  cfg.seed += r;
   SimRun run(cfg, WorkloadConfig{.throughput = sc.throughput});
   for (net::ProcessId p : initial_crashes) run.system().crash_at(p, 0.0);
   run.start();
 
   auto& sched = run.system().scheduler();
   const sim::Time t0 = sc.warmup_ms;
-
-  // Phase 1: run until `samples` messages were broadcast inside the
-  // measurement window and the minimum window length has elapsed.
   sim::Time t_end = t0;
   const double step = 250.0;
-  ReplicaOutcome out;
-  while (true) {
-    sched.run_until(sched.now() + step);
-    t_end = sched.now();
-    if (run.recorder().stale_undelivered(sched.now(), sc.stale_age_ms) > sc.unstable_backlog) {
-      out.events = sched.executed();
-      capture_run_stats(run, out);
-      return out;
+  const bool drained = [&] {
+    // Phase 1: run until `samples` messages were broadcast inside the
+    // measurement window and the minimum window length has elapsed.
+    while (true) {
+      sched.run_until(sched.now() + step);
+      t_end = sched.now();
+      if (run.recorder().stale_undelivered(sched.now(), sc.stale_age_ms) > sc.unstable_backlog)
+        return false;
+      if (sched.now() > sc.max_time_ms) break;
+      const bool enough_samples = run.recorder().broadcast_in_window(t0, t_end) >= sc.samples;
+      // The window must also be long enough for the stale-backlog check to
+      // see saturation (otherwise an overloaded run could "finish" before
+      // anything is old enough to count as stuck).
+      const bool window_long_enough =
+          (t_end - t0) >= std::max(sc.min_window_ms, sc.stale_age_ms);
+      if (enough_samples && window_long_enough) break;
     }
-    if (sched.now() > sc.max_time_ms) break;
-    const bool enough_samples =
-        run.recorder().broadcast_in_window(t0, t_end) >= sc.samples;
-    // The window must also be long enough for the stale-backlog check to
-    // see saturation (otherwise an overloaded run could "finish" before
-    // anything is old enough to count as stuck).
-    const bool window_long_enough =
-        (t_end - t0) >= std::max(sc.min_window_ms, sc.stale_age_ms);
-    if (enough_samples && window_long_enough) break;
-  }
-  run.workload().stop();
+    run.workload().stop();
 
-  // Phase 2: drain — let every message of the window get delivered.
-  const sim::Time drain_deadline = sched.now() + 4.0 * sc.stale_age_ms;
-  while (run.recorder().undelivered_in_window(t0, t_end) > 0) {
-    sched.run_until(sched.now() + step);
-    if (sched.now() > drain_deadline) {
-      out.events = sched.executed();
-      capture_run_stats(run, out);
-      return out;
+    // Phase 2: drain — let every message of the window get delivered.
+    const sim::Time drain_deadline = sched.now() + 4.0 * sc.stale_age_ms;
+    while (run.recorder().undelivered_in_window(t0, t_end) > 0) {
+      sched.run_until(sched.now() + step);
+      if (sched.now() > drain_deadline) return false;
     }
-  }
+    return true;
+  }();
 
-  out.events = sched.executed();
-  capture_run_stats(run, out);
-  capture_phases(run, out, t0, t_end);
-  const util::RunningStats stats = run.recorder().window_stats(t0, t_end);
-  if (stats.count() == 0) return out;
-  out.mean = stats.mean();
-  out.stable = true;
-  out.samples = stats.count();
+  PointResult out;
+  const util::RunningStats window =
+      drained ? run.recorder().window_stats(t0, t_end) : util::RunningStats{};
+  out.stable = window.count() > 0;
+  if (out.stable) out.latency = util::MeanCi{window.mean(), 0.0, 1};
+  out.total_samples = window.count();
+  out.stats = capture(run, r == 0, out.stable, t0, t_end);
   return out;
 }
 
-/// One crash-transient replica; returns the probe latency, < 0 on failure.
-double transient_replica(const SimConfig& cfg, const TransientConfig& tc,
-                         std::uint64_t seed) {
-  SimConfig c = cfg;
-  c.seed = seed;
-  SimRun run(c, WorkloadConfig{.throughput = tc.throughput});
+/// One crash-transient replica: the probe latency (stable = the probe was
+/// delivered before the timeout) and the replica's statistics.
+PointResult transient_replica(SimConfig cfg, const TransientConfig& tc, std::uint64_t seed,
+                              bool exporter) {
+  cfg.seed = seed;
+  SimRun run(cfg, WorkloadConfig{.throughput = tc.throughput});
   run.start();
   run.run_until(tc.warmup_ms);
 
@@ -130,7 +147,59 @@ double transient_replica(const SimConfig& cfg, const TransientConfig& tc,
   const sim::Time deadline = sched.now() + tc.probe_timeout_ms;
   while (run.recorder().latency_of(probe) < 0 && sched.now() < deadline)
     sched.run_until(sched.now() + 50.0);
-  return run.recorder().latency_of(probe);
+
+  PointResult out;
+  const double latency = run.recorder().latency_of(probe);
+  out.stable = latency >= 0;
+  if (out.stable) out.latency = util::MeanCi{latency, 0.0, 1};
+  out.stats = capture(run, exporter, out.stable, tc.warmup_ms, sched.now());
+  return out;
+}
+
+/// Probe-latency mean and CI over transient replicas; unstable when any
+/// replica lost the probe.
+PointResult reduce_transient(std::span<const PointResult> replicas) {
+  PointResult out;
+  std::vector<double> lats;
+  for (const PointResult& r : replicas) {
+    out.stats.merge(r.stats);
+    out.stable = out.stable && r.stable;
+    lats.push_back(r.latency.mean);
+  }
+  out.latency = out.stable ? util::mean_ci_95(lats) : util::MeanCi{std::nan(""), 0.0, 0};
+  out.total_samples = out.stable ? lats.size() : 0;
+  return out;
+}
+
+/// One windowed replica: per-window latency means (stable = it drained
+/// with no empty window) and its statistics.
+WindowedResult windowed_replica(SimConfig cfg, const WindowedConfig& wc, std::size_t r) {
+  cfg.seed += r;
+  SimRun run(cfg, WorkloadConfig{.throughput = wc.throughput});
+  run.start();
+
+  auto& sched = run.system().scheduler();
+  const double step = 250.0;
+  sched.run_until(wc.t_end);
+  run.workload().stop();
+
+  WindowedResult out;
+  // Drain: every message of the horizon must be delivered somewhere.
+  const sim::Time drain_deadline = wc.t_end + wc.drain_ms;
+  while (out.stable && run.recorder().undelivered_in_window(0.0, wc.t_end) > 0) {
+    if (sched.now() > drain_deadline)
+      out.stable = false;
+    else
+      sched.run_until(sched.now() + step);
+  }
+  for (std::size_t w = 0; out.stable && w < wc.windows.size(); ++w) {
+    const auto [from, to] = wc.windows[w];
+    const util::RunningStats stats = run.recorder().window_stats(from, to);
+    out.stable = stats.count() > 0;  // empty window: nothing to report
+    out.windows.push_back(util::MeanCi{stats.mean(), 0.0, 1});
+  }
+  out.stats = capture(run, r == 0, out.stable, 0.0, wc.t_end);
+  return out;
 }
 
 }  // namespace
@@ -139,46 +208,21 @@ PointResult run_steady(const SimConfig& cfg, const SteadyConfig& sc,
                        const std::vector<net::ProcessId>& initial_crashes) {
   // Fan the replicas out; results come back indexed by replica, so the
   // reduction below is identical for any job count.
-  const std::vector<ReplicaOutcome> outcomes =
+  const std::vector<PointResult> replicas =
       parallel_map(sc.replicas, sc.jobs, [&](std::size_t r) {
-        return steady_replica(cfg, sc, initial_crashes, cfg.seed + r);
+        return steady_replica(cfg, sc, initial_crashes, r);
       });
 
   std::vector<double> means;
   PointResult out;
-  std::optional<util::Histogram> e2e;
-  for (const ReplicaOutcome& o : outcomes) {
-    out.events += o.events;
-    out.sim_ms += o.sim_ms;
-    out.retransmits += o.retransmits;
-    out.dup_suppressed += o.dup_suppressed;
-    out.generated += o.generated;
-    out.shed += o.shed;
-    out.retx_origin0 += o.retx_origin0;
-    out.phase_count += o.phases.count;
-    out.phase_submit_ms += o.phases.submit_wait_ms;
-    out.phase_order_ms += o.phases.ordering_ms;
-    out.phase_deliver_ms += o.phases.delivery_ms;
-    out.cause_count += o.causes.count;
-    for (std::size_t c = 0; c < obs::kCauseCount; ++c) out.cause_ms[c] += o.causes.sums[c];
-    out.qos += o.qos;
-    if (!o.stable) {
+  for (const PointResult& rep : replicas) {
+    out.stats.merge(rep.stats);
+    if (!rep.stable) {
       out.stable = false;
       continue;
     }
-    // All replicas share SimConfig::obs binning, so the histograms merge.
-    if (o.e2e.has_value()) {
-      if (e2e.has_value())
-        e2e->merge(*o.e2e);
-      else
-        e2e = o.e2e;
-    }
-    means.push_back(o.mean);
-    out.total_samples += o.samples;
-  }
-  if (e2e.has_value() && e2e->count() > 0) {
-    out.lat_p50 = e2e->quantile(0.5);
-    out.lat_p99 = e2e->quantile(0.99);
+    means.push_back(rep.latency.mean);
+    out.total_samples += rep.total_samples;
   }
   // A point is reported only when a clear majority of replicas converged;
   // this mirrors the paper leaving unusable settings off the graphs.
@@ -191,89 +235,30 @@ PointResult run_steady(const SimConfig& cfg, const SteadyConfig& sc,
   return out;
 }
 
-TransientResult run_transient(const SimConfig& cfg, const TransientConfig& tc) {
-  const std::vector<double> raw = parallel_map(
-      tc.replicas, tc.jobs,
-      [&](std::size_t r) { return transient_replica(cfg, tc, cfg.seed + r); });
-
-  std::vector<double> lats;
-  for (double L : raw) {
-    if (L < 0) return TransientResult{util::MeanCi{std::nan(""), 0.0, 0}, false};
-    lats.push_back(L);
-  }
-  return TransientResult{util::mean_ci_95(lats), true};
+PointResult run_transient(const SimConfig& cfg, const TransientConfig& tc) {
+  const std::vector<PointResult> replicas =
+      parallel_map(tc.replicas, tc.jobs, [&](std::size_t r) {
+        return transient_replica(cfg, tc, cfg.seed + r, r == 0);
+      });
+  return reduce_transient(replicas);
 }
-
-namespace {
-
-/// One windowed replica: per-window latency means plus the replica's
-/// failure-information counters (zero when the observer is disarmed).
-struct WindowedReplica {
-  std::vector<double> means;  // empty = failed to drain / empty window
-  std::uint64_t suspicions = 0;
-  std::uint64_t view_changes = 0;
-  std::uint64_t corruption_detected = 0;
-  obs::QosMeasured qos;
-};
-
-WindowedReplica windowed_replica(SimConfig cfg, const WindowedConfig& wc,
-                                 std::uint64_t seed) {
-  cfg.seed = seed;
-  SimRun run(cfg, WorkloadConfig{.throughput = wc.throughput});
-  run.start();
-
-  auto& sched = run.system().scheduler();
-  const double step = 250.0;
-  sched.run_until(wc.t_end);
-  run.workload().stop();
-
-  WindowedReplica out;
-  // Drain: every message of the horizon must be delivered somewhere.
-  const sim::Time drain_deadline = wc.t_end + wc.drain_ms;
-  while (run.recorder().undelivered_in_window(0.0, wc.t_end) > 0) {
-    if (sched.now() > drain_deadline) return out;
-    sched.run_until(sched.now() + step);
-  }
-
-  out.means.reserve(wc.windows.size());
-  for (const auto& [from, to] : wc.windows) {
-    const util::RunningStats stats = run.recorder().window_stats(from, to);
-    if (stats.count() == 0) {
-      out.means.clear();
-      return out;  // empty window: nothing to report
-    }
-    out.means.push_back(stats.mean());
-  }
-  if (obs::Observer* o = run.observer()) {
-    out.suspicions = o->total(obs::Counter::kSuspicions);
-    out.view_changes = o->total(obs::Counter::kViewChanges);
-    out.corruption_detected = o->total(obs::Counter::kCorruptionDetected);
-    out.qos = o->qos_measured();
-  }
-  return out;
-}
-
-}  // namespace
 
 WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc) {
-  const std::vector<WindowedReplica> outcomes =
+  const std::vector<WindowedResult> replicas =
       parallel_map(wc.replicas, wc.jobs, [&](std::size_t r) {
-        return windowed_replica(cfg, wc, cfg.seed + r);
+        return windowed_replica(cfg, wc, r);
       });
 
   WindowedResult out;
   std::vector<std::vector<double>> per_window(wc.windows.size());
-  for (const auto& rep : outcomes) {
-    const auto& means = rep.means;
-    if (means.empty()) {
+  for (const WindowedResult& rep : replicas) {
+    out.stats.merge(rep.stats);
+    if (!rep.stable) {
       out.stable = false;
       continue;
     }
-    out.suspicions += rep.suspicions;
-    out.view_changes += rep.view_changes;
-    out.corruption_detected += rep.corruption_detected;
-    out.qos += rep.qos;
-    for (std::size_t w = 0; w < means.size(); ++w) per_window[w].push_back(means[w]);
+    for (std::size_t w = 0; w < rep.windows.size(); ++w)
+      per_window[w].push_back(rep.windows[w].mean);
   }
   // Same reporting rule as run_steady: a clear majority of replicas must
   // have converged.
@@ -287,7 +272,7 @@ WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc) {
   return out;
 }
 
-TransientResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig tc) {
+PointResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig tc) {
   // Flatten the (sender, replica) grid into one index space so a single
   // fan-out keeps all workers busy across sender boundaries.
   std::vector<net::ProcessId> senders;
@@ -295,28 +280,25 @@ TransientResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig
     if (q != tc.crash) senders.push_back(q);
 
   const std::size_t grid = senders.size() * tc.replicas;
-  const std::vector<double> raw = parallel_map(grid, tc.jobs, [&](std::size_t i) {
+  const std::vector<PointResult> raw = parallel_map(grid, tc.jobs, [&](std::size_t i) {
     TransientConfig per = tc;
     per.sender = senders[i / tc.replicas];
-    return transient_replica(cfg, per, cfg.seed + i % tc.replicas);
+    return transient_replica(cfg, per, cfg.seed + i % tc.replicas, i == 0);
   });
 
-  // Reduce per sender, in sender order — exactly the sequential semantics.
-  TransientResult worst{util::MeanCi{}, true};
-  bool first = true;
+  // Reduce per sender, in sender order — exactly the sequential semantics;
+  // the statistics cover the whole grid.
+  PointResult worst;
   for (std::size_t s = 0; s < senders.size(); ++s) {
-    std::vector<double> lats;
-    for (std::size_t r = 0; r < tc.replicas; ++r) {
-      const double L = raw[s * tc.replicas + r];
-      if (L < 0) return TransientResult{util::MeanCi{std::nan(""), 0.0, 0}, false};
-      lats.push_back(L);
-    }
-    const TransientResult res{util::mean_ci_95(lats), true};
-    if (first || res.latency.mean > worst.latency.mean) {
+    const PointResult res = reduce_transient(std::span(raw).subspan(s * tc.replicas, tc.replicas));
+    if (!res.stable) {
       worst = res;
-      first = false;
+      break;
     }
+    if (s == 0 || res.latency.mean > worst.latency.mean) worst = res;
   }
+  worst.stats = {};
+  for (const PointResult& r : raw) worst.stats.merge(r.stats);
   return worst;
 }
 

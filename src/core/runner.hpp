@@ -4,8 +4,9 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -37,55 +38,59 @@ struct SteadyConfig {
   std::size_t jobs = 1;
 };
 
-struct PointResult {
-  util::MeanCi latency;  // over replica means, ms
-  bool stable = true;    // false: saturated / did not converge
-  std::size_t total_samples = 0;
-  /// Scheduler events executed, summed over every replica (unstable ones
-  /// included — they cost wall-clock too).  Dividing by the point's wall
-  /// time gives the events/sec throughput of the simulator itself, which
-  /// is what the scale_throughput scenarios and --profile report.
-  std::uint64_t events = 0;
-  /// Simulated milliseconds, summed over every replica — the denominator
-  /// for "per simulated second" rates (retransmissions/sec).
-  double sim_ms = 0.0;
-  /// Retransmission-transport counters summed over the replicas; all zero
-  /// when SimConfig::transport is off (or the run saw no loss).
+/// Statistics of one replica run, or their sum over a point (merge()).
+/// Run-cost fields (events .. shed) come from every replica, unstable ones
+/// included; observer-derived fields (counters .. drops) only from a
+/// replica that drained with no empty window, and stay zero unless
+/// SimConfig::obs is armed (causes: unless obs.causal is on too).
+struct RunStats {
+  std::uint64_t events = 0;  // scheduler events; / wall time = events/sec
+  double sim_ms = 0.0;       // denominator of per-simulated-second rates
+  /// Transport counters (zero without SimConfig::transport or loss).
+  /// retx_origin0 counts retransmissions originated by process 0, the GM
+  /// sequencer: retx_origin0 / retransmits is the lossy scenarios'
+  /// sequencer-concentration metric.
   std::uint64_t retransmits = 0;
   std::uint64_t dup_suppressed = 0;
-  /// Workload counters summed over the replicas: arrivals submitted and
-  /// arrivals shed by flow control (can_submit() false; always 0 with
-  /// batching off).  shed / (generated + shed) is the goodput loss of an
-  /// overloaded point.
+  std::uint64_t retx_origin0 = 0;
+  /// Workload arrivals submitted / shed by flow control (batching only).
   std::uint64_t generated = 0;
   std::uint64_t shed = 0;
-  /// Retransmissions whose original sender is process 0 — the GM
-  /// sequencer in a steady run.  retx_origin0 / retransmits is the
-  /// sequencer-concentration metric of the lossy scenarios.  Tracked by
-  /// the transport itself, so it needs no armed observer.
-  std::uint64_t retx_origin0 = 0;
-  /// Phase-latency decomposition summed over the replicas' measurement
-  /// windows; all zero unless SimConfig::obs is armed.  Dividing each sum
-  /// by phase_count gives the per-message mean of that phase, and the
-  /// three means add up to the end-to-end delivery latency.
-  std::size_t phase_count = 0;
-  double phase_submit_ms = 0.0;
-  double phase_order_ms = 0.0;
-  double phase_deliver_ms = 0.0;
-  /// End-to-end latency quantiles over every delivery the armed observer
-  /// saw across the converged replicas; NaN unless SimConfig::obs is
-  /// armed (the per-replica histograms share binning, so they merge).
-  double lat_p50 = std::nan("");
-  double lat_p99 = std::nan("");
-  /// Per-cause critical-path sums (ms) over the messages of the
-  /// measurement windows; all zero unless SimConfig::obs.causal is on.
-  /// cause_ms[c] / cause_count is the mean per-message time attributed to
-  /// cause c, and the per-cause means add up to the end-to-end mean.
-  std::size_t cause_count = 0;
-  std::array<double, obs::kCauseCount> cause_ms{};
-  /// Empirical FD QoS aggregates summed over the replicas (zero unless
-  /// SimConfig::obs is armed); see obs::QosMeasured for the means.
-  obs::QosMeasured qos;
+  /// The observer's counter registry summed over nodes (see counter()).
+  std::array<std::uint64_t, obs::kCounterCount> counters{};
+  /// Phase and critical-path cause sums over the measurement window; each
+  /// sum / count is a per-message mean, and the means add up to the
+  /// end-to-end mean.
+  obs::PhaseTotals phases;
+  obs::CauseTotals causes;
+  obs::QosMeasured qos;  // empirical FD QoS aggregates
+  /// End-to-end latency of every observed delivery (replicas share
+  /// SimConfig::obs binning, so they merge).
+  std::optional<util::Histogram> e2e;
+  /// Spans, causal edges and metrics snapshots the observer's full
+  /// flight-recorder slabs dropped.
+  std::uint64_t spans_dropped = 0;
+  std::uint64_t edges_dropped = 0;
+  std::uint64_t snapshots_dropped = 0;
+
+  [[nodiscard]] std::uint64_t counter(obs::Counter c) const {
+    return counters[static_cast<std::size_t>(c)];
+  }
+  /// q-quantile of e2e; NaN when no delivery was observed.
+  [[nodiscard]] double e2e_quantile(double q) const;
+  /// Adds every field of `o`; throws std::invalid_argument (before
+  /// changing anything) when the histograms' binning differs.
+  RunStats& merge(const RunStats& o);
+  bool operator==(const RunStats&) const = default;
+};
+
+/// One point of any runner: the latency over replica means, ms (95% CI),
+/// and the replicas' merged statistics.
+struct PointResult {
+  util::MeanCi latency;
+  bool stable = true;  // false: saturated / did not converge
+  std::size_t total_samples = 0;
+  RunStats stats;
 };
 
 /// Steady-state scenarios.  `initial_crashes` are crashed at t=0 (use
@@ -105,18 +110,13 @@ struct TransientConfig {
   std::size_t jobs = 1;
 };
 
-struct TransientResult {
-  util::MeanCi latency;  // of the probe message, ms
-  bool stable = true;
-};
-
 /// Crash-transient scenario: p crashes at tc and q A-broadcasts m at tc;
 /// reports the mean latency of m over the replicas.
-TransientResult run_transient(const SimConfig& cfg, const TransientConfig& tc);
+PointResult run_transient(const SimConfig& cfg, const TransientConfig& tc);
 
 /// Max over senders q != crash of run_transient, the paper's L_crash
 /// definition restricted to a fixed crashed process.
-TransientResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig tc);
+PointResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig tc);
 
 /// Windowed scenario runner for faulted workloads (partitions, churn,
 /// storms): runs the workload to a fixed horizon, drains, and reports the
@@ -144,21 +144,7 @@ struct WindowedResult {
   /// One entry per window, aggregated over replica means (95% CI).
   std::vector<util::MeanCi> windows;
   bool stable = true;
-  /// Empirical FD QoS aggregates summed over the converged replicas; all
-  /// zero unless SimConfig::obs is armed.  The qos_accuracy scenario
-  /// divides these into measured T_D / T_M / T_MR and compares them to
-  /// the configured Chen-Toueg targets.
-  obs::QosMeasured qos;
-  /// Failure-information counters summed over the converged replicas; all
-  /// zero unless SimConfig::obs is armed.  The gray-failure scenarios
-  /// read these to decompose *why* the two stacks react differently to a
-  /// degraded-but-alive process: FD pays in suspicion churn, GM pays in
-  /// membership view changes.
-  std::uint64_t suspicions = 0;
-  std::uint64_t view_changes = 0;
-  /// Checksum-failed frames dropped at receivers, summed over converged
-  /// replicas (transport verify + final-delivery verify paths).
-  std::uint64_t corruption_detected = 0;
+  RunStats stats;  // merged over the replicas
 };
 
 WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc);

@@ -158,6 +158,8 @@ struct MsgCausal {
 struct CauseTotals {
   std::size_t count = 0;
   std::array<double, kCauseCount> sums{};
+
+  bool operator==(const CauseTotals&) const = default;
 };
 
 }  // namespace fdgm::obs

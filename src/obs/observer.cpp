@@ -1,29 +1,11 @@
 #include "obs/observer.hpp"
 
 #include <cmath>
-#include <filesystem>
 #include <iomanip>
-#include <fstream>
-#include <iostream>
 #include <limits>
-#include <mutex>
 #include <ostream>
 
 namespace fdgm::obs {
-
-namespace {
-
-// Process-global export claim (see Observer::set_export_paths).  The bench
-// driver forces --jobs 1 when exports are requested, so no worker thread
-// races the first armed Observer for the claim; the mutex is belt and
-// braces for embedders that arm exports with parallel replicas anyway.
-std::mutex g_export_mu;
-std::string g_trace_path;             // NOLINT(runtime/string)
-std::string g_metrics_path;           // NOLINT(runtime/string)
-std::string g_metrics_per_node_path;  // NOLINT(runtime/string)
-std::string g_critical_path_path;     // NOLINT(runtime/string)
-
-}  // namespace
 
 const char* counter_name(Counter c) {
   switch (c) {
@@ -72,32 +54,6 @@ Observer::Observer(int num_processes, Config cfg)
   }
   qos_pairs_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), QosPair{});
   qos_targets_.assign(static_cast<std::size_t>(n_), QosTarget{});
-  std::lock_guard<std::mutex> lock(g_export_mu);
-  if (!g_trace_path.empty() || !g_metrics_path.empty() || !g_metrics_per_node_path.empty() ||
-      !g_critical_path_path.empty()) {
-    trace_path_ = std::move(g_trace_path);
-    metrics_path_ = std::move(g_metrics_path);
-    metrics_per_node_path_ = std::move(g_metrics_per_node_path);
-    critical_path_path_ = std::move(g_critical_path_path);
-    g_trace_path.clear();
-    g_metrics_path.clear();
-    g_metrics_per_node_path.clear();
-    g_critical_path_path.clear();
-  }
-}
-
-Observer::~Observer() {
-  if (claimed_export()) flush_export();
-}
-
-void Observer::set_export_paths(std::string trace_path, std::string metrics_path,
-                                std::string metrics_per_node_path,
-                                std::string critical_path_path) {
-  std::lock_guard<std::mutex> lock(g_export_mu);
-  g_trace_path = std::move(trace_path);
-  g_metrics_path = std::move(metrics_path);
-  g_metrics_per_node_path = std::move(metrics_per_node_path);
-  g_critical_path_path = std::move(critical_path_path);
 }
 
 // ---------------------------------------------------------------- lifecycle
@@ -479,35 +435,6 @@ void Observer::write_metrics_per_node_csv(std::ostream& os) const {
       for (std::size_t c = 0; c < kCounterCount; ++c) os << ',' << row[c];
       os << '\n';
     }
-  }
-}
-
-void Observer::flush_export() const {
-  auto open = [](const std::string& path) -> std::ofstream {
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);
-      if (ec) {
-        std::cerr << "obs: cannot create directory " << parent.string() << ": " << ec.message()
-                  << '\n';
-      }
-    }
-    std::ofstream file(path);
-    if (!file) std::cerr << "obs: cannot write " << path << '\n';
-    return file;
-  };
-  if (!trace_path_.empty()) {
-    if (auto file = open(trace_path_)) write_trace_json(file);
-  }
-  if (!metrics_path_.empty()) {
-    if (auto file = open(metrics_path_)) write_metrics_csv(file);
-  }
-  if (!metrics_per_node_path_.empty()) {
-    if (auto file = open(metrics_per_node_path_)) write_metrics_per_node_csv(file);
-  }
-  if (!critical_path_path_.empty()) {
-    if (auto file = open(critical_path_path_)) write_critical_path_csv(file);
   }
 }
 

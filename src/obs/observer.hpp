@@ -40,7 +40,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "obs/causal.hpp"
@@ -48,6 +47,8 @@
 #include "util/histogram.hpp"
 
 namespace fdgm::obs {
+
+class ExportSink;
 
 /// Arming + sizing knobs (core::SimConfig::obs).
 struct Config {
@@ -78,6 +79,10 @@ struct Config {
   /// Range/bin count of the per-phase latency histograms (ms).
   double histogram_max_ms = 5000.0;
   std::size_t histogram_bins = 250;
+  /// Where the runner writes the exports of replica 0 after its run (the
+  /// --trace/--metrics/--critical-path files); null: no export.  The sink
+  /// is write-once, so only the first such replica is exported.
+  ExportSink* sink = nullptr;
 };
 
 /// One message's lifecycle (timestamps in simulated ms; -1 = not seen).
@@ -99,6 +104,8 @@ struct PhaseTotals {
   double submit_wait_ms = 0.0;  // sum over messages: order_start - submit
   double ordering_ms = 0.0;     // sum: ordered - order_start
   double delivery_ms = 0.0;     // sum: delivered - ordered
+
+  bool operator==(const PhaseTotals&) const = default;
 };
 
 /// Empirical Chen-Toueg-Aguilera QoS aggregates of the armed failure
@@ -129,6 +136,7 @@ struct QosMeasured {
     tmr_sum_ms += o.tmr_sum_ms;
     return *this;
   }
+  bool operator==(const QosMeasured&) const = default;
 };
 
 class Observer {
@@ -137,7 +145,6 @@ class Observer {
 
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
-  ~Observer();
 
   // ---- lifecycle hooks (hot path; allocation-free, first-write-wins) ----
   void on_submit(int origin, std::uint64_t seq, double now);
@@ -222,24 +229,9 @@ class Observer {
   /// Per-message rows followed by an aggregate per-cause summary block.
   void write_critical_path_csv(std::ostream& os) const;
 
-  // ---- process-global export claiming (fdgm_bench --trace/--metrics) ----
-  /// Arms the claim: the next armed Observer constructed in this process
-  /// becomes the exporter and writes the files when it is destroyed.
-  /// Empty path = that export is off.  The bench driver forces --jobs 1
-  /// alongside, so the claimant is deterministically the first replica of
-  /// the first point of the first selected scenario.
-  static void set_export_paths(std::string trace_path, std::string metrics_path,
-                               std::string metrics_per_node_path = "",
-                               std::string critical_path_path = "");
-  [[nodiscard]] bool claimed_export() const {
-    return !trace_path_.empty() || !metrics_path_.empty() ||
-           !metrics_per_node_path_.empty() || !critical_path_path_.empty();
-  }
-
  private:
   [[nodiscard]] Span* find(int origin, std::uint64_t seq);
   void roll_window(double now);
-  void flush_export() const;
 
   int n_;
   Config cfg_;
@@ -285,11 +277,6 @@ class Observer {
   std::vector<std::array<std::uint64_t, kCounterCount>> node_snapshots_;
   std::uint64_t snapshots_dropped_ = 0;
   double next_window_;
-
-  std::string trace_path_;    // non-empty: this observer exports on destruction
-  std::string metrics_path_;
-  std::string metrics_per_node_path_;
-  std::string critical_path_path_;
 };
 
 }  // namespace fdgm::obs

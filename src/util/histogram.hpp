@@ -41,6 +41,9 @@ class Histogram {
   /// Simple ASCII rendering (one line per non-empty bucket).
   [[nodiscard]] std::string render(std::size_t width = 50) const;
 
+  /// Same binning and the same counts.
+  bool operator==(const Histogram&) const = default;
+
  private:
   double lo_;
   double hi_;

@@ -2,11 +2,12 @@
 // binary next to the test (built in the same tree; the tests skip
 // gracefully when the bench target was not built).
 //
-// The contract under test: --trace/--metrics/--critical-path silently
-// force --jobs 1 (the export claimant must be deterministic), and the
-// stderr warning appears ONLY when the user explicitly passed a
-// conflicting --jobs N — an implicit default must not warn.  Malformed
-// command lines exit 2 before any simulation runs.
+// The contract under test: --trace/--metrics/--critical-path export
+// replica 0 of the first point of the first selected scenario at any
+// --jobs value, so the export files are byte-identical across job counts
+// and no job count is ever overridden.  Export paths are opened before
+// any simulation runs: an unwritable one exits 2.  Malformed command
+// lines exit 2 before any simulation runs.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -59,14 +60,24 @@ CliResult run_bench(const std::string& args) {
 
 TEST(BenchCli, ExplicitJobsWithExportWarnsAndOverrides) {
   if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
-  const auto trace = std::filesystem::temp_directory_path() / "cli_trace.json";
-  const CliResult r = run_bench("critical_path --set quick=1 --jobs 4 --trace " +
-                                trace.string());
-  EXPECT_EQ(r.status, 0);
-  EXPECT_NE(r.err.find("force --jobs 1"), std::string::npos) << r.err;
-  EXPECT_NE(r.err.find("--jobs 4"), std::string::npos) << r.err;
-  EXPECT_TRUE(std::filesystem::exists(trace));
-  std::filesystem::remove(trace);
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(static_cast<long>(::getpid()));
+  const auto trace1 = dir / ("cli_trace_j1_" + tag + ".json");
+  const auto trace4 = dir / ("cli_trace_j4_" + tag + ".json");
+  const CliResult r1 = run_bench("critical_path --set quick=1 --jobs 1 --trace " +
+                                 trace1.string());
+  const CliResult r4 = run_bench("critical_path --set quick=1 --jobs 4 --trace " +
+                                 trace4.string());
+  EXPECT_EQ(r1.status, 0);
+  EXPECT_EQ(r4.status, 0);
+  // --jobs 4 is honoured silently and exports the replica --jobs 1 does.
+  EXPECT_EQ(r4.err.find("force --jobs 1"), std::string::npos) << r4.err;
+  EXPECT_EQ(r4.out, r1.out);
+  const std::string t1 = slurp(trace1);
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(slurp(trace4), t1);
+  std::filesystem::remove(trace1);
+  std::filesystem::remove(trace4);
 }
 
 TEST(BenchCli, DefaultJobsWithExportStaysSilent) {
@@ -111,6 +122,27 @@ TEST(BenchCli, MetricsPerNodeExportHasNodeColumn) {
   const std::string content = slurp(csv);
   EXPECT_EQ(content.rfind("t_ms,node,", 0), 0u);
   std::filesystem::remove(csv);
+}
+
+// Export paths are opened before anything runs: a path whose directory
+// cannot be created (under /proc, or below a regular file) exits 2 with a
+// message naming it, and no scenario output is produced.
+TEST(BenchCli, UnwritableExportPathExits2) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  const CliResult proc = run_bench("critical_path --set quick=1 --trace /proc/nope/t.json");
+  EXPECT_EQ(proc.status, 2) << proc.err;
+  EXPECT_NE(proc.err.find("/proc/nope"), std::string::npos) << proc.err;
+  EXPECT_EQ(proc.out, "");
+
+  const auto file = std::filesystem::temp_directory_path() /
+                    ("cli_regular_" + std::to_string(static_cast<long>(::getpid())));
+  std::ofstream(file) << "x";
+  const std::string below = (file / "cp.csv").string();
+  const CliResult nested = run_bench("critical_path --set quick=1 --critical-path " + below);
+  EXPECT_EQ(nested.status, 2) << nested.err;
+  EXPECT_NE(nested.err.find(below), std::string::npos) << nested.err;
+  EXPECT_EQ(nested.out, "");
+  std::filesystem::remove(file);
 }
 
 // --set integers are plain digit runs: strtoull alone would wrap a

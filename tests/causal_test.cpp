@@ -4,12 +4,17 @@
 // flight-recorder determinism of the edge slabs, the critical-path
 // walker's attribution semantics
 // (exact sums, claim priorities, phase defaults), the empirical FD QoS
-// meter, and the shape of the critical-path CSV export.
+// meter, the shape of the critical-path CSV export and the drop footer of
+// a truncated export.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -17,6 +22,8 @@
 
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
+#include "core/runner.hpp"
+#include "obs/export_sink.hpp"
 #include "obs/observer.hpp"
 
 namespace fdgm::core {
@@ -441,6 +448,74 @@ TEST(CausalCsv, CriticalPathCsvShape) {
   EXPECT_NE(csv.find("\n0,1,0,3,3,"), std::string::npos);
   EXPECT_NE(csv.find("# cause,sum_ms,p50_ms,p99_ms over 1 messages"), std::string::npos);
   EXPECT_NE(csv.find("# consensus_round,1,"), std::string::npos);
+}
+
+/// Runs one armed steady replica of a causal GM run whose exports go to
+/// `dir`; returns the run's statistics.  `edge_capacity` 64 overflows the
+/// edge slabs like the undersized-slab cases above.
+RunStats export_run(const std::filesystem::path& dir, std::size_t edge_capacity,
+                    std::ostream& warn) {
+  obs::ExportSink sink({(dir / "trace.json").string(), (dir / "metrics.csv").string(),
+                        (dir / "per_node.csv").string(), (dir / "cp.csv").string()},
+                       warn);
+  SimConfig cfg;
+  cfg.algorithm = Algorithm::kGm;
+  cfg.n = 5;
+  cfg.seed = 424242;
+  cfg.obs.enabled = true;
+  cfg.obs.causal = true;
+  cfg.obs.per_node_metrics = true;
+  cfg.obs.edge_capacity = edge_capacity;
+  cfg.obs.sink = &sink;
+  SteadyConfig sc;
+  sc.throughput = 100.0;
+  sc.warmup_ms = 500.0;
+  sc.samples = 80;
+  sc.replicas = 1;  // the exported replica is the whole point
+  const PointResult r = run_steady(cfg, sc);
+  EXPECT_TRUE(r.stable);
+  EXPECT_TRUE(sink.written());
+  return r.stats;
+}
+
+std::string last_line(std::string text) {
+  while (!text.empty() && text.back() == '\n') text.pop_back();
+  return text.substr(text.rfind('\n') + 1);
+}
+
+std::string slurp(const std::filesystem::path& p) {
+  std::ifstream f(p);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+// A truncated export is never silent: every CSV export ends with the drop
+// counts and the sink warns once; the JSON trace gets only the warning.
+// An export without drops carries neither.
+TEST(CausalExport, TruncatedExportCarriesDropFooterAndWarning) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("fdgm_export_" + std::to_string(static_cast<long>(::getpid())));
+  std::ostringstream warn;
+  const RunStats st = export_run(dir, 64, warn);
+  ASSERT_GT(st.edges_dropped, 0u);
+  const std::string footer = "# dropped spans=" + std::to_string(st.spans_dropped) +
+                             ",edges=" + std::to_string(st.edges_dropped) +
+                             ",snapshots=" + std::to_string(st.snapshots_dropped);
+  for (const char* csv : {"metrics.csv", "per_node.csv", "cp.csv"})
+    EXPECT_EQ(last_line(slurp(dir / csv)), footer) << csv;
+  EXPECT_EQ(slurp(dir / "trace.json").find("# dropped"), std::string::npos);
+  EXPECT_NE(warn.str().find("edges=" + std::to_string(st.edges_dropped)), std::string::npos)
+      << warn.str();
+  EXPECT_EQ(warn.str().find("obs:"), warn.str().rfind("obs:")) << "one warning";
+
+  std::ostringstream quiet;
+  const RunStats full = export_run(dir, 65536, quiet);
+  EXPECT_EQ(full.edges_dropped + full.spans_dropped + full.snapshots_dropped, 0u);
+  EXPECT_EQ(quiet.str(), "");
+  for (const char* file : {"trace.json", "metrics.csv", "per_node.csv", "cp.csv"})
+    EXPECT_EQ(slurp(dir / file).find("# dropped"), std::string::npos) << file;
+  std::filesystem::remove_all(dir);
 }
 
 // End-to-end exactness at the stack level: every walked message of a

@@ -1,9 +1,13 @@
 // Tests of the experiment engine: Poisson workload statistics, the latency
-// recorder, SimRun wiring and determinism.
+// recorder, SimRun wiring, determinism and the RunStats reduction.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "core/latency_recorder.hpp"
+#include "core/runner.hpp"
 #include "core/workload.hpp"
 #include "util/stats.hpp"
 
@@ -152,6 +156,69 @@ TEST(SimRun, AlgorithmNames) {
   EXPECT_STREQ(algorithm_name(Algorithm::kFd), "FD");
   EXPECT_STREQ(algorithm_name(Algorithm::kGm), "GM");
   EXPECT_STREQ(algorithm_name(Algorithm::kGmNonUniform), "GM-nonuniform");
+}
+
+/// Every RunStats field set to k times a per-field base value (the e2e
+/// histogram holds k samples), so filled(a).merge(filled(b)) must equal
+/// filled(a + b) field for field.
+RunStats filled(int k) {
+  const auto u = static_cast<std::uint64_t>(k);
+  const double d = static_cast<double>(k);
+  RunStats s;
+  s.events = 1 * u;
+  s.sim_ms = 1.5 * d;
+  s.retransmits = 2 * u;
+  s.dup_suppressed = 3 * u;
+  s.retx_origin0 = 4 * u;
+  s.generated = 5 * u;
+  s.shed = 6 * u;
+  for (std::size_t c = 0; c < s.counters.size(); ++c) s.counters[c] = (7 + c) * u;
+  s.phases = obs::PhaseTotals{8 * u, 0.25 * d, 0.5 * d, 0.75 * d};
+  s.causes.count = 9 * u;
+  for (std::size_t c = 0; c < s.causes.sums.size(); ++c)
+    s.causes.sums[c] = static_cast<double>(c + 1) * 0.125 * d;
+  s.qos = obs::QosMeasured{10 * u, 11 * u, 2.5 * d, 12 * u, 13 * u, 3.5 * d, 14 * u, 4.5 * d};
+  s.e2e = util::Histogram(0.0, 100.0, 10);
+  for (int i = 0; i < k; ++i) s.e2e->add(42.0);
+  s.spans_dropped = 15 * u;
+  s.edges_dropped = 16 * u;
+  s.snapshots_dropped = 17 * u;
+  return s;
+}
+
+TEST(RunStats, MergeSumsEveryField) {
+  RunStats merged = filled(1);
+  merged.merge(filled(2));
+  EXPECT_EQ(merged, filled(3));
+  EXPECT_EQ(merged.counter(obs::Counter::kViewChanges),
+            3 * (7 + static_cast<std::uint64_t>(obs::Counter::kViewChanges)));
+  EXPECT_EQ(merged.e2e->count(), 3u);
+  // Merging into an empty record copies the histogram.
+  EXPECT_EQ(RunStats{}.merge(filled(2)), filled(2));
+  // A replica without an armed observer leaves the histogram untouched.
+  EXPECT_EQ(filled(2).merge(RunStats{}).e2e, filled(2).e2e);
+  EXPECT_TRUE(std::isnan(RunStats{}.e2e_quantile(0.5)));
+
+  // Histograms with shared binning merge bin by bin.
+  RunStats a;
+  a.e2e = util::Histogram(0.0, 100.0, 10);
+  a.e2e->add(5.0);
+  RunStats b;
+  b.e2e = util::Histogram(0.0, 100.0, 10);
+  b.e2e->add(95.0);
+  b.e2e->add(95.0);
+  b.e2e->add(95.0);
+  a.merge(b);
+  EXPECT_EQ(a.e2e->count(), 4u);
+  EXPECT_GT(a.e2e_quantile(0.5), 90.0);
+  EXPECT_LT(a.e2e_quantile(0.1), 10.0);
+
+  // Mismatched binning throws before any field is summed.
+  RunStats wider = filled(1);
+  wider.e2e = util::Histogram(0.0, 200.0, 10);
+  const RunStats before = a;
+  EXPECT_THROW(a.merge(wider), std::invalid_argument);
+  EXPECT_EQ(a, before);
 }
 
 }  // namespace

@@ -443,6 +443,7 @@ TEST(Determinism, FaultedScenarioIsBitIdenticalAcrossJobs) {
       EXPECT_EQ(results[i].windows[w].half_width, results[0].windows[w].half_width);
       EXPECT_EQ(results[i].windows[w].n, results[0].windows[w].n);
     }
+    EXPECT_EQ(results[i].stats, results[0].stats);
   }
 }
 

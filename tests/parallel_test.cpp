@@ -110,6 +110,7 @@ TEST(RunnerParallel, SteadyIdenticalAcrossJobCounts) {
   SimConfig cfg;
   cfg.n = 3;
   cfg.seed = 42;
+  cfg.obs.enabled = true;  // passive; fills the observer-derived stats
   const PointResult seq = run_steady(cfg, small_steady(1));
   ASSERT_TRUE(seq.stable);
   for (std::size_t jobs : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
@@ -120,7 +121,10 @@ TEST(RunnerParallel, SteadyIdenticalAcrossJobCounts) {
     EXPECT_EQ(seq.latency.mean, par.latency.mean) << "jobs=" << jobs;
     EXPECT_EQ(seq.latency.half_width, par.latency.half_width) << "jobs=" << jobs;
     EXPECT_EQ(seq.total_samples, par.total_samples) << "jobs=" << jobs;
+    EXPECT_EQ(seq.stats, par.stats) << "jobs=" << jobs;
   }
+  EXPECT_GT(seq.stats.events, 0u);
+  EXPECT_GT(seq.stats.phases.count, 0u);
 }
 
 TEST(RunnerParallel, TransientIdenticalAcrossJobCounts) {
@@ -132,10 +136,10 @@ TEST(RunnerParallel, TransientIdenticalAcrossJobCounts) {
   tc.throughput = 50.0;
   tc.replicas = 6;
   tc.jobs = 1;
-  const TransientResult seq = run_transient(cfg, tc);
+  const PointResult seq = run_transient(cfg, tc);
   ASSERT_TRUE(seq.stable);
   tc.jobs = 4;
-  const TransientResult par = run_transient(cfg, tc);
+  const PointResult par = run_transient(cfg, tc);
   ASSERT_TRUE(par.stable);
   EXPECT_EQ(seq.latency.mean, par.latency.mean);
   EXPECT_EQ(seq.latency.half_width, par.latency.half_width);
@@ -151,10 +155,10 @@ TEST(RunnerParallel, WorstSenderIdenticalAcrossJobCounts) {
   tc.replicas = 4;
   tc.crash = 0;
   tc.jobs = 1;
-  const TransientResult seq = run_transient_worst_sender(cfg, tc);
+  const PointResult seq = run_transient_worst_sender(cfg, tc);
   ASSERT_TRUE(seq.stable);
   tc.jobs = 4;
-  const TransientResult par = run_transient_worst_sender(cfg, tc);
+  const PointResult par = run_transient_worst_sender(cfg, tc);
   ASSERT_TRUE(par.stable);
   EXPECT_EQ(seq.latency.mean, par.latency.mean);
   EXPECT_EQ(seq.latency.half_width, par.latency.half_width);

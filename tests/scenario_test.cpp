@@ -164,8 +164,8 @@ TEST(Scenario, CrashTransientFdBeatsGm) {
     tc.replicas = 8;
     tc.crash = 0;
     tc.sender = 1;
-    const TransientResult fd = run_transient(fd_cfg, tc);
-    const TransientResult gm = run_transient(gm_cfg, tc);
+    const PointResult fd = run_transient(fd_cfg, tc);
+    const PointResult gm = run_transient(gm_cfg, tc);
     ASSERT_TRUE(fd.stable && gm.stable) << td;
     EXPECT_LT(fd.latency.mean, gm.latency.mean) << "TD=" << td;
     // Latency always exceeds the detection time.
@@ -182,7 +182,7 @@ TEST(Scenario, CrashTransientOverheadIsModest) {
   TransientConfig tc;
   tc.throughput = 50.0;
   tc.replicas = 8;
-  const TransientResult t = run_transient(cfg, tc);
+  const PointResult t = run_transient(cfg, tc);
   const PointResult steady = run_steady(base(Algorithm::kFd, 3), quick_steady(50.0));
   ASSERT_TRUE(t.stable && steady.stable);
   const double overhead = t.latency.mean - 10.0;
@@ -196,11 +196,11 @@ TEST(Scenario, TransientWorstSenderPicksMaximum) {
   tc.throughput = 50.0;
   tc.replicas = 4;
   tc.crash = 0;
-  const TransientResult worst = run_transient_worst_sender(cfg, tc);
+  const PointResult worst = run_transient_worst_sender(cfg, tc);
   ASSERT_TRUE(worst.stable);
   for (net::ProcessId q : {1, 2}) {
     tc.sender = q;
-    const TransientResult r = run_transient(cfg, tc);
+    const PointResult r = run_transient(cfg, tc);
     EXPECT_LE(r.latency.mean, worst.latency.mean + 1e-9);
   }
 }
