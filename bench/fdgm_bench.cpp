@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
@@ -62,16 +62,26 @@ const std::vector<ParamSpec>& driver_params() {
   return specs;
 }
 
-/// Peak resident set size of this process in MB (0 when unavailable).
+/// Peak resident set of this process image in MB (0 when unavailable).
+/// On Linux it is VmHWM: getrusage's ru_maxrss is carried across execve
+/// there, so a child of a large parent would report the parent's peak.
 double peak_rss_mb() {
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
+  double mb = 0.0;
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long kb = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, f) != nullptr)
+      found = std::sscanf(line, "VmHWM: %lu kB", &kb) == 1;
+    std::fclose(f);
+    if (found) mb = static_cast<double>(kb) / 1024.0;
+  }
+  return mb;
+#elif defined(__APPLE__)
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-#if defined(__APPLE__)
   return static_cast<double>(ru.ru_maxrss) / (1024.0 * 1024.0);  // bytes
-#else
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // kilobytes
-#endif
 #else
   return 0.0;
 #endif
@@ -352,6 +362,7 @@ int run(const Options& opt) {
   ctx.transport.enabled = opt.transport;
   ctx.batching.enabled = opt.batch;
   ctx.profile = opt.profile;
+  ctx.jobs = opt.jobs;
   std::unique_ptr<obs::ExportSink> sink;
   try {
     if (ctx.param_flag("quick")) shrink_for_quick(ctx.budget);
@@ -369,14 +380,6 @@ int run(const Options& opt) {
   } catch (const std::exception& e) {
     std::cerr << "fdgm_bench: " << e.what() << '\n';
     return 2;
-  }
-
-  // One worker pool for the whole invocation: every scenario's fill_rows
-  // reuses the same threads instead of spawning a pool per sweep.
-  std::unique_ptr<core::ThreadPool> pool;
-  if (const std::size_t workers = core::effective_jobs(opt.jobs); workers > 1) {
-    pool = std::make_unique<core::ThreadPool>(workers);
-    ctx.pool = pool.get();
   }
 
   for (const Scenario* s : selected) {

@@ -8,16 +8,11 @@
 // show 0 in steady state (asserted by scheduler_test's allocation
 // harness; the counter here tracks the same property per benchmark run).
 //
-// Builds against Google Benchmark when available, or against the tiny
-// built-in harness in bench/microbench.hpp (-DFDGM_MICROBENCH_FALLBACK,
-// CMake option FDGM_BENCH_FALLBACK), which supports the same API subset
-// plus --benchmark_format=json.  Before/after numbers for the PR-3 event
-// core refactor are recorded in BENCH_pr3.json at the repository root.
-#ifdef FDGM_MICROBENCH_FALLBACK
+// Timed by the built-in harness in bench/microbench.hpp (a Google
+// Benchmark API subset plus --benchmark_format=json).  Before/after
+// numbers for the PR-3 event core refactor are recorded in BENCH_pr3.json
+// at the repository root.
 #include "microbench.hpp"
-#else
-#include <benchmark/benchmark.h>
-#endif
 
 #include <array>
 #include <cstdint>

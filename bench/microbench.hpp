@@ -1,9 +1,8 @@
-// Tiny built-in timing harness: a drop-in subset of the Google Benchmark
-// API (State iteration, BENCHMARK()->Arg() registration, DoNotOptimize,
-// SetItemsProcessed, counters, --benchmark_format=json), so micro_kernel
-// builds and runs on machines without the library.  Selected by the CMake
-// option FDGM_BENCH_FALLBACK (or automatically when the library is not
-// found); the real library remains the default when available.
+// Tiny built-in timing harness for micro_kernel: a subset of the Google
+// Benchmark API (State iteration, BENCHMARK()->Arg() registration,
+// DoNotOptimize, SetItemsProcessed, counters, --benchmark_format=json), so
+// the kernels need no external library and every machine times them the
+// same way.
 //
 // Methodology: each benchmark is calibrated to run for ~0.25 s of wall
 // time (one probe iteration sizes the batch), then timed over the whole

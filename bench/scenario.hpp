@@ -2,8 +2,8 @@
 //
 // Every paper figure (and ablation) registers its sweep once — name, title,
 // figure reference and a function producing one result table — and
-// `fdgm_bench` selects scenarios by name, fans replica runs out across
-// worker threads and renders the table as text, CSV or JSON.  Adding a
+// `fdgm_bench` selects scenarios by name, runs each sweep's rows across
+// --jobs threads (fill_rows) and renders the table as text, CSV or JSON.  Adding a
 // figure means adding one `scenario_*.cpp` file with a registrar; no new
 // main, no new CMake target.
 #pragma once
@@ -42,10 +42,10 @@ struct ScenarioContext {
   BenchBudget budget;
   /// Base seed; replica r of a point uses seed + r exactly as before.
   std::uint64_t seed = 1000;
-  /// Worker pool shared across every fill_rows call of the whole bench
-  /// invocation (one pool per process instead of one per sweep).  Null:
-  /// one worker, rows run in a plain loop.
-  core::ThreadPool* pool = nullptr;
+  /// Threads fill_rows runs a sweep's rows on (--jobs; 0 = one per
+  /// hardware thread, 1 = a plain loop).  Replicas inside a row always
+  /// run one after another.
+  std::size_t jobs = 1;
   /// Extra fault schedule from the CLI (--faults), applied to every
   /// simulation of the sweep on top of whatever the scenario injects.
   /// Events referencing processes outside a run's 0..n-1 are skipped.
@@ -95,7 +95,8 @@ struct ScenarioContext {
     return v;
   }
 
-  /// Comma-separated integer list, each element range-checked.
+  /// Comma-separated list of digit runs (see parse_digits), each element
+  /// range-checked.
   [[nodiscard]] std::vector<int> param_ints(const std::string& key, std::vector<int> def,
                                             int lo, int hi) const {
     auto it = params.find(key);
@@ -105,10 +106,9 @@ struct ScenarioContext {
     std::size_t pos = 0;
     while (pos <= s.size()) {
       const std::size_t comma = std::min(s.find(',', pos), s.size());
-      char* end = nullptr;
-      const std::string tok = s.substr(pos, comma - pos);
-      const long v = std::strtol(tok.c_str(), &end, 10);
-      if (tok.empty() || end == tok.c_str() || *end != '\0' || v < lo || v > hi)
+      std::uint64_t v = 0;
+      if (!parse_digits(s.substr(pos, comma - pos).c_str(), v) ||
+          v > static_cast<std::uint64_t>(hi) || static_cast<int>(v) < lo)
         throw std::invalid_argument("--set " + key + " expects comma-separated integers in [" +
                                     std::to_string(lo) + ", " + std::to_string(hi) +
                                     "], got '" + s + "'");
@@ -156,13 +156,6 @@ struct ScenarioRegistrar {
   explicit ScenarioRegistrar(Scenario s);
 };
 
-/// Shared helper: SteadyConfig from a context.  Replicas inside one point
-/// run sequentially (jobs = 1): the driver parallelises across the sweep's
-/// points instead, which keeps every worker busy without oversubscribing.
-inline core::SteadyConfig steady_from_ctx(double throughput, const ScenarioContext& ctx) {
-  return steady_config(throughput, ctx.budget);
-}
-
 /// Shared helper: SimConfig from a context — seed plus the CLI-level fault
 /// schedule.  Every scenario builds its configs through this so that
 /// `fdgm_bench <scenario> --faults "..."` affects any sweep.
@@ -203,9 +196,9 @@ inline void add_window_cells(std::vector<std::string>& row, const core::Windowed
   }
 }
 
-/// One sweep point = one row job.  The driver fans the jobs out across
-/// the shared pool and appends the rows in declaration order, so the
-/// rendered table is identical for every job count.
+/// One sweep point = one row job.  fill_rows runs the jobs on ctx.jobs
+/// threads and appends the rows in declaration order, so the rendered
+/// table is identical for every job count.
 using RowJob = std::function<std::vector<std::string>()>;
 
 inline void fill_rows(util::Table& table, const ScenarioContext& ctx,
@@ -215,11 +208,9 @@ inline void fill_rows(util::Table& table, const ScenarioContext& ctx,
   // unwritten, so any job count exports the replica one worker would.
   const auto exporting = [&] { return ctx.obs.sink != nullptr && !ctx.obs.sink->written(); };
   std::size_t next = 0;
-  for (; next < rows.size() && (ctx.pool == nullptr || exporting()); ++next)
-    rows[next] = row_jobs[next]();
-  if (next < rows.size())
-    core::parallel_for(*ctx.pool, rows.size() - next,
-                       [&](std::size_t i) { rows[next + i] = row_jobs[next + i](); });
+  for (; next < rows.size() && exporting(); ++next) rows[next] = row_jobs[next]();
+  core::parallel_for(rows.size() - next, ctx.jobs,
+                     [&](std::size_t i) { rows[next + i] = row_jobs[next + i](); });
   for (auto& r : rows) table.add_row(std::move(r));
 }
 

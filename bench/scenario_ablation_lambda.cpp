@@ -15,9 +15,9 @@ util::Table run_lambda(const ScenarioContext& ctx) {
     for (double t : {50.0, 300.0}) {
       jobs.push_back([lambda, t, &ctx] {
         const auto fd = core::run_steady(
-            sim_config_ctx(core::Algorithm::kFd, 3, ctx, lambda), steady_from_ctx(t, ctx));
+            sim_config_ctx(core::Algorithm::kFd, 3, ctx, lambda), steady_config(t, ctx.budget));
         const auto gm = core::run_steady(
-            sim_config_ctx(core::Algorithm::kGm, 3, ctx, lambda), steady_from_ctx(t, ctx));
+            sim_config_ctx(core::Algorithm::kGm, 3, ctx, lambda), steady_config(t, ctx.budget));
         std::vector<std::string> row{"3", util::Table::cell(lambda, 1), util::Table::cell(t, 0)};
         add_point_cells(row, fd);
         add_point_cells(row, gm);

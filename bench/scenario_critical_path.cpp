@@ -50,7 +50,7 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
     for (core::Algorithm algo : {core::Algorithm::kFd, core::Algorithm::kGm}) {
       jobs.push_back([pt, algo, &ctx] {
         const double throughput = throughput_for(pt.n);
-        const core::SteadyConfig sc = steady_from_ctx(throughput, ctx);
+        const core::SteadyConfig sc = steady_config(throughput, ctx.budget);
 
         core::SimConfig cfg = sim_config_ctx(algo, pt.n, ctx);
         cfg.transport.enabled = true;

@@ -14,9 +14,9 @@ util::Table run_fig4(const ScenarioContext& ctx) {
     for (double t : throughput_sweep(n)) {
       jobs.push_back([n, t, &ctx] {
         const auto fd = core::run_steady(sim_config_ctx(core::Algorithm::kFd, n, ctx),
-                                         steady_from_ctx(t, ctx));
+                                         steady_config(t, ctx.budget));
         const auto gm = core::run_steady(sim_config_ctx(core::Algorithm::kGm, n, ctx),
-                                         steady_from_ctx(t, ctx));
+                                         steady_config(t, ctx.budget));
         std::vector<std::string> row{std::to_string(n), util::Table::cell(t, 0)};
         add_point_cells(row, fd);
         add_point_cells(row, gm);

@@ -27,7 +27,7 @@ util::Table run_fig5(const ScenarioContext& ctx) {
           auto gm_cfg = sim_config_ctx(core::Algorithm::kGm, n, ctx);
           fd_cfg.fd_params.detection_time = 0.0;
           gm_cfg.fd_params.detection_time = 0.0;
-          auto sc = steady_from_ctx(t, ctx);
+          auto sc = steady_config(t, ctx.budget);
           sc.warmup_ms += 1000.0;  // absorb the view change / re-numbering
           const auto fd = core::run_steady(fd_cfg, sc, crash_set(n, crashes));
           const auto gm = core::run_steady(gm_cfg, sc, crash_set(n, crashes));

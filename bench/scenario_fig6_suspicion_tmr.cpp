@@ -25,7 +25,7 @@ util::Table run_fig6(const ScenarioContext& ctx) {
             cfg->fd_params.mistake_recurrence = tmr;
             cfg->fd_params.mistake_duration = 0.0;
           }
-          auto sc = steady_from_ctx(t, ctx);
+          auto sc = steady_config(t, ctx.budget);
           // Let rare mistakes show up: cover at least ~20 recurrence
           // periods, capped to keep the bench fast.
           sc.min_window_ms = std::min(20.0 * tmr, 20000.0);

@@ -34,7 +34,7 @@ util::Table run_fig7(const ScenarioContext& ctx) {
           cfg->fd_params.mistake_recurrence = p.tmr;
           cfg->fd_params.mistake_duration = tm;
         }
-        auto sc = steady_from_ctx(p.t, ctx);
+        auto sc = steady_config(p.t, ctx.budget);
         sc.min_window_ms = std::min(10.0 * p.tmr, 25000.0);
         const auto fd = core::run_steady(fd_cfg, sc);
         const auto gm = core::run_steady(gm_cfg, sc);

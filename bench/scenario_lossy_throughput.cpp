@@ -77,7 +77,7 @@ util::Table run_lossy(const ScenarioContext& ctx) {
     jobs.push_back([pt, &ctx] {
       const bool crash = pt.mode[0] == 'c';
       const double throughput = throughput_for(pt.n);
-      core::SteadyConfig sc = steady_from_ctx(throughput, ctx);
+      core::SteadyConfig sc = steady_config(throughput, ctx.budget);
       if (crash) sc.warmup_ms += 1000.0;  // absorb detection + view change
 
       const std::vector<net::ProcessId> crashes =

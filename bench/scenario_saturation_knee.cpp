@@ -54,7 +54,7 @@ util::Table run_knee(const ScenarioContext& ctx) {
   std::vector<RowJob> jobs;
   for (const Point& pt : points) {
     jobs.push_back([pt, &ctx] {
-      core::SteadyConfig sc = steady_from_ctx(static_cast<double>(pt.load), ctx);
+      core::SteadyConfig sc = steady_config(static_cast<double>(pt.load), ctx.budget);
 
       std::vector<std::string> row{std::to_string(pt.n), pt.batch ? "batch" : "plain",
                                    util::Table::cell(static_cast<double>(pt.load), 0)};

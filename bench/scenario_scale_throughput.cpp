@@ -79,7 +79,7 @@ util::Table run_scale(const ScenarioContext& ctx) {
       const bool batch = pt.batch;
       const bool crash = mode[0] == 'c';
       jobs.push_back([n, crash, batch, mode, &ctx] {
-        core::SteadyConfig sc = steady_from_ctx(kThroughput, ctx);
+        core::SteadyConfig sc = steady_config(kThroughput, ctx.budget);
         if (crash) sc.warmup_ms += 1000.0;  // absorb detection + view change
 
         const std::vector<net::ProcessId> crashes =

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
-#include "core/parallel.hpp"
 #include "obs/export_sink.hpp"
 
 namespace fdgm::core {
@@ -48,7 +46,8 @@ namespace {
 /// Reads a finished replica under the one capture rule (see RunStats):
 /// run-cost fields always, observer-derived ones only when `converged`;
 /// phase and cause totals cover messages broadcast in [from, to).  The
-/// exporting replica (flat index 0 of a runner call) also hands its
+/// exporting replica (replica 0 of a runner call; of its first sender
+/// for run_transient_worst_sender) also hands its
 /// observer to the export sink — the run is over, so the export sees the
 /// same state the observer ends with.
 RunStats capture(SimRun& run, bool exporter, bool converged, double from, double to) {
@@ -131,9 +130,9 @@ PointResult steady_replica(SimConfig cfg, const SteadyConfig& sc,
 
 /// One crash-transient replica: the probe latency (stable = the probe was
 /// delivered before the timeout) and the replica's statistics.
-PointResult transient_replica(SimConfig cfg, const TransientConfig& tc, std::uint64_t seed,
+PointResult transient_replica(SimConfig cfg, const TransientConfig& tc, std::size_t r,
                               bool exporter) {
-  cfg.seed = seed;
+  cfg.seed += r;
   SimRun run(cfg, WorkloadConfig{.throughput = tc.throughput});
   run.start();
   run.run_until(tc.warmup_ms);
@@ -156,9 +155,20 @@ PointResult transient_replica(SimConfig cfg, const TransientConfig& tc, std::uin
   return out;
 }
 
+/// The replicas of one transient point in replica order; replica 0
+/// exports when `exporter` is set.
+std::vector<PointResult> transient_replicas(const SimConfig& cfg, const TransientConfig& tc,
+                                            bool exporter) {
+  std::vector<PointResult> out;
+  out.reserve(tc.replicas);
+  for (std::size_t r = 0; r < tc.replicas; ++r)
+    out.push_back(transient_replica(cfg, tc, r, exporter && r == 0));
+  return out;
+}
+
 /// Probe-latency mean and CI over transient replicas; unstable when any
 /// replica lost the probe.
-PointResult reduce_transient(std::span<const PointResult> replicas) {
+PointResult reduce_transient(const std::vector<PointResult>& replicas) {
   PointResult out;
   std::vector<double> lats;
   for (const PointResult& r : replicas) {
@@ -206,16 +216,10 @@ WindowedResult windowed_replica(SimConfig cfg, const WindowedConfig& wc, std::si
 
 PointResult run_steady(const SimConfig& cfg, const SteadyConfig& sc,
                        const std::vector<net::ProcessId>& initial_crashes) {
-  // Fan the replicas out; results come back indexed by replica, so the
-  // reduction below is identical for any job count.
-  const std::vector<PointResult> replicas =
-      parallel_map(sc.replicas, sc.jobs, [&](std::size_t r) {
-        return steady_replica(cfg, sc, initial_crashes, r);
-      });
-
   std::vector<double> means;
   PointResult out;
-  for (const PointResult& rep : replicas) {
+  for (std::size_t r = 0; r < sc.replicas; ++r) {
+    const PointResult rep = steady_replica(cfg, sc, initial_crashes, r);
     out.stats.merge(rep.stats);
     if (!rep.stable) {
       out.stable = false;
@@ -236,22 +240,14 @@ PointResult run_steady(const SimConfig& cfg, const SteadyConfig& sc,
 }
 
 PointResult run_transient(const SimConfig& cfg, const TransientConfig& tc) {
-  const std::vector<PointResult> replicas =
-      parallel_map(tc.replicas, tc.jobs, [&](std::size_t r) {
-        return transient_replica(cfg, tc, cfg.seed + r, r == 0);
-      });
-  return reduce_transient(replicas);
+  return reduce_transient(transient_replicas(cfg, tc, true));
 }
 
 WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc) {
-  const std::vector<WindowedResult> replicas =
-      parallel_map(wc.replicas, wc.jobs, [&](std::size_t r) {
-        return windowed_replica(cfg, wc, r);
-      });
-
   WindowedResult out;
   std::vector<std::vector<double>> per_window(wc.windows.size());
-  for (const WindowedResult& rep : replicas) {
+  for (std::size_t r = 0; r < wc.replicas; ++r) {
+    const WindowedResult rep = windowed_replica(cfg, wc, r);
     out.stats.merge(rep.stats);
     if (!rep.stable) {
       out.stable = false;
@@ -273,32 +269,22 @@ WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc) {
 }
 
 PointResult run_transient_worst_sender(const SimConfig& cfg, TransientConfig tc) {
-  // Flatten the (sender, replica) grid into one index space so a single
-  // fan-out keeps all workers busy across sender boundaries.
-  std::vector<net::ProcessId> senders;
-  for (net::ProcessId q = 0; q < cfg.n; ++q)
-    if (q != tc.crash) senders.push_back(q);
-
-  const std::size_t grid = senders.size() * tc.replicas;
-  const std::vector<PointResult> raw = parallel_map(grid, tc.jobs, [&](std::size_t i) {
-    TransientConfig per = tc;
-    per.sender = senders[i / tc.replicas];
-    return transient_replica(cfg, per, cfg.seed + i % tc.replicas, i == 0);
-  });
-
-  // Reduce per sender, in sender order — exactly the sequential semantics;
-  // the statistics cover the whole grid.
+  // Every (sender, replica) pair runs, senders in order; the statistics
+  // cover the whole grid.  The first unstable sender decides the point.
   PointResult worst;
-  for (std::size_t s = 0; s < senders.size(); ++s) {
-    const PointResult res = reduce_transient(std::span(raw).subspan(s * tc.replicas, tc.replicas));
-    if (!res.stable) {
+  RunStats grid;
+  bool first = true;
+  for (net::ProcessId q = 0; q < cfg.n; ++q) {
+    if (q == tc.crash) continue;
+    tc.sender = q;
+    const std::vector<PointResult> replicas = transient_replicas(cfg, tc, first);
+    for (const PointResult& r : replicas) grid.merge(r.stats);
+    const PointResult res = reduce_transient(replicas);
+    if (first || (worst.stable && (!res.stable || res.latency.mean > worst.latency.mean)))
       worst = res;
-      break;
-    }
-    if (s == 0 || res.latency.mean > worst.latency.mean) worst = res;
+    first = false;
   }
-  worst.stats = {};
-  for (const PointResult& r : raw) worst.stats.merge(r.stats);
+  worst.stats = grid;
   return worst;
 }
 

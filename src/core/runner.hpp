@@ -1,6 +1,11 @@
 // Scenario runner: executes the paper's four benchmark scenarios (§5.2)
 // over replica runs and aggregates the latency statistics with 95%
 // confidence intervals, exactly the way the paper's graphs report them.
+//
+// A runner call loops over its replicas on the calling thread (replica r
+// uses seed + r) and reduces them in replica order.  Calls share no
+// mutable state, so independent points may run concurrently — the bench
+// driver's --jobs does exactly that — with bit-identical results.
 #pragma once
 
 #include <array>
@@ -32,10 +37,6 @@ struct SteadyConfig {
   double stale_age_ms = 4000.0;
   /// Independent replica runs (seeds seed, seed+1, ...).
   std::size_t replicas = 5;
-  /// Worker threads fanning the replicas out (0 = one per hardware
-  /// thread).  Replica seeding and aggregation order are independent of
-  /// the job count, so any value produces bit-identical results.
-  std::size_t jobs = 1;
 };
 
 /// Statistics of one replica run, or their sum over a point (merge()).
@@ -91,6 +92,7 @@ struct PointResult {
   bool stable = true;  // false: saturated / did not converge
   std::size_t total_samples = 0;
   RunStats stats;
+  bool operator==(const PointResult&) const = default;
 };
 
 /// Steady-state scenarios.  `initial_crashes` are crashed at t=0 (use
@@ -105,9 +107,6 @@ struct TransientConfig {
   net::ProcessId sender = 1;  // q: process that A-broadcasts m at tc
   double probe_timeout_ms = 30000.0;
   std::size_t replicas = 10;
-  /// Worker threads fanning the replicas (and, for the worst-sender
-  /// variant, the sender grid) out; 0 = one per hardware thread.
-  std::size_t jobs = 1;
 };
 
 /// Crash-transient scenario: p crashes at tc and q A-broadcasts m at tc;
@@ -135,9 +134,6 @@ struct WindowedConfig {
   double drain_ms = 20000.0;
   /// Independent replica runs (seeds seed, seed+1, ...).
   std::size_t replicas = 5;
-  /// Worker threads fanning the replicas out; bit-identical results for
-  /// any value (see run_steady).
-  std::size_t jobs = 1;
 };
 
 struct WindowedResult {
@@ -145,6 +141,7 @@ struct WindowedResult {
   std::vector<util::MeanCi> windows;
   bool stable = true;
   RunStats stats;  // merged over the replicas
+  bool operator==(const WindowedResult&) const = default;
 };
 
 WindowedResult run_windowed(const SimConfig& cfg, const WindowedConfig& wc);

@@ -49,6 +49,7 @@ struct MeanCi {
 
   [[nodiscard]] double lo() const { return mean - half_width; }
   [[nodiscard]] double hi() const { return mean + half_width; }
+  bool operator==(const MeanCi&) const = default;
 };
 
 /// Computes a Student-t 95% CI from independent samples (e.g. one mean

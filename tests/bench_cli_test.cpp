@@ -10,6 +10,8 @@
 // lines exit 2 before any simulation runs.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -147,12 +150,20 @@ TEST(BenchCli, UnwritableExportPathExits2) {
 
 // --set integers are plain digit runs: strtoull alone would wrap a
 // leading '-' (2^64 - 18446744073709551615 = 1 replica) and skip blanks.
+// Driver keys fail before anything runs (exit 2); the elements of a
+// scenario's comma list fail when the scenario reads them (exit 1).
 TEST(BenchCli, SetRejectsSignedAndPaddedIntegers) {
   if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
   for (const char* value : {"-18446744073709551615", "' 2'", "+2", "2x"}) {
     const CliResult r = run_bench(std::string("fig4 --set quick=1 --set replicas=") + value);
     EXPECT_EQ(r.status, 2) << value << ": " << r.err;
     EXPECT_NE(r.err.find("replicas"), std::string::npos) << r.err;
+  }
+  for (const char* value : {"+4", "' 4'", "2,+4"}) {
+    const CliResult r =
+        run_bench(std::string("gray_failure --set quick=1 --set factors=") + value);
+    EXPECT_EQ(r.status, 1) << value << ": " << r.err;
+    EXPECT_NE(r.err.find("factors"), std::string::npos) << r.err;
   }
 }
 
@@ -167,6 +178,59 @@ TEST(BenchCli, SetRejectsUndeclaredKey) {
   const CliResult r = run_bench("fig4 --set quick=1 --set bogus=1");
   EXPECT_EQ(r.status, 2) << r.err;
   EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
+}
+
+/// Peak resident set of this process in MB, or -1 without /proc.
+double own_peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  return -1.0;
+}
+
+// --profile reports the peak RSS of the bench process itself.  A child of
+// a large process must not inherit its parent's peak (Linux carries
+// getrusage's ru_maxrss across execve).  The bench is spawned directly,
+// as a script harness would: a shell in between forks a small process of
+// its own first, which hides the inherited peak.
+TEST(BenchCli, ProfilePeakRssIsTheBenchsOwn) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  std::vector<char> ballast(std::size_t{320} << 20);
+  volatile char* pages = ballast.data();  // volatile: the stores stay
+  for (std::size_t i = 0; i < ballast.size(); i += 4096) pages[i] = 1;
+  const double own = own_peak_rss_mb();
+  if (own < 0) GTEST_SKIP() << "no /proc/self/status";
+  ASSERT_GT(own, 256.0);
+
+  const auto out = std::filesystem::temp_directory_path() /
+                   ("cli_rss_" + std::to_string(static_cast<long>(::getpid())) + ".csv");
+  std::vector<std::string> args{bench_path(), "ablation_nonuniform_gm", "--set", "quick=1",
+                                "--set", "replicas=1", "--profile", "--format", "csv"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, out.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = 0;
+  const int spawned = posix_spawn(&pid, bench_path(), &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ASSERT_EQ(spawned, 0);
+  int raw = 0;
+  ASSERT_EQ(::waitpid(pid, &raw, 0), pid);
+  ASSERT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0);
+  std::istringstream csv(slurp(out));
+  std::filesystem::remove(out);
+  std::string header;
+  std::string row;
+  std::getline(csv, header);
+  std::getline(csv, row);
+  ASSERT_NE(header.rfind("peak RSS [MB]"), std::string::npos) << header;
+  const double bench_rss = std::stod(row.substr(row.rfind(',') + 1));
+  EXPECT_GT(bench_rss, 0.0);
+  EXPECT_LT(bench_rss, own / 4) << "bench reported " << bench_rss << " MB; this process peaked at "
+                                << own << " MB";
 }
 
 // The scheduler has one queue and no knobs: scripts still passing the
