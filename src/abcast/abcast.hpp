@@ -27,6 +27,7 @@
 #include "net/system.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
+#include "util/seq_set.hpp"
 
 namespace fdgm::abcast {
 
@@ -44,6 +45,32 @@ struct MsgIdHash {
     return std::hash<std::uint64_t>()(
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.origin)) << 40) ^ id.seq);
   }
+};
+
+/// The ids A-delivered at one process: one dense sequence set per origin
+/// (per-origin seqs run 1, 2, ...), so its size tracks the deliveries
+/// still out of order, not the run's history.
+class DeliveredIds {
+ public:
+  /// Returns false when `id` was delivered already.
+  bool insert(const MsgId& id) {
+    const auto o = static_cast<std::size_t>(id.origin);
+    if (o >= by_origin_.size()) by_origin_.resize(o + 1, util::SeqSet(1));
+    return by_origin_[o].insert(id.seq);
+  }
+  [[nodiscard]] bool contains(const MsgId& id) const {
+    const auto o = static_cast<std::size_t>(id.origin);
+    return o < by_origin_.size() && by_origin_[o].contains(id.seq);
+  }
+  /// Words held across the per-origin windows (tests: state bounds).
+  [[nodiscard]] std::size_t window_words() const {
+    std::size_t words = 0;
+    for (const util::SeqSet& s : by_origin_) words += s.window_words();
+    return words;
+  }
+
+ private:
+  std::vector<util::SeqSet> by_origin_;
 };
 
 /// The application-level message carried through atomic broadcast.

@@ -51,7 +51,7 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
   rb_.register_client(kDataTag, [this](const rbcast::RbId& id, net::ProcessId /*origin*/,
                                        const net::PayloadPtr& inner) { on_data(id, inner); });
   consensus_.register_context(
-      kAbcastContext,
+      kAbcastContext, /*first_number=*/1,
       consensus::ConsensusService::ContextConfig{
           .join =
               [this](const consensus::InstanceKey& key)
@@ -71,6 +71,11 @@ FdAbcastProcess::~FdAbcastProcess() {
   sys_->node(self_).register_handler(net::ProtocolId::kAtomicBroadcast, nullptr);
 }
 
+FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
+  return {pending_.size(), delivered_ids_.window_words(),
+          consensus_.decided_words_dbg(kAbcastContext)};
+}
+
 void FdAbcastProcess::submit_now(AppMessagePtr msg) {
   rb_.broadcast(kDataTag, msg);  // delivers locally too -> on_data
 }
@@ -86,11 +91,13 @@ void FdAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) 
 // ------------------------------------------------- crash-recovery catch-up
 
 void FdAbcastProcess::on_restart() {
-  // Stable storage: log_, delivered_ids_, the message counter and the
-  // submission queue (the base class re-flushes it).  Decisions and
-  // message contents are objective data and stay; only this incarnation's
-  // proposal marks are void (our in-flight proposals died with us), so
-  // every still-pending id becomes proposable again.
+  // Stable storage: log_ with its per-origin delivered watermarks
+  // (delivered_ids_; apply_sync_resp advances them over the synced
+  // suffix), the message counter and the submission queue (the base class
+  // re-flushes it).  Decisions and message contents are objective data
+  // and stay; only this incarnation's proposal marks are void (our
+  // in-flight proposals died with us), so every still-pending id becomes
+  // proposable again.
   proposed_in_.clear();
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
@@ -149,7 +156,7 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
   if (resp.from_len != log_.size()) return;  // stale (an earlier sync applied)
   syncing_ = false;
   for (AppMessagePtr msg : resp.suffix) {
-    if (!delivered_ids_.insert(msg->id).second) continue;
+    if (!delivered_ids_.insert(msg->id)) continue;
     pending_.erase(msg->id);
     proposed_in_.erase(msg->id);
     release_rb(msg->id);

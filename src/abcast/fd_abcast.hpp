@@ -32,7 +32,6 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -91,6 +90,15 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
 
   /// Test/debug access to the consensus endpoint.
   [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
+
+  /// Test/debug view of the bookkeeping sizes that must stay bounded by
+  /// the messages in flight rather than by the run's history.
+  struct DataPlaneSizes {
+    std::size_t pending;          // R-delivered, not yet A-delivered
+    std::size_t delivered_words;  // words of the per-origin delivered windows
+    std::size_t decided_words;    // words of the consensus decided window
+  };
+  [[nodiscard]] DataPlaneSizes data_plane_dbg() const;
 
  protected:
   // AtomicBroadcastProcess submission hooks: one rbcast broadcast per
@@ -159,7 +167,7 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   /// Messages still retaining each rbcast slot (1 for singles, k for a
   /// batch; released as its messages are delivered).
   std::unordered_map<rbcast::RbId, std::size_t, rbcast::RbIdHash> rb_refs_;
-  std::unordered_set<MsgId, MsgIdHash> delivered_ids_;
+  DeliveredIds delivered_ids_;
   std::vector<AppMessagePtr> log_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply

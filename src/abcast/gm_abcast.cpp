@@ -129,21 +129,23 @@ void GmAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) 
 }
 
 void GmAbcastProcess::on_restart() {
-  // Crash-recovery: stable storage is the A-delivery log (log_, delivered_),
-  // our own message counter and the buffer of accepted-but-unsent own
-  // messages; every piece of in-flight coordination state belonged to the
-  // dead incarnation.  In particular, stale sequence assignments of a dead
-  // view must not survive — they could collide with the live view's
-  // assignments after the state transfer (emplace keeps the first
-  // mapping).  The floors stay: they are monotone and apply_state raises
-  // them to the state sender's baseline anyway.  own_buffer_ must survive
-  // the restart: the harness records an A-broadcast the moment the
-  // application submits it, so dropping the buffer would leave recorded
-  // messages undeliverable forever (and fail every drain check).
+  // Crash-recovery: stable storage is the A-delivery log (log_ with its
+  // per-origin delivered watermarks, delivered_), our own message counter
+  // and the buffer of accepted-but-unsent own messages; every piece of
+  // in-flight coordination state belonged to the dead incarnation.  In
+  // particular, stale sequence assignments of a dead view must not
+  // survive — they could collide with the live view's assignments after
+  // the state transfer (assign keeps the first mapping), so the sn window
+  // restarts empty just above the floor.  The floors stay: they are
+  // monotone and apply_state raises them to the state sender's baseline
+  // anyway.  own_buffer_ must survive the restart: the harness records an
+  // A-broadcast the moment the application submits it, so dropping the
+  // buffer would leave recorded messages undeliverable forever (and fail
+  // every drain check).
   msgs_.clear();
   arrival_order_.clear();
   sn_of_.clear();
-  msg_at_.clear();
+  msg_at_.reset(sn_floor_);
   recent_delivered_.clear();
   batch_ends_.clear();
   acks_.assign(static_cast<std::size_t>(sys_->n()), kNoAck);
@@ -196,7 +198,7 @@ void GmAbcastProcess::sequence_pending() {
     if (delivered_.contains(id) || sn_of_.contains(id)) continue;
     const std::int64_t sn = next_sn_++;
     sn_of_.emplace(id, sn);
-    msg_at_.emplace(sn, id);
+    msg_at_.assign(sn, id);
     assigned.emplace_back(id, sn);
   }
   if (assigned.empty()) return;
@@ -220,8 +222,8 @@ void GmAbcastProcess::sequence_pending() {
 void GmAbcastProcess::try_advance_ack() {
   const std::int64_t before = ack_sn_;
   while (true) {
-    auto it = msg_at_.find(ack_sn_ + 1);
-    if (it == msg_at_.end() || !msgs_.contains(it->second)) break;
+    const MsgId id = msg_at_.at(ack_sn_ + 1);
+    if (id.seq == 0 || !msgs_.contains(id)) break;
     ++ack_sn_;
   }
   if (ack_sn_ == before) return;
@@ -259,6 +261,7 @@ void GmAbcastProcess::try_deliver_sequencer() {
   announced_ = deliverable;
   deliver_up_to(deliverable);
   recent_delivered_.erase(recent_delivered_.begin(), recent_delivered_.upper_bound(stable));
+  msg_at_.trim_to(stable);
   sys_->node(self_).multicast_others(
       view_.members, net::ProtocolId::kAtomicBroadcast,
       sys_->arena().make<DeliverMsg>(view_.id, deliverable, stable));
@@ -268,18 +271,19 @@ void GmAbcastProcess::try_deliver_sequencer() {
 
 void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
   while (deliver_sn_ < sn) {
-    auto it = msg_at_.find(deliver_sn_ + 1);
-    if (it == msg_at_.end()) break;
-    auto mit = msgs_.find(it->second);
+    auto mit = msgs_.find(msg_at_.at(deliver_sn_ + 1));  // never holds the null id
     if (mit == msgs_.end()) break;
     ++deliver_sn_;
     if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, mit->second);
     deliver_msg(mit->second);
   }
+  // Non-uniform mode has no ack phase, no stable point and no NEED: a
+  // mapping is dead once its message is delivered here.
+  if (!cfg_.uniform) msg_at_.trim_to(deliver_sn_);
 }
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
-  if (!delivered_.insert(msg->id).second) return;
+  if (!delivered_.insert(msg->id)) return;
   msgs_.erase(msg->id);  // content lives on in the run's arena
   // Delivered ids are never sequenced again, so their bookkeeping goes
   // with them: per-message work and memory stay O(in flight), not
@@ -313,7 +317,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       // A repair re-multicast may re-announce ids delivered here already;
       // their sn_of_ entries are gone and must stay gone.
       if (!delivered_.contains(id)) sn_of_.emplace(id, sn);
-      msg_at_.emplace(sn, id);
+      msg_at_.assign(sn, id);  // ignored at or below the trimmed stable point
     }
     try_advance_ack();
     return;
@@ -331,6 +335,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     deliver_up_to(std::min(announced_, ack_sn_));
     recent_delivered_.erase(recent_delivered_.begin(),
                             recent_delivered_.upper_bound(del->stable));
+    msg_at_.trim_to(del->stable);
     if (announced_ > ack_sn_ && announced_ > requested_) {
       // Gap repair (post-rejoin): ask the sequencer for what we miss.
       requested_ = announced_;
@@ -343,20 +348,22 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (need->view_id != view_.id || !is_sequencer()) return;
     std::vector<std::pair<MsgId, std::int64_t>> pairs;
     const std::int64_t lo = std::max(need->from, sn_floor_);
+    // `from` is the requester's cumulative ack, at or above the stable
+    // point the window was trimmed to.
     for (std::int64_t sn = lo + 1; sn <= std::min(need->to, next_sn_ - 1); ++sn) {
-      auto it = msg_at_.find(sn);
-      if (it == msg_at_.end()) continue;
-      pairs.emplace_back(it->second, sn);
+      const MsgId id = msg_at_.at(sn);
+      if (id.seq == 0) continue;
+      pairs.emplace_back(id, sn);
       AppMessagePtr content = nullptr;
-      if (auto mit = msgs_.find(it->second); mit != msgs_.end()) {
+      if (auto mit = msgs_.find(id); mit != msgs_.end()) {
         content = mit->second;
       } else if (auto rit = recent_delivered_.find(sn);
-                 rit != recent_delivered_.end() && rit->second->id == it->second) {
+                 rit != recent_delivered_.end() && rit->second->id == id) {
         content = rit->second;  // delivered but not yet stable: O(log n)
       } else {
         // Delivered and stable: fetch from the log.
         for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
-          if ((*lit)->id == it->second) {
+          if ((*lit)->id == id) {
             content = *lit;
             break;
           }
@@ -441,13 +448,11 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   recent_delivered_.erase(recent_delivered_.begin(),
                           recent_delivered_.upper_bound(sn_floor_));
   drop_mappings_above_floor();
+  msg_at_.trim_to(sn_floor_);
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  // msg_at_ is ordered by sn: only the tail above the floor is visited.
-  const auto first = msg_at_.upper_bound(sn_floor_);
-  for (auto it = first; it != msg_at_.end(); ++it) sn_of_.erase(it->second);
-  msg_at_.erase(first, msg_at_.end());
+  msg_at_.drop_above(sn_floor_, [this](const MsgId& id) { sn_of_.erase(id); });
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
@@ -502,6 +507,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   // live assignments of the current view and must be kept.
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
   drop_mappings_above_floor();  // our own leftovers from the dead view
+  msg_at_.trim_to(sn_floor_);
   recent_delivered_.erase(recent_delivered_.begin(),
                           recent_delivered_.upper_bound(sn_floor_));
   for (const auto& [msg, sn] : st->known) {
@@ -509,7 +515,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
     if (msgs_.try_emplace(msg->id, msg).second) arrival_order_.push_back(msg->id);
     if (sn > sn_floor_) {
       sn_of_.emplace(msg->id, sn);
-      msg_at_.emplace(sn, msg->id);
+      msg_at_.assign(sn, msg->id);
     }
   }
   // The state sender's deliver point becomes our baseline: everything it

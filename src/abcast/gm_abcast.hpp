@@ -22,11 +22,11 @@
 // available through GmAbcastConfig::uniform = false.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -75,12 +75,15 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// Test/debug view of the data plane's bookkeeping sizes, which must stay
   /// bounded by the messages in flight rather than by the run's history.
   struct DataPlaneSizes {
-    std::size_t arrival_order;  // sequencing-order entries (incl. not yet compacted)
-    std::size_t undelivered;    // known, undelivered contents
-    std::size_t seqnums;        // id -> sequence-number mappings
+    std::size_t arrival_order;    // sequencing-order entries (incl. not yet compacted)
+    std::size_t undelivered;      // known, undelivered contents
+    std::size_t seqnums;          // id -> sequence-number mappings
+    std::size_t sn_window;        // sequence-number -> id window slots
+    std::size_t delivered_words;  // words of the per-origin delivered windows
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
-    return {arrival_order_.size(), msgs_.size(), sn_of_.size()};
+    return {arrival_order_.size(), msgs_.size(), sn_of_.size(), msg_at_.size(),
+            delivered_.window_words()};
   }
 
   // gm::MembershipClient
@@ -140,13 +143,67 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   bool member_ = true;
   bool frozen_ = false;
 
+  /// sn -> id of the sequence numbers still in play: a flat window over
+  /// [base, base + size) whose null ids (seq 0) mark unknown slots.  It is
+  /// trimmed from below at the stable point (where recent_delivered_ is):
+  /// every member holds content and order up to there, so no ack, delivery
+  /// or NEED (whose `from` is a member's cumulative ack) looks below it
+  /// again.  Every trimmed id is delivered here, so a lookup that hits the
+  /// trimmed range stops just as a delivered (content-less) mapping would.
+  /// It is cut from above when a view change drops the dead view's
+  /// assignments.
+  class SnWindow {
+   public:
+    /// The id assigned `sn`, or the null id.
+    [[nodiscard]] MsgId at(std::int64_t sn) const {
+      const std::int64_t i = sn - base_;
+      return i >= 0 && i < static_cast<std::int64_t>(ids_.size())
+                 ? ids_[static_cast<std::size_t>(i)]
+                 : MsgId{};
+    }
+    /// Records sn -> id unless sn is mapped already or trimmed away.
+    void assign(std::int64_t sn, const MsgId& id) {
+      if (sn < base_) return;
+      const auto i = static_cast<std::size_t>(sn - base_);
+      if (i >= ids_.size()) ids_.resize(i + 1);
+      if (ids_[i].seq == 0) ids_[i] = id;
+    }
+    /// Forgets every sn <= `sn`.
+    void trim_to(std::int64_t sn) {
+      if (sn < base_) return;
+      const auto k = std::min(static_cast<std::size_t>(sn - base_ + 1), ids_.size());
+      ids_.erase(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(k));
+      base_ = sn + 1;
+    }
+    /// Forgets every sn > `sn`, calling `on_drop` with each mapped id.
+    template <class F>
+    void drop_above(std::int64_t sn, F on_drop) {
+      const auto keep = static_cast<std::size_t>(
+          std::clamp<std::int64_t>(sn + 1 - base_, 0, static_cast<std::int64_t>(ids_.size())));
+      for (std::size_t i = keep; i < ids_.size(); ++i)
+        if (ids_[i].seq != 0) on_drop(ids_[i]);
+      ids_.resize(keep);
+      if (keep == 0) base_ = std::min(base_, sn + 1);
+    }
+    /// Forgets everything; the window restarts at `sn` + 1.
+    void reset(std::int64_t sn) {
+      ids_.clear();
+      base_ = sn + 1;
+    }
+    [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+   private:
+    std::int64_t base_ = 1;  // sn of ids_[0]
+    std::vector<MsgId> ids_;
+  };
+
   // msgs_, arrival_order_ and sn_of_ describe undelivered messages only:
   // deliver_msg drops a message's entries (arrival_order_'s lazily).
   std::unordered_map<MsgId, AppMessagePtr, MsgIdHash> msgs_;  // known content
   std::vector<MsgId> arrival_order_;                          // sequencing order
   std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;
-  std::map<std::int64_t, MsgId> msg_at_;
-  std::unordered_set<MsgId, MsgIdHash> delivered_;
+  SnWindow msg_at_;
+  DeliveredIds delivered_;
   std::vector<AppMessagePtr> log_;
 
   std::int64_t sn_floor_ = 0;    // everything <= floor is settled

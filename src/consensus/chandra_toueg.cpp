@@ -274,8 +274,9 @@ ConsensusService::~ConsensusService() {
   sys_->node(self_).register_handler(net::ProtocolId::kConsensus, nullptr);
 }
 
-void ConsensusService::register_context(std::uint32_t context, ContextConfig cfg) {
-  if (!contexts_.emplace(context, std::move(cfg)).second)
+void ConsensusService::register_context(std::uint32_t context, std::uint64_t first_number,
+                                        ContextConfig cfg) {
+  if (!contexts_.emplace(context, Context{std::move(cfg), util::SeqSet(first_number)}).second)
     throw std::logic_error("ConsensusService: duplicate context");
 }
 
@@ -311,7 +312,7 @@ void ConsensusService::start(const InstanceKey& key, StartInfo info) {
 
 void ConsensusService::retry_buffered(std::uint32_t context) {
   auto cit = contexts_.find(context);
-  if (cit == contexts_.end() || !cit->second.join) return;
+  if (cit == contexts_.end() || !cit->second.cfg.join) return;
   // Collect keys first: start() mutates buffered_.
   std::vector<InstanceKey> keys;
   for (const auto& [key, msgs] : buffered_)
@@ -321,14 +322,12 @@ void ConsensusService::retry_buffered(std::uint32_t context) {
             [](const InstanceKey& a, const InstanceKey& b) { return a.number < b.number; });
   for (const InstanceKey& key : keys) {
     if (instances_.contains(key) || decided(key)) continue;
-    if (auto info = cit->second.join(key)) start(key, std::move(*info));
+    if (auto info = cit->second.cfg.join(key)) start(key, std::move(*info));
   }
 }
 
 void ConsensusService::close_below(std::uint32_t context, std::uint64_t number) {
-  auto& floor = closed_floor_[context];
-  if (number <= floor) return;
-  floor = number;
+  contexts_.at(context).decided.raise_floor(number);
   auto below = [&](const InstanceKey& key) {
     return key.context == context && key.number < number;
   };
@@ -343,8 +342,6 @@ void ConsensusService::close_below(std::uint32_t context, std::uint64_t number) 
   }
   for (auto it = buffered_.begin(); it != buffered_.end();)
     it = below(it->first) ? buffered_.erase(it) : std::next(it);
-  for (auto it = decided_.begin(); it != decided_.end();)
-    it = below(*it) ? decided_.erase(it) : std::next(it);
 }
 
 void ConsensusService::on_message(const net::Message& m) {
@@ -362,8 +359,8 @@ void ConsensusService::dispatch(net::ProcessId from, const ConsensusMsg* m) {
   // Unknown instance: ask the owning context whether to join now.
   auto cit = contexts_.find(m->key.context);
   if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
-  if (cit->second.join) {
-    if (auto info = cit->second.join(m->key)) {
+  if (cit->second.cfg.join) {
+    if (auto info = cit->second.cfg.join(m->key)) {
       buffered_[m->key].emplace_back(from, m);
       start(m->key, std::move(*info));
       return;
@@ -401,8 +398,10 @@ void ConsensusService::on_decide_rb(const rbcast::RbId& id, net::ProcessId /*ori
 }
 
 bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
-  if (below_floor(cm->key)) return false;  // settled out of band already
-  if (!decided_.insert(cm->key).second) return false;  // duplicate decision
+  auto cit = contexts_.find(cm->key.context);
+  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
+  // Duplicate, or settled out of band by close_below already.
+  if (!cit->second.decided.insert(cm->key.number)) return false;
   if (auto it = instances_.find(cm->key); it != instances_.end()) {
     // halt() now; retire later.  The decision can arrive synchronously
     // from inside the instance's own try_progress (the coordinator's local
@@ -418,9 +417,7 @@ bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
     });
   }
   buffered_.erase(cm->key);
-  auto cit = contexts_.find(cm->key.context);
-  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
-  cit->second.on_decide(cm->key, cm->value);
+  cit->second.cfg.on_decide(cm->key, cm->value);
   return true;
 }
 

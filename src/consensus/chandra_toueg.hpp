@@ -32,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/types.hpp"
@@ -40,6 +39,7 @@
 #include "net/message.hpp"
 #include "net/system.hpp"
 #include "rbcast/reliable_broadcast.hpp"
+#include "util/seq_set.hpp"
 
 namespace fdgm::consensus {
 
@@ -192,7 +192,9 @@ class ConsensusService final : public net::Layer {
   ConsensusService(const ConsensusService&) = delete;
   ConsensusService& operator=(const ConsensusService&) = delete;
 
-  void register_context(std::uint32_t context, ContextConfig cfg);
+  /// `first_number` is the number of the context's first instance (its
+  /// instance numbers are dense from there).
+  void register_context(std::uint32_t context, std::uint64_t first_number, ContextConfig cfg);
 
   /// Start instance `key` locally (no-op if already started or decided).
   void start(const InstanceKey& key, StartInfo info);
@@ -203,14 +205,19 @@ class ConsensusService final : public net::Layer {
   void retry_buffered(std::uint32_t context);
 
   /// Crash-recovery catch-up: declare every instance of `context` with a
-  /// number below `number` settled (the client learned their outcomes out
+  /// number below `number` decided (the client learned their outcomes out
   /// of band, e.g. through a log sync).  Stale local instances and
-  /// buffered traffic below the floor are dropped, as are their retained
-  /// decisions.  Must not be called from inside an Instance callback.
+  /// buffered traffic below `number` are dropped.  Must not be called from
+  /// inside an Instance callback.
   void close_below(std::uint32_t context, std::uint64_t number);
 
   [[nodiscard]] bool decided(const InstanceKey& key) const {
-    return decided_.contains(key) || below_floor(key);
+    auto it = contexts_.find(key.context);
+    return it != contexts_.end() && it->second.decided.contains(key.number);
+  }
+  /// Words of `context`'s decided-instance window (tests: state bounds).
+  [[nodiscard]] std::size_t decided_words_dbg(std::uint32_t context) const {
+    return contexts_.at(context).decided.window_words();
   }
   [[nodiscard]] bool running(const InstanceKey& key) const { return instances_.contains(key); }
 
@@ -249,10 +256,6 @@ class ConsensusService final : public net::Layer {
   /// Applies a decision (from rbcast or a direct relay); returns true when
   /// it was new.
   bool handle_decision(const ConsensusMsg* cm);
-  [[nodiscard]] bool below_floor(const InstanceKey& key) const {
-    auto it = closed_floor_.find(key.context);
-    return it != closed_floor_.end() && key.number < it->second;
-  }
 
   net::System* sys_;
   net::ProcessId self_;
@@ -265,7 +268,13 @@ class ConsensusService final : public net::Layer {
   /// Retires an instance body into the pool for reuse.
   void retire(std::unique_ptr<Instance> inst);
 
-  std::unordered_map<std::uint32_t, ContextConfig> contexts_;
+  struct Context {
+    ContextConfig cfg;
+    /// Decided instance numbers, whether decided here or settled by
+    /// close_below.
+    util::SeqSet decided;
+  };
+  std::unordered_map<std::uint32_t, Context> contexts_;
   std::unordered_map<InstanceKey, std::unique_ptr<Instance>, InstanceKeyHash> instances_;
   /// Retired instance bodies, reused by acquire_instance — one consensus
   /// instance runs per message batch, so this avoids re-growing the
@@ -274,10 +283,6 @@ class ConsensusService final : public net::Layer {
   std::unordered_map<InstanceKey, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>,
                      InstanceKeyHash>
       buffered_;
-  std::unordered_set<InstanceKey, InstanceKeyHash> decided_;
-  /// Per-context floor set by close_below(); instances below it count as
-  /// decided.
-  std::unordered_map<std::uint32_t, std::uint64_t> closed_floor_;
 };
 
 }  // namespace fdgm::consensus

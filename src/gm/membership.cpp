@@ -109,7 +109,7 @@ GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::Fail
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
   consensus.register_context(
-      kMembershipContext,
+      kMembershipContext, /*first_number=*/view_.id,  // instance #v changes view v
       consensus::ConsensusService::ContextConfig{
           // Never join eagerly: the paper's protocol enters consensus only
           // once the unstable messages of every unsuspected member are in.

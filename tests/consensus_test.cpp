@@ -42,16 +42,17 @@ struct Fixture {
       services.push_back(std::make_unique<ConsensusService>(sys, i, fd.at(i), *rbs.back()));
       auto* slot = &decisions[static_cast<std::size_t>(i)];
       services.back()->register_context(
-          kCtx, ConsensusService::ContextConfig{
-                    .join = [this, i](const InstanceKey&) -> std::optional<StartInfo> {
-                      // Late joiners propose their process id by default.
-                      return StartInfo{&sys.all(), 0, sys.arena().make<Value>(100 + i)};
-                    },
-                    .on_decide =
-                        [slot](const InstanceKey& key, const net::PayloadPtr& v) {
-                          slot->emplace(key.number, value_of(v));
-                        },
-                });
+          kCtx, /*first_number=*/1,
+          ConsensusService::ContextConfig{
+              .join = [this, i](const InstanceKey&) -> std::optional<StartInfo> {
+                // Late joiners propose their process id by default.
+                return StartInfo{&sys.all(), 0, sys.arena().make<Value>(100 + i)};
+              },
+              .on_decide =
+                  [slot](const InstanceKey& key, const net::PayloadPtr& v) {
+                    slot->emplace(key.number, value_of(v));
+                  },
+          });
     }
     fd.start();
   }
@@ -231,6 +232,29 @@ TEST(Consensus, DecidedInstanceIgnoresStragglers) {
                        StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
   f.sys.scheduler().run();
   EXPECT_EQ(f.decisions[0].at(1), 0);
+}
+
+TEST(Consensus, DecidedStateBoundedAfter10kInstances) {
+  // 10k instances, started two at a time with different coordinators so
+  // decisions can land out of order.  The decided set is a watermark plus
+  // a window of the instances in flight, not one entry per instance ever
+  // decided, and still answers decided() for every instance.
+  Fixture f(3);
+  for (std::uint64_t k = 1; k <= 10000; k += 2) {
+    f.propose_all(k + 1, 0, /*offset=*/1);
+    f.propose_all(k);
+    f.sys.scheduler().run();
+    for (const auto& s : f.services) ASSERT_LE(s->decided_words_dbg(kCtx), 2u) << "instance " << k;
+  }
+  for (const auto& s : f.services) {
+    EXPECT_LE(s->decided_words_dbg(kCtx), 1u);
+    EXPECT_FALSE(s->decided(InstanceKey{kCtx, 0}));  // below the first instance
+    EXPECT_TRUE(s->decided(InstanceKey{kCtx, 1}));
+    EXPECT_TRUE(s->decided(InstanceKey{kCtx, 10000}));
+    EXPECT_FALSE(s->decided(InstanceKey{kCtx, 10001}));
+  }
+  EXPECT_EQ(f.deciders(10000), 3u);
+  f.check_agreement(10000);
 }
 
 TEST(Consensus, ValidityDecisionIsSomeProposal) {

@@ -13,6 +13,7 @@
 #include "abcast/fd_abcast.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
+#include "sim/rng.hpp"
 
 namespace fdgm::abcast {
 namespace {
@@ -282,6 +283,57 @@ TEST(FdAbcast, DeterministicGivenSeed) {
     return log;
   };
   EXPECT_EQ(run_once(7), run_once(7));
+}
+
+// ------------------------------------------------- bounded delivered state
+
+TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
+  // The paper's steady point (n = 7, T = 300/s) for 20 simulated seconds,
+  // with p3 crashed for 2 s midway: its log sync settles the delivered ids
+  // and decided instances it missed out of band.  The per-origin delivered
+  // windows and the decided-instance window must track what is in flight,
+  // not the thousands of messages and instances of the run.
+  fd::QosParams qp;
+  qp.detection_time = 10.0;
+  Fixture f(7, qp);
+  std::vector<MsgId> ids;
+  sim::Rng rng(7);
+  for (double t = rng.exponential(1000.0 / 300.0); t < 20000.0;
+       t += rng.exponential(1000.0 / 300.0)) {
+    const auto sender = static_cast<std::size_t>(rng.uniform_int(0, 6));
+    f.sys.scheduler().schedule_at(t, [&f, &ids, sender] {
+      const MsgId id = f.procs[sender]->a_broadcast();
+      if (id.seq != 0) ids.push_back(id);
+    });
+  }
+  constexpr double kRestart = 10000.0;
+  f.sys.crash_at(3, 8000.0);
+  f.sys.scheduler().schedule_at(kRestart, [&f] {
+    f.sys.restart(3);
+    f.procs[3]->on_restart();
+  });
+  for (double t = 10.0; t <= 20000.0; t += 10.0) {
+    f.sys.scheduler().run_until(t);
+    for (int p : {0, 3}) {
+      // Until its sync lands, a restarted process's consensus learns the
+      // outage's later decisions above its stale watermark.
+      if (p == 3 && t >= kRestart && t < kRestart + 100.0) continue;
+      const auto s = f.procs[static_cast<std::size_t>(p)]->data_plane_dbg();
+      ASSERT_LE(s.delivered_words, 2u * 7) << "p" << p << " at " << t << " ms";
+      ASSERT_LE(s.decided_words, 2u) << "p" << p << " at " << t << " ms";
+    }
+  }
+  f.sys.scheduler().run();
+  EXPECT_GT(ids.size(), 5000u);
+  EXPECT_GT(f.procs[0]->decided_instances(), 1000u);
+  for (const auto& p : f.procs) {
+    EXPECT_EQ(p->log().size(), f.procs[0]->log().size()) << "p" << p->id();
+    const auto s = p->data_plane_dbg();
+    EXPECT_EQ(s.pending, 0u);
+    EXPECT_LE(s.delivered_words, 7u);
+    EXPECT_LE(s.decided_words, 1u);
+  }
+  f.check_safety();
 }
 
 // ------------------------------------------------------------- property

@@ -11,14 +11,16 @@
 #include "abcast/gm_abcast.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
+#include "obs/causal.hpp"
+#include "transport/transport.hpp"
 
 namespace fdgm::abcast {
 namespace {
 
 struct Fixture {
   explicit Fixture(int n, fd::QosParams qp = {}, std::uint64_t seed = 1,
-                   GmAbcastConfig cfg = {})
-      : sys(n, {}, seed), fd(sys, qp) {
+                   GmAbcastConfig cfg = {}, transport::Config tcfg = {})
+      : sys(n, {}, seed, tcfg), fd(sys, qp) {
     for (int i = 0; i < n; ++i)
       procs.push_back(std::make_unique<GmAbcastProcess>(sys, i, fd.at(i), cfg));
     fd.start();
@@ -378,13 +380,20 @@ TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
   // the sequencer's and a follower's bookkeeping must track the messages
   // in flight (a few dozen), not the ~6000 delivered so far.  Checked
   // every 2 ms, so the window right after each compaction is covered too.
+  // The sn -> id window spans the stable point to the last assignment; the
+  // delivered-id windows the deliveries still out of order per origin.
   Fixture f(7);
   std::vector<MsgId> ids;
   schedule_load(f, ids, 300.0, 0.0, 20000.0, 7);
   for (double t = 2.0; t <= 20000.0; t += 2.0) {
     f.sys.scheduler().run_until(t);
-    ASSERT_TRUE(bounded(*f.procs[0], t));
-    ASSERT_TRUE(bounded(*f.procs[3], t));
+    for (int p : {0, 3}) {
+      const GmAbcastProcess& proc = *f.procs[static_cast<std::size_t>(p)];
+      ASSERT_TRUE(bounded(proc, t));
+      const auto s = proc.data_plane_dbg();
+      ASSERT_LE(s.sn_window, 64u) << "p" << p << " at " << t << " ms";
+      ASSERT_LE(s.delivered_words, 2u * 7) << "p" << p << " at " << t << " ms";
+    }
   }
   f.sys.scheduler().run();
   EXPECT_GT(ids.size(), 5000u);
@@ -394,7 +403,52 @@ TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
     EXPECT_EQ(s.undelivered, 0u);
     EXPECT_EQ(s.seqnums, 0u);
     EXPECT_LE(s.arrival_order, 64u);
+    EXPECT_LE(s.sn_window, 64u);
+    EXPECT_LE(s.delivered_words, 7u);
   }
+}
+
+TEST(GmAbcast, LossRepairedByNeedAfterSequencerTrimmedItsWindow) {
+  // 10% frame loss under the retransmission transport: a follower whose
+  // DATA frame is still being recovered when the DELIVER covering it
+  // arrives asks the sequencer with a NEED, which answers from its sn -> id
+  // window with the content.  The sequencer trims that window at the
+  // stable point; the stable point never passes a lagging follower's
+  // cumulative ack, so NEEDs that arrive after trims still find their
+  // mappings, and once the loss stops every process holds the same log.
+  Fixture f(5, {}, 1, {}, transport::Config{.enabled = true});
+  std::vector<MsgId> ids;
+  schedule_load(f, ids, 200.0, 0.0, 8000.0, 5);
+  sim::Rng loss_rng(17);
+  f.sys.scheduler().schedule_at(1000.0, [&] { f.sys.network().set_loss(0.1, &loss_rng); });
+  f.sys.scheduler().schedule_at(5000.0, [&] { f.sys.network().clear_loss(); });
+  const GmAbcastProcess& seq = *f.procs[0];
+  // One view throughout, so the window spans (trim point, last sn]: it is
+  // shorter than the log only once it was trimmed.
+  auto trimmed = [&] { return seq.data_plane_dbg().sn_window < seq.log().size(); };
+  constexpr std::uint8_t kDataKind = 8;   // GmAbcastProcess::DataMsg
+  constexpr std::uint8_t kNeedKind = 12;  // GmAbcastProcess::NeedMsg
+  std::size_t needs_after_trim = 0;
+  std::size_t repairs_after_trim = 0;
+  f.sys.network().set_delivery_tap([&](const net::Message& m, net::ProcessId dst) {
+    if (m.proto != net::ProtocolId::kAtomicBroadcast || !trimmed()) return;
+    const std::uint8_t kind = m.payload->payload_kind();
+    if (kind == kNeedKind && dst == 0) ++needs_after_trim;
+    // The sequencer sends DATA of another origin only to answer a NEED.
+    if (kind == kDataKind && m.src == 0) {
+      obs::MsgRefList refs;
+      obs::classify_gm_payload(m.payload, refs);
+      if (refs.size() == 1 && refs[0].origin != 0) ++repairs_after_trim;
+    }
+  });
+  f.sys.scheduler().run();
+  EXPECT_GT(needs_after_trim, 10u);
+  EXPECT_GT(repairs_after_trim, 10u);
+  EXPECT_GT(seq.log().size(), 1000u);
+  EXPECT_EQ(seq.view().id, 0u);
+  for (const auto& p : f.procs) EXPECT_EQ(p->log().size(), seq.log().size()) << "p" << p->id();
+  f.check_safety();
+  EXPECT_LE(seq.data_plane_dbg().sn_window, 64u);
 }
 
 TEST(GmAbcast, SequencerCrashAfterCompactionsResequencesInFlight) {
