@@ -10,7 +10,6 @@
 //
 // Results are bit-identical for every --jobs value (replica seeding and
 // row order do not depend on the worker count).
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -21,10 +20,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#if defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 #include "obs/export_sink.hpp"
 #include "scenario.hpp"
@@ -60,31 +55,6 @@ const std::vector<ParamSpec>& driver_params() {
       {"samples", "target measured messages per replica (default 400, quick: 150)"},
   };
   return specs;
-}
-
-/// Peak resident set of this process image in MB (0 when unavailable).
-/// On Linux it is VmHWM: getrusage's ru_maxrss is carried across execve
-/// there, so a child of a large parent would report the parent's peak.
-double peak_rss_mb() {
-#if defined(__linux__)
-  double mb = 0.0;
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    unsigned long kb = 0;
-    bool found = false;
-    while (!found && std::fgets(line, sizeof line, f) != nullptr)
-      found = std::sscanf(line, "VmHWM: %lu kB", &kb) == 1;
-    std::fclose(f);
-    if (found) mb = static_cast<double>(kb) / 1024.0;
-  }
-  return mb;
-#elif defined(__APPLE__)
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-  return static_cast<double>(ru.ru_maxrss) / (1024.0 * 1024.0);  // bytes
-#else
-  return 0.0;
-#endif
 }
 
 void print_usage() {
@@ -143,9 +113,10 @@ void print_usage() {
       "                    keys: quick=1 (smoke budget), replicas=N,\n"
       "                    samples=N; per-scenario keys are listed by --list.\n"
       "                    Unknown keys are rejected.\n"
-      "  --profile         append per-scenario wall-clock, events/sec and\n"
-      "                    peak-RSS columns to every table (these columns\n"
-      "                    are machine-dependent, unlike the latencies)\n"
+      "  --profile         append extra deterministic diagnostic columns\n"
+      "                    where a scenario has them (lossy_throughput:\n"
+      "                    retx/s, dups, seq-retx; lossy_decomposition:\n"
+      "                    p50/p99)\n"
       "  --help            this text\n";
 }
 
@@ -383,8 +354,6 @@ int run(const Options& opt) {
   }
 
   for (const Scenario* s : selected) {
-    const std::uint64_t events0 = core::total_events_executed();
-    const auto wall0 = std::chrono::steady_clock::now();
     util::Table table = [&]() -> util::Table {
       try {
         return s->run(ctx);
@@ -393,16 +362,6 @@ int run(const Options& opt) {
         std::exit(1);
       }
     }();
-    if (opt.profile) {
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-      const std::uint64_t events = core::total_events_executed() - events0;
-      table.add_column("wall [s]", util::Table::cell(wall_s, 2));
-      table.add_column("events", std::to_string(events));
-      table.add_column("Mev/s", util::Table::cell(
-                                    static_cast<double>(events) / wall_s / 1e6, 2));
-      table.add_column("peak RSS [MB]", util::Table::cell(peak_rss_mb(), 1));
-    }
     if (!opt.out_dir.empty()) {
       std::error_code ec;
       std::filesystem::create_directories(opt.out_dir, ec);

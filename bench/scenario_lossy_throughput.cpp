@@ -13,9 +13,8 @@
 //
 // With --profile the table appends the transport's own diagnostics —
 // retransmissions per simulated second and duplicate-suppression counts —
-// which are deterministic (unlike the wall-clock columns the driver
-// appends), but kept out of the default layout so the standard CSVs stay
-// comparable across PRs.
+// which are deterministic, but kept out of the default layout so the
+// standard CSVs stay comparable across PRs.
 //
 // The "-b" modes at the end arm submission batching (abcast::BatchConfig)
 // on top of the transport and extend the group-size axis beyond the

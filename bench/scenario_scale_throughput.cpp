@@ -1,8 +1,6 @@
 // Large-n scaling (beyond the paper): the paper evaluates n = 3..7; this
 // family sweeps n in {8, 16, 32, 64, 128} for both stacks, in steady state
-// and with one crashed process, and reports the abcast latency *and* the
-// simulator's own wall-clock throughput (millions of scheduler events per
-// second) — the number a change to the scheduler's timing wheel moves.
+// and with one crashed process, and reports the abcast latency.
 //
 // The runs are FD-heavy by construction: the QoS model keeps one
 // wrong-suspicion renewal timer alive per ordered process pair, so the
@@ -12,18 +10,10 @@
 // sweep (a fixed per-pair TMR would melt the GM stack at n = 128 with a
 // view change every few ms, which is a different experiment).
 //
-// Column layout: the deterministic columns (latency) come first and the
-// wall-clock-dependent ones (Mev/s) last, so the CI can diff the
-// deterministic prefix bit-for-bit across job counts and against the
-// committed results.
-//
 // The "steady-b" rows at the end arm submission batching and push the
 // group-size axis past the unbatched ceiling — appended after the
 // original sweep so the previous CSV is a byte prefix of the new one.
-// `--set ns=...` / `--set batch_ns=...` override either axis (profiling
-// and the perf CI pin single sizes that way).
-#include <chrono>
-
+// `--set ns=...` / `--set batch_ns=...` override either axis.
 #include "scenario.hpp"
 
 namespace fdgm::bench {
@@ -32,23 +22,8 @@ namespace {
 constexpr double kThroughput = 100.0;  // msgs/s across the group
 constexpr double kSystemMistakeGap = 5000.0;  // one wrong suspicion per 5 s system-wide
 
-struct Measured {
-  core::PointResult point;
-  double wall_s = 0.0;
-};
-
-Measured run_measured(const core::SimConfig& cfg, const core::SteadyConfig& sc,
-                      const std::vector<net::ProcessId>& crashes) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Measured m;
-  m.point = core::run_steady(cfg, sc, crashes);
-  m.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return m;
-}
-
 util::Table run_scale(const ScenarioContext& ctx) {
-  util::Table table({"n", "mode", "T [1/s]", "FD [ms]", "FD ci95", "GM [ms]", "GM ci95",
-                     "FD Mev/s", "GM Mev/s"});
+  util::Table table({"n", "mode", "T [1/s]", "FD [ms]", "FD ci95", "GM [ms]", "GM ci95"});
   const bool quick = ctx.param_flag("quick");
   const std::vector<int> ns =
       ctx.param_ints("ns", quick ? std::vector<int>{8, 16, 32}
@@ -87,7 +62,6 @@ util::Table run_scale(const ScenarioContext& ctx) {
 
         std::vector<std::string> row{std::to_string(n), mode,
                                      util::Table::cell(kThroughput, 0)};
-        std::vector<std::string> rates;
         for (core::Algorithm algo : {core::Algorithm::kFd, core::Algorithm::kGm}) {
           core::SimConfig cfg = sim_config_ctx(algo, n, ctx);
           cfg.batching.enabled = batch;  // per-row, independent of --batch
@@ -98,12 +72,8 @@ util::Table run_scale(const ScenarioContext& ctx) {
           cfg.fd_params.mistake_recurrence =
               static_cast<double>(n) * static_cast<double>(n - 1) * kSystemMistakeGap;
           cfg.fd_params.mistake_duration = 50.0;
-          const Measured m = run_measured(cfg, sc, crashes);
-          add_point_cells(row, m.point);
-          rates.push_back(util::Table::cell(
-              static_cast<double>(m.point.stats.events) / m.wall_s / 1e6, 2));
+          add_point_cells(row, core::run_steady(cfg, sc, crashes));
         }
-        row.insert(row.end(), rates.begin(), rates.end());
         return row;
       });
     }
@@ -113,8 +83,8 @@ util::Table run_scale(const ScenarioContext& ctx) {
 }
 
 const ScenarioRegistrar reg{{"scale_throughput",
-                             "Large-n scaling: abcast latency and simulator events/sec, "
-                             "n up to 192 (batched), steady and crash",
+                             "Large-n scaling: abcast latency, n up to 192 (batched), "
+                             "steady and crash",
                              "beyond paper",
                              run_scale,
                              {{"ns", "comma-separated unbatched group sizes (2..4096)"},

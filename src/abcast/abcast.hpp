@@ -187,7 +187,7 @@ class AtomicBroadcastProcess {
   /// Number of messages A-delivered locally (tests/debug).
   [[nodiscard]] virtual std::uint64_t delivered_count() const = 0;
 
-  // Introspection (tests, scenarios, micro-kernels).
+  // Introspection (tests, scenarios).
   [[nodiscard]] std::size_t submit_queue_depth() const { return queue_.size(); }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
   [[nodiscard]] std::uint64_t batches_flushed() const { return batches_flushed_; }
@@ -209,7 +209,7 @@ class AtomicBroadcastProcess {
   void deliver(const AppMessage& m);
 
   /// Submission entry underneath a_broadcast: queue/flush/credit without
-  /// allocating the message (micro-kernels drive this directly).
+  /// allocating the message (allocation tests drive this directly).
   void enqueue_submission(AppMessagePtr msg);
 
   /// Flush the queued submissions now (cancels a pending flush timer).

@@ -1,21 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace fdgm::core {
-
-namespace {
-std::atomic<std::uint64_t> g_events_executed{0};
-}  // namespace
-
-std::uint64_t total_events_executed() {
-  return g_events_executed.load(std::memory_order_relaxed);
-}
-
-SimRun::~SimRun() {
-  g_events_executed.fetch_add(sys_->scheduler().executed(), std::memory_order_relaxed);
-}
 
 const char* algorithm_name(Algorithm a) {
   switch (a) {

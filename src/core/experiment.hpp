@@ -58,15 +58,10 @@ struct SimConfig {
   obs::Config obs;
 };
 
-/// Process-wide count of scheduler events executed by completed (i.e.
-/// destroyed) SimRuns, across all worker threads.  `fdgm_bench --profile`
-/// reads the delta around a scenario to report its events/sec.
-[[nodiscard]] std::uint64_t total_events_executed();
-
 class SimRun : private abcast::DeliverSink {
  public:
   explicit SimRun(const SimConfig& cfg, WorkloadConfig wl = {});
-  ~SimRun();
+  ~SimRun() = default;
 
   SimRun(const SimRun&) = delete;
   SimRun& operator=(const SimRun&) = delete;

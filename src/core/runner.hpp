@@ -45,7 +45,7 @@ struct SteadyConfig {
 /// replica that drained with no empty window, and stay zero unless
 /// SimConfig::obs is armed (causes: unless obs.causal is on too).
 struct RunStats {
-  std::uint64_t events = 0;  // scheduler events; / wall time = events/sec
+  std::uint64_t events = 0;  // scheduler events executed
   double sim_ms = 0.0;       // denominator of per-simulated-second rates
   /// Transport counters (zero without SimConfig::transport or loss).
   /// retx_origin0 counts retransmissions originated by process 0, the GM

@@ -17,8 +17,8 @@
 //    per-origin vectors reserved up front, counters are fixed arrays,
 //    metrics snapshots live in a pre-reserved ring.  When a slab fills,
 //    new spans are dropped and counted (flight-recorder semantics)
-//    instead of growing.  perf-smoke asserts allocs_per_event == 0 on
-//    the armed kernels.
+//    instead of growing.  tests/alloc_test.cpp asserts zero allocations
+//    on the armed hooks.
 //
 // Lifecycle model (one Span per A-broadcast message, timestamps in
 // simulated ms, first-write-wins so the *global* first transition is

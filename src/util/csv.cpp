@@ -21,11 +21,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_column(const std::string& name, const std::string& value) {
-  header_.push_back(name);
-  for (auto& r : rows_) r.push_back(value);
-}
-
 std::string Table::cell(double v, int precision) {
   if (std::isnan(v)) return "-";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";

@@ -15,11 +15,6 @@ class Table {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Appends a column holding the same value in every existing row —
-  /// used for per-table annotations (fdgm_bench --profile writes the
-  /// scenario's wall-clock, events/sec and peak-RSS columns this way).
-  void add_column(const std::string& name, const std::string& value);
-
   /// Convenience: formats doubles with fixed precision; NaN renders as "-".
   static std::string cell(double v, int precision = 2);
   static std::string cell(const std::string& v) { return v; }

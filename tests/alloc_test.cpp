@@ -1,0 +1,347 @@
+// Allocation guarantees of the simulator's hot paths, counted by the
+// global operator new replacement in alloc_counter.hpp.  Each ZeroAlloc
+// test warms its kernel up (growing slabs, rings and scratch buffers to
+// their steady-state size), then requires zero heap allocations over the
+// measured rounds: the retransmission transport's no-loss path with and
+// without frame checksums, the raw checksum stamp/verify, the armed
+// observer's span/counter hooks, the causal edge recorder with the QoS
+// meter, and batched submission.  The observer and causal kernels run
+// past their slab capacity on purpose, so the flight-recorder drop path
+// is covered too.
+//
+// The transport and batching kernels cross the scheduler wheel's
+// top-window boundary (every ~17 simulated minutes) once in their warm-up
+// and once more in their measured rounds, as any long run does.
+//
+// The scheduler's own steady state is covered by scheduler_test.  The
+// AllocBound tests bound what is not zero: the scheduler under an n = 128
+// FD-timer population, and the bytes the lazy QoS model allocates at
+// construction against the eager per-pair RNG forks it replaced.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
+
+#include "abcast/abcast.hpp"
+#include "alloc_counter.hpp"
+#include "fd/qos_model.hpp"
+#include "net/system.hpp"
+#include "obs/observer.hpp"
+#include "sim/rng.hpp"
+#include "sim/scheduler.hpp"
+#include "transport/transport.hpp"
+
+namespace fdgm {
+namespace {
+
+class NullSink final : public net::Layer {
+ public:
+  void on_message(const net::Message&) override {}
+};
+
+// The wheel's top window: 2^24 ticks of 1/16 ms.  Events scheduled past
+// the boundary of the cursor's window go to the far-future overflow heap
+// until the cursor crosses it.
+constexpr double kTopWindowMs = 1048576.0;
+
+// Advances the idle scheduler to `lead_ms` before the next top-window
+// boundary, so a kernel that then runs for longer than `lead_ms` crosses
+// it.  Returns that boundary.
+double park_before_top_window(sim::Scheduler& s, double lead_ms) {
+  EXPECT_EQ(s.pending(), 0u);
+  const double boundary = (std::floor(s.now() / kTopWindowMs) + 1.0) * kTopWindowMs;
+  s.run_until(boundary - lead_ms);
+  return boundary;
+}
+
+// The pending-queue population a large group's failure-detector layer
+// creates: one long-horizon renewal timer per ordered pair (n(n-1) =
+// 16256 at n = 128) parked under a hot stream of short protocol events,
+// with a steady churn of cancel + reschedule on the cold timers.
+//
+// Not allocation-free, and the bound says by how much.  Two buffers grow
+// for as long as the parked timers are far from due (17-50 simulated
+// minutes): cancelled far records stay in the overflow heap and the
+// wheel's node slab until the cursor reaches them, and once a round has
+// drained the hot stream the cursor rests at the next live renewal, so
+// later hot events are filed in the ready buffer, whose consumed prefix
+// is kept until that renewal fires.  Both grow by doubling: over 1024
+// rounds (655360 events) that is exactly 10 allocations, and the run is
+// deterministic, so the bound is that count.  A scheduler that reclaims
+// cancelled far records and the consumed ready prefix would make it 0.
+TEST(AllocBound, FdTimerMix128) {
+  constexpr int kN = 128;
+  constexpr int kPairs = kN * (kN - 1);
+  constexpr int kRounds = 1024;
+  constexpr std::uint64_t kEventsPerRound = 512 + 2 * 64;  // fires + cancel/reschedule pairs
+  sim::Scheduler s;
+  std::mt19937_64 rng(20260729);
+  std::uint64_t sink = 0;
+  std::vector<sim::EventId> renewals(kPairs);
+  // Far enough out that no parked timer comes due during the test: the
+  // population stays at exactly kPairs and every fired event is a hot one.
+  auto long_horizon = [&rng] {
+    return 1.0e6 + static_cast<double>(rng() % 2'000'000);  // ~17 .. ~50 min
+  };
+  for (int i = 0; i < kPairs; ++i)
+    renewals[static_cast<std::size_t>(i)] = s.schedule_after(long_horizon(), [&sink] { ++sink; });
+
+  auto round = [&] {
+    sim::Scheduler* sp = &s;
+    for (int i = 0; i < 512; ++i) {
+      const auto a = static_cast<std::uint64_t>(i);
+      s.schedule_after(static_cast<double>(i % 32) * 0.125,
+                       [sp, a, &sink] { sink += a + sp->executed(); });
+    }
+    for (int i = 0; i < 64; ++i) {
+      const std::size_t idx = rng() % renewals.size();
+      s.cancel(renewals[idx]);
+      renewals[idx] = s.schedule_after(long_horizon(), [&sink] { ++sink; });
+    }
+    s.run_until(s.now() + 4.0);  // drains the short events only
+  };
+  for (int r = 0; r < 8; ++r) round();  // warm-up
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < kRounds; ++r) round();
+  EXPECT_LE(g_alloc_count - before, 10u) << "over " << kRounds * kEventsPerRound << " events";
+  EXPECT_EQ(s.pending(), static_cast<std::size_t>(kPairs));
+}
+
+// Bidirectional unicast streams through the armed retransmission
+// transport: sequence stamping, piggybacked acks and in-order release on
+// every hop.  With no loss there are no ring pushes, timers or control
+// frames.  `checksums` latches frame checksums, which is what arming any
+// `corrupt` window does for a whole run.  A round is ~1 simulated second.
+void transport_ping_pong(bool checksums) {
+  net::System sys(2, net::NetworkConfig{}, 1, transport::Config{.enabled = true});
+  if (checksums) sys.network().enable_checksums();
+  NullSink sink;
+  sys.node(0).register_handler(net::ProtocolId::kApplication, &sink);
+  sys.node(1).register_handler(net::ProtocolId::kApplication, &sink);
+  const net::BlankPayload payload;
+  auto round = [&] {
+    for (int i = 0; i < 500; ++i) {
+      sys.node(0).send(1, net::ProtocolId::kApplication, &payload);
+      sys.node(1).send(0, net::ProtocolId::kApplication, &payload);
+    }
+    sys.scheduler().run();
+  };
+  // Warm-up: grow slab/list capacity, and the overflow heap to the
+  // largest population that can straddle a top-window boundary (a round
+  // starting right before it).
+  park_before_top_window(sys.scheduler(), 1.0);
+  for (int r = 0; r < 4; ++r) round();
+  const double boundary = park_before_top_window(sys.scheduler(), 32'000.0);
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < 64; ++r) round();
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_GT(sys.scheduler().now(), boundary);
+  EXPECT_EQ(sys.transport()->stats().data_frames, 68u * 1000u);
+  EXPECT_EQ(sys.transport()->stats().retransmits, 0u);
+}
+
+TEST(ZeroAlloc, TransportPingPong) { transport_ping_pong(false); }
+
+TEST(ZeroAlloc, TransportChecksumPingPong) { transport_ping_pong(true); }
+
+// Raw frame-checksum stamp + verify over a resident message set: the
+// per-frame arithmetic a corrupt-armed run adds to every delivery.
+TEST(ZeroAlloc, FrameChecksumKernel) {
+  constexpr int kMsgs = 256;
+  const net::BlankPayload payload;
+  std::vector<net::Message> msgs;
+  msgs.reserve(kMsgs);
+  for (int i = 0; i < kMsgs; ++i) {
+    net::Message m{i % 8, (i + 1) % 8, net::ProtocolId::kApplication, {}, &payload};
+    m.frame.seq = static_cast<std::uint32_t>(i + 1);  // stamped: seq_no != 0
+    msgs.push_back(m);
+  }
+  const std::uint64_t before = g_alloc_count;
+  std::uint64_t ok = 0;
+  for (int r = 0; r < 64; ++r) {
+    for (net::Message& m : msgs) {
+      m.frame.check = net::frame_digest(m);
+      ok += net::frame_checksum_ok(m) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_EQ(ok, 64u * kMsgs);
+}
+
+// The armed observer's full hook mix: span lifecycle, counters,
+// retransmit attribution, reorder gauges and lazy metrics-window rolls.
+// Slabs are reserved at construction and a snapshot row is a fixed
+// array, so the hooks never allocate, also once the span slabs and the
+// snapshot ring are full and records are dropped.
+TEST(ZeroAlloc, ObserverArmedHooks) {
+  constexpr int kN = 8;
+  constexpr int kMsgs = 64;
+  obs::Config cfg;
+  cfg.enabled = true;
+  cfg.span_capacity = 64;  // small, so the measured rounds reach the drop path
+  cfg.snapshot_capacity = 16;
+  obs::Observer o(kN, cfg);
+  double now = 0.0;
+  std::array<std::uint64_t, kN> seqs{};  // seq numbers are dense per origin
+  auto round = [&] {
+    for (int i = 0; i < kMsgs; ++i) {
+      const int origin = i % kN;
+      const std::uint64_t s = ++seqs[static_cast<std::size_t>(origin)];
+      o.on_submit(origin, s, now);
+      o.on_order_start(origin, s, now + 0.1);
+      o.on_ordered(origin, s, now + 1.0);
+      o.on_delivered(origin, s, now + 2.0);
+      o.count(origin, obs::Counter::kConsensusRounds, now);
+      o.on_retransmit(origin, now);
+      o.reorder_depth(origin, static_cast<std::size_t>(i % 7));
+      now += 0.25;  // 16 ms a round: a metrics window rolls every ~6 rounds
+    }
+  };
+  round();  // warm-up (nothing to grow, but keep the kernel shape uniform)
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < 256; ++r) round();
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_GT(o.spans_dropped(), 0u);
+  EXPECT_GT(o.snapshots_dropped(), 0u);
+  EXPECT_EQ(o.total(obs::Counter::kTransportRetx), 257u * kMsgs);
+}
+
+// The armed causal recorder: hop markers and a recovery stall per
+// message (the classify step is the caller's) plus the FD QoS meter's
+// transition bookkeeping.  Edge slabs are reserved at construction,
+// MsgRefList is a fixed array and a QoS transition touches only
+// pre-sized vectors; the rounds run past the edge capacity on purpose.
+TEST(ZeroAlloc, CausalHookKernel) {
+  constexpr int kN = 8;
+  constexpr int kMsgs = 32;
+  obs::Config cfg;
+  cfg.enabled = true;
+  cfg.causal = true;
+  cfg.edge_capacity = 1024;  // deliberately small: exercise the drop path
+  obs::Observer o(kN, cfg);
+  double now = 0.0;
+  std::array<std::uint64_t, kN> seqs{};
+  auto round = [&] {
+    for (int i = 0; i < kMsgs; ++i) {
+      const int origin = i % kN;
+      const std::uint64_t s = ++seqs[static_cast<std::size_t>(origin)];
+      o.on_submit(origin, s, now);
+      o.on_order_start(origin, s, now);
+      obs::MsgRefList refs;
+      refs.add(origin, s);
+      o.trace_marker(obs::EdgeKind::kSendEnq, origin, refs, now);
+      o.trace_marker(obs::EdgeKind::kSendDone, origin, refs, now + 0.01);
+      o.trace_marker(obs::EdgeKind::kWireEnq, origin, refs, now + 0.01);
+      o.trace_marker(obs::EdgeKind::kWireDone, origin, refs, now + 0.4);
+      o.trace_stall(obs::EdgeKind::kStallNack, origin, refs, now, now + 1.0);
+      o.on_ordered(origin, s, now + 1.0, origin);
+      o.on_delivered(origin, s, now + 2.0, origin);
+      // QoS meter edges: a wrong suspicion opening and closing.
+      o.on_fd_transition(origin, (origin + 1) % kN, 0b01, now);
+      o.on_fd_transition(origin, (origin + 1) % kN, 0b00, now + 0.5);
+      now += 0.25;
+    }
+  };
+  round();  // warm-up
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < 128; ++r) round();
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_GT(o.edges_dropped(), 0u);
+  EXPECT_GT(o.qos_measured().transitions, 0u);
+}
+
+// Batched submission in isolation: an AtomicBroadcastProcess whose
+// ordering layer is a local loopback, fed from preallocated AppMessages.
+// Each round first queues unicast traffic so the adaptive batch target
+// sees a network backlog and flush_batch runs with count > 1, then
+// drains everything including the flush timer.  The submission queue and
+// its flush scratch ping-pong capacity and the timer lives in the
+// scheduler slab, so steady state allocates nothing; and most
+// submissions really ride batches.  A round is ~66 simulated ms.
+TEST(ZeroAlloc, BatchedSubmit) {
+  constexpr int kMsgs = 64;
+  net::System sys(2, net::NetworkConfig{}, 11);
+  NullSink net_sink;
+  sys.node(1).register_handler(net::ProtocolId::kApplication, &net_sink);
+
+  class Loopback final : public abcast::AtomicBroadcastProcess {
+   public:
+    Loopback(net::System& s, abcast::BatchConfig b) : AtomicBroadcastProcess(s, 0, b) {}
+    void feed(abcast::AppMessagePtr m) { enqueue_submission(m); }
+    [[nodiscard]] std::uint64_t delivered_count() const override { return delivered_; }
+    std::uint64_t batched = 0;
+
+   protected:
+    void submit_now(abcast::AppMessagePtr msg) override {
+      ++delivered_;
+      deliver(*msg);
+    }
+    void flush_batch(const abcast::AppMessagePtr* msgs, std::size_t count) override {
+      delivered_ += count;
+      batched += count;
+      for (std::size_t i = 0; i < count; ++i) deliver(*msgs[i]);
+    }
+
+   private:
+    std::uint64_t delivered_ = 0;
+  };
+  class CountSink final : public abcast::DeliverSink {
+   public:
+    void on_deliver(const abcast::AppMessage&) override { ++delivered; }
+    std::uint64_t delivered = 0;
+  } deliveries;
+
+  abcast::BatchConfig bc;
+  bc.enabled = true;
+  Loopback proc(sys, bc);
+  proc.set_deliver_sink(&deliveries);
+  std::vector<abcast::AppMessagePtr> msgs;
+  for (int i = 0; i < kMsgs; ++i)
+    msgs.push_back(sys.arena().make<abcast::AppMessage>(
+        abcast::MsgId{0, static_cast<std::uint64_t>(i) + 1}, 0.0));
+
+  const net::BlankPayload payload;
+  auto round = [&] {
+    for (int i = 0; i < kMsgs; ++i) sys.node(0).send(1, net::ProtocolId::kApplication, &payload);
+    for (int i = 0; i < kMsgs; ++i) proc.feed(msgs[static_cast<std::size_t>(i)]);
+    sys.scheduler().run();  // drains the network and fires the flush timer
+  };
+  // Warm-up: grow queue/scratch/slab capacity, and the overflow heap to
+  // the largest population that can straddle a top-window boundary (a
+  // round starting right before it).
+  park_before_top_window(sys.scheduler(), 1.0);
+  for (int r = 0; r < 16; ++r) round();
+  const double boundary = park_before_top_window(sys.scheduler(), 8'500.0);
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < 256; ++r) round();
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_GT(sys.scheduler().now(), boundary);
+  EXPECT_EQ(deliveries.delivered, 272u * kMsgs);
+  EXPECT_GT(static_cast<double>(proc.batched) / static_cast<double>(proc.delivered_count()), 0.5);
+}
+
+// The QoS model's per-pair state is lazy: construction sizes an
+// engine-less vector, and a pair forks its RNG only on its first mistake
+// draw.  Eager construction would fork one sim::Rng per ordered pair
+// before the first event runs; the lazy setup must cost well under a
+// tenth of those bytes.
+TEST(AllocBound, LazyQosSetup128) {
+  constexpr int kN = 128;
+  net::System sys(kN, net::NetworkConfig{}, 7);
+  fd::QosParams params;
+  params.detection_time = 30.0;
+  params.wrong_suspicions = true;
+  params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
+  params.mistake_duration = 50.0;
+  const std::uint64_t bytes_before = g_alloc_bytes;
+  const fd::QosFailureDetectorModel model(sys, params);
+  const std::uint64_t bytes = g_alloc_bytes - bytes_before;
+  const std::uint64_t eager_bytes = std::uint64_t{kN} * (kN - 1) * sizeof(sim::Rng);
+  EXPECT_LT(bytes, eager_bytes / 10) << "eager forks: " << eager_bytes << " bytes";
+}
+
+}  // namespace
+}  // namespace fdgm

@@ -10,8 +10,6 @@
 // lines exit 2 before any simulation runs.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -180,57 +178,34 @@ TEST(BenchCli, SetRejectsUndeclaredKey) {
   EXPECT_NE(r.err.find("bogus"), std::string::npos) << r.err;
 }
 
-/// Peak resident set of this process in MB, or -1 without /proc.
-double own_peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  for (std::string line; std::getline(status, line);)
-    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
-  return -1.0;
-}
-
-// --profile reports the peak RSS of the bench process itself.  A child of
-// a large process must not inherit its parent's peak (Linux carries
-// getrusage's ru_maxrss across execve).  The bench is spawned directly,
-// as a script harness would: a shell in between forks a small process of
-// its own first, which hides the inherited peak.
-TEST(BenchCli, ProfilePeakRssIsTheBenchsOwn) {
+// --profile adds only deterministic diagnostic columns: the tables are
+// byte-identical at any job count and carry no host-time column.
+TEST(BenchCli, ProfileOutputIsDeterministic) {
   if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
-  std::vector<char> ballast(std::size_t{320} << 20);
-  volatile char* pages = ballast.data();  // volatile: the stores stay
-  for (std::size_t i = 0; i < ballast.size(); i += 4096) pages[i] = 1;
-  const double own = own_peak_rss_mb();
-  if (own < 0) GTEST_SKIP() << "no /proc/self/status";
-  ASSERT_GT(own, 256.0);
-
-  const auto out = std::filesystem::temp_directory_path() /
-                   ("cli_rss_" + std::to_string(static_cast<long>(::getpid())) + ".csv");
-  std::vector<std::string> args{bench_path(), "ablation_nonuniform_gm", "--set", "quick=1",
-                                "--set", "replicas=1", "--profile", "--format", "csv"};
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, out.c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  pid_t pid = 0;
-  const int spawned = posix_spawn(&pid, bench_path(), &actions, nullptr, argv.data(), environ);
-  posix_spawn_file_actions_destroy(&actions);
-  ASSERT_EQ(spawned, 0);
-  int raw = 0;
-  ASSERT_EQ(::waitpid(pid, &raw, 0), pid);
-  ASSERT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0);
-  std::istringstream csv(slurp(out));
-  std::filesystem::remove(out);
-  std::string header;
-  std::string row;
-  std::getline(csv, header);
-  std::getline(csv, row);
-  ASSERT_NE(header.rfind("peak RSS [MB]"), std::string::npos) << header;
-  const double bench_rss = std::stod(row.substr(row.rfind(',') + 1));
-  EXPECT_GT(bench_rss, 0.0);
-  EXPECT_LT(bench_rss, own / 4) << "bench reported " << bench_rss << " MB; this process peaked at "
-                                << own << " MB";
+  const std::string args =
+      "lossy_throughput lossy_decomposition --set quick=1 --profile --format csv --jobs ";
+  const CliResult one = run_bench(args + "1");
+  const CliResult four = run_bench(args + "4");
+  ASSERT_EQ(one.status, 0) << one.err;
+  ASSERT_EQ(four.status, 0) << four.err;
+  EXPECT_EQ(one.out, four.out);
+  // One table per scenario, blank-line separated; each starts with its
+  // header.
+  std::vector<std::string> headers;
+  std::istringstream tables(one.out);
+  bool at_header = true;
+  for (std::string line; std::getline(tables, line);) {
+    if (at_header && !line.empty()) headers.push_back(line);
+    at_header = line.empty();
+  }
+  ASSERT_EQ(headers.size(), 2u) << one.out;
+  EXPECT_NE(headers[0].find("retx/s"), std::string::npos) << headers[0];
+  EXPECT_NE(headers[1].find("p99 [ms]"), std::string::npos) << headers[1];
+  // Substrings of the host-time column names (wall time, event counts,
+  // event rates, peak RSS).
+  for (const std::string& header : headers)
+    for (const char* host : {"wall", "events", "ev/s", "RSS"})
+      EXPECT_EQ(header.find(host), std::string::npos) << host << " in " << header;
 }
 
 // The scheduler has one queue and no knobs: scripts still passing the

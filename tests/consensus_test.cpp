@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "consensus/chandra_toueg.hpp"
@@ -277,12 +278,16 @@ TEST(Consensus, ValidityDecisionIsSomeProposal) {
 
 // ---------------------------------------------------------------- property
 
+// gtest suffixes each test ID with a dump of this struct's bytes
+// ("# GetParam() = 24-byte object <...>"), so it has no padding: padding
+// bytes are uninitialised and made the IDs differ from build to build.
 struct PropertyParam {
-  int n;
+  std::int64_t n;
   std::uint64_t seed;
-  int crashes;        // crashed during the run (minority)
-  bool suspicions;    // wrong suspicions enabled
+  std::int32_t crashes;     // crashed during the run (minority)
+  std::int32_t suspicions;  // 0 or 1: wrong suspicions enabled
 };
+static_assert(std::has_unique_object_representations_v<PropertyParam>);
 
 class ConsensusProperty : public ::testing::TestWithParam<PropertyParam> {};
 

@@ -24,23 +24,6 @@ TEST(Table, RejectsEmptyHeaderAndRaggedRows) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, AddColumnAnnotatesEveryRow) {
-  // add_column backs the --profile per-scenario annotations: one value
-  // repeated in every existing row, and new rows must match the wider
-  // header afterwards.
-  Table t = sample();
-  t.add_column("Mev/s", "1.23");
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(),
-            "n,T [1/s],FD [ms],Mev/s\n"
-            "3,100,12.34,1.23\n"
-            "7,500,unstable,1.23\n");
-  EXPECT_THROW(t.add_row({"9", "100", "1.0"}), std::invalid_argument);
-  t.add_row({"9", "100", "1.0", "2.34"});
-  EXPECT_EQ(t.rows(), 3u);
-}
-
 TEST(Table, CellFormatsDoubles) {
   EXPECT_EQ(Table::cell(1.2345), "1.23");
   EXPECT_EQ(Table::cell(10.0, 0), "10");

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "abcast/fd_abcast.hpp"
@@ -338,12 +339,16 @@ TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
 
 // ------------------------------------------------------------- property
 
+// gtest suffixes each test ID with a dump of this struct's bytes
+// ("# GetParam() = 24-byte object <...>"), so it has no padding: padding
+// bytes are uninitialised and made the IDs differ from build to build.
 struct Param {
-  int n;
+  std::int64_t n;
   std::uint64_t seed;
-  int crashes;
-  bool suspicions;
+  std::int32_t crashes;
+  std::int32_t suspicions;  // 0 or 1: wrong suspicions enabled
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 class FdAbcastProperty : public ::testing::TestWithParam<Param> {};
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "abcast/gm_abcast.hpp"
@@ -526,12 +527,16 @@ TEST(GmAbcast, SequencerCrashAfterCompactionsResequencesInFlight) {
 
 // ------------------------------------------------------------- property
 
+// gtest suffixes each test ID with a dump of this struct's bytes
+// ("# GetParam() = 24-byte object <...>"), so it has no padding: padding
+// bytes are uninitialised and made the IDs differ from build to build.
 struct Param {
-  int n;
+  std::int64_t n;
   std::uint64_t seed;
-  int crashes;
-  bool suspicions;
+  std::int32_t crashes;
+  std::int32_t suspicions;  // 0 or 1: wrong suspicions enabled
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 class GmAbcastProperty : public ::testing::TestWithParam<Param> {};
 

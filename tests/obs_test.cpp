@@ -2,7 +2,7 @@
 // capacity drops), the counter registry, phase-window accounting, lazy
 // metrics windows, and the shape of the two export formats.  End-to-end
 // armed-run passivity is covered by the determinism tests; allocation
-// freedom by the perf-smoke micro kernels.
+// freedom by alloc_test.
 #include <gtest/gtest.h>
 
 #include <sstream>

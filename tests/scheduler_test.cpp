@@ -17,40 +17,14 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
-#include <new>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/scheduler.hpp"
-
-// GCC pairs the malloc-backed operator new below with the free-backed
-// operator delete across inlining and flags a false mismatch; the pair
-// is consistent by construction.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-// Allocation-counting harness: counts every global operator new in this
-// test binary so the steady-state tests can assert the slab scheduler
-// performs zero heap allocations per event.
-namespace {
-std::uint64_t g_alloc_count = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_alloc_count;
-  return std::malloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace fdgm::sim {
 namespace {
