@@ -4,6 +4,19 @@
 
 namespace fdgm::abcast {
 
+namespace {
+/// Hard cap on the batch size k.
+constexpr std::size_t kMaxBatch = 32;
+/// A partial batch (queue below the adaptive target) flushes after at
+/// most this queueing delay (ms).
+constexpr double kFlushDelayMs = 1.0;
+/// Backlog that buys one extra message of batch target (ms): the target
+/// is 1 + floor((wire backlog + local CPU backlog) / kBacklogRefMs),
+/// capped at kMaxBatch.  An idle system flushes every submission
+/// immediately.
+constexpr double kBacklogRefMs = 4.0;
+}  // namespace
+
 AtomicBroadcastProcess::AtomicBroadcastProcess(net::System& sys, net::ProcessId self,
                                                BatchConfig batching)
     : sys_(&sys), self_(self), batching_(batching) {}
@@ -54,16 +67,15 @@ void AtomicBroadcastProcess::enqueue_submission(AppMessagePtr msg) {
 
 std::size_t AtomicBroadcastProcess::batch_target() const {
   if (!batching_.enabled) return 1;
-  // Adaptive k: every backlog_ref_ms of queueing horizon — time the next
+  // Adaptive k: every kBacklogRefMs of queueing horizon — time the next
   // message would wait for the shared wire plus this host's CPU anyway —
   // buys one more message of batching.  Idle system: k = 1, the flush is
   // immediate and the batch path collapses to per-message submission.
   const double backlog =
       sys_->network().wire_backlog() + sys_->network().cpu_backlog(self_);
   if (backlog <= 0.0) return 1;
-  const double extra = backlog / batching_.backlog_ref_ms;
-  if (extra >= static_cast<double>(batching_.max_batch - 1))
-    return batching_.max_batch;
+  const double extra = backlog / kBacklogRefMs;
+  if (extra >= static_cast<double>(kMaxBatch - 1)) return kMaxBatch;
   return 1 + static_cast<std::size_t>(extra);
 }
 
@@ -91,7 +103,7 @@ void AtomicBroadcastProcess::flush_queue() {
 
 void AtomicBroadcastProcess::arm_flush_timer() {
   if (flush_timer_ != 0) return;
-  flush_timer_ = sys_->scheduler().schedule_after(batching_.flush_delay_ms, [this] {
+  flush_timer_ = sys_->scheduler().schedule_after(kFlushDelayMs, [this] {
     flush_timer_ = 0;
     // The queue survives a crash (stable storage, like the message
     // counter); on_restart re-flushes it.

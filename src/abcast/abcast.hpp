@@ -106,16 +106,6 @@ class AppBatch final : public net::Payload {
 struct BatchConfig {
   /// Off by default: every run is bit-identical to the unbatched tree.
   bool enabled = false;
-  /// Hard cap on the batch size k.
-  std::size_t max_batch = 32;
-  /// A partial batch (queue below the adaptive target) flushes after at
-  /// most this queueing delay (ms).
-  double flush_delay_ms = 1.0;
-  /// Backlog that buys one extra message of batch target (ms): the target
-  /// is 1 + floor((wire backlog + local CPU backlog) / backlog_ref_ms),
-  /// capped at max_batch.  An idle system flushes every submission
-  /// immediately.
-  double backlog_ref_ms = 4.0;
   /// Credit window: own messages submitted but not yet locally
   /// A-delivered before can_submit() turns false and open-loop load is
   /// shed (core::Workload) instead of queueing unboundedly.

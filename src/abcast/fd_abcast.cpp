@@ -10,6 +10,9 @@ namespace fdgm::abcast {
 namespace {
 constexpr int kDataTag = 0x41424344;        // "ABCD": data dissemination channel
 constexpr std::uint32_t kAbcastContext = 0;  // consensus context of the FD algorithm
+/// Crash-recovery catch-up: period (ms) of the watchdog that re-requests
+/// a log sync from the peers while the recovered process is behind.
+constexpr double kSyncRetryMs = 100.0;
 }  // namespace
 
 // ------------------------------------------------ crash-recovery wire types
@@ -48,8 +51,8 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
       rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
       consensus_(sys, self, fd, rb_) {
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
-  rb_.register_client(kDataTag, [this](const rbcast::RbId& id, net::ProcessId /*origin*/,
-                                       const net::PayloadPtr& inner) { on_data(id, inner); });
+  rb_.register_client(kDataTag, [this](const rbcast::RbId& /*id*/, net::ProcessId /*origin*/,
+                                       const net::PayloadPtr& inner) { on_data(inner); });
   consensus_.register_context(
       kAbcastContext, /*first_number=*/1,
       consensus::ConsensusService::ContextConfig{
@@ -106,7 +109,7 @@ void FdAbcastProcess::on_restart() {
   watch_log_ = log_.size();
   watch_next_ = next_to_process_;
   const std::uint64_t epoch = sync_epoch_;
-  sys_->scheduler().schedule_after(cfg_.sync_retry, [this, epoch] { catchup_tick(epoch); });
+  sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
 
 void FdAbcastProcess::send_sync_req() {
@@ -132,7 +135,7 @@ void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
   if (!syncing_ && !outstanding) return;  // caught up and quiet: the watchdog retires
   watch_log_ = log_.size();
   watch_next_ = next_to_process_;
-  sys_->scheduler().schedule_after(cfg_.sync_retry, [this, epoch] { catchup_tick(epoch); });
+  sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
 
 void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
@@ -159,7 +162,6 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
     if (!delivered_ids_.insert(msg->id)) continue;
     pending_.erase(msg->id);
     proposed_in_.erase(msg->id);
-    release_rb(msg->id);
     log_.push_back(msg);
     deliver(*msg);
   }
@@ -168,8 +170,7 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
     for (const auto& [number, winner] : resp.winners) winners_.insert_or_assign(number, winner);
-    while (!winners_.empty() && winners_.begin()->first + cfg_.pipeline < next_to_process_)
-      winners_.erase(winners_.begin());
+    prune_winners();
     ready_decisions_.erase(ready_decisions_.begin(),
                            ready_decisions_.lower_bound(next_to_process_));
     consensus_.close_below(kAbcastContext, next_to_process_);
@@ -190,48 +191,38 @@ void FdAbcastProcess::on_message(const net::Message& m) {
   throw std::logic_error("FdAbcastProcess: foreign payload");
 }
 
-void FdAbcastProcess::on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner) {
+void FdAbcastProcess::on_data(net::PayloadPtr inner) {
   bool admitted = false;
   if (const AppMessage* msg = net::payload_cast<AppMessage>(inner)) {
-    admitted = admit_data(*msg, rb_id);
+    admitted = admit_data(*msg);
   } else if (const AppBatch* batch = net::payload_cast<AppBatch>(inner)) {
-    for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m, rb_id);
+    for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m);
   } else {
     throw std::logic_error("FdAbcastProcess: bad data payload");
   }
-  if (!admitted) {
-    rb_.release(rb_id);  // late relay; everything in it already delivered
-    return;
-  }
+  if (!admitted) return;  // everything in it was already delivered (log sync)
   process_ready_decisions();  // a decision may have been waiting for this content
   maybe_start_next();
 }
 
-bool FdAbcastProcess::admit_data(const AppMessage& msg, const rbcast::RbId& rb_id) {
+bool FdAbcastProcess::admit_data(const AppMessage& msg) {
   if (delivered_ids_.contains(msg.id)) return false;
   pending_.emplace(msg.id, &msg);
-  if (rb_ids_.emplace(msg.id, rb_id).second) ++rb_refs_[rb_id];
   return true;
 }
 
-void FdAbcastProcess::release_rb(const MsgId& id) {
-  auto rit = rb_ids_.find(id);
-  if (rit == rb_ids_.end()) return;
-  const rbcast::RbId rb_id = rit->second;
-  rb_ids_.erase(rit);
-  if (auto cit = rb_refs_.find(rb_id); cit != rb_refs_.end() && --cit->second == 0) {
-    rb_refs_.erase(cit);
-    rb_.release(rb_id);
-  }
-}
-
 int FdAbcastProcess::offset_for(std::uint64_t number) const {
-  if (!cfg_.renumbering || number <= cfg_.pipeline) return 0;
-  auto it = winners_.find(number - cfg_.pipeline);
+  if (!cfg_.renumbering || number <= kPipeline) return 0;
+  auto it = winners_.find(number - kPipeline);
   return it == winners_.end() ? 0 : it->second;
 }
 
-consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
+void FdAbcastProcess::prune_winners() {
+  while (!winners_.empty() && winners_.begin()->first + kPipeline < next_to_process_)
+    winners_.erase(winners_.begin());
+}
+
+net::PayloadPtr FdAbcastProcess::propose_pending(std::uint64_t number) {
   std::vector<MsgId> ids;
   ids.reserve(pending_.size());
   for (const auto& [id, msg] : pending_) {
@@ -246,27 +237,16 @@ consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
     for (const MsgId& id : ids) refs.add(id.origin, id.seq);
     o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
   }
+  return sys_->arena().make<Proposal>(self_, std::move(ids));
+}
+
+consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
   return consensus::StartInfo{
       .members = &sys_->all(),
       .coordinator_offset = offset_for(number),
-      .initial = sys_->arena().make<Proposal>(self_, std::move(ids)),
+      .initial = propose_pending(number),
       // Recovery rounds with no locked value may batch in later arrivals.
-      .refresh =
-          [this, number]() -> net::PayloadPtr {
-            std::vector<MsgId> fresh;
-            fresh.reserve(pending_.size());
-            for (const auto& [id, msg] : pending_) {
-              fresh.push_back(id);
-              auto [it, inserted] = proposed_in_.try_emplace(id, number);
-              if (!inserted) it->second = std::max(it->second, number);
-            }
-            if (auto* o = sys_->obs(); o != nullptr && o->causal()) {
-              obs::MsgRefList refs;
-              for (const MsgId& id : fresh) refs.add(id.origin, id.seq);
-              o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
-            }
-            return sys_->arena().make<Proposal>(self_, std::move(fresh));
-          },
+      .refresh = [this, number] { return propose_pending(number); },
   };
 }
 
@@ -324,7 +304,6 @@ void FdAbcastProcess::process_ready_decisions() {
       proposed_in_.erase(id);
       delivered_ids_.insert(id);
       log_.push_back(msg);
-      release_rb(id);
       deliver(*msg);
     }
     // Re-proposal: ids whose latest proposal lost (mark at or below the
@@ -336,8 +315,7 @@ void FdAbcastProcess::process_ready_decisions() {
         ++it;
     }
     winners_.emplace(next_to_process_, prop.proposer);
-    while (!winners_.empty() && winners_.begin()->first + cfg_.pipeline < next_to_process_)
-      winners_.erase(winners_.begin());
+    prune_winners();
     ready_decisions_.erase(it);
     ++next_to_process_;
     applied = true;

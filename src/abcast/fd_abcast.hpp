@@ -46,12 +46,6 @@ namespace fdgm::abcast {
 struct FdAbcastConfig {
   /// Enables the coordinator re-numbering optimization.
   bool renumbering = true;
-  /// Pipeline depth W: instance #k may start once decision #(k-W) was
-  /// processed.  1 = strictly sequential instances.
-  std::uint64_t pipeline = 2;
-  /// Crash-recovery catch-up: period (ms) of the watchdog that re-requests
-  /// a log sync from the peers while the recovered process is behind.
-  double sync_retry = 100.0;
   /// Submission batching + flow control (see abcast::BatchConfig).
   BatchConfig batching;
 };
@@ -126,14 +120,14 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   class SyncReq;
   class SyncResp;
 
-  void on_data(const rbcast::RbId& rb_id, net::PayloadPtr inner);
+  /// Pipeline depth W: instance #k may start once decision #(k-W) was
+  /// processed.  1 = strictly sequential instances.
+  static constexpr std::uint64_t kPipeline = 2;
+
+  void on_data(net::PayloadPtr inner);
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
-  bool admit_data(const AppMessage& msg, const rbcast::RbId& rb_id);
-  /// Releases one message's share of its rbcast retention (a batch's k
-  /// messages share one RbId; the rbcast slot frees when the last one is
-  /// delivered).
-  void release_rb(const MsgId& id);
+  bool admit_data(const AppMessage& msg);
   void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
   void maybe_start_next();
   void process_ready_decisions();
@@ -141,15 +135,19 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   void handle_sync_req(net::ProcessId from, const SyncReq& req);
   void apply_sync_resp(const SyncResp& resp);
   void catchup_tick(std::uint64_t epoch);
-  /// Builds the proposal (all pending ids) and marks them as proposed in
-  /// instance `number`.
+  /// Start info of instance `number`: its coordinator offset and a
+  /// proposal of all pending ids (also on every refresh).
   [[nodiscard]] consensus::StartInfo make_start_info(std::uint64_t number);
+  /// Proposal of all pending ids, marked as proposed in instance `number`.
+  [[nodiscard]] net::PayloadPtr propose_pending(std::uint64_t number);
+  /// Drops the rotation anchors below the pipeline window.
+  void prune_winners();
   /// May instance `number` start yet (pipeline window)?
   [[nodiscard]] bool can_start(std::uint64_t number) const {
-    return number < next_to_process_ + cfg_.pipeline;
+    return number < next_to_process_ + kPipeline;
   }
   /// Coordinator rotation offset of instance `number` (identical at every
-  /// process): the winner of decision #(number - pipeline), 0 early on.
+  /// process): the winner of decision #(number - kPipeline), 0 early on.
   [[nodiscard]] int offset_for(std::uint64_t number) const;
 
   fd::FailureDetector* fd_;
@@ -163,17 +161,13 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   /// a mark trigger (and join) the next instance; marks at or below a
   /// processed decision are cleared so lost proposals are re-proposed.
   std::unordered_map<MsgId, std::uint64_t, MsgIdHash> proposed_in_;
-  std::unordered_map<MsgId, rbcast::RbId, MsgIdHash> rb_ids_;
-  /// Messages still retaining each rbcast slot (1 for singles, k for a
-  /// batch; released as its messages are delivered).
-  std::unordered_map<rbcast::RbId, std::size_t, rbcast::RbIdHash> rb_refs_;
   DeliveredIds delivered_ids_;
   std::vector<AppMessagePtr> log_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply
   std::map<std::uint64_t, const Proposal*> ready_decisions_;
   /// Winning proposer per processed decision (pruned below the window):
-  /// anchors the coordinator rotation of instance #(k + pipeline).
+  /// anchors the coordinator rotation of instance #(k + kPipeline).
   std::map<std::uint64_t, net::ProcessId> winners_;
 
   // Crash-recovery catch-up state.

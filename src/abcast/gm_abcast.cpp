@@ -88,8 +88,7 @@ GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
       cfg_(cfg),
       rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
       consensus_(sys, self, fd, rb_),
-      membership_(sys, self, fd, rb_, consensus_, *this,
-                  gm::MembershipConfig{.join_retry = cfg.join_retry}) {
+      membership_(sys, self, fd, rb_, consensus_, *this) {
   view_ = membership_.view();
   acks_.assign(static_cast<std::size_t>(sys.n()), kNoAck);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);

@@ -43,8 +43,6 @@ namespace fdgm::abcast {
 struct GmAbcastConfig {
   /// Uniform (4-phase) or non-uniform (2-multicast) delivery rule.
   bool uniform = true;
-  /// Joiner retry period for the membership JOIN message (ms).
-  double join_retry = 50.0;
   /// Submission batching + flow control (see abcast::BatchConfig).
   BatchConfig batching;
 };

@@ -33,21 +33,17 @@ SimRun::SimRun(const SimConfig& cfg, WorkloadConfig wl) : cfg_(cfg) {
     switch (cfg.algorithm) {
       case Algorithm::kFd:
         proc = std::make_unique<abcast::FdAbcastProcess>(
-            *sys_, p, fd_model_->at(p),
-            abcast::FdAbcastConfig{.renumbering = cfg.fd_renumbering,
-                                   .batching = cfg.batching});
+            *sys_, p, fd_model_->at(p), abcast::FdAbcastConfig{.batching = cfg.batching});
         break;
       case Algorithm::kGm:
         proc = std::make_unique<abcast::GmAbcastProcess>(
             *sys_, p, fd_model_->at(p),
-            abcast::GmAbcastConfig{.uniform = true, .join_retry = cfg.gm_join_retry,
-                                   .batching = cfg.batching});
+            abcast::GmAbcastConfig{.uniform = true, .batching = cfg.batching});
         break;
       case Algorithm::kGmNonUniform:
         proc = std::make_unique<abcast::GmAbcastProcess>(
             *sys_, p, fd_model_->at(p),
-            abcast::GmAbcastConfig{.uniform = false, .join_retry = cfg.gm_join_retry,
-                                   .batching = cfg.batching});
+            abcast::GmAbcastConfig{.uniform = false, .batching = cfg.batching});
         break;
     }
     proc->set_deliver_sink(this);

@@ -35,10 +35,6 @@ struct SimConfig {
   double lambda = 1.0;
   fd::QosParams fd_params;
   std::uint64_t seed = 1;
-  /// FD-algorithm coordinator re-numbering optimization (paper §7).
-  bool fd_renumbering = true;
-  /// GM joiner retry period (ms).
-  double gm_join_retry = 50.0;
   /// Scripted fault schedule, armed when the run starts.  Each replica
   /// arms the same schedule against its own seeded system (the injector's
   /// RNG is a fork of the replica master seed), so replicas stay

@@ -43,6 +43,15 @@ RunStats& RunStats::merge(const RunStats& o) {
 
 namespace {
 
+/// run_steady: declare the run unstable when more than this many messages
+/// sit undelivered for more than kStaleAgeMs.
+constexpr std::size_t kUnstableBacklog = 400;
+constexpr double kStaleAgeMs = 4000.0;
+/// run_transient: simulated time the probe message may take to deliver.
+constexpr double kProbeTimeoutMs = 30000.0;
+/// run_windowed: extra simulated time allowed for the post-horizon drain.
+constexpr double kDrainMs = 20000.0;
+
 /// Reads a finished replica under the one capture rule (see RunStats):
 /// run-cost fields always, observer-derived ones only when `converged`;
 /// phase and cause totals cover messages broadcast in [from, to).  The
@@ -96,7 +105,7 @@ PointResult steady_replica(SimConfig cfg, const SteadyConfig& sc,
     while (true) {
       sched.run_until(sched.now() + step);
       t_end = sched.now();
-      if (run.recorder().stale_undelivered(sched.now(), sc.stale_age_ms) > sc.unstable_backlog)
+      if (run.recorder().stale_undelivered(sched.now(), kStaleAgeMs) > kUnstableBacklog)
         return false;
       if (sched.now() > sc.max_time_ms) break;
       const bool enough_samples = run.recorder().broadcast_in_window(t0, t_end) >= sc.samples;
@@ -104,13 +113,13 @@ PointResult steady_replica(SimConfig cfg, const SteadyConfig& sc,
       // see saturation (otherwise an overloaded run could "finish" before
       // anything is old enough to count as stuck).
       const bool window_long_enough =
-          (t_end - t0) >= std::max(sc.min_window_ms, sc.stale_age_ms);
+          (t_end - t0) >= std::max(sc.min_window_ms, kStaleAgeMs);
       if (enough_samples && window_long_enough) break;
     }
     run.workload().stop();
 
     // Phase 2: drain — let every message of the window get delivered.
-    const sim::Time drain_deadline = sched.now() + 4.0 * sc.stale_age_ms;
+    const sim::Time drain_deadline = sched.now() + 4.0 * kStaleAgeMs;
     while (run.recorder().undelivered_in_window(t0, t_end) > 0) {
       sched.run_until(sched.now() + step);
       if (sched.now() > drain_deadline) return false;
@@ -143,7 +152,7 @@ PointResult transient_replica(SimConfig cfg, const TransientConfig& tc, std::siz
   run.recorder().on_broadcast(probe, run.system().now());
 
   auto& sched = run.system().scheduler();
-  const sim::Time deadline = sched.now() + tc.probe_timeout_ms;
+  const sim::Time deadline = sched.now() + kProbeTimeoutMs;
   while (run.recorder().latency_of(probe) < 0 && sched.now() < deadline)
     sched.run_until(sched.now() + 50.0);
 
@@ -195,7 +204,7 @@ WindowedResult windowed_replica(SimConfig cfg, const WindowedConfig& wc, std::si
 
   WindowedResult out;
   // Drain: every message of the horizon must be delivered somewhere.
-  const sim::Time drain_deadline = wc.t_end + wc.drain_ms;
+  const sim::Time drain_deadline = wc.t_end + kDrainMs;
   while (out.stable && run.recorder().undelivered_in_window(0.0, wc.t_end) > 0) {
     if (sched.now() > drain_deadline)
       out.stable = false;

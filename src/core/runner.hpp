@@ -31,10 +31,6 @@ struct SteadyConfig {
   double min_window_ms = 0.0;
   /// Hard cap on simulated time per replica (ms).
   double max_time_ms = 120000.0;
-  /// Declare the run unstable when this many messages sit undelivered for
-  /// more than `stale_age_ms`.
-  std::size_t unstable_backlog = 400;
-  double stale_age_ms = 4000.0;
   /// Independent replica runs (seeds seed, seed+1, ...).
   std::size_t replicas = 5;
 };
@@ -65,8 +61,8 @@ struct RunStats {
   obs::PhaseTotals phases;
   obs::CauseTotals causes;
   obs::QosMeasured qos;  // empirical FD QoS aggregates
-  /// End-to-end latency of every observed delivery (replicas share
-  /// SimConfig::obs binning, so they merge).
+  /// End-to-end latency of every observed delivery (every observer bins
+  /// it the same way, so replicas merge).
   std::optional<util::Histogram> e2e;
   /// Spans, causal edges and metrics snapshots the observer's full
   /// flight-recorder slabs dropped.
@@ -105,7 +101,6 @@ struct TransientConfig {
   double warmup_ms = 1000.0;
   net::ProcessId crash = 0;   // p: process crashed at tc (coordinator/sequencer)
   net::ProcessId sender = 1;  // q: process that A-broadcasts m at tc
-  double probe_timeout_ms = 30000.0;
   std::size_t replicas = 10;
 };
 
@@ -130,8 +125,6 @@ struct WindowedConfig {
   double t_end = 10000.0;
   /// [from, to) per window, in broadcast time.
   std::vector<std::pair<double, double>> windows;
-  /// Extra simulated time allowed for the post-horizon drain.
-  double drain_ms = 20000.0;
   /// Independent replica runs (seeds seed, seed+1, ...).
   std::size_t replicas = 5;
 };

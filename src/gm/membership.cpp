@@ -12,16 +12,8 @@ namespace fdgm::gm {
 
 namespace {
 constexpr std::uint32_t kMembershipContext = 1;
-
-/// Coordinator rotation for view-change consensus: the plain rotation of
-/// the underlying consensus (round 1 is coordinated by the lowest-id
-/// member).  When the crashed process is the sequencer this costs an
-/// extra round — part of why the paper finds the view change more
-/// expensive than the FD algorithm's recovery (§4.4, Fig. 8).
-int vc_offset(const View& v) {
-  (void)v;
-  return 0;
-}
+/// Joiner retry period for JOIN requests (ms).
+constexpr double kJoinRetryMs = 50.0;
 }  // namespace
 
 // ------------------------------------------------------------ wire payloads
@@ -96,15 +88,8 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                                  rbcast::ReliableBroadcast& rb,
-                                 consensus::ConsensusService& consensus,
-                                 MembershipClient& client, MembershipConfig cfg)
-    : sys_(&sys),
-      self_(self),
-      fd_(&fd),
-      rb_(&rb),
-      consensus_(&consensus),
-      client_(&client),
-      cfg_(cfg) {
+                                 consensus::ConsensusService& consensus, MembershipClient& client)
+    : sys_(&sys), self_(self), fd_(&fd), rb_(&rb), consensus_(&consensus), client_(&client) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
@@ -245,7 +230,13 @@ void GroupMembership::maybe_start_consensus() {
       consensus::InstanceKey{kMembershipContext, view_.id},
       consensus::StartInfo{
           .members = &view_.members,
-          .coordinator_offset = vc_offset(view_),
+          // Coordinator rotation for view-change consensus: the plain
+          // rotation of the underlying consensus (round 1 is coordinated
+          // by the lowest-id member).  When the crashed process is the
+          // sequencer this costs an extra round — part of why the paper
+          // finds the view change more expensive than the FD algorithm's
+          // recovery (§4.4, Fig. 8).
+          .coordinator_offset = 0,
           .initial = sys_->arena().make<MembershipProposal>(std::move(p_set), std::move(u_vec),
                                                             std::move(j_vec), settled),
       });
@@ -404,7 +395,7 @@ void GroupMembership::send_join() {
   sys_->node(self_).multicast(join_targets_, net::ProtocolId::kMembership,
                               sys_->arena().make<JoinPayload>(client_->log_length(),
                                                               join_view_hint_));
-  sys_->scheduler().schedule_after(cfg_.join_retry, [this] { send_join(); });
+  sys_->scheduler().schedule_after(kJoinRetryMs, [this] { send_join(); });
 }
 
 // ----------------------------------------------------------------- messages

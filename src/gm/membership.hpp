@@ -92,16 +92,11 @@ class MembershipClient {
   virtual void apply_state(const net::PayloadPtr& state, const View& v) = 0;
 };
 
-struct MembershipConfig {
-  /// Joiner retry period for JOIN requests (ms).
-  double join_retry = 50.0;
-};
-
 class GroupMembership final : public net::Layer, public fd::SuspicionListener {
  public:
   GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                   rbcast::ReliableBroadcast& rb, consensus::ConsensusService& consensus,
-                  MembershipClient& client, MembershipConfig cfg = {});
+                  MembershipClient& client);
   ~GroupMembership() override;
 
   /// Current view at this process.
@@ -180,7 +175,6 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   rbcast::ReliableBroadcast* rb_;
   consensus::ConsensusService* consensus_;
   MembershipClient* client_;
-  MembershipConfig cfg_;
 
   View view_;
   Status status_ = Status::kMember;

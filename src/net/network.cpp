@@ -10,6 +10,9 @@ namespace fdgm::net {
 
 namespace {
 
+/// Network service time per message (the paper's time unit, 1 ms).
+constexpr double kNetworkTimeMs = 1.0;
+
 // Classifies the frame payload and records one causal hop marker per
 // application message it carries.  Callers guard on obs->causal() so the
 // classifier never runs on non-causal hot paths.
@@ -26,7 +29,6 @@ Network::Network(sim::Scheduler& sched, int num_processes, NetworkConfig cfg, Si
     : sched_(&sched), cfg_(cfg), wire_(sched, "network"), sink_(&sink) {
   if (num_processes <= 0) throw std::invalid_argument("Network: need at least one process");
   if (cfg_.lambda < 0) throw std::invalid_argument("Network: negative lambda");
-  if (cfg_.network_time <= 0) throw std::invalid_argument("Network: network_time must be > 0");
   cpus_.reserve(static_cast<std::size_t>(num_processes));
   for (int i = 0; i < num_processes; ++i)
     cpus_.push_back(std::make_unique<Resource>(sched, "cpu" + std::to_string(i)));
@@ -94,7 +96,7 @@ void Network::on_send_done(const Message& m, std::uint32_t list, bool self) {
   }
   if (list != kNoList) {
     // Stage 2: one slot on the shared medium regardless of fan-out.
-    wire_.enqueue(cfg_.network_time * delay_factor_,
+    wire_.enqueue(kNetworkTimeMs * delay_factor_,
                   [this, m, list] { on_wire_done(m, list); });
   }
 }

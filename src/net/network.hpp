@@ -72,8 +72,6 @@ namespace fdgm::net {
 struct NetworkConfig {
   /// Relative CPU cost of sending/receiving one message (paper's λ).
   double lambda = 1.0;
-  /// Network service time per message (the paper's time unit, 1 ms).
-  double network_time = 1.0;
 };
 
 class Network {

@@ -14,8 +14,7 @@ System::System(int num_processes, NetworkConfig cfg, std::uint64_t seed,
   // accessible inside System (private base), not from std::make_unique.
   network_.reset(new Network(sched_, num_processes, cfg, *this));
   if (transport_cfg.enabled) {
-    transport_.reset(new transport::Transport(sched_, *network_, arena_, num_processes,
-                                              transport_cfg, *this));
+    transport_.reset(new transport::Transport(sched_, *network_, arena_, num_processes, *this));
     network_->set_frame_stage(transport_.get());
   }
   nodes_.reserve(static_cast<std::size_t>(num_processes));

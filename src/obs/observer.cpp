@@ -7,6 +7,12 @@
 
 namespace fdgm::obs {
 
+namespace {
+/// Range/bin count of the per-phase latency histograms (ms).
+constexpr double kHistogramMaxMs = 5000.0;
+constexpr std::size_t kHistogramBins = 250;
+}  // namespace
+
 const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kTransportRetx: return "transport_retx";
@@ -33,11 +39,11 @@ const char* counter_name(Counter c) {
 Observer::Observer(int num_processes, Config cfg)
     : n_(num_processes),
       cfg_(cfg),
-      submit_wait_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
-      ordering_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
-      delivery_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
+      submit_wait_hist_(0.0, kHistogramMaxMs, kHistogramBins),
+      ordering_hist_(0.0, kHistogramMaxMs, kHistogramBins),
+      delivery_hist_(0.0, kHistogramMaxMs, kHistogramBins),
       batch_hist_(0.0, 256.0, 64),
-      e2e_hist_(0.0, cfg.histogram_max_ms, cfg.histogram_bins),
+      e2e_hist_(0.0, kHistogramMaxMs, kHistogramBins),
       next_window_(cfg.metrics_window_ms) {
   spans_.resize(static_cast<std::size_t>(n_));
   for (auto& slab : spans_) slab.reserve(cfg_.span_capacity);

@@ -76,9 +76,6 @@ struct Config {
   /// --metrics-per-node export); off by default, the aggregate snapshot
   /// ring alone is kept.
   bool per_node_metrics = false;
-  /// Range/bin count of the per-phase latency histograms (ms).
-  double histogram_max_ms = 5000.0;
-  std::size_t histogram_bins = 250;
   /// Where the runner writes the exports of replica 0 after its run (the
   /// --trace/--metrics/--critical-path files); null: no export.  The sink
   /// is write-once, so only the first such replica is exported.

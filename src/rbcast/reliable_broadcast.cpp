@@ -30,9 +30,10 @@ void ReliableBroadcast::broadcast_group(int tag, const std::vector<net::ProcessI
                                         net::PayloadPtr inner) {
   const RbPayload* p =
       sys_->arena().make<RbPayload>(RbId{self_, next_seq_++}, tag, inner, group);
-  // Deliver locally first (counts as the self copy of the multicast), then
-  // put one multicast on the wire.  handle() is idempotent, so the self
-  // copy delivered by the network later is ignored.
+  // Put one multicast on the wire, then deliver locally (counts as the
+  // self copy of the multicast): the loopback copy the network delivers
+  // later is ignored by on_message (no relays) or by handle()'s duplicate
+  // suppression (relays).
   const std::vector<net::ProcessId>& dsts = p->group.empty() ? sys_->all() : p->group;
   sys_->node(self_).multicast(dsts, net::ProtocolId::kReliableBroadcast, p);
   handle(p);
@@ -41,37 +42,24 @@ void ReliableBroadcast::broadcast_group(int tag, const std::vector<net::ProcessI
 void ReliableBroadcast::on_message(const net::Message& m) {
   const RbPayload* p = net::payload_cast<RbPayload>(m);
   if (p == nullptr) throw std::logic_error("ReliableBroadcast: foreign payload");
+  // Without relays the origin's loopback copy is the only duplicate, and
+  // broadcast_group already delivered it locally.
+  if (!cfg_.relay_on_suspicion && p->id.origin == self_) return;
   handle(p);
 }
 
 void ReliableBroadcast::release(const RbId& id) {
   auto it = seen_.find(id);
-  if (it == seen_.end()) return;
-  if (it->second.payload != nullptr) {
-    it->second.payload = nullptr;
-    --retained_;
-  }
-  // Without the relay path, the duplicate-suppression marker only guards
-  // against the origin's own loopback copy: once that was absorbed (or
-  // when we are not the origin, so no duplicate can ever arrive), the
-  // entry can go.  This keeps seen_ bounded by the release backlog
-  // instead of the run's whole history — at large n the historical map
-  // dominated both memory and cache traffic.
-  if (!cfg_.relay_on_suspicion && (id.origin != self_ || it->second.loopback_absorbed))
-    seen_.erase(it);
+  if (it == seen_.end() || it->second.payload == nullptr) return;
+  it->second.payload = nullptr;
+  --retained_;
 }
 
 void ReliableBroadcast::handle(const RbPayload* p) {
-  auto [it, inserted] = seen_.try_emplace(p->id, Seen{p, false});
-  if (!inserted) {  // duplicate (relay or self copy)
-    if (!cfg_.relay_on_suspicion && p->id.origin == self_) {
-      it->second.loopback_absorbed = true;
-      // Already released: the entry was only waiting for this duplicate.
-      if (it->second.payload == nullptr) seen_.erase(it);
-    }
-    return;
+  if (cfg_.relay_on_suspicion) {
+    if (!seen_.try_emplace(p->id, Seen{p, false}).second) return;  // duplicate (relay or self copy)
+    ++retained_;
   }
-  ++retained_;
   auto cit = clients_.find(p->client_tag);
   if (cit == clients_.end()) throw std::logic_error("ReliableBroadcast: unknown client tag");
   cit->second(p->id, p->id.origin, p->inner);

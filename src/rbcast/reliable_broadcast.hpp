@@ -9,6 +9,13 @@
 // software-crash model this guarantees that if any correct process
 // R-delivers m, all correct processes do, while costing no extra message
 // when nobody is suspected.
+//
+// Without relays (RbConfig::relay_on_suspicion false, the mode both
+// protocol stacks run) the only duplicate a process can receive is the
+// origin's own loopback copy of its multicast: the transport deduplicates
+// frames below the crash line and a partition releases each held message
+// once.  The layer then drops that loopback copy, dispatches every other
+// message straight to its client, and keeps no per-message state.
 #pragma once
 
 #include <cstdint>
@@ -109,19 +116,18 @@ class ReliableBroadcast final : public net::Layer, public fd::SuspicionListener 
   /// Garbage collection: the upper layer declares the message stable (it
   /// no longer needs to be relayed on suspicion).  Duplicate suppression
   /// is preserved; only the retained payload reference is dropped (the
-  /// payload itself lives in the run's arena until the run ends).
+  /// payload itself lives in the run's arena until the run ends).  A no-op
+  /// without relays, where nothing is retained.
   void release(const RbId& id);
 
-  /// Number of payloads currently retained for potential relay.
+  /// Number of payloads currently retained for potential relay (always 0
+  /// without relays).
   [[nodiscard]] std::size_t retained() const { return retained_; }
 
  private:
   struct Seen {
     const RbPayload* payload = nullptr;  // kept for relaying
     bool relayed = false;
-    /// The origin's own loopback copy of the multicast came back (the
-    /// only duplicate that can exist when the relay path is off).
-    bool loopback_absorbed = false;
   };
 
   void handle(const RbPayload* p);
@@ -131,6 +137,7 @@ class ReliableBroadcast final : public net::Layer, public fd::SuspicionListener 
   fd::FailureDetector* fd_;
   RbConfig cfg_;
   std::unordered_map<int, DeliverFn> clients_;
+  /// Relay path only: every R-delivered id, for duplicate suppression.
   std::unordered_map<RbId, Seen, RbIdHash> seen_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t relays_ = 0;

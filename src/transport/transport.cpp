@@ -9,6 +9,36 @@ namespace fdgm::transport {
 
 namespace {
 
+/// Initial retransmission timeout per channel (ms).
+constexpr double kRtoMs = 50.0;
+/// RTO multiplier applied after every timer-driven retransmission round.
+constexpr double kBackoff = 2.0;
+/// Backoff ceiling (ms).
+constexpr double kMaxRtoMs = 3200.0;
+/// Base spacing between NACKs of one receiving channel (ms).  While the
+/// same gap frontier persists, the spacing doubles per re-NACK (capped at
+/// 16x) and resets when the frontier advances: re-NACKs exist to cover a
+/// *lost* NACK, so their steady rate must track the loss probability, not
+/// the arrival rate — every NACK burns a wire slot the recovery is trying
+/// to free.
+constexpr double kNackMinGapMs = 10.0;
+/// Quiet-channel factor: the timer does not blindly retransmit an unacked
+/// frame younger than kQuietFactor times the channel's observed
+/// reverse-gap envelope (plus the instantaneous pipeline backlog) — a
+/// piggybacked cumulative ack is still plausibly on its way, and on the
+/// paper's shared-medium network (one wire slot per message, multicast or
+/// not) blind per-destination retransmissions of delivered frames are
+/// what saturates the bus at large n.  The timer postpones instead (a
+/// pure scheduler event, no traffic); genuinely lost frames are recovered
+/// much earlier by NACKs.
+constexpr double kQuietFactor = 2.0;
+/// A frame is not retransmitted again within this window of its previous
+/// transmission (ms) — long enough for an in-flight copy to land on an
+/// idle pipeline (one network RTT is 2(2λ+1) = 6 ms at the paper's
+/// λ = 1), so re-triggered NACKs don't duplicate a recovery already
+/// under way.
+constexpr double kMinRetxSpacingMs = 10.0;
+
 // Records one causal edge (stall interval or, with t0 == t1, a point
 // marker) per application message the frame carries.  Callers guard on
 // obs->causal().
@@ -22,16 +52,9 @@ inline void causal_edges(obs::Observer* o, obs::EdgeKind kind, net::ProcessId no
 }  // namespace
 
 Transport::Transport(sim::Scheduler& sched, net::Network& net, net::PayloadArena& arena,
-                     int num_processes, Config cfg, Sink& sink)
-    : sched_(&sched),
-      net_(&net),
-      arena_(&arena),
-      n_(num_processes),
-      cfg_(cfg),
-      sink_(&sink) {
+                     int num_processes, Sink& sink)
+    : sched_(&sched), net_(&net), arena_(&arena), n_(num_processes), sink_(&sink) {
   if (num_processes <= 0) throw std::invalid_argument("Transport: need at least one process");
-  if (cfg_.rto_ms <= 0 || cfg_.backoff < 1.0 || cfg_.max_rto_ms < cfg_.rto_ms)
-    throw std::invalid_argument("Transport: bad retransmission timing config");
   const std::size_t pairs =
       static_cast<std::size_t>(num_processes) * static_cast<std::size_t>(num_processes);
   send_.resize(pairs);
@@ -195,13 +218,13 @@ void Transport::on_frame(const net::Message& m, net::ProcessId dst) {
   // than the current pipeline backlog — the requested retransmission has
   // to work its way through the same queues, and re-NACKing into a loaded
   // wire only deepens the load the recovery is waiting on.
-  if (r.nack_gap == 0.0) r.nack_gap = cfg_.nack_min_gap_ms;
+  if (r.nack_gap == 0.0) r.nack_gap = kNackMinGapMs;
   const double nack_wait =
       std::max(r.nack_gap, net_->wire_backlog() + net_->cpu_backlog(dst) +
                                net_->cpu_backlog(m.src));
   if (sched_->now() - r.last_nack >= nack_wait) {
     r.last_nack = sched_->now();
-    r.nack_gap = std::min(r.nack_gap * 2.0, 16.0 * cfg_.nack_min_gap_ms);
+    r.nack_gap = std::min(r.nack_gap * 2.0, 16.0 * kNackMinGapMs);
     send_ctrl(dst, m.src, TransportCtrl::Kind::kNack, r.buffer.front().frame.seq_no());
   }
   if (retx) send_ctrl(dst, m.src, TransportCtrl::Kind::kAck, 0);
@@ -217,7 +240,7 @@ void Transport::handle_ctrl(const net::Message& m, net::ProcessId dst) {
   // a copy submitted into a loaded wire takes that long to arrive, and a
   // repeated NACK in the meantime is not evidence it was lost again.
   SendState& s = send_[idx(dst, m.src)];
-  const double guard = cfg_.min_retx_spacing_ms + net_->wire_backlog() +
+  const double guard = kMinRetxSpacingMs + net_->wire_backlog() +
                        net_->cpu_backlog(dst) + net_->cpu_backlog(m.src);
   for (std::size_t i = s.ring_head; i < s.ring.size(); ++i) {
     RingEntry& e = s.ring[i];
@@ -260,7 +283,7 @@ void Transport::ack_channel(net::ProcessId a, net::ProcessId b, std::uint32_t ac
 
 void Transport::arm_timer(net::ProcessId a, net::ProcessId b, SendState& s) {
   if (s.timer != 0) return;
-  if (s.rto == 0.0) s.rto = cfg_.rto_ms;
+  if (s.rto == 0.0) s.rto = kRtoMs;
   s.timer = sched_->schedule_after(s.rto, [this, a, b] { on_timer(a, b); });
 }
 
@@ -284,7 +307,7 @@ void Transport::on_timer(net::ProcessId a, net::ProcessId b) {
   // can leave `age` one ulp short — an unfloored re-deferral of ~1e-13 ms
   // would not even advance simulated time, a same-instant event loop).
   const double backlog = net_->wire_backlog() + net_->cpu_backlog(a) + net_->cpu_backlog(b);
-  const double patience = std::max(s.rto, cfg_.quiet_factor * s.rx_gap) + backlog;
+  const double patience = std::max(s.rto, kQuietFactor * s.rx_gap) + backlog;
   const double age = sched_->now() - s.ring[s.ring_head].last_tx;
   if (age + 0.125 <= patience) {
     ++stats_.postponed;
@@ -304,7 +327,7 @@ void Transport::on_timer(net::ProcessId a, net::ProcessId b) {
   // it was genuinely lost, its in-order arrival both repairs the channel
   // and acks everything buffered behind it.
   RingEntry& e = s.ring[s.ring_head];
-  if (sched_->now() - e.last_tx >= cfg_.min_retx_spacing_ms) {
+  if (sched_->now() - e.last_tx >= kMinRetxSpacingMs) {
     // Causal stall: waited [last_tx, now) before a blind timer probe.
     if (obs_ != nullptr && obs_->causal()) {
       causal_edges(obs_, obs::EdgeKind::kStallTimer, a, e.msg, e.last_tx, sched_->now());
@@ -313,7 +336,7 @@ void Transport::on_timer(net::ProcessId a, net::ProcessId b) {
     ++stats_.retx_timer;
     if (obs_ != nullptr) obs_->count(a, obs::Counter::kTransportRetxTimer, sched_->now());
   }
-  s.rto = std::min(std::max(s.rto, cfg_.rto_ms) * cfg_.backoff, cfg_.max_rto_ms);
+  s.rto = std::min(std::max(s.rto, kRtoMs) * kBackoff, kMaxRtoMs);
   arm_timer(a, b, s);
 }
 

@@ -70,35 +70,6 @@ namespace fdgm::transport {
 struct Config {
   /// Arm the transport (SimConfig::transport / fdgm_bench --transport).
   bool enabled = false;
-  /// Initial retransmission timeout per channel (ms).
-  double rto_ms = 50.0;
-  /// RTO multiplier applied after every timer-driven retransmission round.
-  double backoff = 2.0;
-  /// Backoff ceiling (ms).
-  double max_rto_ms = 3200.0;
-  /// Base spacing between NACKs of one receiving channel (ms).  While
-  /// the same gap frontier persists, the spacing doubles per re-NACK
-  /// (capped at 16x) and resets when the frontier advances: re-NACKs
-  /// exist to cover a *lost* NACK, so their steady rate must track the
-  /// loss probability, not the arrival rate — every NACK burns a wire
-  /// slot the recovery is trying to free.
-  double nack_min_gap_ms = 10.0;
-  /// Quiet-channel factor: the timer does not blindly retransmit an
-  /// unacked frame younger than `quiet_factor` times the channel's
-  /// observed reverse-gap envelope (plus the instantaneous pipeline
-  /// backlog) — a piggybacked cumulative ack is still plausibly on its
-  /// way, and on the paper's shared-medium network (one wire slot per
-  /// message, multicast or not) blind per-destination retransmissions of
-  /// delivered frames are what saturates the bus at large n.  The timer
-  /// postpones instead (a pure scheduler event, no traffic); genuinely
-  /// lost frames are recovered much earlier by NACKs.
-  double quiet_factor = 2.0;
-  /// A frame is not retransmitted again within this window of its
-  /// previous transmission (ms) — long enough for an in-flight copy to
-  /// land on an idle pipeline (one network RTT is 2(2λ+1) = 6 ms at the
-  /// paper's λ = 1), so re-triggered NACKs don't duplicate a recovery
-  /// already under way.
-  double min_retx_spacing_ms = 10.0;
 };
 
 /// Aggregate counters over every channel of one system.
@@ -151,7 +122,7 @@ class Transport final : public net::Network::FrameStage {
   };
 
   Transport(sim::Scheduler& sched, net::Network& net, net::PayloadArena& arena,
-            int num_processes, Config cfg, Sink& sink);
+            int num_processes, Sink& sink);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -165,7 +136,6 @@ class Transport final : public net::Network::FrameStage {
   /// in per-channel sequence order).
   void on_frame(const net::Message& m, net::ProcessId dst);
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Unacked frames currently buffered for retransmission on a -> b.
@@ -242,7 +212,6 @@ class Transport final : public net::Network::FrameStage {
   net::Network* net_;
   net::PayloadArena* arena_;
   int n_;
-  Config cfg_;
   Sink* sink_;
   std::vector<SendState> send_;  ///< n*n, row = sender
   std::vector<RecvState> recv_;  ///< n*n, row = sender (channel direction)

@@ -97,7 +97,7 @@ class Counter final : public net::Layer {
 };
 
 struct NetFixture {
-  explicit NetFixture(int n) : sys(n, net::NetworkConfig{1.0, 1.0}, 1) {
+  explicit NetFixture(int n) : sys(n, net::NetworkConfig{1.0}, 1) {
     for (int i = 0; i < n; ++i) {
       counters.push_back(std::make_unique<Counter>());
       sys.node(i).register_handler(net::ProtocolId::kApplication, counters.back().get());
@@ -223,7 +223,7 @@ TEST(FaultFilter, DelayFactorScalesTheWireStage) {
   f.sys.network().set_delay_factor(5.0);
   f.sys.node(0).send(1, net::ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
-  // lambda + 5 * network_time + lambda = 1 + 5 + 1.
+  // lambda + 5 * network time + lambda = 1 + 5 + 1.
   EXPECT_DOUBLE_EQ(f.sys.now(), 7.0);
   EXPECT_EQ(f.counters[1]->count, 1);
 }

@@ -159,7 +159,7 @@ class Counter final : public net::Layer {
 };
 
 struct NetFixture {
-  explicit NetFixture(int n) : sys(n, net::NetworkConfig{1.0, 1.0}, 1) {
+  explicit NetFixture(int n) : sys(n, net::NetworkConfig{1.0}, 1) {
     for (int i = 0; i < n; ++i) {
       counters.push_back(std::make_unique<Counter>());
       sys.node(i).register_handler(net::ProtocolId::kApplication, counters.back().get());

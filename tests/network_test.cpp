@@ -35,7 +35,7 @@ class BigPayload final : public Payload {
 };
 
 struct Fixture {
-  explicit Fixture(int n, double lambda = 1.0) : sys(n, NetworkConfig{lambda, 1.0}, 1) {
+  explicit Fixture(int n, double lambda = 1.0) : sys(n, NetworkConfig{lambda}, 1) {
     for (int i = 0; i < n; ++i) {
       recorders.push_back(std::make_unique<Recorder>(sys));
       sys.node(i).register_handler(ProtocolId::kApplication, recorders.back().get());

@@ -1,6 +1,8 @@
 // Tests of the reliable broadcast layer: single-multicast fast path,
 // duplicate suppression, relay on suspicion, garbage collection, and
-// client-tag routing.
+// client-tag routing.  The delivery tests run twice: Rbcast.* with relays
+// on, RbcastRelayOff.* in the relay-off mode both protocol stacks run,
+// where the layer must also retain nothing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,10 +26,10 @@ class Body final : public net::Payload {
 };
 
 struct Fixture {
-  explicit Fixture(int n, fd::QosParams qp = {}) : sys(n, {}, 1), fd(sys, qp) {
+  explicit Fixture(int n, fd::QosParams qp = {}, RbConfig cfg = {}) : sys(n, {}, 1), fd(sys, qp) {
     deliveries.reserve(static_cast<std::size_t>(n));  // lambdas keep pointers
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, fd.at(i)));
+      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, fd.at(i), cfg));
       auto* log = &deliveries.emplace_back();
       stacks.back()->register_client(
           kTag, [log](const RbId&, net::ProcessId origin, net::PayloadPtr p) {
@@ -44,14 +46,32 @@ struct Fixture {
   std::vector<std::vector<std::pair<net::ProcessId, int>>> deliveries;
 };
 
-TEST(Rbcast, EveryoneDeliversOnce) {
-  Fixture f(4);
+/// Without relays nothing may be retained, whatever was delivered.
+void expect_no_retention(const Fixture& f, const RbConfig& cfg) {
+  if (cfg.relay_on_suspicion) return;
+  for (const auto& st : f.stacks) EXPECT_EQ(st->retained(), 0u);
+}
+
+constexpr RbConfig kRelayOn{.relay_on_suspicion = true};
+constexpr RbConfig kRelayOff{.relay_on_suspicion = false};
+
+// Defines Rbcast.Name (relays on) and RbcastRelayOff.Name (relays off)
+// over one body that receives the mode as `cfg`.
+#define RB_TEST_BOTH_MODES(Name)                        \
+  void Name##Body(const RbConfig& cfg);                 \
+  TEST(Rbcast, Name) { Name##Body(kRelayOn); }          \
+  TEST(RbcastRelayOff, Name) { Name##Body(kRelayOff); } \
+  void Name##Body(const RbConfig& cfg)
+
+RB_TEST_BOTH_MODES(EveryoneDeliversOnce) {
+  Fixture f(4, {}, cfg);
   f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(7));
   f.sys.scheduler().run();
   for (int p = 0; p < 4; ++p) {
     ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u) << p;
     EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 7));
   }
+  expect_no_retention(f, cfg);
 }
 
 TEST(Rbcast, FailureFreeCostsOneWireSlot) {
@@ -62,17 +82,18 @@ TEST(Rbcast, FailureFreeCostsOneWireSlot) {
   for (const auto& st : f.stacks) EXPECT_EQ(st->relays(), 0u);
 }
 
-TEST(Rbcast, SenderDeliversLocallyImmediately) {
-  Fixture f(3);
+RB_TEST_BOTH_MODES(SenderDeliversLocallyImmediately) {
+  Fixture f(3, {}, cfg);
   f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(5));
   // Before running the scheduler at all: local delivery already happened.
   EXPECT_EQ(f.deliveries[0].size(), 1u);
   f.sys.scheduler().run();
   EXPECT_EQ(f.deliveries[0].size(), 1u);  // self copy deduplicated
+  expect_no_retention(f, cfg);
 }
 
-TEST(Rbcast, OrderPreservedPerOrigin) {
-  Fixture f(3);
+RB_TEST_BOTH_MODES(OrderPreservedPerOrigin) {
+  Fixture f(3, {}, cfg);
   for (int i = 0; i < 5; ++i) f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(i));
   f.sys.scheduler().run();
   for (int p = 0; p < 3; ++p) {
@@ -80,6 +101,7 @@ TEST(Rbcast, OrderPreservedPerOrigin) {
     for (int i = 0; i < 5; ++i)
       EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)].second, i);
   }
+  expect_no_retention(f, cfg);
 }
 
 TEST(Rbcast, SuspicionTriggersRelay) {
@@ -132,14 +154,15 @@ TEST(Rbcast, ReleasedMessagesAreNotRelayed) {
   EXPECT_EQ(f.stacks[2]->relays(), 1u);  // did not release, so it relays
 }
 
-TEST(Rbcast, GroupBroadcastReachesGroupOnly) {
-  Fixture f(4);
+RB_TEST_BOTH_MODES(GroupBroadcastReachesGroupOnly) {
+  Fixture f(4, {}, cfg);
   f.stacks[0]->broadcast_group(kTag, {0, 1, 2}, f.sys.arena().make<Body>(1));
   f.sys.scheduler().run();
   EXPECT_EQ(f.deliveries[0].size(), 1u);
   EXPECT_EQ(f.deliveries[1].size(), 1u);
   EXPECT_EQ(f.deliveries[2].size(), 1u);
   EXPECT_TRUE(f.deliveries[3].empty());
+  expect_no_retention(f, cfg);
 }
 
 TEST(Rbcast, DistinctClientTagsAreIsolated) {
@@ -170,22 +193,25 @@ TEST(Rbcast, RetainedCountTracksLifecycle) {
   EXPECT_EQ(f.stacks[1]->retained(), 1u);
 }
 
-TEST(Rbcast, CrashedReceiverDoesNotDeliver) {
-  Fixture f(3);
+RB_TEST_BOTH_MODES(CrashedReceiverDoesNotDeliver) {
+  Fixture f(3, {}, cfg);
   f.sys.crash(2);
   f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(4));
   f.sys.scheduler().run();
   EXPECT_TRUE(f.deliveries[2].empty());
   EXPECT_EQ(f.deliveries[1].size(), 1u);
+  EXPECT_EQ(f.deliveries[0].size(), 1u);
+  expect_no_retention(f, cfg);
 }
 
-TEST(Rbcast, ManyOriginsInterleaved) {
-  Fixture f(3);
+RB_TEST_BOTH_MODES(ManyOriginsInterleaved) {
+  Fixture f(3, {}, cfg);
   for (int round = 0; round < 10; ++round)
     for (int p = 0; p < 3; ++p)
       f.stacks[static_cast<std::size_t>(p)]->broadcast(kTag, f.sys.arena().make<Body>(round));
   f.sys.scheduler().run();
   for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 30u);
+  expect_no_retention(f, cfg);
 }
 
 }  // namespace
