@@ -222,11 +222,8 @@ void FdAbcastProcess::prune_winners() {
     winners_.erase(winners_.begin());
 }
 
-net::PayloadPtr FdAbcastProcess::propose_pending(std::uint64_t number) {
-  std::vector<MsgId> ids;
-  ids.reserve(pending_.size());
+void FdAbcastProcess::mark_pending(std::uint64_t number) {
   for (const auto& [id, msg] : pending_) {
-    ids.push_back(id);
     auto [it, inserted] = proposed_in_.try_emplace(id, number);
     if (!inserted) it->second = std::max(it->second, number);
   }
@@ -234,19 +231,35 @@ net::PayloadPtr FdAbcastProcess::propose_pending(std::uint64_t number) {
   // here; the walker closes the interval at the decision (on_ordered).
   if (auto* o = sys_->obs(); o != nullptr && o->causal()) {
     obs::MsgRefList refs;
-    for (const MsgId& id : ids) refs.add(id.origin, id.seq);
+    for (const auto& [id, msg] : pending_) refs.add(id.origin, id.seq);
     o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
   }
+}
+
+net::PayloadPtr FdAbcastProcess::pending_proposal() {
+  std::vector<MsgId> ids;
+  ids.reserve(pending_.size());
+  for (const auto& [id, msg] : pending_) ids.push_back(id);
   return sys_->arena().make<Proposal>(self_, std::move(ids));
 }
 
 consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
+  mark_pending(number);
+  const int offset = offset_for(number);
+  // Only the round-1 coordinator proposes its initial value.  Anyone
+  // else's would ride an ESTIMATE with timestamp 0, which is never chosen
+  // (StartInfo::initial): a payload is built only where it is sent.
+  const bool proposes = consensus::coordinator_of(sys_->all(), offset, 1) == self_;
   return consensus::StartInfo{
       .members = &sys_->all(),
-      .coordinator_offset = offset_for(number),
-      .initial = propose_pending(number),
+      .coordinator_offset = offset,
+      .initial = proposes ? pending_proposal() : nullptr,
       // Recovery rounds with no locked value may batch in later arrivals.
-      .refresh = [this, number] { return propose_pending(number); },
+      .refresh =
+          [this, number] {
+            mark_pending(number);
+            return pending_proposal();
+          },
   };
 }
 

@@ -135,11 +135,15 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   void handle_sync_req(net::ProcessId from, const SyncReq& req);
   void apply_sync_resp(const SyncResp& resp);
   void catchup_tick(std::uint64_t epoch);
-  /// Start info of instance `number`: its coordinator offset and a
-  /// proposal of all pending ids (also on every refresh).
+  /// Start info of instance `number`: its coordinator offset, and a
+  /// proposal of all pending ids on its round-1 coordinator only (on any
+  /// coordinator's refresh too).  Every process marks the pending ids.
   [[nodiscard]] consensus::StartInfo make_start_info(std::uint64_t number);
-  /// Proposal of all pending ids, marked as proposed in instance `number`.
-  [[nodiscard]] net::PayloadPtr propose_pending(std::uint64_t number);
+  /// Marks every pending id as proposed in instance `number` and records
+  /// the causal start of its consensus.
+  void mark_pending(std::uint64_t number);
+  /// Proposal of all pending ids.
+  [[nodiscard]] net::PayloadPtr pending_proposal();
   /// Drops the rotation anchors below the pipeline window.
   void prune_winners();
   /// May instance `number` start yet (pipeline window)?

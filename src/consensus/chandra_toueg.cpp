@@ -27,6 +27,8 @@ void Instance::reset(InstanceKey key, StartInfo info) {
   key_ = key;
   if (info.members == nullptr || info.members->empty())
     throw std::invalid_argument("consensus::Instance: empty membership");
+  if (info.initial == nullptr && !info.refresh)
+    throw std::logic_error("consensus::Instance: null initial value without refresh");
   members_.assign(info.members->begin(), info.members->end());
   offset_ = info.coordinator_offset;
   refresh_ = std::move(info.refresh);
@@ -71,9 +73,7 @@ int Instance::rank_of(net::ProcessId p) const {
 }
 
 net::ProcessId Instance::coordinator(std::uint32_t r) const {
-  const auto n = members_.size();
-  const auto idx = (static_cast<std::size_t>(offset_) + (r - 1)) % n;
-  return members_[idx];
+  return coordinator_of(members_, offset_, r);
 }
 
 void Instance::start() { try_progress(); }
@@ -200,6 +200,9 @@ void Instance::try_progress() {
         can_propose = true;
       }
       if (can_propose) {
+        // Empty-handed: a round-1 coordinator whose client built no
+        // initial value (StartInfo::initial), or a refresh that gave none.
+        if (value == nullptr) throw std::logic_error("consensus: coordinator holds no value");
         st.proposed = true;
         st.have_proposal = true;
         st.proposal = value;

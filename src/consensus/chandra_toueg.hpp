@@ -51,9 +51,15 @@ struct StartInfo {
   /// pointee only has to outlive the start/join call — no per-instance
   /// vector allocation on the hot path.
   const std::vector<net::ProcessId>* members = nullptr;
-  /// Rotation offset: coordinator of round 1 is members[offset % size].
+  /// Rotation offset: coordinator of round 1 is members[offset % size]
+  /// (see coordinator_of).
   int coordinator_offset = 0;
   /// This process's initial value (proposed if it coordinates round 1).
+  /// May be null only when `refresh` is set: a null value travels as an
+  /// ESTIMATE with timestamp 0, and a coordinator that finds no positive
+  /// timestamp proposes its own refresh(), so such an estimate is never
+  /// chosen.  The round-1 coordinator, coordinator_of(members,
+  /// coordinator_offset, 1), must hold a value.
   net::PayloadPtr initial = nullptr;
   /// Optional: called when this process coordinates a round in which no
   /// estimate carries a positive timestamp (no value was ever locked — any
@@ -62,6 +68,14 @@ struct StartInfo {
   /// stalled round are batched into its recovery instead of waiting.
   std::function<net::PayloadPtr()> refresh{};
 };
+
+/// Coordinator of round `r` (rounds count from 1) over `members` sorted
+/// ascending, as Instance keeps them: members[(offset + r - 1) mod |members|].
+[[nodiscard]] inline net::ProcessId coordinator_of(const std::vector<net::ProcessId>& members,
+                                                   int offset, std::uint32_t r) {
+  const auto idx = (static_cast<std::size_t>(offset) + (r - 1)) % members.size();
+  return members[idx];
+}
 
 class ConsensusService;
 

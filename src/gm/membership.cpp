@@ -89,7 +89,13 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                                  rbcast::ReliableBroadcast& rb,
                                  consensus::ConsensusService& consensus, MembershipClient& client)
-    : sys_(&sys), self_(self), fd_(&fd), rb_(&rb), consensus_(&consensus), client_(&client) {
+    : sys_(&sys),
+      self_(self),
+      fd_(&fd),
+      rb_(&rb),
+      consensus_(&consensus),
+      client_(&client),
+      unstable_received_(static_cast<std::size_t>(sys.n()), nullptr) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
@@ -153,7 +159,7 @@ void GroupMembership::start_view_change(bool initiator) {
   if (status_ != Status::kMember) return;
   status_ = Status::kViewChange;
   consensus_started_ = false;
-  unstable_received_.clear();
+  std::ranges::fill(unstable_received_, nullptr);
   client_->on_view_change_started();
 
   // Snapshot the suspect set of this attempt (paper: the proposal is made
@@ -167,13 +173,13 @@ void GroupMembership::start_view_change(bool initiator) {
     sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kMembership,
                                        sys_->arena().make<VcSignalPayload>(view_.id));
 
-  // Step 2: announce our unstable messages.
-  unstable_received_[self_] = client_->unstable_messages();
+  // Step 2: announce our unstable messages; our own report is the one we
+  // send.
   std::vector<Joiner> js(joiners_.begin(), joiners_.end());
-  sys_->node(self_).multicast_others(
-      view_.members, net::ProtocolId::kMembership,
-      sys_->arena().make<UnstableMsgPayload>(view_.id, unstable_received_[self_],
-                                             std::move(js)));
+  const UnstableMsgPayload* own = sys_->arena().make<UnstableMsgPayload>(
+      view_.id, client_->unstable_messages(), std::move(js));
+  unstable_received_[static_cast<std::size_t>(self_)] = &own->report;
+  sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kMembership, own);
   maybe_start_consensus();
 }
 
@@ -185,15 +191,18 @@ void GroupMembership::maybe_start_consensus() {
   // runs first, allocation-free with an early exit: it is re-evaluated on
   // every report/suspicion/restart event of the view change, which makes
   // it O(n^2) per view change at large n if it builds state eagerly.
+  const auto reported = [&](net::ProcessId q) {
+    return unstable_received_[static_cast<std::size_t>(q)] != nullptr;
+  };
   const auto excluded = [&](net::ProcessId q) {
     return (vc_suspected_.contains(q) || restart_pending_.contains(q)) && q != self_;
   };
   for (net::ProcessId q : view_.members)
-    if (!unstable_received_.contains(q) && !excluded(q)) return;  // waiting
+    if (!reported(q) && !excluded(q)) return;  // waiting
   std::vector<net::ProcessId> p_set;
   p_set.reserve(view_.members.size());
   for (net::ProcessId q : view_.members)
-    if (unstable_received_.contains(q) && !excluded(q)) p_set.push_back(q);
+    if (reported(q) && !excluded(q)) p_set.push_back(q);
   if (p_set.size() < view_.majority()) {
     // Too many members in the snapshot: this attempt cannot form a valid
     // view.  Refresh the snapshot shortly — with short mistakes (small
@@ -206,11 +215,13 @@ void GroupMembership::maybe_start_consensus() {
   // U = union of all received unstable sets; a message sequenced anywhere
   // keeps its sequence number.  The settled watermark is the max of the
   // contributors' delivery watermarks and of the sequence numbers in U.
+  // Reports are merged in pid order.
   std::map<abcast::MsgId, UnstableEntry> u;
   std::int64_t settled = 0;
-  for (const auto& [q, report] : unstable_received_) {
-    settled = std::max(settled, report.watermark);
-    for (const UnstableEntry& e : report.entries) {
+  for (const UnstableReport* report : unstable_received_) {
+    if (report == nullptr) continue;
+    settled = std::max(settled, report->watermark);
+    for (const UnstableEntry& e : report->entries) {
       auto [it, inserted] = u.try_emplace(e.msg->id, e);
       if (!inserted && e.seqnum >= 0) it->second.seqnum = e.seqnum;
       settled = std::max(settled, e.seqnum);
@@ -288,7 +299,7 @@ void GroupMembership::process_decision(const MembershipProposal& d) {
 
   // Reset view-change state; drop joiners that are members of the new
   // view (whether via this decision's J or an earlier readmission).
-  unstable_received_.clear();
+  std::ranges::fill(unstable_received_, nullptr);
   consensus_started_ = false;
   for (auto it = joiners_.begin(); it != joiners_.end();)
     it = nv.contains(it->p) ? joiners_.erase(it) : std::next(it);
@@ -378,7 +389,7 @@ void GroupMembership::rejoin() {
   const bool chain_armed = status_ == Status::kJoining;
   status_ = Status::kJoining;
   consensus_started_ = false;
-  unstable_received_.clear();
+  std::ranges::fill(unstable_received_, nullptr);
   joiners_.clear();
   restart_pending_.clear();
   vc_suspected_.clear();
@@ -419,7 +430,7 @@ void GroupMembership::on_message(const net::Message& m) {
     if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
     for (const Joiner& j : u->joiners) joiners_.insert(j);
     if (status_ == Status::kMember) start_view_change(/*initiator=*/false);  // just learned
-    unstable_received_[m.src] = u->report;
+    unstable_received_[static_cast<std::size_t>(m.src)] = &u->report;
     maybe_start_consensus();
     return;
   }

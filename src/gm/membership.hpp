@@ -124,7 +124,8 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   /// change consensus was started.
   [[nodiscard]] std::vector<net::ProcessId> debug_unstable_from() const {
     std::vector<net::ProcessId> out;
-    for (const auto& [q, r] : unstable_received_) out.push_back(q);
+    for (std::size_t q = 0; q < unstable_received_.size(); ++q)
+      if (unstable_received_[q] != nullptr) out.push_back(static_cast<net::ProcessId>(q));
     return out;
   }
   [[nodiscard]] bool debug_consensus_started() const { return consensus_started_; }
@@ -181,7 +182,10 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   std::uint64_t views_installed_ = 0;
 
   // View-change state (valid while status_ == kViewChange).
-  std::map<net::ProcessId, UnstableReport> unstable_received_;
+  /// Unstable reports received in this view change, indexed by pid (null:
+  /// none yet).  They point into the arena-held UNSTABLE payloads, our own
+  /// included, which live as long as the run: no report is copied.
+  std::vector<const UnstableReport*> unstable_received_;
   std::set<Joiner> joiners_;
   bool consensus_started_ = false;
   /// Suspicion snapshot of this view-change attempt: a member suspected at

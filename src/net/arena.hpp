@@ -5,8 +5,16 @@
 // freed wholesale when the run — the owning net::System — is destroyed.
 // This removes the per-receiver shared_ptr refcount traffic of the old
 // payload model from the hot path; the cost is that a run's payload
-// memory is not reclaimed until the run ends, which is bounded by the
-// run length and tiny for every scenario in this repository.
+// memory, and the heap a payload's vectors hold, is not reclaimed until
+// the run ends.  It grows with the run length and with every payload
+// built, sent or not, and it is not tiny at scale.  When every FD process
+// built a consensus proposal for every instance, although only the
+// round-1 coordinator's is ever sent, the FD run of the n = 128 benchmark
+// workload (scale_n128, seed 1000) held 25.5 MB of live heap after 25
+// simulated seconds; building the proposal only on that coordinator
+// leaves 10.0 MB, and the arena's own blocks fall from 2.0 to 1.3 MB.
+// The rule: build a payload only where it is sent, and let receivers
+// point into it instead of copying it.
 //
 // Non-trivially-destructible payloads (those holding vectors/maps) are
 // registered in a finalizer list and destroyed in reverse allocation

@@ -15,17 +15,21 @@
 //
 // The scheduler's own steady state is covered by scheduler_test.  The
 // AllocBound tests bound what is not zero: the scheduler under an n = 128
-// FD-timer population, and the bytes the lazy QoS model allocates at
-// construction against the eager per-pair RNG forks it replaced.
+// FD-timer population, one GM view change at n = 64, and the bytes the
+// lazy QoS model allocates at construction against the eager per-pair
+// RNG forks it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "abcast/abcast.hpp"
+#include "abcast/gm_abcast.hpp"
 #include "alloc_counter.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
@@ -321,6 +325,54 @@ TEST(ZeroAlloc, BatchedSubmit) {
   EXPECT_GT(sys.scheduler().now(), boundary);
   EXPECT_EQ(deliveries.delivered, 272u * kMsgs);
   EXPECT_GT(static_cast<double>(proc.batched) / static_cast<double>(proc.delivered_count()), 0.5);
+}
+
+// One forced view change of a 64-member GM group: every member has just
+// delivered a message from each of the others, so every report is
+// non-empty, and p63 crashes.  Each survivor collects the 62 other
+// survivors' unstable reports; held by reference into their UNSTABLE
+// payloads, that costs no allocation per report, where a deep copy per
+// receiver cost two (map node + entry vector): 7812 more at n = 64.  The
+// run is deterministic, so the bound is the measured count.
+TEST(AllocBound, GmViewChange64) {
+  constexpr int kN = 64;
+  net::System sys(kN, net::NetworkConfig{}, 7);
+  fd::QosParams qp;
+  qp.detection_time = 10.0;
+  fd::QosFailureDetectorModel fd(sys, qp);
+  std::vector<std::unique_ptr<abcast::GmAbcastProcess>> procs;
+  for (int i = 0; i < kN; ++i)
+    procs.push_back(std::make_unique<abcast::GmAbcastProcess>(sys, i, fd.at(i)));
+  fd.start();
+  for (const auto& p : procs) p->a_broadcast();
+  sys.scheduler().run();
+
+  const std::uint64_t before = g_alloc_count;
+  sys.crash(kN - 1);
+  sys.scheduler().run();
+  const std::uint64_t allocs = g_alloc_count - before;
+  for (int i = 0; i < kN - 1; ++i) {
+    const auto& p = *procs[static_cast<std::size_t>(i)];
+    ASSERT_EQ(p.view().id, 1u) << "p" << i;
+    ASSERT_EQ(p.view().members.size(), static_cast<std::size_t>(kN - 1)) << "p" << i;
+  }
+  EXPECT_LE(allocs, 5780u) << "one view change at n = " << kN;
+
+  // A second view change, stepped: the reports p0 holds are listed in pid
+  // order whatever order they arrived in.
+  sys.crash(kN - 2);
+  std::size_t most = 0;
+  const gm::GroupMembership& m = procs[0]->membership();
+  while (sys.scheduler().pending() > 0 && procs[0]->view().id < 2) {
+    sys.scheduler().run_until(sys.scheduler().now() + 0.05);
+    if (!m.in_view_change()) continue;
+    const std::vector<net::ProcessId> from = m.debug_unstable_from();
+    ASSERT_TRUE(std::is_sorted(from.begin(), from.end()));
+    ASSERT_TRUE(std::adjacent_find(from.begin(), from.end()) == from.end());
+    most = std::max(most, from.size());
+  }
+  EXPECT_EQ(procs[0]->view().id, 2u);
+  EXPECT_EQ(most, static_cast<std::size_t>(kN - 2));
 }
 
 // The QoS model's per-pair state is lazy: construction sizes an

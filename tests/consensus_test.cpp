@@ -8,7 +8,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "consensus/chandra_toueg.hpp"
@@ -274,6 +276,54 @@ TEST(Consensus, ValidityDecisionIsSomeProposal) {
     EXPECT_GE(v, 10);
     EXPECT_LT(v, 15);
   }
+}
+
+// ------------------------------------------- null initial values (refresh)
+
+TEST(Consensus, OnlyRoundOneCoordinatorHoldsAValueAndCrashesBeforeProposing) {
+  // A client with a refresh builds its initial value only where round 1
+  // proposes it.  Here that coordinator, p0, is dead before its proposal
+  // leaves; every other process starts with a null initial value.  The
+  // round-2 coordinator p1 can gather a majority only from null
+  // ESTIMATEs (timestamp 0), so it must count them and propose its own
+  // refresh() value.
+  std::vector<int> refreshes(5, 0);
+  fd::QosParams qp;
+  qp.detection_time = 20.0;
+  Fixture f(5, qp);
+  f.sys.crash(0);
+  for (int i = 0; i < 5; ++i) {
+    f.services[static_cast<std::size_t>(i)]->start(
+        InstanceKey{kCtx, 1},
+        StartInfo{
+            .members = &f.sys.all(),
+            .coordinator_offset = 0,
+            .initial = i == 0 ? f.sys.arena().make<Value>(0) : nullptr,
+            .refresh =
+                [&f, &refreshes, i] {
+                  ++refreshes[static_cast<std::size_t>(i)];
+                  return f.sys.arena().make<Value>(200 + i);
+                },
+        });
+  }
+  f.sys.scheduler().run();
+  EXPECT_EQ(f.deciders(1), 4u);
+  EXPECT_EQ(f.check_agreement(1), 201);
+  EXPECT_EQ(refreshes, (std::vector<int>{0, 1, 0, 0, 0}));
+}
+
+TEST(Consensus, NullInitialValueWithoutRefreshThrows) {
+  Fixture f(3);
+  EXPECT_THROW(f.services[1]->start(InstanceKey{kCtx, 1}, StartInfo{&f.sys.all(), 0, nullptr}),
+               std::logic_error);
+  EXPECT_FALSE(f.services[1]->running(InstanceKey{kCtx, 1}));
+}
+
+TEST(Consensus, RoundOneCoordinatorWithoutValueThrows) {
+  Fixture f(3);
+  StartInfo info{&f.sys.all(), 0, nullptr};
+  info.refresh = [&f] { return f.sys.arena().make<Value>(7); };
+  EXPECT_THROW(f.services[0]->start(InstanceKey{kCtx, 1}, std::move(info)), std::logic_error);
 }
 
 // ---------------------------------------------------------------- property
