@@ -48,11 +48,10 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      rb_(sys, self, fd, rbcast::RbConfig{.relay_on_suspicion = false}),
+      rb_(sys, self),
       consensus_(sys, self, fd, rb_) {
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
-  rb_.register_client(kDataTag, [this](const rbcast::RbId& /*id*/, net::ProcessId /*origin*/,
-                                       const net::PayloadPtr& inner) { on_data(inner); });
+  rb_.register_client(kDataTag, [this](const net::PayloadPtr& inner) { on_data(inner); });
   consensus_.register_context(
       kAbcastContext, /*first_number=*/1,
       consensus::ConsensusService::ContextConfig{

@@ -268,9 +268,7 @@ ConsensusService::ConsensusService(net::System& sys, net::ProcessId self,
                                    fd::FailureDetector& fd, rbcast::ReliableBroadcast& rb)
     : sys_(&sys), self_(self), fd_(&fd), rb_(&rb) {
   sys.node(self).register_handler(net::ProtocolId::kConsensus, this);
-  rb.register_client(kDecideTag,
-                     [this](const rbcast::RbId& id, net::ProcessId origin,
-                            const net::PayloadPtr& inner) { on_decide_rb(id, origin, inner); });
+  rb.register_client(kDecideTag, [this](const net::PayloadPtr& inner) { on_decide_rb(inner); });
 }
 
 ConsensusService::~ConsensusService() {
@@ -388,23 +386,18 @@ void ConsensusService::decide(const InstanceKey& key, const std::vector<net::Pro
   rb_->broadcast_group(kDecideTag, members, msg);
 }
 
-void ConsensusService::on_decide_rb(const rbcast::RbId& id, net::ProcessId /*origin*/,
-                                    net::PayloadPtr inner) {
+void ConsensusService::on_decide_rb(net::PayloadPtr inner) {
   const ConsensusMsg* cm = net::payload_cast<ConsensusMsg>(inner);
   if (cm == nullptr || cm->kind != ConsensusMsg::Kind::kDecide)
     throw std::logic_error("ConsensusService: bad decision payload");
   handle_decision(cm);
-  // Release even when the decision was a duplicate or already settled by
-  // close_below: retaining it would re-multicast a stale decision to
-  // everybody on every later suspicion of its origin.
-  rb_->release(id);
 }
 
-bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
+void ConsensusService::handle_decision(const ConsensusMsg* cm) {
   auto cit = contexts_.find(cm->key.context);
   if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
   // Duplicate, or settled out of band by close_below already.
-  if (!cit->second.decided.insert(cm->key.number)) return false;
+  if (!cit->second.decided.insert(cm->key.number)) return;
   if (auto it = instances_.find(cm->key); it != instances_.end()) {
     // halt() now; retire later.  The decision can arrive synchronously
     // from inside the instance's own try_progress (the coordinator's local
@@ -421,7 +414,6 @@ bool ConsensusService::handle_decision(const ConsensusMsg* cm) {
   }
   buffered_.erase(cm->key);
   cit->second.cfg.on_decide(cm->key, cm->value);
-  return true;
 }
 
 }  // namespace fdgm::consensus

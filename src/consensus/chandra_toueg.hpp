@@ -265,11 +265,10 @@ class ConsensusService final : public net::Layer {
               net::PayloadPtr value);
 
  private:
-  void on_decide_rb(const rbcast::RbId& id, net::ProcessId origin, net::PayloadPtr inner);
+  void on_decide_rb(net::PayloadPtr inner);
   void dispatch(net::ProcessId from, const ConsensusMsg* m);
-  /// Applies a decision (from rbcast or a direct relay); returns true when
-  /// it was new.
-  bool handle_decision(const ConsensusMsg* cm);
+  /// Applies a decision delivered by rbcast; ignores one already applied.
+  void handle_decision(const ConsensusMsg* cm);
 
   net::System* sys_;
   net::ProcessId self_;

@@ -87,12 +87,10 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 // ------------------------------------------------------------ construction
 
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                                 rbcast::ReliableBroadcast& rb,
                                  consensus::ConsensusService& consensus, MembershipClient& client)
     : sys_(&sys),
       self_(self),
       fd_(&fd),
-      rb_(&rb),
       consensus_(&consensus),
       client_(&client),
       unstable_received_(static_cast<std::size_t>(sys.n()), nullptr) {
@@ -269,7 +267,7 @@ void GroupMembership::schedule_attempt_refresh() {
 // ----------------------------------------------------------------- decision
 
 void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
-  if (key.number != view_.id) return;  // stale (relayed) or future decision
+  if (key.number != view_.id) return;  // stale or future decision
   if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
   const MembershipProposal* d = net::payload_cast<MembershipProposal>(value);
   if (d == nullptr) throw std::logic_error("GroupMembership: bad decision payload");

@@ -1,16 +1,23 @@
-// Tests of the reliable broadcast layer: single-multicast fast path,
-// duplicate suppression, relay on suspicion, garbage collection, and
-// client-tag routing.  The delivery tests run twice: Rbcast.* with relays
-// on, RbcastRelayOff.* in the relay-off mode both protocol stacks run,
-// where the layer must also retain nothing.
+// Tests of the reliable broadcast layer: one multicast per broadcast
+// (also while the origin is wrongly suspected), local delivery first, the
+// dropped loopback copy, delivery once everywhere, client-tag routing, and
+// the argument that replaces relays on suspicion: under loss the transport
+// keeps repairing a multicast after its origin crashed, so every correct
+// destination still delivers it exactly once.  The delivery tests run
+// twice: Rbcast.* as is, RbcastRelayOff.* under a failure detector that
+// keeps wrongly suspecting every process, where the layer must deliver
+// the same and still send one multicast per broadcast.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
 #include "rbcast/reliable_broadcast.hpp"
+#include "transport/transport.hpp"
 
 namespace fdgm::rbcast {
 namespace {
@@ -21,158 +28,165 @@ class Body final : public net::Payload {
  public:
   static constexpr net::ProtocolId kProto = net::ProtocolId::kApplication;
   static constexpr std::uint8_t kKind = 33;
-  explicit Body(int v) : Payload(kProto, kKind), value(v) {}
+  Body(net::ProcessId origin, int v) : Payload(kProto, kKind), origin(origin), value(v) {}
+  net::ProcessId origin;
   int value;
 };
 
+/// Counts the suspicion edges one failure detector raises against p.
+class SuspicionCounter final : public fd::SuspicionListener {
+ public:
+  explicit SuspicionCounter(net::ProcessId p) : p_(p) {}
+  void on_suspect(net::ProcessId p) override { count += p == p_ ? 1 : 0; }
+  int count = 0;
+
+ private:
+  net::ProcessId p_;
+};
+
 struct Fixture {
-  explicit Fixture(int n, fd::QosParams qp = {}, RbConfig cfg = {}) : sys(n, {}, 1), fd(sys, qp) {
+  explicit Fixture(int n, std::uint64_t seed = 1, transport::Config tp = {})
+      : sys(n, {}, seed, tp) {
     deliveries.reserve(static_cast<std::size_t>(n));  // lambdas keep pointers
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, fd.at(i), cfg));
+      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i));
       auto* log = &deliveries.emplace_back();
-      stacks.back()->register_client(
-          kTag, [log](const RbId&, net::ProcessId origin, net::PayloadPtr p) {
-            const Body* b = net::payload_cast<Body>(p);
-            log->emplace_back(origin, b != nullptr ? b->value : -1);
-          });
+      stacks.back()->register_client(kTag, [log](net::PayloadPtr p) {
+        const Body* b = net::payload_cast<Body>(p);
+        log->emplace_back(b != nullptr ? b->origin : -1, b != nullptr ? b->value : -1);
+      });
     }
-    fd.start();
+  }
+
+  void broadcast(net::ProcessId from, int v) {
+    stacks[static_cast<std::size_t>(from)]->broadcast(kTag, sys.arena().make<Body>(from, v));
+    ++multicasts;
+  }
+
+  void broadcast_group(net::ProcessId from, std::vector<net::ProcessId> group, int v) {
+    stacks[static_cast<std::size_t>(from)]->broadcast_group(kTag, std::move(group),
+                                                            sys.arena().make<Body>(from, v));
+    ++multicasts;
+  }
+
+  /// Starts a failure detector whose modules keep wrongly suspecting
+  /// every process (call before any broadcast).
+  void suspect_everyone() {
+    fd::QosParams qp;
+    qp.wrong_suspicions = true;
+    qp.mistake_recurrence = 50.0;
+    qp.mistake_duration = 1.0;
+    fd = std::make_unique<fd::QosFailureDetectorModel>(sys, qp);
+    fd->at(1).add_listener(&p0_at_p1);
+    fd->start();
+  }
+
+  /// Runs to quiescence, or for 5 s while suspicions keep renewing.
+  void run() {
+    if (fd == nullptr) {
+      sys.scheduler().run();
+    } else {
+      sys.scheduler().run_until(sys.scheduler().now() + 5000.0);
+    }
+  }
+
+  /// Under suspect_everyone(): the origin was suspected many times, and
+  /// no suspicion cost a wire slot.
+  void expect_no_relays() {
+    if (fd == nullptr) return;
+    EXPECT_GE(p0_at_p1.count, 20);
+    EXPECT_EQ(sys.network().network_uses(), multicasts);
   }
 
   net::System sys;
-  fd::QosFailureDetectorModel fd;
+  SuspicionCounter p0_at_p1{0};
+  std::unique_ptr<fd::QosFailureDetectorModel> fd;
+  std::uint64_t multicasts = 0;
   std::vector<std::unique_ptr<ReliableBroadcast>> stacks;
   std::vector<std::vector<std::pair<net::ProcessId, int>>> deliveries;
 };
 
-/// Without relays nothing may be retained, whatever was delivered.
-void expect_no_retention(const Fixture& f, const RbConfig& cfg) {
-  if (cfg.relay_on_suspicion) return;
-  for (const auto& st : f.stacks) EXPECT_EQ(st->retained(), 0u);
-}
-
-constexpr RbConfig kRelayOn{.relay_on_suspicion = true};
-constexpr RbConfig kRelayOff{.relay_on_suspicion = false};
-
-// Defines Rbcast.Name (relays on) and RbcastRelayOff.Name (relays off)
-// over one body that receives the mode as `cfg`.
-#define RB_TEST_BOTH_MODES(Name)                        \
-  void Name##Body(const RbConfig& cfg);                 \
-  TEST(Rbcast, Name) { Name##Body(kRelayOn); }          \
-  TEST(RbcastRelayOff, Name) { Name##Body(kRelayOff); } \
-  void Name##Body(const RbConfig& cfg)
+// Defines Rbcast.Name and RbcastRelayOff.Name over one body, which
+// receives whether to run under Fixture::suspect_everyone().
+#define RB_TEST_BOTH_MODES(Name)                     \
+  void Name##Body(bool suspecting);                  \
+  TEST(Rbcast, Name) { Name##Body(false); }          \
+  TEST(RbcastRelayOff, Name) { Name##Body(true); }   \
+  void Name##Body(bool suspecting)
 
 RB_TEST_BOTH_MODES(EveryoneDeliversOnce) {
-  Fixture f(4, {}, cfg);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(7));
-  f.sys.scheduler().run();
+  Fixture f(4);
+  if (suspecting) f.suspect_everyone();
+  f.broadcast(0, 7);
+  f.run();
   for (int p = 0; p < 4; ++p) {
     ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u) << p;
     EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 7));
   }
-  expect_no_retention(f, cfg);
+  f.expect_no_relays();
 }
 
 TEST(Rbcast, FailureFreeCostsOneWireSlot) {
   Fixture f(5);
-  f.stacks[2]->broadcast(kTag, f.sys.arena().make<Body>(1));
+  f.broadcast(2, 1);
   f.sys.scheduler().run();
   EXPECT_EQ(f.sys.network().network_uses(), 1u);
-  for (const auto& st : f.stacks) EXPECT_EQ(st->relays(), 0u);
+}
+
+TEST(Rbcast, WronglySuspectedOriginCostsOneWireSlot) {
+  // Suspecting the origin sends nothing: the layer does not relay.
+  Fixture f(3);
+  f.suspect_everyone();
+  f.broadcast(0, 3);
+  f.run();
+  EXPECT_EQ(f.sys.network().network_uses(), 1u);
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u);
+  f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(SenderDeliversLocallyImmediately) {
-  Fixture f(3, {}, cfg);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(5));
+  Fixture f(3);
+  if (suspecting) f.suspect_everyone();
+  f.broadcast(0, 5);
   // Before running the scheduler at all: local delivery already happened.
   EXPECT_EQ(f.deliveries[0].size(), 1u);
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.deliveries[0].size(), 1u);  // self copy deduplicated
-  expect_no_retention(f, cfg);
+  f.run();
+  EXPECT_EQ(f.deliveries[0].size(), 1u);  // loopback copy dropped
+  f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(OrderPreservedPerOrigin) {
-  Fixture f(3, {}, cfg);
-  for (int i = 0; i < 5; ++i) f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(i));
-  f.sys.scheduler().run();
+  Fixture f(3);
+  if (suspecting) f.suspect_everyone();
+  for (int i = 0; i < 5; ++i) f.broadcast(0, i);
+  f.run();
   for (int p = 0; p < 3; ++p) {
     ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 5u);
     for (int i = 0; i < 5; ++i)
       EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)].second, i);
   }
-  expect_no_retention(f, cfg);
-}
-
-TEST(Rbcast, SuspicionTriggersRelay) {
-  fd::QosParams qp;
-  qp.detection_time = 10.0;
-  Fixture f(3, qp);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(3));
-  f.sys.scheduler().run();
-  f.sys.crash(0);
-  f.sys.scheduler().run();  // detection at +10ms -> relays fire
-  std::uint64_t total_relays = 0;
-  for (const auto& st : f.stacks) total_relays += st->relays();
-  EXPECT_EQ(total_relays, 2u);  // p1 and p2 each relay once
-  // Still delivered exactly once everywhere.
-  for (int p = 1; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u);
-}
-
-TEST(Rbcast, RelayHappensAtMostOncePerMessage) {
-  fd::QosParams qp;
-  qp.wrong_suspicions = true;
-  qp.mistake_recurrence = 50.0;
-  qp.mistake_duration = 1.0;
-  Fixture f(3, qp);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(3));
-  f.sys.scheduler().run_until(5000.0);  // many suspicion edges of p0
-  EXPECT_LE(f.stacks[1]->relays(), 1u);
-  EXPECT_LE(f.stacks[2]->relays(), 1u);
-  EXPECT_EQ(f.deliveries[1].size(), 1u);
-}
-
-TEST(Rbcast, ReleasedMessagesAreNotRelayed) {
-  fd::QosParams qp;
-  qp.detection_time = 10.0;
-  Fixture f(3, qp);
-  RbId seen_id{};
-  // Re-register a client on stack 1 that releases immediately: use a
-  // separate tag to keep the fixture's logging client.
-  f.stacks[1]->register_client(2, [&](const RbId& id, net::ProcessId, const net::PayloadPtr&) {
-    seen_id = id;
-    f.stacks[1]->release(id);
-  });
-  f.stacks[0]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[2]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(9));
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->retained(), 0u);
-  f.sys.crash(0);
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->relays(), 0u);
-  EXPECT_EQ(f.stacks[2]->relays(), 1u);  // did not release, so it relays
+  f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(GroupBroadcastReachesGroupOnly) {
-  Fixture f(4, {}, cfg);
-  f.stacks[0]->broadcast_group(kTag, {0, 1, 2}, f.sys.arena().make<Body>(1));
-  f.sys.scheduler().run();
+  Fixture f(4);
+  if (suspecting) f.suspect_everyone();
+  f.broadcast_group(0, {0, 1, 2}, 1);
+  f.run();
   EXPECT_EQ(f.deliveries[0].size(), 1u);
   EXPECT_EQ(f.deliveries[1].size(), 1u);
   EXPECT_EQ(f.deliveries[2].size(), 1u);
   EXPECT_TRUE(f.deliveries[3].empty());
-  expect_no_retention(f, cfg);
+  f.expect_no_relays();
 }
 
 TEST(Rbcast, DistinctClientTagsAreIsolated) {
   Fixture f(2);
   std::vector<int> tag2;
-  f.stacks[0]->register_client(2, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {});
-  f.stacks[1]->register_client(2, [&](const RbId&, net::ProcessId, const net::PayloadPtr& p) {
-    tag2.push_back(net::payload_cast<Body>(p)->value);
-  });
-  f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(77));
+  f.stacks[0]->register_client(2, [](net::PayloadPtr) {});
+  f.stacks[1]->register_client(
+      2, [&](net::PayloadPtr p) { tag2.push_back(net::payload_cast<Body>(p)->value); });
+  f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(0, 77));
   f.sys.scheduler().run();
   EXPECT_EQ(tag2, (std::vector<int>{77}));
   EXPECT_TRUE(f.deliveries[1].empty());  // kTag client saw nothing
@@ -180,38 +194,64 @@ TEST(Rbcast, DistinctClientTagsAreIsolated) {
 
 TEST(Rbcast, DuplicateClientTagRejected) {
   Fixture f(2);
-  EXPECT_THROW(f.stacks[0]->register_client(
-                   kTag, [](const RbId&, net::ProcessId, const net::PayloadPtr&) {}),
-               std::logic_error);
+  EXPECT_THROW(f.stacks[0]->register_client(kTag, [](net::PayloadPtr) {}), std::logic_error);
 }
 
-TEST(Rbcast, RetainedCountTracksLifecycle) {
+TEST(Rbcast, UnknownClientTagThrows) {
+  // The sender's local delivery dispatches first, so the throw surfaces
+  // from broadcast itself.
   Fixture f(2);
-  EXPECT_EQ(f.stacks[1]->retained(), 0u);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(1));
-  f.sys.scheduler().run();
-  EXPECT_EQ(f.stacks[1]->retained(), 1u);
+  EXPECT_THROW(f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(0, 1)), std::logic_error);
 }
 
 RB_TEST_BOTH_MODES(CrashedReceiverDoesNotDeliver) {
-  Fixture f(3, {}, cfg);
+  Fixture f(3);
+  if (suspecting) f.suspect_everyone();
   f.sys.crash(2);
-  f.stacks[0]->broadcast(kTag, f.sys.arena().make<Body>(4));
-  f.sys.scheduler().run();
+  f.broadcast(0, 4);
+  f.run();
   EXPECT_TRUE(f.deliveries[2].empty());
   EXPECT_EQ(f.deliveries[1].size(), 1u);
   EXPECT_EQ(f.deliveries[0].size(), 1u);
-  expect_no_retention(f, cfg);
+  f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(ManyOriginsInterleaved) {
-  Fixture f(3, {}, cfg);
+  Fixture f(3);
+  if (suspecting) f.suspect_everyone();
   for (int round = 0; round < 10; ++round)
-    for (int p = 0; p < 3; ++p)
-      f.stacks[static_cast<std::size_t>(p)]->broadcast(kTag, f.sys.arena().make<Body>(round));
-  f.sys.scheduler().run();
+    for (int p = 0; p < 3; ++p) f.broadcast(p, round);
+  f.run();
   for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 30u);
-  expect_no_retention(f, cfg);
+  f.expect_no_relays();
+}
+
+TEST(Rbcast, LossyMulticastReachesEveryoneAfterOriginCrash) {
+  // Half the frames are lost, and the origin crashes 3 ms after its one
+  // multicast, before any retransmission timer fired.  The transport
+  // lives below the crash line, so it keeps repairing the multicast, and
+  // no receiver needs a relay to deliver it.
+  std::uint64_t retx_after_crash = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Fixture f(5, seed, transport::Config{.enabled = true});
+    sim::Rng loss_rng(seed);
+    f.sys.network().set_loss(0.5, &loss_rng);
+    f.broadcast(0, 9);
+    f.sys.scheduler().run_until(3.0);
+    f.sys.crash(0);
+    const std::uint64_t retx_at_crash = f.sys.transport()->stats().retransmits;
+    EXPECT_EQ(retx_at_crash, 0u);
+    f.sys.scheduler().run_until(203.0);
+    f.sys.network().clear_loss();
+    f.sys.scheduler().run_until(5000.0);
+    for (int p = 1; p < 5; ++p) {
+      ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u)
+          << "seed " << seed << " p" << p;
+      EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 9));
+    }
+    retx_after_crash += f.sys.transport()->stats().retransmits - retx_at_crash;
+  }
+  EXPECT_GT(retx_after_crash, 0u);
 }
 
 }  // namespace
