@@ -19,8 +19,8 @@ QosFailureDetectorModel::QosFailureDetectorModel(net::System& sys, QosParams par
   fds_.reserve(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) fds_.push_back(std::make_unique<FailureDetector>(q, n));
 
-  // Pair engines are forked lazily on first draw (see pair_draw): eagerly
-  // seeding n^2 mt19937_64 engines dominated setup at large n.
+  // No pair engine is built here (see pair_draw): a pair's first draw
+  // needs none, and only a pair that draws twice persists one.
   pairs_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
   clock_rate_.assign(static_cast<std::size_t>(n), 1.0);
   limp_.assign(static_cast<std::size_t>(n), 1.0);
@@ -38,24 +38,22 @@ QosFailureDetectorModel::PairState& QosFailureDetectorModel::pair(net::ProcessId
 double QosFailureDetectorModel::pair_draw(PairState& st, net::ProcessId q, net::ProcessId p,
                                           double mean) {
   // Mirrors Rng::exponential's mean <= 0 contract, which consumes no
-  // engine state — so `draws` counts exactly the consuming draws.
+  // engine state — so `drew_first` marks only a consuming draw.
   if (mean <= 0.0) return 0.0;
   if (st.engine == nullptr) {
     const std::uint64_t tag = static_cast<std::uint64_t>(q) *
                                   static_cast<std::uint64_t>(sys_->n()) +
                               static_cast<std::uint64_t>(p);
-    if (st.draws == 0) {
-      // First draw: a stack-local engine avoids persisting state for the
-      // (common) pairs that only ever draw once.
-      sim::Rng tmp = base_.fork(tag);
-      st.draws = 1;
-      return tmp.exponential(mean);
+    if (!st.drew_first) {
+      // First draw: computed from the fork's seed, no engine built.
+      st.drew_first = true;
+      return base_.fork_first_exponential(tag, mean);
     }
-    // Second draw: persist the engine and replay the consumed prefix.
-    // exponential_distribution's engine consumption is independent of the
-    // mean, so replaying with mean 1 reproduces the stream position.
+    // Second draw: persist the engine and discard the variate the first
+    // draw took.  exponential_distribution's engine consumption is
+    // independent of the mean, so mean 1 reproduces the stream position.
     st.engine = std::make_unique<sim::Rng>(base_.fork(tag));
-    for (std::uint32_t i = 0; i < st.draws; ++i) (void)st.engine->exponential(1.0);
+    (void)st.engine->exponential(1.0);
   }
   return st.engine->exponential(mean);
 }
@@ -156,7 +154,7 @@ void QosFailureDetectorModel::schedule_next_mistake(net::ProcessId q, net::Proce
   // A slow target clock / limping target makes wrong suspicions of it
   // more frequent; so does a fast monitor clock (see the header comment).
   // Scaling the drawn value (not the mean) keeps engine consumption
-  // identical — the draw-count replay of lazy PairState stays valid.
+  // identical — the one-variate discard of lazy PairState stays valid.
   const double gap = pair_draw(pair(q, p), q, p, params_.mistake_recurrence) *
                      (clock_rate_[static_cast<std::size_t>(p)] /
                       (clock_rate_[static_cast<std::size_t>(q)] *

@@ -85,16 +85,16 @@ class QosFailureDetectorModel {
 
  private:
   /// Per ordered pair (q monitors p).  The pair's RNG engine is lazy:
-  /// constructing n^2 mt19937_64 engines up front dominated setup time at
-  /// large n (~40% of a quick n=128 run), yet most pairs draw zero or one
-  /// variate (none at all when wrong_suspicions is off).  pair_draw forks
-  /// the engine from base_ with the pair's original tag on first use —
-  /// the streams are bit-identical to the eager layout — and only
-  /// persists it on the second draw (a one-shot draw uses a stack-local
-  /// engine and just counts the consumption for a later replay).
+  /// most pairs draw zero or one variate, and start() makes one draw for
+  /// each of the n(n-1) pairs.  pair_draw computes the first variate
+  /// straight from the pair's fork seed (sim::Rng::fork_first_exponential:
+  /// shift_size = 156 seeding steps and one twist step, no engine built);
+  /// only the second draw persists the engine, forked from base_ with the
+  /// pair's tag, and discards the one variate already taken.  The streams
+  /// are bit-identical to the eager layout of one fork per pair.
   struct PairState {
     std::unique_ptr<sim::Rng> engine;  // null until the second draw
-    std::uint32_t draws = 0;           // variates consumed pre-persist
+    bool drew_first = false;           // the first variate was drawn
     bool crashed_permanent = false;    // p crashed; suspicion is final
     sim::Time suspect_until = 0.0;     // end of the latest mistake window
     /// Generation of the renewal chain: a pending next-mistake callback

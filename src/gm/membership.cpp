@@ -1,8 +1,6 @@
 #include "gm/membership.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -275,12 +273,6 @@ void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::Pa
 }
 
 void GroupMembership::process_decision(const MembershipProposal& d) {
-  if (getenv("FDGM_TRACE_VC")) {
-    std::fprintf(stderr, "[%.2f] p%d decision view%llu: P'={", sys_->now(), self_,
-                 (unsigned long long)view_.id);
-    for (auto p : d.members) std::fprintf(stderr, "%d,", p);
-    std::fprintf(stderr, "} J'=%zu U'=%zu\n", d.joiners.size(), d.unstable.size());
-  }
   if (status_ == Status::kMember) {
     // The decision overtook the unstable announcements: freeze now.
     status_ = Status::kViewChange;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string_view>
 
 namespace fdgm::sim {
@@ -17,9 +18,7 @@ class Rng {
   explicit Rng(std::uint64_t seed) : engine_(splitmix(seed)), seed_base_(seed) {}
 
   /// Derive an independent stream identified by (this stream, tag).
-  [[nodiscard]] Rng fork(std::uint64_t tag) const {
-    return Rng(splitmix(seed_base_ ^ splitmix(tag + 0x51ed2701)));
-  }
+  [[nodiscard]] Rng fork(std::uint64_t tag) const { return Rng(fork_seed(tag)); }
 
   /// Derive an independent stream from a human-readable label.
   [[nodiscard]] Rng fork(std::string_view label) const { return fork(fnv1a(label)); }
@@ -43,6 +42,35 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
+  /// fork(tag).exponential(mean), bit for bit, without building the
+  /// fork's engine: its one word comes from first_output().
+  [[nodiscard]] double fork_first_exponential(std::uint64_t tag, double mean) const {
+    if (mean <= 0.0) return 0.0;
+    OneWord word(first_output(splitmix(fork_seed(tag))));
+    return std::exponential_distribution<double>(1.0 / mean)(word);
+  }
+
+  /// The first output of std::mt19937_64(seed).  It tempers the twisted
+  /// x[0], which reads only x[0], x[1] and x[shift_size] of the seeded
+  /// state: shift_size seeding steps instead of the engine's full seeding
+  /// and twist of state_size words.
+  static std::uint64_t first_output(std::uint64_t seed) {
+    using E = std::mt19937_64;
+    const auto step = [](std::uint64_t x, std::uint64_t i) {
+      return E::initialization_multiplier * (x ^ (x >> (E::word_size - 2))) + i;
+    };
+    const std::uint64_t x1 = step(seed, 1);
+    std::uint64_t xm = x1;
+    for (std::uint64_t i = 2; i <= E::shift_size; ++i) xm = step(xm, i);
+    constexpr std::uint64_t upper = ~std::uint64_t{0} << E::mask_bits;
+    const std::uint64_t y = (seed & upper) | (x1 & ~upper);
+    std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
+    z ^= (z >> E::tempering_u) & E::tempering_d;
+    z ^= (z << E::tempering_s) & E::tempering_b;
+    z ^= (z << E::tempering_t) & E::tempering_c;
+    return z ^ (z >> E::tempering_l);
+  }
+
   /// Raw 64-bit draw.
   std::uint64_t next_u64() { return engine_(); }
 
@@ -52,6 +80,27 @@ class Rng {
   result_type operator()() { return engine_(); }
 
  private:
+  /// A generator with the engine's range that yields one given word; a
+  /// distribution that asks for a second one is a bug.
+  struct OneWord {
+    using result_type = std::mt19937_64::result_type;
+    explicit OneWord(result_type w) : word(w) {}
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() {
+      if (used) throw std::logic_error("Rng: one-word generator asked for a second word");
+      used = true;
+      return word;
+    }
+    result_type word;
+    bool used = false;
+  };
+
+  /// Seed of fork(tag); its engine is seeded with splitmix of it.
+  [[nodiscard]] std::uint64_t fork_seed(std::uint64_t tag) const {
+    return splitmix(seed_base_ ^ splitmix(tag + 0x51ed2701));
+  }
+
   static std::uint64_t splitmix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

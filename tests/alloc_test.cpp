@@ -376,10 +376,12 @@ TEST(AllocBound, GmViewChange64) {
 }
 
 // The QoS model's per-pair state is lazy: construction sizes an
-// engine-less vector, and a pair forks its RNG only on its first mistake
-// draw.  Eager construction would fork one sim::Rng per ordered pair
-// before the first event runs; the lazy setup must cost well under a
-// tenth of those bytes.
+// engine-less vector, and a pair builds its RNG engine only on its second
+// mistake draw (the first is computed from the fork seed).  Eager
+// construction would fork one sim::Rng per ordered pair before the first
+// event runs; the lazy setup must cost well under a tenth of those bytes.
+// This measures construction only: start()'s first draws allocate no
+// engine, and their cost is CPU, which perf/ measures (setup_s).
 TEST(AllocBound, LazyQosSetup128) {
   constexpr int kN = 128;
   net::System sys(kN, net::NetworkConfig{}, 7);

@@ -3,6 +3,7 @@
 // listener edge notifications, and independence of pair modules.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "fd/qos_model.hpp"
@@ -211,6 +212,54 @@ TEST(FdModel, DeterministicAcrossRuns) {
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_EQ(a, b);
+}
+
+// The lazy pair layout (first variate computed from the fork seed, the
+// engine persisted on the second draw) must reproduce, for every ordered
+// pair, the stream of one eagerly forked engine per pair: gap, duration,
+// gap, duration, ... from fork(q*n + p) of the model's "fd-qos-model"
+// stream.
+TEST(FdModel, PairStreamsMatchEagerForks) {
+  constexpr int kN = 4;
+  constexpr double kRunMs = 20000.0;
+  net::System sys(kN, {}, 11);
+  QosParams qp;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = 200.0;
+  qp.mistake_duration = 0.01;
+  QosFailureDetectorModel fd(sys, qp);
+  std::vector<std::unique_ptr<EdgeLog>> logs;
+  for (int q = 0; q < kN; ++q) {
+    logs.push_back(std::make_unique<EdgeLog>(sys));
+    fd.at(q).add_listener(logs.back().get());
+  }
+  fd.start();
+  sys.scheduler().run_until(kRunMs);
+
+  const sim::Rng base = sys.rng().fork("fd-qos-model");
+  for (int q = 0; q < kN; ++q) {
+    for (int p = 0; p < kN; ++p) {
+      if (p == q) continue;
+      sim::Rng eager = base.fork(static_cast<std::uint64_t>(q * kN + p));
+      std::vector<sim::Time> expected;
+      sim::Time start = 0.0;
+      sim::Time window_end = 0.0;
+      for (;;) {
+        start += eager.exponential(qp.mistake_recurrence);
+        if (start > kRunMs) break;
+        // The previous window closed before this mistake starts, so every
+        // start is one rising edge.
+        ASSERT_LT(window_end, start) << q << "->" << p;
+        expected.push_back(start);
+        window_end = start + eager.exponential(qp.mistake_duration);
+      }
+      std::vector<sim::Time> recorded;
+      for (const auto& [target, t] : logs[static_cast<std::size_t>(q)]->suspects)
+        if (target == p) recorded.push_back(t);
+      ASSERT_GT(expected.size(), 50u) << q << "->" << p;
+      EXPECT_EQ(recorded, expected) << q << "->" << p;
+    }
+  }
 }
 
 }  // namespace

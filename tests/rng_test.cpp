@@ -2,7 +2,10 @@
 // forks, and distribution properties of the variates the simulation uses.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "sim/rng.hpp"
 #include "util/stats.hpp"
@@ -121,6 +124,35 @@ TEST(Rng, ExponentialIsMemoryless) {
   const double cond = static_cast<double>(over_ab) / over_a;
   const double uncond = static_cast<double>(over_b) / n;
   EXPECT_NEAR(cond, uncond, 0.02);
+}
+
+TEST(Rng, FirstWordMatchesMt19937_64) {
+  constexpr std::uint64_t kEdgeSeeds[] = {0, 1, 5489, ~std::uint64_t{0}};
+  for (const std::uint64_t s : kEdgeSeeds)
+    EXPECT_EQ(Rng::first_output(s), std::mt19937_64(s)()) << "seed " << s;
+  // Splitmix64 outputs, the kind of seed fork() hands its engine.
+  std::uint64_t state = 0;
+  for (int i = 0; i < 10000; ++i) {
+    std::uint64_t s = (state += 0x9e3779b97f4a7c15ULL);
+    s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    s = (s ^ (s >> 27)) * 0x94d049bb133111ebULL;
+    s ^= s >> 31;
+    ASSERT_EQ(Rng::first_output(s), std::mt19937_64(s)()) << "seed " << s;
+  }
+}
+
+TEST(Rng, ForkFirstExponentialMatchesFork) {
+  const Rng base = Rng(77).fork("fd-qos-model");
+  for (const double mean : {1e-3, 50.0, 81280000.0}) {
+    for (std::uint64_t tag = 0; tag < 10000; ++tag) {
+      const double expected = base.fork(tag).exponential(mean);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(base.fork_first_exponential(tag, mean)),
+                std::bit_cast<std::uint64_t>(expected))
+          << "tag " << tag << " mean " << mean;
+    }
+  }
+  EXPECT_EQ(base.fork_first_exponential(3, 0.0), 0.0);
+  EXPECT_EQ(base.fork_first_exponential(3, -1.0), 0.0);
 }
 
 }  // namespace
