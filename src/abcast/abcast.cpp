@@ -93,7 +93,7 @@ void AtomicBroadcastProcess::flush_queue() {
   flushing_.swap(queue_);
   if (auto* o = sys_->obs()) {
     for (const AppMessagePtr m : flushing_) o->on_order_start(m->id.origin, m->id.seq, sys_->now());
-    o->on_batch_flush(self_, flushing_.size(), sys_->now());
+    o->on_batch_flush(self_, sys_->now());
   }
   if (flushing_.size() == 1)
     submit_now(flushing_.front());

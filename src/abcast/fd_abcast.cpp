@@ -8,8 +8,6 @@
 namespace fdgm::abcast {
 
 namespace {
-constexpr int kDataTag = 0x41424344;        // "ABCD": data dissemination channel
-constexpr std::uint32_t kAbcastContext = 0;  // consensus context of the FD algorithm
 /// Crash-recovery catch-up: period (ms) of the watchdog that re-requests
 /// a log sync from the peers while the recovered process is behind.
 constexpr double kSyncRetryMs = 100.0;
@@ -48,25 +46,9 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      rb_(sys, self),
-      consensus_(sys, self, fd, rb_) {
+      rb_(sys, self, *this),
+      consensus_(sys, self, fd, *this, /*first_number=*/1) {
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
-  rb_.register_client(kDataTag, [this](const net::PayloadPtr& inner) { on_data(inner); });
-  consensus_.register_context(
-      kAbcastContext, /*first_number=*/1,
-      consensus::ConsensusService::ContextConfig{
-          .join =
-              [this](const consensus::InstanceKey& key)
-                  -> std::optional<consensus::StartInfo> {
-                // Traffic for instances beyond the pipeline window is
-                // buffered until our decisions catch up (retry_buffered is
-                // called as they are processed).
-                if (!can_start(key.number)) return std::nullopt;
-                return make_start_info(key.number);
-              },
-          .on_decide = [this](const consensus::InstanceKey& key,
-                              const net::PayloadPtr& value) { on_decide(key, value); },
-      });
 }
 
 FdAbcastProcess::~FdAbcastProcess() {
@@ -74,20 +56,18 @@ FdAbcastProcess::~FdAbcastProcess() {
 }
 
 FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
-  return {pending_.size(), delivered_ids_.window_words(),
-          consensus_.decided_words_dbg(kAbcastContext)};
+  return {pending_.size(), delivered_ids_.window_words(), consensus_.decided_words_dbg()};
 }
 
 void FdAbcastProcess::submit_now(AppMessagePtr msg) {
-  rb_.broadcast(kDataTag, msg);  // delivers locally too -> on_data
+  rb_.broadcast(msg);  // delivers locally too -> on_rdeliver
 }
 
 void FdAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) {
   // One rbcast slot (and later one proposal slot) carries the whole batch;
   // receivers unpack it back into per-message pending entries, so the
   // ordering machinery below is unchanged.
-  rb_.broadcast(kDataTag, sys_->arena().make<AppBatch>(
-                              std::vector<AppMessagePtr>(msgs, msgs + count)));
+  rb_.broadcast(sys_->arena().make<AppBatch>(std::vector<AppMessagePtr>(msgs, msgs + count)));
 }
 
 // ------------------------------------------------- crash-recovery catch-up
@@ -172,7 +152,7 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
     prune_winners();
     ready_decisions_.erase(ready_decisions_.begin(),
                            ready_decisions_.lower_bound(next_to_process_));
-    consensus_.close_below(kAbcastContext, next_to_process_);
+    consensus_.close_below(next_to_process_);
   }
   process_ready_decisions();
   maybe_start_next();
@@ -190,11 +170,11 @@ void FdAbcastProcess::on_message(const net::Message& m) {
   throw std::logic_error("FdAbcastProcess: foreign payload");
 }
 
-void FdAbcastProcess::on_data(net::PayloadPtr inner) {
+void FdAbcastProcess::on_rdeliver(net::PayloadPtr payload) {
   bool admitted = false;
-  if (const AppMessage* msg = net::payload_cast<AppMessage>(inner)) {
+  if (const AppMessage* msg = net::payload_cast<AppMessage>(payload)) {
     admitted = admit_data(*msg);
-  } else if (const AppBatch* batch = net::payload_cast<AppBatch>(inner)) {
+  } else if (const AppBatch* batch = net::payload_cast<AppBatch>(payload)) {
     for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m);
   } else {
     throw std::logic_error("FdAbcastProcess: bad data payload");
@@ -276,16 +256,22 @@ void FdAbcastProcess::maybe_start_next() {
   if (proposed_in_.size() >= pending_.size()) return;
   std::uint64_t k = next_to_process_;
   while (can_start(k)) {
-    const consensus::InstanceKey key{kAbcastContext, k};
-    if (!consensus_.running(key) && !consensus_.decided(key)) {
-      consensus_.start(key, make_start_info(k));
+    if (!consensus_.running(k) && !consensus_.decided(k)) {
+      consensus_.start(k, make_start_info(k));
       return;
     }
     ++k;
   }
 }
 
-void FdAbcastProcess::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
+std::optional<consensus::StartInfo> FdAbcastProcess::join(std::uint64_t number) {
+  // Traffic for instances beyond the pipeline window is buffered until our
+  // decisions catch up (retry_buffered is called as they are processed).
+  if (!can_start(number)) return std::nullopt;
+  return make_start_info(number);
+}
+
+void FdAbcastProcess::on_decide(std::uint64_t number, net::PayloadPtr value) {
   const Proposal* prop = net::payload_cast<Proposal>(value);
   if (prop == nullptr) throw std::logic_error("FdAbcastProcess: bad decision payload");
   // A consensus decision fixes the global order of every message it
@@ -294,7 +280,7 @@ void FdAbcastProcess::on_decide(const consensus::InstanceKey& key, const net::Pa
   if (auto* o = sys_->obs()) {
     for (const MsgId& id : prop->ids) o->on_ordered(id.origin, id.seq, sys_->now(), self_);
   }
-  ready_decisions_.emplace(key.number, prop);
+  ready_decisions_.emplace(number, prop);
   process_ready_decisions();
   maybe_start_next();
 }
@@ -338,7 +324,7 @@ void FdAbcastProcess::process_ready_decisions() {
   // just cheaply — when nothing was applied: this function runs on every
   // content arrival.
   if (!applied) return;
-  consensus_.retry_buffered(kAbcastContext);
+  consensus_.retry_buffered();
   maybe_start_next();
 }
 

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -59,7 +60,8 @@ struct FdAbcastConfig {
 /// watchdog repeats the request while the process is stalled, which also
 /// covers decisions that were in flight during the first sync.  None of
 /// this adds traffic to failure-free runs.
-class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
+class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
+                              private consensus::Client, private rbcast::Sink {
  public:
   /// Builds the full protocol stack of one process: reliable broadcast,
   /// consensus service and the atomic broadcast layer on top.
@@ -95,8 +97,8 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const;
 
  protected:
-  // AtomicBroadcastProcess submission hooks: one rbcast broadcast per
-  // message (unbatched) or per accumulated batch (one data dissemination
+  // AtomicBroadcastProcess submission hooks: one rbcast broadcast of the
+  // message (unbatched) or of the accumulated batch (one data dissemination
   // and one consensus proposal slot amortized over k messages).
   void submit_now(AppMessagePtr msg) override;
   void flush_batch(const AppMessagePtr* msgs, std::size_t count) override;
@@ -124,11 +126,14 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer {
   /// processed.  1 = strictly sequential instances.
   static constexpr std::uint64_t kPipeline = 2;
 
-  void on_data(net::PayloadPtr inner);
+  // rbcast::Sink — an AppMessage or AppBatch R-delivered.
+  void on_rdeliver(net::PayloadPtr payload) override;
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
   bool admit_data(const AppMessage& msg);
-  void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
+  // consensus::Client
+  std::optional<consensus::StartInfo> join(std::uint64_t number) override;
+  void on_decide(std::uint64_t number, net::PayloadPtr value) override;
   void maybe_start_next();
   void process_ready_decisions();
   void send_sync_req();

@@ -10,15 +10,8 @@ namespace fdgm::abcast {
 
 // -------------------------------------------------------------- wire types
 // Payload kinds on kAtomicBroadcast: the GM stack uses 8..15 (the FD
-// stack owns 0..7 — see fd_abcast.cpp).
-
-class GmAbcastProcess::DataMsg final : public net::Payload {
- public:
-  static constexpr net::ProtocolId kProto = net::ProtocolId::kAtomicBroadcast;
-  static constexpr std::uint8_t kKind = 8;
-  explicit DataMsg(AppMessagePtr msg) : Payload(kProto, kKind), msg(msg) {}
-  AppMessagePtr msg;
-};
+// stack owns 0..7 — see fd_abcast.cpp).  DATA is the AppMessage (or
+// AppBatch) itself.
 
 class GmAbcastProcess::SeqnumMsg final : public net::Payload {
  public:
@@ -86,9 +79,7 @@ GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      rb_(sys, self),
-      consensus_(sys, self, fd, rb_),
-      membership_(sys, self, fd, consensus_, *this) {
+      membership_(sys, self, fd, *this) {
   view_ = membership_.view();
   acks_.assign(static_cast<std::size_t>(sys.n()), kNoAck);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
@@ -106,8 +97,7 @@ void GmAbcastProcess::submit_now(AppMessagePtr msg) {
     own_buffer_.push_back(msg);
     return;
   }
-  sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast,
-                                     sys_->arena().make<DataMsg>(msg));
+  sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast, msg);
   handle_data(msg);
 }
 
@@ -299,8 +289,8 @@ void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
 // ---------------------------------------------------------------- messages
 
 void GmAbcastProcess::on_message(const net::Message& m) {
-  if (const auto* d = net::payload_cast<DataMsg>(m)) {
-    handle_data(d->msg);
+  if (const auto* msg = net::payload_cast<AppMessage>(m)) {
+    handle_data(msg);
     return;
   }
   if (const auto* b = net::payload_cast<AppBatch>(m)) {
@@ -368,8 +358,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
           }
       }
       if (content != nullptr)
-        sys_->node(self_).send(m.src, net::ProtocolId::kAtomicBroadcast,
-                               sys_->arena().make<DataMsg>(content));
+        sys_->node(self_).send(m.src, net::ProtocolId::kAtomicBroadcast, content);
     }
     if (!pairs.empty()) {
       const SeqnumMsg* reply =
@@ -476,8 +465,7 @@ void GmAbcastProcess::send_buffered() {
   std::vector<AppMessagePtr> buf;
   buf.swap(own_buffer_);
   for (AppMessagePtr msg : buf) {
-    sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast,
-                                       sys_->arena().make<DataMsg>(msg));
+    sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast, msg);
     handle_data(msg);
   }
 }
@@ -531,14 +519,10 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
 
 namespace fdgm::obs {
 
-// Defined here because DATA / SEQNUM are private to the GM stack.
+// Defined here because SEQNUM is private to the GM stack.  DATA is an
+// application payload, classified by classify_payload directly.
 void classify_gm_payload(net::PayloadPtr p, MsgRefList& out) {
-  using DataMsg = abcast::GmAbcastProcess::DataMsg;
   using SeqnumMsg = abcast::GmAbcastProcess::SeqnumMsg;
-  if (const auto* d = net::payload_cast<DataMsg>(p)) {
-    out.add(d->msg->id.origin, d->msg->id.seq);
-    return;
-  }
   if (const auto* s = net::payload_cast<SeqnumMsg>(p)) {
     for (const auto& [id, sn] : s->pairs) out.add(id.origin, id.seq);
   }

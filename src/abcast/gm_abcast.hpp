@@ -3,7 +3,7 @@
 //
 // Data plane (failure-free path, identical message pattern to the FD
 // algorithm, Fig. 1):
-//   1. A-broadcast(m): the origin multicasts DATA(m) to the view;
+//   1. A-broadcast(m): the origin multicasts m itself (DATA) to the view;
 //   2. the sequencer (first member of the view) assigns m a sequence
 //      number and multicasts SEQNUM — several assignments per message
 //      under load (aggregation);
@@ -36,7 +36,6 @@
 #include "gm/view.hpp"
 #include "net/system.hpp"
 #include "obs/causal.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::abcast {
 
@@ -67,8 +66,8 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
     return member_ && view_.members.front() == self_;
   }
 
-  /// Test/debug access to the consensus endpoint.
-  [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
+  /// Test/debug access to the (membership's) consensus endpoint.
+  [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return membership_.consensus_dbg(); }
 
   /// Test/debug view of the data plane's bookkeeping sizes, which must stay
   /// bounded by the messages in flight rather than by the run's history.
@@ -104,11 +103,10 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   void flush_batch(const AppMessagePtr* msgs, std::size_t count) override;
 
  private:
-  /// The causal classifier decodes the private DATA / SEQNUM payloads
-  /// (which application messages a GM frame carries).
+  /// The causal classifier decodes the private SEQNUM payload (which
+  /// application messages a GM frame carries).
   friend void obs::classify_gm_payload(net::PayloadPtr p, obs::MsgRefList& out);
 
-  class DataMsg;
   class SeqnumMsg;
   class AckMsg;
   class DeliverMsg;
@@ -133,8 +131,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
 
   fd::FailureDetector* fd_;
   GmAbcastConfig cfg_;
-  rbcast::ReliableBroadcast rb_;
-  consensus::ConsensusService consensus_;
   gm::GroupMembership membership_;
 
   gm::View view_;  // data-plane copy of the current view

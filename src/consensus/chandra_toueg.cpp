@@ -8,23 +8,18 @@
 
 namespace fdgm::consensus {
 
-namespace {
-/// rbcast client tag of the decision dissemination channel.
-constexpr int kDecideTag = 0x434f4e53;  // "CONS"
-}  // namespace
-
 // ---------------------------------------------------------------- Instance
 
-Instance::Instance(ConsensusService& service, InstanceKey key, net::ProcessId self,
+Instance::Instance(ConsensusService& service, std::uint64_t number, net::ProcessId self,
                    StartInfo info)
     : service_(&service), self_(self) {
-  reset(key, std::move(info));
+  reset(number, std::move(info));
 }
 
 Instance::~Instance() { retire(); }
 
-void Instance::reset(InstanceKey key, StartInfo info) {
-  key_ = key;
+void Instance::reset(std::uint64_t number, StartInfo info) {
+  number_ = number;
   if (info.members == nullptr || info.members->empty())
     throw std::invalid_argument("consensus::Instance: empty membership");
   if (info.initial == nullptr && !info.refresh)
@@ -81,7 +76,7 @@ void Instance::start() { try_progress(); }
 void Instance::send_to_coordinator(std::uint32_t r, ConsensusMsg::Kind kind,
                                    net::PayloadPtr value, std::uint32_t ts) {
   const ConsensusMsg* msg =
-      service_->system().arena().make<ConsensusMsg>(key_, kind, r, value, ts);
+      service_->system().arena().make<ConsensusMsg>(number_, kind, r, value, ts);
   const net::ProcessId coord = coordinator(r);
   if (coord == self_) {
     on_msg(self_, *msg);  // local bookkeeping, no network cost
@@ -139,7 +134,7 @@ void Instance::on_msg(net::ProcessId from, const ConsensusMsg& m) {
       if (m.round >= round_) advance_to(m.round + 1);
       break;
     case ConsensusMsg::Kind::kDecide:
-      throw std::logic_error("consensus: DECIDE must arrive via reliable broadcast");
+      throw std::logic_error("consensus: DECIDE is applied by the service, not an instance");
   }
   try_progress();
 }
@@ -207,7 +202,7 @@ void Instance::try_progress() {
         st.have_proposal = true;
         st.proposal = value;
         const ConsensusMsg* msg = service_->system().arena().make<ConsensusMsg>(
-            key_, ConsensusMsg::Kind::kPropose, r, value, /*ts=*/0);
+            number_, ConsensusMsg::Kind::kPropose, r, value, /*ts=*/0);
         service_->multicast_others(members_, msg);
         changed = true;
       }
@@ -243,7 +238,7 @@ void Instance::try_progress() {
       st.resolved = true;
       if (st.nacks == 0) {
         done_ = true;
-        service_->decide(key_, members_, st.proposal);
+        service_->decide(number_, members_, st.proposal);
         break;
       }
       // Tell everybody the round failed so that processes waiting for the
@@ -253,7 +248,7 @@ void Instance::try_progress() {
       if (auto* o = service_->system().obs())
         o->count(self_, obs::Counter::kConsensusRoundFails, service_->system().now());
       const ConsensusMsg* msg = service_->system().arena().make<ConsensusMsg>(
-          key_, ConsensusMsg::Kind::kRoundFailed, r, nullptr, /*ts=*/0);
+          number_, ConsensusMsg::Kind::kRoundFailed, r, nullptr, /*ts=*/0);
       service_->multicast_others(members_, msg);
       advance_to(r + 1);
       changed = true;
@@ -265,31 +260,24 @@ void Instance::try_progress() {
 // --------------------------------------------------------- ConsensusService
 
 ConsensusService::ConsensusService(net::System& sys, net::ProcessId self,
-                                   fd::FailureDetector& fd, rbcast::ReliableBroadcast& rb)
-    : sys_(&sys), self_(self), fd_(&fd), rb_(&rb) {
+                                   fd::FailureDetector& fd, Client& client,
+                                   std::uint64_t first_number)
+    : sys_(&sys), self_(self), fd_(&fd), client_(&client), decided_(first_number) {
   sys.node(self).register_handler(net::ProtocolId::kConsensus, this);
-  rb.register_client(kDecideTag, [this](const net::PayloadPtr& inner) { on_decide_rb(inner); });
 }
 
 ConsensusService::~ConsensusService() {
   sys_->node(self_).register_handler(net::ProtocolId::kConsensus, nullptr);
 }
 
-void ConsensusService::register_context(std::uint32_t context, std::uint64_t first_number,
-                                        ContextConfig cfg) {
-  if (!contexts_.emplace(context, Context{std::move(cfg), util::SeqSet(first_number)}).second)
-    throw std::logic_error("ConsensusService: duplicate context");
-}
-
-std::unique_ptr<Instance> ConsensusService::acquire_instance(const InstanceKey& key,
-                                                             StartInfo info) {
+std::unique_ptr<Instance> ConsensusService::acquire_instance(std::uint64_t number, StartInfo info) {
   if (!pool_.empty()) {
     std::unique_ptr<Instance> inst = std::move(pool_.back());
     pool_.pop_back();
-    inst->reset(key, std::move(info));
+    inst->reset(number, std::move(info));
     return inst;
   }
-  return std::make_unique<Instance>(*this, key, self_, std::move(info));
+  return std::make_unique<Instance>(*this, number, self_, std::move(info));
 }
 
 void ConsensusService::retire(std::unique_ptr<Instance> inst) {
@@ -297,13 +285,13 @@ void ConsensusService::retire(std::unique_ptr<Instance> inst) {
   pool_.push_back(std::move(inst));
 }
 
-void ConsensusService::start(const InstanceKey& key, StartInfo info) {
-  if (decided(key) || instances_.contains(key)) return;
-  std::unique_ptr<Instance> inst = acquire_instance(key, std::move(info));
+void ConsensusService::start(std::uint64_t number, StartInfo info) {
+  if (decided(number) || instances_.contains(number)) return;
+  std::unique_ptr<Instance> inst = acquire_instance(number, std::move(info));
   Instance* raw = inst.get();
-  instances_.emplace(key, std::move(inst));
+  instances_.emplace(number, std::move(inst));
   // Replay messages that arrived before we joined.
-  if (auto it = buffered_.find(key); it != buffered_.end()) {
+  if (auto it = buffered_.find(number); it != buffered_.end()) {
     auto msgs = std::move(it->second);
     buffered_.erase(it);
     for (auto& [from, m] : msgs) raw->on_msg(from, *m);
@@ -311,29 +299,22 @@ void ConsensusService::start(const InstanceKey& key, StartInfo info) {
   raw->start();
 }
 
-void ConsensusService::retry_buffered(std::uint32_t context) {
-  auto cit = contexts_.find(context);
-  if (cit == contexts_.end() || !cit->second.cfg.join) return;
-  // Collect keys first: start() mutates buffered_.
-  std::vector<InstanceKey> keys;
-  for (const auto& [key, msgs] : buffered_)
-    if (key.context == context && !instances_.contains(key) && !decided(key))
-      keys.push_back(key);
-  std::sort(keys.begin(), keys.end(),
-            [](const InstanceKey& a, const InstanceKey& b) { return a.number < b.number; });
-  for (const InstanceKey& key : keys) {
-    if (instances_.contains(key) || decided(key)) continue;
-    if (auto info = cit->second.cfg.join(key)) start(key, std::move(*info));
+void ConsensusService::retry_buffered() {
+  // Collect numbers first: start() mutates buffered_.
+  std::vector<std::uint64_t> numbers;
+  for (const auto& [number, msgs] : buffered_)
+    if (!instances_.contains(number) && !decided(number)) numbers.push_back(number);
+  std::sort(numbers.begin(), numbers.end());
+  for (const std::uint64_t number : numbers) {
+    if (instances_.contains(number) || decided(number)) continue;
+    if (auto info = client_->join(number)) start(number, std::move(*info));
   }
 }
 
-void ConsensusService::close_below(std::uint32_t context, std::uint64_t number) {
-  contexts_.at(context).decided.raise_floor(number);
-  auto below = [&](const InstanceKey& key) {
-    return key.context == context && key.number < number;
-  };
+void ConsensusService::close_below(std::uint64_t number) {
+  decided_.raise_floor(number);
   for (auto it = instances_.begin(); it != instances_.end();) {
-    if (below(it->first)) {
+    if (it->first < number) {
       it->second->halt();
       retire(std::move(it->second));
       it = instances_.erase(it);
@@ -341,33 +322,28 @@ void ConsensusService::close_below(std::uint32_t context, std::uint64_t number) 
       ++it;
     }
   }
-  for (auto it = buffered_.begin(); it != buffered_.end();)
-    it = below(it->first) ? buffered_.erase(it) : std::next(it);
+  std::erase_if(buffered_, [number](const auto& entry) { return entry.first < number; });
 }
 
 void ConsensusService::on_message(const net::Message& m) {
   const ConsensusMsg* cm = net::payload_cast<ConsensusMsg>(m);
   if (cm == nullptr) throw std::logic_error("ConsensusService: foreign payload");
-  dispatch(m.src, cm);
+  if (cm->kind == ConsensusMsg::Kind::kDecide)
+    handle_decision(cm);
+  else
+    dispatch(m.src, cm);
 }
 
 void ConsensusService::dispatch(net::ProcessId from, const ConsensusMsg* m) {
-  if (decided(m->key)) return;  // stale traffic for a closed instance
-  if (auto it = instances_.find(m->key); it != instances_.end()) {
+  if (decided(m->number)) return;  // stale traffic for a closed instance
+  if (auto it = instances_.find(m->number); it != instances_.end()) {
     it->second->on_msg(from, *m);
     return;
   }
-  // Unknown instance: ask the owning context whether to join now.
-  auto cit = contexts_.find(m->key.context);
-  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
-  if (cit->second.cfg.join) {
-    if (auto info = cit->second.cfg.join(m->key)) {
-      buffered_[m->key].emplace_back(from, m);
-      start(m->key, std::move(*info));
-      return;
-    }
-  }
-  buffered_[m->key].emplace_back(from, m);
+  // Unknown instance: buffer the message, and start the instance (which
+  // replays it) if the client joins now.
+  buffered_[m->number].emplace_back(from, m);
+  if (auto info = client_->join(m->number)) start(m->number, std::move(*info));
 }
 
 void ConsensusService::unicast(net::ProcessId dst, const ConsensusMsg* m) {
@@ -379,41 +355,32 @@ void ConsensusService::multicast_others(const std::vector<net::ProcessId>& membe
   sys_->node(self_).multicast_others(members, net::ProtocolId::kConsensus, m);
 }
 
-void ConsensusService::decide(const InstanceKey& key, const std::vector<net::ProcessId>& members,
+void ConsensusService::decide(std::uint64_t number, const std::vector<net::ProcessId>& members,
                               net::PayloadPtr value) {
   const ConsensusMsg* msg = sys_->arena().make<ConsensusMsg>(
-      key, ConsensusMsg::Kind::kDecide, /*round=*/0, value, /*ts=*/0);
-  rb_->broadcast_group(kDecideTag, members, msg);
-}
-
-void ConsensusService::on_decide_rb(net::PayloadPtr inner) {
-  const ConsensusMsg* cm = net::payload_cast<ConsensusMsg>(inner);
-  if (cm == nullptr || cm->kind != ConsensusMsg::Kind::kDecide)
-    throw std::logic_error("ConsensusService: bad decision payload");
-  handle_decision(cm);
+      number, ConsensusMsg::Kind::kDecide, /*round=*/0, value, /*ts=*/0);
+  multicast_others(members, msg);
+  handle_decision(msg);
 }
 
 void ConsensusService::handle_decision(const ConsensusMsg* cm) {
-  auto cit = contexts_.find(cm->key.context);
-  if (cit == contexts_.end()) throw std::logic_error("ConsensusService: unknown context");
   // Duplicate, or settled out of band by close_below already.
-  if (!cit->second.decided.insert(cm->key.number)) return;
-  if (auto it = instances_.find(cm->key); it != instances_.end()) {
-    // halt() now; retire later.  The decision can arrive synchronously
+  if (!decided_.insert(cm->number)) return;
+  if (auto it = instances_.find(cm->number); it != instances_.end()) {
+    // halt() now; retire later.  The decision is applied synchronously
     // from inside the instance's own try_progress (the coordinator's local
-    // rbcast delivery), so pooling here could hand a live stack frame's
-    // instance to a new key.
+    // apply), so pooling here could hand a live stack frame's instance to
+    // a new number.
     it->second->halt();
-    const InstanceKey key = cm->key;
-    sys_->scheduler().schedule_after(0, [this, key] {
-      auto dit = instances_.find(key);
+    sys_->scheduler().schedule_after(0, [this, number = cm->number] {
+      auto dit = instances_.find(number);
       if (dit == instances_.end()) return;  // close_below retired it already
       retire(std::move(dit->second));
       instances_.erase(dit);
     });
   }
-  buffered_.erase(cm->key);
-  cit->second.cfg.on_decide(cm->key, cm->value);
+  buffered_.erase(cm->number);
+  client_->on_decide(cm->number, cm->value);
 }
 
 }  // namespace fdgm::consensus

@@ -8,7 +8,7 @@
 //    wait for the decision and move to the next round only when they
 //    suspect the current coordinator (instead of free-running through
 //    rounds), so a failure-free instance costs exactly one proposal
-//    multicast, n-1 acks and one decision broadcast — the Fig. 1 pattern.
+//    multicast, n-1 acks and one decision multicast — the Fig. 1 pattern.
 //  * Phase 4 follows the published rule: the first majority of replies
 //    decides the round's fate — all ACKs: decide; any NACK: the round
 //    fails.  On failure the coordinator multicasts a ROUND-FAILED
@@ -24,7 +24,23 @@
 // `offset` implements the coordinator re-numbering optimization discussed
 // for the crash-steady scenario (§7).
 //
-// Instances are value-agnostic: estimates/decisions are opaque payloads.
+// Decisions are disseminated by the service itself: the deciding
+// coordinator multicasts DECIDE to the other members, then applies the
+// decision locally; every other member applies it on arrival.  That one
+// multicast is the reliable broadcast Chandra–Toueg's uniform agreement
+// needs here, for the reasons rbcast/reliable_broadcast.hpp gives for
+// data: a multicast the sender's CPU accepted reaches every destination
+// or none (the contention model; a crash does not cancel a submitted
+// CPU job, and the multicast is submitted before the local apply), and
+// under loss the transport, which lives below the crash line, keeps
+// repairing it after the coordinator crashed.  So once any process
+// decided, every correct member learns the decision exactly once.
+//
+// Each service serves one client (the FD atomic broadcast sequence, or
+// the group membership's view changes), called directly through
+// consensus::Client; instances are numbered densely from the first
+// instance number the client gives at construction.  Instances are
+// value-agnostic: estimates/decisions are opaque payloads.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +54,6 @@
 #include "fd/failure_detector.hpp"
 #include "net/message.hpp"
 #include "net/system.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 #include "util/seq_set.hpp"
 
 namespace fdgm::consensus {
@@ -77,6 +92,22 @@ struct StartInfo {
   return members[idx];
 }
 
+/// The one user of a ConsensusService.
+class Client {
+ public:
+  /// A message arrived for instance `number`, which is neither running nor
+  /// decided here.  Return the StartInfo to join it now, or nullopt to
+  /// buffer its traffic until a local start() or retry_buffered() (e.g.
+  /// the membership layer joins a view change only once it learned about
+  /// it).
+  virtual std::optional<StartInfo> join(std::uint64_t number) = 0;
+  /// Invoked exactly once per instance with the decision value.
+  virtual void on_decide(std::uint64_t number, net::PayloadPtr value) = 0;
+
+ protected:
+  ~Client() = default;
+};
+
 class ConsensusService;
 
 /// One running Chandra-Toueg instance at one process.
@@ -89,15 +120,15 @@ class ConsensusService;
 /// already-sized arrays.
 class Instance final : public fd::SuspicionListener {
  public:
-  Instance(ConsensusService& service, InstanceKey key, net::ProcessId self, StartInfo info);
+  Instance(ConsensusService& service, std::uint64_t number, net::ProcessId self, StartInfo info);
   ~Instance() override;
 
   Instance(const Instance&) = delete;
   Instance& operator=(const Instance&) = delete;
 
-  /// Re-arms a pooled instance body for a new key (capacity of the
-  /// per-round arrays is retained).  The instance must be retired.
-  void reset(InstanceKey key, StartInfo info);
+  /// Re-arms a pooled instance body for a new instance number (capacity
+  /// of the per-round arrays is retained).  The instance must be retired.
+  void reset(std::uint64_t number, StartInfo info);
 
   /// Detaches from the failure detector and clears payload references;
   /// the body is ready for reset().  Idempotent.
@@ -109,14 +140,12 @@ class Instance final : public fd::SuspicionListener {
   /// Handle an ESTIMATE / PROPOSE / ACK / NACK addressed to this instance.
   void on_msg(net::ProcessId from, const ConsensusMsg& m);
 
-  /// The service marks the instance decided (decision arrived via rbcast).
+  /// The service marks the instance decided (its decision arrived).
   void halt() { done_ = true; }
 
   // fd::SuspicionListener
   void on_suspect(net::ProcessId p) override;
 
-  [[nodiscard]] std::uint32_t round() const { return round_; }
-  [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] net::ProcessId coordinator(std::uint32_t r) const;
 
  private:
@@ -170,7 +199,7 @@ class Instance final : public fd::SuspicionListener {
                            std::uint32_t ts);
 
   ConsensusService* service_;
-  InstanceKey key_;
+  std::uint64_t number_ = 0;
   net::ProcessId self_;
   std::vector<net::ProcessId> members_;
   int offset_ = 0;
@@ -184,72 +213,40 @@ class Instance final : public fd::SuspicionListener {
   std::vector<std::unique_ptr<RoundState>> rounds_;  // index r-1
 };
 
-/// Per-process consensus endpoint: routes messages to instances, creates
-/// instances on demand (join-on-first-message), and disseminates/receives
-/// decisions through reliable broadcast.
+/// Per-process consensus endpoint of one client: routes messages to
+/// instances, creates instances on demand (join-on-first-message), and
+/// disseminates and applies decisions.
 class ConsensusService final : public net::Layer {
  public:
-  struct ContextConfig {
-    /// Invoked when a message arrives for an unknown instance.  Return the
-    /// StartInfo to join immediately, or nullopt to buffer the message
-    /// until a local start() (e.g. the membership layer joins a view
-    /// change only once it learned about it).
-    std::function<std::optional<StartInfo>(const InstanceKey&)> join;
-    /// Invoked exactly once per instance with the decision value.
-    std::function<void(const InstanceKey&, const net::PayloadPtr&)> on_decide;
-  };
-
-  ConsensusService(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                   rbcast::ReliableBroadcast& rb);
+  /// The client's instance numbers are dense from `first_number`.
+  ConsensusService(net::System& sys, net::ProcessId self, fd::FailureDetector& fd, Client& client,
+                   std::uint64_t first_number);
   ~ConsensusService() override;
 
   ConsensusService(const ConsensusService&) = delete;
   ConsensusService& operator=(const ConsensusService&) = delete;
 
-  /// `first_number` is the number of the context's first instance (its
-  /// instance numbers are dense from there).
-  void register_context(std::uint32_t context, std::uint64_t first_number, ContextConfig cfg);
+  /// Start instance `number` locally (no-op if already started or decided).
+  void start(std::uint64_t number, StartInfo info);
 
-  /// Start instance `key` locally (no-op if already started or decided).
-  void start(const InstanceKey& key, StartInfo info);
+  /// Re-offer buffered messages to the client's join — used when its
+  /// readiness condition changed (e.g. the abcast pipeline window
+  /// advanced).
+  void retry_buffered();
 
-  /// Re-offer buffered messages of `context` to its join callback — used
-  /// when the client's readiness condition changed (e.g. the abcast
-  /// pipeline window advanced, or a view was installed).
-  void retry_buffered(std::uint32_t context);
+  /// Crash-recovery catch-up: declare every instance below `number`
+  /// decided (the client learned their outcomes out of band, e.g. through
+  /// a log sync).  Stale local instances and buffered traffic below
+  /// `number` are dropped.  Must not be called from inside an Instance
+  /// callback.
+  void close_below(std::uint64_t number);
 
-  /// Crash-recovery catch-up: declare every instance of `context` with a
-  /// number below `number` decided (the client learned their outcomes out
-  /// of band, e.g. through a log sync).  Stale local instances and
-  /// buffered traffic below `number` are dropped.  Must not be called from
-  /// inside an Instance callback.
-  void close_below(std::uint32_t context, std::uint64_t number);
+  [[nodiscard]] bool decided(std::uint64_t number) const { return decided_.contains(number); }
+  /// Words of the decided-instance window (tests: state bounds).
+  [[nodiscard]] std::size_t decided_words_dbg() const { return decided_.window_words(); }
+  [[nodiscard]] bool running(std::uint64_t number) const { return instances_.contains(number); }
 
-  [[nodiscard]] bool decided(const InstanceKey& key) const {
-    auto it = contexts_.find(key.context);
-    return it != contexts_.end() && it->second.decided.contains(key.number);
-  }
-  /// Words of `context`'s decided-instance window (tests: state bounds).
-  [[nodiscard]] std::size_t decided_words_dbg(std::uint32_t context) const {
-    return contexts_.at(context).decided.window_words();
-  }
-  [[nodiscard]] bool running(const InstanceKey& key) const { return instances_.contains(key); }
-
-  /// Introspection for tests/debugging: (round, coordinator of round) of a
-  /// running instance.
-  struct InstanceDebug {
-    std::uint32_t round = 0;
-    net::ProcessId coordinator = -1;
-    bool done = false;
-  };
-  [[nodiscard]] std::optional<InstanceDebug> debug_state(const InstanceKey& key) const {
-    auto it = instances_.find(key);
-    if (it == instances_.end()) return std::nullopt;
-    return InstanceDebug{it->second->round(), it->second->coordinator(it->second->round()),
-                         it->second->done()};
-  }
-
-  // net::Layer — ESTIMATE/PROPOSE/ACK/NACK arrive here.
+  // net::Layer — ESTIMATE/PROPOSE/ACK/NACK/ROUND-FAILED/DECIDE arrive here.
   void on_message(const net::Message& m) override;
 
   [[nodiscard]] net::System& system() { return *sys_; }
@@ -260,41 +257,34 @@ class ConsensusService final : public net::Layer {
   void unicast(net::ProcessId dst, const ConsensusMsg* m);
   /// Multicast to every member except this process (no loopback copy).
   void multicast_others(const std::vector<net::ProcessId>& members, const ConsensusMsg* m);
-  /// Coordinator path: reliably broadcast the decision to the members.
-  void decide(const InstanceKey& key, const std::vector<net::ProcessId>& members,
+  /// Coordinator path: multicast the decision to the other members, then
+  /// apply it here.
+  void decide(std::uint64_t number, const std::vector<net::ProcessId>& members,
               net::PayloadPtr value);
 
  private:
-  void on_decide_rb(net::PayloadPtr inner);
   void dispatch(net::ProcessId from, const ConsensusMsg* m);
-  /// Applies a decision delivered by rbcast; ignores one already applied.
+  /// Applies a decision; ignores one already applied.
   void handle_decision(const ConsensusMsg* cm);
+  /// Takes an instance body from the pool (or allocates the first time)
+  /// and arms it for instance `number`.
+  [[nodiscard]] std::unique_ptr<Instance> acquire_instance(std::uint64_t number, StartInfo info);
+  /// Retires an instance body into the pool for reuse.
+  void retire(std::unique_ptr<Instance> inst);
 
   net::System* sys_;
   net::ProcessId self_;
   fd::FailureDetector* fd_;
-  rbcast::ReliableBroadcast* rb_;
-  /// Takes an instance body from the pool (or allocates the first time)
-  /// and arms it for `key`.
-  [[nodiscard]] std::unique_ptr<Instance> acquire_instance(const InstanceKey& key,
-                                                           StartInfo info);
-  /// Retires an instance body into the pool for reuse.
-  void retire(std::unique_ptr<Instance> inst);
-
-  struct Context {
-    ContextConfig cfg;
-    /// Decided instance numbers, whether decided here or settled by
-    /// close_below.
-    util::SeqSet decided;
-  };
-  std::unordered_map<std::uint32_t, Context> contexts_;
-  std::unordered_map<InstanceKey, std::unique_ptr<Instance>, InstanceKeyHash> instances_;
+  Client* client_;
+  /// Decided instance numbers, whether decided here or settled by
+  /// close_below.
+  util::SeqSet decided_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Instance>> instances_;
   /// Retired instance bodies, reused by acquire_instance — one consensus
   /// instance runs per message batch, so this avoids re-growing the
   /// per-instance containers on every message.
   std::vector<std::unique_ptr<Instance>> pool_;
-  std::unordered_map<InstanceKey, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>,
-                     InstanceKeyHash>
+  std::unordered_map<std::uint64_t, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>>
       buffered_;
 };
 

@@ -2,32 +2,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/message.hpp"
 
 namespace fdgm::consensus {
 
-/// Identifies one consensus instance.  `context` separates independent
-/// users of the service (the FD atomic broadcast sequence, the group
-/// membership view changes); `number` is the instance index within the
-/// context (consensus #k / view change #v).
-struct InstanceKey {
-  std::uint32_t context = 0;
-  std::uint64_t number = 0;
-
-  friend bool operator==(const InstanceKey&, const InstanceKey&) = default;
-};
-
-struct InstanceKeyHash {
-  std::size_t operator()(const InstanceKey& k) const {
-    return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.context) << 48) ^ k.number);
-  }
-};
-
 /// Wire message of the Chandra-Toueg algorithm.  ESTIMATE/ACK/NACK are
-/// unicast to the round's coordinator; PROPOSE is multicast by it; DECIDE
-/// travels via reliable broadcast (not through this payload's normal path).
+/// unicast to the round's coordinator; PROPOSE, ROUND-FAILED and DECIDE
+/// are multicast to the other members.  `number` identifies the instance
+/// (consensus #k / view change #v) within its service's one client.
 class ConsensusMsg final : public net::Payload {
  public:
   static constexpr net::ProtocolId kProto = net::ProtocolId::kConsensus;
@@ -35,11 +18,11 @@ class ConsensusMsg final : public net::Payload {
 
   enum class Kind : std::uint8_t { kEstimate, kPropose, kAck, kNack, kRoundFailed, kDecide };
 
-  ConsensusMsg(InstanceKey key, Kind kind, std::uint32_t round, net::PayloadPtr value,
+  ConsensusMsg(std::uint64_t number, Kind kind, std::uint32_t round, net::PayloadPtr value,
                std::uint32_t ts)
-      : Payload(kProto, kKind), key(key), kind(kind), round(round), value(value), ts(ts) {}
+      : Payload(kProto, kKind), number(number), kind(kind), round(round), value(value), ts(ts) {}
 
-  InstanceKey key;
+  std::uint64_t number;
   Kind kind;
   std::uint32_t round;
   net::PayloadPtr value;  // estimate / proposal / decision (null for ack/nack)

@@ -9,7 +9,6 @@
 namespace fdgm::gm {
 
 namespace {
-constexpr std::uint32_t kMembershipContext = 1;
 /// Joiner retry period for JOIN requests (ms).
 constexpr double kJoinRetryMs = 50.0;
 }  // namespace
@@ -85,36 +84,16 @@ class GroupMembership::MembershipProposal final : public net::Payload {
 // ------------------------------------------------------------ construction
 
 GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                                 consensus::ConsensusService& consensus, MembershipClient& client)
+                                 MembershipClient& client)
     : sys_(&sys),
       self_(self),
       fd_(&fd),
-      consensus_(&consensus),
       client_(&client),
+      consensus_(sys, self, fd, *this, /*first_number=*/0),  // the first view is #0
       unstable_received_(static_cast<std::size_t>(sys.n()), nullptr) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
-  consensus.register_context(
-      kMembershipContext, /*first_number=*/view_.id,  // instance #v changes view v
-      consensus::ConsensusService::ContextConfig{
-          // Never join eagerly: the paper's protocol enters consensus only
-          // once the unstable messages of every unsuspected member are in.
-          // Early consensus traffic is buffered by the service; if we are
-          // a member that has not yet noticed the view change, enter it.
-          .join =
-              [this](const consensus::InstanceKey& key) -> std::optional<consensus::StartInfo> {
-                if (key.number == view_.id && status_ == Status::kMember) {
-                  sys_->scheduler().schedule_after(0, [this, vid = key.number] {
-                    if (status_ == Status::kMember && view_.id == vid)
-                      start_view_change(/*initiator=*/false);
-                  });
-                }
-                return std::nullopt;
-              },
-          .on_decide = [this](const consensus::InstanceKey& key,
-                              const net::PayloadPtr& value) { on_decide(key, value); },
-      });
 }
 
 GroupMembership::~GroupMembership() {
@@ -233,20 +212,18 @@ void GroupMembership::maybe_start_consensus() {
     if (!view_.contains(j.p)) j_vec.push_back(j);
 
   consensus_started_ = true;
-  consensus_->start(
-      consensus::InstanceKey{kMembershipContext, view_.id},
-      consensus::StartInfo{
-          .members = &view_.members,
-          // Coordinator rotation for view-change consensus: the plain
-          // rotation of the underlying consensus (round 1 is coordinated
-          // by the lowest-id member).  When the crashed process is the
-          // sequencer this costs an extra round — part of why the paper
-          // finds the view change more expensive than the FD algorithm's
-          // recovery (§4.4, Fig. 8).
-          .coordinator_offset = 0,
-          .initial = sys_->arena().make<MembershipProposal>(std::move(p_set), std::move(u_vec),
-                                                            std::move(j_vec), settled),
-      });
+  consensus::StartInfo info{
+      .members = &view_.members,
+      // Coordinator rotation for view-change consensus: the plain rotation
+      // of the underlying consensus (round 1 is coordinated by the
+      // lowest-id member).  When the crashed process is the sequencer this
+      // costs an extra round — part of why the paper finds the view change
+      // more expensive than the FD algorithm's recovery (§4.4, Fig. 8).
+      .coordinator_offset = 0,
+      .initial = sys_->arena().make<MembershipProposal>(std::move(p_set), std::move(u_vec),
+                                                        std::move(j_vec), settled),
+  };
+  consensus_.start(view_.id, std::move(info));
 }
 
 void GroupMembership::schedule_attempt_refresh() {
@@ -264,8 +241,22 @@ void GroupMembership::schedule_attempt_refresh() {
 
 // ----------------------------------------------------------------- decision
 
-void GroupMembership::on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value) {
-  if (key.number != view_.id) return;  // stale or future decision
+std::optional<consensus::StartInfo> GroupMembership::join(std::uint64_t number) {
+  // Never join eagerly: the paper's protocol enters consensus only once
+  // the unstable messages of every unsuspected member are in.  Early
+  // consensus traffic is buffered by the service; if we are a member that
+  // has not yet noticed the view change, enter it.
+  if (number == view_.id && status_ == Status::kMember) {
+    sys_->scheduler().schedule_after(0, [this, number] {
+      if (status_ == Status::kMember && view_.id == number)
+        start_view_change(/*initiator=*/false);
+    });
+  }
+  return std::nullopt;
+}
+
+void GroupMembership::on_decide(std::uint64_t number, net::PayloadPtr value) {
+  if (number != view_.id) return;  // stale or future decision
   if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
   const MembershipProposal* d = net::payload_cast<MembershipProposal>(value);
   if (d == nullptr) throw std::logic_error("GroupMembership: bad decision payload");

@@ -91,10 +91,13 @@ class MembershipClient {
   virtual void apply_state(const net::PayloadPtr& state, const View& v) = 0;
 };
 
-class GroupMembership final : public net::Layer, public fd::SuspicionListener {
+/// Owns the process's consensus service, whose one client it is:
+/// instance #v changes view v.
+class GroupMembership final : public net::Layer, public fd::SuspicionListener,
+                              private consensus::Client {
  public:
   GroupMembership(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
-                  consensus::ConsensusService& consensus, MembershipClient& client);
+                  MembershipClient& client);
   ~GroupMembership() override;
 
   /// Current view at this process.
@@ -128,6 +131,9 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   }
   [[nodiscard]] bool debug_consensus_started() const { return consensus_started_; }
 
+  /// Test/debug access to the view-change consensus endpoint.
+  [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
+
   // net::Layer — UNSTABLE / JOIN / STATE messages.
   void on_message(const net::Message& m) override;
 
@@ -160,7 +166,9 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   /// Blocked attempt (|P| below majority and nothing left to wait for):
   /// refresh the suspicion snapshot and retry shortly.
   void schedule_attempt_refresh();
-  void on_decide(const consensus::InstanceKey& key, const net::PayloadPtr& value);
+  // consensus::Client
+  std::optional<consensus::StartInfo> join(std::uint64_t number) override;
+  void on_decide(std::uint64_t number, net::PayloadPtr value) override;
   void process_decision(const MembershipProposal& d);
   void install_view(View v);
   void become_excluded(const View& new_view);
@@ -171,8 +179,8 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener {
   net::System* sys_;
   net::ProcessId self_;
   fd::FailureDetector* fd_;
-  consensus::ConsensusService* consensus_;
   MembershipClient* client_;
+  consensus::ConsensusService consensus_;
 
   View view_;
   Status status_ = Status::kMember;

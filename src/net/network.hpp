@@ -43,7 +43,7 @@
 //   * delay spike — the shared medium's service time is multiplied by a
 //     factor while the spike is active.
 // Self-destined loopback copies bypass the filter (a process can always
-// reach itself).
+// reach itself), and the transport and checksum verify above it too.
 //
 // Frame checksums are armed once per run (enable_checksums, latched by
 // the Injector when the schedule contains any corrupt event): every

@@ -94,9 +94,11 @@ class System : private Network::Sink, private transport::Transport::Sink {
  private:
   // Network::Sink — finished deliveries pass through the transport's
   // receive side when it is armed (sequencing / dedup / control frames),
-  // and go straight to the target Node otherwise.
+  // and go straight to the target Node otherwise.  A multicast's loopback
+  // copy never crossed the wire (no frame header, no checksum), so it
+  // skips the transport.
   void deliver_message(const Message& m, ProcessId dst) override {
-    if (transport_ != nullptr)
+    if (transport_ != nullptr && dst != m.src)
       transport_->on_frame(m, dst);
     else
       node(dst).deliver(m);

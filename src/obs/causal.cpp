@@ -27,7 +27,6 @@
 #include "abcast/abcast.hpp"
 #include "consensus/types.hpp"
 #include "obs/observer.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::obs {
 
@@ -56,11 +55,6 @@ void classify_payload(net::PayloadPtr p, MsgRefList& out) {
         out.add(m->id.origin, m->id.seq);
       } else if (const auto* b = net::payload_cast<abcast::AppBatch>(p)) {
         for (abcast::AppMessagePtr msg : b->msgs) out.add(msg->id.origin, msg->id.seq);
-      }
-      return;
-    case net::ProtocolId::kReliableBroadcast:
-      if (const auto* rb = net::payload_cast<rbcast::RbPayload>(p)) {
-        classify_payload(rb->inner, out);
       }
       return;
     case net::ProtocolId::kConsensus:

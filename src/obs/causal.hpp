@@ -133,8 +133,8 @@ class MsgRefList {
 };
 
 /// Decodes which application messages `p` carries: application payloads
-/// and batches directly, reliable-broadcast and consensus wrappers by
-/// recursion, and the two protocol stacks' private payloads through the
+/// and batches directly, consensus messages by recursion into their
+/// value, and the two protocol stacks' private payloads through the
 /// per-stack classifiers below.  Control-only payloads (acks, sync,
 /// membership) contribute nothing.  Pure read; safe on any thread.
 void classify_payload(net::PayloadPtr p, MsgRefList& out);

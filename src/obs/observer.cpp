@@ -8,7 +8,7 @@
 namespace fdgm::obs {
 
 namespace {
-/// Range/bin count of the per-phase latency histograms (ms).
+/// Range/bin count of the end-to-end latency histogram (ms).
 constexpr double kHistogramMaxMs = 5000.0;
 constexpr std::size_t kHistogramBins = 250;
 }  // namespace
@@ -39,17 +39,11 @@ const char* counter_name(Counter c) {
 Observer::Observer(int num_processes, Config cfg)
     : n_(num_processes),
       cfg_(cfg),
-      submit_wait_hist_(0.0, kHistogramMaxMs, kHistogramBins),
-      ordering_hist_(0.0, kHistogramMaxMs, kHistogramBins),
-      delivery_hist_(0.0, kHistogramMaxMs, kHistogramBins),
-      batch_hist_(0.0, 256.0, 64),
       e2e_hist_(0.0, kHistogramMaxMs, kHistogramBins),
       next_window_(cfg.metrics_window_ms) {
   spans_.resize(static_cast<std::size_t>(n_));
   for (auto& slab : spans_) slab.reserve(cfg_.span_capacity);
   counters_.assign(static_cast<std::size_t>(n_) * kCounterCount, 0);
-  retx_origin_.assign(static_cast<std::size_t>(n_), 0);
-  reorder_peak_.assign(static_cast<std::size_t>(n_), 0);
   snapshots_.reserve(cfg_.snapshot_capacity);
   if (cfg_.causal) {
     edges_.resize(static_cast<std::size_t>(n_));
@@ -115,9 +109,6 @@ void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node)
   if (s->ordered < 0.0) s->ordered = now;
   if (s->order_start < 0.0) s->order_start = s->submit;
   if (s->submit < 0.0) return;  // untracked origin; nothing to decompose
-  submit_wait_hist_.add(s->order_start - s->submit);
-  ordering_hist_.add(s->ordered - s->order_start);
-  delivery_hist_.add(s->delivered - s->ordered);
   e2e_hist_.add(s->delivered - s->submit);
 }
 
@@ -244,22 +235,6 @@ void Observer::count(int node, Counter c, double now, std::uint64_t delta) {
       delta;
 }
 
-void Observer::on_retransmit(int origin, double now) {
-  count(origin, Counter::kTransportRetx, now);
-  if (origin >= 0 && origin < n_) ++retx_origin_[static_cast<std::size_t>(origin)];
-}
-
-void Observer::on_batch_flush(int node, std::size_t batch_size, double now) {
-  count(node, Counter::kBatchesFlushed, now);
-  batch_hist_.add(static_cast<double>(batch_size));
-}
-
-void Observer::reorder_depth(int node, std::size_t depth) {
-  if (node < 0 || node >= n_) return;
-  auto& peak = reorder_peak_[static_cast<std::size_t>(node)];
-  if (depth > peak) peak = depth;
-}
-
 void Observer::roll_window(double now) {
   // One row per crossing, stamped at the boundary that was crossed; after
   // a quiet gap the next row simply covers the whole gap (cumulative
@@ -302,16 +277,6 @@ std::uint64_t Observer::total(Counter c) const {
 std::uint64_t Observer::node_total(int node, Counter c) const {
   if (node < 0 || node >= n_) return 0;
   return counters_[static_cast<std::size_t>(node) * kCounterCount + static_cast<std::size_t>(c)];
-}
-
-std::uint64_t Observer::retx_origin(int node) const {
-  if (node < 0 || node >= n_) return 0;
-  return retx_origin_[static_cast<std::size_t>(node)];
-}
-
-std::size_t Observer::reorder_peak(int node) const {
-  if (node < 0 || node >= n_) return 0;
-  return reorder_peak_[static_cast<std::size_t>(node)];
 }
 
 const Span* Observer::span(int origin, std::uint64_t seq) const {

@@ -174,21 +174,16 @@ class Observer {
 
   // ---- counters / gauges (hot path) ----
   void count(int node, Counter c, double now, std::uint64_t delta = 1);
-  /// kTransportRetx at `origin` plus the per-origin retx tally the
-  /// sequencer-concentration metric reads.
-  void on_retransmit(int origin, double now);
-  /// kBatchesFlushed at `node` plus the batch-size histogram.
-  void on_batch_flush(int node, std::size_t batch_size, double now);
-  /// Tracks the peak reorder-buffer depth seen at `node`.
-  void reorder_depth(int node, std::size_t depth);
+  /// kTransportRetx at the retransmitting `origin`.
+  void on_retransmit(int origin, double now) { count(origin, Counter::kTransportRetx, now); }
+  /// kBatchesFlushed at `node`.
+  void on_batch_flush(int node, double now) { count(node, Counter::kBatchesFlushed, now); }
 
   // ---- introspection (cold; tests, runner aggregation) ----
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t total(Counter c) const;
   [[nodiscard]] std::uint64_t node_total(int node, Counter c) const;
-  [[nodiscard]] std::uint64_t retx_origin(int node) const;
-  [[nodiscard]] std::size_t reorder_peak(int node) const;
   [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
   [[nodiscard]] std::uint64_t snapshots_dropped() const { return snapshots_dropped_; }
   [[nodiscard]] std::uint64_t edges_dropped() const { return edges_dropped_; }
@@ -200,10 +195,6 @@ class Observer {
   [[nodiscard]] std::size_t spans_recorded() const;
   /// Phase sums over messages *submitted* in [from, to) and delivered.
   [[nodiscard]] PhaseTotals phase_totals(double from, double to) const;
-  [[nodiscard]] const util::Histogram& submit_wait_hist() const { return submit_wait_hist_; }
-  [[nodiscard]] const util::Histogram& ordering_hist() const { return ordering_hist_; }
-  [[nodiscard]] const util::Histogram& delivery_hist() const { return delivery_hist_; }
-  [[nodiscard]] const util::Histogram& batch_hist() const { return batch_hist_; }
   [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
 
   // ---- exports (cold; allocate freely) ----
@@ -234,13 +225,7 @@ class Observer {
   Config cfg_;
   std::vector<std::vector<Span>> spans_;  // [origin][seq - 1]
   std::vector<std::uint64_t> counters_;   // [node * kCounterCount + c]
-  std::vector<std::uint64_t> retx_origin_;
-  std::vector<std::size_t> reorder_peak_;
   std::uint64_t spans_dropped_ = 0;
-  util::Histogram submit_wait_hist_;
-  util::Histogram ordering_hist_;
-  util::Histogram delivery_hist_;
-  util::Histogram batch_hist_;
   util::Histogram e2e_hist_;
 
   // Causal edge slabs, [origin] -> flight-recorder vector (reserved only

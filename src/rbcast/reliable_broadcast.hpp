@@ -1,10 +1,12 @@
-// Reliable broadcast (paper §4.1, footnote 3: one broadcast message in the
-// common case, after Frolund & Pedone, "Revisiting reliable broadcast").
+// Reliable broadcast of the FD algorithm's data (paper §4.1, footnote 3:
+// one broadcast message in the common case, after Frolund & Pedone,
+// "Revisiting reliable broadcast").
 //
-// The sender multicasts once and delivers locally at once; every other
-// destination R-delivers on receipt.  That single multicast is the whole
-// protocol, with no relay on suspicion, because a relay could never be the
-// only source of a message:
+// The sender multicasts the payload once to the other processes and
+// delivers it locally at once; every other process R-delivers on receipt.
+// That single multicast is the whole protocol, with no relay on
+// suspicion, because a relay could never be the only source of a
+// message:
 //
 //  - In the paper's contention model (Urbán, Défago & Schiper) a multicast
 //    is atomic: once the sender's CPU accepted it, it reaches every
@@ -15,18 +17,13 @@
 //    the message exactly once (the transport deduplicates frames, and a
 //    partition releases each held message once).
 //
-// So if any correct process R-delivers m, all correct destinations do, and
-// Chandra–Toueg's uniform agreement on decisions, which consensus
-// disseminates through this layer, does not depend on a relay.  The only
-// duplicate a process can receive is the origin's own loopback copy of its
-// multicast; the layer drops it, dispatches every other message to its
-// client by tag, and keeps no per-message state.
+// So if any correct process R-delivers m, all correct processes do.  The
+// multicast carries the payload itself (no wrapper), sends no loopback
+// copy to its origin, and the layer keeps no per-message state: it hands
+// every payload to its one sink.  Consensus decisions do not pass through
+// here; the consensus service multicasts them itself on the same grounds
+// (consensus/chandra_toueg.hpp).
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "net/message.hpp"
 #include "net/node.hpp"
@@ -34,52 +31,34 @@
 
 namespace fdgm::rbcast {
 
-/// Wire payload: the application payload wrapped with a tag distinguishing
-/// which upper-layer client sent it.
-class RbPayload final : public net::Payload {
+/// Receiver of R-deliveries, the layer's one client.
+class Sink {
  public:
-  static constexpr net::ProtocolId kProto = net::ProtocolId::kReliableBroadcast;
-  static constexpr std::uint8_t kKind = 0;
+  /// Invoked once per R-delivered payload: at the sender inside
+  /// broadcast(), elsewhere on receipt.
+  virtual void on_rdeliver(net::PayloadPtr payload) = 0;
 
-  RbPayload(int client_tag, net::PayloadPtr inner)
-      : Payload(kProto, kKind), client_tag(client_tag), inner(inner) {}
-
-  int client_tag;
-  net::PayloadPtr inner;
+ protected:
+  ~Sink() = default;
 };
 
 /// Reliable broadcast layer for one process.
-///
-/// Several clients (the FD-abcast data dissemination, consensus decision
-/// dissemination, ...) can share one instance; each registers a delivery
-/// callback under a distinct tag.
 class ReliableBroadcast final : public net::Layer {
  public:
-  using DeliverFn = std::function<void(net::PayloadPtr inner)>;
-
-  ReliableBroadcast(net::System& sys, net::ProcessId self);
+  ReliableBroadcast(net::System& sys, net::ProcessId self, Sink& sink);
   ~ReliableBroadcast() override;
 
-  /// Register the delivery callback for a client tag.
-  void register_client(int tag, DeliverFn fn);
-
-  /// R-broadcast `inner` to every process in the system (including self)
-  /// on behalf of client `tag`.
-  void broadcast(int tag, net::PayloadPtr inner);
-
-  /// R-broadcast to an explicit destination group (used by consensus,
-  /// which talks to an instance's members only).
-  void broadcast_group(int tag, const std::vector<net::ProcessId>& group, net::PayloadPtr inner);
+  /// R-broadcast `payload` to every process in the system, this one
+  /// included (delivered to the sink before broadcast returns).
+  void broadcast(net::PayloadPtr payload);
 
   // net::Layer
   void on_message(const net::Message& m) override;
 
  private:
-  void deliver(const RbPayload* p);
-
   net::System* sys_;
   net::ProcessId self_;
-  std::unordered_map<int, DeliverFn> clients_;
+  Sink* sink_;
 };
 
 }  // namespace fdgm::rbcast

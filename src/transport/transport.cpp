@@ -207,7 +207,6 @@ void Transport::on_frame(const net::Message& m, net::ProcessId dst) {
   ++stats_.buffered;
   if (obs_ != nullptr) {
     obs_->count(dst, obs::Counter::kTransportBuffered, sched_->now());
-    obs_->reorder_depth(dst, r.buffer.size());
     // Causal marker: parked out of order; the hold lasts until the
     // matching kReorderRel when the gap closes.
     if (obs_->causal()) {

@@ -200,7 +200,6 @@ TEST(ZeroAlloc, ObserverArmedHooks) {
       o.on_delivered(origin, s, now + 2.0);
       o.count(origin, obs::Counter::kConsensusRounds, now);
       o.on_retransmit(origin, now);
-      o.reorder_depth(origin, static_cast<std::size_t>(i % 7));
       now += 0.25;  // 16 ms a round: a metrics window rolls every ~6 rounds
     }
   };

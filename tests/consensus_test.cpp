@@ -16,7 +16,6 @@
 #include "consensus/chandra_toueg.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 
 namespace fdgm::consensus {
 namespace {
@@ -34,30 +33,41 @@ int value_of(net::PayloadPtr p) {
   return v != nullptr ? v->v : -1;
 }
 
-constexpr std::uint32_t kCtx = 0;
+/// One process's client: records decisions, and joins any instance on
+/// its first message.
+class Recorder final : public Client {
+ public:
+  Recorder(net::System& sys, net::ProcessId self) : sys_(&sys), self_(self) {}
+
+  std::optional<StartInfo> join(std::uint64_t) override {
+    // Late joiners propose their process id by default.
+    return StartInfo{&sys_->all(), 0, sys_->arena().make<Value>(100 + self_)};
+  }
+  void on_decide(std::uint64_t number, net::PayloadPtr v) override {
+    decisions.emplace(number, value_of(v));
+  }
+
+  std::map<std::uint64_t, int> decisions;
+
+ private:
+  net::System* sys_;
+  net::ProcessId self_;
+};
 
 struct Fixture {
   explicit Fixture(int n, fd::QosParams qp = {}, std::uint64_t seed = 1)
       : sys(n, {}, seed), fd(sys, qp) {
-    decisions.assign(static_cast<std::size_t>(n), {});
     for (int i = 0; i < n; ++i) {
-      rbs.push_back(std::make_unique<rbcast::ReliableBroadcast>(sys, i));
-      services.push_back(std::make_unique<ConsensusService>(sys, i, fd.at(i), *rbs.back()));
-      auto* slot = &decisions[static_cast<std::size_t>(i)];
-      services.back()->register_context(
-          kCtx, /*first_number=*/1,
-          ConsensusService::ContextConfig{
-              .join = [this, i](const InstanceKey&) -> std::optional<StartInfo> {
-                // Late joiners propose their process id by default.
-                return StartInfo{&sys.all(), 0, sys.arena().make<Value>(100 + i)};
-              },
-              .on_decide =
-                  [slot](const InstanceKey& key, const net::PayloadPtr& v) {
-                    slot->emplace(key.number, value_of(v));
-                  },
-          });
+      clients.push_back(std::make_unique<Recorder>(sys, i));
+      services.push_back(std::make_unique<ConsensusService>(sys, i, fd.at(i), *clients.back(),
+                                                            /*first_number=*/1));
     }
     fd.start();
+  }
+
+  /// Decisions of process i, by instance number.
+  [[nodiscard]] const std::map<std::uint64_t, int>& decisions(int i) const {
+    return clients[static_cast<std::size_t>(i)]->decisions;
   }
 
   /// Every process proposes `base + its id` for instance k.
@@ -65,8 +75,7 @@ struct Fixture {
     for (int i = 0; i < sys.n(); ++i) {
       if (sys.node(i).crashed()) continue;
       services[static_cast<std::size_t>(i)]->start(
-          InstanceKey{kCtx, k},
-          StartInfo{&sys.all(), offset, sys.arena().make<Value>(base + i)});
+          k, StartInfo{&sys.all(), offset, sys.arena().make<Value>(base + i)});
     }
   }
 
@@ -75,8 +84,8 @@ struct Fixture {
   int check_agreement(std::uint64_t k) {
     std::optional<int> decided;
     for (int i = 0; i < sys.n(); ++i) {
-      auto it = decisions[static_cast<std::size_t>(i)].find(k);
-      if (it == decisions[static_cast<std::size_t>(i)].end()) continue;
+      auto it = decisions(i).find(k);
+      if (it == decisions(i).end()) continue;
       if (!decided)
         decided = it->second;
       else
@@ -88,15 +97,14 @@ struct Fixture {
 
   [[nodiscard]] std::size_t deciders(std::uint64_t k) const {
     std::size_t c = 0;
-    for (const auto& d : decisions) c += d.contains(k);
+    for (const auto& cl : clients) c += cl->decisions.contains(k);
     return c;
   }
 
   net::System sys;
   fd::QosFailureDetectorModel fd;
-  std::vector<std::unique_ptr<rbcast::ReliableBroadcast>> rbs;
+  std::vector<std::unique_ptr<Recorder>> clients;
   std::vector<std::unique_ptr<ConsensusService>> services;
-  std::vector<std::map<std::uint64_t, int>> decisions;
 };
 
 TEST(Consensus, FailureFreeDecidesCoordinatorValue) {
@@ -170,7 +178,7 @@ TEST(Consensus, DecisionReachesLateJoiner) {
   Fixture f(3);
   for (int i : {0, 1})
     f.services[static_cast<std::size_t>(i)]->start(
-        InstanceKey{kCtx, 1}, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(i)});
+        1, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(i)});
   f.sys.scheduler().run();
   EXPECT_EQ(f.deciders(1), 3u);
   f.check_agreement(1);
@@ -228,13 +236,12 @@ TEST(Consensus, DecidedInstanceIgnoresStragglers) {
   Fixture f(3);
   f.propose_all(1);
   f.sys.scheduler().run();
-  EXPECT_TRUE(f.services[0]->decided(InstanceKey{kCtx, 1}));
-  EXPECT_FALSE(f.services[0]->running(InstanceKey{kCtx, 1}));
+  EXPECT_TRUE(f.services[0]->decided(1));
+  EXPECT_FALSE(f.services[0]->running(1));
   // Restarting a decided instance is a no-op.
-  f.services[0]->start(InstanceKey{kCtx, 1},
-                       StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
+  f.services[0]->start(1, StartInfo{&f.sys.all(), 0, f.sys.arena().make<Value>(99)});
   f.sys.scheduler().run();
-  EXPECT_EQ(f.decisions[0].at(1), 0);
+  EXPECT_EQ(f.decisions(0).at(1), 0);
 }
 
 TEST(Consensus, DecidedStateBoundedAfter10kInstances) {
@@ -247,14 +254,14 @@ TEST(Consensus, DecidedStateBoundedAfter10kInstances) {
     f.propose_all(k + 1, 0, /*offset=*/1);
     f.propose_all(k);
     f.sys.scheduler().run();
-    for (const auto& s : f.services) ASSERT_LE(s->decided_words_dbg(kCtx), 2u) << "instance " << k;
+    for (const auto& s : f.services) ASSERT_LE(s->decided_words_dbg(), 2u) << "instance " << k;
   }
   for (const auto& s : f.services) {
-    EXPECT_LE(s->decided_words_dbg(kCtx), 1u);
-    EXPECT_FALSE(s->decided(InstanceKey{kCtx, 0}));  // below the first instance
-    EXPECT_TRUE(s->decided(InstanceKey{kCtx, 1}));
-    EXPECT_TRUE(s->decided(InstanceKey{kCtx, 10000}));
-    EXPECT_FALSE(s->decided(InstanceKey{kCtx, 10001}));
+    EXPECT_LE(s->decided_words_dbg(), 1u);
+    EXPECT_FALSE(s->decided(0));  // below the first instance
+    EXPECT_TRUE(s->decided(1));
+    EXPECT_TRUE(s->decided(10000));
+    EXPECT_FALSE(s->decided(10001));
   }
   EXPECT_EQ(f.deciders(10000), 3u);
   f.check_agreement(10000);
@@ -293,18 +300,17 @@ TEST(Consensus, OnlyRoundOneCoordinatorHoldsAValueAndCrashesBeforeProposing) {
   Fixture f(5, qp);
   f.sys.crash(0);
   for (int i = 0; i < 5; ++i) {
-    f.services[static_cast<std::size_t>(i)]->start(
-        InstanceKey{kCtx, 1},
-        StartInfo{
-            .members = &f.sys.all(),
-            .coordinator_offset = 0,
-            .initial = i == 0 ? f.sys.arena().make<Value>(0) : nullptr,
-            .refresh =
-                [&f, &refreshes, i] {
-                  ++refreshes[static_cast<std::size_t>(i)];
-                  return f.sys.arena().make<Value>(200 + i);
-                },
-        });
+    StartInfo info{
+        .members = &f.sys.all(),
+        .coordinator_offset = 0,
+        .initial = i == 0 ? f.sys.arena().make<Value>(0) : nullptr,
+        .refresh =
+            [&f, &refreshes, i] {
+              ++refreshes[static_cast<std::size_t>(i)];
+              return f.sys.arena().make<Value>(200 + i);
+            },
+    };
+    f.services[static_cast<std::size_t>(i)]->start(1, std::move(info));
   }
   f.sys.scheduler().run();
   EXPECT_EQ(f.deciders(1), 4u);
@@ -314,16 +320,15 @@ TEST(Consensus, OnlyRoundOneCoordinatorHoldsAValueAndCrashesBeforeProposing) {
 
 TEST(Consensus, NullInitialValueWithoutRefreshThrows) {
   Fixture f(3);
-  EXPECT_THROW(f.services[1]->start(InstanceKey{kCtx, 1}, StartInfo{&f.sys.all(), 0, nullptr}),
-               std::logic_error);
-  EXPECT_FALSE(f.services[1]->running(InstanceKey{kCtx, 1}));
+  EXPECT_THROW(f.services[1]->start(1, StartInfo{&f.sys.all(), 0, nullptr}), std::logic_error);
+  EXPECT_FALSE(f.services[1]->running(1));
 }
 
 TEST(Consensus, RoundOneCoordinatorWithoutValueThrows) {
   Fixture f(3);
   StartInfo info{&f.sys.all(), 0, nullptr};
   info.refresh = [&f] { return f.sys.arena().make<Value>(7); };
-  EXPECT_THROW(f.services[0]->start(InstanceKey{kCtx, 1}, std::move(info)), std::logic_error);
+  EXPECT_THROW(f.services[0]->start(1, std::move(info)), std::logic_error);
 }
 
 // ---------------------------------------------------------------- property
@@ -366,7 +371,7 @@ TEST_P(ConsensusProperty, UniformAgreementValidityTermination) {
   ASSERT_GT(correct * 2, static_cast<std::size_t>(p.n));
   std::size_t correct_deciders = 0;
   for (int i = 0; i < p.n; ++i)
-    if (!f.sys.node(i).crashed() && f.decisions[static_cast<std::size_t>(i)].contains(1))
+    if (!f.sys.node(i).crashed() && f.decisions(i).contains(1))
       ++correct_deciders;
   EXPECT_EQ(correct_deciders, correct);
 

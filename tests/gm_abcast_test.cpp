@@ -12,7 +12,6 @@
 #include "abcast/gm_abcast.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
-#include "obs/causal.hpp"
 #include "transport/transport.hpp"
 
 namespace fdgm::abcast {
@@ -427,20 +426,15 @@ TEST(GmAbcast, LossRepairedByNeedAfterSequencerTrimmedItsWindow) {
   // One view throughout, so the window spans (trim point, last sn]: it is
   // shorter than the log only once it was trimmed.
   auto trimmed = [&] { return seq.data_plane_dbg().sn_window < seq.log().size(); };
-  constexpr std::uint8_t kDataKind = 8;   // GmAbcastProcess::DataMsg
   constexpr std::uint8_t kNeedKind = 12;  // GmAbcastProcess::NeedMsg
   std::size_t needs_after_trim = 0;
   std::size_t repairs_after_trim = 0;
   f.sys.network().set_delivery_tap([&](const net::Message& m, net::ProcessId dst) {
     if (m.proto != net::ProtocolId::kAtomicBroadcast || !trimmed()) return;
-    const std::uint8_t kind = m.payload->payload_kind();
-    if (kind == kNeedKind && dst == 0) ++needs_after_trim;
+    if (m.payload->payload_kind() == kNeedKind && dst == 0) ++needs_after_trim;
     // The sequencer sends DATA of another origin only to answer a NEED.
-    if (kind == kDataKind && m.src == 0) {
-      obs::MsgRefList refs;
-      obs::classify_gm_payload(m.payload, refs);
-      if (refs.size() == 1 && refs[0].origin != 0) ++repairs_after_trim;
-    }
+    const auto* data = net::payload_cast<AppMessage>(m.payload);
+    if (data != nullptr && m.src == 0 && data->id.origin != 0) ++repairs_after_trim;
   });
   f.sys.scheduler().run();
   EXPECT_GT(needs_after_trim, 10u);

@@ -23,6 +23,7 @@
 #include "fault/injector.hpp"
 #include "net/system.hpp"
 #include "obs/observer.hpp"
+#include "transport/transport.hpp"
 
 namespace fdgm {
 namespace {
@@ -159,7 +160,7 @@ class Counter final : public net::Layer {
 };
 
 struct NetFixture {
-  explicit NetFixture(int n) : sys(n, net::NetworkConfig{1.0}, 1) {
+  explicit NetFixture(int n, transport::Config tp = {}) : sys(n, net::NetworkConfig{1.0}, 1, tp) {
     for (int i = 0; i < n; ++i) {
       counters.push_back(std::make_unique<Counter>());
       sys.node(i).register_handler(net::ProtocolId::kApplication, counters.back().get());
@@ -353,6 +354,40 @@ TEST(GrayCorrupt, WithoutTransportDetectedFramesAreDroppedAndCounted) {
   f.sys.scheduler().run();
   EXPECT_EQ(f.counters[1]->count, 1);  // clean frames flow again
   EXPECT_EQ(f.sys.network().corruption_detected(), 1u);
+}
+
+TEST(GrayCorrupt, LoopbackCopySkipsTheTransportsVerify) {
+  // A multicast's self copy is served by local loopback: it never crossed
+  // the wire, carries no digest, and reaches its node unverified.
+  NetFixture f(3, transport::Config{.enabled = true});
+  f.sys.network().enable_checksums();
+  f.sys.node(0).multicast_all(net::ProtocolId::kApplication, f.payload());
+  f.sys.scheduler().run();
+  for (const auto& c : f.counters) EXPECT_EQ(c->count, 1);
+  EXPECT_EQ(f.sys.transport()->stats().corrupt_dropped, 0u);
+}
+
+TEST(GrayCorrupt, RateZeroWindowDropsNothing) {
+  // Any corrupt event arms frame checksums run-wide, a rate-0 one too.
+  // It damages no frame, so on either stack no frame may be dropped or
+  // counted as corrupt.
+  for (core::Algorithm algo : {core::Algorithm::kFd, core::Algorithm::kGm}) {
+    core::SimConfig cfg;
+    cfg.algorithm = algo;
+    cfg.n = 3;
+    cfg.transport.enabled = true;
+    cfg.obs.enabled = true;
+    cfg.faults = FaultSchedule::parse("corrupt 0 @500 for 300");
+    core::SimRun run(cfg, core::WorkloadConfig{.throughput = 200.0});
+    run.start();
+    run.run_until(4000.0);
+    const char* name = core::algorithm_name(algo);
+    EXPECT_EQ(run.system().network().corrupted_deliveries(), 0u) << name;
+    ASSERT_NE(run.system().transport(), nullptr);
+    EXPECT_EQ(run.system().transport()->stats().corrupt_dropped, 0u) << name;
+    ASSERT_NE(run.observer(), nullptr);
+    EXPECT_EQ(run.observer()->total(obs::Counter::kCorruptionDetected), 0u) << name;
+  }
 }
 
 TEST(GrayCorrupt, RejectsBadRates) {

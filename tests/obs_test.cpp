@@ -104,24 +104,18 @@ TEST(ObsCounters, RetransmitTracksPerOriginConcentration) {
   o.on_retransmit(0, 1.0);
   o.on_retransmit(0, 2.0);
   o.on_retransmit(2, 3.0);
-  EXPECT_EQ(o.retx_origin(0), 2u);
-  EXPECT_EQ(o.retx_origin(1), 0u);
-  EXPECT_EQ(o.retx_origin(2), 1u);
+  EXPECT_EQ(o.node_total(0, Counter::kTransportRetx), 2u);
+  EXPECT_EQ(o.node_total(1, Counter::kTransportRetx), 0u);
+  EXPECT_EQ(o.node_total(2, Counter::kTransportRetx), 1u);
   EXPECT_EQ(o.total(Counter::kTransportRetx), 3u);
 }
 
 TEST(ObsCounters, BatchFlushFeedsHistogramAndReorderPeakIsMax) {
   Observer o(2, armed());
-  o.on_batch_flush(0, 4, 1.0);
-  o.on_batch_flush(0, 9, 2.0);
+  o.on_batch_flush(0, 1.0);
+  o.on_batch_flush(0, 2.0);
+  EXPECT_EQ(o.node_total(0, Counter::kBatchesFlushed), 2u);
   EXPECT_EQ(o.total(Counter::kBatchesFlushed), 2u);
-  EXPECT_EQ(o.batch_hist().count(), 2u);
-
-  o.reorder_depth(1, 3);
-  o.reorder_depth(1, 7);
-  o.reorder_depth(1, 2);
-  EXPECT_EQ(o.reorder_peak(1), 7u);
-  EXPECT_EQ(o.reorder_peak(0), 0u);
 }
 
 TEST(ObsPhases, TotalsFilterBySubmitWindowAndCompletion) {

@@ -1,7 +1,7 @@
 // Tests of the reliable broadcast layer: one multicast per broadcast
-// (also while the origin is wrongly suspected), local delivery first, the
-// dropped loopback copy, delivery once everywhere, client-tag routing, and
-// the argument that replaces relays on suspicion: under loss the transport
+// (also while the origin is wrongly suspected), local delivery first, no
+// second delivery at the origin, delivery once everywhere, and the
+// argument that replaces relays on suspicion: under loss the transport
 // keeps repairing a multicast after its origin crashed, so every correct
 // destination still delivers it exactly once.  The delivery tests run
 // twice: Rbcast.* as is, RbcastRelayOff.* under a failure detector that
@@ -22,8 +22,6 @@
 namespace fdgm::rbcast {
 namespace {
 
-constexpr int kTag = 1;
-
 class Body final : public net::Payload {
  public:
   static constexpr net::ProtocolId kProto = net::ProtocolId::kApplication;
@@ -31,6 +29,16 @@ class Body final : public net::Payload {
   Body(net::ProcessId origin, int v) : Payload(kProto, kKind), origin(origin), value(v) {}
   net::ProcessId origin;
   int value;
+};
+
+/// Logs every R-delivery of one process as (origin, value).
+class LogSink final : public Sink {
+ public:
+  void on_rdeliver(net::PayloadPtr p) override {
+    const Body* b = net::payload_cast<Body>(p);
+    log.emplace_back(b != nullptr ? b->origin : -1, b != nullptr ? b->value : -1);
+  }
+  std::vector<std::pair<net::ProcessId, int>> log;
 };
 
 /// Counts the suspicion edges one failure detector raises against p.
@@ -46,27 +54,22 @@ class SuspicionCounter final : public fd::SuspicionListener {
 
 struct Fixture {
   explicit Fixture(int n, std::uint64_t seed = 1, transport::Config tp = {})
-      : sys(n, {}, seed, tp) {
-    deliveries.reserve(static_cast<std::size_t>(n));  // lambdas keep pointers
+      : sys(n, {}, seed, tp), sinks(static_cast<std::size_t>(n)) {
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i));
-      auto* log = &deliveries.emplace_back();
-      stacks.back()->register_client(kTag, [log](net::PayloadPtr p) {
-        const Body* b = net::payload_cast<Body>(p);
-        log->emplace_back(b != nullptr ? b->origin : -1, b != nullptr ? b->value : -1);
-      });
+      LogSink& sink = sinks[static_cast<std::size_t>(i)];
+      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, sink));
     }
   }
 
   void broadcast(net::ProcessId from, int v) {
-    stacks[static_cast<std::size_t>(from)]->broadcast(kTag, sys.arena().make<Body>(from, v));
+    stacks[static_cast<std::size_t>(from)]->broadcast(sys.arena().make<Body>(from, v));
     ++multicasts;
   }
 
-  void broadcast_group(net::ProcessId from, std::vector<net::ProcessId> group, int v) {
-    stacks[static_cast<std::size_t>(from)]->broadcast_group(kTag, std::move(group),
-                                                            sys.arena().make<Body>(from, v));
-    ++multicasts;
+  /// R-deliveries at process p, in order.
+  [[nodiscard]] const std::vector<std::pair<net::ProcessId, int>>& deliveries(
+      net::ProcessId p) const {
+    return sinks[static_cast<std::size_t>(p)].log;
   }
 
   /// Starts a failure detector whose modules keep wrongly suspecting
@@ -102,8 +105,8 @@ struct Fixture {
   SuspicionCounter p0_at_p1{0};
   std::unique_ptr<fd::QosFailureDetectorModel> fd;
   std::uint64_t multicasts = 0;
+  std::vector<LogSink> sinks;  // sized once: the stacks keep references
   std::vector<std::unique_ptr<ReliableBroadcast>> stacks;
-  std::vector<std::vector<std::pair<net::ProcessId, int>>> deliveries;
 };
 
 // Defines Rbcast.Name and RbcastRelayOff.Name over one body, which
@@ -120,8 +123,8 @@ RB_TEST_BOTH_MODES(EveryoneDeliversOnce) {
   f.broadcast(0, 7);
   f.run();
   for (int p = 0; p < 4; ++p) {
-    ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u) << p;
-    EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 7));
+    ASSERT_EQ(f.deliveries(p).size(), 1u) << p;
+    EXPECT_EQ(f.deliveries(p)[0], std::make_pair(0, 7));
   }
   f.expect_no_relays();
 }
@@ -140,7 +143,7 @@ TEST(Rbcast, WronglySuspectedOriginCostsOneWireSlot) {
   f.broadcast(0, 3);
   f.run();
   EXPECT_EQ(f.sys.network().network_uses(), 1u);
-  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u);
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries(p).size(), 1u);
   f.expect_no_relays();
 }
 
@@ -149,9 +152,9 @@ RB_TEST_BOTH_MODES(SenderDeliversLocallyImmediately) {
   if (suspecting) f.suspect_everyone();
   f.broadcast(0, 5);
   // Before running the scheduler at all: local delivery already happened.
-  EXPECT_EQ(f.deliveries[0].size(), 1u);
+  EXPECT_EQ(f.deliveries(0).size(), 1u);
   f.run();
-  EXPECT_EQ(f.deliveries[0].size(), 1u);  // loopback copy dropped
+  EXPECT_EQ(f.deliveries(0).size(), 1u);  // no second delivery at the origin
   f.expect_no_relays();
 }
 
@@ -161,47 +164,11 @@ RB_TEST_BOTH_MODES(OrderPreservedPerOrigin) {
   for (int i = 0; i < 5; ++i) f.broadcast(0, i);
   f.run();
   for (int p = 0; p < 3; ++p) {
-    ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 5u);
+    ASSERT_EQ(f.deliveries(p).size(), 5u);
     for (int i = 0; i < 5; ++i)
-      EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)].second, i);
+      EXPECT_EQ(f.deliveries(p)[static_cast<std::size_t>(i)].second, i);
   }
   f.expect_no_relays();
-}
-
-RB_TEST_BOTH_MODES(GroupBroadcastReachesGroupOnly) {
-  Fixture f(4);
-  if (suspecting) f.suspect_everyone();
-  f.broadcast_group(0, {0, 1, 2}, 1);
-  f.run();
-  EXPECT_EQ(f.deliveries[0].size(), 1u);
-  EXPECT_EQ(f.deliveries[1].size(), 1u);
-  EXPECT_EQ(f.deliveries[2].size(), 1u);
-  EXPECT_TRUE(f.deliveries[3].empty());
-  f.expect_no_relays();
-}
-
-TEST(Rbcast, DistinctClientTagsAreIsolated) {
-  Fixture f(2);
-  std::vector<int> tag2;
-  f.stacks[0]->register_client(2, [](net::PayloadPtr) {});
-  f.stacks[1]->register_client(
-      2, [&](net::PayloadPtr p) { tag2.push_back(net::payload_cast<Body>(p)->value); });
-  f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(0, 77));
-  f.sys.scheduler().run();
-  EXPECT_EQ(tag2, (std::vector<int>{77}));
-  EXPECT_TRUE(f.deliveries[1].empty());  // kTag client saw nothing
-}
-
-TEST(Rbcast, DuplicateClientTagRejected) {
-  Fixture f(2);
-  EXPECT_THROW(f.stacks[0]->register_client(kTag, [](net::PayloadPtr) {}), std::logic_error);
-}
-
-TEST(Rbcast, UnknownClientTagThrows) {
-  // The sender's local delivery dispatches first, so the throw surfaces
-  // from broadcast itself.
-  Fixture f(2);
-  EXPECT_THROW(f.stacks[0]->broadcast(2, f.sys.arena().make<Body>(0, 1)), std::logic_error);
 }
 
 RB_TEST_BOTH_MODES(CrashedReceiverDoesNotDeliver) {
@@ -210,9 +177,9 @@ RB_TEST_BOTH_MODES(CrashedReceiverDoesNotDeliver) {
   f.sys.crash(2);
   f.broadcast(0, 4);
   f.run();
-  EXPECT_TRUE(f.deliveries[2].empty());
-  EXPECT_EQ(f.deliveries[1].size(), 1u);
-  EXPECT_EQ(f.deliveries[0].size(), 1u);
+  EXPECT_TRUE(f.deliveries(2).empty());
+  EXPECT_EQ(f.deliveries(1).size(), 1u);
+  EXPECT_EQ(f.deliveries(0).size(), 1u);
   f.expect_no_relays();
 }
 
@@ -222,7 +189,7 @@ RB_TEST_BOTH_MODES(ManyOriginsInterleaved) {
   for (int round = 0; round < 10; ++round)
     for (int p = 0; p < 3; ++p) f.broadcast(p, round);
   f.run();
-  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 30u);
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries(p).size(), 30u);
   f.expect_no_relays();
 }
 
@@ -245,9 +212,9 @@ TEST(Rbcast, LossyMulticastReachesEveryoneAfterOriginCrash) {
     f.sys.network().clear_loss();
     f.sys.scheduler().run_until(5000.0);
     for (int p = 1; p < 5; ++p) {
-      ASSERT_EQ(f.deliveries[static_cast<std::size_t>(p)].size(), 1u)
+      ASSERT_EQ(f.deliveries(p).size(), 1u)
           << "seed " << seed << " p" << p;
-      EXPECT_EQ(f.deliveries[static_cast<std::size_t>(p)][0], std::make_pair(0, 9));
+      EXPECT_EQ(f.deliveries(p)[0], std::make_pair(0, 9));
     }
     retx_after_crash += f.sys.transport()->stats().retransmits - retx_at_crash;
   }
