@@ -52,8 +52,7 @@ void trace(const char* name) {
       default:
         break;
     }
-    std::printf("  t=%5.1f ms   p%d -> p%d   [%s]%s\n", sys.now(), m.src, dst, proto,
-                m.dst == net::kBroadcast ? " (multicast)" : "");
+    std::printf("  t=%5.1f ms   p%d -> p%d   [%s]\n", sys.now(), m.src, dst, proto);
   });
 
   std::vector<DeliveryPrinter> printers(procs.size());

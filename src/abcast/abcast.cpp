@@ -87,7 +87,7 @@ void AtomicBroadcastProcess::flush_queue() {
   if (queue_.empty()) return;
   ++batches_flushed_;
   // Swap into the scratch vector: flush_batch may deliver synchronously,
-  // and a ReadySink can submit again from inside that delivery.  The two
+  // and a DeliverSink can submit again from inside that delivery.  The two
   // vectors ping-pong their capacity, so steady state does not allocate.
   flushing_.clear();
   flushing_.swap(queue_);
@@ -116,12 +116,7 @@ void AtomicBroadcastProcess::deliver(const AppMessage& m) {
   // First-write-wins inside the observer: across the n local deliveries
   // of one message this records the *global-first* A-delivery instant.
   if (auto* o = sys_->obs()) o->on_delivered(m.id.origin, m.id.seq, sys_->now(), self_);
-  if (m.id.origin == self_ && in_flight_ > 0) {
-    --in_flight_;
-    // Release edge: the window was exhausted and just reopened.
-    if (in_flight_ + 1 == batching_.credit_window && ready_sink_ != nullptr)
-      ready_sink_->on_submit_ready(self_);
-  }
+  if (m.id.origin == self_ && in_flight_ > 0) --in_flight_;
   if (deliver_sink_ != nullptr) deliver_sink_->on_deliver(m);
 }
 

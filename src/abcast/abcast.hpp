@@ -2,7 +2,7 @@
 //
 // The experiment harness interacts with both algorithms exclusively through
 // this interface: a submit/credit pair on any process — a_broadcast() plus
-// can_submit()/ReadySink back-pressure — and a DeliverSink that reports
+// can_submit() back-pressure — and a DeliverSink that reports
 // every A-delivery (process-local) with the original send time, so the
 // harness can compute the paper's latency metric
 //     L = (min_i deliver_time_i) - broadcast_time.
@@ -112,8 +112,7 @@ struct BatchConfig {
   std::size_t credit_window = 64;
 };
 
-/// Receiver of local A-deliveries.  The same slab-friendly interface
-/// pattern net::Network::Sink uses: one virtual call per delivery, no
+/// Receiver of local A-deliveries: one virtual call per delivery, no
 /// std::function, so the hot path stays allocation-free.
 class DeliverSink {
  public:
@@ -122,17 +121,6 @@ class DeliverSink {
 
  protected:
   ~DeliverSink() = default;
-};
-
-/// Receiver of the back-pressure release edge: notified when a process
-/// whose credit window was exhausted (can_submit() == false) regains
-/// submission capacity.
-class ReadySink {
- public:
-  virtual void on_submit_ready(net::ProcessId p) = 0;
-
- protected:
-  ~ReadySink() = default;
 };
 
 /// Per-process endpoint of an atomic broadcast algorithm.  The base class
@@ -161,8 +149,6 @@ class AtomicBroadcastProcess {
   }
 
   void set_deliver_sink(DeliverSink* sink) { deliver_sink_ = sink; }
-  /// Notified when can_submit() flips back to true (see ReadySink).
-  void set_ready_sink(ReadySink* sink) { ready_sink_ = sink; }
 
   [[nodiscard]] net::ProcessId id() const { return self_; }
   [[nodiscard]] const BatchConfig& batching() const { return batching_; }
@@ -194,8 +180,7 @@ class AtomicBroadcastProcess {
   virtual void flush_batch(const AppMessagePtr* msgs, std::size_t count) = 0;
 
   /// Algorithms report every local A-delivery here: releases the credit
-  /// of own messages (firing the ReadySink on the release edge) and
-  /// forwards to the DeliverSink.
+  /// of own messages and forwards to the DeliverSink.
   void deliver(const AppMessage& m);
 
   /// Submission entry underneath a_broadcast: queue/flush/credit without
@@ -219,7 +204,6 @@ class AtomicBroadcastProcess {
   std::size_t in_flight_ = 0;            // own messages not yet locally delivered
   std::uint64_t batches_flushed_ = 0;
   DeliverSink* deliver_sink_ = nullptr;
-  ReadySink* ready_sink_ = nullptr;
 };
 
 }  // namespace fdgm::abcast

@@ -255,7 +255,7 @@ class ConsensusService final : public net::Layer {
 
   // --- used by Instance ---
   void unicast(net::ProcessId dst, const ConsensusMsg* m);
-  /// Multicast to every member except this process (no loopback copy).
+  /// Multicast to every member except this process.
   void multicast_others(const std::vector<net::ProcessId>& members, const ConsensusMsg* m);
   /// Coordinator path: multicast the decision to the other members, then
   /// apply it here.

@@ -176,7 +176,7 @@ void Injector::fire(const FaultEvent& e) {
       if (e.duty < 1.0) {
         const sim::Time first_down = e.at + e.duty * e.period;
         if (first_down < e.until)
-          sys_->scheduler().schedule_at(first_down, [this, &e] { flap_down_step(e, 0); });
+          sys_->scheduler().schedule_at(first_down, [this, &e] { on_flap_down(e, 0); });
       }
       break;
     }
@@ -200,7 +200,7 @@ void Injector::fire(const FaultEvent& e) {
   ++fired_;
 }
 
-void Injector::flap_down_step(const FaultEvent& e, std::uint64_t cycle) {
+void Injector::on_flap_down(const FaultEvent& e, std::uint64_t cycle) {
   sys_->network().set_flap_down(e.groups.at(0), e.groups.at(1));
   if (auto* o = sys_->obs())
     o->count(e.groups[0].front(), obs::Counter::kFlapTransitions, sys_->now());
@@ -208,17 +208,17 @@ void Injector::flap_down_step(const FaultEvent& e, std::uint64_t cycle) {
   // window's end — a flap window never leaves a link down behind.
   const sim::Time up =
       std::min(e.at + static_cast<double>(cycle + 1) * e.period, e.until);
-  sys_->scheduler().schedule_at(up, [this, &e, cycle] { flap_up_step(e, cycle); });
+  sys_->scheduler().schedule_at(up, [this, &e, cycle] { on_flap_up(e, cycle); });
 }
 
-void Injector::flap_up_step(const FaultEvent& e, std::uint64_t cycle) {
+void Injector::on_flap_up(const FaultEvent& e, std::uint64_t cycle) {
   sys_->network().set_flap_up(e.groups.at(0), e.groups.at(1));
   if (auto* o = sys_->obs())
     o->count(e.groups[0].front(), obs::Counter::kFlapTransitions, sys_->now());
   const sim::Time next_down =
       e.at + static_cast<double>(cycle + 1) * e.period + e.duty * e.period;
   if (next_down < e.until)
-    sys_->scheduler().schedule_at(next_down, [this, &e, c = cycle + 1] { flap_down_step(e, c); });
+    sys_->scheduler().schedule_at(next_down, [this, &e, c = cycle + 1] { on_flap_down(e, c); });
 }
 
 }  // namespace fdgm::fault

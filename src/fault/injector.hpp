@@ -84,8 +84,8 @@ class Injector {
   void fire(const FaultEvent& e);
   /// One down / up transition of a flap event's deterministic chain;
   /// `cycle` counts full periods since the window opened.
-  void flap_down_step(const FaultEvent& e, std::uint64_t cycle);
-  void flap_up_step(const FaultEvent& e, std::uint64_t cycle);
+  void on_flap_down(const FaultEvent& e, std::uint64_t cycle);
+  void on_flap_up(const FaultEvent& e, std::uint64_t cycle);
   [[nodiscard]] bool valid_pid(net::ProcessId p) const {
     return p >= 0 && p < sys_->n();
   }

@@ -376,17 +376,15 @@ void GroupMembership::rejoin() {
   vc_suspected_.clear();
   future_.clear();
   join_view_hint_ = view_.id;
-  join_targets_.clear();
-  for (net::ProcessId p : sys_->all())
-    if (p != self_) join_targets_.push_back(p);
+  join_targets_ = sys_->all();  // multicast_others skips self
   if (!chain_armed) send_join();  // else the periodic JOIN retry is already running
 }
 
 void GroupMembership::send_join() {
   if (status_ != Status::kJoining) return;
-  sys_->node(self_).multicast(join_targets_, net::ProtocolId::kMembership,
-                              sys_->arena().make<JoinPayload>(client_->log_length(),
-                                                              join_view_hint_));
+  sys_->node(self_).multicast_others(join_targets_, net::ProtocolId::kMembership,
+                                     sys_->arena().make<JoinPayload>(client_->log_length(),
+                                                                     join_view_hint_));
   sys_->scheduler().schedule_after(kJoinRetryMs, [this] { send_join(); });
 }
 

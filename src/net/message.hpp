@@ -20,9 +20,6 @@ namespace fdgm::net {
 /// Dense process identifier: 0 .. n-1.
 using ProcessId = int;
 
-/// Pseudo-destination meaning "all processes" (multicast).
-inline constexpr ProcessId kBroadcast = -1;
-
 /// Identifies the protocol layer a message belongs to.  Each Node routes
 /// incoming messages to the handler registered for the message's protocol.
 enum class ProtocolId : std::uint8_t {
@@ -31,8 +28,6 @@ enum class ProtocolId : std::uint8_t {
   kConsensus,
   kAtomicBroadcast,
   kMembership,
-  kStateTransfer,
-  kWorkload,
   /// Transport control frames (ACK / NACK).  Consumed by the transport
   /// layer below the Node, never routed to a protocol handler.
   kTransport,
@@ -103,7 +98,6 @@ struct FrameHeader {
 
 struct Message {
   ProcessId src = 0;
-  ProcessId dst = 0;  // kBroadcast for multicast
   ProtocolId proto = ProtocolId::kApplication;
   FrameHeader frame;
   PayloadPtr payload = nullptr;
@@ -113,8 +107,8 @@ struct Message {
 /// to verification (transport receive / final delivery): source, protocol,
 /// payload tag and channel sequence number — everything that identifies
 /// the frame's content in this simulation, excluding the mutable header
-/// bits (retx flag, piggybacked ack, destination).  One multiply-xor
-/// round per field; any single-field change flips the result.
+/// bits (retx flag, piggybacked ack).  One multiply-xor round per field;
+/// any single-field change flips the result.
 [[nodiscard]] inline std::uint8_t frame_digest(const Message& m) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   auto mix = [&h](std::uint64_t v) {

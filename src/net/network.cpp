@@ -4,7 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "net/system.hpp"
 #include "obs/observer.hpp"
+#include "transport/transport.hpp"
 
 namespace fdgm::net {
 
@@ -25,13 +27,12 @@ inline void causal_mark(obs::Observer* o, obs::EdgeKind kind, ProcessId node, co
 
 }  // namespace
 
-Network::Network(sim::Scheduler& sched, int num_processes, NetworkConfig cfg, Sink& sink)
-    : sched_(&sched), cfg_(cfg), wire_(sched, "network"), sink_(&sink) {
+Network::Network(System& sys, int num_processes, NetworkConfig cfg)
+    : sched_(&sys.scheduler()), cfg_(cfg), wire_(*sched_), sys_(&sys) {
   if (num_processes <= 0) throw std::invalid_argument("Network: need at least one process");
   if (cfg_.lambda < 0) throw std::invalid_argument("Network: negative lambda");
   cpus_.reserve(static_cast<std::size_t>(num_processes));
-  for (int i = 0; i < num_processes; ++i)
-    cpus_.push_back(std::make_unique<Resource>(sched, "cpu" + std::to_string(i)));
+  for (int i = 0; i < num_processes; ++i) cpus_.push_back(std::make_unique<Resource>(*sched_));
 }
 
 std::uint32_t Network::acquire_list() {
@@ -51,10 +52,8 @@ void Network::release_list(std::uint32_t idx) {
   list_free_ = idx;
 }
 
-bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count,
-                     bool loopback_self) {
+bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count) {
   if (m.src < 0 || m.src >= num_processes()) throw std::out_of_range("Network::submit: bad source");
-  bool self = false;
   std::uint32_t list = kNoList;
   for (std::size_t i = 0; i < count; ++i) {
     const ProcessId d = dsts[i];
@@ -62,43 +61,29 @@ bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count,
       if (list != kNoList) release_list(list);
       throw std::out_of_range("Network::submit: bad destination");
     }
-    if (d == m.src) {
-      self = self || loopback_self;
-      continue;
-    }
+    if (d == m.src) continue;
     if (list == kNoList) list = acquire_list();
     list_ref(list).dsts.push_back(d);
   }
-  if (!self && list == kNoList) return false;  // no effective destination
+  if (list == kNoList) return false;  // no effective destination
 
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kSendEnq, m.src, m, sched_->now());
   }
   // Stage 1: send-side CPU processing.
-  cpus_[static_cast<std::size_t>(m.src)]->enqueue(
-      cfg_.lambda, [this, m, list, self] { on_send_done(m, list, self); });
+  cpus_[static_cast<std::size_t>(m.src)]->enqueue(cfg_.lambda,
+                                                  [this, m, list] { on_send_done(m, list); });
   return true;
 }
 
-void Network::on_send_done(const Message& m, std::uint32_t list, bool self) {
+void Network::on_send_done(const Message& m, std::uint32_t list) {
   if (obs_ != nullptr && obs_->causal()) {
     const double now = sched_->now();
     causal_mark(obs_, obs::EdgeKind::kSendDone, m.src, m, now);
-    if (list != kNoList) causal_mark(obs_, obs::EdgeKind::kWireEnq, m.src, m, now);
+    causal_mark(obs_, obs::EdgeKind::kWireEnq, m.src, m, now);
   }
-  if (self) {
-    // Local loopback: no network, no extra CPU job.
-    Message copy = m;
-    copy.dst = m.src;
-    ++delivered_;
-    if (tap_) tap_(copy, m.src);
-    sink_->deliver_message(copy, m.src);
-  }
-  if (list != kNoList) {
-    // Stage 2: one slot on the shared medium regardless of fan-out.
-    wire_.enqueue(kNetworkTimeMs * delay_factor_,
-                  [this, m, list] { on_wire_done(m, list); });
-  }
+  // Stage 2: one slot on the shared medium regardless of fan-out.
+  wire_.enqueue(kNetworkTimeMs * delay_factor_, [this, m, list] { on_wire_done(m, list); });
 }
 
 void Network::on_wire_done(const Message& m, std::uint32_t list) {
@@ -108,13 +93,13 @@ void Network::on_wire_done(const Message& m, std::uint32_t list) {
   // Fault filter, then stage 3: receive-side CPU processing, one job per
   // destination host.  filter_or_deliver only enqueues (no user callbacks
   // run synchronously), so the pooled list stays stable while we iterate.
-  // The transport's frame stage stamps a per-destination copy first (the
-  // sequence number lives in the ordered-pair channel, so it cannot be
-  // shared across the fan-out).
+  // The transport stamps a per-destination copy first (the sequence
+  // number lives in the ordered-pair channel, so it cannot be shared
+  // across the fan-out).
   for (ProcessId d : list_ref(list).dsts) {
-    if (frame_stage_ != nullptr || checksums_enabled_) {
+    if (transport_ != nullptr || checksums_enabled_) {
       Message f = m;
-      if (frame_stage_ != nullptr) frame_stage_->stamp_frame(f, d);
+      if (transport_ != nullptr) transport_->stamp_frame(f, d);
       // Digest-stamp after the transport assigned the sequence number so
       // the checksum covers it; only runs when a corrupt event armed
       // checksums for this run.
@@ -133,14 +118,14 @@ void Network::on_wire_done(const Message& m, std::uint32_t list) {
 /// job.  Also applied to messages re-injected by a heal, so a heal inside
 /// a loss or corruption window does not bypass those models.
 void Network::filter_or_deliver(const Message& m, ProcessId d) {
-  if (partitioned(m.src, d) || asym_cut(m.src, d) || flap_blocked(m.src, d)) {
+  if (link(m.src, d) != 0) {
     held_.emplace_back(m, d);
     ++held_total_;
     return;
   }
   if (loss_rate_ > 0.0 && loss_rng_ != nullptr && loss_rng_->uniform() < loss_rate_) {
     ++lost_;
-    if (frame_stage_ != nullptr) frame_stage_->frame_dropped(m, d);
+    if (transport_ != nullptr) transport_->frame_dropped(m, d);
     return;
   }
   if (corrupt_active() && corrupt_match(m.src, d) && corrupt_rng_->uniform() < corrupt_rate_) {
@@ -152,7 +137,7 @@ void Network::filter_or_deliver(const Message& m, ProcessId d) {
     Message damaged = m;
     damaged.frame.check ^= 0xA5;
     ++corrupted_;
-    if (frame_stage_ != nullptr) frame_stage_->frame_dropped(m, d);
+    if (transport_ != nullptr) transport_->frame_dropped(m, d);
     deliver_via_cpu(damaged, d);
     return;
   }
@@ -167,8 +152,7 @@ void Network::deliver_via_cpu(const Message& m, ProcessId d) {
                                               [this, m, d] { finish_delivery(m, d); });
 }
 
-void Network::finish_delivery(Message m, ProcessId d) {
-  m.dst = d;
+void Network::finish_delivery(const Message& m, ProcessId d) {
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kRecvDone, d, m, sched_->now());
   }
@@ -178,32 +162,49 @@ void Network::finish_delivery(Message m, ProcessId d) {
   // message loss, but the corruption never reaches them silently).  With
   // a transport armed, verification lives in its receive path instead,
   // where the NACK machinery recovers the frame.
-  if (checksums_enabled_ && frame_stage_ == nullptr && !frame_checksum_ok(m)) {
+  if (checksums_enabled_ && transport_ == nullptr && !frame_checksum_ok(m)) {
     ++corrupt_detected_;
     if (obs_ != nullptr) obs_->count(d, obs::Counter::kCorruptionDetected, sched_->now());
     return;
   }
   ++delivered_;
   if (tap_) tap_(m, d);
-  sink_->deliver_message(m, d);
+  // The transport passes in-order data frames on to the Node itself.
+  if (transport_ != nullptr)
+    transport_->on_frame(m, d);
+  else
+    sys_->node(d).deliver(m);
+}
+
+void Network::check_ids(const char* setter, const std::vector<ProcessId>& ids) const {
+  for (ProcessId p : ids)
+    if (p < 0 || p >= num_processes())
+      throw std::out_of_range(std::string("Network::") + setter + ": bad process id");
+}
+
+std::uint16_t& Network::link_ref(ProcessId a, ProcessId b) {
+  if (links_.empty()) links_.assign(cpus_.size() * cpus_.size(), 0);
+  return links_[link_index(a, b)];
+}
+
+void Network::clear_link_bit(std::uint16_t bit) {
+  for (std::uint16_t& l : links_) l &= static_cast<std::uint16_t>(~bit);
 }
 
 void Network::set_partition(const std::vector<std::vector<ProcessId>>& groups) {
-  // Build and validate the new matrix before touching any state: a bad id
-  // must not leave a half-applied partition or drop held messages.
-  std::vector<int> new_groups(cpus_.size(), -1);
-  int g = 0;
-  for (; g < static_cast<int>(groups.size()); ++g) {
-    for (ProcessId p : groups[static_cast<std::size_t>(g)]) {
-      if (p < 0 || p >= num_processes())
-        throw std::out_of_range("Network::set_partition: bad process id");
-      new_groups[static_cast<std::size_t>(p)] = g;
-    }
-  }
+  // Validate before touching any state: a bad id must not leave a
+  // half-applied partition or drop held messages.
+  for (const auto& g : groups) check_ids("set_partition", g);
   // Unlisted processes form one extra implicit group.
-  for (int& grp : new_groups)
-    if (grp < 0) grp = g;
-  group_of_ = std::move(new_groups);
+  const int n = num_processes();
+  std::vector<int> group_of(static_cast<std::size_t>(n), static_cast<int>(groups.size()));
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (ProcessId p : groups[g]) group_of[static_cast<std::size_t>(p)] = static_cast<int>(g);
+  clear_link_bit(kPartitionBit);
+  for (ProcessId a = 0; a < n; ++a)
+    for (ProcessId b = 0; b < n; ++b)
+      if (group_of[static_cast<std::size_t>(a)] != group_of[static_cast<std::size_t>(b)])
+        link_ref(a, b) |= kPartitionBit;
   // A replaced partition releases messages held across boundaries that no
   // longer exist; flushing through the new matrix keeps this simple and
   // deterministic (re-held if still unreachable).
@@ -211,31 +212,25 @@ void Network::set_partition(const std::vector<std::vector<ProcessId>>& groups) {
 }
 
 void Network::heal_partition() {
-  group_of_.clear();
+  clear_link_bit(kPartitionBit);
   refilter_held();
 }
 
 void Network::set_asym_partition(const std::vector<ProcessId>& from,
                                  const std::vector<ProcessId>& to) {
-  // Validate before touching state (same discipline as set_partition).
-  for (ProcessId p : from)
-    if (p < 0 || p >= num_processes())
-      throw std::out_of_range("Network::set_asym_partition: bad process id");
-  for (ProcessId p : to)
-    if (p < 0 || p >= num_processes())
-      throw std::out_of_range("Network::set_asym_partition: bad process id");
-  const std::size_t n = cpus_.size();
-  asym_blocked_.assign(n * n, 0);
+  check_ids("set_asym_partition", from);
+  check_ids("set_asym_partition", to);
+  clear_link_bit(kAsymBit);
   for (ProcessId a : from)
     for (ProcessId b : to)
-      if (a != b) asym_blocked_[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)] = 1;
+      if (a != b) link_ref(a, b) |= kAsymBit;
   // Re-filter held messages through the new cut: deliveries held by a cut
   // that no longer exists are released (re-held if still unreachable).
   refilter_held();
 }
 
 void Network::heal_asym_partition() {
-  asym_blocked_.clear();
+  clear_link_bit(kAsymBit);
   refilter_held();
 }
 
@@ -246,11 +241,6 @@ void Network::refilter_held() {
   std::vector<std::pair<Message, ProcessId>> pending;
   pending.swap(held_);
   for (auto& [m, d] : pending) filter_or_deliver(m, d);
-}
-
-bool Network::partitioned(ProcessId a, ProcessId b) const {
-  if (group_of_.empty()) return false;
-  return group_of_.at(static_cast<std::size_t>(a)) != group_of_.at(static_cast<std::size_t>(b));
 }
 
 void Network::set_loss(double rate, sim::Rng* rng) {
@@ -272,33 +262,23 @@ void Network::set_cpu_limp(ProcessId p, double factor) {
 
 void Network::set_flap_down(const std::vector<ProcessId>& from,
                             const std::vector<ProcessId>& to) {
-  for (ProcessId p : from)
-    if (p < 0 || p >= num_processes())
-      throw std::out_of_range("Network::set_flap_down: bad process id");
-  for (ProcessId p : to)
-    if (p < 0 || p >= num_processes())
-      throw std::out_of_range("Network::set_flap_down: bad process id");
-  const std::size_t n = cpus_.size();
-  if (flap_down_.empty()) flap_down_.assign(n * n, 0);
+  check_ids("set_flap_down", from);
+  check_ids("set_flap_down", to);
   for (ProcessId a : from)
     for (ProcessId b : to)
-      if (a != b) ++flap_down_[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
+      if (a != b) link_ref(a, b) += kFlapUnit;
 }
 
 void Network::set_flap_up(const std::vector<ProcessId>& from,
                           const std::vector<ProcessId>& to) {
-  if (flap_down_.empty()) return;
-  const std::size_t n = cpus_.size();
-  for (ProcessId a : from) {
-    if (a < 0 || a >= num_processes())
-      throw std::out_of_range("Network::set_flap_up: bad process id");
+  check_ids("set_flap_up", from);
+  check_ids("set_flap_up", to);
+  if (links_.empty()) return;
+  for (ProcessId a : from)
     for (ProcessId b : to) {
-      if (b < 0 || b >= num_processes())
-        throw std::out_of_range("Network::set_flap_up: bad process id");
-      std::uint16_t& down = flap_down_[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
-      if (a != b && down > 0) --down;
+      std::uint16_t& l = links_[link_index(a, b)];
+      if (a != b && l >= kFlapUnit) l -= kFlapUnit;
     }
-  }
   // Links that just came up release their held messages (re-held if a
   // partition or another flap window still blocks them).
   refilter_held();
@@ -309,17 +289,13 @@ void Network::set_corrupt(double rate, sim::Rng* rng,
   if (rate < 0.0 || rate > 1.0) throw std::invalid_argument("Network::set_corrupt: bad rate");
   if (!link.empty() && link.size() != 2)
     throw std::invalid_argument("Network::set_corrupt: link wants {senders, destinations}");
+  for (const auto& ids : link) check_ids("set_corrupt", ids);
   corrupt_link_.clear();
   if (!link.empty()) {
-    const std::size_t n = cpus_.size();
-    corrupt_link_.assign(n * n, 0);
+    corrupt_link_.assign(cpus_.size() * cpus_.size(), 0);
     for (ProcessId a : link[0])
-      for (ProcessId b : link[1]) {
-        if (a < 0 || a >= num_processes() || b < 0 || b >= num_processes())
-          throw std::out_of_range("Network::set_corrupt: bad process id");
-        if (a != b)
-          corrupt_link_[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)] = 1;
-      }
+      for (ProcessId b : link[1])
+        if (a != b) corrupt_link_[link_index(a, b)] = 1;
   }
   corrupt_rate_ = rate;
   corrupt_rng_ = rate > 0.0 ? rng : nullptr;

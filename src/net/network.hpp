@@ -6,13 +6,14 @@
 //   3. CPU_j for λ time units   (receive-side processing),
 // with FIFO queueing in front of each resource.  A multicast occupies the
 // sender CPU and the network once, then every destination CPU in parallel
-// (Ethernet-style broadcast medium).  Self-destined copies bypass the
-// network: they are delivered when the send-side CPU processing completes.
+// (Ethernet-style broadcast medium).  A process never sends to itself:
+// destinations equal to the sender are skipped.
 //
 // Steady-state transmission is allocation-free: pipeline stages capture
-// the POD Message by value in slab-stored scheduler callbacks, the remote
-// destination set lives in a pooled, capacity-reusing list, and finished
-// deliveries go to a direct Sink interface pointer (no std::function).
+// the POD Message by value in slab-stored scheduler callbacks, and the
+// destination set lives in a pooled, capacity-reusing list.  Finished
+// deliveries go to the retransmission transport when it is armed and to
+// the destination Node otherwise, both called directly.
 //
 // Crash semantics (software crash): jobs already accepted by a CPU or
 // queued behind it complete normally; the Node stops submitting new sends
@@ -20,18 +21,22 @@
 //
 // Fault filter stage (driven by fault::Injector): before the receive-side
 // CPU job of a destination is enqueued, the message passes a filter:
-//   * partition — a reachability matrix over process groups.  Messages
-//     crossing group boundaries are *held* (the channel stays
-//     quasi-reliable, as the protocol stacks assume: a real transport
-//     retransmits across an outage) and re-injected, in arrival order,
-//     when the partition heals;
-//   * asymmetric partition — a directed cut: messages from the `from` set
-//     to the `to` set are held while the reverse direction flows normally
-//     (one-way link failures);
-//   * flap — a time-varying directed cut: links cycled down by a flap
-//     schedule hold messages exactly like an asymmetric partition and
-//     release them at the next up transition (deterministic, no RNG —
-//     the up/down pattern is fully determined by the schedule);
+//   * held links — one n×n matrix of directed link states, allocated on
+//     first use.  Each entry carries a partition bit, an asymmetric-cut
+//     bit and a flap-down count; a delivery on a link with any of them set
+//     is *held* (the channel stays quasi-reliable, as the protocol stacks
+//     assume: a real transport retransmits across an outage) and
+//     re-injected, in arrival order, when the link comes back up:
+//       - partition — set on every link between different process
+//         groups, so messages crossing group boundaries wait for the heal;
+//       - asymmetric partition — a directed cut: messages from the `from`
+//         set to the `to` set are held while the reverse direction flows
+//         normally (one-way link failures);
+//       - flap — a time-varying directed cut: links cycled down by a flap
+//         schedule hold messages and release them at the next up
+//         transition (deterministic, no RNG — the up/down pattern is fully
+//         determined by the schedule).  A count rather than a bit, so
+//         overlapping flap windows on the same link nest;
 //   * loss — each remaining delivery is dropped independently with a
 //     configurable probability (the "partial multicast loss" model
 //     variant; protocols tolerate it only via their repair paths);
@@ -42,13 +47,11 @@
 //     detects the mismatch and drops the frame;
 //   * delay spike — the shared medium's service time is multiplied by a
 //     factor while the spike is active.
-// Self-destined loopback copies bypass the filter (a process can always
-// reach itself), and the transport and checksum verify above it too.
 //
 // Frame checksums are armed once per run (enable_checksums, latched by
 // the Injector when the schedule contains any corrupt event): every
-// remote per-destination copy is digest-stamped in the wire-completion
-// event, after the transport's frame stage assigned its sequence number.
+// per-destination copy is digest-stamped in the wire-completion event,
+// after the transport assigned its sequence number.
 // With no corrupt event scheduled the stamping code never runs, so the
 // gray machinery is invisible to the determinism goldens.
 #pragma once
@@ -67,7 +70,13 @@ namespace fdgm::obs {
 class Observer;
 }
 
+namespace fdgm::transport {
+class Transport;
+}
+
 namespace fdgm::net {
+
+class System;
 
 struct NetworkConfig {
   /// Relative CPU cost of sending/receiving one message (paper's λ).
@@ -76,55 +85,20 @@ struct NetworkConfig {
 
 class Network {
  public:
-  /// Receiver of finished deliveries: invoked when a message reaches a
-  /// destination process (after its receive-side CPU processing).  The
-  /// callee decides whether the process is still alive.
-  class Sink {
-   public:
-    virtual void deliver_message(const Message& m, ProcessId dst) = 0;
-
-   protected:
-    ~Sink() = default;
-  };
-
-  /// Transport hook: invoked once per remote destination, after the shared
-  /// medium finished and before the fault filter, on a per-destination
-  /// copy of the message.  The retransmission transport uses it to assign
-  /// per-pair sequence numbers and piggyback cumulative acks; stamping
-  /// runs in the wire-completion event (no extra scheduler events), so an
-  /// armed transport leaves loss-free runs bit-identical.
-  class FrameStage {
-   public:
-    virtual void stamp_frame(Message& m, ProcessId dst) = 0;
-
-    /// The loss filter dropped a stamped frame.  Closes the
-    /// held-then-healed race: a frame stamped under a loss-free filter is
-    /// not ring-buffered, but if a partition holds it and the heal lands
-    /// inside a later loss window, the re-injection runs the loss filter
-    /// again — the transport must learn about the drop or the channel
-    /// deadlocks on the missing sequence number.  Only invoked on actual
-    /// drops, so loss-free runs see no extra work.
-    virtual void frame_dropped(const Message& m, ProcessId dst) = 0;
-
-   protected:
-    ~FrameStage() = default;
-  };
-
-  Network(sim::Scheduler& sched, int num_processes, NetworkConfig cfg, Sink& sink);
+  /// `sys` receives finished deliveries (its Nodes decide whether the
+  /// destination process is still alive).
+  Network(System& sys, int num_processes, NetworkConfig cfg);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   /// Submit a message for transmission to an explicit destination list.
-  /// Destinations equal to `m.src` are served via local loopback when
-  /// `loopback_self` is true and skipped entirely otherwise (for protocol
-  /// layers that deliver their own copy locally).  Returns true when at
+  /// Destinations equal to `m.src` are skipped.  Returns true when at
   /// least one destination was accepted — i.e. a send-side CPU job was
   /// enqueued.
-  bool submit(const Message& m, const ProcessId* dsts, std::size_t count,
-              bool loopback_self = true);
-  bool submit(const Message& m, const std::vector<ProcessId>& dsts, bool loopback_self = true) {
-    return submit(m, dsts.data(), dsts.size(), loopback_self);
+  bool submit(const Message& m, const ProcessId* dsts, std::size_t count);
+  bool submit(const Message& m, const std::vector<ProcessId>& dsts) {
+    return submit(m, dsts.data(), dsts.size());
   }
 
   [[nodiscard]] int num_processes() const { return static_cast<int>(cpus_.size()); }
@@ -162,7 +136,9 @@ class Network {
   void heal_partition();
 
   /// Are a and b currently on different sides of a partition?
-  [[nodiscard]] bool partitioned(ProcessId a, ProcessId b) const;
+  [[nodiscard]] bool partitioned(ProcessId a, ProcessId b) const {
+    return (link(a, b) & kPartitionBit) != 0;
+  }
 
   /// Cut every directed link from a process in `from` to a process in
   /// `to`: such deliveries are held (and re-injected at the heal) while
@@ -175,9 +151,7 @@ class Network {
 
   /// Is the directed link a -> b currently cut?
   [[nodiscard]] bool asym_cut(ProcessId a, ProcessId b) const {
-    return !asym_blocked_.empty() &&
-           asym_blocked_[static_cast<std::size_t>(a) * cpus_.size() +
-                         static_cast<std::size_t>(b)] != 0;
+    return (link(a, b) & kAsymBit) != 0;
   }
 
   /// Drop each remote delivery with probability `rate`, drawing from `rng`
@@ -215,9 +189,7 @@ class Network {
 
   /// Is the directed link a -> b currently flapped down?
   [[nodiscard]] bool flap_blocked(ProcessId a, ProcessId b) const {
-    return !flap_down_.empty() &&
-           flap_down_[static_cast<std::size_t>(a) * cpus_.size() +
-                      static_cast<std::size_t>(b)] != 0;
+    return link(a, b) >= kFlapUnit;
   }
 
   /// Corrupt each remote delivery with probability `rate`, drawing from
@@ -250,8 +222,12 @@ class Network {
   [[nodiscard]] std::uint64_t corrupted_deliveries() const { return corrupted_; }
   [[nodiscard]] std::uint64_t corruption_detected() const { return corrupt_detected_; }
 
-  /// Arm (or disarm, with nullptr) the transport's frame-stamping stage.
-  void set_frame_stage(FrameStage* stage) { frame_stage_ = stage; }
+  /// Arm (or disarm, with nullptr) the retransmission transport.  While
+  /// armed, it stamps every per-destination copy in the wire-completion
+  /// event (sequence number and piggybacked ack, no extra scheduler
+  /// events), learns of every frame the filter drops or damages, and
+  /// receives every finished delivery.
+  void set_transport(transport::Transport* t) { transport_ = t; }
 
   /// Multiply the shared medium's service time by `factor` (1 = normal).
   void set_delay_factor(double factor);
@@ -265,26 +241,42 @@ class Network {
  private:
   static constexpr std::uint32_t kNoList = UINT32_MAX;
 
-  /// Pooled remote-destination list: the capacity is reused across
+  /// Link-matrix entry layout: a delivery on a link whose entry is
+  /// non-zero is held.
+  static constexpr std::uint16_t kPartitionBit = 1;
+  static constexpr std::uint16_t kAsymBit = 2;
+  static constexpr std::uint16_t kFlapUnit = 4;  ///< flap-down count in the upper bits
+
+  /// Pooled destination list: the capacity is reused across
   /// transmissions, so steady-state multicasts never allocate.
   struct DstList {
     std::vector<ProcessId> dsts;
     std::uint32_t next_free = 0;
   };
 
+  [[nodiscard]] std::size_t link_index(ProcessId a, ProcessId b) const {
+    return static_cast<std::size_t>(a) * cpus_.size() + static_cast<std::size_t>(b);
+  }
+  [[nodiscard]] std::uint16_t link(ProcessId a, ProcessId b) const {
+    return links_.empty() ? 0 : links_[link_index(a, b)];
+  }
   /// Does the active corruption window cover the directed link a -> b?
   [[nodiscard]] bool corrupt_match(ProcessId a, ProcessId b) const {
-    return corrupt_link_.empty() ||
-           corrupt_link_[static_cast<std::size_t>(a) * cpus_.size() +
-                         static_cast<std::size_t>(b)] != 0;
+    return corrupt_link_.empty() || corrupt_link_[link_index(a, b)] != 0;
   }
 
-  void on_send_done(const Message& m, std::uint32_t list, bool self);
+  /// The id check every link setter runs before it changes any state.
+  void check_ids(const char* setter, const std::vector<ProcessId>& ids) const;
+  /// Mutable entry of link a -> b; allocates the matrix on first use.
+  std::uint16_t& link_ref(ProcessId a, ProcessId b);
+  void clear_link_bit(std::uint16_t bit);
+
+  void on_send_done(const Message& m, std::uint32_t list);
   void refilter_held();
   void on_wire_done(const Message& m, std::uint32_t list);
   void filter_or_deliver(const Message& m, ProcessId d);
   void deliver_via_cpu(const Message& m, ProcessId d);
-  void finish_delivery(Message m, ProcessId d);
+  void finish_delivery(const Message& m, ProcessId d);
   [[nodiscard]] DstList& list_ref(std::uint32_t idx) { return lists_[idx]; }
   std::uint32_t acquire_list();
   void release_list(std::uint32_t idx);
@@ -293,8 +285,8 @@ class Network {
   NetworkConfig cfg_;
   Resource wire_;
   std::vector<std::unique_ptr<Resource>> cpus_;
-  Sink* sink_;
-  FrameStage* frame_stage_ = nullptr;
+  System* sys_;
+  transport::Transport* transport_ = nullptr;
   obs::Observer* obs_ = nullptr;
   std::function<void(const Message&, ProcessId)> tap_;
   std::uint64_t delivered_ = 0;
@@ -302,12 +294,10 @@ class Network {
   std::vector<DstList> lists_;
   std::uint32_t list_free_ = kNoList;
 
-  /// Partition group of each process; empty when no partition is active.
-  std::vector<int> group_of_;
-  /// Directed-cut matrix (row-major n*n); empty when no asymmetric
-  /// partition is active.
-  std::vector<std::uint8_t> asym_blocked_;
-  /// Cross-partition / cut-link messages awaiting a heal, in arrival order.
+  /// Directed link states (row-major n*n, see kPartitionBit); empty until
+  /// the first partition, cut or flap.
+  std::vector<std::uint16_t> links_;
+  /// Deliveries on held links awaiting a heal, in arrival order.
   std::vector<std::pair<Message, ProcessId>> held_;
   double loss_rate_ = 0.0;
   sim::Rng* loss_rng_ = nullptr;
@@ -315,10 +305,6 @@ class Network {
   std::uint64_t lost_ = 0;
   std::uint64_t held_total_ = 0;
 
-  /// Flap down-counter per directed link (row-major n*n); empty until the
-  /// first flap transition.  Counters rather than flags so overlapping
-  /// flap windows on the same link nest correctly.
-  std::vector<std::uint16_t> flap_down_;
   /// Corruption window state: probability, RNG (the Injector's private
   /// sub-stream), and an optional link matrix (empty = every link).
   double corrupt_rate_ = 0.0;

@@ -11,30 +11,18 @@ void Node::register_handler(ProtocolId proto, Layer* layer) {
 }
 
 void Node::send(ProcessId dst, ProtocolId proto, PayloadPtr payload) {
+  if (dst == id_) throw std::logic_error("Node::send: a process does not send to itself");
   if (crashed_) return;
-  Message m{id_, dst, proto, {}, payload};
+  Message m{id_, proto, {}, payload};
   ++sent_;
   sys_->network().submit(m, &dst, 1);
-}
-
-void Node::multicast(const std::vector<ProcessId>& dsts, ProtocolId proto, PayloadPtr payload) {
-  if (crashed_) return;
-  if (dsts.empty()) return;
-  Message m{id_, kBroadcast, proto, {}, payload};
-  ++sent_;
-  sys_->network().submit(m, dsts);
 }
 
 void Node::multicast_others(const std::vector<ProcessId>& dsts, ProtocolId proto,
                             PayloadPtr payload) {
   if (crashed_) return;
-  if (dsts.empty()) return;
-  Message m{id_, kBroadcast, proto, {}, payload};
-  if (sys_->network().submit(m, dsts, /*loopback_self=*/false)) ++sent_;
-}
-
-void Node::multicast_all(ProtocolId proto, PayloadPtr payload) {
-  multicast(sys_->all(), proto, payload);
+  Message m{id_, proto, {}, payload};
+  if (sys_->network().submit(m, dsts)) ++sent_;
 }
 
 void Node::crash() {

@@ -39,23 +39,17 @@ class Node {
   /// Route messages of `proto` to `layer`.  Passing nullptr unregisters.
   void register_handler(ProtocolId proto, Layer* layer);
 
-  /// Point-to-point send.  Silently dropped if this process has crashed
-  /// (a dead process submits no new work to its CPU).
+  /// Point-to-point send to another process (std::logic_error for self:
+  /// a process handles its own messages locally).  Silently dropped if
+  /// this process has crashed (a dead process submits no new work to its
+  /// CPU).
   void send(ProcessId dst, ProtocolId proto, PayloadPtr payload);
 
-  /// Multicast to an explicit destination set (may include self; the self
-  /// copy is served via local loopback).
-  void multicast(const std::vector<ProcessId>& dsts, ProtocolId proto, PayloadPtr payload);
-
-  /// Multicast to every listed destination except this process, with no
-  /// loopback copy — for protocol layers that deliver locally themselves.
-  /// Lets callers pass a stable membership vector directly instead of
-  /// building a self-excluding copy per send.  A no-op (not even a
-  /// send-side CPU job) when no destination other than self remains.
+  /// Multicast to every listed destination except this process.  Lets
+  /// callers pass a stable membership vector directly instead of building
+  /// a self-excluding copy per send.  A no-op (not even a send-side CPU
+  /// job) when no destination other than self remains.
   void multicast_others(const std::vector<ProcessId>& dsts, ProtocolId proto, PayloadPtr payload);
-
-  /// Multicast to every process in the system, including self.
-  void multicast_all(ProtocolId proto, PayloadPtr payload);
 
   /// Software crash: no message passes between the process and its CPU
   /// from now on.  In-flight CPU/network jobs complete normally.
@@ -70,7 +64,9 @@ class Node {
   /// process they targeted crashed (or re-crashed) in the meantime.
   [[nodiscard]] std::uint64_t incarnation() const { return incarnation_; }
 
-  /// Entry point used by the Network after receive-side CPU processing.
+  /// Entry point for finished deliveries: called by the Network after
+  /// receive-side CPU processing, or by the transport when it releases an
+  /// in-order frame.
   void deliver(const Message& m);
 
   /// Messages this node handed to the network / received, for tests.

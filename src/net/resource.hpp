@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "sim/scheduler.hpp"
@@ -25,8 +24,7 @@ namespace fdgm::net {
 
 class Resource {
  public:
-  Resource(sim::Scheduler& sched, std::string name)
-      : sched_(&sched), name_(std::move(name)) {}
+  explicit Resource(sim::Scheduler& sched) : sched_(&sched) {}
 
   /// Occupy the resource for `service_time` units, starting as soon as all
   /// previously enqueued jobs finish; `on_done` fires at completion.
@@ -52,8 +50,6 @@ class Resource {
   /// Number of jobs served (or started).
   [[nodiscard]] std::uint64_t jobs() const { return jobs_; }
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-
   /// Service-rate degradation: every job's service time is multiplied by
   /// `stretch` at commit time (the gray-failure "limp" — a CPU running at
   /// 1/stretch of its nominal rate).  The default 1.0 is exactly neutral:
@@ -69,7 +65,6 @@ class Resource {
 
  private:
   sim::Scheduler* sched_;
-  std::string name_;
   double stretch_ = 1.0;
   sim::Time free_at_ = 0.0;
   double busy_time_ = 0.0;

@@ -10,12 +10,10 @@ System::System(int num_processes, NetworkConfig cfg, std::uint64_t seed,
                transport::Config transport_cfg)
     : rng_(seed) {
   if (num_processes <= 0) throw std::invalid_argument("System: need at least one process");
-  // Plain new: the System& -> Network::Sink& conversion is only
-  // accessible inside System (private base), not from std::make_unique.
-  network_.reset(new Network(sched_, num_processes, cfg, *this));
+  network_ = std::make_unique<Network>(*this, num_processes, cfg);
   if (transport_cfg.enabled) {
-    transport_.reset(new transport::Transport(sched_, *network_, arena_, num_processes, *this));
-    network_->set_frame_stage(transport_.get());
+    transport_ = std::make_unique<transport::Transport>(*this, num_processes);
+    network_->set_transport(transport_.get());
   }
   nodes_.reserve(static_cast<std::size_t>(num_processes));
   all_.reserve(static_cast<std::size_t>(num_processes));

@@ -24,7 +24,7 @@ class Observer;
 
 namespace fdgm::net {
 
-class System : private Network::Sink, private transport::Transport::Sink {
+class System {
  public:
   System(int num_processes, NetworkConfig cfg, std::uint64_t seed,
          transport::Config transport_cfg = {});
@@ -92,21 +92,6 @@ class System : private Network::Sink, private transport::Transport::Sink {
   }
 
  private:
-  // Network::Sink — finished deliveries pass through the transport's
-  // receive side when it is armed (sequencing / dedup / control frames),
-  // and go straight to the target Node otherwise.  A multicast's loopback
-  // copy never crossed the wire (no frame header, no checksum), so it
-  // skips the transport.
-  void deliver_message(const Message& m, ProcessId dst) override {
-    if (transport_ != nullptr && dst != m.src)
-      transport_->on_frame(m, dst);
-    else
-      node(dst).deliver(m);
-  }
-
-  // transport::Transport::Sink — in-order logical messages.
-  void deliver_frame(const Message& m, ProcessId dst) override { node(dst).deliver(m); }
-
   sim::Scheduler sched_;
   sim::Rng rng_;
   PayloadArena arena_;

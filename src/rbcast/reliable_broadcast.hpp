@@ -18,9 +18,9 @@
 //    partition releases each held message once).
 //
 // So if any correct process R-delivers m, all correct processes do.  The
-// multicast carries the payload itself (no wrapper), sends no loopback
-// copy to its origin, and the layer keeps no per-message state: it hands
-// every payload to its one sink.  Consensus decisions do not pass through
+// multicast carries the payload itself (no wrapper) and skips its origin,
+// which delivers locally, and the layer keeps no per-message state: it
+// hands every payload to its one sink.  Consensus decisions do not pass through
 // here; the consensus service multicasts them itself on the same grounds
 // (consensus/chandra_toueg.hpp).
 #pragma once

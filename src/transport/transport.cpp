@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/system.hpp"
 #include "obs/observer.hpp"
 
 namespace fdgm::transport {
@@ -51,9 +52,12 @@ inline void causal_edges(obs::Observer* o, obs::EdgeKind kind, net::ProcessId no
 
 }  // namespace
 
-Transport::Transport(sim::Scheduler& sched, net::Network& net, net::PayloadArena& arena,
-                     int num_processes, Sink& sink)
-    : sched_(&sched), net_(&net), arena_(&arena), n_(num_processes), sink_(&sink) {
+Transport::Transport(net::System& sys, int num_processes)
+    : sys_(&sys),
+      sched_(&sys.scheduler()),
+      net_(&sys.network()),
+      arena_(&sys.arena()),
+      n_(num_processes) {
   if (num_processes <= 0) throw std::invalid_argument("Transport: need at least one process");
   const std::size_t pairs =
       static_cast<std::size_t>(num_processes) * static_cast<std::size_t>(num_processes);
@@ -145,10 +149,6 @@ void Transport::on_frame(const net::Message& m, net::ProcessId dst) {
     handle_ctrl(m, dst);
     return;
   }
-  if (!m.frame.stamped()) {  // pre-transport traffic (tests); pass through
-    sink_->deliver_frame(m, dst);
-    return;
-  }
   // Piggybacked cumulative ack for the reverse channel, processed even on
   // duplicates — an old frame still carries fresh ack state.
   ack_channel(dst, m.src, m.frame.ack);
@@ -166,7 +166,7 @@ void Transport::on_frame(const net::Message& m, net::ProcessId dst) {
   if (seq == r.expected) {
     ++r.expected;
     r.nack_gap = 0.0;  // frontier advanced: re-NACK backoff resets
-    sink_->deliver_frame(m, dst);
+    sys_->node(dst).deliver(m);
     // Release buffered successors now contiguous with the new frontier.
     std::size_t k = 0;
     while (k < r.buffer.size() && r.buffer[k].frame.seq_no() == r.expected) {
@@ -177,7 +177,7 @@ void Transport::on_frame(const net::Message& m, net::ProcessId dst) {
         causal_edges(obs_, obs::EdgeKind::kReorderRel, dst, r.buffer[k], sched_->now(),
                      sched_->now());
       }
-      sink_->deliver_frame(r.buffer[k], dst);
+      sys_->node(dst).deliver(r.buffer[k]);
       ++k;
     }
     if (k > 0)
@@ -349,7 +349,7 @@ void Transport::retransmit(net::ProcessId b, RingEntry& e) {
   // is what exposes the GM sequencer as a retransmission hotspot.
   ++retx_by_src_[static_cast<std::size_t>(e.msg.src)];
   if (obs_ != nullptr) obs_->on_retransmit(e.msg.src, sched_->now());
-  net_->submit(f, &b, 1, /*loopback_self=*/false);
+  net_->submit(f, &b, 1);
 }
 
 void Transport::send_ctrl(net::ProcessId from, net::ProcessId to, TransportCtrl::Kind kind,
@@ -362,8 +362,8 @@ void Transport::send_ctrl(net::ProcessId from, net::ProcessId to, TransportCtrl:
   } else {
     ++stats_.acks;
   }
-  net::Message m{from, to, net::ProtocolId::kTransport, {}, c};
-  net_->submit(m, &to, 1, /*loopback_self=*/false);
+  net::Message m{from, net::ProtocolId::kTransport, {}, c};
+  net_->submit(m, &to, 1);
 }
 
 }  // namespace fdgm::transport

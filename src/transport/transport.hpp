@@ -7,8 +7,8 @@
 // message loss so the `loss` fault event can be driven through the full
 // FD- and GM-based atomic broadcast stacks:
 //
-//  * every remote point-to-point delivery is stamped — in the wire
-//    fan-out event, via Network::FrameStage — with a sequence number in
+//  * every point-to-point delivery is stamped — in the network's wire
+//    fan-out event, which calls stamp_frame — with a sequence number in
 //    the ordered (src, dst) channel plus a piggybacked cumulative ack for
 //    the reverse channel (FrameHeader in net/message.hpp);
 //  * receivers deliver frames to the Node in per-channel sequence order,
@@ -57,13 +57,17 @@
 
 #include "net/arena.hpp"
 #include "net/message.hpp"
-#include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace fdgm::obs {
 class Observer;
 }  // namespace fdgm::obs
+
+namespace fdgm::net {
+class Network;
+class System;
+}  // namespace fdgm::net
 
 namespace fdgm::transport {
 
@@ -109,30 +113,31 @@ class TransportCtrl final : public net::Payload {
   std::uint32_t hi;
 };
 
-class Transport final : public net::Network::FrameStage {
+class Transport final {
  public:
-  /// Receiver of in-order logical messages (net::System routes them to
-  /// the destination Node).
-  class Sink {
-   public:
-    virtual void deliver_frame(const net::Message& m, net::ProcessId dst) = 0;
-
-   protected:
-    ~Sink() = default;
-  };
-
-  Transport(sim::Scheduler& sched, net::Network& net, net::PayloadArena& arena,
-            int num_processes, Sink& sink);
+  /// Sends through `sys`'s network and releases in-order data frames to
+  /// `sys`'s Nodes.  The network must already exist.
+  Transport(net::System& sys, int num_processes);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // net::Network::FrameStage — sender side, wire fan-out event.
-  void stamp_frame(net::Message& m, net::ProcessId dst) override;
-  void frame_dropped(const net::Message& m, net::ProcessId dst) override;
+  /// Sender side, in the wire fan-out event: assigns the per-destination
+  /// copy its channel sequence number and piggybacks the reverse
+  /// channel's cumulative ack.
+  void stamp_frame(net::Message& m, net::ProcessId dst);
+
+  /// The network's filter dropped (or damaged) a stamped frame.  Closes
+  /// the held-then-healed race: a frame stamped under a loss-free filter
+  /// is not ring-buffered, but if a partition holds it and the heal lands
+  /// inside a later loss window, the re-injection runs the loss filter
+  /// again — the transport must learn about the drop or the channel
+  /// deadlocks on the missing sequence number.  Only invoked on actual
+  /// drops, so loss-free runs see no extra work.
+  void frame_dropped(const net::Message& m, net::ProcessId dst);
 
   /// Receive side: every finished network delivery passes through here
-  /// (control frames are consumed; data frames are released to the sink
+  /// (control frames are consumed; data frames are released to the Node
   /// in per-channel sequence order).
   void on_frame(const net::Message& m, net::ProcessId dst);
 
@@ -208,11 +213,11 @@ class Transport final : public net::Network::FrameStage {
   void send_ctrl(net::ProcessId from, net::ProcessId to, TransportCtrl::Kind kind,
                  std::uint32_t hi);
 
+  net::System* sys_;
   sim::Scheduler* sched_;
   net::Network* net_;
   net::PayloadArena* arena_;
   int n_;
-  Sink* sink_;
   std::vector<SendState> send_;  ///< n*n, row = sender
   std::vector<RecvState> recv_;  ///< n*n, row = sender (channel direction)
   Stats stats_;

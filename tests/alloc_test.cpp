@@ -159,7 +159,7 @@ TEST(ZeroAlloc, FrameChecksumKernel) {
   std::vector<net::Message> msgs;
   msgs.reserve(kMsgs);
   for (int i = 0; i < kMsgs; ++i) {
-    net::Message m{i % 8, (i + 1) % 8, net::ProtocolId::kApplication, {}, &payload};
+    net::Message m{i % 8, net::ProtocolId::kApplication, {}, &payload};
     m.frame.seq = static_cast<std::uint32_t>(i + 1);  // stamped: seq_no != 0
     msgs.push_back(m);
   }

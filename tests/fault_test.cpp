@@ -112,9 +112,8 @@ struct NetFixture {
 TEST(FaultFilter, PartitionHoldsCrossGroupDeliveriesUntilHeal) {
   NetFixture f(4);
   f.sys.network().set_partition({{0, 1}, {2, 3}});
-  f.sys.node(0).multicast_all(net::ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
-  EXPECT_EQ(f.counters[0]->count, 1);  // loopback bypasses the filter
   EXPECT_EQ(f.counters[1]->count, 1);  // same group
   EXPECT_EQ(f.counters[2]->count, 0);  // held
   EXPECT_EQ(f.counters[3]->count, 0);
@@ -139,15 +138,14 @@ TEST(FaultFilter, FullLossDropsEveryRemoteDelivery) {
   NetFixture f(3);
   sim::Rng rng(7);
   f.sys.network().set_loss(1.0, &rng);
-  f.sys.node(0).multicast_all(net::ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
-  EXPECT_EQ(f.counters[0]->count, 1);  // loopback is not subject to loss
   EXPECT_EQ(f.counters[1]->count, 0);
   EXPECT_EQ(f.counters[2]->count, 0);
   EXPECT_EQ(f.sys.network().lost_deliveries(), 2u);
 
   f.sys.network().clear_loss();
-  f.sys.node(0).multicast_all(net::ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
   EXPECT_EQ(f.counters[1]->count, 1);
   EXPECT_EQ(f.counters[2]->count, 1);

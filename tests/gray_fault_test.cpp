@@ -242,6 +242,17 @@ TEST(GrayFlap, DownHoldsUpReleasesAndCountersNest) {
   EXPECT_EQ(f.counters[1]->count, 1);  // released at the final up
 }
 
+TEST(GrayFlap, RejectedUpBringsNoLinkUp) {
+  // The id check runs before any count changes: a bad id in the `to` set
+  // must not bring 0->1 up on the way to the throw.
+  NetFixture f(3);
+  f.sys.network().set_flap_down({0}, {1});
+  EXPECT_THROW(f.sys.network().set_flap_up({0}, {1, 99}), std::out_of_range);
+  EXPECT_TRUE(f.sys.network().flap_blocked(0, 1));
+  f.sys.network().set_flap_up({0}, {1});
+  EXPECT_FALSE(f.sys.network().flap_blocked(0, 1));
+}
+
 TEST(GrayFlap, InjectorDrivesTheDeterministicCycle) {
   // Cycle = up phase then down phase: down at 150, up 200, down 250,
   // up 300, down 350, clipped up at 400 — six transitions, window clean.
@@ -317,7 +328,7 @@ TEST(GrayDrift, SlowClockDetectsACrashLater) {
 
 TEST(GrayCorrupt, DigestFlipsOnAnyIdentityField) {
   const net::BlankPayload payload;
-  net::Message m{0, 1, net::ProtocolId::kApplication, {}, &payload};
+  net::Message m{0, net::ProtocolId::kApplication, {}, &payload};
   m.frame.seq = 7;
   m.frame.check = net::frame_digest(m);
   EXPECT_TRUE(net::frame_checksum_ok(m));
@@ -356,17 +367,6 @@ TEST(GrayCorrupt, WithoutTransportDetectedFramesAreDroppedAndCounted) {
   EXPECT_EQ(f.sys.network().corruption_detected(), 1u);
 }
 
-TEST(GrayCorrupt, LoopbackCopySkipsTheTransportsVerify) {
-  // A multicast's self copy is served by local loopback: it never crossed
-  // the wire, carries no digest, and reaches its node unverified.
-  NetFixture f(3, transport::Config{.enabled = true});
-  f.sys.network().enable_checksums();
-  f.sys.node(0).multicast_all(net::ProtocolId::kApplication, f.payload());
-  f.sys.scheduler().run();
-  for (const auto& c : f.counters) EXPECT_EQ(c->count, 1);
-  EXPECT_EQ(f.sys.transport()->stats().corrupt_dropped, 0u);
-}
-
 TEST(GrayCorrupt, RateZeroWindowDropsNothing) {
   // Any corrupt event arms frame checksums run-wide, a rate-0 one too.
   // It damages no frame, so on either stack no frame may be dropped or
@@ -395,6 +395,22 @@ TEST(GrayCorrupt, RejectsBadRates) {
   sim::Rng rng(9);
   EXPECT_THROW(f.sys.network().set_corrupt(1.5, &rng), std::invalid_argument);
   EXPECT_THROW(f.sys.network().set_corrupt(-0.5, &rng), std::invalid_argument);
+}
+
+TEST(GrayCorrupt, RejectedWindowKeepsThePreviousOne) {
+  // The id check runs before the link matrix is rebuilt: a bad id leaves
+  // the previous window, its links and its rate in force.
+  NetFixture f(3);
+  f.sys.network().enable_checksums();
+  sim::Rng rng(9);
+  f.sys.network().set_corrupt(1.0, &rng, {{0}, {1}});
+  EXPECT_THROW(f.sys.network().set_corrupt(0.5, &rng, {{0}, {99}}), std::out_of_range);
+  f.sys.node(0).send(1, net::ProtocolId::kApplication, f.payload());
+  f.sys.node(0).send(2, net::ProtocolId::kApplication, f.payload());
+  f.sys.scheduler().run();
+  EXPECT_EQ(f.counters[1]->count, 0);  // 0->1 still corrupted, at rate 1
+  EXPECT_EQ(f.counters[2]->count, 1);  // 0->2 never was
+  EXPECT_EQ(f.sys.network().corrupted_deliveries(), 1u);
 }
 
 TEST(GrayCorrupt, TransportRecoversEverythingAcrossAFullCorruptionWindow) {

@@ -1,11 +1,12 @@
 // Tests of the contention-aware network model (paper §6.1): exact timing
 // of the CPU(λ) / network(1) / CPU(λ) pipeline, FIFO queueing at both
-// resource types, multicast cost, self-delivery, and the software-crash
-// semantics.
+// resource types, multicast cost, the rejected self-send, and the
+// software-crash semantics.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/message.hpp"
@@ -104,7 +105,7 @@ TEST(Network, ReceiverCpuSerializesDeliveries) {
 
 TEST(Network, MulticastUsesOneWireSlot) {
   Fixture f(4);
-  f.sys.node(0).multicast_all(ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others(f.sys.all(), ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
   EXPECT_EQ(f.sys.network().network_uses(), 1u);
   // All remote receivers get it at λ+1+λ = 3 (their CPUs are parallel).
@@ -114,27 +115,19 @@ TEST(Network, MulticastUsesOneWireSlot) {
   }
 }
 
-TEST(Network, MulticastSelfCopyBypassesWire) {
-  Fixture f(3);
-  f.sys.node(0).multicast_all(ProtocolId::kApplication, f.payload());
-  f.sys.scheduler().run();
-  // Self copy at CPU-send completion (t=1), remote at t=3.
-  ASSERT_EQ(f.recorders[0]->arrivals.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.recorders[0]->arrivals[0].second, 1.0);
-}
-
-TEST(Network, UnicastToSelfOnlyCostsCpu) {
+TEST(Network, SendToSelfThrows) {
+  // A process handles its own messages locally; nothing reaches its CPU.
   Fixture f(2);
-  f.sys.node(0).send(0, ProtocolId::kApplication, f.payload());
+  EXPECT_THROW(f.sys.node(0).send(0, ProtocolId::kApplication, f.payload()), std::logic_error);
   f.sys.scheduler().run();
-  EXPECT_EQ(f.sys.network().network_uses(), 0u);
-  ASSERT_EQ(f.recorders[0]->arrivals.size(), 1u);
-  EXPECT_DOUBLE_EQ(f.recorders[0]->arrivals[0].second, 1.0);
+  EXPECT_EQ(f.sys.node(0).sent_count(), 0u);
+  EXPECT_EQ(f.sys.network().cpu_uses(0), 0u);
+  EXPECT_TRUE(f.recorders[0]->arrivals.empty());
 }
 
 TEST(Network, MulticastToSubsetOnlyReachesSubset) {
   Fixture f(4);
-  f.sys.node(0).multicast({1, 3}, ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others({1, 3}, ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
   EXPECT_EQ(f.recorders[1]->arrivals.size(), 1u);
   EXPECT_TRUE(f.recorders[2]->arrivals.empty());
@@ -203,9 +196,9 @@ TEST(Network, DeliveryTapSeesEveryDelivery) {
   Fixture f(3);
   int taps = 0;
   f.sys.network().set_delivery_tap([&](const Message&, ProcessId) { ++taps; });
-  f.sys.node(0).multicast_all(ProtocolId::kApplication, f.payload());
+  f.sys.node(0).multicast_others(f.sys.all(), ProtocolId::kApplication, f.payload());
   f.sys.scheduler().run();
-  EXPECT_EQ(taps, 3);  // self + 2 remote
+  EXPECT_EQ(taps, 2);
 }
 
 TEST(Network, UtilizationAccounting) {
