@@ -115,7 +115,7 @@ void print_usage() {
       "                    Unknown keys are rejected.\n"
       "  --profile         append extra deterministic diagnostic columns\n"
       "                    where a scenario has them (lossy_throughput:\n"
-      "                    retx/s, dups, seq-retx; lossy_decomposition:\n"
+      "                    retx/s, dups, seq-retx; critical_path:\n"
       "                    p50/p99)\n"
       "  --help            this text\n";
 }

@@ -65,8 +65,8 @@ struct ScenarioContext {
   /// (saturation_knee, the "-b" modes) arm it themselves per row.
   abcast::BatchConfig batching;
   /// Observability from the CLI (--trace/--metrics arm it for every
-  /// simulation of every sweep; scenarios that need the phase
-  /// decomposition, like lossy_decomposition, arm it themselves).  Armed
+  /// simulation of every sweep; scenarios that need the causal
+  /// decomposition, like critical_path, arm it themselves).  Armed
   /// observability is passive — the default CSV columns are unchanged.
   obs::Config obs;
   /// Per-scenario parameters from the CLI (`--set key=value`, repeatable).

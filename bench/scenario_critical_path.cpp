@@ -1,11 +1,8 @@
 // Causal critical-path decomposition under loss (armed src/obs/ causal
-// tracing): *why* does a lossy delivery take as long as it does?
+// tracing): where does the time of a lossy delivery go, and why?
 //
-// The lossy_decomposition scenario splits latency into the three
-// lifecycle phases (submission wait / ordering / delivery) but cannot say
-// what the time inside a phase was spent on.  This scenario arms the
-// causal edge recorder and walks every delivered message's critical path,
-// attributing each millisecond to exactly one cause:
+// Arms the causal edge recorder and walks every delivered message's
+// critical path, attributing each millisecond to exactly one cause:
 //
 //   credit_wait / batch_wait   flow-control credit closed / batch timer
 //   cpu_queue                  send- or receive-side CPU queueing
@@ -16,11 +13,20 @@
 //   consensus_round            covered by a Chandra-Toueg round (FD)
 //   reorder_hold               delivered frames held for per-pair FIFO
 //
-// The per-cause means add up to the end-to-end mean over the same message
-// population, so the rows refine lossy_decomposition's totals.  The
-// headline question from the ROADMAP hotspot: GM's post-ordering tail at
-// n = 32 @ 5% loss — is it wire, sequencer retransmission recovery, or
-// reorder hold?
+// The per-cause means add up to the end-to-end mean `total` over the same
+// message population (global-first deliveries, which can sit slightly
+// below the per-process latency column of lossy_throughput: min <= mean
+// over processes).  Two transport columns follow: `seq-retx share`, the
+// share of retransmissions originating at process 0 (the GM sequencer),
+// and `retx/s`.  The headline question from the ROADMAP hotspot: GM's
+// post-ordering tail at n = 32 @ 5% loss — is it wire, sequencer
+// retransmission recovery, or reorder hold?  Same load and fault setup as
+// lossy_throughput, so the totals line up with its rows.
+//
+// A decomposition that lost spans or edges to full flight-recorder slabs
+// would be silently wrong, so such a row fails the scenario instead.
+#include <stdexcept>
+
 #include "scenario.hpp"
 
 namespace fdgm::bench {
@@ -34,6 +40,16 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
   std::vector<std::string> headers{"algo", "n", "loss [%]", "T [1/s]", "total [ms]"};
   for (std::size_t c = 0; c < obs::kCauseCount; ++c)
     headers.push_back(std::string(obs::cause_name(static_cast<obs::Cause>(c))) + " [ms]");
+  headers.emplace_back("seq-retx share");
+  headers.emplace_back("retx/s");
+  // --profile: end-to-end latency quantiles from the armed observer's
+  // histogram (machine-independent, but omitted from the default CSV
+  // layout so the committed results stay byte-stable).
+  if (ctx.profile) {
+    headers.emplace_back("p50 [ms]");
+    headers.emplace_back("p99 [ms]");
+  }
+  const std::size_t width = headers.size();
   util::Table table(headers);
 
   const bool quick = ctx.param_flag("quick");
@@ -42,13 +58,13 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
     int n;
     double loss;
   };
-  std::vector<Point> points{{7, 0.05}, {32, 0.05}};
+  std::vector<Point> points{{7, 0.01}, {7, 0.05}, {16, 0.05}, {32, 0.01}, {32, 0.05}};
   if (quick) points = {{3, 0.01}, {7, 0.05}};
 
   std::vector<RowJob> jobs;
   for (const Point& pt : points) {
     for (core::Algorithm algo : {core::Algorithm::kFd, core::Algorithm::kGm}) {
-      jobs.push_back([pt, algo, &ctx] {
+      jobs.push_back([pt, algo, width, &ctx] {
         const double throughput = throughput_for(pt.n);
         const core::SteadyConfig sc = steady_config(throughput, ctx.budget);
 
@@ -65,13 +81,18 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
         cfg.faults.add(e);
 
         const core::PointResult r = core::run_steady(cfg, sc);
+        const core::RunStats& st = r.stats;
         std::vector<std::string> row{core::algorithm_name(algo), std::to_string(pt.n),
                                      util::Table::cell(pt.loss * 100.0),
                                      util::Table::cell(throughput, 0)};
-        const obs::CauseTotals& causes = r.stats.causes;
+        if (st.spans_dropped != 0 || st.edges_dropped != 0)
+          throw std::runtime_error(row[0] + " n=" + row[1] + " loss " + row[2] + "%: dropped " +
+                                   std::to_string(st.spans_dropped) + " spans and " +
+                                   std::to_string(st.edges_dropped) + " causal edges");
+        const obs::CauseTotals& causes = st.causes;
         if (!r.stable || causes.count == 0) {
           row.emplace_back("unstable");
-          for (std::size_t c = 0; c < obs::kCauseCount; ++c) row.emplace_back("-");
+          row.resize(width, "-");
           return row;
         }
         const auto per = [&](double sum) {
@@ -81,6 +102,17 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
         for (double s : causes.sums) total += s;
         row.push_back(per(total));
         for (double s : causes.sums) row.push_back(per(s));
+        row.push_back(st.retransmits == 0
+                          ? "-"
+                          : util::Table::cell(static_cast<double>(st.retx_origin0) /
+                                                  static_cast<double>(st.retransmits),
+                                              3));
+        row.push_back(util::Table::cell(
+            static_cast<double>(st.retransmits) / (st.sim_ms / 1000.0), 2));
+        if (ctx.profile) {
+          row.push_back(util::Table::cell(st.e2e_quantile(0.5)));
+          row.push_back(util::Table::cell(st.e2e_quantile(0.99)));
+        }
         return row;
       });
     }
@@ -92,7 +124,7 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
 const ScenarioRegistrar reg{{"critical_path",
                              "Causal critical-path decomposition under loss (armed causal "
                              "tracing): every ms of a delivery attributed to one cause, "
-                             "refining lossy_decomposition's phase splits",
+                             "plus sequencer retx concentration, focused on n = 32 @ 5%",
                              "beyond paper", run_critical_path, {}}};
 
 }  // namespace

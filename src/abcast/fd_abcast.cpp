@@ -278,7 +278,7 @@ void FdAbcastProcess::on_decide(std::uint64_t number, net::PayloadPtr value) {
   // covers; first-write-wins in the observer makes this the *earliest*
   // decision instant across the n processes deciding the instance.
   if (auto* o = sys_->obs()) {
-    for (const MsgId& id : prop->ids) o->on_ordered(id.origin, id.seq, sys_->now(), self_);
+    for (const MsgId& id : prop->ids) o->on_ordered(id.origin, id.seq, sys_->now());
   }
   ready_decisions_.emplace(number, prop);
   process_ready_decisions();

@@ -194,7 +194,7 @@ void GmAbcastProcess::sequence_pending() {
   // The sequencer's sn assignment is the instant a GM message's global
   // order becomes fixed — the "ordered" point of its lifecycle span.
   if (auto* o = sys_->obs()) {
-    for (const auto& [id, sn] : assigned) o->on_ordered(id.origin, id.seq, sys_->now(), self_);
+    for (const auto& [id, sn] : assigned) o->on_ordered(id.origin, id.seq, sys_->now());
   }
   batch_ends_.push_back(next_sn_ - 1);
   sys_->node(self_).multicast_others(

@@ -48,9 +48,9 @@ struct SimConfig {
   /// Submission batching + adaptive flow control (both stacks).  Disabled
   /// by default: runs are bit-identical to the unbatched tree.
   abcast::BatchConfig batching;
-  /// Observability (src/obs/): lifecycle spans, counter registry, phase
-  /// decomposition.  Disarmed by default; armed it is passive (no events,
-  /// no RNG draws), so even armed runs are bit-identical.
+  /// Observability (src/obs/): lifecycle spans, counter registry, causal
+  /// critical paths.  Disarmed by default; armed it is passive (no
+  /// events, no RNG draws), so even armed runs are bit-identical.
   obs::Config obs;
 };
 

@@ -28,10 +28,6 @@ RunStats& RunStats::merge(const RunStats& o) {
   generated += o.generated;
   shed += o.shed;
   for (std::size_t c = 0; c < counters.size(); ++c) counters[c] += o.counters[c];
-  phases.count += o.phases.count;
-  phases.submit_wait_ms += o.phases.submit_wait_ms;
-  phases.ordering_ms += o.phases.ordering_ms;
-  phases.delivery_ms += o.phases.delivery_ms;
   causes.count += o.causes.count;
   for (std::size_t c = 0; c < causes.sums.size(); ++c) causes.sums[c] += o.causes.sums[c];
   qos += o.qos;
@@ -54,7 +50,7 @@ constexpr double kDrainMs = 20000.0;
 
 /// Reads a finished replica under the one capture rule (see RunStats):
 /// run-cost fields always, observer-derived ones only when `converged`;
-/// phase and cause totals cover messages broadcast in [from, to).  The
+/// cause totals cover messages broadcast in [from, to).  The
 /// exporting replica (replica 0 of a runner call; of its first sender
 /// for run_transient_worst_sender) also hands its
 /// observer to the export sink — the run is over, so the export sees the
@@ -76,7 +72,6 @@ RunStats capture(SimRun& run, bool exporter, bool converged, double from, double
   if (!converged) return s;
   for (std::size_t c = 0; c < obs::kCounterCount; ++c)
     s.counters[c] = o->total(static_cast<obs::Counter>(c));
-  s.phases = o->phase_totals(from, to);
   if (o->causal()) s.causes = o->cause_totals(from, to);
   s.qos = o->qos_measured();
   s.e2e = o->e2e_hist();

@@ -55,10 +55,9 @@ struct RunStats {
   std::uint64_t shed = 0;
   /// The observer's counter registry summed over nodes (see counter()).
   std::array<std::uint64_t, obs::kCounterCount> counters{};
-  /// Phase and critical-path cause sums over the measurement window; each
-  /// sum / count is a per-message mean, and the means add up to the
-  /// end-to-end mean.
-  obs::PhaseTotals phases;
+  /// Critical-path cause sums over the measurement window; each sum /
+  /// count is a per-message mean, and the means add up to the end-to-end
+  /// mean.
   obs::CauseTotals causes;
   obs::QosMeasured qos;  // empirical FD QoS aggregates
   /// End-to-end latency of every observed delivery (every observer bins

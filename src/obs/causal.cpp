@@ -179,10 +179,10 @@ std::vector<MsgCausal> Observer::critical_paths(double from, double to) const {
     }
     for (std::size_t i = 0; i < spans.size(); ++i) {
       const Span& s = spans[i];
-      if (s.submit < from || s.submit >= to || s.submit < 0.0 || s.delivered < 0.0) continue;
+      if (s.submit < from || s.submit >= to || s.delivered < 0.0) continue;
       const double sub = s.submit;
-      const double os = s.order_start < 0.0 ? sub : s.order_start;
-      const double od = s.ordered < 0.0 ? s.delivered : s.ordered;
+      const double os = s.order_start;
+      const double od = s.ordered;
       const double del = s.delivered;
 
       MsgCausal mc;

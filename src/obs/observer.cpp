@@ -78,10 +78,7 @@ void Observer::on_submit(int origin, std::uint64_t seq, double now) {
     slab.back().submit = now;
     return;
   }
-  if (idx < slab.size()) {
-    if (slab[idx].submit < 0.0) slab[idx].submit = now;
-    return;
-  }
+  if (idx < slab.size()) return;  // first write wins
   ++spans_dropped_;
 }
 
@@ -90,12 +87,9 @@ void Observer::on_order_start(int origin, std::uint64_t seq, double now) {
   if (Span* s = find(origin, seq); s && s->order_start < 0.0) s->order_start = now;
 }
 
-void Observer::on_ordered(int origin, std::uint64_t seq, double now, int node) {
+void Observer::on_ordered(int origin, std::uint64_t seq, double now) {
   if (now >= next_window_) roll_window(now);
-  if (Span* s = find(origin, seq); s && s->ordered < 0.0) {
-    s->ordered = now;
-    s->ordered_node = static_cast<std::int16_t>(node);
-  }
+  if (Span* s = find(origin, seq); s && s->ordered < 0.0) s->ordered = now;
 }
 
 void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node) {
@@ -108,7 +102,6 @@ void Observer::on_delivered(int origin, std::uint64_t seq, double now, int node)
   // view-change flush) collapse the ordering phase onto delivery.
   if (s->ordered < 0.0) s->ordered = now;
   if (s->order_start < 0.0) s->order_start = s->submit;
-  if (s->submit < 0.0) return;  // untracked origin; nothing to decompose
   e2e_hist_.add(s->delivered - s->submit);
 }
 
@@ -290,22 +283,6 @@ std::size_t Observer::spans_recorded() const {
   return sum;
 }
 
-PhaseTotals Observer::phase_totals(double from, double to) const {
-  PhaseTotals t;
-  for (const auto& slab : spans_) {
-    for (const auto& s : slab) {
-      if (s.submit < from || s.submit >= to || s.delivered < 0.0) continue;
-      const double os = s.order_start < 0.0 ? s.submit : s.order_start;
-      const double od = s.ordered < 0.0 ? s.delivered : s.ordered;
-      ++t.count;
-      t.submit_wait_ms += os - s.submit;
-      t.ordering_ms += od - os;
-      t.delivery_ms += s.delivered - od;
-    }
-  }
-  return t;
-}
-
 // ------------------------------------------------------------------ exports
 
 void Observer::write_trace_json(std::ostream& os) const {
@@ -337,7 +314,6 @@ void Observer::write_trace_json(std::ostream& os) const {
     const auto& slab = spans_[static_cast<std::size_t>(origin)];
     for (std::size_t i = 0; i < slab.size(); ++i) {
       const Span& s = slab[i];
-      if (s.submit < 0.0) continue;
       const std::uint64_t seq = static_cast<std::uint64_t>(i) + 1;
       const double os_t = s.order_start < 0.0 ? s.submit : s.order_start;
       emit(origin, seq, "submit-wait", s.submit, os_t);

@@ -1,5 +1,6 @@
 // Deterministic simulation-time observability: per-message lifecycle
-// spans, the per-node counter registry and phase-latency decomposition.
+// spans, the per-node counter registry and the causal critical-path
+// decomposition (obs/causal.hpp).
 //
 // Design contract (mirrors the transport's PR-5 discipline):
 //
@@ -31,10 +32,8 @@
 //                 decision covering it; GM: sequencer seq-assignment)
 //    delivered    first A-delivery anywhere
 //
-// The phase decomposition reported by the runner and the lossy
-// decomposition scenario is the differences of those timestamps:
-// submission-wait, ordering, and delivery (under loss: dominated by
-// transport recovery of the decision / SEQNUM / content frames).
+// The timestamps bound the critical-path walker's three windows
+// (submission wait, ordering, delivery) and --trace's three tracks.
 #pragma once
 
 #include <array>
@@ -83,26 +82,16 @@ struct Config {
 };
 
 /// One message's lifecycle (timestamps in simulated ms; -1 = not seen).
+/// on_submit creates every span, so `submit` is always set; on_delivered
+/// fills an unset `order_start` (with `submit`) and `ordered` (with the
+/// delivery instant), so a delivered span has all four.
 struct Span {
   double submit = -1.0;
   double order_start = -1.0;
   double ordered = -1.0;
   double delivered = -1.0;
-  /// Node where the global order was fixed (FD: deciding process whose
-  /// decision was first; GM: the sequencer); -1 when unreported.
-  std::int16_t ordered_node = -1;
   /// Node of the global-first A-delivery; -1 when unreported.
   std::int16_t deliver_node = -1;
-};
-
-/// Aggregated phase decomposition over a set of completed spans.
-struct PhaseTotals {
-  std::size_t count = 0;       // delivered messages covered
-  double submit_wait_ms = 0.0;  // sum over messages: order_start - submit
-  double ordering_ms = 0.0;     // sum: ordered - order_start
-  double delivery_ms = 0.0;     // sum: delivered - ordered
-
-  bool operator==(const PhaseTotals&) const = default;
 };
 
 /// Empirical Chen-Toueg-Aguilera QoS aggregates of the armed failure
@@ -146,9 +135,9 @@ class Observer {
   // ---- lifecycle hooks (hot path; allocation-free, first-write-wins) ----
   void on_submit(int origin, std::uint64_t seq, double now);
   void on_order_start(int origin, std::uint64_t seq, double now);
-  /// `node` is where the order was fixed / the delivery happened; -1 for
-  /// callers that have no node to report (tests, legacy sites).
-  void on_ordered(int origin, std::uint64_t seq, double now, int node = -1);
+  void on_ordered(int origin, std::uint64_t seq, double now);
+  /// `node` is where the delivery happened; -1 for callers that have no
+  /// node to report (tests).
   void on_delivered(int origin, std::uint64_t seq, double now, int node = -1);
 
   // ---- causal edges (hot path iff causal(); allocation-free) ----
@@ -193,8 +182,6 @@ class Observer {
   /// Null when (origin, seq) was never recorded.
   [[nodiscard]] const Span* span(int origin, std::uint64_t seq) const;
   [[nodiscard]] std::size_t spans_recorded() const;
-  /// Phase sums over messages *submitted* in [from, to) and delivered.
-  [[nodiscard]] PhaseTotals phase_totals(double from, double to) const;
   [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
 
   // ---- exports (cold; allocate freely) ----

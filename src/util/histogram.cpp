@@ -1,8 +1,6 @@
 #include "util/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace fdgm::util {
@@ -60,27 +58,6 @@ double Histogram::quantile(double q) const {
     cum += c;
   }
   return hi_;  // target falls in the saturated overflow bucket
-}
-
-double Histogram::bin_fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  const std::size_t peak = counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar =
-        peak ? static_cast<std::size_t>(std::llround(static_cast<double>(counts_[i]) * static_cast<double>(width) / static_cast<double>(peak)))
-             : 0;
-    os << '[' << bin_lo(i) << ", " << bin_hi(i) << ") " << std::string(bar, '#') << ' '
-       << counts_[i] << '\n';
-  }
-  if (underflow_ != 0) os << "underflow " << underflow_ << '\n';
-  if (overflow_ != 0) os << "overflow " << overflow_ << '\n';
-  return os.str();
 }
 
 }  // namespace fdgm::util

@@ -1,9 +1,9 @@
-// Fixed-width histogram used for latency distributions in the examples and
-// for sanity-checking the exponential QoS metrics in tests.
+// Fixed-width histogram of end-to-end latencies: the armed observer bins
+// every delivery into one, replicas merge them (core::RunStats::e2e), and
+// --profile reads its p50/p99.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace fdgm::util {
@@ -24,9 +24,6 @@ class Histogram {
   [[nodiscard]] double bin_lo(std::size_t i) const;
   [[nodiscard]] double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
 
-  /// Fraction of samples in bucket i (0 if empty histogram).
-  [[nodiscard]] double bin_fraction(std::size_t i) const;
-
   /// Merge another histogram's counts into this one.  Requires identical
   /// binning (same lo, hi, bin count); throws std::invalid_argument on a
   /// mismatch — silently re-binning would fabricate data.
@@ -37,9 +34,6 @@ class Histogram {
   /// hi (the saturated ends carry no position information).  Returns 0
   /// for an empty histogram.
   [[nodiscard]] double quantile(double q) const;
-
-  /// Simple ASCII rendering (one line per non-empty bucket).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
 
   /// Same binning and the same counts.
   bool operator==(const Histogram&) const = default;

@@ -240,7 +240,7 @@ TEST(ZeroAlloc, CausalHookKernel) {
       o.trace_marker(obs::EdgeKind::kWireEnq, origin, refs, now + 0.01);
       o.trace_marker(obs::EdgeKind::kWireDone, origin, refs, now + 0.4);
       o.trace_stall(obs::EdgeKind::kStallNack, origin, refs, now, now + 1.0);
-      o.on_ordered(origin, s, now + 1.0, origin);
+      o.on_ordered(origin, s, now + 1.0);
       o.on_delivered(origin, s, now + 2.0, origin);
       // QoS meter edges: a wrong suspicion opening and closing.
       o.on_fd_transition(origin, (origin + 1) % kN, 0b01, now);

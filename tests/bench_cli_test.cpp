@@ -183,7 +183,7 @@ TEST(BenchCli, SetRejectsUndeclaredKey) {
 TEST(BenchCli, ProfileOutputIsDeterministic) {
   if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
   const std::string args =
-      "lossy_throughput lossy_decomposition --set quick=1 --profile --format csv --jobs ";
+      "lossy_throughput critical_path --set quick=1 --profile --format csv --jobs ";
   const CliResult one = run_bench(args + "1");
   const CliResult four = run_bench(args + "4");
   ASSERT_EQ(one.status, 0) << one.err;
@@ -206,6 +206,18 @@ TEST(BenchCli, ProfileOutputIsDeterministic) {
   for (const std::string& header : headers)
     for (const char* host : {"wall", "events", "ev/s", "RSS"})
       EXPECT_EQ(header.find(host), std::string::npos) << host << " in " << header;
+}
+
+// A critical-path row whose observer dropped spans or causal edges would
+// publish a truncated decomposition: the scenario fails instead.  3381
+// samples is the smallest budget at which a row (FD, n = 32 @ 5%)
+// overflows its edge slabs; 3380 fits.
+TEST(BenchCli, CriticalPathFailsOnDroppedEdges) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  const CliResult r =
+      run_bench("critical_path --set samples=3381 --set replicas=1 --format csv --jobs 4");
+  EXPECT_EQ(r.status, 1) << r.out;
+  EXPECT_NE(r.err.find("dropped"), std::string::npos) << r.err;
 }
 
 // The scheduler has one queue and no knobs: scripts still passing the

@@ -230,7 +230,7 @@ TEST(CausalWalker, PerCauseSumsAddUpExactly) {
   obs::Observer o(3, causal_cfg());
   o.on_submit(0, 1, 10.0);
   o.on_order_start(0, 1, 12.0);
-  o.on_ordered(0, 1, 20.0, 1);
+  o.on_ordered(0, 1, 20.0);
   o.on_delivered(0, 1, 27.5, 2);
   // A couple of hops inside the ordering phase.
   o.trace_marker(obs::EdgeKind::kSendEnq, 0, one(0, 1), 12.0);
@@ -256,7 +256,7 @@ TEST(CausalWalker, OrderingResidualDefaultsByStack) {
   obs::Observer fd(3, causal_cfg());
   fd.on_submit(0, 1, 0.0);
   fd.on_order_start(0, 1, 0.0);
-  fd.on_ordered(0, 1, 8.0, 1);
+  fd.on_ordered(0, 1, 8.0);
   fd.on_delivered(0, 1, 10.0, 2);
   const auto fd_paths = fd.critical_paths(0.0, kInf);
   ASSERT_EQ(fd_paths.size(), 1u);
@@ -267,7 +267,7 @@ TEST(CausalWalker, OrderingResidualDefaultsByStack) {
   gm.on_submit(0, 1, 0.0);
   gm.on_order_start(0, 1, 0.0);
   gm.trace_marker(obs::EdgeKind::kSeqEnter, 1, one(0, 1), 2.0);
-  gm.on_ordered(0, 1, 8.0, 1);
+  gm.on_ordered(0, 1, 8.0);
   gm.on_delivered(0, 1, 10.0, 2);
   const auto gm_paths = gm.critical_paths(0.0, kInf);
   ASSERT_EQ(gm_paths.size(), 1u);
@@ -283,7 +283,7 @@ TEST(CausalWalker, StallOutranksOverlappingHops) {
   obs::Observer o(3, causal_cfg());
   o.on_submit(0, 1, 0.0);
   o.on_order_start(0, 1, 0.0);
-  o.on_ordered(0, 1, 2.0, 1);
+  o.on_ordered(0, 1, 2.0);
   o.on_delivered(0, 1, 12.0, 2);
   // Delivery phase [2, 12): a NACK stall [2, 9) overlapping a recv-CPU
   // pair [8, 10).
@@ -305,7 +305,7 @@ TEST(CausalWalker, SubmissionResidualSplitsByCreditMarker) {
   obs::Observer batch(3, causal_cfg());
   batch.on_submit(0, 1, 0.0);
   batch.on_order_start(0, 1, 4.0);
-  batch.on_ordered(0, 1, 5.0, 1);
+  batch.on_ordered(0, 1, 5.0);
   batch.on_delivered(0, 1, 6.0, 2);
   const auto b = batch.critical_paths(0.0, kInf);
   ASSERT_EQ(b.size(), 1u);
@@ -316,7 +316,7 @@ TEST(CausalWalker, SubmissionResidualSplitsByCreditMarker) {
   credit.on_submit(0, 1, 0.0);
   credit.trace_marker(obs::EdgeKind::kCreditClosed, 0, one(0, 1), 0.0);
   credit.on_order_start(0, 1, 4.0);
-  credit.on_ordered(0, 1, 5.0, 1);
+  credit.on_ordered(0, 1, 5.0);
   credit.on_delivered(0, 1, 6.0, 2);
   const auto c = credit.critical_paths(0.0, kInf);
   ASSERT_EQ(c.size(), 1u);
@@ -330,9 +330,11 @@ TEST(CausalWalker, WindowFiltersBySubmitTime) {
     const double t = static_cast<double>(s) * 10.0;
     o.on_submit(0, s, t);
     o.on_order_start(0, s, t);
-    o.on_ordered(0, s, t + 1.0, 1);
+    o.on_ordered(0, s, t + 1.0);
     o.on_delivered(0, s, t + 2.0, 2);
   }
+  // Submitted inside [15, 25) but never delivered: walked by no window.
+  o.on_submit(0, 4, 20.0);
   EXPECT_EQ(o.critical_paths(0.0, kInf).size(), 3u);
   EXPECT_EQ(o.critical_paths(15.0, 25.0).size(), 1u);
   const obs::CauseTotals t = o.cause_totals(15.0, 25.0);
@@ -340,6 +342,20 @@ TEST(CausalWalker, WindowFiltersBySubmitTime) {
   double sum = 0.0;
   for (double v : t.sums) sum += v;
   EXPECT_DOUBLE_EQ(sum, 2.0);
+}
+
+// A delivery that saw no order hook (e.g. a GM view-change flush):
+// on_delivered fills order_start and ordered, so the walker's windows
+// still cover the whole end-to-end latency.
+TEST(CausalWalker, DeliveryWithoutOrderHooksCoversItsLatency) {
+  obs::Observer o(1, causal_cfg());
+  o.on_submit(0, 1, 10.0);
+  o.on_delivered(0, 1, 30.0);
+  const obs::CauseTotals t = o.cause_totals(0.0, kInf);
+  EXPECT_EQ(t.count, 1u);
+  double sum = 0.0;
+  for (double v : t.sums) sum += v;
+  EXPECT_DOUBLE_EQ(sum, 20.0);
 }
 
 // Disarmed causal tracing: markers are dropped, the walker still works
@@ -436,7 +452,7 @@ TEST(CausalCsv, CriticalPathCsvShape) {
   obs::Observer o(2, causal_cfg());
   o.on_submit(0, 1, 0.0);
   o.on_order_start(0, 1, 0.0);
-  o.on_ordered(0, 1, 1.0, 1);
+  o.on_ordered(0, 1, 1.0);
   o.on_delivered(0, 1, 3.0, 1);
   std::ostringstream os;
   o.write_critical_path_csv(os);

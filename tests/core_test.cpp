@@ -173,7 +173,6 @@ RunStats filled(int k) {
   s.generated = 5 * u;
   s.shed = 6 * u;
   for (std::size_t c = 0; c < s.counters.size(); ++c) s.counters[c] = (7 + c) * u;
-  s.phases = obs::PhaseTotals{8 * u, 0.25 * d, 0.5 * d, 0.75 * d};
   s.causes.count = 9 * u;
   for (std::size_t c = 0; c < s.causes.sums.size(); ++c)
     s.causes.sums[c] = static_cast<double>(c + 1) * 0.125 * d;

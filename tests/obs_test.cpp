@@ -1,8 +1,7 @@
 // Observer unit tests: span lifecycle semantics (first-write-wins,
-// capacity drops), the counter registry, phase-window accounting, lazy
-// metrics windows, and the shape of the two export formats.  End-to-end
-// armed-run passivity is covered by the determinism tests; allocation
-// freedom by alloc_test.
+// capacity drops), the counter registry, lazy metrics windows, and the
+// shape of the two export formats.  End-to-end armed-run passivity is
+// covered by the determinism tests; allocation freedom by alloc_test.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -116,39 +115,6 @@ TEST(ObsCounters, BatchFlushFeedsHistogramAndReorderPeakIsMax) {
   o.on_batch_flush(0, 2.0);
   EXPECT_EQ(o.node_total(0, Counter::kBatchesFlushed), 2u);
   EXPECT_EQ(o.total(Counter::kBatchesFlushed), 2u);
-}
-
-TEST(ObsPhases, TotalsFilterBySubmitWindowAndCompletion) {
-  Observer o(2, armed());
-  // In-window, completed: submit 10, order_start 12, ordered 20, deliver 26.
-  o.on_submit(0, 1, 10.0);
-  o.on_order_start(0, 1, 12.0);
-  o.on_ordered(0, 1, 20.0);
-  o.on_delivered(0, 1, 26.0);
-  // In-window, never delivered: excluded.
-  o.on_submit(0, 2, 15.0);
-  // Submitted outside [0, 100): excluded.
-  o.on_submit(1, 1, 150.0);
-  o.on_delivered(1, 1, 160.0);
-
-  const PhaseTotals pt = o.phase_totals(0.0, 100.0);
-  EXPECT_EQ(pt.count, 1u);
-  EXPECT_DOUBLE_EQ(pt.submit_wait_ms, 2.0);
-  EXPECT_DOUBLE_EQ(pt.ordering_ms, 8.0);
-  EXPECT_DOUBLE_EQ(pt.delivery_ms, 6.0);
-}
-
-// A delivery that never saw order_start/ordered hooks (e.g. a GM
-// view-change flush) falls back so the three phases still sum to the
-// end-to-end latency.
-TEST(ObsPhases, DeliveredWithoutOrderingFallsBack) {
-  Observer o(1, armed());
-  o.on_submit(0, 1, 10.0);
-  o.on_delivered(0, 1, 30.0);
-
-  const PhaseTotals pt = o.phase_totals(0.0, 100.0);
-  EXPECT_EQ(pt.count, 1u);
-  EXPECT_DOUBLE_EQ(pt.submit_wait_ms + pt.ordering_ms + pt.delivery_ms, 20.0);
 }
 
 TEST(ObsMetrics, WindowsRollLazilyOnHookTimestamps) {
@@ -267,7 +233,7 @@ TEST(ObsExport, TraceJsonCarriesFlowEventsWhenCausal) {
   Observer o(2, cfg);
   o.on_submit(1, 1, 10.0);
   o.on_order_start(1, 1, 12.0);
-  o.on_ordered(1, 1, 20.0, 0);
+  o.on_ordered(1, 1, 20.0);
   o.on_delivered(1, 1, 26.0, 0);
 
   std::ostringstream ss;

@@ -122,7 +122,8 @@ TEST(RunnerParallel, SteadyIdenticalAcrossJobCounts) {
   const PointResult seq = run_steady(cfg, small_steady());
   ASSERT_TRUE(seq.stable);
   EXPECT_GT(seq.stats.events, 0u);
-  EXPECT_GT(seq.stats.phases.count, 0u);
+  ASSERT_TRUE(seq.stats.e2e.has_value());
+  EXPECT_GT(seq.stats.e2e->count(), 0u);
   for (const PointResult& par :
        parallel_map(4, 4, [&](std::size_t) { return run_steady(cfg, small_steady()); }))
     EXPECT_EQ(par, seq);
