@@ -24,8 +24,12 @@
 // lossy_throughput, so the totals line up with its rows.
 //
 // A decomposition that lost spans or edges to full flight-recorder slabs
-// would be silently wrong, so such a row fails the scenario instead.
+// would be silently wrong, so such a row fails the scenario instead.  A
+// row whose runs hit the time horizon before the sample budget is printed,
+// with one warning on stderr: it rests on fewer messages than asked for.
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "scenario.hpp"
 
@@ -94,6 +98,14 @@ util::Table run_critical_path(const ScenarioContext& ctx) {
           row.emplace_back("unstable");
           row.resize(width, "-");
           return row;
+        }
+        if (!r.budget_met) {
+          const std::string warning =
+              "critical_path: " + row[0] + " n=" + row[1] + " loss " + row[2] +
+              "%: the time horizon cut the measurement short of " +
+              std::to_string(sc.samples) + " samples per run; the row rests on " +
+              std::to_string(r.total_samples) + " messages\n";
+          std::fputs(warning.c_str(), stderr);
         }
         const auto per = [&](double sum) {
           return util::Table::cell(sum / static_cast<double>(causes.count));

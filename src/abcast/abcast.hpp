@@ -20,6 +20,8 @@
 // flush timer bounds the queueing delay of partial batches.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +73,111 @@ class DeliveredIds {
 
  private:
   std::vector<util::SeqSet> by_origin_;
+};
+
+/// The messages one process holds in flight, one `Slot` per id: per origin
+/// a flat window over the seqs [base, base + size).  Per-origin seqs are
+/// dense, so a slot is found by index, not by hashing or a tree walk, and
+/// the windows iterate in id order (origin-major, then seq), as MsgId
+/// compares.  A window is trimmed from below as its lowest slots empty
+/// (`Slot::empty()`), so it spans the origin's messages in flight, not the
+/// run's history; a window that empties gives up storage beyond a few
+/// slots.  A slot that stays occupied pins its window: the window then
+/// grows by one slot per later seq of that origin.
+template <class Slot>
+class InFlightWindows {
+ public:
+  /// The occupied slot of `id`, or null.
+  [[nodiscard]] Slot* find(const MsgId& id) {
+    const auto o = static_cast<std::size_t>(id.origin);
+    if (o >= by_origin_.size()) return nullptr;
+    Window& w = by_origin_[o];
+    if (id.seq < w.base || id.seq - w.base >= w.slots.size()) return nullptr;
+    Slot& s = w.slots[static_cast<std::size_t>(id.seq - w.base)];
+    return s.empty() ? nullptr : &s;
+  }
+  [[nodiscard]] const Slot* find(const MsgId& id) const {
+    return const_cast<InFlightWindows*>(this)->find(id);
+  }
+
+  /// The slot of `id`, empty when it was not occupied; the caller fills
+  /// it.
+  Slot& slot(const MsgId& id) {
+    const auto o = static_cast<std::size_t>(id.origin);
+    if (o >= by_origin_.size()) {
+      by_origin_.resize(o + 1);
+      occupied_.resize(o / 64 + 1, 0);
+    }
+    Window& w = by_origin_[o];
+    if (w.slots.empty()) {
+      w.base = id.seq;
+      occupied_[o / 64] |= std::uint64_t{1} << (o % 64);
+    } else if (id.seq < w.base) {
+      w.slots.insert(w.slots.begin(), static_cast<std::size_t>(w.base - id.seq), Slot{});
+      w.base = id.seq;
+    }
+    const auto i = static_cast<std::size_t>(id.seq - w.base);
+    if (i >= w.slots.size()) w.slots.resize(i + 1);
+    return w.slots[i];
+  }
+
+  /// Call after emptying `id`'s slot: trims its window from below.
+  void release(const MsgId& id) {
+    const auto o = static_cast<std::size_t>(id.origin);
+    Window& w = by_origin_[o];
+    if (id.seq != w.base) return;  // a lower slot is still occupied
+    std::size_t k = 1;
+    while (k < w.slots.size() && w.slots[k].empty()) ++k;
+    if (k < w.slots.size()) {
+      w.slots.erase(w.slots.begin(), w.slots.begin() + static_cast<std::ptrdiff_t>(k));
+      w.base += k;
+      return;
+    }
+    if (w.slots.capacity() > kKeptSlots)
+      std::vector<Slot>().swap(w.slots);
+    else
+      w.slots.clear();
+    occupied_[o / 64] &= ~(std::uint64_t{1} << (o % 64));
+  }
+
+  /// Calls f(id, slot) for every occupied slot, in id order.  `f` may
+  /// change a slot but must not add, empty or release one.
+  template <class F>
+  void for_each(F f) {
+    for (std::size_t word = 0; word < occupied_.size(); ++word) {
+      for (std::uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
+        const std::size_t o = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        Window& w = by_origin_[o];
+        for (std::size_t i = 0; i < w.slots.size(); ++i)
+          if (!w.slots[i].empty())
+            f(MsgId{static_cast<net::ProcessId>(o), w.base + i}, w.slots[i]);
+      }
+    }
+  }
+
+  void clear() {
+    by_origin_.clear();
+    occupied_.clear();
+  }
+
+  /// Slots held across the windows, empty ones included (tests: state
+  /// bounds).
+  [[nodiscard]] std::size_t slots() const {
+    std::size_t n = 0;
+    for (const Window& w : by_origin_) n += w.slots.size();
+    return n;
+  }
+
+ private:
+  /// Storage an emptied window keeps for its next message.
+  static constexpr std::size_t kKeptSlots = 8;
+
+  struct Window {
+    std::uint64_t base = 0;  // seq of slots[0]
+    std::vector<Slot> slots;
+  };
+  std::vector<Window> by_origin_;
+  std::vector<std::uint64_t> occupied_;  // bit o: origin o's window holds a slot
 };
 
 /// The application-level message carried through atomic broadcast.

@@ -56,7 +56,8 @@ FdAbcastProcess::~FdAbcastProcess() {
 }
 
 FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
-  return {pending_.size(), delivered_ids_.window_words(), consensus_.decided_words_dbg()};
+  return {pending_count_, pending_.slots(), delivered_ids_.window_words(),
+          consensus_.decided_words_dbg()};
 }
 
 void FdAbcastProcess::submit_now(AppMessagePtr msg) {
@@ -80,7 +81,9 @@ void FdAbcastProcess::on_restart() {
   // and stay; only this incarnation's proposal marks are void (our
   // in-flight proposals died with us), so every still-pending id becomes
   // proposable again.
-  proposed_in_.clear();
+  pending_.for_each([](const MsgId&, Pending& p) { p.mark = 0; });
+  marked_ = 0;
+  mark_counts_.clear();
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
   ++sync_epoch_;
@@ -109,7 +112,7 @@ void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
   // previous sync).  A healthy process makes progress between ticks and
   // sends nothing here.
   const bool stalled = log_.size() == watch_log_ && next_to_process_ == watch_next_;
-  const bool outstanding = !pending_.empty() || !ready_decisions_.empty();
+  const bool outstanding = pending_count_ > 0 || !ready_decisions_.empty();
   if (syncing_ || (stalled && outstanding)) send_sync_req();
   if (!syncing_ && !outstanding) return;  // caught up and quiet: the watchdog retires
   watch_log_ = log_.size();
@@ -129,8 +132,8 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
   resp->suffix.assign(log_.begin() + static_cast<std::ptrdiff_t>(req.log_len), log_.end());
   resp->next = next_to_process_;
   resp->winners = winners_;
-  resp->pending.reserve(pending_.size());
-  for (const auto& [id, msg] : pending_) resp->pending.push_back(msg);
+  resp->pending.reserve(pending_count_);
+  pending_.for_each([resp](const MsgId&, const Pending& p) { resp->pending.push_back(p.msg); });
   sys_->node(self_).send(from, net::ProtocolId::kAtomicBroadcast, resp);
 }
 
@@ -139,13 +142,11 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
   syncing_ = false;
   for (AppMessagePtr msg : resp.suffix) {
     if (!delivered_ids_.insert(msg->id)) continue;
-    pending_.erase(msg->id);
-    proposed_in_.erase(msg->id);
+    if (pending_.find(msg->id) != nullptr) erase_pending(msg->id);
     log_.push_back(msg);
     deliver(*msg);
   }
-  for (AppMessagePtr msg : resp.pending)
-    if (!delivered_ids_.contains(msg->id)) pending_.emplace(msg->id, msg);
+  for (AppMessagePtr msg : resp.pending) admit_data(*msg);
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
     for (const auto& [number, winner] : resp.winners) winners_.insert_or_assign(number, winner);
@@ -186,8 +187,45 @@ void FdAbcastProcess::on_rdeliver(net::PayloadPtr payload) {
 
 bool FdAbcastProcess::admit_data(const AppMessage& msg) {
   if (delivered_ids_.contains(msg.id)) return false;
-  pending_.emplace(msg.id, &msg);
+  Pending& p = pending_.slot(msg.id);
+  if (p.msg == nullptr) {
+    p.msg = &msg;
+    ++pending_count_;
+  }
   return true;
+}
+
+void FdAbcastProcess::erase_pending(const MsgId& id) {
+  Pending& p = *pending_.find(id);
+  if (p.mark > swept_) {
+    --marked_;
+    count_mark(p.mark, -1);
+  }
+  p = Pending{};
+  --pending_count_;
+  pending_.release(id);
+}
+
+void FdAbcastProcess::count_mark(std::uint64_t mark, std::ptrdiff_t delta) {
+  for (auto& [m, count] : mark_counts_) {
+    if (m == mark) {
+      count = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(count) + delta);
+      return;
+    }
+  }
+  mark_counts_.emplace_back(mark, static_cast<std::size_t>(delta));
+}
+
+void FdAbcastProcess::set_mark(std::uint64_t& mark, std::uint64_t number) {
+  // `number` is an instance not yet applied here, so above swept_.
+  if (mark > swept_) {
+    if (mark >= number) return;
+    count_mark(mark, -1);
+  } else {
+    ++marked_;
+  }
+  mark = number;
+  count_mark(number, 1);
 }
 
 int FdAbcastProcess::offset_for(std::uint64_t number) const {
@@ -202,23 +240,20 @@ void FdAbcastProcess::prune_winners() {
 }
 
 void FdAbcastProcess::mark_pending(std::uint64_t number) {
-  for (const auto& [id, msg] : pending_) {
-    auto [it, inserted] = proposed_in_.try_emplace(id, number);
-    if (!inserted) it->second = std::max(it->second, number);
-  }
+  pending_.for_each([this, number](const MsgId&, Pending& p) { set_mark(p.mark, number); });
   // Causal anchor: the consensus round covering these messages starts
   // here; the walker closes the interval at the decision (on_ordered).
   if (auto* o = sys_->obs(); o != nullptr && o->causal()) {
     obs::MsgRefList refs;
-    for (const auto& [id, msg] : pending_) refs.add(id.origin, id.seq);
+    pending_.for_each([&refs](const MsgId& id, const Pending&) { refs.add(id.origin, id.seq); });
     o->trace_marker(obs::EdgeKind::kConsStart, self_, refs, sys_->now());
   }
 }
 
 net::PayloadPtr FdAbcastProcess::pending_proposal() {
   std::vector<MsgId> ids;
-  ids.reserve(pending_.size());
-  for (const auto& [id, msg] : pending_) ids.push_back(id);
+  ids.reserve(pending_count_);
+  pending_.for_each([&ids](const MsgId& id, const Pending&) { ids.push_back(id); });
   return sys_->arena().make<Proposal>(self_, std::move(ids));
 }
 
@@ -247,13 +282,10 @@ void FdAbcastProcess::maybe_start_next() {
   // yet covered by a proposal of ours.  Messages arriving while the
   // pipeline is full batch into a later instance (aggregation, §4.1).
   //
-  // proposed_in_ only ever marks ids that are in pending_, and a mark is
-  // erased no later than its message (delivery, sync and restart erase
-  // both; the re-proposal sweep erases marks only), so proposed_in_ is a
-  // subset of pending_ and "some pending message is uncovered" is a size
-  // comparison — O(1) instead of an O(pending) scan per delivery/arrival,
-  // which dominated large-n runs.
-  if (proposed_in_.size() >= pending_.size()) return;
+  // marked_ counts the pending messages with a live mark, so "some
+  // pending message is uncovered" is a count comparison — O(1) instead of
+  // an O(pending) scan per delivery/arrival, which dominated large-n runs.
+  if (marked_ >= pending_count_) return;
   std::uint64_t k = next_to_process_;
   while (can_start(k)) {
     if (!consensus_.running(k) && !consensus_.decided(k)) {
@@ -295,23 +327,22 @@ void FdAbcastProcess::process_ready_decisions() {
     // apply the same vector, so the delivery order is identical everywhere.
     for (const MsgId& id : prop.ids) {
       if (delivered_ids_.contains(id)) continue;
-      auto pit = pending_.find(id);
-      if (pit == pending_.end()) return;  // content not yet R-delivered; retry on arrival
-      AppMessagePtr msg = pit->second;
-      pending_.erase(pit);
-      proposed_in_.erase(id);
+      const Pending* p = pending_.find(id);
+      if (p == nullptr) return;  // content not yet R-delivered; retry on arrival
+      AppMessagePtr msg = p->msg;
+      erase_pending(id);
       delivered_ids_.insert(id);
       log_.push_back(msg);
       deliver(*msg);
     }
     // Re-proposal: ids whose latest proposal lost (mark at or below the
     // decision just applied) become uncovered again.
-    for (auto it = proposed_in_.begin(); it != proposed_in_.end();) {
-      if (it->second <= next_to_process_)
-        it = proposed_in_.erase(it);
-      else
-        ++it;
-    }
+    swept_ = next_to_process_;
+    std::erase_if(mark_counts_, [this](const std::pair<std::uint64_t, std::size_t>& e) {
+      if (e.first > swept_) return false;
+      marked_ -= e.second;
+      return true;
+    });
     winners_.emplace(next_to_process_, prop.proposer);
     prune_winners();
     ready_decisions_.erase(it);

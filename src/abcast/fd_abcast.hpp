@@ -26,13 +26,19 @@
 // eventually stop being round-1 coordinators.  Anchoring the rotation W
 // decisions back keeps it identical at every process despite the
 // pipelining (anchoring on "the latest local decision" would diverge).
+//
+// Data plane state: the pending messages live in per-origin flat windows
+// over their dense seqs (InFlightWindows), one slot per id holding the
+// content and its proposal mark, so proposals list them in id order
+// without a tree.  A per-mark count keeps "is some pending message
+// uncovered?" O(1), and applying a decision voids the marks it covers
+// without visiting a single id.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -91,6 +97,7 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// the messages in flight rather than by the run's history.
   struct DataPlaneSizes {
     std::size_t pending;          // R-delivered, not yet A-delivered
+    std::size_t pending_slots;    // slots of the per-origin pending windows
     std::size_t delivered_words;  // words of the per-origin delivered windows
     std::size_t decided_words;    // words of the consensus decided window
   };
@@ -131,6 +138,12 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
   bool admit_data(const AppMessage& msg);
+  /// Drops `id` from pending_ (A-delivered), with its proposal mark.
+  void erase_pending(const MsgId& id);
+  /// Raises a pending message's proposal mark to instance `number`.
+  void set_mark(std::uint64_t& mark, std::uint64_t number);
+  /// Adds `delta` to the count of pending messages whose mark is `mark`.
+  void count_mark(std::uint64_t mark, std::ptrdiff_t delta);
   // consensus::Client
   std::optional<consensus::StartInfo> join(std::uint64_t number) override;
   void on_decide(std::uint64_t number, net::PayloadPtr value) override;
@@ -164,12 +177,27 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   rbcast::ReliableBroadcast rb_;
   consensus::ConsensusService consensus_;
 
-  /// R-delivered, not yet A-delivered (id-ordered for proposals).
-  std::map<MsgId, AppMessagePtr> pending_;
-  /// Highest instance number whose proposal included the id.  Ids without
-  /// a mark trigger (and join) the next instance; marks at or below a
-  /// processed decision are cleared so lost proposals are re-proposed.
-  std::unordered_map<MsgId, std::uint64_t, MsgIdHash> proposed_in_;
+  /// An R-delivered, not yet A-delivered message and its proposal mark:
+  /// the highest instance whose proposal included it.  A mark is live
+  /// while it is above swept_; a message without a live mark triggers
+  /// (and joins) the next instance.
+  struct Pending {
+    AppMessagePtr msg = nullptr;
+    std::uint64_t mark = 0;
+    [[nodiscard]] bool empty() const { return msg == nullptr; }
+  };
+  /// Pending messages, iterated in id order for proposals.
+  InFlightWindows<Pending> pending_;
+  std::size_t pending_count_ = 0;
+  /// Marks at or below swept_ are void: applying decision k voids every
+  /// mark at or below k, so ids whose latest proposal lost are proposed
+  /// again.  A log sync that skips decisions does not sweep; the next
+  /// applied decision does.
+  std::uint64_t swept_ = 0;
+  /// Pending messages with a live mark, and how many carry each live mark
+  /// (a handful of distinct marks: the pipeline's instances).
+  std::size_t marked_ = 0;
+  std::vector<std::pair<std::uint64_t, std::size_t>> mark_counts_;
   DeliveredIds delivered_ids_;
   std::vector<AppMessagePtr> log_;
 

@@ -131,9 +131,10 @@ void GmAbcastProcess::on_restart() {
   // A-broadcast the moment the application submits it, so dropping the
   // buffer would leave recorded messages undeliverable forever (and fail
   // every drain check).
-  msgs_.clear();
+  held_.clear();
+  undelivered_ = 0;
+  seqnums_ = 0;
   arrival_order_.clear();
-  sn_of_.clear();
   msg_at_.reset(sn_floor_);
   recent_delivered_.clear();
   batch_ends_.clear();
@@ -151,9 +152,7 @@ void GmAbcastProcess::handle_data(const AppMessagePtr& msg) {
 }
 
 bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
-  if (delivered_.contains(msg->id) || msgs_.contains(msg->id)) return false;
-  msgs_.emplace(msg->id, msg);
-  arrival_order_.push_back(msg->id);
+  if (delivered_.contains(msg->id) || !hold_content(msg)) return false;
   // Causal anchor (sequencer only): the message entered the pending queue
   // here; the walker closes the interval at the sn assignment.
   if (active_sequencer()) {
@@ -164,6 +163,30 @@ bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
     }
   }
   return true;
+}
+
+bool GmAbcastProcess::hold_content(AppMessagePtr msg) {
+  Held& h = held_.slot(msg->id);
+  if (h.msg != nullptr) return false;
+  h.msg = msg;
+  ++undelivered_;
+  arrival_order_.push_back(msg->id);
+  return true;
+}
+
+void GmAbcastProcess::hold_sn(const MsgId& id, std::int64_t sn) {
+  Held& h = held_.slot(id);
+  if (h.sn != 0) return;
+  h.sn = sn;
+  ++seqnums_;
+}
+
+void GmAbcastProcess::drop_sn(const MsgId& id) {
+  Held* h = held_.find(id);
+  if (h == nullptr || h->sn == 0) return;
+  h->sn = 0;
+  --seqnums_;
+  if (h->empty()) held_.release(id);
 }
 
 void GmAbcastProcess::trigger_ordering() {
@@ -184,9 +207,11 @@ void GmAbcastProcess::sequence_pending() {
   std::vector<std::pair<MsgId, std::int64_t>> assigned;
   // arrival_order_ may still hold delivered ids between compactions.
   for (const MsgId& id : arrival_order_) {
-    if (delivered_.contains(id) || sn_of_.contains(id)) continue;
+    // Delivered ids hold no slot; every other one holds its content.
+    const Held* h = held_.find(id);
+    if (h == nullptr || h->sn != 0) continue;
     const std::int64_t sn = next_sn_++;
-    sn_of_.emplace(id, sn);
+    hold_sn(id, sn);
     msg_at_.assign(sn, id);
     assigned.emplace_back(id, sn);
   }
@@ -211,8 +236,8 @@ void GmAbcastProcess::sequence_pending() {
 void GmAbcastProcess::try_advance_ack() {
   const std::int64_t before = ack_sn_;
   while (true) {
-    const MsgId id = msg_at_.at(ack_sn_ + 1);
-    if (id.seq == 0 || !msgs_.contains(id)) break;
+    const Held* h = held_.find(msg_at_.at(ack_sn_ + 1));  // never holds the null id
+    if (h == nullptr || h->msg == nullptr) break;
     ++ack_sn_;
   }
   if (ack_sn_ == before) return;
@@ -260,11 +285,12 @@ void GmAbcastProcess::try_deliver_sequencer() {
 
 void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
   while (deliver_sn_ < sn) {
-    auto mit = msgs_.find(msg_at_.at(deliver_sn_ + 1));  // never holds the null id
-    if (mit == msgs_.end()) break;
+    const Held* h = held_.find(msg_at_.at(deliver_sn_ + 1));  // never holds the null id
+    if (h == nullptr || h->msg == nullptr) break;
+    const AppMessagePtr msg = h->msg;
     ++deliver_sn_;
-    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, mit->second);
-    deliver_msg(mit->second);
+    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, msg);
+    deliver_msg(msg);
   }
   // Non-uniform mode has no ack phase, no stable point and no NEED: a
   // mapping is dead once its message is delivered here.
@@ -273,15 +299,23 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
   if (!delivered_.insert(msg->id)) return;
-  msgs_.erase(msg->id);  // content lives on in the run's arena
   // Delivered ids are never sequenced again, so their bookkeeping goes
   // with them: per-message work and memory stay O(in flight), not
-  // O(history).  arrival_order_ is compacted once at least half of it is
-  // delivered ids (amortised O(1) per delivery); afterwards it holds
-  // exactly the keys of msgs_, in arrival order.
-  sn_of_.erase(msg->id);
-  if (arrival_order_.size() > 2 * msgs_.size() + 64)
-    std::erase_if(arrival_order_, [this](const MsgId& id) { return !msgs_.contains(id); });
+  // O(history).  The content lives on in the run's arena.  arrival_order_
+  // is compacted once at least half of it is delivered ids (amortised O(1)
+  // per delivery); afterwards it holds exactly the ids with content, in
+  // arrival order.
+  if (Held* h = held_.find(msg->id)) {
+    if (h->msg != nullptr) --undelivered_;
+    if (h->sn != 0) --seqnums_;
+    *h = Held{};
+    held_.release(msg->id);
+  }
+  if (arrival_order_.size() > 2 * undelivered_ + 64)
+    std::erase_if(arrival_order_, [this](const MsgId& id) {
+      const Held* h = held_.find(id);
+      return h == nullptr || h->msg == nullptr;
+    });
   log_.push_back(msg);
   deliver(*msg);
 }
@@ -304,8 +338,8 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
       // A repair re-multicast may re-announce ids delivered here already;
-      // their sn_of_ entries are gone and must stay gone.
-      if (!delivered_.contains(id)) sn_of_.emplace(id, sn);
+      // their slots are gone and must stay gone.
+      if (!delivered_.contains(id)) hold_sn(id, sn);
       msg_at_.assign(sn, id);  // ignored at or below the trimmed stable point
     }
     try_advance_ack();
@@ -344,8 +378,8 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       if (id.seq == 0) continue;
       pairs.emplace_back(id, sn);
       AppMessagePtr content = nullptr;
-      if (auto mit = msgs_.find(id); mit != msgs_.end()) {
-        content = mit->second;
+      if (const Held* h = held_.find(id); h != nullptr && h->msg != nullptr) {
+        content = h->msg;
       } else if (auto rit = recent_delivered_.find(sn);
                  rit != recent_delivered_.end() && rit->second->id == id) {
         content = rit->second;  // delivered but not yet stable: O(log n)
@@ -384,14 +418,12 @@ void GmAbcastProcess::on_message(const net::Message& m) {
 gm::UnstableReport GmAbcastProcess::unstable_messages() const {
   gm::UnstableReport report;
   report.watermark = deliver_sn_;
-  report.entries.reserve(msgs_.size() + recent_delivered_.size());
+  report.entries.reserve(undelivered_ + recent_delivered_.size());
   // Undelivered messages, sequenced or not.
   for (const MsgId& id : arrival_order_) {
-    auto it = msgs_.find(id);
-    if (it == msgs_.end()) continue;  // delivered
-    auto sit = sn_of_.find(id);
-    report.entries.push_back(
-        gm::UnstableEntry{it->second, sit == sn_of_.end() ? -1 : sit->second});
+    const Held* h = held_.find(id);
+    if (h == nullptr || h->msg == nullptr) continue;  // delivered
+    report.entries.push_back(gm::UnstableEntry{h->msg, h->sn != 0 ? h->sn : -1});
   }
   // Recently delivered sequenced messages: possibly undelivered elsewhere,
   // so they must keep their sequence number through the view change.
@@ -418,10 +450,7 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   std::int64_t max_sn = sn_floor_;
   for (const gm::UnstableEntry& e : sequenced) {
     max_sn = std::max(max_sn, e.seqnum);
-    if (!delivered_.contains(e.msg->id)) {
-      msgs_.try_emplace(e.msg->id, e.msg);  // we may never have seen it
-      deliver_msg(e.msg);
-    }
+    if (!delivered_.contains(e.msg->id)) deliver_msg(e.msg);  // we may never have seen it
   }
   for (const gm::UnstableEntry& e : plain)
     if (!delivered_.contains(e.msg->id)) deliver_msg(e.msg);
@@ -440,7 +469,7 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  msg_at_.drop_above(sn_floor_, [this](const MsgId& id) { sn_of_.erase(id); });
+  msg_at_.drop_above(sn_floor_, [this](const MsgId& id) { drop_sn(id); });
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
@@ -474,11 +503,9 @@ net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
   GmState* st = sys_->arena().make<GmState>();
   for (std::size_t i = from; i < log_.size(); ++i) st->log_suffix.push_back(log_[i]);
   for (const MsgId& id : arrival_order_) {
-    auto it = msgs_.find(id);
-    if (it == msgs_.end()) continue;
-    auto sit = sn_of_.find(id);
-    st->known.emplace_back(it->second,
-                           sit == sn_of_.end() ? std::int64_t{-1} : sit->second);
+    const Held* h = held_.find(id);
+    if (h == nullptr || h->msg == nullptr) continue;
+    st->known.emplace_back(h->msg, h->sn != 0 ? h->sn : std::int64_t{-1});
   }
   st->sn_floor = sn_floor_;
   st->settled = deliver_sn_;
@@ -499,9 +526,9 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
                           recent_delivered_.upper_bound(sn_floor_));
   for (const auto& [msg, sn] : st->known) {
     if (delivered_.contains(msg->id)) continue;
-    if (msgs_.try_emplace(msg->id, msg).second) arrival_order_.push_back(msg->id);
+    hold_content(msg);
     if (sn > sn_floor_) {
-      sn_of_.emplace(msg->id, sn);
+      hold_sn(msg->id, sn);
       msg_at_.assign(sn, msg->id);
     }
   }

@@ -20,13 +20,18 @@
 //
 // The non-uniform variant of §8 (two multicasts, no ack/deliver phase) is
 // available through GmAbcastConfig::uniform = false.
+//
+// Data plane state: what a process knows of each undelivered message, its
+// content and its sequence number, lives in one slot of a per-origin flat
+// window over the dense seqs (InFlightWindows); SnWindow maps sequence
+// numbers back to ids.  Both are trimmed from below, so they span the
+// messages in flight.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "abcast/abcast.hpp"
@@ -75,11 +80,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
     std::size_t arrival_order;    // sequencing-order entries (incl. not yet compacted)
     std::size_t undelivered;      // known, undelivered contents
     std::size_t seqnums;          // id -> sequence-number mappings
+    std::size_t held_slots;       // slots of the per-origin {content, sn} windows
     std::size_t sn_window;        // sequence-number -> id window slots
     std::size_t delivered_words;  // words of the per-origin delivered windows
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
-    return {arrival_order_.size(), msgs_.size(), sn_of_.size(), msg_at_.size(),
+    return {arrival_order_.size(), undelivered_, seqnums_, held_.slots(), msg_at_.size(),
             delivered_.window_words()};
   }
 
@@ -118,6 +124,13 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// or delivered.  Batch paths admit every message, then trigger the
   /// ordering step once.
   bool admit_data(const AppMessagePtr& msg);
+  /// Records `msg`'s content (appending it to the sequencing order);
+  /// false when it was held already.
+  bool hold_content(AppMessagePtr msg);
+  /// Records `id` -> `sn` unless the id has a sequence number already.
+  void hold_sn(const MsgId& id, std::int64_t sn);
+  /// Forgets `id`'s sequence number (a dead view's assignment).
+  void drop_sn(const MsgId& id);
   /// One ordering step: sequence (active sequencer) or ack (follower).
   void trigger_ordering();
   void sequence_pending();
@@ -191,11 +204,20 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
     std::vector<MsgId> ids_;
   };
 
-  // msgs_, arrival_order_ and sn_of_ describe undelivered messages only:
-  // deliver_msg drops a message's entries (arrival_order_'s lazily).
-  std::unordered_map<MsgId, AppMessagePtr, MsgIdHash> msgs_;  // known content
-  std::vector<MsgId> arrival_order_;                          // sequencing order
-  std::unordered_map<MsgId, std::int64_t, MsgIdHash> sn_of_;
+  /// What is known of one undelivered message: its content and its
+  /// sequence number (0: none yet; assigned ones start at 1).  Either may
+  /// come first: a SEQNUM can overtake the DATA it orders.
+  struct Held {
+    AppMessagePtr msg = nullptr;
+    std::int64_t sn = 0;
+    [[nodiscard]] bool empty() const { return msg == nullptr && sn == 0; }
+  };
+  // held_ and arrival_order_ describe undelivered messages only:
+  // deliver_msg drops a message's slot (arrival_order_'s entry lazily).
+  InFlightWindows<Held> held_;
+  std::size_t undelivered_ = 0;       // slots with content
+  std::size_t seqnums_ = 0;           // slots with a sequence number
+  std::vector<MsgId> arrival_order_;  // sequencing order
   SnWindow msg_at_;
   DeliveredIds delivered_;
   std::vector<AppMessagePtr> log_;

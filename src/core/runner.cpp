@@ -127,6 +127,7 @@ PointResult steady_replica(SimConfig cfg, const SteadyConfig& sc,
       drained ? run.recorder().window_stats(t0, t_end) : util::RunningStats{};
   out.stable = window.count() > 0;
   if (out.stable) out.latency = util::MeanCi{window.mean(), 0.0, 1};
+  out.budget_met = run.recorder().broadcast_in_window(t0, t_end) >= sc.samples;
   out.total_samples = window.count();
   out.stats = capture(run, r == 0, out.stable, t0, t_end);
   return out;
@@ -230,6 +231,7 @@ PointResult run_steady(const SimConfig& cfg, const SteadyConfig& sc,
       continue;
     }
     means.push_back(rep.latency.mean);
+    out.budget_met = out.budget_met && rep.budget_met;
     out.total_samples += rep.total_samples;
   }
   // A point is reported only when a clear majority of replicas converged;

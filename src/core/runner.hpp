@@ -85,6 +85,10 @@ struct RunStats {
 struct PointResult {
   util::MeanCi latency;
   bool stable = true;  // false: saturated / did not converge
+  /// run_steady: every converged replica broadcast `samples` messages in
+  /// its measurement window before `max_time_ms` ended it.  False means
+  /// the point rests on fewer messages than asked for.
+  bool budget_met = true;
   std::size_t total_samples = 0;
   RunStats stats;
   bool operator==(const PointResult&) const = default;

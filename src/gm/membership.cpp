@@ -187,29 +187,36 @@ void GroupMembership::maybe_start_consensus() {
     return;
   }
 
-  // U = union of all received unstable sets; a message sequenced anywhere
-  // keeps its sequence number.  The settled watermark is the max of the
-  // contributors' delivery watermarks and of the sequence numbers in U.
-  // Reports are merged in pid order.
-  std::map<abcast::MsgId, UnstableEntry> u;
-  std::int64_t settled = 0;
-  for (const UnstableReport* report : unstable_received_) {
-    if (report == nullptr) continue;
-    settled = std::max(settled, report->watermark);
-    for (const UnstableEntry& e : report->entries) {
-      auto [it, inserted] = u.try_emplace(e.msg->id, e);
-      if (!inserted && e.seqnum >= 0) it->second.seqnum = e.seqnum;
-      settled = std::max(settled, e.seqnum);
-    }
-  }
-  std::vector<UnstableEntry> u_vec;
-  u_vec.reserve(u.size());
-  for (auto& [id, e] : u) u_vec.push_back(e);
-
-  // J = known joiners that are not already members.
+  // The proposal is fixed now, from a snapshot of the reports held, P and
+  // J (known joiners that are not already members): reports that arrive
+  // later never leak into it, however late it is built.
+  std::vector<const UnstableReport*> reports;
+  for (const UnstableReport* report : unstable_received_)
+    if (report != nullptr) reports.push_back(report);
   std::vector<Joiner> j_vec;
   for (const Joiner& j : joiners_)
     if (!view_.contains(j.p)) j_vec.push_back(j);
+  auto build = [arena = &sys_->arena(), reports = std::move(reports), p_set = std::move(p_set),
+                j_vec = std::move(j_vec)]() -> net::PayloadPtr {
+    // U = union of the unstable sets, in id order; a message sequenced
+    // anywhere keeps its sequence number.  The settled watermark is the
+    // max of the contributors' delivery watermarks and of the sequence
+    // numbers in U.  Reports are merged in pid order.
+    std::map<abcast::MsgId, UnstableEntry> u;
+    std::int64_t settled = 0;
+    for (const UnstableReport* report : reports) {
+      settled = std::max(settled, report->watermark);
+      for (const UnstableEntry& e : report->entries) {
+        auto [it, inserted] = u.try_emplace(e.msg->id, e);
+        if (!inserted && e.seqnum >= 0) it->second.seqnum = e.seqnum;
+        settled = std::max(settled, e.seqnum);
+      }
+    }
+    std::vector<UnstableEntry> u_vec;
+    u_vec.reserve(u.size());
+    for (auto& [id, e] : u) u_vec.push_back(e);
+    return arena->make<MembershipProposal>(p_set, std::move(u_vec), j_vec, settled);
+  };
 
   consensus_started_ = true;
   consensus::StartInfo info{
@@ -220,9 +227,15 @@ void GroupMembership::maybe_start_consensus() {
       // costs an extra round — part of why the paper finds the view change
       // more expensive than the FD algorithm's recovery (§4.4, Fig. 8).
       .coordinator_offset = 0,
-      .initial = sys_->arena().make<MembershipProposal>(std::move(p_set), std::move(u_vec),
-                                                        std::move(j_vec), settled),
   };
+  // Only the round-1 coordinator, the lowest member (Instance sorts the
+  // members), proposes its initial value.  Anyone else's would ride an
+  // ESTIMATE with timestamp 0, which is never chosen: it builds the same
+  // value only if it coordinates a round in which nothing was locked.
+  if (*std::ranges::min_element(view_.members) == self_)
+    info.initial = build();
+  else
+    info.refresh = std::move(build);
   consensus_.start(view_.id, std::move(info));
 }
 

@@ -13,7 +13,13 @@
 //    message) does the same;
 //  * once a process has the unstable messages of every member it does not
 //    suspect — at least a majority — it proposes (P, U, J) to consensus
-//    instance #view-id, run among the members of the current view;
+//    instance #view-id, run among the members of the current view.  It
+//    fixes (P, U, J) from a snapshot of the reports it holds, but only the
+//    round-1 coordinator (the lowest member) builds it at once: anyone
+//    else's initial value would ride an ESTIMATE with timestamp 0, never
+//    chosen, so it builds the same value only if it coordinates a round in
+//    which nothing was locked.  At n = 64 that saves 62 merges of n
+//    reports per view change;
 //  * the decision (P', U', J') is processed by every member: flush U',
 //    install view (id+1, P' ∪ J');
 //  * a member not in P' is wrongly excluded (or crashed).  A correct

@@ -220,6 +220,25 @@ TEST(BenchCli, CriticalPathFailsOnDroppedEdges) {
   EXPECT_NE(r.err.find("dropped"), std::string::npos) << r.err;
 }
 
+// A row whose runs hit the time horizon before the sample budget is
+// printed, but not silently: quick mode's 30 s horizon caps a run at about
+// 2900 messages, so 8000 samples is short on every row, and the default
+// quick budget (150) is met on every row.
+TEST(BenchCli, CriticalPathWarnsWhenTheHorizonCutsTheSampleBudget) {
+  if (!bench_available()) GTEST_SKIP() << "fdgm_bench not built";
+  const std::string base = "critical_path --set quick=1 --format csv --jobs 4";
+  const CliResult cut = run_bench(base + " --set samples=8000 --set replicas=1");
+  EXPECT_EQ(cut.status, 0) << cut.err;
+  std::size_t warnings = 0;
+  for (std::size_t at = cut.err.find("short of 8000 samples"); at != std::string::npos;
+       at = cut.err.find("short of 8000 samples", at + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 4u) << cut.err;  // one per row: FD and GM at two points
+  const CliResult met = run_bench(base);
+  EXPECT_EQ(met.status, 0) << met.err;
+  EXPECT_EQ(met.err.find("short of"), std::string::npos) << met.err;
+}
+
 // The scheduler has one queue and no knobs: scripts still passing the
 // old backend options must fail loudly rather than be silently ignored.
 TEST(BenchCli, RemovedSchedulerOptionsAreUnknown) {

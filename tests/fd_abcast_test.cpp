@@ -292,8 +292,9 @@ TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
   // The paper's steady point (n = 7, T = 300/s) for 20 simulated seconds,
   // with p3 crashed for 2 s midway: its log sync settles the delivered ids
   // and decided instances it missed out of band.  The per-origin delivered
-  // windows and the decided-instance window must track what is in flight,
-  // not the thousands of messages and instances of the run.
+  // windows, the per-origin pending windows and the decided-instance
+  // window must track what is in flight, not the thousands of messages and
+  // instances of the run.
   fd::QosParams qp;
   qp.detection_time = 10.0;
   Fixture f(7, qp);
@@ -322,6 +323,7 @@ TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
       const auto s = f.procs[static_cast<std::size_t>(p)]->data_plane_dbg();
       ASSERT_LE(s.delivered_words, 2u * 7) << "p" << p << " at " << t << " ms";
       ASSERT_LE(s.decided_words, 2u) << "p" << p << " at " << t << " ms";
+      ASSERT_LE(s.pending_slots, 64u) << "p" << p << " at " << t << " ms";
     }
   }
   f.sys.scheduler().run();
@@ -331,6 +333,7 @@ TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
     EXPECT_EQ(p->log().size(), f.procs[0]->log().size()) << "p" << p->id();
     const auto s = p->data_plane_dbg();
     EXPECT_EQ(s.pending, 0u);
+    EXPECT_EQ(s.pending_slots, 0u);
     EXPECT_LE(s.delivered_words, 7u);
     EXPECT_LE(s.decided_words, 1u);
   }

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <memory>
 #include <type_traits>
+#include <unordered_set>
 #include <vector>
 
 #include "abcast/gm_abcast.hpp"
+#include "consensus/types.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
 #include "transport/transport.hpp"
@@ -381,6 +383,7 @@ TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
   // in flight (a few dozen), not the ~6000 delivered so far.  Checked
   // every 2 ms, so the window right after each compaction is covered too.
   // The sn -> id window spans the stable point to the last assignment; the
+  // per-origin {content, sn} windows the undelivered messages; the
   // delivered-id windows the deliveries still out of order per origin.
   Fixture f(7);
   std::vector<MsgId> ids;
@@ -393,6 +396,7 @@ TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
       const auto s = proc.data_plane_dbg();
       ASSERT_LE(s.sn_window, 64u) << "p" << p << " at " << t << " ms";
       ASSERT_LE(s.delivered_words, 2u * 7) << "p" << p << " at " << t << " ms";
+      ASSERT_LE(s.held_slots, 64u) << "p" << p << " at " << t << " ms";
     }
   }
   f.sys.scheduler().run();
@@ -402,6 +406,7 @@ TEST(GmAbcast, DataPlaneStateBoundedByInFlightMessages) {
     const auto s = f.procs[static_cast<std::size_t>(p)]->data_plane_dbg();
     EXPECT_EQ(s.undelivered, 0u);
     EXPECT_EQ(s.seqnums, 0u);
+    EXPECT_EQ(s.held_slots, 0u);
     EXPECT_LE(s.arrival_order, 64u);
     EXPECT_LE(s.sn_window, 64u);
     EXPECT_LE(s.delivered_words, 7u);
@@ -517,6 +522,46 @@ TEST(GmAbcast, SequencerCrashAfterCompactionsResequencesInFlight) {
   for (std::size_t i = 0; i < ids.size(); ++i)
     resequenced += sent_at[i] < flush_t && delivered_at(ids[i]) > flush_t ? 1 : 0;
   EXPECT_GT(resequenced, 0u);
+}
+
+// ------------------------------------------------ proposals built once
+
+TEST(GmAbcast, OnlyTheRoundOneCoordinatorBuildsAViewChangeProposal) {
+  // One view change of a 64-member group whose consensus decides in
+  // round 1: every member has delivered a message from each of the
+  // others, then p63 crashes.  Every payload the view change builds goes
+  // on the wire, the one proposal inside PROPOSE and DECIDE, except p0's
+  // ACK of its own proposal, which its consensus instance handles
+  // locally.  A proposal built at every member (only the round-1
+  // coordinator's, p0's, is ever sent) would leave 62 more unsent.
+  constexpr int kN = 64;
+  fd::QosParams qp;
+  qp.detection_time = 10.0;
+  Fixture f(kN, qp, 7);
+  for (const auto& p : f.procs) p->a_broadcast();
+  f.sys.scheduler().run();
+
+  std::unordered_set<net::PayloadPtr> sent;
+  std::unordered_set<net::PayloadPtr> values;  // consensus values on the wire
+  f.sys.network().set_delivery_tap([&](const net::Message& m, net::ProcessId) {
+    sent.insert(m.payload);
+    if (const auto* c = net::payload_cast<consensus::ConsensusMsg>(m.payload);
+        c != nullptr && c->value != nullptr)
+      values.insert(c->value);
+  });
+  const std::uint64_t before = f.sys.arena().objects();
+  f.sys.crash(kN - 1);
+  f.sys.scheduler().run();
+  const std::uint64_t built = f.sys.arena().objects() - before;
+
+  for (int i = 0; i < kN - 1; ++i) {
+    const auto& p = *f.procs[static_cast<std::size_t>(i)];
+    ASSERT_EQ(p.view().id, 1u) << "p" << i;
+    ASSERT_EQ(p.view().members.size(), static_cast<std::size_t>(kN - 1)) << "p" << i;
+  }
+  EXPECT_EQ(values.size(), 1u) << "proposals on the wire";
+  EXPECT_EQ(built, sent.size() + values.size() + 1) << "payloads built but never sent";
+  f.check_safety();
 }
 
 // ------------------------------------------------------------- property
