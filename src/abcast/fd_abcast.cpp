@@ -34,11 +34,12 @@ class FdAbcastProcess::SyncResp final : public net::Payload {
   static constexpr net::ProtocolId kProto = net::ProtocolId::kAtomicBroadcast;
   static constexpr std::uint8_t kKind = 1;
   SyncResp() : Payload(kProto, kKind) {}
-  std::uint64_t from_len = 0;                        // echo of the request
-  std::vector<AppMessagePtr> suffix;                 // log_[from_len..)
-  std::uint64_t next = 1;                            // peer's next_to_process_
-  std::map<std::uint64_t, net::ProcessId> winners;   // rotation anchors
-  std::vector<AppMessagePtr> pending;                // undecided contents
+  std::uint64_t from_len = 0;         // echo of the request
+  std::vector<AppMessagePtr> suffix;  // log_[from_len..)
+  std::uint64_t next = 1;             // peer's next_to_process_
+  /// Rotation anchors (decision number, winner), in number order.
+  std::vector<std::pair<std::uint64_t, net::ProcessId>> winners;
+  std::vector<AppMessagePtr> pending;  // undecided contents
 };
 
 FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
@@ -131,7 +132,10 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
   resp->from_len = req.log_len;
   resp->suffix.assign(log_.begin() + static_cast<std::ptrdiff_t>(req.log_len), log_.end());
   resp->next = next_to_process_;
-  resp->winners = winners_;
+  resp->winners.reserve(winners_.size());
+  winners_.for_each([resp](std::uint64_t number, net::ProcessId winner) {
+    resp->winners.emplace_back(number, winner);
+  });
   resp->pending.reserve(pending_count_);
   pending_.for_each([resp](const MsgId&, const Pending& p) { resp->pending.push_back(p.msg); });
   sys_->node(self_).send(from, net::ProtocolId::kAtomicBroadcast, resp);
@@ -149,10 +153,13 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
   for (AppMessagePtr msg : resp.pending) admit_data(*msg);
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
-    for (const auto& [number, winner] : resp.winners) winners_.insert_or_assign(number, winner);
+    // Prune first, then adopt the peer's anchors inside the window: the
+    // same set as adopting all and pruning after, without stretching the
+    // window over the decisions skipped.
     prune_winners();
-    ready_decisions_.erase(ready_decisions_.begin(),
-                           ready_decisions_.lower_bound(next_to_process_));
+    for (const auto& [number, winner] : resp.winners)
+      if (number + kPipeline >= next_to_process_) winners_.assign(number, winner);
+    ready_decisions_.erase_below(next_to_process_);
     consensus_.close_below(next_to_process_);
   }
   process_ready_decisions();
@@ -230,13 +237,12 @@ void FdAbcastProcess::set_mark(std::uint64_t& mark, std::uint64_t number) {
 
 int FdAbcastProcess::offset_for(std::uint64_t number) const {
   if (!cfg_.renumbering || number <= kPipeline) return 0;
-  auto it = winners_.find(number - kPipeline);
-  return it == winners_.end() ? 0 : it->second;
+  const net::ProcessId winner = winners_.get(number - kPipeline);
+  return winner == kNoWinner ? 0 : winner;
 }
 
 void FdAbcastProcess::prune_winners() {
-  while (!winners_.empty() && winners_.begin()->first + kPipeline < next_to_process_)
-    winners_.erase(winners_.begin());
+  if (next_to_process_ > kPipeline) winners_.erase_below(next_to_process_ - kPipeline);
 }
 
 void FdAbcastProcess::mark_pending(std::uint64_t number) {
@@ -320,9 +326,9 @@ void FdAbcastProcess::on_decide(std::uint64_t number, net::PayloadPtr value) {
 void FdAbcastProcess::process_ready_decisions() {
   bool applied = false;
   while (true) {
-    auto it = ready_decisions_.find(next_to_process_);
-    if (it == ready_decisions_.end()) break;
-    const Proposal& prop = *it->second;
+    const Proposal* ready = ready_decisions_.get(next_to_process_);
+    if (ready == nullptr) break;
+    const Proposal& prop = *ready;
     // Deliver the decision's messages in id order.  All correct processes
     // apply the same vector, so the delivery order is identical everywhere.
     for (const MsgId& id : prop.ids) {
@@ -345,7 +351,7 @@ void FdAbcastProcess::process_ready_decisions() {
     });
     winners_.emplace(next_to_process_, prop.proposer);
     prune_winners();
-    ready_decisions_.erase(it);
+    ready_decisions_.erase(next_to_process_);
     ++next_to_process_;
     applied = true;
   }

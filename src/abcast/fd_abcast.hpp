@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "net/system.hpp"
 #include "obs/causal.hpp"
 #include "rbcast/reliable_broadcast.hpp"
+#include "util/seq_map.hpp"
 
 namespace fdgm::abcast {
 
@@ -132,6 +132,8 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// Pipeline depth W: instance #k may start once decision #(k-W) was
   /// processed.  1 = strictly sequential instances.
   static constexpr std::uint64_t kPipeline = 2;
+  /// winners_'s absent value.
+  static constexpr net::ProcessId kNoWinner = -1;
 
   // rbcast::Sink — an AppMessage or AppBatch R-delivered.
   void on_rdeliver(net::PayloadPtr payload) override;
@@ -202,10 +204,14 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   std::vector<AppMessagePtr> log_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply
-  std::map<std::uint64_t, const Proposal*> ready_decisions_;
-  /// Winning proposer per processed decision (pruned below the window):
-  /// anchors the coordinator rotation of instance #(k + kPipeline).
-  std::map<std::uint64_t, net::ProcessId> winners_;
+  /// Decisions received but not yet applied, by instance number: a flat
+  /// window from next_to_process_ up (the pipeline's few instances; a
+  /// recovering process may hold some far above until its log sync).
+  util::SeqMap<std::uint64_t, const Proposal*> ready_decisions_;
+  /// Winning proposer per processed decision, pruned below the window:
+  /// anchors the coordinator rotation of instance #(k + kPipeline).  A
+  /// flat window over the last kPipeline + 1 decisions at most.
+  util::SeqMap<std::uint64_t, net::ProcessId, kNoWinner> winners_;
 
   // Crash-recovery catch-up state.
   bool syncing_ = false;           // restarted, no sync response applied yet

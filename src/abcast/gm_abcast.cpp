@@ -274,7 +274,7 @@ void GmAbcastProcess::try_deliver_sequencer() {
   const std::int64_t stable = *std::min_element(cover.begin(), cover.end());
   announced_ = deliverable;
   deliver_up_to(deliverable);
-  recent_delivered_.erase(recent_delivered_.begin(), recent_delivered_.upper_bound(stable));
+  recent_delivered_.erase_below(stable + 1);
   msg_at_.trim_to(stable);
   sys_->node(self_).multicast_others(
       view_.members, net::ProtocolId::kAtomicBroadcast,
@@ -349,15 +349,17 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (a->view_id != view_.id || !active_sequencer()) return;
     std::int64_t& cum = acks_[static_cast<std::size_t>(m.src)];
     cum = std::max(cum, a->cum);
-    try_deliver_sequencer();
+    // The majority cover is at most announced_ after every selection, and
+    // raising one member's point to announced_ or below cannot lift it
+    // higher: only an ack above announced_ needs the O(|view|) selection.
+    if (cum > announced_) try_deliver_sequencer();
     return;
   }
   if (const auto* del = net::payload_cast<DeliverMsg>(m)) {
     if (del->view_id != view_.id || frozen_ || !member_) return;
     announced_ = std::max(announced_, del->cum);
     deliver_up_to(std::min(announced_, ack_sn_));
-    recent_delivered_.erase(recent_delivered_.begin(),
-                            recent_delivered_.upper_bound(del->stable));
+    recent_delivered_.erase_below(del->stable + 1);
     msg_at_.trim_to(del->stable);
     if (announced_ > ack_sn_ && announced_ > requested_) {
       // Gap repair (post-rejoin): ask the sequencer for what we miss.
@@ -380,9 +382,9 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       AppMessagePtr content = nullptr;
       if (const Held* h = held_.find(id); h != nullptr && h->msg != nullptr) {
         content = h->msg;
-      } else if (auto rit = recent_delivered_.find(sn);
-                 rit != recent_delivered_.end() && rit->second->id == id) {
-        content = rit->second;  // delivered but not yet stable: O(log n)
+      } else if (const AppMessagePtr recent = recent_delivered_.get(sn);
+                 recent != nullptr && recent->id == id) {
+        content = recent;  // delivered but not yet stable
       } else {
         // Delivered and stable: fetch from the log.
         for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
@@ -427,8 +429,9 @@ gm::UnstableReport GmAbcastProcess::unstable_messages() const {
   }
   // Recently delivered sequenced messages: possibly undelivered elsewhere,
   // so they must keep their sequence number through the view change.
-  for (const auto& [sn, msg] : recent_delivered_)
+  recent_delivered_.for_each([&report](std::int64_t sn, AppMessagePtr msg) {
     report.entries.push_back(gm::UnstableEntry{msg, sn});
+  });
   return report;
 }
 
@@ -462,8 +465,7 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   deliver_sn_ = std::max(deliver_sn_, sn_floor_);
   announced_ = std::max(announced_, sn_floor_);
   requested_ = std::max(requested_, sn_floor_);
-  recent_delivered_.erase(recent_delivered_.begin(),
-                          recent_delivered_.upper_bound(sn_floor_));
+  recent_delivered_.erase_below(sn_floor_ + 1);
   drop_mappings_above_floor();
   msg_at_.trim_to(sn_floor_);
 }
@@ -522,8 +524,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
   drop_mappings_above_floor();  // our own leftovers from the dead view
   msg_at_.trim_to(sn_floor_);
-  recent_delivered_.erase(recent_delivered_.begin(),
-                          recent_delivered_.upper_bound(sn_floor_));
+  recent_delivered_.erase_below(sn_floor_ + 1);
   for (const auto& [msg, sn] : st->known) {
     if (delivered_.contains(msg->id)) continue;
     hold_content(msg);

@@ -24,13 +24,14 @@
 // Data plane state: what a process knows of each undelivered message, its
 // content and its sequence number, lives in one slot of a per-origin flat
 // window over the dense seqs (InFlightWindows); SnWindow maps sequence
-// numbers back to ids.  Both are trimmed from below, so they span the
-// messages in flight.
+// numbers back to ids, and recent_delivered_ keeps the delivered,
+// not yet stable messages by sequence number, both as flat windows over
+// the dense sns.  All three are trimmed from below, so they span the
+// messages in flight, and none allocates per message once grown.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -41,6 +42,7 @@
 #include "gm/view.hpp"
 #include "net/system.hpp"
 #include "obs/causal.hpp"
+#include "util/seq_map.hpp"
 
 namespace fdgm::abcast {
 
@@ -228,10 +230,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   std::int64_t announced_ = 0;   // highest DELIVER cum seen / sent
   std::int64_t requested_ = 0;   // NEED-repair throttle
 
-  // Recently delivered sequenced messages, kept until known stable (all
-  // members hold them): they may still be undelivered elsewhere and must
-  // keep their sequence number through a view change.
-  std::map<std::int64_t, AppMessagePtr> recent_delivered_;
+  /// Recently delivered sequenced messages by sequence number, kept until
+  /// known stable (all members hold them): they may still be undelivered
+  /// elsewhere and must keep their sequence number through a view change.
+  /// A flat window over the dense sns between the stable point and
+  /// deliver_sn_, trimmed with msg_at_.
+  util::SeqMap<std::int64_t, AppMessagePtr> recent_delivered_;
 
   // Sequencer state.  Batches run in a shallow pipeline (depth 2, like
   // the FD algorithm's consensus instances): a new SEQNUM batch goes out

@@ -34,7 +34,8 @@ void Instance::reset(std::uint64_t number, StartInfo info) {
     o->count(self_, obs::Counter::kConsensusRounds, service_->system().now());
   done_ = false;
   in_progress_ = false;
-  std::sort(members_.begin(), members_.end());
+  if (!std::is_sorted(members_.begin(), members_.end()))
+    std::sort(members_.begin(), members_.end());
   if (!std::binary_search(members_.begin(), members_.end(), self_))
     throw std::invalid_argument("consensus::Instance: self not a member");
   service_->fd().add_listener(this);
@@ -57,8 +58,12 @@ Instance::RoundState& Instance::rs(std::uint32_t r) {
   if (rounds_.size() < r) rounds_.resize(r);
   auto& p = rounds_[r - 1];
   if (!p) p = std::make_unique<RoundState>();
-  if (p->from.empty()) p->from.assign(members_.size(), RoundState::PerMember{});
   return *p;
+}
+
+Instance::RoundState::PerMember& Instance::reply(RoundState& st, int rank) {
+  if (st.from.empty()) st.from.assign(members_.size(), RoundState::PerMember{});
+  return st.from[static_cast<std::size_t>(rank)];
 }
 
 int Instance::rank_of(net::ProcessId p) const {
@@ -75,14 +80,16 @@ void Instance::start() { try_progress(); }
 
 void Instance::send_to_coordinator(std::uint32_t r, ConsensusMsg::Kind kind,
                                    net::PayloadPtr value, std::uint32_t ts) {
-  const ConsensusMsg* msg =
-      service_->system().arena().make<ConsensusMsg>(number_, kind, r, value, ts);
   const net::ProcessId coord = coordinator(r);
   if (coord == self_) {
-    on_msg(self_, *msg);  // local bookkeeping, no network cost
-  } else {
-    service_->unicast(coord, msg);
+    // Local bookkeeping, no network cost: the message never leaves this
+    // call, so it is not built in the run's arena.
+    on_msg(self_, ConsensusMsg(number_, kind, r, value, ts));
+    return;
   }
+  const ConsensusMsg* msg =
+      service_->system().arena().make<ConsensusMsg>(number_, kind, r, value, ts);
+  service_->unicast(coord, msg);
 }
 
 void Instance::on_msg(net::ProcessId from, const ConsensusMsg& m) {
@@ -92,7 +99,7 @@ void Instance::on_msg(net::ProcessId from, const ConsensusMsg& m) {
   switch (m.kind) {
     case ConsensusMsg::Kind::kEstimate:
       if (rank >= 0) {
-        auto& pm = st.from[static_cast<std::size_t>(rank)];
+        auto& pm = reply(st, rank);
         if (!(pm.bits & RoundState::kEstimate)) {  // first estimate wins
           pm.bits |= RoundState::kEstimate;
           pm.est_value = m.value;
@@ -111,7 +118,7 @@ void Instance::on_msg(net::ProcessId from, const ConsensusMsg& m) {
       break;
     case ConsensusMsg::Kind::kAck:
       if (rank >= 0) {
-        auto& pm = st.from[static_cast<std::size_t>(rank)];
+        auto& pm = reply(st, rank);
         if (!(pm.bits & RoundState::kAck)) {
           pm.bits |= RoundState::kAck;
           ++st.acks;
@@ -120,7 +127,7 @@ void Instance::on_msg(net::ProcessId from, const ConsensusMsg& m) {
       break;
     case ConsensusMsg::Kind::kNack:
       if (rank >= 0) {
-        auto& pm = st.from[static_cast<std::size_t>(rank)];
+        auto& pm = reply(st, rank);
         if (!(pm.bits & RoundState::kNack)) {
           pm.bits |= RoundState::kNack;
           ++st.nacks;
@@ -270,33 +277,33 @@ ConsensusService::~ConsensusService() {
   sys_->node(self_).register_handler(net::ProtocolId::kConsensus, nullptr);
 }
 
-std::unique_ptr<Instance> ConsensusService::acquire_instance(std::uint64_t number, StartInfo info) {
+Instance* ConsensusService::acquire_instance(std::uint64_t number, StartInfo info) {
   if (!pool_.empty()) {
-    std::unique_ptr<Instance> inst = std::move(pool_.back());
+    Instance* inst = pool_.back();
     pool_.pop_back();
     inst->reset(number, std::move(info));
     return inst;
   }
-  return std::make_unique<Instance>(*this, number, self_, std::move(info));
+  bodies_.push_back(std::make_unique<Instance>(*this, number, self_, std::move(info)));
+  return bodies_.back().get();
 }
 
-void ConsensusService::retire(std::unique_ptr<Instance> inst) {
+void ConsensusService::retire(Instance* inst) {
   inst->retire();
-  pool_.push_back(std::move(inst));
+  pool_.push_back(inst);
 }
 
 void ConsensusService::start(std::uint64_t number, StartInfo info) {
   if (decided(number) || instances_.contains(number)) return;
-  std::unique_ptr<Instance> inst = acquire_instance(number, std::move(info));
-  Instance* raw = inst.get();
-  instances_.emplace(number, std::move(inst));
+  Instance* inst = acquire_instance(number, std::move(info));
+  instances_.emplace(number, inst);
   // Replay messages that arrived before we joined.
   if (auto it = buffered_.find(number); it != buffered_.end()) {
     auto msgs = std::move(it->second);
     buffered_.erase(it);
-    for (auto& [from, m] : msgs) raw->on_msg(from, *m);
+    for (auto& [from, m] : msgs) inst->on_msg(from, *m);
   }
-  raw->start();
+  inst->start();
 }
 
 void ConsensusService::retry_buffered() {
@@ -313,15 +320,10 @@ void ConsensusService::retry_buffered() {
 
 void ConsensusService::close_below(std::uint64_t number) {
   decided_.raise_floor(number);
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    if (it->first < number) {
-      it->second->halt();
-      retire(std::move(it->second));
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  instances_.erase_below(number, [this](std::uint64_t, Instance* inst) {
+    inst->halt();
+    retire(inst);
+  });
   std::erase_if(buffered_, [number](const auto& entry) { return entry.first < number; });
 }
 
@@ -336,8 +338,8 @@ void ConsensusService::on_message(const net::Message& m) {
 
 void ConsensusService::dispatch(net::ProcessId from, const ConsensusMsg* m) {
   if (decided(m->number)) return;  // stale traffic for a closed instance
-  if (auto it = instances_.find(m->number); it != instances_.end()) {
-    it->second->on_msg(from, *m);
+  if (Instance* inst = instances_.get(m->number)) {
+    inst->on_msg(from, *m);
     return;
   }
   // Unknown instance: buffer the message, and start the instance (which
@@ -366,17 +368,17 @@ void ConsensusService::decide(std::uint64_t number, const std::vector<net::Proce
 void ConsensusService::handle_decision(const ConsensusMsg* cm) {
   // Duplicate, or settled out of band by close_below already.
   if (!decided_.insert(cm->number)) return;
-  if (auto it = instances_.find(cm->number); it != instances_.end()) {
+  if (Instance* inst = instances_.get(cm->number)) {
     // halt() now; retire later.  The decision is applied synchronously
     // from inside the instance's own try_progress (the coordinator's local
     // apply), so pooling here could hand a live stack frame's instance to
     // a new number.
-    it->second->halt();
+    inst->halt();
     sys_->scheduler().schedule_after(0, [this, number = cm->number] {
-      auto dit = instances_.find(number);
-      if (dit == instances_.end()) return;  // close_below retired it already
-      retire(std::move(dit->second));
-      instances_.erase(dit);
+      Instance* done = instances_.get(number);
+      if (done == nullptr) return;  // close_below retired it already
+      retire(done);
+      instances_.erase(number);
     });
   }
   buffered_.erase(cm->number);

@@ -54,6 +54,7 @@
 #include "fd/failure_detector.hpp"
 #include "net/message.hpp"
 #include "net/system.hpp"
+#include "util/seq_map.hpp"
 #include "util/seq_set.hpp"
 
 namespace fdgm::consensus {
@@ -64,7 +65,9 @@ struct StartInfo {
   /// Points at the caller's member list: Instance::reset copies it
   /// synchronously (into a capacity-retaining pooled vector), so the
   /// pointee only has to outlive the start/join call — no per-instance
-  /// vector allocation on the hot path.
+  /// vector allocation on the hot path.  The copy is sorted only when the
+  /// list is not sorted already (FD passes System::all(); a GM view may
+  /// list its members in any order).
   const std::vector<net::ProcessId>* members = nullptr;
   /// Rotation offset: coordinator of round 1 is members[offset % size]
   /// (see coordinator_of).
@@ -115,9 +118,10 @@ class ConsensusService;
 /// Instance bodies are pooled by the ConsensusService: one consensus
 /// instance runs per message batch, so the per-instance containers
 /// (membership, per-round reply arrays) are recycled through
-/// reset()/retire() instead of being reallocated per message — the
-/// steady-state cost of an instance is O(members) writes into
-/// already-sized arrays.
+/// reset()/retire() instead of being reallocated per message.  A round's
+/// reply array is sized only where a reply is recorded, and only the
+/// round's coordinator receives replies: at every other process an
+/// instance costs one copy of the member list.
 class Instance final : public fd::SuspicionListener {
  public:
   Instance(ConsensusService& service, std::uint64_t number, net::ProcessId self, StartInfo info);
@@ -151,10 +155,11 @@ class Instance final : public fd::SuspicionListener {
  private:
   /// Per-round reply bookkeeping, flattened: instead of ProcessId-keyed
   /// maps/sets (one node allocation per reply), replies live in one
-  /// rank-indexed array sized |members| — O(1) lookup, zero allocation
-  /// once the pooled body warmed up.  Replies from non-members (stale
-  /// traffic from processes outside the instance's membership) are
-  /// ignored — they must not count toward a majority of `members`.
+  /// rank-indexed array sized |members| by the round's first recorded
+  /// ESTIMATE, ACK or NACK (reply()) — O(1) lookup, zero allocation once
+  /// the pooled body warmed up.  Replies from non-members (stale traffic
+  /// from processes outside the instance's membership) are ignored — they
+  /// must not count toward a majority of `members`.
   struct RoundState {
     static constexpr std::uint8_t kEstimate = 1;
     static constexpr std::uint8_t kAck = 2;
@@ -164,7 +169,7 @@ class Instance final : public fd::SuspicionListener {
       std::uint32_t est_ts = 0;
       std::uint8_t bits = 0;
     };
-    std::vector<PerMember> from;  // rank-indexed (position in members_)
+    std::vector<PerMember> from;  // rank-indexed (position in members_); empty: no reply yet
     std::size_t estimates = 0;
     std::size_t acks = 0;
     std::size_t nacks = 0;
@@ -179,7 +184,7 @@ class Instance final : public fd::SuspicionListener {
     bool estimate_sent = false;
 
     void clear() {
-      from.clear();  // capacity retained; re-sized by rs() on first use
+      from.clear();  // capacity retained; re-sized by reply() on first use
       estimates = acks = nacks = 0;
       proposed = resolved = have_proposal = failed = false;
       acked = nacked = estimate_sent = false;
@@ -192,6 +197,9 @@ class Instance final : public fd::SuspicionListener {
   /// Round r's state (rounds are dense from 1; bodies are pooled across
   /// reset() and stay address-stable while rounds_ grows).
   RoundState& rs(std::uint32_t r);
+  /// The reply slot of the member at `rank` in `st`, sizing the round's
+  /// reply array on its first reply.
+  RoundState::PerMember& reply(RoundState& st, int rank);
   /// Position of p in members_, or -1 when p is not a member.
   [[nodiscard]] int rank_of(net::ProcessId p) const;
   [[nodiscard]] std::size_t majority() const { return members_.size() / 2 + 1; }
@@ -268,9 +276,9 @@ class ConsensusService final : public net::Layer {
   void handle_decision(const ConsensusMsg* cm);
   /// Takes an instance body from the pool (or allocates the first time)
   /// and arms it for instance `number`.
-  [[nodiscard]] std::unique_ptr<Instance> acquire_instance(std::uint64_t number, StartInfo info);
+  [[nodiscard]] Instance* acquire_instance(std::uint64_t number, StartInfo info);
   /// Retires an instance body into the pool for reuse.
-  void retire(std::unique_ptr<Instance> inst);
+  void retire(Instance* inst);
 
   net::System* sys_;
   net::ProcessId self_;
@@ -279,11 +287,16 @@ class ConsensusService final : public net::Layer {
   /// Decided instance numbers, whether decided here or settled by
   /// close_below.
   util::SeqSet decided_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Instance>> instances_;
+  /// Running instances by number: a flat window over the few numbers in
+  /// flight (FD's pipeline, GM's one view change), no node per instance.
+  util::SeqMap<std::uint64_t, Instance*> instances_;
+  /// Every instance body this service built; running ones are in
+  /// instances_, retired ones in pool_.
+  std::vector<std::unique_ptr<Instance>> bodies_;
   /// Retired instance bodies, reused by acquire_instance — one consensus
   /// instance runs per message batch, so this avoids re-growing the
   /// per-instance containers on every message.
-  std::vector<std::unique_ptr<Instance>> pool_;
+  std::vector<Instance*> pool_;
   std::unordered_map<std::uint64_t, std::vector<std::pair<net::ProcessId, const ConsensusMsg*>>>
       buffered_;
 };

@@ -7,16 +7,13 @@ void LatencyRecorder::on_broadcast(const abcast::MsgId& id, sim::Time t) {
 }
 
 void LatencyRecorder::on_deliver(const abcast::AppMessage& msg, sim::Time t) {
-  auto it = entries_.find(msg.id);
-  if (it == entries_.end()) {
-    // Delivery of a message the workload did not register (e.g. probe
-    // messages injected directly): register it from the payload stamp.
-    it = entries_.try_emplace(msg.id, Entry{msg.sent_at, -1}).first;
-  }
-  if (it->second.first_delivery < 0) {
-    it->second.first_delivery = t;
-    ++delivered_;
-  }
+  // Every process delivers every message; only the first delivery looks
+  // the message up.
+  if (!delivered_ids_.insert(msg.id)) return;
+  // A message the workload did not register (e.g. a probe injected
+  // directly) is registered from the payload stamp.
+  entries_.try_emplace(msg.id, Entry{msg.sent_at, -1}).first->second.first_delivery = t;
+  ++delivered_;
 }
 
 util::RunningStats LatencyRecorder::window_stats(sim::Time from, sim::Time to) const {

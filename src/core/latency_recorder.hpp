@@ -52,6 +52,9 @@ class LatencyRecorder {
   };
 
   std::unordered_map<abcast::MsgId, Entry, abcast::MsgIdHash> entries_;
+  /// Ids delivered somewhere: the dense per-origin set answers the n - 1
+  /// later deliveries of a message without a hash lookup.
+  abcast::DeliveredIds delivered_ids_;
   std::size_t delivered_ = 0;
 };
 

@@ -15,9 +15,10 @@
 //
 // The scheduler's own steady state is covered by scheduler_test.  The
 // AllocBound tests bound what is not zero: the scheduler under an n = 128
-// FD-timer population, one GM view change at n = 64, and the bytes the
-// lazy QoS model allocates at construction against the eager per-pair
-// RNG forks it replaced.
+// FD-timer population, one GM view change at n = 64, each stack's
+// failure-free steady state at n = 32, and the bytes the lazy QoS model
+// allocates at construction against the eager per-pair RNG forks it
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "abcast/abcast.hpp"
+#include "abcast/fd_abcast.hpp"
 #include "abcast/gm_abcast.hpp"
 #include "alloc_counter.hpp"
 #include "fd/qos_model.hpp"
@@ -358,7 +360,7 @@ TEST(AllocBound, GmViewChange64) {
     ASSERT_EQ(p.view().id, 1u) << "p" << i;
     ASSERT_EQ(p.view().members.size(), static_cast<std::size_t>(kN - 1)) << "p" << i;
   }
-  EXPECT_LE(allocs, 2376u) << "one view change at n = " << kN;
+  EXPECT_LE(allocs, 2314u) << "one view change at n = " << kN;
 
   // A second view change, stepped: the reports p0 holds are listed in pid
   // order whatever order they arrived in.
@@ -375,6 +377,53 @@ TEST(AllocBound, GmViewChange64) {
   }
   EXPECT_EQ(procs[0]->view().id, 2u);
   EXPECT_EQ(most, static_cast<std::size_t>(kN - 2));
+}
+
+// The failure-free steady state of one stack at n = 32: the processes
+// take turns A-broadcasting, one message every 20 simulated ms (T = 50/s),
+// and every process delivers each.  Returns the allocations of `measured`
+// broadcasts after `warmup` ones.  What remains allocates per instance or
+// batch at one process (the FD round-1 coordinator's proposal id vector,
+// the GM sequencer's SEQNUM pair vector), per 64 KiB of payloads (arena
+// blocks, their finalizer list) or per doubling (delivery logs).  Per-process
+// bookkeeping — consensus instances, FD decisions and rotation anchors,
+// GM recently delivered messages, the in-flight windows — allocates
+// nothing per instance or message.  A tree node per instance at each of
+// the 32 processes (FD: about 150 instances) or per message (GM) would
+// add thousands: a std::map of FD rotation anchors reads 5073, one of
+// GM's recently delivered messages 8582.  The runs are deterministic, so
+// each bound is the measured count.
+template <class Proc>
+std::uint64_t steady_state_allocs(int warmup, int measured) {
+  constexpr int kN = 32;
+  net::System sys(kN, net::NetworkConfig{}, 7);
+  fd::QosFailureDetectorModel fd(sys, fd::QosParams{});
+  std::vector<std::unique_ptr<Proc>> procs;
+  for (int i = 0; i < kN; ++i) procs.push_back(std::make_unique<Proc>(sys, i, fd.at(i)));
+  fd.start();
+  int sent = 0;
+  auto broadcast = [&](int count) {
+    for (int k = 0; k < count; ++k, ++sent) {
+      sys.scheduler().run_until(sys.now() + 20.0);
+      procs[static_cast<std::size_t>(sent % kN)]->a_broadcast();
+    }
+    sys.scheduler().run();
+  };
+  broadcast(warmup);
+  const std::uint64_t before = g_alloc_count;
+  broadcast(measured);
+  const std::uint64_t allocs = g_alloc_count - before;
+  for (const auto& p : procs)
+    EXPECT_EQ(p->delivered_count(), static_cast<std::uint64_t>(warmup + measured));
+  return allocs;
+}
+
+TEST(AllocBound, FdSteadyState32) {
+  EXPECT_LE(steady_state_allocs<abcast::FdAbcastProcess>(64, 256), 273u);
+}
+
+TEST(AllocBound, GmSteadyState32) {
+  EXPECT_LE(steady_state_allocs<abcast::GmAbcastProcess>(64, 256), 390u);
 }
 
 // The QoS model's per-pair state is lazy: construction sizes an

@@ -331,6 +331,66 @@ TEST(Consensus, RoundOneCoordinatorWithoutValueThrows) {
   EXPECT_THROW(f.services[0]->start(1, std::move(info)), std::logic_error);
 }
 
+// ------------------------------------------------ lazily sized reply arrays
+
+/// Counts the distinct ConsensusMsg payloads of `kind` and `round` the
+/// network delivers.
+struct KindTap {
+  KindTap(net::System& sys, ConsensusMsg::Kind kind, std::uint32_t round) {
+    sys.network().set_delivery_tap([this, kind, round](const net::Message& m, net::ProcessId) {
+      const auto* c = net::payload_cast<ConsensusMsg>(m.payload);
+      if (c != nullptr && c->kind == kind && c->round == round) seen.insert(c);
+    });
+  }
+  std::set<const ConsensusMsg*> seen;
+};
+
+TEST(Consensus, RoundTwoCoordinatorWhoseFirstReplyIsANack) {
+  // A coordinator sizes a round's reply array on the first reply it
+  // records.  Here p1, round 2's coordinator, records p4's NACK of round 2
+  // before anything else of that round (handed to its service directly:
+  // on FIFO channels a process's ESTIMATE precedes its NACK).  The NACK
+  // falls in round 2's first majority of replies, so the round fails,
+  // round 3's coordinator p2 collects the value locked by the round-2
+  // ACKs, and everyone decides p1's value.
+  fd::QosParams qp;
+  qp.detection_time = 20.0;
+  Fixture f(5, qp);
+  KindTap round_failed(f.sys, ConsensusMsg::Kind::kRoundFailed, 2);
+  f.sys.crash(0);
+  f.propose_all(1);
+  f.sys.scheduler().run_until(1.0);
+  ASSERT_TRUE(f.services[1]->running(1));
+  net::Message nack;
+  nack.src = 4;
+  nack.proto = net::ProtocolId::kConsensus;
+  nack.payload = f.sys.arena().make<ConsensusMsg>(1, ConsensusMsg::Kind::kNack, 2, nullptr, 0);
+  f.services[1]->on_message(nack);
+  f.sys.scheduler().run();
+  EXPECT_EQ(round_failed.seen.size(), 1u);
+  EXPECT_EQ(f.deciders(1), 4u);
+  EXPECT_EQ(f.check_agreement(1), 1);
+}
+
+TEST(Consensus, RoundTwoCoordinatorWhoseFirstReplyIsAnEstimate) {
+  // p0's round-1 proposal reaches everyone, who ACK it (locking p0's value
+  // with timestamp 1), but p0 crashes before it collects the ACKs.  The
+  // others suspect it and move to round 2, whose coordinator p1 records
+  // ESTIMATEs first: the array they size must carry the locked value,
+  // which p1 then proposes and everyone decides.
+  fd::QosParams qp;
+  qp.detection_time = 50.0;
+  Fixture f(5, qp);
+  KindTap round2_proposals(f.sys, ConsensusMsg::Kind::kPropose, 2);
+  f.propose_all(1);
+  f.sys.scheduler().run_until(2.0);
+  f.sys.crash(0);
+  f.sys.scheduler().run();
+  EXPECT_EQ(round2_proposals.seen.size(), 1u);
+  EXPECT_EQ(f.deciders(1), 4u);
+  EXPECT_EQ(f.check_agreement(1), 0);
+}
+
 // ---------------------------------------------------------------- property
 
 // gtest suffixes each test ID with a dump of this struct's bytes

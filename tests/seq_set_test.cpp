@@ -1,16 +1,20 @@
 // Tests of util::SeqSet, the watermark-plus-bit-window set behind the
 // delivered-id and decided-instance bookkeeping: unit cases at the word
-// boundaries, and a differential run against std::set.
+// boundaries, and a differential run against std::set; and of
+// util::SeqMap, the flat-window map behind the consensus instance table
+// and the FD/GM dense-key bookkeeping, against std::map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/rng.hpp"
+#include "util/seq_map.hpp"
 #include "util/seq_set.hpp"
 
 namespace fdgm::util {
@@ -164,6 +168,100 @@ void differential(std::uint64_t first, std::uint64_t seed) {
 
 TEST(SeqSet, MatchesStdSetFromFirstValueZero) { differential(0, 11); }
 TEST(SeqSet, MatchesStdSetFromFirstValueOne) { differential(1, 12); }
+
+// ------------------------------------------------------------------ SeqMap
+
+TEST(SeqMap, EmplaceKeepsAssignReplacesAndEraseTrimsFromBelow) {
+  SeqMap<std::int64_t, int, -1> m;
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.get(5), -1);
+  EXPECT_TRUE(m.emplace(5, 50));
+  EXPECT_FALSE(m.emplace(5, 51));  // std::map::emplace keeps the first
+  EXPECT_EQ(m.get(5), 50);
+  m.assign(5, 52);
+  EXPECT_EQ(m.get(5), 52);
+  EXPECT_TRUE(m.emplace(8, 80));
+  EXPECT_TRUE(m.emplace(3, 30));  // below the window: it grows at the front
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.window(), 6u);  // keys 3..8
+  m.erase(3);
+  EXPECT_EQ(m.window(), 4u);  // trimmed to the lowest key left, 5
+  m.erase(8);
+  EXPECT_EQ(m.window(), 4u);  // trimming is from below only
+  EXPECT_FALSE(m.contains(8));
+  m.erase(5);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.window(), 0u);
+  EXPECT_TRUE(m.emplace(1000, 1));  // an emptied window restarts at the next key
+  EXPECT_EQ(m.window(), 1u);
+}
+
+TEST(SeqMap, EraseBelowReportsTheErasedKeysInOrder) {
+  SeqMap<std::uint64_t, const int*> m;
+  const int a = 1, b = 2, c = 3;
+  m.emplace(10, &a);
+  m.emplace(12, &b);
+  m.emplace(14, &c);
+  std::vector<std::uint64_t> erased;
+  m.erase_below(13, [&erased](std::uint64_t k, const int*) { erased.push_back(k); });
+  EXPECT_EQ(erased, (std::vector<std::uint64_t>{10, 12}));
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.window(), 1u);
+  EXPECT_EQ(m.get(14), &c);
+  m.erase_below(100);
+  EXPECT_TRUE(m.empty());
+}
+
+// Differential run against std::map: keys inserted roughly in order
+// within a jitter window, erased singly or below a rising point, with
+// probes anywhere.  The window spans the live keys, not the history.
+TEST(SeqMap, MatchesStdMap) {
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  sim::Rng rng(21);
+  SeqMap<std::int64_t, std::int64_t, -1> m;
+  std::map<std::int64_t, std::int64_t> model;
+  std::int64_t next = 1;
+  std::size_t max_window = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double r = rng.uniform();
+    const std::int64_t k = next + rng.uniform_int(-40, 40);
+    if (r < 0.45) {
+      const std::int64_t v = rng.uniform_int(0, 1000);
+      ASSERT_EQ(m.emplace(k, v), model.emplace(k, v).second) << "emplace " << k;
+      ++next;
+    } else if (r < 0.55) {
+      const std::int64_t v = rng.uniform_int(0, 1000);
+      m.assign(k, v);
+      model.insert_or_assign(k, v);
+    } else if (r < 0.9) {
+      m.erase(k);
+      model.erase(k);
+    } else {
+      const std::int64_t below = next - rng.uniform_int(20, 60);
+      std::vector<std::int64_t> erased;
+      m.erase_below(below, [&erased](std::int64_t key, std::int64_t) { erased.push_back(key); });
+      std::vector<std::int64_t> expected;
+      while (!model.empty() && model.begin()->first < below) {
+        expected.push_back(model.begin()->first);
+        model.erase(model.begin());
+      }
+      ASSERT_EQ(erased, expected);
+    }
+    ASSERT_EQ(m.size(), model.size());
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::int64_t p = next + rng.uniform_int(-120, 60);
+      const auto it = model.find(p);
+      ASSERT_EQ(m.get(p), it == model.end() ? -1 : it->second) << "get " << p;
+    }
+    if (step % 256 == 0) {
+      Pairs listed;
+      m.for_each([&listed](std::int64_t key, std::int64_t v) { listed.emplace_back(key, v); });
+      ASSERT_EQ(listed, Pairs(model.begin(), model.end()));
+    }
+    max_window = std::max(max_window, m.window());
+  }
+  EXPECT_LE(max_window, 200u);
+}
 
 }  // namespace
 }  // namespace fdgm::util
