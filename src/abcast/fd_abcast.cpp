@@ -58,7 +58,7 @@ FdAbcastProcess::~FdAbcastProcess() {
 
 FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
   return {pending_count_, pending_.slots(), delivered_ids_.window_words(),
-          consensus_.decided_words_dbg()};
+          consensus_.decided_words_dbg(), starts_.size(), cohorts_.size()};
 }
 
 void FdAbcastProcess::submit_now(AppMessagePtr msg) {
@@ -79,12 +79,11 @@ void FdAbcastProcess::on_restart() {
   // (delivered_ids_; apply_sync_resp advances them over the synced
   // suffix), the message counter and the submission queue (the base class
   // re-flushes it).  Decisions and message contents are objective data
-  // and stay; only this incarnation's proposal marks are void (our
+  // and stay; only this incarnation's instance starts are void (our
   // in-flight proposals died with us), so every still-pending id becomes
   // proposable again.
-  pending_.for_each([](const MsgId&, Pending& p) { p.mark = 0; });
-  marked_ = 0;
-  mark_counts_.clear();
+  starts_.clear();
+  rebound_cohorts();
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
   ++sync_epoch_;
@@ -197,6 +196,8 @@ bool FdAbcastProcess::admit_data(const AppMessage& msg) {
   Pending& p = pending_.slot(msg.id);
   if (p.msg == nullptr) {
     p.msg = &msg;
+    p.admission = admissions_++;
+    ++cohorts_.back().count;
     ++pending_count_;
   }
   return true;
@@ -204,35 +205,31 @@ bool FdAbcastProcess::admit_data(const AppMessage& msg) {
 
 void FdAbcastProcess::erase_pending(const MsgId& id) {
   Pending& p = *pending_.find(id);
-  if (p.mark > swept_) {
-    --marked_;
-    count_mark(p.mark, -1);
-  }
+  // Its cohort: the last one that starts at or before its admission.
+  auto c = cohorts_.end() - 1;
+  while (c->first > p.admission) --c;
+  --c->count;
   p = Pending{};
   --pending_count_;
   pending_.release(id);
 }
 
-void FdAbcastProcess::count_mark(std::uint64_t mark, std::ptrdiff_t delta) {
-  for (auto& [m, count] : mark_counts_) {
-    if (m == mark) {
-      count = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(count) + delta);
-      return;
-    }
+void FdAbcastProcess::rebound_cohorts() {
+  // Both lists ascend (starts_ by `admitted`, in start order), so one
+  // merge pass keeps the cohorts a live start bounds and folds the others
+  // into their predecessor.
+  std::size_t kept = 0;
+  std::size_t s = 0;
+  for (std::size_t i = 1; i < cohorts_.size(); ++i) {
+    while (s < starts_.size() && starts_[s].admitted < cohorts_[i].first) ++s;
+    if (s < starts_.size() && starts_[s].admitted == cohorts_[i].first)
+      cohorts_[++kept] = cohorts_[i];
+    else
+      cohorts_[kept].count += cohorts_[i].count;
   }
-  mark_counts_.emplace_back(mark, static_cast<std::size_t>(delta));
-}
-
-void FdAbcastProcess::set_mark(std::uint64_t& mark, std::uint64_t number) {
-  // `number` is an instance not yet applied here, so above swept_.
-  if (mark > swept_) {
-    if (mark >= number) return;
-    count_mark(mark, -1);
-  } else {
-    ++marked_;
-  }
-  mark = number;
-  count_mark(number, 1);
+  cohorts_.resize(kept + 1);
+  if (!starts_.empty() && cohorts_.back().first < starts_.back().admitted)
+    cohorts_.push_back(Cohort{starts_.back().admitted, 0});
 }
 
 int FdAbcastProcess::offset_for(std::uint64_t number) const {
@@ -245,8 +242,11 @@ void FdAbcastProcess::prune_winners() {
   if (next_to_process_ > kPipeline) winners_.erase_below(next_to_process_ - kPipeline);
 }
 
-void FdAbcastProcess::mark_pending(std::uint64_t number) {
-  pending_.for_each([this, number](const MsgId&, Pending& p) { set_mark(p.mark, number); });
+void FdAbcastProcess::record_start(std::uint64_t number) {
+  // `number` is an instance not yet applied here, so above swept_.
+  std::erase_if(starts_, [number](const Start& st) { return st.number <= number; });
+  starts_.push_back(Start{number, admissions_});
+  rebound_cohorts();
   // Causal anchor: the consensus round covering these messages starts
   // here; the walker closes the interval at the decision (on_ordered).
   if (auto* o = sys_->obs(); o != nullptr && o->causal()) {
@@ -264,7 +264,7 @@ net::PayloadPtr FdAbcastProcess::pending_proposal() {
 }
 
 consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
-  mark_pending(number);
+  record_start(number);
   const int offset = offset_for(number);
   // Only the round-1 coordinator proposes its initial value.  Anyone
   // else's would ride an ESTIMATE with timestamp 0, which is never chosen
@@ -277,7 +277,7 @@ consensus::StartInfo FdAbcastProcess::make_start_info(std::uint64_t number) {
       // Recovery rounds with no locked value may batch in later arrivals.
       .refresh =
           [this, number] {
-            mark_pending(number);
+            record_start(number);
             return pending_proposal();
           },
   };
@@ -288,10 +288,10 @@ void FdAbcastProcess::maybe_start_next() {
   // yet covered by a proposal of ours.  Messages arriving while the
   // pipeline is full batch into a later instance (aggregation, §4.1).
   //
-  // marked_ counts the pending messages with a live mark, so "some
-  // pending message is uncovered" is a count comparison — O(1) instead of
-  // an O(pending) scan per delivery/arrival, which dominated large-n runs.
-  if (marked_ >= pending_count_) return;
+  // The uncovered ids are every pending id while no start is live, else
+  // the last cohort's: a count read, O(1) instead of an O(pending) scan
+  // per delivery/arrival, which dominated large-n runs.
+  if ((starts_.empty() ? pending_count_ : cohorts_.back().count) == 0) return;
   std::uint64_t k = next_to_process_;
   while (can_start(k)) {
     if (!consensus_.running(k) && !consensus_.decided(k)) {
@@ -341,14 +341,11 @@ void FdAbcastProcess::process_ready_decisions() {
       log_.push_back(msg);
       deliver(*msg);
     }
-    // Re-proposal: ids whose latest proposal lost (mark at or below the
-    // decision just applied) become uncovered again.
+    // Re-proposal: ids covered only by starts at or below the decision
+    // just applied (their latest proposal lost) become uncovered again.
     swept_ = next_to_process_;
-    std::erase_if(mark_counts_, [this](const std::pair<std::uint64_t, std::size_t>& e) {
-      if (e.first > swept_) return false;
-      marked_ -= e.second;
-      return true;
-    });
+    std::erase_if(starts_, [this](const Start& st) { return st.number <= swept_; });
+    rebound_cohorts();
     winners_.emplace(next_to_process_, prop.proposer);
     prune_winners();
     ready_decisions_.erase(next_to_process_);

@@ -29,10 +29,12 @@
 //
 // Data plane state: the pending messages live in per-origin flat windows
 // over their dense seqs (InFlightWindows), one slot per id holding the
-// content and its proposal mark, so proposals list them in id order
-// without a tree.  A per-mark count keeps "is some pending message
-// uncovered?" O(1), and applying a decision voids the marks it covers
-// without visiting a single id.
+// content and its admission number, so proposals list them in id order
+// without a tree.  An instance start (or refresh) covers every id
+// admitted before it and visits none: it records the admission counter.
+// Admission cohorts, bounded by the live starts, keep "is some pending
+// message uncovered?" O(1), and applying a decision voids the starts it
+// covers without visiting a single id.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,7 @@ struct FdAbcastConfig {
 /// The FD algorithm assumes crash-stop processes; crash-*recovery* is an
 /// extension for the fault-injection scenarios: a restarted process keeps
 /// its stable state (A-delivery log, own message counter), discards its
-/// proposal marks and asks a peer for the log suffix and consensus
+/// instance starts and asks a peer for the log suffix and consensus
 /// position it missed (SYNC-REQ / SYNC-RESP over the kAtomicBroadcast
 /// protocol, which the FD stack does not otherwise use).  A periodic
 /// watchdog repeats the request while the process is stalled, which also
@@ -100,6 +102,8 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
     std::size_t pending_slots;    // slots of the per-origin pending windows
     std::size_t delivered_words;  // words of the per-origin delivered windows
     std::size_t decided_words;    // words of the consensus decided window
+    std::size_t live_starts;      // instance starts that still cover ids
+    std::size_t cohorts;          // admission cohorts (<= live_starts + 1)
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const;
 
@@ -140,12 +144,11 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
   bool admit_data(const AppMessage& msg);
-  /// Drops `id` from pending_ (A-delivered), with its proposal mark.
+  /// Drops `id` from pending_ (A-delivered), and from its cohort.
   void erase_pending(const MsgId& id);
-  /// Raises a pending message's proposal mark to instance `number`.
-  void set_mark(std::uint64_t& mark, std::uint64_t number);
-  /// Adds `delta` to the count of pending messages whose mark is `mark`.
-  void count_mark(std::uint64_t mark, std::ptrdiff_t delta);
+  /// Re-draws the cohort boundaries at the live starts' admission
+  /// counters, merging the cohorts no live start bounds.
+  void rebound_cohorts();
   // consensus::Client
   std::optional<consensus::StartInfo> join(std::uint64_t number) override;
   void on_decide(std::uint64_t number, net::PayloadPtr value) override;
@@ -157,11 +160,11 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   void catchup_tick(std::uint64_t epoch);
   /// Start info of instance `number`: its coordinator offset, and a
   /// proposal of all pending ids on its round-1 coordinator only (on any
-  /// coordinator's refresh too).  Every process marks the pending ids.
+  /// coordinator's refresh too).  Every process records the start.
   [[nodiscard]] consensus::StartInfo make_start_info(std::uint64_t number);
-  /// Marks every pending id as proposed in instance `number` and records
-  /// the causal start of its consensus.
-  void mark_pending(std::uint64_t number);
+  /// Records that instance `number` covers every pending id (O(1)) and,
+  /// when causal recording is armed, the causal start of its consensus.
+  void record_start(std::uint64_t number);
   /// Proposal of all pending ids.
   [[nodiscard]] net::PayloadPtr pending_proposal();
   /// Drops the rotation anchors below the pipeline window.
@@ -179,27 +182,43 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   rbcast::ReliableBroadcast rb_;
   consensus::ConsensusService consensus_;
 
-  /// An R-delivered, not yet A-delivered message and its proposal mark:
-  /// the highest instance whose proposal included it.  A mark is live
-  /// while it is above swept_; a message without a live mark triggers
-  /// (and joins) the next instance.
+  /// An R-delivered, not yet A-delivered message and its admission
+  /// number: the value of admissions_ when it was admitted.
   struct Pending {
     AppMessagePtr msg = nullptr;
-    std::uint64_t mark = 0;
+    std::uint64_t admission = 0;
     [[nodiscard]] bool empty() const { return msg == nullptr; }
   };
   /// Pending messages, iterated in id order for proposals.
   InFlightWindows<Pending> pending_;
   std::size_t pending_count_ = 0;
-  /// Marks at or below swept_ are void: applying decision k voids every
-  /// mark at or below k, so ids whose latest proposal lost are proposed
-  /// again.  A log sync that skips decisions does not sweep; the next
-  /// applied decision does.
+  std::uint64_t admissions_ = 0;
+  /// Starts at or below swept_ are void: applying decision k voids every
+  /// start of an instance at or below k, so ids whose latest proposal
+  /// lost are proposed again.  A log sync that skips decisions does not
+  /// sweep; the next applied decision does.
   std::uint64_t swept_ = 0;
-  /// Pending messages with a live mark, and how many carry each live mark
-  /// (a handful of distinct marks: the pipeline's instances).
-  std::size_t marked_ = 0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> mark_counts_;
+  /// A live start: instance `number` (> swept_) was started or refreshed
+  /// when admissions_ read `admitted`, so it covers every pending id with
+  /// a smaller admission number.  An id is covered exactly when some live
+  /// start covers it, i.e. when it was admitted before the latest one.
+  struct Start {
+    std::uint64_t number;
+    std::uint64_t admitted;
+  };
+  /// Live starts in start order.  A start drops every earlier one of an
+  /// instance at or below its own (that one covers fewer ids and dies no
+  /// later), so numbers strictly fall along the list: at most kPipeline.
+  std::vector<Start> starts_;
+  /// Pending messages by admission cohort: cohort i holds the ids
+  /// admitted from `first` up to the next cohort's `first`.  The first
+  /// cohort starts at 0, every other at a live start's `admitted`, so the
+  /// last one holds exactly the uncovered ids whenever a start is live.
+  struct Cohort {
+    std::uint64_t first;
+    std::size_t count;
+  };
+  std::vector<Cohort> cohorts_{Cohort{0, 0}};
   DeliveredIds delivered_ids_;
   std::vector<AppMessagePtr> log_;
 

@@ -1,5 +1,6 @@
 #include "fd/qos_model.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "obs/observer.hpp"
@@ -41,9 +42,7 @@ double QosFailureDetectorModel::pair_draw(PairState& st, net::ProcessId q, net::
   // engine state — so `drew_first` marks only a consuming draw.
   if (mean <= 0.0) return 0.0;
   if (st.engine == nullptr) {
-    const std::uint64_t tag = static_cast<std::uint64_t>(q) *
-                                  static_cast<std::uint64_t>(sys_->n()) +
-                              static_cast<std::uint64_t>(p);
+    const std::uint64_t tag = pair_tag(q, p);
     if (!st.drew_first) {
       // First draw: computed from the fork's seed, no engine built.
       st.drew_first = true;
@@ -114,9 +113,33 @@ void QosFailureDetectorModel::start() {
   if (started_) return;
   started_ = true;
   if (!params_.wrong_suspicions) return;
-  for (net::ProcessId q : sys_->all())
-    for (net::ProcessId p : sys_->all())
-      if (q != p) schedule_next_mistake(q, p, sys_->now());
+  // Every pair's first gap is its first draw (a consuming one: TMR > 0),
+  // computed four pairs at a time (Rng::fork_first_exponentials); the
+  // timers are scheduled in q-major order, as before.
+  constexpr std::size_t kBlock = 4;
+  std::array<net::ProcessId, kBlock> qs{};
+  std::array<net::ProcessId, kBlock> ps{};
+  std::array<std::uint64_t, kBlock> tags{};
+  std::array<double, kBlock> draws{};
+  std::size_t k = 0;
+  const auto flush = [&] {
+    base_.fork_first_exponentials(tags.data(), k, params_.mistake_recurrence, draws.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      pair(qs[j], ps[j]).drew_first = true;
+      schedule_mistake(qs[j], ps[j], sys_->now(), draws[j]);
+    }
+    k = 0;
+  };
+  for (net::ProcessId q : sys_->all()) {
+    for (net::ProcessId p : sys_->all()) {
+      if (q == p) continue;
+      qs[k] = q;
+      ps[k] = p;
+      tags[k] = pair_tag(q, p);
+      if (++k == kBlock) flush();
+    }
+  }
+  flush();
 }
 
 void QosFailureDetectorModel::restart_renewal(net::ProcessId q, net::ProcessId p,
@@ -151,14 +174,18 @@ void QosFailureDetectorModel::schedule_release(net::ProcessId q, net::ProcessId 
 
 void QosFailureDetectorModel::schedule_next_mistake(net::ProcessId q, net::ProcessId p,
                                                     sim::Time from) {
+  schedule_mistake(q, p, from, pair_draw(pair(q, p), q, p, params_.mistake_recurrence));
+}
+
+void QosFailureDetectorModel::schedule_mistake(net::ProcessId q, net::ProcessId p,
+                                               sim::Time from, double draw) {
   // A slow target clock / limping target makes wrong suspicions of it
   // more frequent; so does a fast monitor clock (see the header comment).
   // Scaling the drawn value (not the mean) keeps engine consumption
   // identical — the one-variate discard of lazy PairState stays valid.
-  const double gap = pair_draw(pair(q, p), q, p, params_.mistake_recurrence) *
-                     (clock_rate_[static_cast<std::size_t>(p)] /
-                      (clock_rate_[static_cast<std::size_t>(q)] *
-                       limp_[static_cast<std::size_t>(p)]));
+  const double gap = draw * (clock_rate_[static_cast<std::size_t>(p)] /
+                             (clock_rate_[static_cast<std::size_t>(q)] *
+                              limp_[static_cast<std::size_t>(p)]));
   const std::uint64_t epoch = pair(q, p).epoch;
   sys_->scheduler().schedule_at(from + gap, [this, q, p, epoch] {
     PairState& st = pair(q, p);

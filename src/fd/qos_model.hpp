@@ -86,10 +86,12 @@ class QosFailureDetectorModel {
  private:
   /// Per ordered pair (q monitors p).  The pair's RNG engine is lazy:
   /// most pairs draw zero or one variate, and start() makes one draw for
-  /// each of the n(n-1) pairs.  pair_draw computes the first variate
-  /// straight from the pair's fork seed (sim::Rng::fork_first_exponential:
-  /// shift_size = 156 seeding steps and one twist step, no engine built);
-  /// only the second draw persists the engine, forked from base_ with the
+  /// each of the n(n-1) pairs.  The first variate comes straight from the
+  /// pair's fork seed (shift_size = 156 seeding steps and one twist step,
+  /// no engine built): start() computes them four pairs at a time with
+  /// sim::Rng::fork_first_exponentials, their seeding chains interleaved,
+  /// and pair_draw computes a later first draw (a restarted chain) alone.
+  /// Only the second draw persists the engine, forked from base_ with the
   /// pair's tag, and discards the one variate already taken.  The streams
   /// are bit-identical to the eager layout of one fork per pair.
   struct PairState {
@@ -111,6 +113,9 @@ class QosFailureDetectorModel {
   /// here so the measured T_D / T_M / T_MR see every edge exactly once.
   void set_suspected_observed(net::ProcessId q, net::ProcessId p, bool suspected);
   void schedule_next_mistake(net::ProcessId q, net::ProcessId p, sim::Time from);
+  /// Schedules (q, p)'s next mistake `draw` (an Exp(TMR) variate of the
+  /// pair's stream, before the gray scaling) after `from`.
+  void schedule_mistake(net::ProcessId q, net::ProcessId p, sim::Time from, double draw);
   void schedule_release(net::ProcessId q, net::ProcessId p, sim::Time until);
   /// (Re)start the renewal chain of (q, p) from `from`.
   void restart_renewal(net::ProcessId q, net::ProcessId p, sim::Time from);
@@ -121,6 +126,11 @@ class QosFailureDetectorModel {
            clock_rate_.at(static_cast<std::size_t>(q));
   }
   PairState& pair(net::ProcessId q, net::ProcessId p);
+  /// Fork tag of (q, p)'s stream.
+  [[nodiscard]] std::uint64_t pair_tag(net::ProcessId q, net::ProcessId p) const {
+    return static_cast<std::uint64_t>(q) * static_cast<std::uint64_t>(sys_->n()) +
+           static_cast<std::uint64_t>(p);
+  }
   /// Exponential variate from (q, p)'s lazily materialized sub-stream.
   double pair_draw(PairState& st, net::ProcessId q, net::ProcessId p, double mean);
 

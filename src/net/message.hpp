@@ -94,6 +94,7 @@ struct FrameHeader {
   [[nodiscard]] std::uint32_t seq_no() const { return seq & kSeqMask; }
   [[nodiscard]] bool is_retx() const { return (seq & kRetxBit) != 0; }
   [[nodiscard]] bool stamped() const { return seq_no() != 0; }
+  bool operator==(const FrameHeader&) const = default;
 };
 
 struct Message {

@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,68 +36,90 @@ Network::Network(System& sys, int num_processes, NetworkConfig cfg)
   for (int i = 0; i < num_processes; ++i) cpus_.push_back(std::make_unique<Resource>(*sched_));
 }
 
-std::uint32_t Network::acquire_list() {
-  if (list_free_ != kNoList) {
-    const std::uint32_t idx = list_free_;
-    DstList& l = lists_[idx];
-    list_free_ = l.next_free;
-    l.dsts.clear();
-    return idx;
+std::uint32_t Network::acquire_fanout(const Message& m) {
+  std::uint32_t idx;
+  if (fanout_free_ != kNoFanout) {
+    idx = fanout_free_;
+    fanout_free_ = fanouts_[idx].next_free;
+    fanouts_[idx].dsts.clear();
+    fanouts_[idx].frames.clear();
+  } else {
+    // Sized for the widest fan-out once (as are `frames` on first use),
+    // so a reused entry never grows.
+    idx = static_cast<std::uint32_t>(fanouts_.size());
+    fanouts_.emplace_back().dsts.reserve(cpus_.size() - 1);
   }
-  lists_.emplace_back();
-  return static_cast<std::uint32_t>(lists_.size() - 1);
+  fanouts_[idx].msg = m;
+  return idx;
 }
 
-void Network::release_list(std::uint32_t idx) {
-  lists_[idx].next_free = list_free_;
-  list_free_ = idx;
+void Network::add_member(std::uint32_t idx, ProcessId d, const FrameHeader& frame) {
+  Fanout& f = fanouts_[idx];
+  f.dsts.push_back(d);
+  if (f.frames.empty()) {
+    if (frame == f.msg.frame) return;
+    f.frames.reserve(cpus_.size() - 1);
+    f.frames.assign(f.dsts.size() - 1, f.msg.frame);
+  }
+  f.frames.push_back(frame);
+}
+
+void Network::release_fanout(std::uint32_t idx) {
+  fanouts_[idx].next_free = fanout_free_;
+  fanout_free_ = idx;
 }
 
 bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count) {
   if (m.src < 0 || m.src >= num_processes()) throw std::out_of_range("Network::submit: bad source");
-  std::uint32_t list = kNoList;
+  std::uint32_t fanout = kNoFanout;
   for (std::size_t i = 0; i < count; ++i) {
     const ProcessId d = dsts[i];
     if (d < 0 || d >= num_processes()) {
-      if (list != kNoList) release_list(list);
+      if (fanout != kNoFanout) release_fanout(fanout);
       throw std::out_of_range("Network::submit: bad destination");
     }
     if (d == m.src) continue;
-    if (list == kNoList) list = acquire_list();
-    list_ref(list).dsts.push_back(d);
+    if (fanout == kNoFanout) fanout = acquire_fanout(m);
+    add_member(fanout, d, m.frame);
   }
-  if (list == kNoList) return false;  // no effective destination
+  if (fanout == kNoFanout) return false;  // no effective destination
 
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kSendEnq, m.src, m, sched_->now());
   }
   // Stage 1: send-side CPU processing.
   cpus_[static_cast<std::size_t>(m.src)]->enqueue(cfg_.lambda,
-                                                  [this, m, list] { on_send_done(m, list); });
+                                                  [this, fanout] { on_send_done(fanout); });
   return true;
 }
 
-void Network::on_send_done(const Message& m, std::uint32_t list) {
+void Network::on_send_done(std::uint32_t fanout) {
   if (obs_ != nullptr && obs_->causal()) {
+    const Message& m = fanouts_[fanout].msg;
     const double now = sched_->now();
     causal_mark(obs_, obs::EdgeKind::kSendDone, m.src, m, now);
     causal_mark(obs_, obs::EdgeKind::kWireEnq, m.src, m, now);
   }
   // Stage 2: one slot on the shared medium regardless of fan-out.
-  wire_.enqueue(kNetworkTimeMs * delay_factor_, [this, m, list] { on_wire_done(m, list); });
+  wire_.enqueue(kNetworkTimeMs * delay_factor_, [this, fanout] { on_wire_done(fanout); });
 }
 
-void Network::on_wire_done(const Message& m, std::uint32_t list) {
+void Network::on_wire_done(std::uint32_t fanout) {
+  const Message m = fanouts_[fanout].msg;
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kWireDone, m.src, m, sched_->now());
   }
   // Fault filter, then stage 3: receive-side CPU processing, one job per
-  // destination host.  filter_or_deliver only enqueues (no user callbacks
-  // run synchronously), so the pooled list stays stable while we iterate.
+  // destination host, grouped by deliver_via_cpu.  Nothing here runs a
+  // delivery handler, but committing a job may open a group and grow the
+  // fan-out pool, so the destination list is indexed, never referenced.
   // The transport stamps a per-destination copy first (the sequence
   // number lives in the ordered-pair channel, so it cannot be shared
   // across the fan-out).
-  for (ProcessId d : list_ref(list).dsts) {
+  OpenGroups open;
+  const std::size_t count = fanouts_[fanout].dsts.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const ProcessId d = fanouts_[fanout].dsts[i];
     if (transport_ != nullptr || checksums_enabled_) {
       Message f = m;
       if (transport_ != nullptr) transport_->stamp_frame(f, d);
@@ -104,12 +127,12 @@ void Network::on_wire_done(const Message& m, std::uint32_t list) {
       // the checksum covers it; only runs when a corrupt event armed
       // checksums for this run.
       if (checksums_enabled_) f.frame.check = frame_digest(f);
-      filter_or_deliver(f, d);
+      filter_or_deliver(f, d, open);
     } else {
-      filter_or_deliver(m, d);
+      filter_or_deliver(m, d, open);
     }
   }
-  release_list(list);
+  release_fanout(fanout);
 }
 
 /// The fault-filter stage proper: hold across a partition (symmetric,
@@ -117,7 +140,7 @@ void Network::on_wire_done(const Message& m, std::uint32_t list) {
 /// with the corruption probability, else enqueue the receive-side CPU
 /// job.  Also applied to messages re-injected by a heal, so a heal inside
 /// a loss or corruption window does not bypass those models.
-void Network::filter_or_deliver(const Message& m, ProcessId d) {
+void Network::filter_or_deliver(const Message& m, ProcessId d, OpenGroups& open) {
   if (link(m.src, d) != 0) {
     held_.emplace_back(m, d);
     ++held_total_;
@@ -138,18 +161,61 @@ void Network::filter_or_deliver(const Message& m, ProcessId d) {
     damaged.frame.check ^= 0xA5;
     ++corrupted_;
     if (transport_ != nullptr) transport_->frame_dropped(m, d);
-    deliver_via_cpu(damaged, d);
+    deliver_via_cpu(damaged, d, open);
     return;
   }
-  deliver_via_cpu(m, d);
+  deliver_via_cpu(m, d, open);
 }
 
-void Network::deliver_via_cpu(const Message& m, ProcessId d) {
+void Network::deliver_via_cpu(const Message& m, ProcessId d, OpenGroups& open) {
   if (obs_ != nullptr && obs_->causal()) {
     causal_mark(obs_, obs::EdgeKind::kRecvEnq, d, m, sched_->now());
   }
-  cpus_[static_cast<std::size_t>(d)]->enqueue(cfg_.lambda,
-                                              [this, m, d] { finish_delivery(m, d); });
+  const sim::Time t = cpus_[static_cast<std::size_t>(d)]->commit(cfg_.lambda);
+  // A record this call did not schedule (a transport timer) may share an
+  // instant with any open group: it closes them all.
+  if (open.inserted != sched_->inserted()) open.count = 0;
+  std::size_t at = 0;  // the open group at instant t, if any
+  while (at < open.count && open.group[at].t != t) ++at;
+  if (at < open.count) {
+    const std::uint32_t idx = open.group[at].idx;
+    const Message& g = fanouts_[idx].msg;
+    if (g.payload == m.payload && g.src == m.src && g.proto == m.proto) {
+      add_member(idx, d, m.frame);
+      return;
+    }
+  }
+  // Scheduled where this job's own record would have been: the members
+  // that join it would have fired right after it at instant t (the call's
+  // records at other instants never come between).  It is now the call's
+  // latest record at t, so it replaces the group open there.
+  const std::uint32_t group = acquire_fanout(m);
+  add_member(group, d, m.frame);
+  sched_->schedule_at(t, [this, group] { fire_group(group); });
+  open.inserted = sched_->inserted();
+  if (at == open.count) {
+    if (open.count == kOpenGroups) {  // full: the first group closes
+      std::move(open.group.begin() + 1, open.group.end(), open.group.begin());
+      --open.count;
+    }
+    at = open.count++;
+  }
+  open.group[at] = OpenGroups::Group{group, t};
+}
+
+void Network::fire_group(std::uint32_t group) {
+  Message m = fanouts_[group].msg;
+  const std::size_t count = fanouts_[group].dsts.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) sched_->count_job();
+    // Re-indexed per member: a delivery handler may submit and grow the
+    // pool.
+    const Fanout& g = fanouts_[group];
+    const ProcessId d = g.dsts[i];
+    m.frame = g.frames.empty() ? g.msg.frame : g.frames[i];
+    finish_delivery(m, d);
+  }
+  release_fanout(group);
 }
 
 void Network::finish_delivery(const Message& m, ProcessId d) {
@@ -240,7 +306,8 @@ void Network::heal_asym_partition() {
 void Network::refilter_held() {
   std::vector<std::pair<Message, ProcessId>> pending;
   pending.swap(held_);
-  for (auto& [m, d] : pending) filter_or_deliver(m, d);
+  OpenGroups open;
+  for (auto& [m, d] : pending) filter_or_deliver(m, d, open);
 }
 
 void Network::set_loss(double rate, sim::Rng* rng) {

@@ -9,11 +9,28 @@
 // (Ethernet-style broadcast medium).  A process never sends to itself:
 // destinations equal to the sender are skipped.
 //
-// Steady-state transmission is allocation-free: pipeline stages capture
-// the POD Message by value in slab-stored scheduler callbacks, and the
-// destination set lives in a pooled, capacity-reusing list.  Finished
-// deliveries go to the retransmission transport when it is armed and to
-// the destination Node otherwise, both called directly.
+// Steady-state transmission is allocation-free: a message and its members
+// (destinations, with per-member frame headers once the transport or
+// checksums stamp them) live in a pooled, capacity-reusing fan-out entry,
+// and the pipeline stages' slab-stored scheduler callbacks capture only
+// its index.  Finished deliveries go to the retransmission transport when
+// it is armed and to the destination Node otherwise, both called
+// directly.
+//
+// Grouped receive jobs: the receive-side CPU jobs of one message that
+// complete at the same instant (idle receivers of a multicast, the usual
+// case) fire from one scheduler record, which calls finish_delivery for
+// each member in list order.  A job joins a group only when it carries
+// the same message (source, protocol, payload; the frame headers may
+// differ), completes at the group's instant, was committed in the same
+// fan-out call (one wire completion or one re-filter pass of held
+// deliveries), and the group's record is still the latest one scheduled
+// at that instant: a group record of the call at the same instant
+// replaces it, and a record the call did not schedule (a transport timer
+// armed while stamping) closes every open group.  Those jobs' own records
+// would have fired back to back in that order at that instant, so one
+// record firing them gives the same run.  Scheduler::executed() still
+// counts each job.
 //
 // Crash semantics (software crash): jobs already accepted by a CPU or
 // queued behind it complete normally; the Node stops submitting new sends
@@ -56,6 +73,7 @@
 // gray machinery is invisible to the determinism goldens.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -239,7 +257,10 @@ class Network {
   [[nodiscard]] std::uint64_t held_deliveries() const { return held_total_; }
 
  private:
-  static constexpr std::uint32_t kNoList = UINT32_MAX;
+  static constexpr std::uint32_t kNoFanout = UINT32_MAX;
+  /// Instants a fan-out call keeps a group open at (receivers' CPU
+  /// backlogs differ); when full, one group closes.  Any value is exact.
+  static constexpr std::size_t kOpenGroups = 4;
 
   /// Link-matrix entry layout: a delivery on a link whose entry is
   /// non-zero is held.
@@ -247,11 +268,33 @@ class Network {
   static constexpr std::uint16_t kAsymBit = 2;
   static constexpr std::uint16_t kFlapUnit = 4;  ///< flap-down count in the upper bits
 
-  /// Pooled destination list: the capacity is reused across
-  /// transmissions, so steady-state multicasts never allocate.
-  struct DstList {
+  /// Pooled fan-out entry: a message and its members, the destinations
+  /// of a submitted message until its wire slot completes, then a group
+  /// of receive jobs that complete together.  `frames` holds the members'
+  /// frame headers once one differs from msg.frame (a transport- or
+  /// checksum-stamped copy); while it is empty, every member carries
+  /// msg.frame.  The capacity is reused across entries, so steady-state
+  /// multicasts never allocate.  The pool may grow while an entry is in
+  /// use (a delivery handler submits): index it, never hold a reference
+  /// across a call that can submit.
+  struct Fanout {
+    Message msg;
     std::vector<ProcessId> dsts;
+    std::vector<FrameHeader> frames;
     std::uint32_t next_free = 0;
+  };
+  /// The groups a fan-out call has open, at most one per instant: the
+  /// latest record the call scheduled at that instant, which a receive
+  /// job of the call ending then may join (see the header comment).
+  struct OpenGroups {
+    struct Group {
+      std::uint32_t idx;
+      sim::Time t;
+    };
+    std::array<Group, kOpenGroups> group{};
+    std::size_t count = 0;
+    /// Scheduler::inserted() after the call's last group record.
+    std::uint64_t inserted = 0;
   };
 
   [[nodiscard]] std::size_t link_index(ProcessId a, ProcessId b) const {
@@ -271,15 +314,21 @@ class Network {
   std::uint16_t& link_ref(ProcessId a, ProcessId b);
   void clear_link_bit(std::uint16_t bit);
 
-  void on_send_done(const Message& m, std::uint32_t list);
+  void on_send_done(std::uint32_t fanout);
   void refilter_held();
-  void on_wire_done(const Message& m, std::uint32_t list);
-  void filter_or_deliver(const Message& m, ProcessId d);
-  void deliver_via_cpu(const Message& m, ProcessId d);
+  /// Filters and commits the receive jobs of one transmission, one per
+  /// destination, in list order; the transport stamps each copy first.
+  void on_wire_done(std::uint32_t fanout);
+  void filter_or_deliver(const Message& m, ProcessId d, OpenGroups& open);
+  /// Commits the receive-side CPU job and adds it to the open group, or
+  /// opens a new one with its own scheduler record.
+  void deliver_via_cpu(const Message& m, ProcessId d, OpenGroups& open);
+  /// The record of one group: finish_delivery for each member in order.
+  void fire_group(std::uint32_t group);
   void finish_delivery(const Message& m, ProcessId d);
-  [[nodiscard]] DstList& list_ref(std::uint32_t idx) { return lists_[idx]; }
-  std::uint32_t acquire_list();
-  void release_list(std::uint32_t idx);
+  std::uint32_t acquire_fanout(const Message& m);
+  void add_member(std::uint32_t idx, ProcessId d, const FrameHeader& frame);
+  void release_fanout(std::uint32_t idx);
 
   sim::Scheduler* sched_;
   NetworkConfig cfg_;
@@ -291,8 +340,8 @@ class Network {
   std::function<void(const Message&, ProcessId)> tap_;
   std::uint64_t delivered_ = 0;
 
-  std::vector<DstList> lists_;
-  std::uint32_t list_free_ = kNoList;
+  std::vector<Fanout> fanouts_;
+  std::uint32_t fanout_free_ = kNoFanout;
 
   /// Directed link states (row-major n*n, see kPartitionBit); empty until
   /// the first partition, cut or flap.

@@ -4,13 +4,15 @@
 // resource per host.
 //
 // A job that arrives while the server is busy waits in FIFO order.  Because
-// jobs are enqueued at their physical arrival instant (the simulation
-// schedules an event per pipeline stage), a busy-until accumulator gives
-// exact FIFO queueing semantics.
+// jobs are committed at their physical arrival instant (each pipeline
+// stage commits the next one when it completes), a busy-until accumulator
+// gives exact FIFO queueing semantics.
 //
 // enqueue() forwards the completion callable straight into the scheduler's
 // callback slab (no std::function wrapper), so a pipeline stage costs no
-// heap allocation.
+// heap allocation.  commit() occupies the resource and only returns the
+// completion time: the caller schedules the completion itself (the
+// network fires a multicast's simultaneous receive jobs from one record).
 #pragma once
 
 #include <algorithm>
@@ -32,13 +34,19 @@ class Resource {
   /// (still serialized after earlier jobs).
   template <typename F>
   void enqueue(double service_time, F&& on_done) {
-    if (service_time < 0) throw std::invalid_argument("Resource::enqueue: negative service time");
+    sched_->schedule_at(commit(service_time), std::forward<F>(on_done));
+  }
+
+  /// Occupy the resource like enqueue(), but schedule nothing: returns
+  /// the job's completion time.
+  sim::Time commit(double service_time) {
+    if (service_time < 0) throw std::invalid_argument("Resource::commit: negative service time");
     const double stretched = service_time * stretch_;
     const sim::Time start = std::max(sched_->now(), free_at_);
     free_at_ = start + stretched;
     busy_time_ += stretched;
     ++jobs_;
-    sched_->schedule_at(free_at_, std::forward<F>(on_done));
+    return free_at_;
   }
 
   /// Time at which the resource next becomes idle (== now when idle).

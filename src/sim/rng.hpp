@@ -6,6 +6,9 @@
 // others and every experiment is exactly reproducible.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
@@ -50,25 +53,59 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(word);
   }
 
+  /// out[i] = fork_first_exponential(tags[i], mean) for i < count, bit
+  /// for bit.  The forks' first words are computed four at a time, their
+  /// seeding chains interleaved so that the chains' multiplies overlap.
+  void fork_first_exponentials(const std::uint64_t* tags, std::size_t count, double mean,
+                               double* out) const {
+    if (mean <= 0.0) {
+      std::fill(out, out + count, 0.0);
+      return;
+    }
+    constexpr std::size_t kLanes = 4;
+    for (std::size_t i = 0; i < count; i += kLanes) {
+      const std::size_t k = std::min(kLanes, count - i);
+      std::array<std::uint64_t, kLanes> seeds{};
+      for (std::size_t j = 0; j < k; ++j) seeds[j] = splitmix(fork_seed(tags[i + j]));
+      const std::array<std::uint64_t, kLanes> words = first_outputs(seeds);
+      for (std::size_t j = 0; j < k; ++j) {
+        OneWord word(words[j]);
+        out[i + j] = std::exponential_distribution<double>(1.0 / mean)(word);
+      }
+    }
+  }
+
   /// The first output of std::mt19937_64(seed).  It tempers the twisted
   /// x[0], which reads only x[0], x[1] and x[shift_size] of the seeded
   /// state: shift_size seeding steps instead of the engine's full seeding
   /// and twist of state_size words.
   static std::uint64_t first_output(std::uint64_t seed) {
+    return first_outputs(std::array<std::uint64_t, 1>{seed})[0];
+  }
+
+  /// first_output of each seed, the K seeding chains stepped in lockstep.
+  template <std::size_t K>
+  static std::array<std::uint64_t, K> first_outputs(const std::array<std::uint64_t, K>& seed) {
     using E = std::mt19937_64;
     const auto step = [](std::uint64_t x, std::uint64_t i) {
       return E::initialization_multiplier * (x ^ (x >> (E::word_size - 2))) + i;
     };
-    const std::uint64_t x1 = step(seed, 1);
-    std::uint64_t xm = x1;
-    for (std::uint64_t i = 2; i <= E::shift_size; ++i) xm = step(xm, i);
+    std::array<std::uint64_t, K> x1;
+    for (std::size_t j = 0; j < K; ++j) x1[j] = step(seed[j], 1);
+    std::array<std::uint64_t, K> xm = x1;
+    for (std::uint64_t i = 2; i <= E::shift_size; ++i)
+      for (std::size_t j = 0; j < K; ++j) xm[j] = step(xm[j], i);
     constexpr std::uint64_t upper = ~std::uint64_t{0} << E::mask_bits;
-    const std::uint64_t y = (seed & upper) | (x1 & ~upper);
-    std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
-    z ^= (z >> E::tempering_u) & E::tempering_d;
-    z ^= (z << E::tempering_s) & E::tempering_b;
-    z ^= (z << E::tempering_t) & E::tempering_c;
-    return z ^ (z >> E::tempering_l);
+    std::array<std::uint64_t, K> out;
+    for (std::size_t j = 0; j < K; ++j) {
+      const std::uint64_t y = (seed[j] & upper) | (x1[j] & ~upper);
+      std::uint64_t z = xm[j] ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
+      z ^= (z >> E::tempering_u) & E::tempering_d;
+      z ^= (z << E::tempering_s) & E::tempering_b;
+      z ^= (z << E::tempering_t) & E::tempering_c;
+      out[j] = z ^ (z >> E::tempering_l);
+    }
+    return out;
   }
 
   /// Raw 64-bit draw.

@@ -94,17 +94,20 @@ class Scheduler {
   /// the queue is empty or the scheduler was stopped.
   bool step();
 
-  /// Run until the event queue drains, `stop()` is called, or more than
-  /// `max_events` events execute (guard against runaway protocols).
-  /// Returns the number of events executed.
+  /// Run until the event queue drains, `stop()` is called, or
+  /// `max_events` records have fired (guard against runaway protocols).
+  /// Counts and returns records, not jobs: a record that fires several
+  /// jobs (see count_job) counts once here.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
   /// Run events with timestamp <= `t`; afterwards now() == t unless the
-  /// scheduler was stopped earlier.  Returns the number of events
-  /// executed.
+  /// scheduler was stopped earlier.  Returns the number of records
+  /// fired.
   std::uint64_t run_until(Time t);
 
-  /// Stop a run()/run_until() in progress (from inside a callback).
+  /// Stop a run()/run_until() in progress (from inside a callback).  It
+  /// takes effect between records: a record that fires several jobs
+  /// (see count_job) finishes them all.
   void stop() { stopped_ = true; }
 
   [[nodiscard]] bool stopped() const { return stopped_; }
@@ -112,11 +115,23 @@ class Scheduler {
   /// Resets the stop flag so that run() can be called again.
   void clear_stop() { stopped_ = false; }
 
-  /// Number of events currently pending (cancelled ones excluded).
+  /// Number of records currently pending (cancelled ones excluded).
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Total number of events executed so far.
+  /// Simulated jobs executed so far: one per fired record, plus one per
+  /// count_job() call, so a record that fires k jobs counts k.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+
+  /// Called by a running record before each job it fires after its
+  /// first (the network fires the receive jobs of one multicast that
+  /// complete at the same instant from one record), so executed() counts
+  /// simulated jobs, not records.
+  void count_job() { ++executed_; }
+
+  /// Records scheduled so far.  Two records scheduled with no other
+  /// insertion between them take adjacent places in the FIFO order at
+  /// equal times, which is what lets a caller fold them into one.
+  [[nodiscard]] std::uint64_t inserted() const { return next_seq_ - 1; }
 
  private:
   /// POD queue record; `seq` breaks timestamp ties FIFO.

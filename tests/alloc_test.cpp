@@ -5,13 +5,15 @@
 // measured rounds: the retransmission transport's no-loss path with and
 // without frame checksums, the raw checksum stamp/verify, the armed
 // observer's span/counter hooks, the causal edge recorder with the QoS
-// meter, and batched submission.  The observer and causal kernels run
+// meter, batched submission, and multicast fan-out into grouped receive
+// jobs at n = 128.  The observer and causal kernels run
 // past their slab capacity on purpose, so the flight-recorder drop path
 // is covered too.
 //
 // The transport and batching kernels cross the scheduler wheel's
 // top-window boundary (every ~17 simulated minutes) once in their warm-up
-// and once more in their measured rounds, as any long run does.
+// and once more in their measured rounds, as any long run does; so does
+// the n = 128 multicast fan-out.
 //
 // The scheduler's own steady state is covered by scheduler_test.  The
 // AllocBound tests bound what is not zero: the scheduler under an n = 128
@@ -152,6 +154,35 @@ void transport_ping_pong(bool checksums) {
 TEST(ZeroAlloc, TransportPingPong) { transport_ping_pong(false); }
 
 TEST(ZeroAlloc, TransportChecksumPingPong) { transport_ping_pong(true); }
+
+// Steady multicasts at n = 128: every process multicasts to all the
+// others in turn, so each wire slot fans out into 127 receive jobs that
+// end at one instant and fire from one grouped scheduler record.  The
+// destination lists and receive groups are pooled entries whose member
+// capacity is reused.  A round is ~130 simulated ms.
+TEST(ZeroAlloc, MulticastFanOut128) {
+  constexpr int kN = 128;
+  net::System sys(kN, net::NetworkConfig{}, 1);
+  NullSink sink;
+  for (int i = 0; i < kN; ++i) sys.node(i).register_handler(net::ProtocolId::kApplication, &sink);
+  const net::BlankPayload payload;
+  auto round = [&] {
+    for (int i = 0; i < kN; ++i)
+      sys.node(i).multicast_others(sys.all(), net::ProtocolId::kApplication, &payload);
+    sys.scheduler().run();
+  };
+  park_before_top_window(sys.scheduler(), 1.0);
+  for (int r = 0; r < 4; ++r) round();
+  const double boundary = park_before_top_window(sys.scheduler(), 2'000.0);
+  const std::uint64_t inserted = sys.scheduler().inserted();
+  const std::uint64_t before = g_alloc_count;
+  for (int r = 0; r < 32; ++r) round();
+  EXPECT_EQ(g_alloc_count - before, 0u);
+  EXPECT_GT(sys.scheduler().now(), boundary);
+  EXPECT_EQ(sys.network().messages_delivered(), 36u * kN * (kN - 1));
+  // Send CPU, wire and one receive group per multicast.
+  EXPECT_EQ(sys.scheduler().inserted() - inserted, 32u * kN * 3);
+}
 
 // Raw frame-checksum stamp + verify over a resident message set: the
 // per-frame arithmetic a corrupt-armed run adds to every delivery.

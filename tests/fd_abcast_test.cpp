@@ -340,6 +340,61 @@ TEST(FdAbcast, DeliveredStateBoundedByInFlightMessages) {
   f.check_safety();
 }
 
+TEST(FdAbcast, StartCohortsBoundedByLiveStarts) {
+  // n = 7 at T = 300/s for 10 simulated seconds, with wrong suspicions
+  // (failed rounds, refreshed proposals, ids whose proposal lost) and p3
+  // crashed for 1 s from the first instant after 4 s at which it holds a
+  // live start (its restart must void that start; its log sync skips
+  // decisions).  An instance start visits no pending id: it records the
+  // admission counter.  What it keeps must stay bounded by the pipeline:
+  // at most kPipeline = 2 live starts and one admission cohort more, at
+  // every process and instant, and none once every decision is applied.
+  fd::QosParams qp;
+  qp.detection_time = 10.0;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = 1000.0;
+  qp.mistake_duration = 5.0;
+  Fixture f(7, qp, 3);
+  sim::Rng rng(11);
+  for (double t = rng.exponential(1000.0 / 300.0); t < 10000.0;
+       t += rng.exponential(1000.0 / 300.0)) {
+    const auto sender = static_cast<std::size_t>(rng.uniform_int(0, 6));
+    f.sys.scheduler().schedule_at(t, [&f, sender] { f.procs[sender]->a_broadcast(); });
+  }
+  FdAbcastProcess& p3 = *f.procs[3];
+  bool restarted = false;
+  for (double t = 5.0; t <= 12000.0; t += 5.0) {
+    f.sys.scheduler().run_until(t);
+    for (const auto& p : f.procs) {
+      const auto s = p->data_plane_dbg();
+      ASSERT_LE(s.live_starts, 2u) << "p" << p->id() << " at " << t << " ms";
+      ASSERT_LE(s.cohorts, s.live_starts + 1) << "p" << p->id() << " at " << t << " ms";
+    }
+    if (t >= 4000.0 && !f.sys.node(3).crashed() && !restarted &&
+        p3.data_plane_dbg().live_starts > 0) {
+      f.sys.crash(3);
+      f.sys.scheduler().schedule_after(1000.0, [&f, &p3, &restarted] {
+        f.sys.restart(3);
+        p3.on_restart();
+        restarted = true;
+        // Nothing was queued for resubmission: no start is live.
+        EXPECT_EQ(p3.data_plane_dbg().live_starts, 0u);
+        EXPECT_EQ(p3.data_plane_dbg().cohorts, 1u);
+      });
+    }
+  }
+  EXPECT_TRUE(restarted);
+  EXPECT_GT(f.procs[0]->log().size(), 2500u);
+  for (const auto& p : f.procs) {
+    EXPECT_EQ(p->log().size(), f.procs[0]->log().size()) << "p" << p->id();
+    const auto s = p->data_plane_dbg();
+    EXPECT_EQ(s.pending, 0u) << "p" << p->id();
+    EXPECT_EQ(s.live_starts, 0u) << "p" << p->id();
+    EXPECT_EQ(s.cohorts, 1u) << "p" << p->id();
+  }
+  f.check_safety();
+}
+
 // ------------------------------------------------ proposals built once
 
 TEST(FdAbcast, OnlyTheRoundOneCoordinatorBuildsAProposal) {

@@ -230,5 +230,100 @@ TEST(Network, MessageTimingIndependentOfPayloadSize) {
   EXPECT_DOUBLE_EQ(g.recorders[1]->arrivals[0].second, t1);
 }
 
+TEST(Network, MulticastReceiveJobsFireTogetherInDestinationOrder) {
+  // Idle receivers finish a multicast's receive jobs at one instant: one
+  // scheduler record fires them in destination-list order, and executed()
+  // still counts each job.  A receiver whose CPU is slower finishes later,
+  // in a record of its own, without splitting or reordering the others.
+  Fixture f(6);
+  using Arrival = std::pair<ProcessId, sim::Time>;
+  std::vector<Arrival> order;
+  f.sys.network().set_delivery_tap(
+      [&](const Message&, ProcessId d) { order.emplace_back(d, f.sys.now()); });
+  f.sys.node(0).multicast_others({5, 2, 4, 1, 3}, ProtocolId::kApplication, f.payload());
+  f.sys.scheduler().run();
+  const std::vector<Arrival> together = {{5, 3.0}, {2, 3.0}, {4, 3.0}, {1, 3.0}, {3, 3.0}};
+  EXPECT_EQ(order, together);
+  EXPECT_EQ(f.sys.scheduler().inserted(), 3u);  // send CPU, wire, one receive group
+  EXPECT_EQ(f.sys.scheduler().executed(), 7u);  // send CPU, wire, five receive jobs
+
+  // p2's CPU limps at a quarter of its speed, so its receive job ends at
+  // t0 + 6; p1's, p3's and p4's end at t0 + 3 and still fire in list
+  // order, from one record: the group at t0 + 3 stays open past p2's.
+  order.clear();
+  const sim::Time t0 = f.sys.now();
+  const std::uint64_t records = f.sys.scheduler().inserted();
+  f.sys.network().set_cpu_limp(2, 4.0);
+  f.sys.node(0).multicast_others({1, 2, 3, 4}, ProtocolId::kApplication, f.payload());
+  f.sys.scheduler().run();
+  const std::vector<Arrival> split = {{1, t0 + 3.0}, {3, t0 + 3.0}, {4, t0 + 3.0}, {2, t0 + 6.0}};
+  EXPECT_EQ(order, split);
+  EXPECT_EQ(f.sys.scheduler().inserted() - records, 4u);  // send CPU, wire, two groups
+}
+
+TEST(Network, HeldMessagesReleasedByOneHealKeepTheirOwnPayloads) {
+  // Three messages held across a partition, released by one heal, in
+  // held order: m1 p0 -> p2, m3 p1 -> p3, m2 p1 -> p2.  At λ = 0 all three
+  // receive jobs end at the heal instant, at λ = 1 the first two do: jobs
+  // of different messages must not share a group, whatever the instant,
+  // and each receiver gets its own message from its own source.
+  for (const double lambda : {0.0, 1.0}) {
+    Fixture f(4, lambda);
+    struct Arrival {
+      const Payload* payload;
+      ProcessId src;
+      ProcessId dst;
+      bool operator==(const Arrival&) const = default;
+    };
+    std::vector<Arrival> arrivals;
+    f.sys.network().set_delivery_tap(
+        [&](const Message& m, ProcessId d) { arrivals.push_back({m.payload, m.src, d}); });
+    f.sys.network().set_partition({{0, 1}, {2, 3}});
+    const PayloadPtr m1 = f.payload();
+    const PayloadPtr m2 = f.payload();
+    const PayloadPtr m3 = f.payload();
+    f.sys.node(0).send(2, ProtocolId::kApplication, m1);
+    f.sys.scheduler().run();
+    f.sys.node(1).send(3, ProtocolId::kApplication, m3);
+    f.sys.scheduler().run();
+    f.sys.node(1).send(2, ProtocolId::kApplication, m2);
+    f.sys.scheduler().run();
+    ASSERT_EQ(f.sys.network().held_deliveries(), 3u) << "lambda " << lambda;
+    ASSERT_TRUE(arrivals.empty());
+    f.sys.network().heal_partition();
+    f.sys.scheduler().run();
+    const std::vector<Arrival> expected = {{m1, 0, 2}, {m3, 1, 3}, {m2, 1, 2}};
+    EXPECT_EQ(arrivals, expected) << "lambda " << lambda;
+    ASSERT_EQ(f.recorders[2]->arrivals.size(), 2u);
+    EXPECT_EQ(f.recorders[2]->arrivals[0].first, 0);
+    EXPECT_EQ(f.recorders[2]->arrivals[1].first, 1);
+  }
+}
+
+TEST(Network, GroupJoinsOnlyTheLatestRecordAtItsInstant) {
+  // Held in this order: X p0 -> p2, Y p1 -> p3, X again (the same
+  // payload) p0 -> p4.  The heal ends all three receive jobs at one
+  // instant.  The third carries the first one's message, but Y's record
+  // was scheduled at that instant in between, so it must not join the
+  // first one's group: the deliveries keep the held order.
+  Fixture f(5);
+  std::vector<ProcessId> order;
+  f.sys.network().set_delivery_tap([&](const Message&, ProcessId d) { order.push_back(d); });
+  f.sys.network().set_partition({{0, 1}, {2, 3, 4}});
+  const PayloadPtr x = f.payload();
+  f.sys.node(0).send(2, ProtocolId::kApplication, x);
+  f.sys.scheduler().run();
+  f.sys.node(1).send(3, ProtocolId::kApplication, f.payload());
+  f.sys.scheduler().run();
+  f.sys.node(0).send(4, ProtocolId::kApplication, x);
+  f.sys.scheduler().run();
+  ASSERT_EQ(f.sys.network().held_deliveries(), 3u);
+  const std::uint64_t records = f.sys.scheduler().inserted();
+  f.sys.network().heal_partition();
+  EXPECT_EQ(f.sys.scheduler().inserted() - records, 3u);
+  f.sys.scheduler().run();
+  EXPECT_EQ(order, (std::vector<ProcessId>{2, 3, 4}));
+}
+
 }  // namespace
 }  // namespace fdgm::net

@@ -2,10 +2,12 @@
 // forks, and distribution properties of the variates the simulation uses.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "util/stats.hpp"
@@ -127,9 +129,13 @@ TEST(Rng, ExponentialIsMemoryless) {
 }
 
 TEST(Rng, FirstWordMatchesMt19937_64) {
-  constexpr std::uint64_t kEdgeSeeds[] = {0, 1, 5489, ~std::uint64_t{0}};
+  constexpr std::array<std::uint64_t, 4> kEdgeSeeds = {0, 1, 5489, ~std::uint64_t{0}};
   for (const std::uint64_t s : kEdgeSeeds)
     EXPECT_EQ(Rng::first_output(s), std::mt19937_64(s)()) << "seed " << s;
+  // The four-lane form the batched draws use, one edge seed per lane.
+  const std::array<std::uint64_t, 4> words = Rng::first_outputs(kEdgeSeeds);
+  for (std::size_t j = 0; j < kEdgeSeeds.size(); ++j)
+    EXPECT_EQ(words[j], std::mt19937_64(kEdgeSeeds[j])()) << "lane " << j;
   // Splitmix64 outputs, the kind of seed fork() hands its engine.
   std::uint64_t state = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -153,6 +159,28 @@ TEST(Rng, ForkFirstExponentialMatchesFork) {
   }
   EXPECT_EQ(base.fork_first_exponential(3, 0.0), 0.0);
   EXPECT_EQ(base.fork_first_exponential(3, -1.0), 0.0);
+}
+
+TEST(Rng, BatchedForkFirstExponentialsMatchFork) {
+  // Full blocks of four and every tail length (1..3), at tags that are
+  // neither contiguous nor ordered.
+  const Rng base = Rng(77).fork("fd-qos-model");
+  for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 8u, 127u}) {
+    std::vector<std::uint64_t> tags(count);
+    for (std::size_t i = 0; i < count; ++i) tags[i] = (i * 7919 + count) % 16384;
+    for (const double mean : {1e-3, 81280000.0}) {
+      std::vector<double> out(count, -1.0);
+      base.fork_first_exponentials(tags.data(), count, mean, out.data());
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(base.fork(tags[i]).exponential(mean)))
+            << "count " << count << " index " << i << " mean " << mean;
+    }
+  }
+  std::uint64_t tag = 3;
+  double out = -1.0;
+  base.fork_first_exponentials(&tag, 1, 0.0, &out);
+  EXPECT_EQ(out, 0.0);
 }
 
 }  // namespace

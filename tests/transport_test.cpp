@@ -17,6 +17,7 @@
 #include "core/parallel.hpp"
 #include "core/runner.hpp"
 #include "net/system.hpp"
+#include "sim/rng.hpp"
 #include "transport/transport.hpp"
 
 namespace fdgm::transport {
@@ -200,6 +201,29 @@ TEST(Transport, HeldFrameDroppedAtHealIsStillRecovered) {
   EXPECT_EQ(f.recorders[1]->values, (std::vector<int>{1, 2, 3}));
   EXPECT_GE(f.tp().stats().retransmits, 1u);
   EXPECT_EQ(f.tp().outstanding(0, 1), 0u);
+}
+
+TEST(Transport, TimerArmedWhileStampingClosesTheReceiveGroup) {
+  // A multicast's receive jobs at idle receivers end at one instant.
+  // Loss-free, they fire from one scheduler record.  Inside a loss window
+  // stamping each copy arms its channel's retransmission timer, a record
+  // inserted between two members, so each job fires from its own record
+  // (that timer could share the jobs' instant and must keep its place).
+  for (const bool lossy : {false, true}) {
+    Fixture f(4);
+    sim::Rng loss_rng(9);
+    if (lossy) f.sys.network().set_loss(1e-12, &loss_rng);
+    f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication,
+                                   f.sys.arena().make<TestMsg>(7));
+    f.sys.scheduler().run_until(2.0);  // send CPU [0, 1], wire [1, 2]
+    // Send CPU and wire, then one receive group, or three timers and
+    // three single-job groups.
+    EXPECT_EQ(f.sys.scheduler().inserted(), lossy ? 8u : 3u) << "lossy " << lossy;
+    f.sys.scheduler().run_until(3.0);
+    EXPECT_EQ(f.sys.scheduler().executed(), 5u) << "lossy " << lossy;
+    for (int p = 1; p < 4; ++p)
+      EXPECT_EQ(f.recorders[static_cast<std::size_t>(p)]->values, std::vector<int>{7});
+  }
 }
 
 TEST(Transport, ChannelsSequenceIndependently) {
