@@ -20,9 +20,12 @@
 // flush timer bounds the queueing delay of partial batches.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/message.hpp"
@@ -79,21 +82,27 @@ class DeliveredIds {
 /// a flat window over the seqs [base, base + size).  Per-origin seqs are
 /// dense, so a slot is found by index, not by hashing or a tree walk, and
 /// the windows iterate in id order (origin-major, then seq), as MsgId
-/// compares.  A window is trimmed from below as its lowest slots empty
-/// (`Slot::empty()`), so it spans the origin's messages in flight, not the
-/// run's history; a window that empties gives up storage beyond a few
-/// slots.  A slot that stays occupied pins its window: the window then
-/// grows by one slot per later seq of that origin.
+/// compares.  A window of at most kInline slots (an origin's usual load in
+/// flight) keeps them inside its own record; only a longer one moves them
+/// to heap storage, and back once it shrinks again.  A window is trimmed
+/// from below as its lowest slots empty (`Slot::empty()`), so it spans the
+/// origin's messages in flight, not the run's history; a window that
+/// empties gives up heap storage beyond a few slots.  A slot that stays
+/// occupied pins its window: the window then grows by one slot per later
+/// seq of that origin.
 template <class Slot>
 class InFlightWindows {
  public:
+  /// Slots a window holds in its own record.
+  static constexpr std::size_t kInline = 2;
+
   /// The occupied slot of `id`, or null.
   [[nodiscard]] Slot* find(const MsgId& id) {
     const auto o = static_cast<std::size_t>(id.origin);
     if (o >= by_origin_.size()) return nullptr;
     Window& w = by_origin_[o];
-    if (id.seq < w.base || id.seq - w.base >= w.slots.size()) return nullptr;
-    Slot& s = w.slots[static_cast<std::size_t>(id.seq - w.base)];
+    if (id.seq < w.base || id.seq - w.base >= w.size) return nullptr;
+    Slot& s = w.data()[id.seq - w.base];
     return s.empty() ? nullptr : &s;
   }
   [[nodiscard]] const Slot* find(const MsgId& id) const {
@@ -109,16 +118,20 @@ class InFlightWindows {
       occupied_.resize(o / 64 + 1, 0);
     }
     Window& w = by_origin_[o];
-    if (w.slots.empty()) {
+    if (w.size == 0) {
       w.base = id.seq;
       occupied_[o / 64] |= std::uint64_t{1} << (o % 64);
     } else if (id.seq < w.base) {
-      w.slots.insert(w.slots.begin(), static_cast<std::size_t>(w.base - id.seq), Slot{});
+      const auto shift = static_cast<std::size_t>(w.base - id.seq);
+      w.resize(w.size + shift);
+      Slot* d = w.data();
+      std::move_backward(d, d + w.size - shift, d + w.size);
+      std::fill(d, d + shift, Slot{});
       w.base = id.seq;
     }
     const auto i = static_cast<std::size_t>(id.seq - w.base);
-    if (i >= w.slots.size()) w.slots.resize(i + 1);
-    return w.slots[i];
+    if (i >= w.size) w.resize(i + 1);
+    return w.data()[i];
   }
 
   /// Call after emptying `id`'s slot: trims its window from below.
@@ -126,17 +139,20 @@ class InFlightWindows {
     const auto o = static_cast<std::size_t>(id.origin);
     Window& w = by_origin_[o];
     if (id.seq != w.base) return;  // a lower slot is still occupied
+    Slot* d = w.data();
     std::size_t k = 1;
-    while (k < w.slots.size() && w.slots[k].empty()) ++k;
-    if (k < w.slots.size()) {
-      w.slots.erase(w.slots.begin(), w.slots.begin() + static_cast<std::ptrdiff_t>(k));
+    while (k < w.size && d[k].empty()) ++k;
+    if (k < w.size) {
+      std::move(d + k, d + w.size, d);
       w.base += k;
+      w.resize(w.size - k);
       return;
     }
-    if (w.slots.capacity() > kKeptSlots)
-      std::vector<Slot>().swap(w.slots);
-    else
-      w.slots.clear();
+    w.resize(0);
+    if (w.heap_cap > kKeptSlots) {
+      w.heap.reset();
+      w.heap_cap = 0;
+    }
     occupied_[o / 64] &= ~(std::uint64_t{1} << (o % 64));
   }
 
@@ -148,9 +164,9 @@ class InFlightWindows {
       for (std::uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
         const std::size_t o = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         Window& w = by_origin_[o];
-        for (std::size_t i = 0; i < w.slots.size(); ++i)
-          if (!w.slots[i].empty())
-            f(MsgId{static_cast<net::ProcessId>(o), w.base + i}, w.slots[i]);
+        Slot* d = w.data();
+        for (std::size_t i = 0; i < w.size; ++i)
+          if (!d[i].empty()) f(MsgId{static_cast<net::ProcessId>(o), w.base + i}, d[i]);
       }
     }
   }
@@ -164,17 +180,44 @@ class InFlightWindows {
   /// bounds).
   [[nodiscard]] std::size_t slots() const {
     std::size_t n = 0;
-    for (const Window& w : by_origin_) n += w.slots.size();
+    for (const Window& w : by_origin_) n += w.size;
     return n;
   }
 
  private:
-  /// Storage an emptied window keeps for its next message.
+  /// Heap storage an emptied window keeps for its next long run.
   static constexpr std::size_t kKeptSlots = 8;
 
+  /// Slots [0, size) live in `local` while size <= kInline, else in
+  /// `heap`; `heap` may outlive a long run as spare capacity.
   struct Window {
-    std::uint64_t base = 0;  // seq of slots[0]
-    std::vector<Slot> slots;
+    std::uint64_t base = 0;  // seq of slot 0
+    std::uint32_t size = 0;
+    std::uint32_t heap_cap = 0;
+    std::unique_ptr<Slot[]> heap;
+    std::array<Slot, kInline> local{};
+
+    [[nodiscard]] Slot* data() { return size <= kInline ? local.data() : heap.get(); }
+
+    /// Resizes to `n` slots, moving them between the record and the heap
+    /// when `n` crosses kInline; slots it adds are empty.
+    void resize(std::size_t n) {
+      const std::size_t old = size;
+      if (n > kInline && n > heap_cap) {
+        const std::size_t cap = std::max(n, 2 * std::size_t{heap_cap});
+        auto grown = std::make_unique<Slot[]>(cap);
+        if (old > kInline) std::move(heap.get(), heap.get() + old, grown.get());
+        heap = std::move(grown);
+        heap_cap = static_cast<std::uint32_t>(cap);
+      }
+      if (old <= kInline && n > kInline)
+        std::move(local.begin(), local.begin() + old, heap.get());
+      else if (old > kInline && n <= kInline)
+        std::move(heap.get(), heap.get() + n, local.begin());
+      size = static_cast<std::uint32_t>(n);
+      Slot* d = data();
+      std::fill(d + std::min(old, n), d + n, Slot{});
+    }
   };
   std::vector<Window> by_origin_;
   std::vector<std::uint64_t> occupied_;  // bit o: origin o's window holds a slot

@@ -72,6 +72,92 @@ class GmAbcastProcess::GmState final : public net::Payload {
   std::int64_t settled = 0;  // sender's deliver point (joiner's new baseline)
 };
 
+// --------------------------------------------------------------- ack cover
+
+std::int64_t AckCover::ack(net::ProcessId p, std::int64_t cum) {
+  const auto i = static_cast<std::size_t>(p);
+  std::int64_t& a = acks_[i];
+  if (cum <= a) return a;
+  const std::int64_t from = a == kNoAck ? floor_ : a;
+  a = cum;
+  if (!stale_ && counted_[i] != 0) {
+    if (cum < from)
+      stale_ = true;  // a first ACK below the floor: the point falls
+    else if (cum > from)
+      move(from, cum);
+  }
+  return a;
+}
+
+AckCover::Cover AckCover::select(const gm::View& view, net::ProcessId self, std::int64_t floor,
+                                 std::int64_t own) {
+  if (stale_ || view.id != view_id_ || floor != floor_ || own < own_) {
+    recount(view, self, floor, own);
+  } else if (own > own_) {
+    move(own_, own);
+    own_ = own;
+  }
+  return {cover_, stable_};
+}
+
+void AckCover::recount(const gm::View& view, net::ProcessId self, std::int64_t floor,
+                       std::int64_t own) {
+  view_id_ = view.id;
+  floor_ = floor;
+  own_ = own;
+  k_ = view.majority();
+  std::ranges::fill(counted_, 0);
+  const auto point = [&](net::ProcessId p) {
+    const std::int64_t a = acks_[static_cast<std::size_t>(p)];
+    return a == kNoAck ? floor : a;
+  };
+  std::int64_t lo = own;
+  std::int64_t hi = own;
+  for (net::ProcessId p : view.members) {
+    if (p == self) continue;
+    counted_[static_cast<std::size_t>(p)] = 1;
+    lo = std::min(lo, point(p));
+    hi = std::max(hi, point(p));
+  }
+  lo_ = lo;
+  counts_.assign(static_cast<std::size_t>(hi - lo + 1), 0);
+  ++count(own);
+  for (net::ProcessId p : view.members)
+    if (p != self) ++count(point(p));
+  // The cover: the highest sn with at least k_ points at or above it.
+  std::size_t at_or_above = 0;
+  for (std::int64_t sn = hi;; --sn) {
+    at_or_above += count(sn);
+    if (at_or_above >= k_) {
+      cover_ = sn;
+      over_ = at_or_above - count(sn);
+      break;
+    }
+  }
+  stable_ = lo;
+  stale_ = false;
+}
+
+void AckCover::move(std::int64_t from, std::int64_t to) {
+  --count(from);
+  if (static_cast<std::size_t>(to - lo_) >= counts_.size())
+    counts_.resize(static_cast<std::size_t>(to - lo_ + 1), 0);
+  ++count(to);
+  if (from <= cover_ && to > cover_) {
+    // One more point above the cover: once k_ are, it moves up.
+    for (++over_; over_ >= k_;) over_ -= count(++cover_);
+  }
+  if (from == stable_) {
+    while (count(stable_) == 0) ++stable_;
+    // Drop the counts below the stable point once they are half the
+    // window: amortized O(1) per step.
+    if (static_cast<std::size_t>(stable_ - lo_) * 2 > counts_.size()) {
+      counts_.erase(counts_.begin(), counts_.begin() + (stable_ - lo_));
+      lo_ = stable_;
+    }
+  }
+}
+
 // ------------------------------------------------------------ construction
 
 GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
@@ -79,9 +165,9 @@ GmAbcastProcess::GmAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      membership_(sys, self, fd, *this) {
+      membership_(sys, self, fd, *this),
+      cover_(static_cast<std::size_t>(sys.n())) {
   view_ = membership_.view();
-  acks_.assign(static_cast<std::size_t>(sys.n()), kNoAck);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
 }
 
@@ -138,7 +224,7 @@ void GmAbcastProcess::on_restart() {
   msg_at_.reset(sn_floor_);
   recent_delivered_.clear();
   batch_ends_.clear();
-  acks_.assign(static_cast<std::size_t>(sys_->n()), kNoAck);
+  cover_.reset();
   member_ = false;
   frozen_ = true;
   // Base class: re-route accepted-but-unflushed submissions; member_ is
@@ -257,21 +343,8 @@ void GmAbcastProcess::try_deliver_sequencer() {
   if (!cfg_.uniform || !active_sequencer()) return;
   // Cumulative ack coverage: sn is deliverable once a majority of the view
   // (the sequencer included — it holds everything it assigned) covers it.
-  // cover_buf_ is reused and selected with nth_element: O(|view|) per ack
-  // instead of an allocation plus a full sort.
-  std::vector<std::int64_t>& cover = cover_buf_;
-  cover.clear();
-  cover.push_back(next_sn_ - 1);
-  for (net::ProcessId p : view_.members) {
-    if (p == self_) continue;
-    const std::int64_t a = acks_[static_cast<std::size_t>(p)];
-    cover.push_back(a == kNoAck ? sn_floor_ : a);
-  }
-  const auto kth = cover.begin() + static_cast<std::ptrdiff_t>(view_.majority() - 1);
-  std::nth_element(cover.begin(), kth, cover.end(), std::greater<>());
-  const std::int64_t deliverable = *kth;
+  const auto [deliverable, stable] = cover_.select(view_, self_, sn_floor_, next_sn_ - 1);
   if (deliverable <= announced_) return;
-  const std::int64_t stable = *std::min_element(cover.begin(), cover.end());
   announced_ = deliverable;
   deliver_up_to(deliverable);
   recent_delivered_.erase_below(stable + 1);
@@ -347,12 +420,10 @@ void GmAbcastProcess::on_message(const net::Message& m) {
   }
   if (const auto* a = net::payload_cast<AckMsg>(m)) {
     if (a->view_id != view_.id || !active_sequencer()) return;
-    std::int64_t& cum = acks_[static_cast<std::size_t>(m.src)];
-    cum = std::max(cum, a->cum);
     // The majority cover is at most announced_ after every selection, and
     // raising one member's point to announced_ or below cannot lift it
-    // higher: only an ack above announced_ needs the O(|view|) selection.
-    if (cum > announced_) try_deliver_sequencer();
+    // higher: only an ack above announced_ can deliver anything.
+    if (cover_.ack(m.src, a->cum) > announced_) try_deliver_sequencer();
     return;
   }
   if (const auto* del = net::payload_cast<DeliverMsg>(m)) {
@@ -478,7 +549,7 @@ void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
   view_ = v;
   member_ = member;
   frozen_ = !member;
-  acks_.assign(static_cast<std::size_t>(sys_->n()), kNoAck);
+  cover_.reset();
   if (!member) return;
 
   next_sn_ = sn_floor_ + 1;

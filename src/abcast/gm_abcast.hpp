@@ -53,6 +53,65 @@ struct GmAbcastConfig {
   BatchConfig batching;
 };
 
+/// The GM sequencer's majority cover over its view's cumulative ack
+/// points.  Every member has a point: its latest cumulative ACK this view,
+/// the settled floor while it has sent none (kNoAck), and for the
+/// sequencer itself, which holds everything it assigned, its last
+/// assigned sn.  An sn is deliverable once a majority of points cover it,
+/// so the cover is the majority-th largest point; the stable point, which
+/// every member holds, is the smallest.  Within a view the points only
+/// rise, so the cover keeps a count of points per sn over a flat window
+/// from the stable point up, and moves a cover pointer and a stable pointer
+/// up as points pass them: amortized O(1) per ACK and per assignment,
+/// where a selection over the view would be O(n) per ACK.  Anything else
+/// (a new view or floor, a first ACK below the floor) makes the next
+/// select() recount, in O(view + window).
+class AckCover {
+ public:
+  static constexpr std::int64_t kNoAck = -1;
+
+  /// `n`: the process count (pids index the ack points).
+  explicit AckCover(std::size_t n) : acks_(n, kNoAck), counted_(n, 0) {}
+
+  /// Forgets every ack point (a new view, or a restart).
+  void reset() {
+    std::ranges::fill(acks_, kNoAck);
+    stale_ = true;
+  }
+
+  /// Raises `p`'s cumulative ack point to `cum` if it is higher; returns
+  /// the point.  An ACK from a process outside the view counted last is
+  /// recorded but counts nowhere, as it counts in no selection.
+  std::int64_t ack(net::ProcessId p, std::int64_t cum);
+
+  struct Cover {
+    std::int64_t deliverable;  // majority-th largest point
+    std::int64_t stable;       // smallest point
+  };
+  /// The cover of `view`, selected by `self`, whose own point is `own`;
+  /// members without an ACK count at `floor`.
+  Cover select(const gm::View& view, net::ProcessId self, std::int64_t floor, std::int64_t own);
+
+ private:
+  void recount(const gm::View& view, net::ProcessId self, std::int64_t floor, std::int64_t own);
+  /// One point rises from `from` to `to` (> from).
+  void move(std::int64_t from, std::int64_t to);
+  std::uint32_t& count(std::int64_t sn) { return counts_[static_cast<std::size_t>(sn - lo_)]; }
+
+  std::vector<std::int64_t> acks_;     // per pid: cumulative ACK this view, or kNoAck
+  std::vector<std::uint8_t> counted_;  // per pid: its point is in counts_
+  bool stale_ = true;                  // counts_ and the pointers need a recount
+  std::uint64_t view_id_ = 0;          // what the counts describe
+  std::int64_t floor_ = 0;
+  std::int64_t own_ = 0;
+  std::size_t k_ = 1;                  // majority of the view
+  std::int64_t lo_ = 0;                // sn of counts_[0], <= stable_
+  std::vector<std::uint32_t> counts_;  // points per sn
+  std::int64_t cover_ = 0;             // majority-th largest point
+  std::size_t over_ = 0;               // points above cover_, < k_
+  std::int64_t stable_ = 0;            // smallest point
+};
+
 class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::MembershipClient,
                               public net::Layer {
  public:
@@ -244,12 +303,9 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   // per batch identical to one consensus instance of the FD algorithm.
   std::int64_t next_sn_ = 1;
   std::vector<std::int64_t> batch_ends_;  // ends of unannounced batches
-  /// Cumulative ack point per process, indexed by pid (kNoAck = none this
-  /// view).  Flat instead of a map: the sequencer reads all n entries on
-  /// every ack, which dominates the data plane at large n.
-  static constexpr std::int64_t kNoAck = -1;
-  std::vector<std::int64_t> acks_;
-  std::vector<std::int64_t> cover_buf_;  // scratch for try_deliver_sequencer
+  /// The members' cumulative ack points this view and their majority
+  /// cover, kept up to date per ACK.
+  AckCover cover_;
 
   std::vector<AppMessagePtr> own_buffer_;  // A-broadcasts while excluded
 };

@@ -90,7 +90,8 @@ GroupMembership::GroupMembership(net::System& sys, net::ProcessId self, fd::Fail
       fd_(&fd),
       client_(&client),
       consensus_(sys, self, fd, *this, /*first_number=*/0),  // the first view is #0
-      unstable_received_(static_cast<std::size_t>(sys.n()), nullptr) {
+      unstable_received_(static_cast<std::size_t>(sys.n()), nullptr),
+      awaited_(static_cast<std::size_t>(sys.n()), 0) {
   view_ = View{0, sys.all()};
   sys.node(self).register_handler(net::ProtocolId::kMembership, this);
   fd.add_listener(this);
@@ -112,7 +113,7 @@ void GroupMembership::on_suspect(net::ProcessId p) {
     case Status::kViewChange:
       // The snapshot of this attempt grows: we stop waiting for p and our
       // proposal will not include it.
-      if (view_.contains(p)) vc_suspected_.insert(p);
+      if (view_.contains(p) && vc_suspected_.insert(p).second) awaited_stale_ = true;
       maybe_start_consensus();
       break;
     case Status::kExcluded:
@@ -142,6 +143,7 @@ void GroupMembership::start_view_change(bool initiator) {
   vc_suspected_.clear();
   for (net::ProcessId p : view_.members)
     if (p != self_ && fd_->suspects(p)) vc_suspected_.insert(p);
+  awaited_stale_ = true;
 
   // Step 1 (initiator only): the view-change signal.
   if (initiator)
@@ -153,27 +155,47 @@ void GroupMembership::start_view_change(bool initiator) {
   std::vector<Joiner> js(joiners_.begin(), joiners_.end());
   const UnstableMsgPayload* own = sys_->arena().make<UnstableMsgPayload>(
       view_.id, client_->unstable_messages(), std::move(js));
-  unstable_received_[static_cast<std::size_t>(self_)] = &own->report;
+  note_report(self_, &own->report);
   sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kMembership, own);
   maybe_start_consensus();
+}
+
+bool GroupMembership::excluded(net::ProcessId q) const {
+  return (vc_suspected_.contains(q) || restart_pending_.contains(q)) && q != self_;
+}
+
+void GroupMembership::note_report(net::ProcessId q, const UnstableReport* report) {
+  const auto i = static_cast<std::size_t>(q);
+  unstable_received_[i] = report;
+  if (!awaited_stale_ && awaited_[i] != 0) {
+    awaited_[i] = 0;
+    --awaiting_;
+  }
 }
 
 void GroupMembership::maybe_start_consensus() {
   if (status_ != Status::kViewChange || consensus_started_) return;
   // Proceed once we hold the unstable messages of every member not in the
   // attempt's suspicion snapshot — and they form at least a majority
-  // (otherwise the next view could not make progress).  The waiting check
-  // runs first, allocation-free with an early exit: it is re-evaluated on
-  // every report/suspicion/restart event of the view change, which makes
-  // it O(n^2) per view change at large n if it builds state eagerly.
+  // (otherwise the next view could not make progress).  The check runs on
+  // every report/suspicion/restart event of the view change, n^2 reports
+  // per view change over all members, so it reads a count: the members
+  // still awaited drop out of it one report at a time, and it is
+  // recounted over the view only when the snapshot changes.
   const auto reported = [&](net::ProcessId q) {
     return unstable_received_[static_cast<std::size_t>(q)] != nullptr;
   };
-  const auto excluded = [&](net::ProcessId q) {
-    return (vc_suspected_.contains(q) || restart_pending_.contains(q)) && q != self_;
-  };
-  for (net::ProcessId q : view_.members)
-    if (!reported(q) && !excluded(q)) return;  // waiting
+  if (awaited_stale_) {
+    std::ranges::fill(awaited_, 0);
+    awaiting_ = 0;
+    for (net::ProcessId q : view_.members) {
+      if (reported(q) || excluded(q)) continue;
+      awaited_[static_cast<std::size_t>(q)] = 1;
+      ++awaiting_;
+    }
+    awaited_stale_ = false;
+  }
+  if (awaiting_ != 0) return;  // waiting
   std::vector<net::ProcessId> p_set;
   p_set.reserve(view_.members.size());
   for (net::ProcessId q : view_.members)
@@ -248,6 +270,7 @@ void GroupMembership::schedule_attempt_refresh() {
     vc_suspected_.clear();
     for (net::ProcessId p : view_.members)
       if (p != self_ && fd_->suspects(p)) vc_suspected_.insert(p);
+    awaited_stale_ = true;
     maybe_start_consensus();
   });
 }
@@ -306,6 +329,7 @@ void GroupMembership::process_decision(const MembershipProposal& d) {
         std::find(d.members.begin(), d.members.end(), *it) != d.members.end();
     it = survivor ? std::next(it) : restart_pending_.erase(it);
   }
+  awaited_stale_ = true;
 
   if (nv.contains(self_)) {
     install_view(nv);
@@ -387,6 +411,7 @@ void GroupMembership::rejoin() {
   joiners_.clear();
   restart_pending_.clear();
   vc_suspected_.clear();
+  awaited_stale_ = true;
   future_.clear();
   join_view_hint_ = view_.id;
   join_targets_ = sys_->all();  // multicast_others skips self
@@ -422,7 +447,7 @@ void GroupMembership::on_message(const net::Message& m) {
     if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
     for (const Joiner& j : u->joiners) joiners_.insert(j);
     if (status_ == Status::kMember) start_view_change(/*initiator=*/false);  // just learned
-    unstable_received_[static_cast<std::size_t>(m.src)] = &u->report;
+    note_report(m.src, &u->report);
     maybe_start_consensus();
     return;
   }
@@ -445,6 +470,7 @@ void GroupMembership::on_message(const net::Message& m) {
       // heartbeat-gap suspicion at crash + TD excludes it regardless.)
       joiners_.insert(Joiner{m.src, j->log_len});
       if (restart_pending_.insert(m.src).second) {
+        awaited_stale_ = true;
         if (status_ == Status::kMember)
           start_view_change(/*initiator=*/true);
         else if (status_ == Status::kViewChange)

@@ -169,6 +169,11 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener,
   /// only multicast their unstable messages (step 2).
   void start_view_change(bool initiator);
   void maybe_start_consensus();
+  /// In the attempt's exclusion snapshot (suspected or restarted); never
+  /// ourselves.
+  [[nodiscard]] bool excluded(net::ProcessId q) const;
+  /// Records `q`'s unstable report of this view change.
+  void note_report(net::ProcessId q, const UnstableReport* report);
   /// Blocked attempt (|P| below majority and nothing left to wait for):
   /// refresh the suspicion snapshot and retry shortly.
   void schedule_attempt_refresh();
@@ -209,6 +214,13 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener,
   /// incarnation is gone and must not be waited for — and readmitted as
   /// joiners with a state transfer.
   std::set<net::ProcessId> restart_pending_;
+  /// The members maybe_start_consensus waits for, by pid: in the view,
+  /// not reported, not excluded; `awaiting_` counts them.  A first report
+  /// clears its member's flag; a change of the snapshot, the view or the
+  /// reports held sets `awaited_stale_`, and the next check recounts.
+  std::vector<std::uint8_t> awaited_;
+  std::size_t awaiting_ = 0;
+  bool awaited_stale_ = true;
   bool refresh_scheduled_ = false;
 
   // Joiner state.

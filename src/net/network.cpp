@@ -172,9 +172,23 @@ void Network::deliver_via_cpu(const Message& m, ProcessId d, OpenGroups& open) {
     causal_mark(obs_, obs::EdgeKind::kRecvEnq, d, m, sched_->now());
   }
   const sim::Time t = cpus_[static_cast<std::size_t>(d)]->commit(cfg_.lambda);
-  // A record this call did not schedule (a transport timer) may share an
-  // instant with any open group: it closes them all.
-  if (open.inserted != sched_->inserted()) open.count = 0;
+  // A record this call did not schedule (a transport timer) keeps its
+  // place before the jobs that follow it at its own instant: it closes
+  // the group open there.  Records at other instants never come between
+  // a group's members.  Only the latest record's instant is known, so
+  // more than one such record closes every group.
+  if (open.inserted != sched_->inserted()) {
+    if (sched_->inserted() - open.inserted == 1) {
+      const sim::Time foreign = sched_->latest_at();
+      std::size_t i = 0;
+      while (i < open.count && open.group[i].t != foreign) ++i;
+      if (i < open.count)
+        for (--open.count; i < open.count; ++i) open.group[i] = open.group[i + 1];
+    } else {
+      open.count = 0;
+    }
+    open.inserted = sched_->inserted();
+  }
   std::size_t at = 0;  // the open group at instant t, if any
   while (at < open.count && open.group[at].t != t) ++at;
   if (at < open.count) {

@@ -27,9 +27,13 @@
 // deliveries), and the group's record is still the latest one scheduled
 // at that instant: a group record of the call at the same instant
 // replaces it, and a record the call did not schedule (a transport timer
-// armed while stamping) closes every open group.  Those jobs' own records
-// would have fired back to back in that order at that instant, so one
-// record firing them gives the same run.  Scheduler::executed() still
+// armed while stamping) closes the group open at its own instant.  A
+// record at another instant cannot fall between a group's members, so
+// that group stays open.  When more than one such record came in since
+// the call's last record, every open group closes: the scheduler tells
+// only the latest record's instant.  The grouped jobs' own records would
+// have fired back to back in that order at that instant, so one record
+// firing them gives the same run.  Scheduler::executed() still
 // counts each job.
 //
 // Crash semantics (software crash): jobs already accepted by a CPU or
@@ -293,7 +297,8 @@ class Network {
     };
     std::array<Group, kOpenGroups> group{};
     std::size_t count = 0;
-    /// Scheduler::inserted() after the call's last group record.
+    /// Scheduler::inserted() after the last record the call accounted
+    /// for: its own latest group record, or a record it did not schedule.
     std::uint64_t inserted = 0;
   };
 

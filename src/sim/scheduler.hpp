@@ -75,6 +75,7 @@ class Scheduler {
     const std::uint32_t slot = emplace_callback(std::forward<F>(f));
     const std::uint32_t gen = slots_[slot].gen;
     enqueue(Rec{t, next_seq_++, slot, gen});
+    latest_at_ = t;
     ++live_;
     return make_id(gen, slot);
   }
@@ -132,6 +133,8 @@ class Scheduler {
   /// insertion between them take adjacent places in the FIFO order at
   /// equal times, which is what lets a caller fold them into one.
   [[nodiscard]] std::uint64_t inserted() const { return next_seq_ - 1; }
+  /// The instant of the latest record scheduled (kTimeZero before any).
+  [[nodiscard]] Time latest_at() const { return latest_at_; }
 
  private:
   /// POD queue record; `seq` breaks timestamp ties FIFO.
@@ -301,6 +304,7 @@ class Scheduler {
   std::size_t wheel_count_ = 0;
 
   std::uint64_t next_seq_ = 1;
+  Time latest_at_ = kTimeZero;
   std::size_t live_ = 0;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;

@@ -4,8 +4,10 @@
 // watermark -- every value in [first, watermark) is present -- plus a bit
 // window above it.  Whole words leave the window as the watermark passes
 // them, so the storage tracks the values out of order (in flight), not
-// the run's history.  A value that never arrives pins the watermark below
-// it: the window then grows by one bit per later value.
+// the run's history: a stream that arrives in order holds no window at
+// all, and each such insert only moves the watermark.  A value that never
+// arrives pins the watermark below it: the window then grows by one bit
+// per later value.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +29,12 @@ class SeqSet {
   /// Adds v; returns false when it was present already.  Throws
   /// std::out_of_range for a value below the stream's first value.
   bool insert(std::uint64_t v) {
+    if (v == floor_ && words_.empty()) {
+      // In order with nothing above the watermark: no window needed.
+      // base_ stays word-aligned at or below the watermark.
+      if (++floor_ - base_ == 64) base_ = floor_;
+      return true;
+    }
     if (v < floor_) {
       if (v < first_) throw std::out_of_range("SeqSet: value below the stream's first value");
       return false;
@@ -83,7 +91,7 @@ class SeqSet {
   std::uint64_t first_;
   std::uint64_t floor_;  // watermark
   std::uint64_t base_;   // value of bit 0 of words_[0]; first_ + 64k, <= floor_
-  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> words_;  // empty: no value above the watermark
 };
 
 }  // namespace fdgm::util

@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 #include "abcast/gm_abcast.hpp"
 #include "consensus/types.hpp"
+#include "fd/failure_detector.hpp"
 #include "fd/qos_model.hpp"
+#include "gm/membership.hpp"
 #include "net/system.hpp"
+#include "sim/rng.hpp"
 #include "transport/transport.hpp"
 
 namespace fdgm::abcast {
@@ -525,6 +530,177 @@ TEST(GmAbcast, SequencerCrashAfterCompactionsResequencesInFlight) {
 }
 
 // ------------------------------------------------ proposals built once
+
+// The selection the sequencer's cover replaces: the majority-th largest
+// and the smallest of the view's points, by nth_element and min_element.
+AckCover::Cover reference_cover(const std::vector<std::int64_t>& acks, const gm::View& view,
+                                net::ProcessId self, std::int64_t floor, std::int64_t own) {
+  std::vector<std::int64_t> cover{own};
+  for (net::ProcessId p : view.members) {
+    if (p == self) continue;
+    const std::int64_t a = acks[static_cast<std::size_t>(p)];
+    cover.push_back(a == AckCover::kNoAck ? floor : a);
+  }
+  const auto kth = cover.begin() + static_cast<std::ptrdiff_t>(view.majority() - 1);
+  std::nth_element(cover.begin(), kth, cover.end(), std::greater<>());
+  return {*kth, *std::min_element(cover.begin(), cover.end())};
+}
+
+// Random cumulative ACK streams, against the reference selection on every
+// call: members that never ack (kNoAck counts as the floor), ACKs from
+// processes outside the view (recorded, never counted), first ACKs below
+// the floor, stale ACKs, the sequencer's own point rising, the floor
+// rising mid-view, and views replaced mid-stream (a reset, with other
+// members, a new floor and the own point back at the floor).
+TEST(GmAbcast, AckCoverMatchesTheSelectionOverTheView) {
+  constexpr int kN = 11;
+  sim::Rng rng(41);
+  AckCover cover(kN);
+  std::vector<std::int64_t> acks(kN, AckCover::kNoAck);
+  gm::View view;
+  net::ProcessId self = 0;
+  std::int64_t floor = 0;
+  std::int64_t own = 0;
+  std::size_t raised = 0;
+  std::size_t views = 0;
+  auto new_view = [&] {
+    view.id += 1;
+    view.members.clear();
+    for (int p = 0; p < kN; ++p)
+      if (rng.uniform() < 0.7) view.members.push_back(p);
+    if (view.members.empty()) view.members.push_back(0);
+    const auto last = static_cast<std::int64_t>(view.members.size()) - 1;
+    self = view.members[static_cast<std::size_t>(rng.uniform_int(0, last))];
+    floor += rng.uniform_int(0, 20);
+    own = floor;
+    std::ranges::fill(acks, AckCover::kNoAck);
+    cover.reset();
+    ++views;
+  };
+  new_view();
+  AckCover::Cover last = cover.select(view, self, floor, own);
+  for (int step = 0; step < 60000; ++step) {
+    const double r = rng.uniform();
+    if (r < 0.7) {
+      const auto p = static_cast<net::ProcessId>(rng.uniform_int(0, kN - 1));
+      std::int64_t& a = acks[static_cast<std::size_t>(p)];
+      // Usually a little above the member's point, sometimes a stale one
+      // or (first ACK) one below the floor.
+      std::int64_t cum = (a == AckCover::kNoAck ? floor : a) + rng.uniform_int(-2, 6);
+      if (a == AckCover::kNoAck && rng.uniform() < 0.05) cum = floor - rng.uniform_int(1, 5);
+      cum = std::max<std::int64_t>(cum, 0);
+      a = std::max(a, cum);
+      ASSERT_EQ(cover.ack(p, cum), a) << "step " << step;
+    } else if (r < 0.9) {
+      own += rng.uniform_int(0, 4);
+    } else if (r < 0.9015) {
+      floor += rng.uniform_int(1, 5);  // a state transfer raised it
+    } else if (r < 0.903) {
+      new_view();
+    }
+    if (rng.uniform() < 0.6) {  // the sequencer selects after some steps only
+      const AckCover::Cover got = cover.select(view, self, floor, own);
+      const AckCover::Cover want = reference_cover(acks, view, self, floor, own);
+      ASSERT_EQ(got.deliverable, want.deliverable) << "step " << step;
+      ASSERT_EQ(got.stable, want.stable) << "step " << step;
+      if (got.deliverable > last.deliverable) ++raised;
+      last = got;
+    }
+  }
+  EXPECT_GT(views, 50u);
+  EXPECT_GT(raised, 1000u);
+}
+
+/// A membership client with nothing to report or flush.
+class IdleClient final : public gm::MembershipClient {
+ public:
+  [[nodiscard]] gm::UnstableReport unstable_messages() const override { return {}; }
+  void on_view_change_started() override {}
+  void flush(const std::vector<gm::UnstableEntry>&, std::int64_t) override {}
+  void on_view_installed(const gm::View&, bool) override {}
+  [[nodiscard]] std::uint64_t log_length() const override { return 0; }
+  [[nodiscard]] net::PayloadPtr make_state(std::uint64_t) const override { return nullptr; }
+  void apply_state(const net::PayloadPtr&, const gm::View&) override {}
+};
+
+/// Holds the membership messages sent to one process instead of handing
+/// them over, so a test can feed them in an order of its choosing.
+class HeldMessages final : public net::Layer {
+ public:
+  void on_message(const net::Message& m) override { msgs.push_back(m); }
+  std::vector<net::Message> msgs;
+};
+
+// p0 starts a view change of a 9-member group suspecting p8; p0's
+// unstable reports are held and fed to it in reverse member order, p8's
+// first.  Midway p0 comes to suspect p1 as well, then trusts it again (the
+// snapshot keeps it).  After every event, consensus has started exactly
+// when the scan over the view says so: every member reported or
+// excluded, and the reporting unexcluded ones a majority.  That is at
+// p2's report, before p1's arrives; a count that missed the snapshot
+// change would wait for p1.  p7's report is fed twice, and p8's counts
+// for nothing: a count that dropped for either would start at p3's.
+TEST(GmMembership, ConsensusStartsAtTheReportTheScanOverTheViewPicks) {
+  constexpr int kN = 9;
+  net::System sys(kN, {}, 3);
+  std::vector<std::unique_ptr<fd::FailureDetector>> fds;
+  std::vector<std::unique_ptr<IdleClient>> clients;
+  std::vector<std::unique_ptr<gm::GroupMembership>> members;
+  for (int i = 0; i < kN; ++i) {
+    fds.push_back(std::make_unique<fd::FailureDetector>(i, kN));
+    clients.push_back(std::make_unique<IdleClient>());
+    members.push_back(std::make_unique<gm::GroupMembership>(sys, i, *fds.back(), *clients.back()));
+  }
+  HeldMessages held;
+  sys.node(0).register_handler(net::ProtocolId::kMembership, &held);
+  const gm::GroupMembership& m0 = *members[0];
+
+  std::set<net::ProcessId> excluded{8};
+  std::set<net::ProcessId> reported{0};
+  auto scan_says_started = [&] {
+    std::size_t p = 0;
+    for (net::ProcessId q = 0; q < kN; ++q) {
+      const bool out = q != 0 && excluded.contains(q);
+      if (!reported.contains(q) && !out) return false;
+      if (reported.contains(q) && !out) ++p;
+    }
+    return p >= static_cast<std::size_t>(kN / 2 + 1);
+  };
+
+  fds[0]->set_suspected(8, true);
+  sys.scheduler().run();
+  ASSERT_FALSE(m0.debug_consensus_started());
+  std::map<net::ProcessId, net::Message> reports;
+  for (const net::Message& m : held.msgs) reports.emplace(m.src, m);
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kN - 1));
+
+  gm::GroupMembership& p0 = *members[0];
+  int started_at = -1;
+  auto check = [&](const char* event, net::ProcessId q) {
+    ASSERT_EQ(m0.debug_consensus_started(), scan_says_started()) << event << " p" << q;
+    if (started_at < 0 && m0.debug_consensus_started()) started_at = q;
+  };
+  auto feed = [&](net::ProcessId q) {
+    p0.on_message(reports.at(q));
+    reported.insert(q);
+    check("report", q);
+  };
+  feed(8);
+  feed(7);
+  fds[0]->set_suspected(1, true);
+  excluded.insert(1);
+  check("suspect", 1);
+  feed(6);
+  feed(5);
+  fds[0]->set_suspected(1, false);  // the snapshot keeps p1 out
+  check("trust", 1);
+  feed(7);  // again
+  feed(4);
+  feed(3);
+  feed(2);
+  feed(1);
+  EXPECT_EQ(started_at, 2);
+}
 
 TEST(GmAbcast, OnlyTheRoundOneCoordinatorBuildsAViewChangeProposal) {
   // One view change of a 64-member group whose consensus decides in

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "abcast/abcast.hpp"
 #include "sim/rng.hpp"
 #include "util/seq_map.hpp"
 #include "util/seq_set.hpp"
@@ -37,7 +38,34 @@ TEST(SeqSet, FirstValueZeroStartsTheWatermarkThere) {
   EXPECT_TRUE(s.insert(0));
   EXPECT_EQ(s.watermark(), 1u);
   EXPECT_TRUE(s.contains(0));
-  EXPECT_EQ(s.window_words(), 1u);
+  EXPECT_EQ(s.window_words(), 0u);  // in order: only the watermark moved
+}
+
+TEST(SeqSet, InOrderStreamKeepsNoWindow) {
+  // The common case (every delivery at every process): each value is the
+  // watermark when it arrives, so no bit window is ever needed.
+  SeqSet s(1);
+  std::set<std::uint64_t> model;
+  for (std::uint64_t v = 1; v <= 10000; ++v) {
+    ASSERT_TRUE(s.insert(v)) << v;
+    model.insert(v);
+    ASSERT_EQ(s.window_words(), 0u) << v;
+  }
+  EXPECT_EQ(s.watermark(), 10001u);
+  EXPECT_FALSE(s.insert(10000));
+  // A gap, then the values around it out of order: the window opens and
+  // closes again, and membership still matches std::set.
+  for (const std::uint64_t v : {10003u, 10070u, 10002u, 10001u, 10004u, 10069u}) {
+    ASSERT_EQ(s.insert(v), model.insert(v).second) << v;
+    for (std::uint64_t p = 9990; p < 10140; ++p)
+      ASSERT_EQ(s.contains(p), model.contains(p)) << "after " << v << ", contains " << p;
+  }
+  EXPECT_EQ(s.watermark(), 10005u);
+  EXPECT_GT(s.window_words(), 0u);
+  for (std::uint64_t v = 10005; v <= 10200; ++v) ASSERT_EQ(s.insert(v), model.insert(v).second);
+  EXPECT_EQ(s.watermark(), 10201u);
+  EXPECT_EQ(s.window_words(), 0u);
+  for (std::uint64_t p = 9990; p < 10260; ++p) ASSERT_EQ(s.contains(p), model.contains(p)) << p;
 }
 
 TEST(SeqSet, ContainsBelowFirstValueIsFalseAndInsertThrows) {
@@ -114,7 +142,10 @@ TEST(SeqSet, RaiseFloorSettlesEverythingBelow) {
 // Differential run: a stream delivered out of order within a jitter
 // window, with duplicates, occasional floor raises and probes anywhere
 // (below the first value, in the window, far above), against std::set.
-void differential(std::uint64_t first, std::uint64_t seed) {
+// With `in_order_runs`, blocks of the stream alternate between jittered
+// and strictly in order, so long in-order runs (no window) lie between
+// gaps.
+void differential(std::uint64_t first, std::uint64_t seed, bool in_order_runs = false) {
   sim::Rng rng(seed);
   constexpr std::uint64_t kCount = 20000;
   constexpr std::int64_t kJitter = 150;
@@ -122,8 +153,12 @@ void differential(std::uint64_t first, std::uint64_t seed) {
   std::vector<std::uint64_t> order(kCount);
   std::iota(order.begin(), order.end(), first);
   std::vector<double> key(kCount);
-  for (std::uint64_t i = 0; i < kCount; ++i)
-    key[i] = static_cast<double>(i) + rng.uniform(0.0, static_cast<double>(kJitter));
+  constexpr std::uint64_t kBlock = 1500;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    const bool jittered = !in_order_runs || (i / kBlock) % 2 == 0;
+    key[i] = static_cast<double>(i) +
+             (jittered ? rng.uniform(0.0, static_cast<double>(kJitter)) : 0.0);
+  }
   std::vector<std::size_t> idx(kCount);
   std::iota(idx.begin(), idx.end(), std::size_t{0});
   std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
@@ -168,6 +203,10 @@ void differential(std::uint64_t first, std::uint64_t seed) {
 
 TEST(SeqSet, MatchesStdSetFromFirstValueZero) { differential(0, 11); }
 TEST(SeqSet, MatchesStdSetFromFirstValueOne) { differential(1, 12); }
+TEST(SeqSet, MatchesStdSetWithLongInOrderRunsBetweenGaps) {
+  differential(0, 13, /*in_order_runs=*/true);
+  differential(1, 14, /*in_order_runs=*/true);
+}
 
 // ------------------------------------------------------------------ SeqMap
 
@@ -265,3 +304,124 @@ TEST(SeqMap, MatchesStdMap) {
 
 }  // namespace
 }  // namespace fdgm::util
+
+namespace fdgm::abcast {
+namespace {
+
+// ---------------------------------------------------------- InFlightWindows
+
+struct TestSlot {
+  int v = 0;
+  [[nodiscard]] bool empty() const { return v == 0; }
+};
+
+using Model = std::map<MsgId, int>;
+
+void expect_same(InFlightWindows<TestSlot>& w, const Model& model) {
+  Model listed;
+  MsgId last{-1, 0};
+  w.for_each([&](const MsgId& id, const TestSlot& s) {
+    EXPECT_LT(last, id) << "for_each out of id order";
+    last = id;
+    listed.emplace(id, s.v);
+  });
+  ASSERT_EQ(listed, model);
+}
+
+// Random fills, empties (each followed by release, as the stacks do) and
+// probes over `origins` origins whose seqs move up like a stream's, with
+// fills below a window's base.  The storage is checked exactly: a window
+// runs from its lowest occupied seq to the highest seq filled since it
+// last emptied.  With one origin, slots() is that window's size, so the
+// run counts its crossings of kInline in both directions.
+void windows_differential(int origins, std::uint64_t seed) {
+  constexpr std::size_t kInline = InFlightWindows<TestSlot>::kInline;
+  sim::Rng rng(seed);
+  InFlightWindows<TestSlot> w;
+  Model model;
+  const auto n = static_cast<std::size_t>(origins);
+  std::vector<std::uint64_t> next(n, 1);  // each origin's next new seq
+  std::vector<std::uint64_t> hi(n, 0);    // highest seq filled since its window emptied
+  std::size_t up = 0;
+  std::size_t down = 0;
+  std::size_t below_base = 0;
+  std::size_t refills = 0;
+  auto lowest = [&](int o) -> const MsgId* {  // lowest occupied id of origin o
+    const auto it = model.lower_bound(MsgId{o, 0});
+    return it != model.end() && it->first.origin == o ? &it->first : nullptr;
+  };
+  for (int step = 0; step < 40000; ++step) {
+    const int o = static_cast<int>(rng.uniform_int(0, origins - 1));
+    const auto oi = static_cast<std::size_t>(o);
+    const std::size_t before = w.slots();
+    if (rng.uniform() < 0.5) {
+      // Fill: usually the origin's next seq, sometimes one a little below
+      // it (under the window's base when the lower ones were released).
+      std::uint64_t seq = next[oi];
+      const auto below = std::min<std::int64_t>(6, static_cast<std::int64_t>(seq) - 1);
+      if (rng.uniform() < 0.2 && below > 0)
+        seq -= static_cast<std::uint64_t>(rng.uniform_int(1, below));
+      else
+        ++next[oi];
+      const MsgId id{o, seq};
+      const bool held = model.contains(id);
+      ASSERT_EQ(w.find(id) != nullptr, held) << "find " << o << ":" << seq;
+      if (!held) {
+        const MsgId* low = lowest(o);
+        if (low == nullptr) {
+          ++refills;
+          hi[oi] = seq;
+        } else if (seq < low->seq) {
+          ++below_base;
+        }
+        hi[oi] = std::max(hi[oi], seq);
+        TestSlot& s = w.slot(id);
+        ASSERT_TRUE(s.empty()) << "slot " << o << ":" << seq;
+        s.v = step + 1;
+        model.emplace(id, step + 1);
+      }
+    } else if (!model.empty()) {
+      // Empty a random occupied slot of any origin, then release it.
+      auto it = model.begin();
+      std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1));
+      const MsgId id = it->first;
+      TestSlot* s = w.find(id);
+      ASSERT_NE(s, nullptr) << "occupied " << id.origin << ":" << id.seq;
+      ASSERT_EQ(s->v, it->second);
+      *s = TestSlot{};
+      w.release(id);
+      model.erase(it);
+    }
+    std::size_t expected = 0;
+    for (int q = 0; q < origins; ++q)
+      if (const MsgId* low = lowest(q)) expected += hi[static_cast<std::size_t>(q)] - low->seq + 1;
+    ASSERT_EQ(w.slots(), expected) << "step " << step;
+    if (before <= kInline && expected > kInline) ++up;
+    if (before > kInline && expected <= kInline) ++down;
+    for (int probe = 0; probe < 4; ++probe) {
+      const int po = static_cast<int>(rng.uniform_int(0, origins));  // `origins`: never used
+      const auto top = static_cast<std::int64_t>(next[static_cast<std::size_t>(po % origins)]) + 3;
+      const MsgId id{po, static_cast<std::uint64_t>(rng.uniform_int(0, top))};
+      const TestSlot* f = w.find(id);
+      const auto it = model.find(id);
+      ASSERT_EQ(f != nullptr, it != model.end()) << "probe " << id.origin << ":" << id.seq;
+      if (f != nullptr) {
+        ASSERT_EQ(f->v, it->second);
+      }
+    }
+    if (step % 128 == 0) expect_same(w, model);
+  }
+  expect_same(w, model);
+  if (origins == 1) {
+    EXPECT_GT(up, 100u);
+    EXPECT_GT(down, 100u);
+  }
+  EXPECT_GT(below_base, 100u);
+  EXPECT_GT(refills, 100u);
+}
+
+TEST(InFlightWindows, MatchesStdMapAcrossTheInlineBoundary) { windows_differential(1, 31); }
+TEST(InFlightWindows, MatchesStdMapOverSeveralOrigins) { windows_differential(5, 32); }
+
+}  // namespace
+}  // namespace fdgm::abcast

@@ -44,7 +44,8 @@ class Recorder final : public net::Layer {
 };
 
 struct Fixture {
-  explicit Fixture(int n, Config cfg = Config{.enabled = true}) : sys(n, {}, 1, cfg) {
+  explicit Fixture(int n, Config cfg = Config{.enabled = true}, net::NetworkConfig net = {})
+      : sys(n, net, 1, cfg) {
     for (int i = 0; i < n; ++i) {
       recorders.push_back(std::make_unique<Recorder>());
       sys.node(i).register_handler(net::ProtocolId::kApplication, recorders.back().get());
@@ -203,12 +204,13 @@ TEST(Transport, HeldFrameDroppedAtHealIsStillRecovered) {
   EXPECT_EQ(f.tp().outstanding(0, 1), 0u);
 }
 
-TEST(Transport, TimerArmedWhileStampingClosesTheReceiveGroup) {
+TEST(Transport, TimerArmedWhileStampingClosesOnlyAGroupAtItsInstant) {
   // A multicast's receive jobs at idle receivers end at one instant.
   // Loss-free, they fire from one scheduler record.  Inside a loss window
   // stamping each copy arms its channel's retransmission timer, a record
-  // inserted between two members, so each job fires from its own record
-  // (that timer could share the jobs' instant and must keep its place).
+  // inserted between two members.  With lambda = 1 that timer is due an
+  // RTO after the wire, long after the jobs: it cannot fall between them,
+  // and the jobs still fire from one record.
   for (const bool lossy : {false, true}) {
     Fixture f(4);
     sim::Rng loss_rng(9);
@@ -216,14 +218,30 @@ TEST(Transport, TimerArmedWhileStampingClosesTheReceiveGroup) {
     f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication,
                                    f.sys.arena().make<TestMsg>(7));
     f.sys.scheduler().run_until(2.0);  // send CPU [0, 1], wire [1, 2]
-    // Send CPU and wire, then one receive group, or three timers and
-    // three single-job groups.
-    EXPECT_EQ(f.sys.scheduler().inserted(), lossy ? 8u : 3u) << "lossy " << lossy;
+    // Send CPU and wire, then one receive group (and three timers).
+    EXPECT_EQ(f.sys.scheduler().inserted(), lossy ? 6u : 3u) << "lossy " << lossy;
     f.sys.scheduler().run_until(3.0);
     EXPECT_EQ(f.sys.scheduler().executed(), 5u) << "lossy " << lossy;
     for (int p = 1; p < 4; ++p)
       EXPECT_EQ(f.recorders[static_cast<std::size_t>(p)]->values, std::vector<int>{7});
   }
+}
+
+TEST(Transport, TimerAtTheReceiveInstantClosesTheReceiveGroup) {
+  // lambda equal to the base RTO: the timer armed while stamping each copy
+  // is due exactly when the receive jobs end, and fires before the jobs
+  // that follow it.  Each job then keeps its own record: send CPU, wire,
+  // and a timer plus a single-job group per destination.
+  Fixture f(4, Config{.enabled = true}, net::NetworkConfig{.lambda = 50.0});
+  sim::Rng loss_rng(9);
+  f.sys.network().set_loss(1e-12, &loss_rng);
+  f.sys.node(0).multicast_others(f.sys.all(), net::ProtocolId::kApplication,
+                                 f.sys.arena().make<TestMsg>(7));
+  f.sys.scheduler().run_until(51.0);  // send CPU [0, 50], wire [50, 51]
+  EXPECT_EQ(f.sys.scheduler().inserted(), 8u);
+  f.sys.scheduler().run();
+  for (int p = 1; p < 4; ++p)
+    EXPECT_EQ(f.recorders[static_cast<std::size_t>(p)]->values, std::vector<int>{7});
 }
 
 TEST(Transport, ChannelsSequenceIndependently) {
