@@ -20,18 +20,17 @@
 // flush timer bounds the queueing delay of partial batches.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/message.hpp"
 #include "net/system.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
+#include "util/seq_map.hpp"
 #include "util/seq_set.hpp"
 
 namespace fdgm::abcast {
@@ -79,31 +78,26 @@ class DeliveredIds {
 };
 
 /// The messages one process holds in flight, one `Slot` per id: per origin
-/// a flat window over the seqs [base, base + size).  Per-origin seqs are
-/// dense, so a slot is found by index, not by hashing or a tree walk, and
-/// the windows iterate in id order (origin-major, then seq), as MsgId
-/// compares.  A window of at most kInline slots (an origin's usual load in
-/// flight) keeps them inside its own record; only a longer one moves them
-/// to heap storage, and back once it shrinks again.  A window is trimmed
-/// from below as its lowest slots empty (`Slot::empty()`), so it spans the
-/// origin's messages in flight, not the run's history; a window that
-/// empties gives up heap storage beyond a few slots.  A slot that stays
-/// occupied pins its window: the window then grows by one slot per later
-/// seq of that origin.
+/// a util::SeqMap window over its dense seqs, so a slot is found by index
+/// and the windows iterate in id order (origin-major, then seq), as MsgId
+/// compares.  An origin's usual load in flight (at most kInline messages)
+/// keeps its slots inside the window's record.  A slot is occupied unless
+/// `Slot::empty()`; a window is trimmed from below as its lowest slots
+/// empty, so it spans the origin's messages in flight, not the run's
+/// history.  A slot that stays occupied pins its window: the window then
+/// grows by one slot per later seq of that origin.
 template <class Slot>
 class InFlightWindows {
+  using Window = util::SeqMap<std::uint64_t, Slot>;
+
  public:
   /// Slots a window holds in its own record.
-  static constexpr std::size_t kInline = 2;
+  static constexpr std::size_t kInline = Window::kInline;
 
   /// The occupied slot of `id`, or null.
   [[nodiscard]] Slot* find(const MsgId& id) {
     const auto o = static_cast<std::size_t>(id.origin);
-    if (o >= by_origin_.size()) return nullptr;
-    Window& w = by_origin_[o];
-    if (id.seq < w.base || id.seq - w.base >= w.size) return nullptr;
-    Slot& s = w.data()[id.seq - w.base];
-    return s.empty() ? nullptr : &s;
+    return o < by_origin_.size() ? by_origin_[o].find(id.seq) : nullptr;
   }
   [[nodiscard]] const Slot* find(const MsgId& id) const {
     return const_cast<InFlightWindows*>(this)->find(id);
@@ -117,56 +111,26 @@ class InFlightWindows {
       by_origin_.resize(o + 1);
       occupied_.resize(o / 64 + 1, 0);
     }
-    Window& w = by_origin_[o];
-    if (w.size == 0) {
-      w.base = id.seq;
-      occupied_[o / 64] |= std::uint64_t{1} << (o % 64);
-    } else if (id.seq < w.base) {
-      const auto shift = static_cast<std::size_t>(w.base - id.seq);
-      w.resize(w.size + shift);
-      Slot* d = w.data();
-      std::move_backward(d, d + w.size - shift, d + w.size);
-      std::fill(d, d + shift, Slot{});
-      w.base = id.seq;
-    }
-    const auto i = static_cast<std::size_t>(id.seq - w.base);
-    if (i >= w.size) w.resize(i + 1);
-    return w.data()[i];
+    occupied_[o / 64] |= std::uint64_t{1} << (o % 64);
+    return by_origin_[o].slot(id.seq);
   }
 
   /// Call after emptying `id`'s slot: trims its window from below.
   void release(const MsgId& id) {
     const auto o = static_cast<std::size_t>(id.origin);
     Window& w = by_origin_[o];
-    if (id.seq != w.base) return;  // a lower slot is still occupied
-    Slot* d = w.data();
-    std::size_t k = 1;
-    while (k < w.size && d[k].empty()) ++k;
-    if (k < w.size) {
-      std::move(d + k, d + w.size, d);
-      w.base += k;
-      w.resize(w.size - k);
-      return;
-    }
-    w.resize(0);
-    if (w.heap_cap > kKeptSlots) {
-      w.heap.reset();
-      w.heap_cap = 0;
-    }
-    occupied_[o / 64] &= ~(std::uint64_t{1} << (o % 64));
+    w.erase(id.seq);
+    if (w.empty()) occupied_[o / 64] &= ~(std::uint64_t{1} << (o % 64));
   }
 
-  /// Calls f(id, slot) for every occupied slot, in id order.  `f` may
-  /// change a slot but must not add, empty or release one.
+  /// Calls f(id, slot) for every occupied slot, in id order.
   template <class F>
-  void for_each(F f) {
+  void for_each(F f) const {
     for (std::size_t word = 0; word < occupied_.size(); ++word) {
       for (std::uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
         const std::size_t o = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        Window& w = by_origin_[o];
-        Slot* d = w.data();
-        for (std::size_t i = 0; i < w.size; ++i)
-          if (!d[i].empty()) f(MsgId{static_cast<net::ProcessId>(o), w.base + i}, d[i]);
+        const auto origin = static_cast<net::ProcessId>(o);
+        by_origin_[o].for_each([&](std::uint64_t seq, const Slot& s) { f(MsgId{origin, seq}, s); });
       }
     }
   }
@@ -180,45 +144,11 @@ class InFlightWindows {
   /// bounds).
   [[nodiscard]] std::size_t slots() const {
     std::size_t n = 0;
-    for (const Window& w : by_origin_) n += w.size;
+    for (const Window& w : by_origin_) n += w.window();
     return n;
   }
 
  private:
-  /// Heap storage an emptied window keeps for its next long run.
-  static constexpr std::size_t kKeptSlots = 8;
-
-  /// Slots [0, size) live in `local` while size <= kInline, else in
-  /// `heap`; `heap` may outlive a long run as spare capacity.
-  struct Window {
-    std::uint64_t base = 0;  // seq of slot 0
-    std::uint32_t size = 0;
-    std::uint32_t heap_cap = 0;
-    std::unique_ptr<Slot[]> heap;
-    std::array<Slot, kInline> local{};
-
-    [[nodiscard]] Slot* data() { return size <= kInline ? local.data() : heap.get(); }
-
-    /// Resizes to `n` slots, moving them between the record and the heap
-    /// when `n` crosses kInline; slots it adds are empty.
-    void resize(std::size_t n) {
-      const std::size_t old = size;
-      if (n > kInline && n > heap_cap) {
-        const std::size_t cap = std::max(n, 2 * std::size_t{heap_cap});
-        auto grown = std::make_unique<Slot[]>(cap);
-        if (old > kInline) std::move(heap.get(), heap.get() + old, grown.get());
-        heap = std::move(grown);
-        heap_cap = static_cast<std::uint32_t>(cap);
-      }
-      if (old <= kInline && n > kInline)
-        std::move(local.begin(), local.begin() + old, heap.get());
-      else if (old > kInline && n <= kInline)
-        std::move(heap.get(), heap.get() + n, local.begin());
-      size = static_cast<std::uint32_t>(n);
-      Slot* d = data();
-      std::fill(d + std::min(old, n), d + n, Slot{});
-    }
-  };
   std::vector<Window> by_origin_;
   std::vector<std::uint64_t> occupied_;  // bit o: origin o's window holds a slot
 };

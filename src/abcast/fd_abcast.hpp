@@ -27,9 +27,9 @@
 // decisions back keeps it identical at every process despite the
 // pipelining (anchoring on "the latest local decision" would diverge).
 //
-// Data plane state: the pending messages live in per-origin flat windows
-// over their dense seqs (InFlightWindows), one slot per id holding the
-// content and its admission number, so proposals list them in id order
+// Data plane state: the pending messages live in per-origin util::SeqMap
+// windows over their dense seqs (InFlightWindows), one slot per id holding
+// the content and its admission number, so proposals list them in id order
 // without a tree.  An instance start (or refresh) covers every id
 // admitted before it and visits none: it records the admission counter.
 // Admission cohorts, bounded by the live starts, keep "is some pending
@@ -183,10 +183,11 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   consensus::ConsensusService consensus_;
 
   /// An R-delivered, not yet A-delivered message and its admission
-  /// number: the value of admissions_ when it was admitted.
+  /// number: the value of admissions_ when it was admitted.  `Pending{}`
+  /// is empty (no member initializers, as for GmAbcastProcess::Held).
   struct Pending {
-    AppMessagePtr msg = nullptr;
-    std::uint64_t admission = 0;
+    AppMessagePtr msg;
+    std::uint64_t admission;
     [[nodiscard]] bool empty() const { return msg == nullptr; }
   };
   /// Pending messages, iterated in id order for proposals.

@@ -119,18 +119,17 @@ void AckCover::recount(const gm::View& view, net::ProcessId self, std::int64_t f
     lo = std::min(lo, point(p));
     hi = std::max(hi, point(p));
   }
-  lo_ = lo;
-  counts_.assign(static_cast<std::size_t>(hi - lo + 1), 0);
-  ++count(own);
+  counts_.clear();
+  ++counts_.slot(own);
   for (net::ProcessId p : view.members)
-    if (p != self) ++count(point(p));
+    if (p != self) ++counts_.slot(point(p));
   // The cover: the highest sn with at least k_ points at or above it.
   std::size_t at_or_above = 0;
   for (std::int64_t sn = hi;; --sn) {
-    at_or_above += count(sn);
+    at_or_above += counts_.get(sn);
     if (at_or_above >= k_) {
       cover_ = sn;
-      over_ = at_or_above - count(sn);
+      over_ = at_or_above - counts_.get(sn);
       break;
     }
   }
@@ -139,23 +138,15 @@ void AckCover::recount(const gm::View& view, net::ProcessId self, std::int64_t f
 }
 
 void AckCover::move(std::int64_t from, std::int64_t to) {
-  --count(from);
-  if (static_cast<std::size_t>(to - lo_) >= counts_.size())
-    counts_.resize(static_cast<std::size_t>(to - lo_ + 1), 0);
-  ++count(to);
+  // A count that drops to 0 leaves the window, which trims from below.
+  if (--*counts_.find(from) == 0) counts_.erase(from);
+  ++counts_.slot(to);
   if (from <= cover_ && to > cover_) {
     // One more point above the cover: once k_ are, it moves up.
-    for (++over_; over_ >= k_;) over_ -= count(++cover_);
+    for (++over_; over_ >= k_;) over_ -= counts_.get(++cover_);
   }
-  if (from == stable_) {
-    while (count(stable_) == 0) ++stable_;
-    // Drop the counts below the stable point once they are half the
-    // window: amortized O(1) per step.
-    if (static_cast<std::size_t>(stable_ - lo_) * 2 > counts_.size()) {
-      counts_.erase(counts_.begin(), counts_.begin() + (stable_ - lo_));
-      lo_ = stable_;
-    }
-  }
+  if (from == stable_)
+    while (!counts_.contains(stable_)) ++stable_;
 }
 
 // ------------------------------------------------------------ construction
@@ -210,8 +201,8 @@ void GmAbcastProcess::on_restart() {
   // in-flight coordination state belonged to the dead incarnation.  In
   // particular, stale sequence assignments of a dead view must not
   // survive — they could collide with the live view's assignments after
-  // the state transfer (assign keeps the first mapping), so the sn window
-  // restarts empty just above the floor.  The floors stay: they are
+  // the state transfer (emplace keeps the first mapping), so the sn
+  // window restarts empty.  The floors stay: they are
   // monotone and apply_state raises them to the state sender's baseline
   // anyway.  own_buffer_ must survive the restart: the harness records an
   // A-broadcast the moment the application submits it, so dropping the
@@ -221,7 +212,7 @@ void GmAbcastProcess::on_restart() {
   undelivered_ = 0;
   seqnums_ = 0;
   arrival_order_.clear();
-  msg_at_.reset(sn_floor_);
+  msg_at_.clear();
   recent_delivered_.clear();
   batch_ends_.clear();
   cover_.reset();
@@ -298,7 +289,7 @@ void GmAbcastProcess::sequence_pending() {
     if (h == nullptr || h->sn != 0) continue;
     const std::int64_t sn = next_sn_++;
     hold_sn(id, sn);
-    msg_at_.assign(sn, id);
+    msg_at_.emplace(sn, id);
     assigned.emplace_back(id, sn);
   }
   if (assigned.empty()) return;
@@ -322,7 +313,7 @@ void GmAbcastProcess::sequence_pending() {
 void GmAbcastProcess::try_advance_ack() {
   const std::int64_t before = ack_sn_;
   while (true) {
-    const Held* h = held_.find(msg_at_.at(ack_sn_ + 1));  // never holds the null id
+    const Held* h = held_.find(msg_at_.get(ack_sn_ + 1));  // never holds the null id
     if (h == nullptr || h->msg == nullptr) break;
     ++ack_sn_;
   }
@@ -348,7 +339,7 @@ void GmAbcastProcess::try_deliver_sequencer() {
   announced_ = deliverable;
   deliver_up_to(deliverable);
   recent_delivered_.erase_below(stable + 1);
-  msg_at_.trim_to(stable);
+  msg_at_.erase_below(stable + 1);
   sys_->node(self_).multicast_others(
       view_.members, net::ProtocolId::kAtomicBroadcast,
       sys_->arena().make<DeliverMsg>(view_.id, deliverable, stable));
@@ -358,7 +349,7 @@ void GmAbcastProcess::try_deliver_sequencer() {
 
 void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
   while (deliver_sn_ < sn) {
-    const Held* h = held_.find(msg_at_.at(deliver_sn_ + 1));  // never holds the null id
+    const Held* h = held_.find(msg_at_.get(deliver_sn_ + 1));  // never holds the null id
     if (h == nullptr || h->msg == nullptr) break;
     const AppMessagePtr msg = h->msg;
     ++deliver_sn_;
@@ -367,7 +358,7 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
   }
   // Non-uniform mode has no ack phase, no stable point and no NEED: a
   // mapping is dead once its message is delivered here.
-  if (!cfg_.uniform) msg_at_.trim_to(deliver_sn_);
+  if (!cfg_.uniform) msg_at_.erase_below(deliver_sn_ + 1);
 }
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
@@ -413,7 +404,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
       // A repair re-multicast may re-announce ids delivered here already;
       // their slots are gone and must stay gone.
       if (!delivered_.contains(id)) hold_sn(id, sn);
-      msg_at_.assign(sn, id);  // ignored at or below the trimmed stable point
+      msg_at_.emplace(sn, id);
     }
     try_advance_ack();
     return;
@@ -431,7 +422,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     announced_ = std::max(announced_, del->cum);
     deliver_up_to(std::min(announced_, ack_sn_));
     recent_delivered_.erase_below(del->stable + 1);
-    msg_at_.trim_to(del->stable);
+    msg_at_.erase_below(del->stable + 1);
     if (announced_ > ack_sn_ && announced_ > requested_) {
       // Gap repair (post-rejoin): ask the sequencer for what we miss.
       requested_ = announced_;
@@ -447,7 +438,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     // `from` is the requester's cumulative ack, at or above the stable
     // point the window was trimmed to.
     for (std::int64_t sn = lo + 1; sn <= std::min(need->to, next_sn_ - 1); ++sn) {
-      const MsgId id = msg_at_.at(sn);
+      const MsgId id = msg_at_.get(sn);
       if (id.seq == 0) continue;
       pairs.emplace_back(id, sn);
       AppMessagePtr content = nullptr;
@@ -538,11 +529,11 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   requested_ = std::max(requested_, sn_floor_);
   recent_delivered_.erase_below(sn_floor_ + 1);
   drop_mappings_above_floor();
-  msg_at_.trim_to(sn_floor_);
+  msg_at_.erase_below(sn_floor_ + 1);
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  msg_at_.drop_above(sn_floor_, [this](const MsgId& id) { drop_sn(id); });
+  msg_at_.drop_above(sn_floor_, [this](std::int64_t, const MsgId& id) { drop_sn(id); });
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
@@ -594,14 +585,14 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   // live assignments of the current view and must be kept.
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
   drop_mappings_above_floor();  // our own leftovers from the dead view
-  msg_at_.trim_to(sn_floor_);
+  msg_at_.erase_below(sn_floor_ + 1);
   recent_delivered_.erase_below(sn_floor_ + 1);
   for (const auto& [msg, sn] : st->known) {
     if (delivered_.contains(msg->id)) continue;
     hold_content(msg);
     if (sn > sn_floor_) {
       hold_sn(msg->id, sn);
-      msg_at_.assign(sn, msg->id);
+      msg_at_.emplace(sn, msg->id);
     }
   }
   // The state sender's deliver point becomes our baseline: everything it

@@ -21,13 +21,13 @@
 // The non-uniform variant of §8 (two multicasts, no ack/deliver phase) is
 // available through GmAbcastConfig::uniform = false.
 //
-// Data plane state: what a process knows of each undelivered message, its
-// content and its sequence number, lives in one slot of a per-origin flat
-// window over the dense seqs (InFlightWindows); SnWindow maps sequence
-// numbers back to ids, and recent_delivered_ keeps the delivered,
-// not yet stable messages by sequence number, both as flat windows over
-// the dense sns.  All three are trimmed from below, so they span the
-// messages in flight, and none allocates per message once grown.
+// Data plane state lives in util::SeqMap windows, the one window type
+// over dense keys: what a process knows of each undelivered message, its
+// content and its sequence number, in one slot of a per-origin window over
+// the seqs (InFlightWindows); msg_at_ maps sequence numbers back to ids,
+// and recent_delivered_ keeps the delivered, not yet stable messages by
+// sequence number.  All are trimmed from below, so they span the messages
+// in flight, and none allocates per message once grown.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +60,7 @@ struct GmAbcastConfig {
 /// assigned sn.  An sn is deliverable once a majority of points cover it,
 /// so the cover is the majority-th largest point; the stable point, which
 /// every member holds, is the smallest.  Within a view the points only
-/// rise, so the cover keeps a count of points per sn over a flat window
+/// rise, so the cover keeps a count of points per sn over a SeqMap window
 /// from the stable point up, and moves a cover pointer and a stable pointer
 /// up as points pass them: amortized O(1) per ACK and per assignment,
 /// where a selection over the view would be O(n) per ACK.  Anything else
@@ -96,7 +96,6 @@ class AckCover {
   void recount(const gm::View& view, net::ProcessId self, std::int64_t floor, std::int64_t own);
   /// One point rises from `from` to `to` (> from).
   void move(std::int64_t from, std::int64_t to);
-  std::uint32_t& count(std::int64_t sn) { return counts_[static_cast<std::size_t>(sn - lo_)]; }
 
   std::vector<std::int64_t> acks_;     // per pid: cumulative ACK this view, or kNoAck
   std::vector<std::uint8_t> counted_;  // per pid: its point is in counts_
@@ -104,12 +103,11 @@ class AckCover {
   std::uint64_t view_id_ = 0;          // what the counts describe
   std::int64_t floor_ = 0;
   std::int64_t own_ = 0;
-  std::size_t k_ = 1;                  // majority of the view
-  std::int64_t lo_ = 0;                // sn of counts_[0], <= stable_
-  std::vector<std::uint32_t> counts_;  // points per sn
-  std::int64_t cover_ = 0;             // majority-th largest point
-  std::size_t over_ = 0;               // points above cover_, < k_
-  std::int64_t stable_ = 0;            // smallest point
+  std::size_t k_ = 1;                                 // majority of the view
+  util::SeqMap<std::int64_t, std::uint32_t> counts_;  // points per sn, from stable_ up
+  std::int64_t cover_ = 0;                            // majority-th largest point
+  std::size_t over_ = 0;                              // points above cover_, < k_
+  std::int64_t stable_ = 0;                           // smallest point
 };
 
 class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::MembershipClient,
@@ -146,7 +144,7 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
     std::size_t delivered_words;  // words of the per-origin delivered windows
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
-    return {arrival_order_.size(), undelivered_, seqnums_, held_.slots(), msg_at_.size(),
+    return {arrival_order_.size(), undelivered_, seqnums_, held_.slots(), msg_at_.window(),
             delivered_.window_words()};
   }
 
@@ -211,66 +209,26 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   bool member_ = true;
   bool frozen_ = false;
 
-  /// sn -> id of the sequence numbers still in play: a flat window over
-  /// [base, base + size) whose null ids (seq 0) mark unknown slots.  It is
-  /// trimmed from below at the stable point (where recent_delivered_ is):
-  /// every member holds content and order up to there, so no ack, delivery
-  /// or NEED (whose `from` is a member's cumulative ack) looks below it
-  /// again.  Every trimmed id is delivered here, so a lookup that hits the
-  /// trimmed range stops just as a delivered (content-less) mapping would.
-  /// It is cut from above when a view change drops the dead view's
-  /// assignments.
-  class SnWindow {
-   public:
-    /// The id assigned `sn`, or the null id.
-    [[nodiscard]] MsgId at(std::int64_t sn) const {
-      const std::int64_t i = sn - base_;
-      return i >= 0 && i < static_cast<std::int64_t>(ids_.size())
-                 ? ids_[static_cast<std::size_t>(i)]
-                 : MsgId{};
-    }
-    /// Records sn -> id unless sn is mapped already or trimmed away.
-    void assign(std::int64_t sn, const MsgId& id) {
-      if (sn < base_) return;
-      const auto i = static_cast<std::size_t>(sn - base_);
-      if (i >= ids_.size()) ids_.resize(i + 1);
-      if (ids_[i].seq == 0) ids_[i] = id;
-    }
-    /// Forgets every sn <= `sn`.
-    void trim_to(std::int64_t sn) {
-      if (sn < base_) return;
-      const auto k = std::min(static_cast<std::size_t>(sn - base_ + 1), ids_.size());
-      ids_.erase(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(k));
-      base_ = sn + 1;
-    }
-    /// Forgets every sn > `sn`, calling `on_drop` with each mapped id.
-    template <class F>
-    void drop_above(std::int64_t sn, F on_drop) {
-      const auto keep = static_cast<std::size_t>(
-          std::clamp<std::int64_t>(sn + 1 - base_, 0, static_cast<std::int64_t>(ids_.size())));
-      for (std::size_t i = keep; i < ids_.size(); ++i)
-        if (ids_[i].seq != 0) on_drop(ids_[i]);
-      ids_.resize(keep);
-      if (keep == 0) base_ = std::min(base_, sn + 1);
-    }
-    /// Forgets everything; the window restarts at `sn` + 1.
-    void reset(std::int64_t sn) {
-      ids_.clear();
-      base_ = sn + 1;
-    }
-    [[nodiscard]] std::size_t size() const { return ids_.size(); }
-
-   private:
-    std::int64_t base_ = 1;  // sn of ids_[0]
-    std::vector<MsgId> ids_;
-  };
+  /// sn -> id of the sequence numbers still in play (null id: unknown).
+  /// It is trimmed from below at the stable point (where
+  /// recent_delivered_ is): every member holds content and order up to
+  /// there, so no ack, delivery or NEED (whose `from` is a member's
+  /// cumulative ack) looks below it again, and no SEQNUM of the view
+  /// reaches below it: the sequencer sends SEQNUMs, repairs included, and
+  /// DELIVERs down one FIFO channel, and a SEQNUM assigns only sns above
+  /// every stable point it announced before.  Every trimmed id is
+  /// delivered here.  It is cut from above when a view change drops the
+  /// dead view's assignments.
+  util::SeqMap<std::int64_t, MsgId> msg_at_;
 
   /// What is known of one undelivered message: its content and its
   /// sequence number (0: none yet; assigned ones start at 1).  Either may
-  /// come first: a SEQNUM can overtake the DATA it orders.
+  /// come first: a SEQNUM can overtake the DATA it orders.  `Held{}` is
+  /// empty (no member initializers: the window type names it while this
+  /// class is still incomplete).
   struct Held {
-    AppMessagePtr msg = nullptr;
-    std::int64_t sn = 0;
+    AppMessagePtr msg;
+    std::int64_t sn;
     [[nodiscard]] bool empty() const { return msg == nullptr && sn == 0; }
   };
   // held_ and arrival_order_ describe undelivered messages only:
@@ -279,7 +237,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   std::size_t undelivered_ = 0;       // slots with content
   std::size_t seqnums_ = 0;           // slots with a sequence number
   std::vector<MsgId> arrival_order_;  // sequencing order
-  SnWindow msg_at_;
   DeliveredIds delivered_;
   std::vector<AppMessagePtr> log_;
 

@@ -7,6 +7,13 @@
 //         suspicions of a correct process (exponential),
 //   TM  — mistake duration: how long a wrong suspicion lasts (exponential).
 //
+// Both are what the model draws: the gap from one mistake's start to the
+// next one's (drawn at the start, so mistakes may overlap) and each
+// mistake's own duration.  Overlapping mistakes merge into one suspicion,
+// so with rho = TM / TMR a monitor observes suspicions recurring every
+// e^rho * TMR and lasting (e^rho - 1) * TMR on average (the busy periods of
+// an M/M/inf queue); both approach the drawn values as rho -> 0.
+//
 // All failure-detector modules are independent and identically distributed
 // (one module per ordered process pair), exactly as the paper assumes.
 #pragma once

@@ -220,23 +220,30 @@ void GroupMembership::maybe_start_consensus() {
     if (!view_.contains(j.p)) j_vec.push_back(j);
   auto build = [arena = &sys_->arena(), reports = std::move(reports), p_set = std::move(p_set),
                 j_vec = std::move(j_vec)]() -> net::PayloadPtr {
-    // U = union of the unstable sets, in id order; a message sequenced
-    // anywhere keeps its sequence number.  The settled watermark is the
-    // max of the contributors' delivery watermarks and of the sequence
-    // numbers in U.  Reports are merged in pid order.
-    std::map<abcast::MsgId, UnstableEntry> u;
+    // U = union of the unstable sets, in id order (merged in per-origin
+    // windows); a message sequenced anywhere keeps its sequence number.
+    // The settled watermark is the max of the contributors' delivery
+    // watermarks and of the sequence numbers in U.  Reports are merged in
+    // pid order.
+    abcast::InFlightWindows<UnstableEntry> u;
+    std::size_t size = 0;
     std::int64_t settled = 0;
     for (const UnstableReport* report : reports) {
       settled = std::max(settled, report->watermark);
       for (const UnstableEntry& e : report->entries) {
-        auto [it, inserted] = u.try_emplace(e.msg->id, e);
-        if (!inserted && e.seqnum >= 0) it->second.seqnum = e.seqnum;
+        UnstableEntry& merged = u.slot(e.msg->id);
+        if (merged.empty()) {
+          merged = e;
+          ++size;
+        } else if (e.seqnum >= 0) {
+          merged.seqnum = e.seqnum;
+        }
         settled = std::max(settled, e.seqnum);
       }
     }
     std::vector<UnstableEntry> u_vec;
-    u_vec.reserve(u.size());
-    for (auto& [id, e] : u) u_vec.push_back(e);
+    u_vec.reserve(size);
+    u.for_each([&u_vec](const abcast::MsgId&, const UnstableEntry& e) { u_vec.push_back(e); });
     return arena->make<MembershipProposal>(p_set, std::move(u_vec), j_vec, settled);
   };
 

@@ -52,6 +52,7 @@ namespace fdgm::gm {
 struct UnstableEntry {
   abcast::AppMessagePtr msg = nullptr;
   std::int64_t seqnum = -1;
+  [[nodiscard]] bool empty() const { return msg == nullptr; }
 };
 
 /// A process's contribution to a view change: its unstable messages (not

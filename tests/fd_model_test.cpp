@@ -3,7 +3,11 @@
 // listener edge notifications, and independence of pair modules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fd/qos_model.hpp"
@@ -70,6 +74,44 @@ TEST(FdModel, ZeroTdDetectsInstantly) {
   EXPECT_DOUBLE_EQ(log.suspects[0].second, 50.0);
 }
 
+// The suspicions one monitor observes of one target under drawn TMR and
+// TM: the edges' start-to-start gap and suspect-to-trust duration.  Mistake
+// starts are a Poisson process (the next gap is drawn from a mistake's
+// start) and overlapping mistakes merge into one suspicion, so the
+// suspected time is the busy time of an M/M/inf queue with load
+// rho = TM / TMR.  It is idle (trusted) with probability e^-rho, and an
+// idle period lasts TMR on average (memoryless starts), so the observed
+// recurrence is e^rho * TMR and the observed duration (e^rho - 1) * TMR.
+struct ObservedQos {
+  double recurrence;  // mean start-to-start gap of suspicions
+  double duration;    // mean suspicion length
+  std::size_t count;
+};
+// Loads rho = TM / TMR and the relative tolerance of their closed forms:
+// over 1e7 ms at TMR = 100 ms (37k-91k suspicions) the observed means
+// have a standard deviation of 0.25-0.75% across seeds (29 seeds).
+constexpr std::pair<double, double> kLoads[] = {{0.1, 0.02}, {1.0, 0.03}};
+
+ObservedQos observe_qos(double tmr, double tm, double horizon, std::uint64_t seed) {
+  net::System sys(2, {}, seed);
+  QosParams qp;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = tmr;
+  qp.mistake_duration = tm;
+  QosFailureDetectorModel fd(sys, qp);
+  EdgeLog log(sys);
+  fd.at(1).add_listener(&log);
+  fd.start();
+  sys.scheduler().run_until(horizon);
+  util::RunningStats durations;
+  const std::size_t n = std::min(log.suspects.size(), log.trusts.size());
+  for (std::size_t i = 0; i < n; ++i)
+    durations.add(log.trusts[i].second - log.suspects[i].second);
+  const std::size_t count = log.suspects.size();
+  const double span = count < 2 ? 0.0 : log.suspects.back().second - log.suspects.front().second;
+  return {count < 2 ? 0.0 : span / static_cast<double>(count - 1), durations.mean(), count};
+}
+
 TEST(FdModel, WrongSuspicionRecurrenceMatchesTmr) {
   net::System sys(2, {}, 7);
   QosParams qp;
@@ -89,25 +131,26 @@ TEST(FdModel, WrongSuspicionRecurrenceMatchesTmr) {
   ASSERT_EQ(log.trusts.size(), log.suspects.size());
   for (std::size_t i = 0; i < log.suspects.size(); ++i)
     EXPECT_DOUBLE_EQ(log.trusts[i].second, log.suspects[i].second);
+  // Overlapping mistakes merge: observed T_MR = e^rho * TMR (drawing the
+  // next gap from a mistake's end would give TMR + TM instead).
+  for (const auto& [rho, tolerance] : kLoads) {
+    const ObservedQos q = observe_qos(100.0, rho * 100.0, 1.0e7, 19);
+    const double expected = std::exp(rho) * 100.0;
+    EXPECT_NEAR(q.recurrence, expected, expected * tolerance) << "rho " << rho;
+  }
 }
 
 TEST(FdModel, MistakeDurationMatchesTm) {
-  net::System sys(2, {}, 11);
-  QosParams qp;
-  qp.wrong_suspicions = true;
-  qp.mistake_recurrence = 1000.0;
-  qp.mistake_duration = 40.0;
-  QosFailureDetectorModel fd(sys, qp);
-  EdgeLog log(sys);
-  fd.at(1).add_listener(&log);
-  fd.start();
-  sys.scheduler().run_until(2000000.0);
-  ASSERT_GT(log.suspects.size(), 200u);
-  util::RunningStats durations;
-  const std::size_t n = std::min(log.suspects.size(), log.trusts.size());
-  for (std::size_t i = 0; i < n; ++i)
-    durations.add(log.trusts[i].second - log.suspects[i].second);
-  EXPECT_NEAR(durations.mean(), qp.mistake_duration, qp.mistake_duration * 0.15);
+  const ObservedQos light = observe_qos(1000.0, 40.0, 2.0e6, 11);
+  ASSERT_GT(light.count, 200u);
+  EXPECT_NEAR(light.duration, 40.0, 40.0 * 0.15);
+  // Overlapping mistakes merge: observed T_M = (e^rho - 1) * TMR, above the
+  // drawn TM (drawing the next gap from a mistake's end would give TM).
+  for (const auto& [rho, tolerance] : kLoads) {
+    const ObservedQos q = observe_qos(100.0, rho * 100.0, 1.0e7, 23);
+    const double expected = (std::exp(rho) - 1.0) * 100.0;
+    EXPECT_NEAR(q.duration, expected, expected * tolerance) << "rho " << rho;
+  }
 }
 
 TEST(FdModel, PairsAreIndependent) {

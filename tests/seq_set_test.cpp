@@ -252,31 +252,58 @@ TEST(SeqMap, EraseBelowReportsTheErasedKeysInOrder) {
 }
 
 // Differential run against std::map: keys inserted roughly in order
-// within a jitter window, erased singly or below a rising point, with
-// probes anywhere.  The window spans the live keys, not the history.
+// within a jitter window, erased singly, below a rising point or above a
+// falling one, with probes anywhere.  Phases alternate a wide jitter,
+// where the ring lives on the heap, wraps round its end as the base moves
+// up, grows while wrapped and is filled below a wrapped base, with a
+// narrow one, where the window shrinks back into the record: the run
+// crosses between the record and the heap in both directions.  Each wide
+// phase starts from a fresh map, so its ring grows again.  The window
+// spans the live keys, not the history, and the ring lives in the record
+// exactly while the window fits there.
 TEST(SeqMap, MatchesStdMap) {
+  using Map = SeqMap<std::int64_t, std::int64_t, -1>;
   using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
   sim::Rng rng(21);
-  SeqMap<std::int64_t, std::int64_t, -1> m;
+  Map m;
   std::map<std::int64_t, std::int64_t> model;
   std::int64_t next = 1;
   std::size_t max_window = 0;
-  for (int step = 0; step < 20000; ++step) {
+  std::size_t wrapped_steps = 0, grown_wrapped = 0, filled_below_wrapped = 0, dropped = 0;
+  std::size_t to_heap = 0, to_record = 0;
+  // The window runs from the lowest key, whose slot is the ring's head.
+  const auto wrapped = [&] {
+    if (model.empty() || m.capacity() <= Map::kInline) return false;
+    const auto head = static_cast<std::size_t>(model.begin()->first) & (m.capacity() - 1);
+    return head + m.window() > m.capacity();
+  };
+  for (int step = 0; step < 40000; ++step) {
+    const bool wide = (step / 1000) % 2 == 0;
+    if (step % 2000 == 0) {  // a fresh map: its ring grows again
+      m = Map{};
+      model.clear();
+    }
+    const std::int64_t jitter = wide ? 40 : 1;
+    const std::size_t capacity = m.capacity();
+    const bool was_wrapped = wrapped();
+    const std::int64_t base = model.empty() ? 0 : model.begin()->first;
     const double r = rng.uniform();
-    const std::int64_t k = next + rng.uniform_int(-40, 40);
-    if (r < 0.45) {
+    const std::int64_t k = next + rng.uniform_int(-jitter, jitter);
+    if (r < 0.4) {
       const std::int64_t v = rng.uniform_int(0, 1000);
       ASSERT_EQ(m.emplace(k, v), model.emplace(k, v).second) << "emplace " << k;
+      if (was_wrapped && k < base) ++filled_below_wrapped;
       ++next;
-    } else if (r < 0.55) {
+    } else if (r < 0.5) {
       const std::int64_t v = rng.uniform_int(0, 1000);
       m.assign(k, v);
       model.insert_or_assign(k, v);
-    } else if (r < 0.9) {
+      if (was_wrapped && k < base) ++filled_below_wrapped;
+    } else if (r < (wide ? 0.85 : 0.7)) {
       m.erase(k);
       model.erase(k);
-    } else {
-      const std::int64_t below = next - rng.uniform_int(20, 60);
+    } else if (r < 0.95) {
+      const std::int64_t below = next - (wide ? rng.uniform_int(20, 60) : rng.uniform_int(0, 2));
       std::vector<std::int64_t> erased;
       m.erase_below(below, [&erased](std::int64_t key, std::int64_t) { erased.push_back(key); });
       std::vector<std::int64_t> expected;
@@ -285,21 +312,44 @@ TEST(SeqMap, MatchesStdMap) {
         model.erase(model.begin());
       }
       ASSERT_EQ(erased, expected);
+    } else {
+      const std::int64_t above = next - rng.uniform_int(0, wide ? 60 : 2);
+      Pairs erased;
+      m.drop_above(above, [&erased](std::int64_t key, std::int64_t v) {
+        erased.emplace_back(key, v);
+      });
+      const auto from = model.upper_bound(above);
+      ASSERT_EQ(erased, Pairs(from, model.end()));
+      dropped += erased.size();
+      model.erase(from, model.end());
     }
     ASSERT_EQ(m.size(), model.size());
+    ASSERT_EQ(m.empty(), model.empty());
     for (int probe = 0; probe < 4; ++probe) {
       const std::int64_t p = next + rng.uniform_int(-120, 60);
       const auto it = model.find(p);
       ASSERT_EQ(m.get(p), it == model.end() ? -1 : it->second) << "get " << p;
     }
-    if (step % 256 == 0) {
+    if (step % 256 == 0 || m.window() <= 4) {
       Pairs listed;
       m.for_each([&listed](std::int64_t key, std::int64_t v) { listed.emplace_back(key, v); });
-      ASSERT_EQ(listed, Pairs(model.begin(), model.end()));
+      ASSERT_EQ(listed, Pairs(model.begin(), model.end())) << "step " << step;
     }
+    ASSERT_EQ(m.capacity() == Map::kInline, m.window() <= Map::kInline) << "step " << step;
+    ASSERT_GE(m.capacity(), m.window());
+    if (capacity == Map::kInline && m.capacity() > Map::kInline) ++to_heap;
+    if (capacity > Map::kInline && m.capacity() == Map::kInline) ++to_record;
+    if (was_wrapped && m.capacity() > capacity) ++grown_wrapped;
+    if (wrapped()) ++wrapped_steps;
     max_window = std::max(max_window, m.window());
   }
   EXPECT_LE(max_window, 200u);
+  EXPECT_GT(wrapped_steps, 4000u);
+  EXPECT_GT(grown_wrapped, 10u);
+  EXPECT_GT(filled_below_wrapped, 150u);
+  EXPECT_GT(dropped, 3000u);
+  EXPECT_GT(to_heap, 1000u);
+  EXPECT_GT(to_record, 1000u);
 }
 
 }  // namespace
