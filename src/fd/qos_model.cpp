@@ -1,6 +1,7 @@
 #include "fd/qos_model.hpp"
 
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/observer.hpp"
@@ -8,7 +9,10 @@
 namespace fdgm::fd {
 
 QosFailureDetectorModel::QosFailureDetectorModel(net::System& sys, QosParams params)
-    : sys_(&sys), params_(params), base_(sys.rng().fork("fd-qos-model")) {
+    : sys_(&sys),
+      params_(params),
+      base_(sys.rng().fork("fd-qos-model")),
+      renewal_handler_(sys.scheduler().add_handler<&QosFailureDetectorModel::on_renewal>(this)) {
   if (params_.detection_time < 0)
     throw std::invalid_argument("QosFailureDetectorModel: negative TD");
   if (params_.wrong_suspicions && params_.mistake_recurrence <= 0)
@@ -17,6 +21,9 @@ QosFailureDetectorModel::QosFailureDetectorModel(net::System& sys, QosParams par
     throw std::invalid_argument("QosFailureDetectorModel: negative TM");
 
   const int n = sys.n();
+  // A renewal record's 32-bit argument is its pair's tag q·n + p.
+  if (static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) > UINT32_MAX)
+    throw std::invalid_argument("QosFailureDetectorModel: too many processes");
   fds_.reserve(static_cast<std::size_t>(n));
   for (int q = 0; q < n; ++q) fds_.push_back(std::make_unique<FailureDetector>(q, n));
 
@@ -114,27 +121,26 @@ void QosFailureDetectorModel::start() {
   started_ = true;
   if (!params_.wrong_suspicions) return;
   // Every pair's first gap is its first draw (a consuming one: TMR > 0),
-  // computed four pairs at a time (Rng::fork_first_exponentials); the
-  // timers are scheduled in q-major order, as before.
-  constexpr std::size_t kBlock = 4;
-  std::array<net::ProcessId, kBlock> qs{};
-  std::array<net::ProcessId, kBlock> ps{};
+  // computed a block of pairs at a time (Rng::fork_first_exponentials);
+  // the timers are scheduled in q-major order, as before.
+  constexpr std::size_t kBlock = sim::Rng::kFirstOutputsBlock;
   std::array<std::uint64_t, kBlock> tags{};
   std::array<double, kBlock> draws{};
   std::size_t k = 0;
+  const auto n = static_cast<std::uint64_t>(sys_->n());
   const auto flush = [&] {
     base_.fork_first_exponentials(tags.data(), k, params_.mistake_recurrence, draws.data());
     for (std::size_t j = 0; j < k; ++j) {
-      pair(qs[j], ps[j]).drew_first = true;
-      schedule_mistake(qs[j], ps[j], sys_->now(), draws[j]);
+      const auto q = static_cast<net::ProcessId>(tags[j] / n);
+      const auto p = static_cast<net::ProcessId>(tags[j] % n);
+      pair(q, p).drew_first = true;
+      schedule_mistake(q, p, sys_->now(), draws[j]);
     }
     k = 0;
   };
   for (net::ProcessId q : sys_->all()) {
     for (net::ProcessId p : sys_->all()) {
       if (q == p) continue;
-      qs[k] = q;
-      ps[k] = p;
       tags[k] = pair_tag(q, p);
       if (++k == kBlock) flush();
     }
@@ -144,7 +150,8 @@ void QosFailureDetectorModel::start() {
 
 void QosFailureDetectorModel::restart_renewal(net::ProcessId q, net::ProcessId p,
                                               sim::Time from) {
-  ++pair(q, p).epoch;  // kill any renewal chain still pending for the pair
+  // The new record takes the pair's token, so a renewal chain still
+  // pending for the pair dies when its record fires.
   if (started_ && params_.wrong_suspicions) schedule_next_mistake(q, p, from);
 }
 
@@ -186,31 +193,36 @@ void QosFailureDetectorModel::schedule_mistake(net::ProcessId q, net::ProcessId 
   const double gap = draw * (clock_rate_[static_cast<std::size_t>(p)] /
                              (clock_rate_[static_cast<std::size_t>(q)] *
                               limp_[static_cast<std::size_t>(p)]));
-  const std::uint64_t epoch = pair(q, p).epoch;
-  sys_->scheduler().schedule_at(from + gap, [this, q, p, epoch] {
-    PairState& st = pair(q, p);
-    // A stale chain (the pair was reset by a crash or recovery) dies; so
-    // does the chain of a permanently suspected (crashed) target or of a
-    // crashed monitor — restart_renewal revives it on recovery.
-    if (st.epoch != epoch) return;
-    if (st.crashed_permanent || sys_->node(q).crashed() || sys_->node(p).crashed()) return;
+  pair(q, p).renewal = sys_->scheduler().schedule_handler_at(
+      from + gap, renewal_handler_, static_cast<std::uint32_t>(pair_tag(q, p)));
+}
 
-    const sim::Time start = sys_->now();
-    // A limping / slow-clocked target stays wrongly suspected longer (its
-    // next heartbeat is late); a fast monitor clock clears sooner.
-    const double duration = pair_draw(st, q, p, params_.mistake_duration) *
-                            (limp_[static_cast<std::size_t>(p)] /
-                             (clock_rate_[static_cast<std::size_t>(p)] *
-                              clock_rate_[static_cast<std::size_t>(q)]));
-    if (auto* o = sys_->obs()) o->count(q, obs::Counter::kSuspicions, start);
-    set_suspected_observed(q, p, true);
+void QosFailureDetectorModel::on_renewal(std::uint32_t tag) {
+  const auto n = static_cast<std::uint32_t>(sys_->n());
+  const auto q = static_cast<net::ProcessId>(tag / n);
+  const auto p = static_cast<net::ProcessId>(tag % n);
+  PairState& st = pair(q, p);
+  // A stale chain (the pair was reset by a crash or recovery) dies; so
+  // does the chain of a permanently suspected (crashed) target or of a
+  // crashed monitor — restart_renewal revives it on recovery.
+  if (st.renewal != sys_->scheduler().firing_seq()) return;
+  if (st.crashed_permanent || sys_->node(q).crashed() || sys_->node(p).crashed()) return;
 
-    const sim::Time until = start + duration;
-    if (st.suspect_until < until) st.suspect_until = until;
-    schedule_release(q, p, until);
+  const sim::Time start = sys_->now();
+  // A limping / slow-clocked target stays wrongly suspected longer (its
+  // next heartbeat is late); a fast monitor clock clears sooner.
+  const double duration = pair_draw(st, q, p, params_.mistake_duration) *
+                          (limp_[static_cast<std::size_t>(p)] /
+                           (clock_rate_[static_cast<std::size_t>(p)] *
+                            clock_rate_[static_cast<std::size_t>(q)]));
+  if (auto* o = sys_->obs()) o->count(q, obs::Counter::kSuspicions, start);
+  set_suspected_observed(q, p, true);
 
-    schedule_next_mistake(q, p, start);
-  });
+  const sim::Time until = start + duration;
+  if (st.suspect_until < until) st.suspect_until = until;
+  schedule_release(q, p, until);
+
+  schedule_next_mistake(q, p, start);
 }
 
 void QosFailureDetectorModel::set_suspected_observed(net::ProcessId q, net::ProcessId p,

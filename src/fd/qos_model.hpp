@@ -10,7 +10,11 @@
 //
 // Each ordered pair (q monitors p) owns an independent RNG sub-stream, so
 // modules are independent and identically distributed, and the schedule of
-// pair (q,p) is invariant to what other pairs do.
+// pair (q,p) is invariant to what other pairs do.  A pair's renewal chain
+// is a run of scheduler handler records (argument q·n + p), which cannot
+// be cancelled: the pair keeps a token, the seq of its live record, and a
+// record left behind when a crash or recovery restarted the chain dies
+// when it fires.
 //
 // The fault injector can additionally *force* suspicions (correlated
 // suspicion storms) through inject_suspicion(); forced suspicions share
@@ -88,9 +92,10 @@ class QosFailureDetectorModel {
   /// most pairs draw zero or one variate, and start() makes one draw for
   /// each of the n(n-1) pairs.  The first variate comes straight from the
   /// pair's fork seed (shift_size = 156 seeding steps and one twist step,
-  /// no engine built): start() computes them four pairs at a time with
-  /// sim::Rng::fork_first_exponentials, their seeding chains interleaved,
-  /// and pair_draw computes a later first draw (a restarted chain) alone.
+  /// no engine built): start() computes them a block of pairs at a time
+  /// with sim::Rng::fork_first_exponentials (the vector seeding-chain
+  /// kernel where the CPU has one), and pair_draw computes a later first
+  /// draw (a restarted chain) alone.
   /// Only the second draw persists the engine, forked from base_ with the
   /// pair's tag, and discards the one variate already taken.  The streams
   /// are bit-identical to the eager layout of one fork per pair.
@@ -99,10 +104,12 @@ class QosFailureDetectorModel {
     bool drew_first = false;           // the first variate was drawn
     bool crashed_permanent = false;    // p crashed; suspicion is final
     sim::Time suspect_until = 0.0;     // end of the latest mistake window
-    /// Generation of the renewal chain: a pending next-mistake callback
-    /// whose epoch is stale (the pair was reset by a crash/recovery)
-    /// dies silently, so restarts never double the mistake rate.
-    std::uint64_t epoch = 0;
+    /// Token of the pair's live renewal chain: the scheduler seq of its
+    /// pending next-mistake record (0: none).  A renewal record fires
+    /// only if it still holds the token; one left behind when a
+    /// crash/recovery restarted the chain dies silently, so restarts
+    /// never double the mistake rate.
+    std::uint64_t renewal = 0;
   };
 
   void on_crash(net::ProcessId p, sim::Time when);
@@ -114,8 +121,13 @@ class QosFailureDetectorModel {
   void set_suspected_observed(net::ProcessId q, net::ProcessId p, bool suspected);
   void schedule_next_mistake(net::ProcessId q, net::ProcessId p, sim::Time from);
   /// Schedules (q, p)'s next mistake `draw` (an Exp(TMR) variate of the
-  /// pair's stream, before the gray scaling) after `from`.
+  /// pair's stream, before the gray scaling) after `from`: a scheduler
+  /// handler record with argument pair_tag(q, p), which takes the pair's
+  /// renewal token.
   void schedule_mistake(net::ProcessId q, net::ProcessId p, sim::Time from, double draw);
+  /// The renewal record of pair `tag` (q·n + p): a wrong suspicion, then
+  /// the next renewal.
+  void on_renewal(std::uint32_t tag);
   void schedule_release(net::ProcessId q, net::ProcessId p, sim::Time until);
   /// (Re)start the renewal chain of (q, p) from `from`.
   void restart_renewal(net::ProcessId q, net::ProcessId p, sim::Time from);
@@ -138,6 +150,7 @@ class QosFailureDetectorModel {
   QosParams params_;
   /// Parent stream the per-pair engines fork from.
   sim::Rng base_;
+  sim::Scheduler::HandlerId renewal_handler_ = 0;
   std::vector<std::unique_ptr<FailureDetector>> fds_;
   std::vector<PairState> pairs_;  // n*n, row = monitor q, col = target p
   /// Per-node gray factors (1.0 = nominal; see the header comment).

@@ -34,6 +34,9 @@ Network::Network(System& sys, int num_processes, NetworkConfig cfg)
   if (cfg_.lambda < 0) throw std::invalid_argument("Network: negative lambda");
   cpus_.reserve(static_cast<std::size_t>(num_processes));
   for (int i = 0; i < num_processes; ++i) cpus_.push_back(std::make_unique<Resource>(*sched_));
+  send_done_ = sched_->add_handler<&Network::on_send_done>(this);
+  wire_done_ = sched_->add_handler<&Network::on_wire_done>(this);
+  group_done_ = sched_->add_handler<&Network::fire_group>(this);
 }
 
 std::uint32_t Network::acquire_fanout(const Message& m) {
@@ -88,8 +91,8 @@ bool Network::submit(const Message& m, const ProcessId* dsts, std::size_t count)
     causal_mark(obs_, obs::EdgeKind::kSendEnq, m.src, m, sched_->now());
   }
   // Stage 1: send-side CPU processing.
-  cpus_[static_cast<std::size_t>(m.src)]->enqueue(cfg_.lambda,
-                                                  [this, fanout] { on_send_done(fanout); });
+  sched_->schedule_handler_at(cpus_[static_cast<std::size_t>(m.src)]->commit(cfg_.lambda),
+                              send_done_, fanout);
   return true;
 }
 
@@ -101,7 +104,7 @@ void Network::on_send_done(std::uint32_t fanout) {
     causal_mark(obs_, obs::EdgeKind::kWireEnq, m.src, m, now);
   }
   // Stage 2: one slot on the shared medium regardless of fan-out.
-  wire_.enqueue(kNetworkTimeMs * delay_factor_, [this, fanout] { on_wire_done(fanout); });
+  sched_->schedule_handler_at(wire_.commit(kNetworkTimeMs * delay_factor_), wire_done_, fanout);
 }
 
 void Network::on_wire_done(std::uint32_t fanout) {
@@ -205,7 +208,7 @@ void Network::deliver_via_cpu(const Message& m, ProcessId d, OpenGroups& open) {
   // latest record at t, so it replaces the group open there.
   const std::uint32_t group = acquire_fanout(m);
   add_member(group, d, m.frame);
-  sched_->schedule_at(t, [this, group] { fire_group(group); });
+  sched_->schedule_handler_at(t, group_done_, group);
   open.inserted = sched_->inserted();
   if (at == open.count) {
     if (open.count == kOpenGroups) {  // full: the first group closes

@@ -12,7 +12,7 @@
 // Steady-state transmission is allocation-free: a message and its members
 // (destinations, with per-member frame headers once the transport or
 // checksums stamp them) live in a pooled, capacity-reusing fan-out entry,
-// and the pipeline stages' slab-stored scheduler callbacks capture only
+// and the pipeline stages are scheduler handler records whose argument is
 // its index.  Finished deliveries go to the retransmission transport when
 // it is armed and to the destination Node otherwise, both called
 // directly.
@@ -336,6 +336,11 @@ class Network {
   void release_fanout(std::uint32_t idx);
 
   sim::Scheduler* sched_;
+  /// Handler records of the pipeline stages; each one's argument is a
+  /// fan-out entry index.
+  sim::Scheduler::HandlerId send_done_ = 0;
+  sim::Scheduler::HandlerId wire_done_ = 0;
+  sim::Scheduler::HandlerId group_done_ = 0;
   NetworkConfig cfg_;
   Resource wire_;
   std::vector<std::unique_ptr<Resource>> cpus_;

@@ -8,17 +8,15 @@
 // stage commits the next one when it completes), a busy-until accumulator
 // gives exact FIFO queueing semantics.
 //
-// enqueue() forwards the completion callable straight into the scheduler's
-// callback slab (no std::function wrapper), so a pipeline stage costs no
-// heap allocation.  commit() occupies the resource and only returns the
-// completion time: the caller schedules the completion itself (the
-// network fires a multicast's simultaneous receive jobs from one record).
+// commit() occupies the resource and only returns the completion time:
+// the caller schedules the completion itself (the network schedules each
+// pipeline stage as a scheduler handler record, and fires a multicast's
+// simultaneous receive jobs from one record).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 
 #include "sim/scheduler.hpp"
 
@@ -29,16 +27,9 @@ class Resource {
   explicit Resource(sim::Scheduler& sched) : sched_(&sched) {}
 
   /// Occupy the resource for `service_time` units, starting as soon as all
-  /// previously enqueued jobs finish; `on_done` fires at completion.
-  /// A zero service time completes at the current busy-until frontier
-  /// (still serialized after earlier jobs).
-  template <typename F>
-  void enqueue(double service_time, F&& on_done) {
-    sched_->schedule_at(commit(service_time), std::forward<F>(on_done));
-  }
-
-  /// Occupy the resource like enqueue(), but schedule nothing: returns
-  /// the job's completion time.
+  /// previously committed jobs finish, and return the job's completion
+  /// time.  A zero service time completes at the current busy-until
+  /// frontier (still serialized after earlier jobs).
   sim::Time commit(double service_time) {
     if (service_time < 0) throw std::invalid_argument("Resource::commit: negative service time");
     const double stretched = service_time * stretch_;

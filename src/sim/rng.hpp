@@ -53,21 +53,26 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(word);
   }
 
+  /// Seeds per block of the first-output kernels: what
+  /// fork_first_exponentials computes at once, and the block size
+  /// callers that batch first draws use.
+  static constexpr std::size_t kFirstOutputsBlock = 64;
+
   /// out[i] = fork_first_exponential(tags[i], mean) for i < count, bit
-  /// for bit.  The forks' first words are computed four at a time, their
-  /// seeding chains interleaved so that the chains' multiplies overlap.
+  /// for bit.  The forks' first words come from first_outputs(), in
+  /// blocks of kFirstOutputsBlock seeds.
   void fork_first_exponentials(const std::uint64_t* tags, std::size_t count, double mean,
                                double* out) const {
     if (mean <= 0.0) {
       std::fill(out, out + count, 0.0);
       return;
     }
-    constexpr std::size_t kLanes = 4;
-    for (std::size_t i = 0; i < count; i += kLanes) {
-      const std::size_t k = std::min(kLanes, count - i);
-      std::array<std::uint64_t, kLanes> seeds{};
+    for (std::size_t i = 0; i < count; i += kFirstOutputsBlock) {
+      const std::size_t k = std::min(kFirstOutputsBlock, count - i);
+      std::array<std::uint64_t, kFirstOutputsBlock> seeds{};
+      std::array<std::uint64_t, kFirstOutputsBlock> words{};
       for (std::size_t j = 0; j < k; ++j) seeds[j] = splitmix(fork_seed(tags[i + j]));
-      const std::array<std::uint64_t, kLanes> words = first_outputs(seeds);
+      first_outputs(seeds.data(), k, words.data());
       for (std::size_t j = 0; j < k; ++j) {
         OneWord word(words[j]);
         out[i + j] = std::exponential_distribution<double>(1.0 / mean)(word);
@@ -83,30 +88,57 @@ class Rng {
     return first_outputs(std::array<std::uint64_t, 1>{seed})[0];
   }
 
-  /// first_output of each seed, the K seeding chains stepped in lockstep.
+  /// first_output of each seed, the K seeding chains stepped in lockstep:
+  /// the scalar reference of the block kernels.
   template <std::size_t K>
   static std::array<std::uint64_t, K> first_outputs(const std::array<std::uint64_t, K>& seed) {
-    using E = std::mt19937_64;
-    const auto step = [](std::uint64_t x, std::uint64_t i) {
-      return E::initialization_multiplier * (x ^ (x >> (E::word_size - 2))) + i;
-    };
     std::array<std::uint64_t, K> x1;
-    for (std::size_t j = 0; j < K; ++j) x1[j] = step(seed[j], 1);
+    for (std::size_t j = 0; j < K; ++j) x1[j] = seeding_step(seed[j], 1);
     std::array<std::uint64_t, K> xm = x1;
-    for (std::uint64_t i = 2; i <= E::shift_size; ++i)
-      for (std::size_t j = 0; j < K; ++j) xm[j] = step(xm[j], i);
-    constexpr std::uint64_t upper = ~std::uint64_t{0} << E::mask_bits;
+    for (std::uint64_t i = 2; i <= std::mt19937_64::shift_size; ++i)
+      for (std::size_t j = 0; j < K; ++j) xm[j] = seeding_step(xm[j], i);
     std::array<std::uint64_t, K> out;
-    for (std::size_t j = 0; j < K; ++j) {
-      const std::uint64_t y = (seed[j] & upper) | (x1[j] & ~upper);
-      std::uint64_t z = xm[j] ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
-      z ^= (z >> E::tempering_u) & E::tempering_d;
-      z ^= (z << E::tempering_s) & E::tempering_b;
-      z ^= (z << E::tempering_t) & E::tempering_c;
-      out[j] = z ^ (z >> E::tempering_l);
-    }
+    for (std::size_t j = 0; j < K; ++j) out[j] = first_output_from_chain(seed[j], x1[j], xm[j]);
     return out;
   }
+
+  /// Word i of std::mt19937_64's seeded state from word i - 1.
+  static constexpr std::uint64_t seeding_step(std::uint64_t x, std::uint64_t i) {
+    using E = std::mt19937_64;
+    return E::initialization_multiplier * (x ^ (x >> (E::word_size - 2))) + i;
+  }
+
+  /// first_output(seed) from words 1 (`x1`) and shift_size (`xm`) of the
+  /// seeded state: the twist of x[0], then the tempering.
+  static constexpr std::uint64_t first_output_from_chain(std::uint64_t seed, std::uint64_t x1,
+                                                         std::uint64_t xm) {
+    using E = std::mt19937_64;
+    constexpr std::uint64_t upper = ~std::uint64_t{0} << E::mask_bits;
+    const std::uint64_t y = (seed & upper) | (x1 & ~upper);
+    std::uint64_t z = xm ^ (y >> 1) ^ ((y & 1) != 0 ? E::xor_mask : 0);
+    z ^= (z >> E::tempering_u) & E::tempering_d;
+    z ^= (z << E::tempering_s) & E::tempering_b;
+    z ^= (z << E::tempering_t) & E::tempering_c;
+    return z ^ (z >> E::tempering_l);
+  }
+
+  /// A block kernel: out[i] = first_output(seeds[i]) for i < count.
+  using FirstOutputsKernel = void (*)(const std::uint64_t* seeds, std::size_t count,
+                                      std::uint64_t* out);
+
+  /// The scalar block kernel, first_outputs<4> over the block: the
+  /// fallback where the CPU has no vector kernel.
+  static void first_outputs_scalar(const std::uint64_t* seeds, std::size_t count,
+                                   std::uint64_t* out);
+
+  /// The vector block kernel (AVX-512: the seeding chains eight to a
+  /// register), or nullptr where the CPU lacks AVX-512 F and DQ or the
+  /// build is not for x86-64.
+  [[nodiscard]] static FirstOutputsKernel first_outputs_vector();
+
+  /// The block kernel chosen once from the CPU's features: the vector
+  /// one where it runs, else the scalar one.
+  static void first_outputs(const std::uint64_t* seeds, std::size_t count, std::uint64_t* out);
 
   /// Raw 64-bit draw.
   std::uint64_t next_u64() { return engine_(); }

@@ -18,7 +18,7 @@ std::uint32_t Scheduler::acquire_slot() {
     free_head_ = slots_[idx].next_free;
     return idx;
   }
-  if (slots_.size() >= kNoSlot) throw std::length_error("Scheduler: slot slab overflow");
+  if (slots_.size() >= kHandlerBit) throw std::length_error("Scheduler: slot slab overflow");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -30,6 +30,13 @@ void Scheduler::release_slot(std::uint32_t idx) {
   ++sl.gen;  // stale queue records / EventIds stop matching
   sl.next_free = free_head_;
   free_head_ = idx;
+}
+
+Scheduler::HandlerId Scheduler::add_handler(HandlerFn fn, void* ctx) {
+  if (fn == nullptr) throw std::invalid_argument("Scheduler::add_handler: null handler");
+  if (handler_count_ == kMaxHandlers) throw std::length_error("Scheduler: handler table full");
+  handlers_[handler_count_] = Handler{fn, ctx};
+  return handler_count_++;
 }
 
 bool Scheduler::cancel(EventId id) {
@@ -292,6 +299,12 @@ void Scheduler::fire(const Rec& rec) {
   now_ = rec.t;
   ++executed_;
   --live_;
+  if ((rec.slot & kHandlerBit) != 0) {
+    firing_seq_ = rec.seq;
+    const Handler& h = handlers_[rec.slot & ~kHandlerBit];
+    h.fn(h.ctx, rec.gen);
+    return;
+  }
   slots_[rec.slot].run(*this, rec.slot);
 }
 

@@ -14,10 +14,22 @@
 // drained, which restores the exact global FIFO order.  The tick only
 // sets how much work the cursor does per empty stretch, never the order.
 //
+// Two kinds of record share that one queue and one (t, seq) order:
+//  * closure records (schedule_at/schedule_after) run a callable kept in
+//    a callback slot; they return an EventId and can be cancelled;
+//  * handler records (schedule_handler_at) name a handler registered once
+//    (add_handler: function pointer plus context) and carry a 32-bit
+//    argument inside the 24-byte queue record, with no callback slot.
+//    They cannot be cancelled: a caller whose record may go stale checks
+//    that when it fires (firing_seq()).  The simulator's fixed pipeline
+//    stages and timer chains, which no one cancels, use them.
+// Both kinds take the next seq, move latest_at() and count in pending()
+// and executed() alike.
+//
 // The event core is allocation-free in steady state:
 //  * queue records are POD; wheel buckets are intrusive lists over a
 //    pooled node slab, and the drain buffer and the overflow heap are
-//    reusable vectors;
+//    reusable vectors; the handler table is a fixed array;
 //  * callbacks live in a slab of fixed slots with inline small-buffer
 //    storage and a freelist; callables that fit the inline buffer (every
 //    hot-path closure in the simulator) never touch the heap, oversized
@@ -87,8 +99,46 @@ class Scheduler {
     return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
-  /// Cancel a pending event.  Returns true if the event was still pending.
-  /// O(1): the callback is destroyed now, the queued record lazily dropped.
+  /// A handler of handler records: fn(ctx, arg).
+  using HandlerFn = void (*)(void* ctx, std::uint32_t arg);
+  /// Names a registered handler.
+  using HandlerId = std::uint32_t;
+  /// Size of the fixed handler table.
+  static constexpr std::size_t kMaxHandlers = 16;
+
+  /// Register `fn` with `ctx` once; every handler record naming the
+  /// returned id calls fn(ctx, arg).  Throws std::length_error when all
+  /// kMaxHandlers entries are taken.
+  HandlerId add_handler(HandlerFn fn, void* ctx);
+
+  /// add_handler for a member function `void (C::*)(std::uint32_t)` of
+  /// `obj`, dispatched statically.
+  template <auto Method, typename C>
+  HandlerId add_handler(C* obj) {
+    return add_handler([](void* c, std::uint32_t arg) { (static_cast<C*>(c)->*Method)(arg); },
+                       obj);
+  }
+
+  /// Schedule handler `h` with `arg` at absolute time `t` (>= now()): a
+  /// handler record, ordered like a closure record scheduled here, that
+  /// cannot be cancelled.  Returns its seq (see firing_seq()).
+  std::uint64_t schedule_handler_at(Time t, HandlerId h, std::uint32_t arg) {
+    if (t < now_) throw std::invalid_argument("Scheduler::schedule_handler_at: time in the past");
+    if (h >= handler_count_) throw std::out_of_range("Scheduler::schedule_handler_at: bad handler");
+    const std::uint64_t seq = next_seq_++;
+    enqueue(Rec{t, seq, kHandlerBit | h, arg});
+    latest_at_ = t;
+    ++live_;
+    return seq;
+  }
+
+  /// The seq of the handler record now firing (inside its handler): what
+  /// schedule_handler_at returned for it.
+  [[nodiscard]] std::uint64_t firing_seq() const { return firing_seq_; }
+
+  /// Cancel a pending closure record.  Returns true if it was still
+  /// pending.  O(1): the callback is destroyed now, the queued record
+  /// lazily dropped.
   bool cancel(EventId id);
 
   /// Execute the next pending event, advancing time.  Returns false when
@@ -137,7 +187,9 @@ class Scheduler {
   [[nodiscard]] Time latest_at() const { return latest_at_; }
 
  private:
-  /// POD queue record; `seq` breaks timestamp ties FIFO.
+  /// POD queue record; `seq` breaks timestamp ties FIFO.  A closure
+  /// record names its callback slot and the slot's generation; a handler
+  /// record has slot = kHandlerBit | handler id and gen = its argument.
   struct Rec {
     Time t{};
     std::uint64_t seq{};
@@ -161,6 +213,13 @@ class Scheduler {
   };
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  /// Marks a handler record's `slot`; callback slots stay below it.
+  static constexpr std::uint32_t kHandlerBit = std::uint32_t{1} << 31;
+
+  struct Handler {
+    HandlerFn fn = nullptr;
+    void* ctx = nullptr;
+  };
 
   // ------------------------------------------------------------- wheel
   static constexpr unsigned kWheelBits = 8;
@@ -234,6 +293,7 @@ class Scheduler {
   void release_slot(std::uint32_t idx);
 
   [[nodiscard]] bool rec_live(const Rec& rec) const {
+    if ((rec.slot & kHandlerBit) != 0) return true;
     const Slot& sl = slots_[rec.slot];
     return sl.run != nullptr && sl.gen == rec.gen;
   }
@@ -284,6 +344,11 @@ class Scheduler {
   /// Callback slab and its freelist.
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  /// Registered handlers, handlers_[0, handler_count_).
+  std::array<Handler, kMaxHandlers> handlers_{};
+  std::uint32_t handler_count_ = 0;
+  /// Seq of the handler record now firing (see firing_seq()).
+  std::uint64_t firing_seq_ = 0;
 
   std::array<WheelLevel, kWheelLevels> levels_;
   std::vector<WheelNode> nodes_;

@@ -18,9 +18,10 @@
 // The scheduler's own steady state is covered by scheduler_test.  The
 // AllocBound tests bound what is not zero: the scheduler under an n = 128
 // FD-timer population, one GM view change at n = 64, each stack's
-// failure-free steady state at n = 32, and the bytes the lazy QoS model
+// failure-free steady state at n = 32, the bytes the lazy QoS model
 // allocates at construction against the eager per-pair RNG forks it
-// replaced.
+// replaced, and the bytes its start() allocates for the n = 128 renewal
+// records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,10 +66,14 @@ double park_before_top_window(sim::Scheduler& s, double lead_ms) {
   return boundary;
 }
 
-// The pending-queue population a large group's failure-detector layer
-// creates: one long-horizon renewal timer per ordered pair (n(n-1) =
-// 16256 at n = 128) parked under a hot stream of short protocol events,
-// with a steady churn of cancel + reschedule on the cold timers.
+// A pending-queue population of the size a large group's failure
+// detectors keep, one long-horizon timer per ordered pair (n(n-1) =
+// 16256 at n = 128), held as cancellable closure records parked under a
+// hot stream of short protocol events, with a steady churn of cancel +
+// reschedule on the cold timers.  (The QoS model's own renewals are
+// handler records: no callback slot, never cancelled, a stale one dies
+// when it fires; AllocBound.QosStart128 bounds them.  This is the
+// closure-record path at that population.)
 //
 // Not allocation-free, and the bound says by how much.  Two buffers grow
 // for as long as the parked timers are far from due (17-50 simulated
@@ -519,6 +524,33 @@ TEST(AllocBound, LazyQosSetup128) {
   const std::uint64_t bytes = g_alloc_bytes - bytes_before;
   const std::uint64_t eager_bytes = std::uint64_t{kN} * (kN - 1) * sizeof(sim::Rng);
   EXPECT_LT(bytes, eager_bytes / 10) << "eager forks: " << eager_bytes << " bytes";
+}
+
+// The QoS model's start() at n = 128 with wrong suspicions on: one
+// renewal record per ordered pair (16256).  A renewal is a scheduler
+// handler record, so start() allocates only the queue's own storage:
+// 24 bytes per pair in the overflow heap, where TMR = 81,280 s puts all
+// but about 1.3% of the first mistakes (beyond the wheel's top window,
+// 17.5 minutes), and the wheel's 32-byte nodes for the rest.  Both
+// vectors grow by doubling, so the bytes requested add up to twice the
+// final size: 49 B per pair measured, bounded by 2 x 24 B per pair plus
+// 32 KiB.  A renewal kept as a closure adds an 80-byte callback slot per
+// pair (the slab doubles too) and fails the bound.
+TEST(AllocBound, QosStart128) {
+  constexpr int kN = 128;
+  constexpr std::uint64_t kPairs = std::uint64_t{kN} * (kN - 1);
+  net::System sys(kN, net::NetworkConfig{}, 7);
+  fd::QosParams params;
+  params.detection_time = 30.0;
+  params.wrong_suspicions = true;
+  params.mistake_recurrence = 128.0 * 127.0 * 5000.0;
+  params.mistake_duration = 50.0;
+  fd::QosFailureDetectorModel model(sys, params);
+  const std::uint64_t bytes_before = g_alloc_bytes;
+  model.start();
+  const std::uint64_t bytes = g_alloc_bytes - bytes_before;
+  EXPECT_EQ(sys.scheduler().pending(), kPairs);
+  EXPECT_LE(bytes, 2 * 24 * kPairs + 32768) << bytes / kPairs << " B per pair";
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
@@ -50,11 +51,13 @@ constexpr double kSliceMs = 1.0;
 
 /// Hash of the golden run's delivery sequence and executed-event count.
 /// `slice_ms` > 0 drives the run in run_until slices of that length
-/// instead of one call; `executed` (optional) receives the event count.
+/// instead of one call; `executed` (optional) receives the event count;
+/// `faults` (optional) is a fault schedule in the --faults grammar.
 std::uint64_t delivery_hash(Algorithm algo, bool transport = false, bool batching = false,
                             bool observed = false, double slice_ms = 0.0,
-                            std::uint64_t* executed = nullptr) {
+                            std::uint64_t* executed = nullptr, std::string_view faults = {}) {
   SimConfig cfg;
+  if (!faults.empty()) cfg.faults = fault::FaultSchedule::parse(faults);
   cfg.algorithm = algo;
   cfg.n = 5;
   cfg.seed = 424242;
@@ -212,6 +215,30 @@ TEST(GoldenSeed, ObserverArmedBatchingGoldenFd) {
 
 TEST(GoldenSeed, ObserverArmedBatchingGoldenGm) {
   EXPECT_EQ(delivery_hash(Algorithm::kGm, false, true, true), kGoldenGmBatch);
+}
+
+// A crash and recovery of p2 in the golden run: every monitor's renewal
+// chain of p2 is restarted when the recovery is detected, while the
+// chain pending from before the crash is still parked, so these pin the
+// stale-chain check of QosFailureDetectorModel::restart_renewal (no
+// committed CSV runs wrong suspicions across a recovery).  Captured from
+// the closure-scheduled renewals the handler records replaced.
+constexpr std::string_view kCrashRecover = "crash p2 @1000; recover p2 @1800";
+constexpr std::uint64_t kGoldenFdRecover = 0xcab66aefef232121ULL;
+constexpr std::uint64_t kGoldenGmRecover = 0xdd08952279711bc1ULL;
+
+TEST(GoldenSeed, CrashRecoverGoldenFd) {
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, false, false, 0.0, nullptr, kCrashRecover),
+            kGoldenFdRecover);
+  EXPECT_EQ(delivery_hash(Algorithm::kFd, false, false, false, kSliceMs, nullptr, kCrashRecover),
+            kGoldenFdRecover);
+}
+
+TEST(GoldenSeed, CrashRecoverGoldenGm) {
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, false, false, 0.0, nullptr, kCrashRecover),
+            kGoldenGmRecover);
+  EXPECT_EQ(delivery_hash(Algorithm::kGm, false, false, false, kSliceMs, nullptr, kCrashRecover),
+            kGoldenGmRecover);
 }
 
 // Replica-level parallelism (--jobs) must not move a golden: 1, 2 and 8

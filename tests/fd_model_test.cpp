@@ -195,6 +195,50 @@ TEST(FdModel, NoWrongSuspicionsOfCrashedTarget) {
   for (const auto& [p, t] : log.trusts) EXPECT_LT(t, 1010.0 + 1e-9);
 }
 
+// Crash/recover cycles of the target: the recovery restarts the pair's
+// renewal chain while the chain drawn before the crash is often still
+// parked (its next start lies past the recovery with probability
+// e^(-110/200) here).  That stale chain must die when it fires; if it
+// ran on, every cycle would add one chain and the mistake rate would
+// grow with the number of recoveries.  TM = 0 makes every wrong
+// suspicion a suspect edge with a trust edge at the same instant, which
+// tells mistakes apart from the crash's own suspicion.
+TEST(FdModel, RecoveryKeepsTheMistakeRate) {
+  constexpr double kTmr = 200.0;
+  constexpr double kTd = 10.0;
+  constexpr double kCycleMs = 1000.0;
+  constexpr double kCrashAt = 500.0;  // within each cycle
+  constexpr double kDownMs = 100.0;
+  constexpr int kCycles = 400;
+  net::System sys(2, {}, 17);
+  QosParams qp;
+  qp.detection_time = kTd;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = kTmr;
+  qp.mistake_duration = 0.0;
+  QosFailureDetectorModel fd(sys, qp);
+  EdgeLog log(sys);
+  fd.at(1).add_listener(&log);
+  fd.start();
+  for (int k = 0; k < kCycles; ++k) {
+    sys.crash_at(0, k * kCycleMs + kCrashAt);
+    sys.restart_at(0, k * kCycleMs + kCrashAt + kDownMs);
+  }
+  sys.scheduler().run_until(kCycles * kCycleMs);
+  ASSERT_EQ(log.trusts.size(), log.suspects.size());
+  std::size_t mistakes = 0;
+  for (std::size_t i = 0; i < log.suspects.size(); ++i)
+    if (log.trusts[i].second == log.suspects[i].second) ++mistakes;
+  EXPECT_EQ(log.suspects.size() - mistakes, static_cast<std::size_t>(kCycles));
+  // Mistakes start at rate 1/TMR while p1 trusts p0: from each recovery's
+  // detection to the next crash (the chain dies at its first start while
+  // p0 is down or suspected, and starts afresh when the recovery is
+  // detected).
+  const double trusted = kCycles * (kCycleMs - kDownMs - kTd);
+  const double expected = trusted / kTmr;
+  EXPECT_NEAR(static_cast<double>(mistakes), expected, expected * 0.10);
+}
+
 TEST(FdModel, SuspectedSnapshot) {
   net::System sys(4, {}, 1);
   QosFailureDetectorModel fd(sys, QosParams{.detection_time = 0.0});

@@ -2,6 +2,7 @@
 // forks, and distribution properties of the variates the simulation uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -161,11 +162,49 @@ TEST(Rng, ForkFirstExponentialMatchesFork) {
   EXPECT_EQ(base.fork_first_exponential(3, -1.0), 0.0);
 }
 
+// Both block kernels against the engine itself: the edge seeds, then
+// 10^5 random seeds in blocks whose sizes are not multiples of any lane
+// or group count (a block kernel pads or steps its tail).
+void expect_kernel_matches_engine(Rng::FirstOutputsKernel kernel) {
+  constexpr std::array<std::uint64_t, 4> kEdgeSeeds = {0, 1, 5489, ~std::uint64_t{0}};
+  std::array<std::uint64_t, 4> edge_out{};
+  kernel(kEdgeSeeds.data(), kEdgeSeeds.size(), edge_out.data());
+  for (std::size_t j = 0; j < kEdgeSeeds.size(); ++j)
+    EXPECT_EQ(edge_out[j], std::mt19937_64(kEdgeSeeds[j])()) << "seed " << kEdgeSeeds[j];
+  std::mt19937_64 gen(20261019);
+  constexpr std::size_t kSeeds = 100'000;
+  std::vector<std::uint64_t> seeds(kSeeds);
+  for (std::uint64_t& s : seeds) s = gen();
+  std::vector<std::uint64_t> out(kSeeds, 0);
+  std::size_t at = 0;
+  for (std::size_t block = 1; at < kSeeds; block = block % 203 + 2) {
+    const std::size_t k = std::min(block, kSeeds - at);
+    kernel(seeds.data() + at, k, out.data() + at);
+    at += k;
+  }
+  for (std::size_t i = 0; i < kSeeds; ++i)
+    ASSERT_EQ(out[i], std::mt19937_64(seeds[i])()) << "seed " << seeds[i];
+}
+
+TEST(Rng, ScalarFirstOutputsKernelMatchesMt19937_64) {
+  expect_kernel_matches_engine(&Rng::first_outputs_scalar);
+}
+
+TEST(Rng, VectorFirstOutputsKernelMatchesMt19937_64) {
+  const Rng::FirstOutputsKernel kernel = Rng::first_outputs_vector();
+  if (kernel == nullptr) GTEST_SKIP() << "no AVX-512 F and DQ on this CPU";
+  expect_kernel_matches_engine(kernel);
+}
+
 TEST(Rng, BatchedForkFirstExponentialsMatchFork) {
-  // Full blocks of four and every tail length (1..3), at tags that are
-  // neither contiguous nor ordered.
+  // Full blocks (Rng::kFirstOutputsBlock) and tails, through the block
+  // entry point the QoS model's start() uses, at tags that are neither
+  // contiguous nor ordered.
+  constexpr std::size_t kBlock = Rng::kFirstOutputsBlock;
   const Rng base = Rng(77).fork("fd-qos-model");
-  for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 8u, 127u}) {
+  for (const std::size_t count :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{5},
+        std::size_t{8}, std::size_t{127}, kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 17}) {
     std::vector<std::uint64_t> tags(count);
     for (std::size_t i = 0; i < count; ++i) tags[i] = (i * 7919 + count) % 16384;
     for (const double mean : {1e-3, 81280000.0}) {

@@ -6,10 +6,11 @@
 //
 // Order is checked against a test-only reference queue — a sorted
 // (t, seq) multiset with lazy cancel, the textbook definition of a
-// FIFO-tie-breaking event queue.  The randomized fuzz and the stress run
-// replay the same load on both and require identical firing sequences
-// (ties, cancellations, nested schedules, level-2 cascades and
-// far-future overflow spills included).
+// FIFO-tie-breaking event queue, where a handler record is one more
+// closure.  The randomized fuzz and the stress run replay the same load,
+// closure and handler records mixed, on both and require identical
+// firing sequences (ties, cancellations, nested schedules, level-2
+// cascades and far-future overflow spills included).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -50,6 +51,22 @@ class ReferenceQueue {
   }
   bool cancel(std::uint64_t id) { return callbacks_.erase(id) == 1; }
 
+  /// Handler records: a closure calling fn(ctx, arg), with its seq.
+  std::uint32_t add_handler(Scheduler::HandlerFn fn, void* ctx) {
+    handlers_.emplace_back(fn, ctx);
+    return static_cast<std::uint32_t>(handlers_.size() - 1);
+  }
+  std::uint64_t schedule_handler_at(Time t, std::uint32_t h, std::uint32_t arg) {
+    const auto [fn, ctx] = handlers_.at(h);
+    const std::uint64_t seq = next_seq_;
+    return schedule_at(t, [this, fn, ctx, arg, seq] {
+      firing_seq_ = seq;
+      fn(ctx, arg);
+    });
+  }
+  std::uint64_t firing_seq() const { return firing_seq_; }
+  std::size_t pending() const { return callbacks_.size(); }
+
   std::uint64_t run_until(Time t) {
     std::uint64_t n = 0;
     while (pop_due(t)) ++n;
@@ -86,6 +103,8 @@ class ReferenceQueue {
 
   std::set<std::pair<Time, std::uint64_t>> keys_;
   std::map<std::uint64_t, std::function<void()>> callbacks_;
+  std::vector<std::pair<Scheduler::HandlerFn, void*>> handlers_;
+  std::uint64_t firing_seq_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   Time now_ = kTimeZero;
@@ -387,11 +406,22 @@ TEST_P(SchedulerTest, OversizedCallbackStillWorks) {
 /// 1M schedule/cancel/fire ops with randomized interleaving, folded into
 /// an order-sensitive digest of (fire time, token) — identical loads on
 /// the scheduler and the reference queue must produce identical digests.
+/// One in four records is a handler record, which cannot be cancelled.
 template <typename Queue, typename Id>
 std::uint64_t stress_digest(Queue& q, std::uint64_t& scheduled, std::uint64_t& cancelled) {
   std::mt19937_64 rng(20260729);
   std::vector<Id> open;
   std::uint64_t digest = 0xcbf29ce484222325ULL;
+  struct Ctx {
+    Queue* q;
+    std::uint64_t* digest;
+  };
+  Ctx ctx{&q, &digest};
+  const auto mix = [](void* c, std::uint32_t token) {
+    const Ctx& x = *static_cast<Ctx*>(c);
+    *x.digest = (*x.digest ^ token ^ std::bit_cast<std::uint64_t>(x.q->now())) * 0x100000001b3ULL;
+  };
+  const std::uint32_t handler = q.add_handler(mix, &ctx);
   constexpr std::uint64_t kOps = 1'000'000;
   while (scheduled < kOps) {
     const std::uint64_t burst = 1 + rng() % 8;
@@ -401,10 +431,12 @@ std::uint64_t stress_digest(Queue& q, std::uint64_t& scheduled, std::uint64_t& c
       double delay = static_cast<double>(rng() % 1000) * 0.1;
       if (rng() % 512 == 0) delay += static_cast<double>(rng() % 100'000);
       if (rng() % 4096 == 0) delay += 2.0e6;
-      const std::uint64_t token = scheduled;
-      open.push_back(q.schedule_after(delay, [&q, &digest, token] {
-        digest = (digest ^ token ^ std::bit_cast<std::uint64_t>(q.now())) * 0x100000001b3ULL;
-      }));
+      const auto token = static_cast<std::uint32_t>(scheduled);
+      if (rng() % 4 == 0) {
+        q.schedule_handler_at(q.now() + delay, handler, token);
+      } else {
+        open.push_back(q.schedule_after(delay, [&ctx, mix, token] { mix(&ctx, token); }));
+      }
       ++scheduled;
     }
     if (!open.empty() && rng() % 4 == 0) {
@@ -494,38 +526,76 @@ TEST_P(SchedulerTest, SteadyStateZeroHeapAllocationsWithCancellation) {
 
 /// Executes a deterministic randomized load and records every firing as
 /// (time, token): N initial events over quantized times (forcing FIFO
-/// ties), ~25% cancellations, nested follow-up schedules from inside
-/// callbacks, a 5 s – 15 min band that parks in the wheel's level 2 and
-/// reaches level 0 through cascades, and a far-future slice spilling into
-/// the overflow heap.
+/// ties), a third of them handler records, ~25% of the closure records
+/// cancelled, nested follow-up schedules from inside callbacks and
+/// handlers (closures scheduling handler records and back, at the firing
+/// instant too), a 5 s – 15 min band that parks in the wheel's level 2
+/// and reaches level 0 through cascades, and a far-future slice spilling
+/// into the overflow heap.  Entries at negative times record the pending
+/// and executed counts between the drains.
 template <typename Queue, typename Id>
 std::vector<std::pair<double, std::uint64_t>> firing_trace(std::uint64_t seed) {
   Queue q;
   std::mt19937_64 rng(seed);
   std::vector<std::pair<double, std::uint64_t>> fired;
   std::vector<Id> ids;
+  struct Ctx {
+    Queue* q;
+    std::vector<std::pair<double, std::uint64_t>>* fired;
+  };
+  Ctx ctx{&q, &fired};
+  // A handler record logs its token and firing seq; every third one
+  // schedules a closure follow-up.
+  const std::uint32_t handler = q.add_handler(
+      [](void* c, std::uint32_t token) {
+        const Ctx& x = *static_cast<Ctx*>(c);
+        x.fired->emplace_back(x.q->now(), token);
+        x.fired->emplace_back(-3.0, x.q->firing_seq());
+        if (token % 3 == 0) {
+          const std::uint64_t follow = token + 2'000'000;
+          x.q->schedule_after(static_cast<double>(token % 5) * 0.25,
+                              [x, follow] { x.fired->emplace_back(x.q->now(), follow); });
+        }
+      },
+      &ctx);
+  std::vector<std::uint64_t> handler_seqs;
   constexpr int kEvents = 4000;
-  for (std::uint64_t token = 0; token < kEvents; ++token) {
+  for (std::uint32_t token = 0; token < kEvents; ++token) {
     double t = static_cast<double>(rng() % 2000) * 0.25;  // quantized: many ties
     if (rng() % 16 == 0) t += 5000.0 + static_cast<double>(rng() % 3580) * 250.0;  // cascade band
     if (rng() % 64 == 0) t += static_cast<double>(rng() % 3) * 1.5e6;  // overflow band
-    ids.push_back(q.schedule_at(t, [&q, &fired, token] {
+    if (token % 3 == 1) {
+      handler_seqs.push_back(q.schedule_handler_at(t, handler, token));
+      continue;
+    }
+    ids.push_back(q.schedule_at(t, [&q, &fired, token, handler] {
       fired.emplace_back(q.now(), token);
       if (token % 3 == 0) {
         const std::uint64_t follow = token + 1'000'000;
         q.schedule_after(static_cast<double>(token % 7) * 0.25,
                          [&q, &fired, follow] { fired.emplace_back(q.now(), follow); });
+      } else if (token % 4 == 0) {
+        q.schedule_handler_at(q.now() + static_cast<double>(token % 6) * 0.25, handler,
+                              token + 3'000'000);
       }
     }));
   }
   for (std::size_t i = 0; i < ids.size(); i += 4) q.cancel(ids[i]);
+  fired.emplace_back(-1.0, q.pending());
+  for (std::uint64_t seq : handler_seqs) fired.emplace_back(-2.0, seq);
   // Interleave bounded drains with run_until boundaries and late arrivals.
   q.run_until(120.0);
   q.schedule_at(130.5, [&q, &fired] { fired.emplace_back(q.now(), 42'000'000); });
+  q.schedule_handler_at(130.5, handler, 44'000'000);
   q.run(500);
+  fired.emplace_back(-1.0, q.pending());
+  fired.emplace_back(-1.0, q.executed());
   q.run_until(60'000.0);
   q.schedule_at(61'000.25, [&q, &fired] { fired.emplace_back(q.now(), 43'000'000); });
+  q.schedule_handler_at(61'000.25, handler, 45'000'000);
   q.run();
+  fired.emplace_back(-1.0, q.pending());
+  fired.emplace_back(-1.0, q.executed());
   return fired;
 }
 
@@ -536,6 +606,64 @@ TEST(SchedulerWheel, FiringOrderMatchesReferenceQueue) {
     ASSERT_EQ(ref.size(), wheel.size()) << "seed " << seed;
     EXPECT_EQ(ref, wheel) << "seed " << seed;
   }
+}
+
+TEST_P(SchedulerTest, HandlerRecordsShareTheFifoOrder) {
+  // Handler and closure records at equal times fire in scheduling order,
+  // count in pending() and executed() alike, and each handler sees its
+  // own seq; a handler record has no EventId, so cancel() cannot reach it.
+  Scheduler& s = sched();
+  struct Log {
+    Scheduler* s;
+    std::vector<std::uint64_t> order;
+    std::vector<std::uint64_t> seqs;
+  };
+  Log log{&s, {}, {}};
+  const Scheduler::HandlerId h = s.add_handler(
+      [](void* c, std::uint32_t arg) {
+        auto& l = *static_cast<Log*>(c);
+        l.order.push_back(arg);
+        l.seqs.push_back(l.s->firing_seq());
+      },
+      &log);
+  std::vector<std::uint64_t> expected_seqs;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    if (i % 2 == 0) {
+      expected_seqs.push_back(s.schedule_handler_at(T(2.0), h, i));
+      EXPECT_EQ(expected_seqs.back(), s.inserted());
+    } else {
+      s.schedule_at(T(2.0), [&log, i] { log.order.push_back(i); });
+    }
+  }
+  expected_seqs.push_back(s.schedule_handler_at(T(3.0), h, 6));
+  EXPECT_EQ(s.latest_at(), T(3.0));
+  EXPECT_EQ(s.pending(), 7u);
+  EXPECT_FALSE(s.cancel(static_cast<EventId>(expected_seqs[0])));
+  EXPECT_EQ(s.pending(), 7u);
+  EXPECT_THROW(s.schedule_handler_at(T(-1.0), h, 0), std::invalid_argument);
+  EXPECT_THROW(s.schedule_handler_at(T(1.0), h + 1, 0), std::out_of_range);
+  s.run();
+  EXPECT_EQ(log.order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(log.seqs, expected_seqs);
+  EXPECT_EQ(s.executed(), 7u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SchedulerWheel, HandlerTableIsFixed) {
+  Scheduler s;
+  struct Target {
+    std::uint32_t sum = 0;
+    void add(std::uint32_t v) { sum += v; }
+  };
+  Target target;
+  const Scheduler::HandlerId h = s.add_handler<&Target::add>(&target);
+  for (std::size_t i = 1; i < Scheduler::kMaxHandlers; ++i)
+    s.add_handler([](void*, std::uint32_t) {}, nullptr);
+  EXPECT_THROW(s.add_handler([](void*, std::uint32_t) {}, nullptr), std::length_error);
+  s.schedule_handler_at(1.0, h, 5);
+  s.schedule_handler_at(1.0, h, 7);
+  s.run();
+  EXPECT_EQ(target.sum, 12u);
 }
 
 TEST(SchedulerWheel, FarFutureOverflowFiresInOrder) {
