@@ -54,7 +54,7 @@ void AtomicBroadcastProcess::enqueue_submission(AppMessagePtr msg) {
   if (!batching_.enabled) {
     // Bit-identity contract: the unbatched path is exactly the
     // pre-batching hot path — no queue, no timer, no credit accounting.
-    submit_now(msg);
+    disseminate(&msg, 1);
     return;
   }
   ++in_flight_;
@@ -86,7 +86,7 @@ void AtomicBroadcastProcess::flush_queue() {
   }
   if (queue_.empty()) return;
   ++batches_flushed_;
-  // Swap into the scratch vector: flush_batch may deliver synchronously,
+  // Swap into the scratch vector: disseminate may deliver synchronously,
   // and a DeliverSink can submit again from inside that delivery.  The two
   // vectors ping-pong their capacity, so steady state does not allocate.
   flushing_.clear();
@@ -95,10 +95,13 @@ void AtomicBroadcastProcess::flush_queue() {
     for (const AppMessagePtr m : flushing_) o->on_order_start(m->id.origin, m->id.seq, sys_->now());
     o->on_batch_flush(self_, sys_->now());
   }
-  if (flushing_.size() == 1)
-    submit_now(flushing_.front());
-  else
-    flush_batch(flushing_.data(), flushing_.size());
+  disseminate(flushing_.data(), flushing_.size());
+}
+
+net::PayloadPtr AtomicBroadcastProcess::data_payload(const AppMessagePtr* msgs,
+                                                     std::size_t count) {
+  if (count == 1) return msgs[0];
+  return sys_->arena().make<AppBatch>(std::vector<AppMessagePtr>(msgs, msgs + count));
 }
 
 void AtomicBroadcastProcess::arm_flush_timer() {
@@ -112,12 +115,14 @@ void AtomicBroadcastProcess::arm_flush_timer() {
   });
 }
 
-void AtomicBroadcastProcess::deliver(const AppMessage& m) {
+void AtomicBroadcastProcess::deliver(AppMessagePtr m) {
+  if (!delivered_.insert(m->id)) return;
+  log_.push_back(m);
   // First-write-wins inside the observer: across the n local deliveries
   // of one message this records the *global-first* A-delivery instant.
-  if (auto* o = sys_->obs()) o->on_delivered(m.id.origin, m.id.seq, sys_->now(), self_);
-  if (m.id.origin == self_ && in_flight_ > 0) --in_flight_;
-  if (deliver_sink_ != nullptr) deliver_sink_->on_deliver(m);
+  if (auto* o = sys_->obs()) o->on_delivered(m->id.origin, m->id.seq, sys_->now(), self_);
+  if (m->id.origin == self_ && in_flight_ > 0) --in_flight_;
+  if (deliver_sink_ != nullptr) deliver_sink_->on_deliver(*m);
 }
 
 void AtomicBroadcastProcess::on_restart() {

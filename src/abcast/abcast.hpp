@@ -7,17 +7,28 @@
 // harness can compute the paper's latency metric
 //     L = (min_i deliver_time_i) - broadcast_time.
 //
-// Batching (BatchConfig): the base class owns the submission hot path.
-// With batching disabled, a_broadcast() hands each message straight to the
-// algorithm (submit_now) — bit-identical to the unbatched tree: no timers,
-// no RNG draws, no extra events.  With batching enabled, submissions
-// accumulate in a local queue and are flushed to the algorithm as one
-// batch (flush_batch) — one ordering decision (one consensus proposal /
-// one sequencer assignment round) amortized over k messages.  The batch
-// target k adapts to the contention signal the network model exposes
-// (wire + local CPU backlog): an idle system flushes immediately (k = 1,
-// latency first), a congested one batches harder (throughput first).  A
-// flush timer bounds the queueing delay of partial batches.
+// Both algorithms share the paper's failure-free message pattern (one
+// data dissemination, then one ordering round per batch); the base class
+// owns what is common around it:
+//
+//  * Submission.  The algorithm supplies one hook, disseminate(msgs, k),
+//    which sends data_payload(msgs, k) — the message itself when k = 1,
+//    else one AppBatch — and receivers unpack it with for_each_message.
+//    With batching disabled, a_broadcast() disseminates each message at
+//    once (k = 1), bit-identical to the unbatched tree: no timers, no RNG
+//    draws, no extra events.  With batching enabled (BatchConfig),
+//    submissions queue locally and flush as one unit — one ordering
+//    decision (one consensus proposal / one sequencer assignment round)
+//    amortized over k messages.  The target k adapts to the network
+//    model's contention signal (wire + local CPU backlog): an idle system
+//    flushes at once (k = 1, latency first), a congested one batches
+//    harder (throughput first).  A flush timer bounds the queueing delay
+//    of partial batches.
+//
+//  * The A-delivery record.  The algorithm reports each delivery through
+//    deliver(), which logs it with its id (stable storage across a
+//    crash-recovery), notifies the observer, releases its credit and
+//    calls the DeliverSink.
 #pragma once
 
 #include <bit>
@@ -167,10 +178,12 @@ class AppMessage final : public net::Payload {
 
 using AppMessagePtr = const AppMessage*;
 
-/// A flushed submission batch: k application messages that travel the
-/// ordering path as one payload (one rbcast broadcast in the FD stack, one
-/// DATA multicast in the GM stack) while keeping their per-message ids and
-/// send timestamps — the latency metric is still per message.
+/// A flushed submission batch: k >= 2 application messages that travel
+/// the ordering path as one payload (one rbcast broadcast in the FD stack,
+/// one DATA multicast in the GM stack) while keeping their per-message ids
+/// and send timestamps — the latency metric is still per message.  Built
+/// only by AtomicBroadcastProcess::data_payload, read only by
+/// for_each_message.
 class AppBatch final : public net::Payload {
  public:
   static constexpr net::ProtocolId kProto = net::ProtocolId::kApplication;
@@ -181,6 +194,22 @@ class AppBatch final : public net::Payload {
 
   std::vector<AppMessagePtr> msgs;
 };
+
+/// Calls f(msg) for every application message `p` carries: the message
+/// itself, or each message of a batch in submission order.  Returns false
+/// (calling f never) when `p` is no application data.
+template <class F>
+bool for_each_message(net::PayloadPtr p, F f) {
+  if (const AppMessage* m = net::payload_cast<AppMessage>(p)) {
+    f(m);
+    return true;
+  }
+  if (const AppBatch* b = net::payload_cast<AppBatch>(p)) {
+    for (const AppMessagePtr m : b->msgs) f(m);
+    return true;
+  }
+  return false;
+}
 
 /// Submission batching + flow control knobs (SimConfig::batching).
 struct BatchConfig {
@@ -204,9 +233,9 @@ class DeliverSink {
 };
 
 /// Per-process endpoint of an atomic broadcast algorithm.  The base class
-/// owns the submission side (ids, batching queue, credit accounting); the
-/// algorithm supplies the ordering machinery via submit_now/flush_batch
-/// and reports deliveries back through deliver().
+/// owns the submission side (ids, batching queue, credit accounting) and
+/// the A-delivery record; the algorithm supplies the ordering machinery
+/// via disseminate() and reports deliveries back through deliver().
 class AtomicBroadcastProcess {
  public:
   AtomicBroadcastProcess(net::System& sys, net::ProcessId self, BatchConfig batching);
@@ -237,11 +266,19 @@ class AtomicBroadcastProcess {
   /// net::System::restart(p).  The base treats the submission queue as
   /// part of stable storage (accepted submissions were already recorded
   /// by the harness) and re-flushes it; overriding algorithms reset their
-  /// volatile state first, then call this.
+  /// volatile state first, then call this.  The A-delivery record is
+  /// stable storage too and survives.
   virtual void on_restart();
 
-  /// Number of messages A-delivered locally (tests/debug).
-  [[nodiscard]] virtual std::uint64_t delivered_count() const = 0;
+  /// Local A-deliveries in delivery order (tests: total order / uniform
+  /// agreement checks; state transfer and log sync).
+  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
+  /// Number of messages A-delivered locally.
+  [[nodiscard]] std::uint64_t delivered_count() const { return log_.size(); }
+  /// Was `id` A-delivered here?
+  [[nodiscard]] bool delivered(const MsgId& id) const { return delivered_.contains(id); }
+  /// Words held by the per-origin delivered windows (tests: state bounds).
+  [[nodiscard]] std::size_t delivered_words() const { return delivered_.window_words(); }
 
   // Introspection (tests, scenarios).
   [[nodiscard]] std::size_t submit_queue_depth() const { return queue_.size(); }
@@ -251,17 +288,20 @@ class AtomicBroadcastProcess {
   [[nodiscard]] std::size_t batch_target() const;
 
  protected:
-  /// Unbatched submission path: exactly the pre-batching per-message hot
-  /// path of the algorithm.  Also used for flushed batches of size 1.
-  virtual void submit_now(AppMessagePtr msg) = 0;
+  /// The one submission hook: hand `count` >= 1 messages to the ordering
+  /// machinery as one unit.  Unbatched, every message arrives here alone,
+  /// exactly on the pre-batching per-message hot path.
+  virtual void disseminate(const AppMessagePtr* msgs, std::size_t count) = 0;
 
-  /// Batched submission path: hand k >= 2 accumulated messages to the
-  /// ordering machinery as one unit.
-  virtual void flush_batch(const AppMessagePtr* msgs, std::size_t count) = 0;
+  /// The wire form of `count` >= 1 messages: the message itself when
+  /// count is 1, else one AppBatch in the run's arena.
+  [[nodiscard]] net::PayloadPtr data_payload(const AppMessagePtr* msgs, std::size_t count);
 
-  /// Algorithms report every local A-delivery here: releases the credit
-  /// of own messages and forwards to the DeliverSink.
-  void deliver(const AppMessage& m);
+  /// Algorithms report every local A-delivery here, in delivery order:
+  /// records it in the log and the delivered ids, notifies the observer,
+  /// releases the credit of own messages and forwards to the DeliverSink.
+  /// A message already delivered here is ignored.
+  void deliver(AppMessagePtr m);
 
   /// Submission entry underneath a_broadcast: queue/flush/credit without
   /// allocating the message (allocation tests drive this directly).
@@ -284,6 +324,8 @@ class AtomicBroadcastProcess {
   std::size_t in_flight_ = 0;            // own messages not yet locally delivered
   std::uint64_t batches_flushed_ = 0;
   DeliverSink* deliver_sink_ = nullptr;
+  std::vector<AppMessagePtr> log_;  // A-deliveries, in order
+  DeliveredIds delivered_;          // the ids in log_
 };
 
 }  // namespace fdgm::abcast

@@ -35,7 +35,7 @@ class FdAbcastProcess::SyncResp final : public net::Payload {
   static constexpr std::uint8_t kKind = 1;
   SyncResp() : Payload(kProto, kKind) {}
   std::uint64_t from_len = 0;         // echo of the request
-  std::vector<AppMessagePtr> suffix;  // log_[from_len..)
+  std::vector<AppMessagePtr> suffix;  // log()[from_len..)
   std::uint64_t next = 1;             // peer's next_to_process_
   /// Rotation anchors (decision number, winner), in number order.
   std::vector<std::pair<std::uint64_t, net::ProcessId>> winners;
@@ -57,38 +57,33 @@ FdAbcastProcess::~FdAbcastProcess() {
 }
 
 FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
-  return {pending_count_, pending_.slots(), delivered_ids_.window_words(),
+  return {pending_count_, pending_.slots(), delivered_words(),
           consensus_.decided_words_dbg(), starts_.size(), cohorts_.size()};
 }
 
-void FdAbcastProcess::submit_now(AppMessagePtr msg) {
-  rb_.broadcast(msg);  // delivers locally too -> on_rdeliver
-}
-
-void FdAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) {
+void FdAbcastProcess::disseminate(const AppMessagePtr* msgs, std::size_t count) {
   // One rbcast slot (and later one proposal slot) carries the whole batch;
   // receivers unpack it back into per-message pending entries, so the
-  // ordering machinery below is unchanged.
-  rb_.broadcast(sys_->arena().make<AppBatch>(std::vector<AppMessagePtr>(msgs, msgs + count)));
+  // ordering machinery below is the same for any batch size.
+  rb_.broadcast(data_payload(msgs, count));  // delivers locally too -> on_rdeliver
 }
 
 // ------------------------------------------------- crash-recovery catch-up
 
 void FdAbcastProcess::on_restart() {
-  // Stable storage: log_ with its per-origin delivered watermarks
-  // (delivered_ids_; apply_sync_resp advances them over the synced
-  // suffix), the message counter and the submission queue (the base class
-  // re-flushes it).  Decisions and message contents are objective data
-  // and stay; only this incarnation's instance starts are void (our
-  // in-flight proposals died with us), so every still-pending id becomes
-  // proposable again.
+  // Stable storage: the base's A-delivery record (apply_sync_resp extends
+  // it by the synced suffix), the message counter and the submission
+  // queue (the base class re-flushes it).  Decisions and message contents
+  // are objective data and stay; only this incarnation's instance starts
+  // are void (our in-flight proposals died with us), so every
+  // still-pending id becomes proposable again.
   starts_.clear();
   rebound_cohorts();
   AtomicBroadcastProcess::on_restart();
   syncing_ = true;
   ++sync_epoch_;
   send_sync_req();
-  watch_log_ = log_.size();
+  watch_log_ = delivered_count();
   watch_next_ = next_to_process_;
   const std::uint64_t epoch = sync_epoch_;
   sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
@@ -100,7 +95,7 @@ void FdAbcastProcess::send_sync_req() {
     return;
   }
   sys_->node(self_).multicast_others(sys_->all(), net::ProtocolId::kAtomicBroadcast,
-                                     sys_->arena().make<SyncReq>(log_.size()));
+                                     sys_->arena().make<SyncReq>(delivered_count()));
 }
 
 void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
@@ -111,11 +106,11 @@ void FdAbcastProcess::catchup_tick(std::uint64_t epoch) {
   // decision or content we will never receive was in flight during the
   // previous sync).  A healthy process makes progress between ticks and
   // sends nothing here.
-  const bool stalled = log_.size() == watch_log_ && next_to_process_ == watch_next_;
+  const bool stalled = delivered_count() == watch_log_ && next_to_process_ == watch_next_;
   const bool outstanding = pending_count_ > 0 || !ready_decisions_.empty();
   if (syncing_ || (stalled && outstanding)) send_sync_req();
   if (!syncing_ && !outstanding) return;  // caught up and quiet: the watchdog retires
-  watch_log_ = log_.size();
+  watch_log_ = delivered_count();
   watch_next_ = next_to_process_;
   sys_->scheduler().schedule_after(kSyncRetryMs, [this, epoch] { catchup_tick(epoch); });
 }
@@ -124,12 +119,12 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
   // Only a peer that can cover the whole missing suffix responds, and only
   // the first such peer by id (by local suspicion knowledge) — the
   // requester ignores duplicates, this merely bounds the traffic.
-  if (log_.size() < req.log_len) return;
+  if (delivered_count() < req.log_len) return;
   for (net::ProcessId q : sys_->all())
     if (q != from && q != self_ && q < self_ && !fd_->suspects(q)) return;
   SyncResp* resp = sys_->arena().make<SyncResp>();
   resp->from_len = req.log_len;
-  resp->suffix.assign(log_.begin() + static_cast<std::ptrdiff_t>(req.log_len), log_.end());
+  resp->suffix.assign(log().begin() + static_cast<std::ptrdiff_t>(req.log_len), log().end());
   resp->next = next_to_process_;
   resp->winners.reserve(winners_.size());
   winners_.for_each([resp](std::uint64_t number, net::ProcessId winner) {
@@ -141,15 +136,14 @@ void FdAbcastProcess::handle_sync_req(net::ProcessId from, const SyncReq& req) {
 }
 
 void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
-  if (resp.from_len != log_.size()) return;  // stale (an earlier sync applied)
+  if (resp.from_len != delivered_count()) return;  // stale (an earlier sync applied)
   syncing_ = false;
   for (AppMessagePtr msg : resp.suffix) {
-    if (!delivered_ids_.insert(msg->id)) continue;
+    if (delivered(msg->id)) continue;
     if (pending_.find(msg->id) != nullptr) erase_pending(msg->id);
-    log_.push_back(msg);
-    deliver(*msg);
+    deliver(msg);
   }
-  for (AppMessagePtr msg : resp.pending) admit_data(*msg);
+  for (AppMessagePtr msg : resp.pending) admit_data(msg);
   if (resp.next > next_to_process_) {
     next_to_process_ = resp.next;
     // Prune first, then adopt the peer's anchors inside the window: the
@@ -179,23 +173,18 @@ void FdAbcastProcess::on_message(const net::Message& m) {
 
 void FdAbcastProcess::on_rdeliver(net::PayloadPtr payload) {
   bool admitted = false;
-  if (const AppMessage* msg = net::payload_cast<AppMessage>(payload)) {
-    admitted = admit_data(*msg);
-  } else if (const AppBatch* batch = net::payload_cast<AppBatch>(payload)) {
-    for (AppMessagePtr m : batch->msgs) admitted |= admit_data(*m);
-  } else {
+  if (!for_each_message(payload, [&](AppMessagePtr m) { admitted |= admit_data(m); }))
     throw std::logic_error("FdAbcastProcess: bad data payload");
-  }
   if (!admitted) return;  // everything in it was already delivered (log sync)
   process_ready_decisions();  // a decision may have been waiting for this content
   maybe_start_next();
 }
 
-bool FdAbcastProcess::admit_data(const AppMessage& msg) {
-  if (delivered_ids_.contains(msg.id)) return false;
-  Pending& p = pending_.slot(msg.id);
+bool FdAbcastProcess::admit_data(AppMessagePtr msg) {
+  if (delivered(msg->id)) return false;
+  Pending& p = pending_.slot(msg->id);
   if (p.msg == nullptr) {
-    p.msg = &msg;
+    p.msg = msg;
     p.admission = admissions_++;
     ++cohorts_.back().count;
     ++pending_count_;
@@ -332,14 +321,12 @@ void FdAbcastProcess::process_ready_decisions() {
     // Deliver the decision's messages in id order.  All correct processes
     // apply the same vector, so the delivery order is identical everywhere.
     for (const MsgId& id : prop.ids) {
-      if (delivered_ids_.contains(id)) continue;
+      if (delivered(id)) continue;
       const Pending* p = pending_.find(id);
       if (p == nullptr) return;  // content not yet R-delivered; retry on arrival
       AppMessagePtr msg = p->msg;
       erase_pending(id);
-      delivered_ids_.insert(id);
-      log_.push_back(msg);
-      deliver(*msg);
+      deliver(msg);
     }
     // Re-proposal: ids covered only by starts at or below the decision
     // just applied (their latest proposal lost) become uncovered again.

@@ -79,13 +79,9 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
 
   // AtomicBroadcastProcess
   void on_restart() override;
-  [[nodiscard]] std::uint64_t delivered_count() const override { return log_.size(); }
 
   // net::Layer — SYNC-REQ / SYNC-RESP (crash-recovery catch-up only).
   void on_message(const net::Message& m) override;
-
-  /// Delivery log (tests: total order / uniform agreement checks).
-  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
 
   /// Consensus instances decided so far (tests: aggregation checks).
   [[nodiscard]] std::uint64_t decided_instances() const { return next_to_process_ - 1; }
@@ -108,11 +104,10 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const;
 
  protected:
-  // AtomicBroadcastProcess submission hooks: one rbcast broadcast of the
-  // message (unbatched) or of the accumulated batch (one data dissemination
-  // and one consensus proposal slot amortized over k messages).
-  void submit_now(AppMessagePtr msg) override;
-  void flush_batch(const AppMessagePtr* msgs, std::size_t count) override;
+  // AtomicBroadcastProcess submission hook: one rbcast broadcast of the
+  // message or of the batch (one data dissemination and one consensus
+  // proposal slot amortized over k messages).
+  void disseminate(const AppMessagePtr* msgs, std::size_t count) override;
 
  private:
   /// The causal classifier decodes the private Proposal payload (its ids
@@ -139,11 +134,11 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// winners_'s absent value.
   static constexpr net::ProcessId kNoWinner = -1;
 
-  // rbcast::Sink — an AppMessage or AppBatch R-delivered.
+  // rbcast::Sink — one disseminated data payload R-delivered.
   void on_rdeliver(net::PayloadPtr payload) override;
   /// Admits one message of an rbcast data delivery into pending_; returns
   /// false when it was already A-delivered.
-  bool admit_data(const AppMessage& msg);
+  bool admit_data(AppMessagePtr msg);
   /// Drops `id` from pending_ (A-delivered), and from its cohort.
   void erase_pending(const MsgId& id);
   /// Re-draws the cohort boundaries at the live starts' admission
@@ -220,8 +215,6 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
     std::size_t count;
   };
   std::vector<Cohort> cohorts_{Cohort{0, 0}};
-  DeliveredIds delivered_ids_;
-  std::vector<AppMessagePtr> log_;
 
   std::uint64_t next_to_process_ = 1;  // next decision to apply
   /// Decisions received but not yet applied, by instance number: a flat

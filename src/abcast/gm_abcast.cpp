@@ -10,8 +10,9 @@ namespace fdgm::abcast {
 
 // -------------------------------------------------------------- wire types
 // Payload kinds on kAtomicBroadcast: the GM stack uses 8..15 (the FD
-// stack owns 0..7 — see fd_abcast.cpp).  DATA is the AppMessage (or
-// AppBatch) itself.
+// stack owns 0..7 — see fd_abcast.cpp).  DATA is an application payload
+// on the same protocol: the base's data_payload, read back with
+// for_each_message.
 
 class GmAbcastProcess::SeqnumMsg final : public net::Payload {
  public:
@@ -168,41 +169,28 @@ GmAbcastProcess::~GmAbcastProcess() {
 
 // ------------------------------------------------------------- data plane
 
-void GmAbcastProcess::submit_now(AppMessagePtr msg) {
+void GmAbcastProcess::disseminate(const AppMessagePtr* msgs, std::size_t count) {
   if (!member_) {
-    // Wrongly excluded: hold the message until we rejoin.
-    own_buffer_.push_back(msg);
-    return;
-  }
-  sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast, msg);
-  handle_data(msg);
-}
-
-void GmAbcastProcess::flush_batch(const AppMessagePtr* msgs, std::size_t count) {
-  if (!member_) {
+    // Wrongly excluded: hold the messages until we rejoin.
     own_buffer_.insert(own_buffer_.end(), msgs, msgs + count);
     return;
   }
   // One multicast carries the whole batch; the receivers (and we) admit k
   // messages and run the ordering step once, so the sequencer covers the
   // batch with a single SEQNUM assignment round.
-  sys_->node(self_).multicast_others(
-      view_.members, net::ProtocolId::kAtomicBroadcast,
-      sys_->arena().make<AppBatch>(std::vector<AppMessagePtr>(msgs, msgs + count)));
-  bool admitted = false;
-  for (std::size_t i = 0; i < count; ++i) admitted |= admit_data(msgs[i]);
-  if (admitted) trigger_ordering();
+  const net::PayloadPtr data = data_payload(msgs, count);
+  sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast, data);
+  handle_data(data);
 }
 
 void GmAbcastProcess::on_restart() {
-  // Crash-recovery: stable storage is the A-delivery log (log_ with its
-  // per-origin delivered watermarks, delivered_), our own message counter
-  // and the buffer of accepted-but-unsent own messages; every piece of
-  // in-flight coordination state belonged to the dead incarnation.  In
-  // particular, stale sequence assignments of a dead view must not
-  // survive — they could collide with the live view's assignments after
-  // the state transfer (emplace keeps the first mapping), so the sn
-  // window restarts empty.  The floors stay: they are
+  // Crash-recovery: stable storage is the base's A-delivery record, our
+  // own message counter and the buffer of accepted-but-unsent own
+  // messages; every piece of in-flight coordination state belonged to the
+  // dead incarnation.  In particular, stale sequence assignments of a
+  // dead view must not survive — they could collide with the live view's
+  // assignments after the state transfer (emplace keeps the first
+  // mapping), so the sn window restarts empty.  The floors stay: they are
   // monotone and apply_state raises them to the state sender's baseline
   // anyway.  own_buffer_ must survive the restart: the harness records an
   // A-broadcast the moment the application submits it, so dropping the
@@ -224,12 +212,15 @@ void GmAbcastProcess::on_restart() {
   membership_.rejoin();
 }
 
-void GmAbcastProcess::handle_data(const AppMessagePtr& msg) {
-  if (admit_data(msg)) trigger_ordering();
+bool GmAbcastProcess::handle_data(net::PayloadPtr data) {
+  bool admitted = false;
+  if (!for_each_message(data, [&](AppMessagePtr m) { admitted |= admit_data(m); })) return false;
+  if (admitted) trigger_ordering();
+  return true;
 }
 
-bool GmAbcastProcess::admit_data(const AppMessagePtr& msg) {
-  if (delivered_.contains(msg->id) || !hold_content(msg)) return false;
+bool GmAbcastProcess::admit_data(AppMessagePtr msg) {
+  if (delivered(msg->id) || !hold_content(msg)) return false;
   // Causal anchor (sequencer only): the message entered the pending queue
   // here; the walker closes the interval at the sn assignment.
   if (active_sequencer()) {
@@ -362,7 +353,7 @@ void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
 }
 
 void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
-  if (!delivered_.insert(msg->id)) return;
+  if (delivered(msg->id)) return;
   // Delivered ids are never sequenced again, so their bookkeeping goes
   // with them: per-message work and memory stay O(in flight), not
   // O(history).  The content lives on in the run's arena.  arrival_order_
@@ -380,30 +371,20 @@ void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
       const Held* h = held_.find(id);
       return h == nullptr || h->msg == nullptr;
     });
-  log_.push_back(msg);
-  deliver(*msg);
+  deliver(msg);
 }
 
 // ---------------------------------------------------------------- messages
 
 void GmAbcastProcess::on_message(const net::Message& m) {
-  if (const auto* msg = net::payload_cast<AppMessage>(m)) {
-    handle_data(msg);
-    return;
-  }
-  if (const auto* b = net::payload_cast<AppBatch>(m)) {
-    bool admitted = false;
-    for (AppMessagePtr msg : b->msgs) admitted |= admit_data(msg);
-    if (admitted) trigger_ordering();
-    return;
-  }
+  if (handle_data(m.payload)) return;
   if (const auto* s = net::payload_cast<SeqnumMsg>(m)) {
     if (s->view_id != view_.id) return;  // stale view: ignored, re-sequenced later
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
       // A repair re-multicast may re-announce ids delivered here already;
       // their slots are gone and must stay gone.
-      if (!delivered_.contains(id)) hold_sn(id, sn);
+      if (!delivered(id)) hold_sn(id, sn);
       msg_at_.emplace(sn, id);
     }
     try_advance_ack();
@@ -449,7 +430,7 @@ void GmAbcastProcess::on_message(const net::Message& m) {
         content = recent;  // delivered but not yet stable
       } else {
         // Delivered and stable: fetch from the log.
-        for (auto lit = log_.rbegin(); lit != log_.rend(); ++lit)
+        for (auto lit = log().rbegin(); lit != log().rend(); ++lit)
           if ((*lit)->id == id) {
             content = *lit;
             break;
@@ -515,10 +496,9 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   std::int64_t max_sn = sn_floor_;
   for (const gm::UnstableEntry& e : sequenced) {
     max_sn = std::max(max_sn, e.seqnum);
-    if (!delivered_.contains(e.msg->id)) deliver_msg(e.msg);  // we may never have seen it
+    deliver_msg(e.msg);  // we may never have seen it
   }
-  for (const gm::UnstableEntry& e : plain)
-    if (!delivered_.contains(e.msg->id)) deliver_msg(e.msg);
+  for (const gm::UnstableEntry& e : plain) deliver_msg(e.msg);
 
   // Everything up to the decided settled point is done; mappings above the
   // floor belong to the dead view and will be re-assigned.
@@ -557,15 +537,13 @@ void GmAbcastProcess::send_buffered() {
   if (own_buffer_.empty()) return;
   std::vector<AppMessagePtr> buf;
   buf.swap(own_buffer_);
-  for (AppMessagePtr msg : buf) {
-    sys_->node(self_).multicast_others(view_.members, net::ProtocolId::kAtomicBroadcast, msg);
-    handle_data(msg);
-  }
+  // One DATA multicast per message, in submission order.
+  for (const AppMessagePtr& msg : buf) disseminate(&msg, 1);
 }
 
 net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
   GmState* st = sys_->arena().make<GmState>();
-  for (std::size_t i = from; i < log_.size(); ++i) st->log_suffix.push_back(log_[i]);
+  st->log_suffix.assign(log().begin() + static_cast<std::ptrdiff_t>(from), log().end());
   for (const MsgId& id : arrival_order_) {
     const Held* h = held_.find(id);
     if (h == nullptr || h->msg == nullptr) continue;
@@ -576,11 +554,10 @@ net::PayloadPtr GmAbcastProcess::make_state(std::uint64_t from) const {
   return st;
 }
 
-void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& v) {
+void GmAbcastProcess::apply_state(const net::PayloadPtr& state) {
   const GmState* st = net::payload_cast<GmState>(state);
   if (st == nullptr) throw std::logic_error("GmAbcastProcess: bad state payload");
-  for (AppMessagePtr msg : st->log_suffix)
-    if (!delivered_.contains(msg->id)) deliver_msg(msg);
+  for (AppMessagePtr msg : st->log_suffix) deliver_msg(msg);
   // Raise the floor first: mappings in `known` above the sender's floor are
   // live assignments of the current view and must be kept.
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
@@ -588,7 +565,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   msg_at_.erase_below(sn_floor_ + 1);
   recent_delivered_.erase_below(sn_floor_ + 1);
   for (const auto& [msg, sn] : st->known) {
-    if (delivered_.contains(msg->id)) continue;
+    if (delivered(msg->id)) continue;
     hold_content(msg);
     if (sn > sn_floor_) {
       hold_sn(msg->id, sn);
@@ -601,8 +578,7 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state, const gm::View& 
   deliver_sn_ = ack_sn_;
   announced_ = ack_sn_;
   requested_ = ack_sn_;
-  // Note: on_view_installed(v, true) follows immediately (membership layer).
-  (void)v;
+  // on_view_installed(view, true) follows immediately (membership layer).
 }
 
 }  // namespace fdgm::abcast

@@ -119,10 +119,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
 
   // AtomicBroadcastProcess
   void on_restart() override;
-  [[nodiscard]] std::uint64_t delivered_count() const override { return log_.size(); }
-
-  /// Delivery log (tests: total order / uniform agreement / view synchrony).
-  [[nodiscard]] const std::vector<AppMessagePtr>& log() const { return log_; }
 
   [[nodiscard]] const gm::View& view() const { return membership_.view(); }
   [[nodiscard]] const gm::GroupMembership& membership() const { return membership_; }
@@ -145,7 +141,7 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
     return {arrival_order_.size(), undelivered_, seqnums_, held_.slots(), msg_at_.window(),
-            delivered_.window_words()};
+            delivered_words()};
   }
 
   // gm::MembershipClient
@@ -153,19 +149,18 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   void on_view_change_started() override;
   void flush(const std::vector<gm::UnstableEntry>& u, std::int64_t settled) override;
   void on_view_installed(const gm::View& v, bool member) override;
-  [[nodiscard]] std::uint64_t log_length() const override { return log_.size(); }
+  [[nodiscard]] std::uint64_t log_length() const override { return delivered_count(); }
   [[nodiscard]] net::PayloadPtr make_state(std::uint64_t from) const override;
-  void apply_state(const net::PayloadPtr& state, const gm::View& v) override;
+  void apply_state(const net::PayloadPtr& state) override;
 
   // net::Layer — DATA / SEQNUM / ACK / DELIVER / NEED.
   void on_message(const net::Message& m) override;
 
  protected:
-  // AtomicBroadcastProcess submission hooks: one DATA multicast per message
-  // (unbatched) or one AppBatch multicast carrying k messages, which the
-  // sequencer then covers with a single SEQNUM assignment round.
-  void submit_now(AppMessagePtr msg) override;
-  void flush_batch(const AppMessagePtr* msgs, std::size_t count) override;
+  // AtomicBroadcastProcess submission hook: one DATA multicast carrying
+  // the message or the batch, which the sequencer then covers with a
+  // single SEQNUM assignment round.
+  void disseminate(const AppMessagePtr* msgs, std::size_t count) override;
 
  private:
   /// The causal classifier decodes the private SEQNUM payload (which
@@ -178,11 +173,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   class NeedMsg;
   class GmState;
 
-  void handle_data(const AppMessagePtr& msg);
+  /// DATA: admits every message `data` carries, then runs the ordering
+  /// step once if any was new.  False when `data` is no application data.
+  bool handle_data(net::PayloadPtr data);
   /// Dedup + record one message's content; returns false if already known
-  /// or delivered.  Batch paths admit every message, then trigger the
-  /// ordering step once.
-  bool admit_data(const AppMessagePtr& msg);
+  /// or delivered.
+  bool admit_data(AppMessagePtr msg);
   /// Records `msg`'s content (appending it to the sequencing order);
   /// false when it was held already.
   bool hold_content(AppMessagePtr msg);
@@ -237,8 +233,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   std::size_t undelivered_ = 0;       // slots with content
   std::size_t seqnums_ = 0;           // slots with a sequence number
   std::vector<MsgId> arrival_order_;  // sequencing order
-  DeliveredIds delivered_;
-  std::vector<AppMessagePtr> log_;
 
   std::int64_t sn_floor_ = 0;    // everything <= floor is settled
   std::int64_t ack_sn_ = 0;      // cumulative ack point (follower)

@@ -116,7 +116,6 @@ void GroupMembership::on_suspect(net::ProcessId p) {
       if (view_.contains(p) && vc_suspected_.insert(p).second) awaited_stale_ = true;
       maybe_start_consensus();
       break;
-    case Status::kExcluded:
     case Status::kJoining:
       break;  // not our view change
   }
@@ -300,7 +299,7 @@ std::optional<consensus::StartInfo> GroupMembership::join(std::uint64_t number) 
 
 void GroupMembership::on_decide(std::uint64_t number, net::PayloadPtr value) {
   if (number != view_.id) return;  // stale or future decision
-  if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
+  if (status_ == Status::kJoining) return;
   const MembershipProposal* d = net::payload_cast<MembershipProposal>(value);
   if (d == nullptr) throw std::logic_error("GroupMembership: bad decision payload");
   process_decision(*d);
@@ -451,7 +450,7 @@ void GroupMembership::on_message(const net::Message& m) {
       future_[u->view_id].push_back(m);
       return;
     }
-    if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
+    if (status_ == Status::kJoining) return;
     for (const Joiner& j : u->joiners) joiners_.insert(j);
     if (status_ == Status::kMember) start_view_change(/*initiator=*/false);  // just learned
     note_report(m.src, &u->report);
@@ -459,7 +458,7 @@ void GroupMembership::on_message(const net::Message& m) {
     return;
   }
   if (const auto* j = net::payload_cast<JoinPayload>(m)) {
-    if (status_ == Status::kExcluded || status_ == Status::kJoining) return;
+    if (status_ == Status::kJoining) return;
     // Never admit a process the local failure detector still suspects: a
     // recovered process is readmitted only once its recovery is detected
     // (it keeps retrying JOIN until then).  Without this guard, admission
@@ -501,14 +500,8 @@ void GroupMembership::on_message(const net::Message& m) {
   if (const auto* s = net::payload_cast<StatePayload>(m)) {
     if (status_ != Status::kJoining) return;
     if (s->view.id < join_view_hint_) return;  // stale state
-    client_->apply_state(s->state, s->view);
-    view_ = s->view;
-    status_ = Status::kMember;
-    if (auto* o = sys_->obs()) o->count(self_, obs::Counter::kViewChanges, sys_->now());
-    ++views_installed_;
-    client_->on_view_installed(view_, true);
-    replay_future(view_.id);
-    check_pending_suspicions();
+    client_->apply_state(s->state);
+    install_view(s->view);
     return;
   }
   throw std::logic_error("GroupMembership: foreign payload");

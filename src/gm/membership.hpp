@@ -94,8 +94,9 @@ class MembershipClient {
   /// Build the state a joiner with log length `from` is missing.
   [[nodiscard]] virtual net::PayloadPtr make_state(std::uint64_t from) const = 0;
 
-  /// Joiner side: apply a state snapshot, then behave as a member of `v`.
-  virtual void apply_state(const net::PayloadPtr& state, const View& v) = 0;
+  /// Joiner side: apply a state snapshot; the view it came with is
+  /// installed right after (on_view_installed(view, true)).
+  virtual void apply_state(const net::PayloadPtr& state) = 0;
 };
 
 /// Owns the process's consensus service, whose one client it is:
@@ -112,9 +113,7 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener,
 
   [[nodiscard]] bool is_member() const { return status_ == Status::kMember; }
   [[nodiscard]] bool in_view_change() const { return status_ == Status::kViewChange; }
-  [[nodiscard]] bool is_excluded() const {
-    return status_ == Status::kExcluded || status_ == Status::kJoining;
-  }
+  [[nodiscard]] bool is_excluded() const { return status_ == Status::kJoining; }
 
   /// Number of view changes this process has gone through (tests).
   [[nodiscard]] std::uint64_t views_installed() const { return views_installed_; }
@@ -149,7 +148,7 @@ class GroupMembership final : public net::Layer, public fd::SuspicionListener,
   void on_trust(net::ProcessId p) override;
 
  private:
-  enum class Status { kMember, kViewChange, kExcluded, kJoining };
+  enum class Status { kMember, kViewChange, kJoining };
 
   struct Joiner {
     net::ProcessId p;

@@ -51,11 +51,8 @@ void classify_payload(net::PayloadPtr p, MsgRefList& out) {
   if (p == nullptr) return;
   switch (p->payload_proto()) {
     case net::ProtocolId::kApplication:
-      if (const auto* m = net::payload_cast<abcast::AppMessage>(p)) {
-        out.add(m->id.origin, m->id.seq);
-      } else if (const auto* b = net::payload_cast<abcast::AppBatch>(p)) {
-        for (abcast::AppMessagePtr msg : b->msgs) out.add(msg->id.origin, msg->id.seq);
-      }
+      abcast::for_each_message(
+          p, [&out](abcast::AppMessagePtr m) { out.add(m->id.origin, m->id.seq); });
       return;
     case net::ProtocolId::kConsensus:
       // ESTIMATE / PROPOSE / DECIDE carry the candidate decision value (a

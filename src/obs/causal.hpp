@@ -20,12 +20,14 @@
 //    which application messages a frame carries (batches, consensus
 //    proposals, GM seqnum announcements) without mutating anything.
 //
-// Why markers instead of capturing interval state in the pipeline
-// lambdas: the scheduler's inline callback slab is 48 bytes and the
-// network pipeline stages already use 44-45 of them, so hop callbacks
-// cannot grow a capture.  Point markers at
-// the enqueue and the completion event use only `now`, and the walker
-// pairs them FIFO per (kind, node) to reconstruct the hop intervals.
+// Why markers instead of carrying interval state through the network:
+// its pipeline stages are handler records whose one argument is a
+// fan-out pool index, and one receive-group record fires the jobs of
+// many destinations, so an enqueue instant would have to ride in the
+// pool entries, which every run pays for, armed or not.  Point markers
+// at the enqueue and the completion instant use only `now`, and the
+// walker pairs them FIFO per (kind, node) to reconstruct the hop
+// intervals.
 #pragma once
 
 #include <array>

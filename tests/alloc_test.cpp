@@ -337,15 +337,20 @@ TEST(ZeroAlloc, CausalHookKernel) {
 }
 
 // Batched submission in isolation: an AtomicBroadcastProcess whose
-// ordering layer is a local loopback, fed from preallocated AppMessages.
-// Each round first queues unicast traffic so the adaptive batch target
-// sees a network backlog and flush_batch runs with count > 1, then
-// drains everything including the flush timer.  The submission queue and
-// its flush scratch ping-pong capacity and the timer lives in the
-// scheduler slab, so steady state allocates nothing; and most
-// submissions really ride batches.  A round is ~66 simulated ms.
+// ordering layer is a local loopback, fed from preallocated AppMessages
+// with fresh ids (the base records each delivery once).  Each round first
+// queues unicast traffic so the adaptive batch target sees a network
+// backlog and disseminate runs with count > 1, then drains everything
+// including the flush timer.  The submission queue and its flush scratch
+// ping-pong capacity and the timer lives in the scheduler slab; the
+// base's delivery log grows by doubling, so the warm-up delivers more
+// than the measured rounds add and the log's capacity already covers
+// them.  Steady state allocates nothing, and most submissions really ride
+// batches.  A round is ~66 simulated ms.
 TEST(ZeroAlloc, BatchedSubmit) {
   constexpr int kMsgs = 64;
+  constexpr int kWarmup = 513;  // > 2 x kMeasured: the log's last doubling covers them
+  constexpr int kMeasured = 256;
   net::System sys(2, net::NetworkConfig{}, 11);
   NullSink net_sink;
   sys.node(1).register_handler(net::ProtocolId::kApplication, &net_sink);
@@ -354,22 +359,13 @@ TEST(ZeroAlloc, BatchedSubmit) {
    public:
     Loopback(net::System& s, abcast::BatchConfig b) : AtomicBroadcastProcess(s, 0, b) {}
     void feed(abcast::AppMessagePtr m) { enqueue_submission(m); }
-    [[nodiscard]] std::uint64_t delivered_count() const override { return delivered_; }
     std::uint64_t batched = 0;
 
    protected:
-    void submit_now(abcast::AppMessagePtr msg) override {
-      ++delivered_;
-      deliver(*msg);
+    void disseminate(const abcast::AppMessagePtr* msgs, std::size_t count) override {
+      if (count > 1) batched += count;
+      for (std::size_t i = 0; i < count; ++i) deliver(msgs[i]);
     }
-    void flush_batch(const abcast::AppMessagePtr* msgs, std::size_t count) override {
-      delivered_ += count;
-      batched += count;
-      for (std::size_t i = 0; i < count; ++i) deliver(*msgs[i]);
-    }
-
-   private:
-    std::uint64_t delivered_ = 0;
   };
   class CountSink final : public abcast::DeliverSink {
    public:
@@ -382,27 +378,29 @@ TEST(ZeroAlloc, BatchedSubmit) {
   Loopback proc(sys, bc);
   proc.set_deliver_sink(&deliveries);
   std::vector<abcast::AppMessagePtr> msgs;
-  for (int i = 0; i < kMsgs; ++i)
+  for (int i = 0; i < (kWarmup + kMeasured) * kMsgs; ++i)
     msgs.push_back(sys.arena().make<abcast::AppMessage>(
         abcast::MsgId{0, static_cast<std::uint64_t>(i) + 1}, 0.0));
 
   const net::BlankPayload payload;
+  std::size_t next = 0;
   auto round = [&] {
     for (int i = 0; i < kMsgs; ++i) sys.node(0).send(1, net::ProtocolId::kApplication, &payload);
-    for (int i = 0; i < kMsgs; ++i) proc.feed(msgs[static_cast<std::size_t>(i)]);
+    for (int i = 0; i < kMsgs; ++i) proc.feed(msgs[next++]);
     sys.scheduler().run();  // drains the network and fires the flush timer
   };
-  // Warm-up: grow queue/scratch/slab capacity, and the overflow heap to
-  // the largest population that can straddle a top-window boundary (a
+  // Warm-up: grow queue/scratch/slab/log capacity, and the overflow heap
+  // to the largest population that can straddle a top-window boundary (a
   // round starting right before it).
   park_before_top_window(sys.scheduler(), 1.0);
-  for (int r = 0; r < 16; ++r) round();
+  for (int r = 0; r < kWarmup; ++r) round();
   const double boundary = park_before_top_window(sys.scheduler(), 8'500.0);
   const std::uint64_t before = g_alloc_count;
-  for (int r = 0; r < 256; ++r) round();
+  for (int r = 0; r < kMeasured; ++r) round();
   EXPECT_EQ(g_alloc_count - before, 0u);
   EXPECT_GT(sys.scheduler().now(), boundary);
-  EXPECT_EQ(deliveries.delivered, 272u * kMsgs);
+  EXPECT_EQ(deliveries.delivered, std::uint64_t{kWarmup + kMeasured} * kMsgs);
+  EXPECT_EQ(proc.delivered_count(), deliveries.delivered);
   EXPECT_GT(static_cast<double>(proc.batched) / static_cast<double>(proc.delivered_count()), 0.5);
 }
 

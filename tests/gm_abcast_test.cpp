@@ -222,6 +222,50 @@ TEST(GmAbcast, ExcludedProcessBuffersOwnBroadcasts) {
   f.check_safety({while_excluded});
 }
 
+TEST(GmAbcast, ExcludedProcessBuffersOwnBatchedBroadcasts) {
+  // As above with batching armed: p2 flushes a whole batch of k >= 2
+  // while excluded, so the one submission hook buffers all k messages at
+  // once; after the rejoin each is delivered once at every process.
+  GmAbcastConfig cfg;
+  cfg.batching.enabled = true;
+  Fixture f(3, {}, 1, cfg);
+  class Discard final : public net::Layer {
+   public:
+    void on_message(const net::Message&) override {}
+  } discard;
+  f.sys.node(1).register_handler(net::ProtocolId::kApplication, &discard);
+  f.sys.scheduler().schedule_at(20.0, [&] { f.fd.at(0).set_suspected(2, true); });
+  f.sys.scheduler().schedule_at(200.0, [&] { f.fd.at(0).set_suspected(2, false); });
+  const net::BlankPayload filler;
+  bool excluded = false;
+  std::size_t k = 0;
+  std::uint64_t flushes = 0;
+  std::size_t queued = 0;
+  std::vector<MsgId> buffered;
+  // p2 is out of the view from ~38 ms to ~58 ms (readmitted and excluded
+  // again while the suspicion lasts).
+  f.sys.scheduler().schedule_at(45.0, [&] {
+    GmAbcastProcess& p2 = *f.procs[2];
+    // Unicast filler backs p2's CPU (then the wire) up well past the
+    // 4 ms of backlog that buys one more message of batch target.
+    for (int i = 0; i < 32; ++i) f.sys.node(2).send(1, net::ProtocolId::kApplication, &filler);
+    excluded = p2.membership().is_excluded();
+    k = p2.batch_target();
+    const std::uint64_t before = p2.batches_flushed();
+    // The k-th submission reaches the target and flushes all k at once.
+    for (std::size_t i = 0; i < k; ++i) buffered.push_back(p2.a_broadcast());
+    flushes = p2.batches_flushed() - before;
+    queued = p2.submit_queue_depth();
+  });
+  f.sys.scheduler().run_until(3000.0);
+  ASSERT_TRUE(excluded);
+  EXPECT_GE(k, 2u);
+  EXPECT_EQ(flushes, 1u);
+  EXPECT_EQ(queued, 0u);
+  EXPECT_TRUE(f.procs[2]->membership().is_member());
+  f.check_safety(buffered);  // delivered everywhere, no duplicate, one order
+}
+
 TEST(GmAbcast, SequencerWronglySuspectedSurvivesButChurns) {
   // A one-sided long wrong suspicion of the sequencer: as the round-1
   // coordinator of the view-change consensus, p0 locks its own proposal
@@ -620,7 +664,7 @@ class IdleClient final : public gm::MembershipClient {
   void on_view_installed(const gm::View&, bool) override {}
   [[nodiscard]] std::uint64_t log_length() const override { return 0; }
   [[nodiscard]] net::PayloadPtr make_state(std::uint64_t) const override { return nullptr; }
-  void apply_state(const net::PayloadPtr&, const gm::View&) override {}
+  void apply_state(const net::PayloadPtr&) override {}
 };
 
 /// Holds the membership messages sent to one process instead of handing
