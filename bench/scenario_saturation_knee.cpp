@@ -8,7 +8,7 @@
 // off its graphs.
 //
 // Batching moves the knee to the right: k submissions share one ordering
-// decision (and, on the wire, one rbcast / one AppBatch multicast), with
+// decision (and, on the wire, one AppBatch multicast), with
 // the adaptive target k tracking the network backlog so an idle system
 // still pays single-message latency.  The shed columns report the open-
 // loop arrivals the credit window refused at each load — 0 below the

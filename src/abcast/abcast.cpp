@@ -15,6 +15,9 @@ constexpr double kFlushDelayMs = 1.0;
 /// capped at kMaxBatch.  An idle system flushes every submission
 /// immediately.
 constexpr double kBacklogRefMs = 4.0;
+/// Credit window: own messages submitted but not yet locally A-delivered
+/// before can_submit() turns false.
+constexpr std::size_t kCreditWindow = 64;
 }  // namespace
 
 AtomicBroadcastProcess::AtomicBroadcastProcess(net::System& sys, net::ProcessId self,
@@ -63,6 +66,10 @@ void AtomicBroadcastProcess::enqueue_submission(AppMessagePtr msg) {
     flush_queue();
   else
     arm_flush_timer();
+}
+
+bool AtomicBroadcastProcess::can_submit() const {
+  return !batching_.enabled || in_flight_ < kCreditWindow;
 }
 
 std::size_t AtomicBroadcastProcess::batch_target() const {

@@ -179,11 +179,11 @@ class AppMessage final : public net::Payload {
 using AppMessagePtr = const AppMessage*;
 
 /// A flushed submission batch: k >= 2 application messages that travel
-/// the ordering path as one payload (one rbcast broadcast in the FD stack,
-/// one DATA multicast in the GM stack) while keeping their per-message ids
-/// and send timestamps — the latency metric is still per message.  Built
-/// only by AtomicBroadcastProcess::data_payload, read only by
-/// for_each_message.
+/// the ordering path as one payload (one reliable broadcast multicast in
+/// the FD stack, one DATA multicast in the GM stack) while keeping their
+/// per-message ids and send timestamps — the latency metric is still per
+/// message.  Built only by AtomicBroadcastProcess::data_payload, read only
+/// by for_each_message.
 class AppBatch final : public net::Payload {
  public:
   static constexpr net::ProtocolId kProto = net::ProtocolId::kApplication;
@@ -211,14 +211,10 @@ bool for_each_message(net::PayloadPtr p, F f) {
   return false;
 }
 
-/// Submission batching + flow control knobs (SimConfig::batching).
+/// Submission batching + flow control knob (SimConfig::batching).
 struct BatchConfig {
   /// Off by default: every run is bit-identical to the unbatched tree.
   bool enabled = false;
-  /// Credit window: own messages submitted but not yet locally
-  /// A-delivered before can_submit() turns false and open-loop load is
-  /// shed (core::Workload) instead of queueing unboundedly.
-  std::size_t credit_window = 64;
 };
 
 /// Receiver of local A-deliveries: one virtual call per delivery, no
@@ -251,11 +247,10 @@ class AtomicBroadcastProcess {
   MsgId a_broadcast();
 
   /// Flow control: false while this process's credit window is exhausted
-  /// (batching on and >= credit_window own messages not yet locally
-  /// A-delivered).  Always true with batching off.
-  [[nodiscard]] bool can_submit() const {
-    return !batching_.enabled || in_flight_ < batching_.credit_window;
-  }
+  /// (batching on and a window's worth of own messages not yet locally
+  /// A-delivered), so open-loop load is shed (core::Workload) instead of
+  /// queueing unboundedly.  Always true with batching off.
+  [[nodiscard]] bool can_submit() const;
 
   void set_deliver_sink(DeliverSink* sink) { deliver_sink_ = sink; }
 

@@ -47,12 +47,13 @@ FdAbcastProcess::FdAbcastProcess(net::System& sys, net::ProcessId self, fd::Fail
     : AtomicBroadcastProcess(sys, self, cfg.batching),
       fd_(&fd),
       cfg_(cfg),
-      rb_(sys, self, *this),
       consensus_(sys, self, fd, *this, /*first_number=*/1) {
+  sys.node(self).register_handler(net::ProtocolId::kReliableBroadcast, this);
   sys.node(self).register_handler(net::ProtocolId::kAtomicBroadcast, this);
 }
 
 FdAbcastProcess::~FdAbcastProcess() {
+  sys_->node(self_).register_handler(net::ProtocolId::kReliableBroadcast, nullptr);
   sys_->node(self_).register_handler(net::ProtocolId::kAtomicBroadcast, nullptr);
 }
 
@@ -62,10 +63,13 @@ FdAbcastProcess::DataPlaneSizes FdAbcastProcess::data_plane_dbg() const {
 }
 
 void FdAbcastProcess::disseminate(const AppMessagePtr* msgs, std::size_t count) {
-  // One rbcast slot (and later one proposal slot) carries the whole batch;
-  // receivers unpack it back into per-message pending entries, so the
-  // ordering machinery below is the same for any batch size.
-  rb_.broadcast(data_payload(msgs, count));  // delivers locally too -> on_rdeliver
+  // One data multicast (and later one proposal slot) carries the whole
+  // batch; receivers unpack it back into per-message pending entries, so
+  // the ordering machinery below is the same for any batch size.  The
+  // local R-delivery follows the multicast (see the header).
+  const net::PayloadPtr data = data_payload(msgs, count);
+  sys_->node(self_).multicast_others(sys_->all(), net::ProtocolId::kReliableBroadcast, data);
+  on_rdeliver(data);
 }
 
 // ------------------------------------------------- crash-recovery catch-up
@@ -160,6 +164,10 @@ void FdAbcastProcess::apply_sync_resp(const SyncResp& resp) {
 }
 
 void FdAbcastProcess::on_message(const net::Message& m) {
+  if (m.proto == net::ProtocolId::kReliableBroadcast) {
+    on_rdeliver(m.payload);
+    return;
+  }
   if (auto req = net::payload_cast<SyncReq>(m)) {
     handle_sync_req(m.src, *req);
     return;

@@ -8,6 +8,27 @@
 // ids.  Aggregation is inherent: one consensus decides the order of every
 // message pending at the proposer.
 //
+// Reliable broadcast (§4.1, footnote 3: one broadcast message in the
+// common case, after Frolund & Pedone, "Revisiting reliable broadcast"):
+// the process multicasts the data once to the others on kReliableBroadcast
+// and R-delivers it locally at once; every other process R-delivers on
+// receipt.  That single multicast is the whole protocol, with no relay on
+// suspicion, because a relay could never be the only source of a message:
+//
+//  - In the paper's contention model (Urbán, Défago & Schiper) a multicast
+//    is atomic: once the sender's CPU accepted it, it reaches every
+//    destination; otherwise it reaches none.
+//  - Under loss the retransmission transport repairs the multicast.  The
+//    transport lives below the crash line, so it keeps retransmitting
+//    after the origin crashes, and every correct destination still gets
+//    the message exactly once (the transport deduplicates frames, and a
+//    partition releases each held message once).
+//
+// So if any correct process R-delivers m, all correct processes do.  The
+// multicast carries the data payload itself and skips its origin.
+// Consensus decisions are disseminated by the consensus service on the
+// same grounds (consensus/chandra_toueg.hpp).
+//
 // Instances run in a shallow pipeline (depth W = 2): instance #k may
 // start once decision #(k-W) has been processed.  Messages arriving while
 // the in-flight instances are busy batch into the next one — the
@@ -47,7 +68,6 @@
 #include "fd/failure_detector.hpp"
 #include "net/system.hpp"
 #include "obs/causal.hpp"
-#include "rbcast/reliable_broadcast.hpp"
 #include "util/seq_map.hpp"
 
 namespace fdgm::abcast {
@@ -69,10 +89,10 @@ struct FdAbcastConfig {
 /// covers decisions that were in flight during the first sync.  None of
 /// this adds traffic to failure-free runs.
 class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
-                              private consensus::Client, private rbcast::Sink {
+                              private consensus::Client {
  public:
-  /// Builds the full protocol stack of one process: reliable broadcast,
-  /// consensus service and the atomic broadcast layer on top.
+  /// Builds the full protocol stack of one process: the consensus service
+  /// and the atomic broadcast layer on top, which R-delivers its own data.
   FdAbcastProcess(net::System& sys, net::ProcessId self, fd::FailureDetector& fd,
                   FdAbcastConfig cfg = {});
   ~FdAbcastProcess() override;
@@ -80,13 +100,16 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   // AtomicBroadcastProcess
   void on_restart() override;
 
-  // net::Layer — SYNC-REQ / SYNC-RESP (crash-recovery catch-up only).
+  // net::Layer — R-delivered data (kReliableBroadcast), and SYNC-REQ /
+  // SYNC-RESP (kAtomicBroadcast, crash-recovery catch-up only).
   void on_message(const net::Message& m) override;
 
   /// Consensus instances decided so far (tests: aggregation checks).
   [[nodiscard]] std::uint64_t decided_instances() const { return next_to_process_ - 1; }
 
-  [[nodiscard]] rbcast::ReliableBroadcast& rb() { return rb_; }
+  /// The kReliableBroadcast layer: this process, which R-delivers its own
+  /// data (perf/ times the dispatch through it).
+  [[nodiscard]] net::Layer& rb() { return *this; }
 
   /// Test/debug access to the consensus endpoint.
   [[nodiscard]] consensus::ConsensusService& consensus_dbg() { return consensus_; }
@@ -104,8 +127,8 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const;
 
  protected:
-  // AtomicBroadcastProcess submission hook: one rbcast broadcast of the
-  // message or of the batch (one data dissemination and one consensus
+  // AtomicBroadcastProcess submission hook: one reliable broadcast of the
+  // message or of the batch (one data multicast and one consensus
   // proposal slot amortized over k messages).
   void disseminate(const AppMessagePtr* msgs, std::size_t count) override;
 
@@ -134,9 +157,10 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
   /// winners_'s absent value.
   static constexpr net::ProcessId kNoWinner = -1;
 
-  // rbcast::Sink — one disseminated data payload R-delivered.
-  void on_rdeliver(net::PayloadPtr payload) override;
-  /// Admits one message of an rbcast data delivery into pending_; returns
+  /// One disseminated data payload R-delivered: here inside disseminate(),
+  /// elsewhere on receipt.
+  void on_rdeliver(net::PayloadPtr payload);
+  /// Admits one message of an R-delivered payload into pending_; returns
   /// false when it was already A-delivered.
   bool admit_data(AppMessagePtr msg);
   /// Drops `id` from pending_ (A-delivered), and from its cohort.
@@ -174,7 +198,6 @@ class FdAbcastProcess final : public AtomicBroadcastProcess, public net::Layer,
 
   fd::FailureDetector* fd_;
   FdAbcastConfig cfg_;
-  rbcast::ReliableBroadcast rb_;
   consensus::ConsensusService consensus_;
 
   /// An R-delivered, not yet A-delivered message and its admission

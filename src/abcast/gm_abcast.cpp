@@ -198,10 +198,8 @@ void GmAbcastProcess::on_restart() {
   // every drain check).
   held_.clear();
   undelivered_ = 0;
-  seqnums_ = 0;
   arrival_order_.clear();
   msg_at_.clear();
-  recent_delivered_.clear();
   batch_ends_.clear();
   cover_.reset();
   member_ = false;
@@ -242,18 +240,18 @@ bool GmAbcastProcess::hold_content(AppMessagePtr msg) {
   return true;
 }
 
-void GmAbcastProcess::hold_sn(const MsgId& id, std::int64_t sn) {
-  Held& h = held_.slot(id);
-  if (h.sn != 0) return;
-  h.sn = sn;
-  ++seqnums_;
+void GmAbcastProcess::assign(const MsgId& id, std::int64_t sn) {
+  if (!delivered(id)) {
+    Held& h = held_.slot(id);
+    if (h.sn == 0) h.sn = sn;
+  }
+  msg_at_.emplace(sn, Assigned{id, nullptr});
 }
 
 void GmAbcastProcess::drop_sn(const MsgId& id) {
   Held* h = held_.find(id);
   if (h == nullptr || h->sn == 0) return;
   h->sn = 0;
-  --seqnums_;
   if (h->empty()) held_.release(id);
 }
 
@@ -279,8 +277,7 @@ void GmAbcastProcess::sequence_pending() {
     const Held* h = held_.find(id);
     if (h == nullptr || h->sn != 0) continue;
     const std::int64_t sn = next_sn_++;
-    hold_sn(id, sn);
-    msg_at_.emplace(sn, id);
+    assign(id, sn);
     assigned.emplace_back(id, sn);
   }
   if (assigned.empty()) return;
@@ -304,7 +301,7 @@ void GmAbcastProcess::sequence_pending() {
 void GmAbcastProcess::try_advance_ack() {
   const std::int64_t before = ack_sn_;
   while (true) {
-    const Held* h = held_.find(msg_at_.get(ack_sn_ + 1));  // never holds the null id
+    const Held* h = held_.find(msg_at_.get(ack_sn_ + 1).id);  // never holds the null id
     if (h == nullptr || h->msg == nullptr) break;
     ++ack_sn_;
   }
@@ -329,7 +326,6 @@ void GmAbcastProcess::try_deliver_sequencer() {
   if (deliverable <= announced_) return;
   announced_ = deliverable;
   deliver_up_to(deliverable);
-  recent_delivered_.erase_below(stable + 1);
   msg_at_.erase_below(stable + 1);
   sys_->node(self_).multicast_others(
       view_.members, net::ProtocolId::kAtomicBroadcast,
@@ -340,11 +336,12 @@ void GmAbcastProcess::try_deliver_sequencer() {
 
 void GmAbcastProcess::deliver_up_to(std::int64_t sn) {
   while (deliver_sn_ < sn) {
-    const Held* h = held_.find(msg_at_.get(deliver_sn_ + 1));  // never holds the null id
+    Assigned* a = msg_at_.find(deliver_sn_ + 1);
+    const Held* h = a != nullptr ? held_.find(a->id) : nullptr;
     if (h == nullptr || h->msg == nullptr) break;
     const AppMessagePtr msg = h->msg;
     ++deliver_sn_;
-    if (cfg_.uniform) recent_delivered_.emplace(deliver_sn_, msg);
+    a->delivered = msg;  // before deliver_msg: its sink may assign sns
     deliver_msg(msg);
   }
   // Non-uniform mode has no ack phase, no stable point and no NEED: a
@@ -362,7 +359,6 @@ void GmAbcastProcess::deliver_msg(AppMessagePtr msg) {
   // arrival order.
   if (Held* h = held_.find(msg->id)) {
     if (h->msg != nullptr) --undelivered_;
-    if (h->sn != 0) --seqnums_;
     *h = Held{};
     held_.release(msg->id);
   }
@@ -383,9 +379,8 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     for (const auto& [id, sn] : s->pairs) {
       if (sn <= sn_floor_) continue;
       // A repair re-multicast may re-announce ids delivered here already;
-      // their slots are gone and must stay gone.
-      if (!delivered(id)) hold_sn(id, sn);
-      msg_at_.emplace(sn, id);
+      // their slots are gone and must stay gone (assign keeps them so).
+      assign(id, sn);
     }
     try_advance_ack();
     return;
@@ -402,7 +397,6 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     if (del->view_id != view_.id || frozen_ || !member_) return;
     announced_ = std::max(announced_, del->cum);
     deliver_up_to(std::min(announced_, ack_sn_));
-    recent_delivered_.erase_below(del->stable + 1);
     msg_at_.erase_below(del->stable + 1);
     if (announced_ > ack_sn_ && announced_ > requested_) {
       // Gap repair (post-rejoin): ask the sequencer for what we miss.
@@ -417,25 +411,14 @@ void GmAbcastProcess::on_message(const net::Message& m) {
     std::vector<std::pair<MsgId, std::int64_t>> pairs;
     const std::int64_t lo = std::max(need->from, sn_floor_);
     // `from` is the requester's cumulative ack, at or above the stable
-    // point the window was trimmed to.
+    // point the window was trimmed to, so every sn it names is still in
+    // the window: undelivered here (held_) or delivered, not yet stable.
     for (std::int64_t sn = lo + 1; sn <= std::min(need->to, next_sn_ - 1); ++sn) {
-      const MsgId id = msg_at_.get(sn);
-      if (id.seq == 0) continue;
-      pairs.emplace_back(id, sn);
-      AppMessagePtr content = nullptr;
-      if (const Held* h = held_.find(id); h != nullptr && h->msg != nullptr) {
-        content = h->msg;
-      } else if (const AppMessagePtr recent = recent_delivered_.get(sn);
-                 recent != nullptr && recent->id == id) {
-        content = recent;  // delivered but not yet stable
-      } else {
-        // Delivered and stable: fetch from the log.
-        for (auto lit = log().rbegin(); lit != log().rend(); ++lit)
-          if ((*lit)->id == id) {
-            content = *lit;
-            break;
-          }
-      }
+      const Assigned a = msg_at_.get(sn);
+      if (a.empty()) continue;
+      pairs.emplace_back(a.id, sn);
+      const Held* h = held_.find(a.id);
+      const AppMessagePtr content = h != nullptr && h->msg != nullptr ? h->msg : a.delivered;
       if (content != nullptr)
         sys_->node(self_).send(m.src, net::ProtocolId::kAtomicBroadcast, content);
     }
@@ -463,17 +446,22 @@ void GmAbcastProcess::on_message(const net::Message& m) {
 gm::UnstableReport GmAbcastProcess::unstable_messages() const {
   gm::UnstableReport report;
   report.watermark = deliver_sn_;
-  report.entries.reserve(undelivered_ + recent_delivered_.size());
+  std::size_t delivered = 0;
+  msg_at_.for_each([&delivered](std::int64_t, const Assigned& a) {
+    if (a.delivered != nullptr) ++delivered;
+  });
+  report.entries.reserve(undelivered_ + delivered);
   // Undelivered messages, sequenced or not.
   for (const MsgId& id : arrival_order_) {
     const Held* h = held_.find(id);
     if (h == nullptr || h->msg == nullptr) continue;  // delivered
     report.entries.push_back(gm::UnstableEntry{h->msg, h->sn != 0 ? h->sn : -1});
   }
-  // Recently delivered sequenced messages: possibly undelivered elsewhere,
-  // so they must keep their sequence number through the view change.
-  recent_delivered_.for_each([&report](std::int64_t sn, AppMessagePtr msg) {
-    report.entries.push_back(gm::UnstableEntry{msg, sn});
+  // Delivered, not yet stable sequenced messages: possibly undelivered
+  // elsewhere, so they must keep their sequence number through the view
+  // change.
+  msg_at_.for_each([&report](std::int64_t sn, const Assigned& a) {
+    if (a.delivered != nullptr) report.entries.push_back(gm::UnstableEntry{a.delivered, sn});
   });
   return report;
 }
@@ -507,13 +495,12 @@ void GmAbcastProcess::flush(const std::vector<gm::UnstableEntry>& u, std::int64_
   deliver_sn_ = std::max(deliver_sn_, sn_floor_);
   announced_ = std::max(announced_, sn_floor_);
   requested_ = std::max(requested_, sn_floor_);
-  recent_delivered_.erase_below(sn_floor_ + 1);
   drop_mappings_above_floor();
   msg_at_.erase_below(sn_floor_ + 1);
 }
 
 void GmAbcastProcess::drop_mappings_above_floor() {
-  msg_at_.drop_above(sn_floor_, [this](std::int64_t, const MsgId& id) { drop_sn(id); });
+  msg_at_.drop_above(sn_floor_, [this](std::int64_t, const Assigned& a) { drop_sn(a.id); });
 }
 
 void GmAbcastProcess::on_view_installed(const gm::View& v, bool member) {
@@ -563,14 +550,10 @@ void GmAbcastProcess::apply_state(const net::PayloadPtr& state) {
   sn_floor_ = std::max(sn_floor_, st->sn_floor);
   drop_mappings_above_floor();  // our own leftovers from the dead view
   msg_at_.erase_below(sn_floor_ + 1);
-  recent_delivered_.erase_below(sn_floor_ + 1);
   for (const auto& [msg, sn] : st->known) {
     if (delivered(msg->id)) continue;
     hold_content(msg);
-    if (sn > sn_floor_) {
-      hold_sn(msg->id, sn);
-      msg_at_.emplace(sn, msg->id);
-    }
+    if (sn > sn_floor_) assign(msg->id, sn);
   }
   // The state sender's deliver point becomes our baseline: everything it
   // delivered is in the suffix we just applied.

@@ -25,9 +25,9 @@
 // over dense keys: what a process knows of each undelivered message, its
 // content and its sequence number, in one slot of a per-origin window over
 // the seqs (InFlightWindows); msg_at_ maps sequence numbers back to ids,
-// and recent_delivered_ keeps the delivered, not yet stable messages by
-// sequence number.  All are trimmed from below, so they span the messages
-// in flight, and none allocates per message once grown.
+// and keeps the content of the delivered, not yet stable ones.  Both are
+// trimmed from below, so they span the messages in flight, and neither
+// allocates per message once grown.
 #pragma once
 
 #include <algorithm>
@@ -134,13 +134,12 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   struct DataPlaneSizes {
     std::size_t arrival_order;    // sequencing-order entries (incl. not yet compacted)
     std::size_t undelivered;      // known, undelivered contents
-    std::size_t seqnums;          // id -> sequence-number mappings
     std::size_t held_slots;       // slots of the per-origin {content, sn} windows
     std::size_t sn_window;        // sequence-number -> id window slots
     std::size_t delivered_words;  // words of the per-origin delivered windows
   };
   [[nodiscard]] DataPlaneSizes data_plane_dbg() const {
-    return {arrival_order_.size(), undelivered_, seqnums_, held_.slots(), msg_at_.window(),
+    return {arrival_order_.size(), undelivered_, held_.slots(), msg_at_.window(),
             delivered_words()};
   }
 
@@ -182,8 +181,9 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   /// Records `msg`'s content (appending it to the sequencing order);
   /// false when it was held already.
   bool hold_content(AppMessagePtr msg);
-  /// Records `id` -> `sn` unless the id has a sequence number already.
-  void hold_sn(const MsgId& id, std::int64_t sn);
+  /// Records the assignment `sn` -> `id`: the id keeps its first sequence
+  /// number, the sn its first id, and a delivered id holds no slot.
+  void assign(const MsgId& id, std::int64_t sn);
   /// Forgets `id`'s sequence number (a dead view's assignment).
   void drop_sn(const MsgId& id);
   /// One ordering step: sequence (active sequencer) or ack (follower).
@@ -205,17 +205,28 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   bool member_ = true;
   bool frozen_ = false;
 
-  /// sn -> id of the sequence numbers still in play (null id: unknown).
-  /// It is trimmed from below at the stable point (where
-  /// recent_delivered_ is): every member holds content and order up to
-  /// there, so no ack, delivery or NEED (whose `from` is a member's
-  /// cumulative ack) looks below it again, and no SEQNUM of the view
-  /// reaches below it: the sequencer sends SEQNUMs, repairs included, and
-  /// DELIVERs down one FIFO channel, and a SEQNUM assigns only sns above
-  /// every stable point it announced before.  Every trimmed id is
+  /// One sequence number still in play: its id and, once delivered here,
+  /// its content.  A delivered, not yet stable message may still be
+  /// undelivered elsewhere, so it keeps its sequence number through a view
+  /// change (unstable_messages) and serves NEED repairs.  `Assigned{}` is
+  /// empty (no member initializers, as for Held).
+  struct Assigned {
+    MsgId id;
+    AppMessagePtr delivered;
+    [[nodiscard]] bool empty() const { return id.seq == 0; }
+  };
+  /// sn -> assignment of the sequence numbers still in play.  It is
+  /// trimmed from below at the stable point: every member holds content
+  /// and order up to there, so no ack, delivery or NEED (whose `from` is
+  /// a member's cumulative ack) looks below it again, and no SEQNUM of the
+  /// view reaches below it: the sequencer sends SEQNUMs, repairs included,
+  /// and DELIVERs down one FIFO channel, and a SEQNUM assigns only sns
+  /// above every stable point it announced before.  Every trimmed id is
   /// delivered here.  It is cut from above when a view change drops the
-  /// dead view's assignments.
-  util::SeqMap<std::int64_t, MsgId> msg_at_;
+  /// dead view's assignments: a delivered sn was acked by a majority,
+  /// which intersects the majority of reports, so the decided floor
+  /// covers it and the cut drops undelivered ones only.
+  util::SeqMap<std::int64_t, Assigned> msg_at_;
 
   /// What is known of one undelivered message: its content and its
   /// sequence number (0: none yet; assigned ones start at 1).  Either may
@@ -231,7 +242,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   // deliver_msg drops a message's slot (arrival_order_'s entry lazily).
   InFlightWindows<Held> held_;
   std::size_t undelivered_ = 0;       // slots with content
-  std::size_t seqnums_ = 0;           // slots with a sequence number
   std::vector<MsgId> arrival_order_;  // sequencing order
 
   std::int64_t sn_floor_ = 0;    // everything <= floor is settled
@@ -239,13 +249,6 @@ class GmAbcastProcess final : public AtomicBroadcastProcess, public gm::Membersh
   std::int64_t deliver_sn_ = 0;  // highest sequenced sn delivered
   std::int64_t announced_ = 0;   // highest DELIVER cum seen / sent
   std::int64_t requested_ = 0;   // NEED-repair throttle
-
-  /// Recently delivered sequenced messages by sequence number, kept until
-  /// known stable (all members hold them): they may still be undelivered
-  /// elsewhere and must keep their sequence number through a view change.
-  /// A flat window over the dense sns between the stable point and
-  /// deliver_sn_, trimmed with msg_at_.
-  util::SeqMap<std::int64_t, AppMessagePtr> recent_delivered_;
 
   // Sequencer state.  Batches run in a shallow pipeline (depth 2, like
   // the FD algorithm's consensus instances): a new SEQNUM batch goes out

@@ -28,8 +28,8 @@
 // coordinator multicasts DECIDE to the other members, then applies the
 // decision locally; every other member applies it on arrival.  That one
 // multicast is the reliable broadcast Chandra–Toueg's uniform agreement
-// needs here, for the reasons rbcast/reliable_broadcast.hpp gives for
-// data: a multicast the sender's CPU accepted reaches every destination
+// needs here, for the reasons abcast/fd_abcast.hpp gives for data: a
+// multicast the sender's CPU accepted reaches every destination
 // or none (the contention model; a crash does not cancel a submitted
 // CPU job, and the multicast is submitted before the local apply), and
 // under loss the transport, which lives below the crash line, keeps

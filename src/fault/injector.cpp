@@ -32,21 +32,34 @@ void Injector::arm() {
     sys_->scheduler().schedule_at(e.at, [this, &e] { fire(e); });
 }
 
-void Injector::fire(const FaultEvent& e) {
+bool Injector::names_valid_pids(const FaultEvent& e) const {
+  const auto valid = [this](net::ProcessId p) { return p >= 0 && p < sys_->n(); };
   switch (e.kind) {
     case FaultKind::kCrash:
-      if (!valid_pid(e.process)) {
-        ++skipped_;
-        return;
-      }
+    case FaultKind::kRecover:
+    case FaultKind::kLimp:
+    case FaultKind::kDrift:
+      return valid(e.process);
+    default:
+      // Loss and delay spikes name no process: both lists are empty.
+      return std::ranges::all_of(e.accused, valid) &&
+             std::ranges::all_of(e.groups, [&](const std::vector<net::ProcessId>& g) {
+               return std::ranges::all_of(g, valid);
+             });
+  }
+}
+
+void Injector::fire(const FaultEvent& e) {
+  if (!names_valid_pids(e)) {
+    ++skipped_;
+    return;
+  }
+  switch (e.kind) {
+    case FaultKind::kCrash:
       sys_->crash(e.process);
       break;
 
     case FaultKind::kRecover: {
-      if (!valid_pid(e.process)) {
-        ++skipped_;
-        return;
-      }
       // Recovering an alive process is a no-op, but the event still counts
       // as fired — fired() + skipped() must account for every event.
       if (sys_->node(e.process).crashed()) {
@@ -57,12 +70,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kPartition: {
-      for (const auto& group : e.groups)
-        for (net::ProcessId p : group)
-          if (!valid_pid(p)) {
-            ++skipped_;
-            return;
-          }
       sys_->network().set_partition(e.groups);
       const std::uint64_t gen = ++partition_gen_;
       sys_->scheduler().schedule_at(e.until, [this, gen] {
@@ -72,12 +79,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kAsymPartition: {
-      for (const auto& group : e.groups)
-        for (net::ProcessId p : group)
-          if (!valid_pid(p)) {
-            ++skipped_;
-            return;
-          }
       sys_->network().set_asym_partition(e.groups.at(0), e.groups.at(1));
       const std::uint64_t gen = ++apartition_gen_;
       sys_->scheduler().schedule_at(e.until, [this, gen] {
@@ -105,11 +106,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kSuspicionStorm: {
-      for (net::ProcessId p : e.accused)
-        if (!valid_pid(p)) {
-          ++skipped_;
-          return;
-        }
       if (fd_model_ == nullptr) {
         ++skipped_;
         return;
@@ -121,10 +117,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kLimp: {
-      if (!valid_pid(e.process)) {
-        ++skipped_;
-        return;
-      }
       // Both faces of a limping node: its CPU serves every job slower
       // (protocol processing, send/receive pipeline stages) and — when an
       // FD model is attached — its heartbeat handling degrades the QoS
@@ -142,10 +134,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kDrift: {
-      if (!valid_pid(e.process)) {
-        ++skipped_;
-        return;
-      }
       // Clock drift only skews timer behavior, which lives in the FD
       // model; a network-only simulation has no clocks to skew.
       if (fd_model_ == nullptr) {
@@ -163,12 +151,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kFlap: {
-      for (const auto& group : e.groups)
-        for (net::ProcessId p : group)
-          if (!valid_pid(p)) {
-            ++skipped_;
-            return;
-          }
       // duty >= 1 means the link never goes down: schedule nothing, so a
       // degenerate flap adds zero transitions (and zero events beyond
       // this one).  Each cycle starts with its up phase; the first down
@@ -182,13 +164,6 @@ void Injector::fire(const FaultEvent& e) {
     }
 
     case FaultKind::kCorrupt: {
-      if (!e.groups.empty())
-        for (const auto& group : e.groups)
-          for (net::ProcessId p : group)
-            if (!valid_pid(p)) {
-              ++skipped_;
-              return;
-            }
       sys_->network().set_corrupt(e.rate, &rng_, e.groups);
       const std::uint64_t gen = ++corrupt_gen_;
       sys_->scheduler().schedule_at(e.until, [this, gen] {

@@ -86,9 +86,9 @@ class Injector {
   /// `cycle` counts full periods since the window opened.
   void on_flap_down(const FaultEvent& e, std::uint64_t cycle);
   void on_flap_up(const FaultEvent& e, std::uint64_t cycle);
-  [[nodiscard]] bool valid_pid(net::ProcessId p) const {
-    return p >= 0 && p < sys_->n();
-  }
+  /// Are the process ids `e` names (its target, groups or accused) all
+  /// processes of the system?
+  [[nodiscard]] bool names_valid_pids(const FaultEvent& e) const;
 
   net::System* sys_;
   fd::QosFailureDetectorModel* fd_model_;

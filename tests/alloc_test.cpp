@@ -436,7 +436,7 @@ TEST(AllocBound, GmViewChange64) {
     ASSERT_EQ(p.view().id, 1u) << "p" << i;
     ASSERT_EQ(p.view().members.size(), static_cast<std::size_t>(kN - 1)) << "p" << i;
   }
-  EXPECT_LE(allocs, 1896u) << "one view change at n = " << kN;
+  EXPECT_LE(allocs, 1785u) << "one view change at n = " << kN;
 
   // A second view change, stepped: the reports p0 holds are listed in pid
   // order whatever order they arrived in.

@@ -16,26 +16,30 @@
 namespace fdgm::core {
 namespace {
 
-abcast::BatchConfig armed(std::size_t credit_window = 64) {
+abcast::BatchConfig armed() {
   abcast::BatchConfig b;
   b.enabled = true;
-  b.credit_window = credit_window;
   return b;
 }
+
+/// The credit window: abcast.cpp's kCreditWindow.
+constexpr std::size_t kCreditWindow = 64;
 
 TEST(Batching, CreditWindowExhaustsAndReopensOnDelivery) {
   SimConfig cfg;
   cfg.algorithm = Algorithm::kFd;
   cfg.n = 3;
   cfg.seed = 11;
-  cfg.batching = armed(/*credit_window=*/4);
+  cfg.batching = armed();
   SimRun run(cfg, WorkloadConfig{.throughput = 100.0});
 
   auto& p0 = run.proc(0);
 
-  EXPECT_TRUE(p0.can_submit());
-  for (int i = 0; i < 4; ++i) p0.a_broadcast();
-  EXPECT_EQ(p0.in_flight(), 4u);
+  for (std::size_t i = 0; i < kCreditWindow; ++i) {
+    EXPECT_TRUE(p0.can_submit()) << i;
+    p0.a_broadcast();
+  }
+  EXPECT_EQ(p0.in_flight(), kCreditWindow);
   EXPECT_FALSE(p0.can_submit());
 
   // Deliveries release credits and the exhausted window reopens.
@@ -82,7 +86,7 @@ TEST(Batching, OpenLoopLoadShedsDeterministically) {
     cfg.algorithm = Algorithm::kGm;
     cfg.n = 3;
     cfg.seed = seed;
-    cfg.batching = armed(/*credit_window=*/2);
+    cfg.batching = armed();
     SimRun run(cfg, WorkloadConfig{.throughput = 4000.0});
     run.start();
     run.run_until(1000.0);
@@ -90,7 +94,7 @@ TEST(Batching, OpenLoopLoadShedsDeterministically) {
   };
   const auto [generated, shed] = shed_of(31);
   EXPECT_GT(generated, 0u);
-  EXPECT_GT(shed, 0u);  // a 2-message window cannot absorb 4000 msgs/s
+  EXPECT_GT(shed, 0u);  // the credit window cannot absorb 4000 msgs/s (about half shed)
   // Same seed, same counters: shedding is part of the deterministic run.
   EXPECT_EQ(shed_of(31), std::pair(generated, shed));
 }

@@ -241,6 +241,26 @@ TEST(Injector, FiresScheduledEventsAndSkipsBadIds) {
   EXPECT_EQ(run.injector()->skipped(), 1u);
 }
 
+TEST(Injector, EveryKindNamingABadIdIsSkipped) {
+  // One event per kind that names processes, each with one id past n-1
+  // in the field it names: its target, a group or the accused.  The loss
+  // event names none and fires.
+  core::SimConfig cfg;
+  cfg.n = 3;
+  cfg.faults = FaultSchedule::parse(
+      "crash p3 @100; recover p3 @110; partition {0|3} @120 heal @130; "
+      "apartition p0->p3 @140 heal @150; storm p1,p3 @160 for 5; limp p3 x2 @170 for 5; "
+      "flap p3->p0 period 4 duty 0.5 @180 for 8; drift p3 x0.5 @190 for 5; "
+      "corrupt 0.1 p0->p3 @200 for 5; loss 0.1 @210 for 5");
+  core::SimRun run(cfg, core::WorkloadConfig{.throughput = 50.0});
+  run.start();
+  run.run_until(500.0);
+  ASSERT_NE(run.injector(), nullptr);
+  EXPECT_EQ(run.injector()->skipped(), 9u);
+  EXPECT_EQ(run.injector()->fired(), 1u);
+  for (int p = 0; p < 3; ++p) EXPECT_FALSE(run.system().node(p).crashed()) << p;
+}
+
 TEST(Injector, RecoveryRestartsTheNodeAndItsWorkload) {
   core::SimConfig cfg;
   cfg.n = 3;

@@ -1,45 +1,32 @@
-// Tests of the reliable broadcast layer: one multicast per broadcast
-// (also while the origin is wrongly suspected), local delivery first, no
-// second delivery at the origin, delivery once everywhere, and the
-// argument that replaces relays on suspicion: under loss the transport
-// keeps repairing a multicast after its origin crashed, so every correct
-// destination still delivers it exactly once.  The delivery tests run
-// twice: Rbcast.* as is, RbcastRelayOff.* under a failure detector that
-// keeps wrongly suspecting every process, where the layer must deliver
-// the same and still send one multicast per broadcast.
+// Tests of the FD stack's reliable broadcast (FdAbcastProcess R-delivers
+// its own data): one kReliableBroadcast multicast per broadcast (also
+// while the origin is wrongly suspected), local R-delivery first,
+// A-delivery once everywhere, and the argument that replaces relays on
+// suspicion: under loss the transport keeps repairing a multicast after
+// its origin crashed, so every correct destination still delivers it
+// exactly once.  The delivery tests run twice: Rbcast.* as is,
+// RbcastRelayOff.* under a failure detector that keeps wrongly suspecting
+// every process, where the stack must deliver the same and still send one
+// multicast per broadcast.
+//
+// R-delivery is observed through the network's delivery tap (the
+// kReliableBroadcast frames: consensus runs on its own protocol), the
+// sender's pending messages before the scheduler runs, and the
+// A-delivery logs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
+#include "abcast/fd_abcast.hpp"
 #include "fd/qos_model.hpp"
 #include "net/system.hpp"
-#include "rbcast/reliable_broadcast.hpp"
+#include "sim/rng.hpp"
 #include "transport/transport.hpp"
 
-namespace fdgm::rbcast {
+namespace fdgm::abcast {
 namespace {
-
-class Body final : public net::Payload {
- public:
-  static constexpr net::ProtocolId kProto = net::ProtocolId::kApplication;
-  static constexpr std::uint8_t kKind = 33;
-  Body(net::ProcessId origin, int v) : Payload(kProto, kKind), origin(origin), value(v) {}
-  net::ProcessId origin;
-  int value;
-};
-
-/// Logs every R-delivery of one process as (origin, value).
-class LogSink final : public Sink {
- public:
-  void on_rdeliver(net::PayloadPtr p) override {
-    const Body* b = net::payload_cast<Body>(p);
-    log.emplace_back(b != nullptr ? b->origin : -1, b != nullptr ? b->value : -1);
-  }
-  std::vector<std::pair<net::ProcessId, int>> log;
-};
 
 /// Counts the suspicion edges one failure detector raises against p.
 class SuspicionCounter final : public fd::SuspicionListener {
@@ -52,65 +39,71 @@ class SuspicionCounter final : public fd::SuspicionListener {
   net::ProcessId p_;
 };
 
+/// Failure detector parameters under which every module keeps wrongly
+/// suspecting every process.
+fd::QosParams suspecting_everyone() {
+  fd::QosParams qp;
+  qp.wrong_suspicions = true;
+  qp.mistake_recurrence = 50.0;
+  qp.mistake_duration = 1.0;
+  return qp;
+}
+
 struct Fixture {
-  explicit Fixture(int n, std::uint64_t seed = 1, transport::Config tp = {})
-      : sys(n, {}, seed, tp), sinks(static_cast<std::size_t>(n)) {
-    for (int i = 0; i < n; ++i) {
-      LogSink& sink = sinks[static_cast<std::size_t>(i)];
-      stacks.push_back(std::make_unique<ReliableBroadcast>(sys, i, sink));
-    }
+  explicit Fixture(int n, bool suspect_all = false, std::uint64_t seed = 1,
+                   transport::Config tp = {}, fd::QosParams qp = {})
+      : suspecting(suspect_all),
+        sys(n, {}, seed, tp),
+        fd(sys, suspect_all ? suspecting_everyone() : qp) {
+    for (int i = 0; i < n; ++i)
+      procs.push_back(std::make_unique<FdAbcastProcess>(sys, i, fd.at(i)));
+    sys.network().set_delivery_tap([this](const net::Message& m, net::ProcessId) {
+      if (m.proto == net::ProtocolId::kReliableBroadcast) ++rb_frames;
+    });
+    if (suspecting) fd.at(1).add_listener(&p0_at_p1);
+    fd.start();
   }
 
-  void broadcast(net::ProcessId from, int v) {
-    stacks[static_cast<std::size_t>(from)]->broadcast(sys.arena().make<Body>(from, v));
-    ++multicasts;
+  MsgId broadcast(net::ProcessId from) {
+    ++broadcasts;
+    return procs[static_cast<std::size_t>(from)]->a_broadcast();
   }
 
-  /// R-deliveries at process p, in order.
-  [[nodiscard]] const std::vector<std::pair<net::ProcessId, int>>& deliveries(
-      net::ProcessId p) const {
-    return sinks[static_cast<std::size_t>(p)].log;
-  }
-
-  /// Starts a failure detector whose modules keep wrongly suspecting
-  /// every process (call before any broadcast).
-  void suspect_everyone() {
-    fd::QosParams qp;
-    qp.wrong_suspicions = true;
-    qp.mistake_recurrence = 50.0;
-    qp.mistake_duration = 1.0;
-    fd = std::make_unique<fd::QosFailureDetectorModel>(sys, qp);
-    fd->at(1).add_listener(&p0_at_p1);
-    fd->start();
+  /// A-deliveries at process p, in order.
+  [[nodiscard]] std::vector<MsgId> deliveries(net::ProcessId p) const {
+    std::vector<MsgId> ids;
+    for (AppMessagePtr m : procs[static_cast<std::size_t>(p)]->log()) ids.push_back(m->id);
+    return ids;
   }
 
   /// Runs to quiescence, or for 5 s while suspicions keep renewing.
   void run() {
-    if (fd == nullptr) {
-      sys.scheduler().run();
-    } else {
+    if (suspecting)
       sys.scheduler().run_until(sys.scheduler().now() + 5000.0);
+    else
+      sys.scheduler().run();
+  }
+
+  /// One multicast per broadcast: n-1 frames each, no relay.  While
+  /// suspecting, the origin was also suspected many times.
+  void expect_no_relays() {
+    EXPECT_EQ(rb_frames, broadcasts * static_cast<std::uint64_t>(sys.n() - 1));
+    if (suspecting) {
+      EXPECT_GE(p0_at_p1.count, 20);
     }
   }
 
-  /// Under suspect_everyone(): the origin was suspected many times, and
-  /// no suspicion cost a wire slot.
-  void expect_no_relays() {
-    if (fd == nullptr) return;
-    EXPECT_GE(p0_at_p1.count, 20);
-    EXPECT_EQ(sys.network().network_uses(), multicasts);
-  }
-
+  bool suspecting;  // under suspecting_everyone()
   net::System sys;
+  fd::QosFailureDetectorModel fd;
   SuspicionCounter p0_at_p1{0};
-  std::unique_ptr<fd::QosFailureDetectorModel> fd;
-  std::uint64_t multicasts = 0;
-  std::vector<LogSink> sinks;  // sized once: the stacks keep references
-  std::vector<std::unique_ptr<ReliableBroadcast>> stacks;
+  std::vector<std::unique_ptr<FdAbcastProcess>> procs;
+  std::uint64_t rb_frames = 0;
+  std::uint64_t broadcasts = 0;
 };
 
 // Defines Rbcast.Name and RbcastRelayOff.Name over one body, which
-// receives whether to run under Fixture::suspect_everyone().
+// receives whether to run under a failure detector suspecting everyone.
 #define RB_TEST_BOTH_MODES(Name)                     \
   void Name##Body(bool suspecting);                  \
   TEST(Rbcast, Name) { Name##Body(false); }          \
@@ -118,78 +111,72 @@ struct Fixture {
   void Name##Body(bool suspecting)
 
 RB_TEST_BOTH_MODES(EveryoneDeliversOnce) {
-  Fixture f(4);
-  if (suspecting) f.suspect_everyone();
-  f.broadcast(0, 7);
+  Fixture f(4, suspecting);
+  const MsgId id = f.broadcast(0);
   f.run();
-  for (int p = 0; p < 4; ++p) {
-    ASSERT_EQ(f.deliveries(p).size(), 1u) << p;
-    EXPECT_EQ(f.deliveries(p)[0], std::make_pair(0, 7));
-  }
+  for (int p = 0; p < 4; ++p) EXPECT_EQ(f.deliveries(p), std::vector<MsgId>{id}) << p;
   f.expect_no_relays();
 }
 
 TEST(Rbcast, FailureFreeCostsOneWireSlot) {
   Fixture f(5);
-  f.broadcast(2, 1);
+  f.broadcast(2);
   f.sys.scheduler().run();
-  EXPECT_EQ(f.sys.network().network_uses(), 1u);
+  EXPECT_EQ(f.rb_frames, 4u);
 }
 
 TEST(Rbcast, WronglySuspectedOriginCostsOneWireSlot) {
-  // Suspecting the origin sends nothing: the layer does not relay.
-  Fixture f(3);
-  f.suspect_everyone();
-  f.broadcast(0, 3);
+  // Suspecting the origin sends nothing: the stack does not relay.
+  Fixture f(3, /*suspecting=*/true);
+  f.broadcast(0);
   f.run();
-  EXPECT_EQ(f.sys.network().network_uses(), 1u);
+  EXPECT_EQ(f.rb_frames, 2u);
   for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries(p).size(), 1u);
   f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(SenderDeliversLocallyImmediately) {
-  Fixture f(3);
-  if (suspecting) f.suspect_everyone();
-  f.broadcast(0, 5);
-  // Before running the scheduler at all: local delivery already happened.
-  EXPECT_EQ(f.deliveries(0).size(), 1u);
+  Fixture f(3, suspecting);
+  const MsgId id = f.broadcast(0);
+  // Before running the scheduler at all: the sender R-delivered the
+  // message, nobody else did, and no frame arrived yet.
+  EXPECT_EQ(f.procs[0]->data_plane_dbg().pending, 1u);
+  for (int p = 1; p < 3; ++p)
+    EXPECT_EQ(f.procs[static_cast<std::size_t>(p)]->data_plane_dbg().pending, 0u) << p;
+  EXPECT_EQ(f.rb_frames, 0u);
   f.run();
-  EXPECT_EQ(f.deliveries(0).size(), 1u);  // no second delivery at the origin
+  EXPECT_EQ(f.deliveries(0), std::vector<MsgId>{id});  // once at the origin
   f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(OrderPreservedPerOrigin) {
-  Fixture f(3);
-  if (suspecting) f.suspect_everyone();
-  for (int i = 0; i < 5; ++i) f.broadcast(0, i);
+  Fixture f(3, suspecting);
+  std::vector<MsgId> sent;
+  for (int i = 0; i < 5; ++i) sent.push_back(f.broadcast(0));
   f.run();
-  for (int p = 0; p < 3; ++p) {
-    ASSERT_EQ(f.deliveries(p).size(), 5u);
-    for (int i = 0; i < 5; ++i)
-      EXPECT_EQ(f.deliveries(p)[static_cast<std::size_t>(i)].second, i);
-  }
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries(p), sent) << p;
   f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(CrashedReceiverDoesNotDeliver) {
-  Fixture f(3);
-  if (suspecting) f.suspect_everyone();
+  Fixture f(3, suspecting);
   f.sys.crash(2);
-  f.broadcast(0, 4);
+  const MsgId id = f.broadcast(0);
   f.run();
   EXPECT_TRUE(f.deliveries(2).empty());
-  EXPECT_EQ(f.deliveries(1).size(), 1u);
-  EXPECT_EQ(f.deliveries(0).size(), 1u);
+  EXPECT_EQ(f.deliveries(1), std::vector<MsgId>{id});
+  EXPECT_EQ(f.deliveries(0), std::vector<MsgId>{id});
   f.expect_no_relays();
 }
 
 RB_TEST_BOTH_MODES(ManyOriginsInterleaved) {
-  Fixture f(3);
-  if (suspecting) f.suspect_everyone();
+  Fixture f(3, suspecting);
   for (int round = 0; round < 10; ++round)
-    for (int p = 0; p < 3; ++p) f.broadcast(p, round);
+    for (int p = 0; p < 3; ++p) f.broadcast(p);
   f.run();
   for (int p = 0; p < 3; ++p) EXPECT_EQ(f.deliveries(p).size(), 30u);
+  // Every process delivers the same sequence.
+  for (int p = 1; p < 3; ++p) EXPECT_EQ(f.deliveries(p), f.deliveries(0)) << p;
   f.expect_no_relays();
 }
 
@@ -197,13 +184,16 @@ TEST(Rbcast, LossyMulticastReachesEveryoneAfterOriginCrash) {
   // Half the frames are lost, and the origin crashes 3 ms after its one
   // multicast, before any retransmission timer fired.  The transport
   // lives below the crash line, so it keeps repairing the multicast, and
-  // no receiver needs a relay to deliver it.
+  // no receiver needs a relay to deliver it; the survivors order it once
+  // they suspect the crashed round-1 coordinator.
+  fd::QosParams qp;
+  qp.detection_time = 30.0;
   std::uint64_t retx_after_crash = 0;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    Fixture f(5, seed, transport::Config{.enabled = true});
+    Fixture f(5, /*suspecting=*/false, seed, transport::Config{.enabled = true}, qp);
     sim::Rng loss_rng(seed);
     f.sys.network().set_loss(0.5, &loss_rng);
-    f.broadcast(0, 9);
+    const MsgId id = f.broadcast(0);
     f.sys.scheduler().run_until(3.0);
     f.sys.crash(0);
     const std::uint64_t retx_at_crash = f.sys.transport()->stats().retransmits;
@@ -211,15 +201,12 @@ TEST(Rbcast, LossyMulticastReachesEveryoneAfterOriginCrash) {
     f.sys.scheduler().run_until(203.0);
     f.sys.network().clear_loss();
     f.sys.scheduler().run_until(5000.0);
-    for (int p = 1; p < 5; ++p) {
-      ASSERT_EQ(f.deliveries(p).size(), 1u)
-          << "seed " << seed << " p" << p;
-      EXPECT_EQ(f.deliveries(p)[0], std::make_pair(0, 9));
-    }
+    for (int p = 1; p < 5; ++p)
+      EXPECT_EQ(f.deliveries(p), std::vector<MsgId>{id}) << "seed " << seed << " p" << p;
     retx_after_crash += f.sys.transport()->stats().retransmits - retx_at_crash;
   }
   EXPECT_GT(retx_after_crash, 0u);
 }
 
 }  // namespace
-}  // namespace fdgm::rbcast
+}  // namespace fdgm::abcast
